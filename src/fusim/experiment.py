@@ -199,6 +199,16 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     return task
 
 
+def _load_model(spec: ModelSpec, path: str) -> ParameterSet:
+    """A stage checkpoint, checked against the model the config builds."""
+    params = nncore.load_checkpoint(path)
+    try:
+        nncore.validate_params(spec, params)
+    except nncore.ShapeMismatchError as exc:
+        raise nncore.CheckpointError(f"{path}: {exc}") from None
+    return params
+
+
 def ensure_train(cfg: ExperimentConfig, out_dir: str, task: Task | None = None):
     ckpt = os.path.join(out_dir, ART["ckpt_trained"])
     summary_path = os.path.join(out_dir, ART["train_summary"])
@@ -207,7 +217,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str, task: Task | None = None):
     if os.path.exists(ckpt) and os.path.exists(summary_path):
         with open(summary_path) as fh:
             summary = json.load(fh)
-        return task, nncore.load_checkpoint(ckpt), summary
+        return task, _load_model(task.spec, ckpt), summary
     clients = task.build_clients()
     ckpt_dir = out_dir if cfg.training.checkpoint_every else None
     if ckpt_dir:
@@ -295,7 +305,7 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, task: Task | None = None
     task, trained, train_summary = ensure_train(cfg, out_dir, task)
     if os.path.exists(ckpt) and os.path.exists(summary_path):
         with open(summary_path) as fh:
-            return task, trained, nncore.load_checkpoint(ckpt), json.load(fh)
+            return task, trained, _load_model(task.spec, ckpt), json.load(fh)
     params, logs, extras = run_route(cfg, task, trained,
                                      start_round=train_summary["rounds_run"])
     summary = {

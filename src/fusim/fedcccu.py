@@ -9,11 +9,18 @@ for the same unit: units with a low ratio are dominated by the requester and
 safe to zero, units with ratio near 1 are shared and kept.  The edit itself
 zeroes incoming weights and biases, identically to the naive zeroing route.
 
+Scoring cost per client: one prefix pass per editable layer over the probes,
+up to the layer's activation site, gives every unit's activation; then one
+suffix pass per unit, forward and backward through the layers after the site
+only, over probes x m scaled rows.  attribute_unit is the per-unit oracle that
+runs the whole network for one input.
+
 Raw examples never leave the clients; the server-side steps consume
 SensitivityReports only.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -160,39 +167,43 @@ def attribute_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
     """
     if m < 1:
         raise CccuError("m must be >= 1")
-    values = _attributions_for_unit(spec, params,
-                                    np.asarray(inputs, dtype=np.float64)[None],
-                                    target_class, unit, m)
-    return float(values[0])
-
-
-def _attributions_for_unit(spec: ModelSpec, params: ParameterSet, xs: np.ndarray,
-                           target_class: int, unit: UnitId, m: int) -> np.ndarray:
-    """Per-sample attribution of one unit over a batch, one engine pass."""
     spec.validate_unit(unit)
-    n = xs.shape[0]
-    betas = nncore.batch_unit_activations(spec, params, xs)[unit.layer][:, unit.unit]
+    x = np.asarray(inputs, dtype=np.float64)[None]
+    beta = nncore.batch_unit_activations(spec, params, x)[unit.layer][0, unit.unit]
+    sites = nncore.batch_site_outputs(spec, params, np.repeat(x, m, axis=0), unit.layer)
     steps = np.arange(1, m + 1, dtype=np.float64) / m
-    rep_x = np.repeat(xs, m, axis=0)
-    scales = np.tile(steps, n)
-    grads = nncore.batch_unit_gradients(spec, params, rep_x, target_class, unit, scales)
-    grad_sums = grads.reshape(n, m).sum(axis=1)
-    return betas / m * grad_sums
+    grads = nncore.batch_unit_gradients(spec, params, sites, target_class, unit, steps)
+    return float(beta / m * grads.sum())
 
 
 def sensitivity_scores(spec: ModelSpec, params: ParameterSet,
                        examples: list[LabeledExample], target_class: int,
                        m: int) -> list[SensitivityRecord]:
-    """Mean attribution per editable unit over the given examples."""
+    """Mean attribution per editable unit over the given examples.
+
+    Per editable layer, one prefix pass over the examples gives every unit's
+    beta and the activation-site rows; per unit, only the layers after the
+    site run, over the n * m scaled rows.
+    """
     if not examples:
         raise CccuError("sensitivity_scores needs a nonempty shard")
     if not 0 <= target_class < spec.class_count:
         raise CccuError(f"target class {target_class} out of range")
+    if m < 1:
+        raise CccuError("m must be >= 1")
     xs = np.stack([ex.image for ex in examples])
+    n = xs.shape[0]
+    scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
     records = []
-    for unit in editable_units(spec):
-        values = _attributions_for_unit(spec, params, xs, target_class, unit, m)
-        records.append(SensitivityRecord(unit, target_class, float(values.mean())))
+    for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+        site = nncore.batch_site_outputs(spec, params, xs, ordinal)
+        betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
+        rows = np.repeat(site, m, axis=0)
+        for unit in units:
+            grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit,
+                                                scales)
+            values = betas[:, unit.unit] / m * grads.reshape(n, m).sum(axis=1)
+            records.append(SensitivityRecord(unit, target_class, float(values.mean())))
     return records
 
 

@@ -9,11 +9,15 @@ network order, and a unit is an output neuron of a dense layer or an output
 channel of a conv layer.  The "activation" of a unit is its value after the
 relu that immediately follows its layer (or the raw layer output when no relu
 follows).  Interventions scale that value; gradients are taken with respect
-to it (summed over spatial positions for conv channels).
+to it (summed over spatial positions for conv channels).  The engine runs any
+range of layer positions, so batch_site_outputs computes a layer's site once
+and batch_unit_gradients then runs only the layers after it, per unit.
 """
 from __future__ import annotations
 
 import io
+import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -177,7 +181,6 @@ class ModelSpec:
         object.__setattr__(self, "_shapes", tuple(shapes))
         object.__setattr__(self, "_param_positions", param_positions)
         object.__setattr__(self, "_site_positions", tuple(site_positions))
-        object.__setattr__(self, "_site_by_pos", {s: o for o, s in enumerate(site_positions)})
 
     @property
     def param_layer_count(self) -> int:
@@ -293,12 +296,6 @@ def params_equal(a: ParameterSet, b: ParameterSet) -> bool:
     return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def params_allclose(a: ParameterSet, b: ParameterSet, atol: float = 0.0,
-                    rtol: float = 1e-12) -> bool:
-    return list(a) == list(b) and all(
-        np.allclose(a[k], b[k], atol=atol, rtol=rtol) for k in a)
-
-
 def zero_units(spec: ModelSpec, params: ParameterSet, units: Iterable[UnitId]) -> ParameterSet:
     """Zero the incoming weights and bias of each unit; idempotent, local."""
     out = params_copy(params)
@@ -335,11 +332,13 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NNError(f"non-finite values in {what}")
 
 
-def _as_batch(spec: ModelSpec, inputs: np.ndarray) -> np.ndarray:
+def _as_batch(spec: ModelSpec, inputs: np.ndarray, start: int = 0) -> np.ndarray:
+    """inputs as a float64 batch that feeds layer position start."""
     x = np.asarray(inputs, dtype=np.float64)
-    if x.shape[1:] != spec.input_shape:
+    if x.shape[1:] != spec._shapes[start]:
+        what = "input" if start == 0 else f"input of layer {start}"
         raise ShapeMismatchError(
-            f"input: expected shape {spec.input_shape} per example, got {x.shape[1:]}")
+            f"{what}: expected shape {spec._shapes[start]} per example, got {x.shape[1:]}")
     return x
 
 
@@ -362,24 +361,21 @@ def _scale_slice(h: np.ndarray, unit: int, scales) -> np.ndarray:
 
 
 def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
-                    intervention: tuple[int, int, object] | None = None,
-                    keep_caches: bool = False, capture_sites: bool = False):
-    """Run the layer stack on a batch.
+                    keep_caches: bool = False, capture_sites: bool = False,
+                    start: int = 0, stop: int | None = None):
+    """Run layer positions start..stop-1 on a batch x that feeds layer start.
 
-    intervention = (ordinal, unit, scales) multiplies the unit's activation
-    site by scales (scalar or per-sample vector) before downstream layers.
-    Returns (probs, caches, sites): caches feed _backward_engine, sites holds
-    the post-activation (pre-intervention) output per parameterized layer.
+    Returns (h, caches, sites): h is the output of layer stop-1, caches feed
+    _backward_engine, sites holds the post-activation output of every
+    parameterized layer whose activation site lies in the range.
     """
-    iv_pos = -1
-    if intervention is not None:
-        ordinal, unit, scales = intervention
-        iv_pos = spec.site_position(ordinal)
+    stop = len(spec.layers) if stop is None else stop
     caches: list | None = [] if keep_caches else None
     sites: list | None = [] if capture_sites else None
     h = x
-    ordinal_counter = 0
-    for pos, layer in enumerate(spec.layers):
+    ordinal_counter = sum(1 for p in spec._param_positions if p < start)
+    for pos in range(start, stop):
+        layer = spec.layers[pos]
         kind = layer.kind
         if kind == "dense":
             w = params[f"layer{ordinal_counter}.weight"]
@@ -425,54 +421,45 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
                 caches.append(("softmax", h))
         else:
             raise NNError(f"unknown layer kind {kind!r}")
-        site_ordinal = spec._site_by_pos.get(pos)
-        if site_ordinal is not None:
-            if capture_sites:
-                sites.append(h)
-            if pos == iv_pos:
-                h = _scale_slice(h, unit, scales)
+        if capture_sites and pos in spec._site_positions:
+            sites.append(h)
     return h, caches, sites
 
 
 def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
-                     grad_probs: np.ndarray,
-                     intervention: tuple[int, int, object] | None = None):
-    """Backpropagate a gradient at the probabilities.
+                     grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True):
+    """Backpropagate a gradient at the probabilities down to layer start.
 
-    Returns (param gradients, per-sample gradient at the intervention site or
-    None).  The captured gradient is taken with respect to the scaled unit
-    value, summed over spatial positions for conv channels.
+    caches come from a _forward_engine run over start..end.  With wrt_params,
+    returns the parameter gradients (start must be 0) and stops at the first
+    parameterized layer, whose input gradient nothing uses.  Otherwise returns
+    the gradient at the input of layer start and builds no parameter
+    gradients.
     """
-    iv_pos = -1
-    if intervention is not None:
-        ordinal, unit, scales = intervention
-        iv_pos = spec.site_position(ordinal)
     grads: ParameterSet = {}
-    unit_grad = None
     g = grad_probs
-    for pos in reversed(range(len(spec.layers))):
-        if pos == iv_pos:
-            if g.ndim == 2:
-                unit_grad = g[:, unit].copy()
-            else:
-                unit_grad = g[:, unit].sum(axis=(1, 2))
-            g = _scale_slice(g, unit, scales)
-        cache = caches[pos]
+    for pos in reversed(range(start, len(spec.layers))):
+        cache = caches[pos - start]
         kind = cache[0]
         if kind == "dense":
             _, x_in, ordinal = cache
-            w = params[f"layer{ordinal}.weight"]
-            grads[f"layer{ordinal}.weight"] = x_in.T @ g
-            grads[f"layer{ordinal}.bias"] = g.sum(axis=0)
-            g = g @ w.T
+            if wrt_params:
+                grads[f"layer{ordinal}.weight"] = x_in.T @ g
+                grads[f"layer{ordinal}.bias"] = g.sum(axis=0)
+                if ordinal == 0:
+                    break
+            g = g @ params[f"layer{ordinal}.weight"].T
         elif kind == "conv2d":
             _, patches, in_shape, ordinal = cache
             w = params[f"layer{ordinal}.weight"]
+            if wrt_params:
+                gs = g.transpose(0, 2, 3, 1)  # (B, oh, ow, out)
+                grads[f"layer{ordinal}.weight"] = np.tensordot(
+                    gs, patches, axes=([0, 1, 2], [0, 1, 2]))
+                grads[f"layer{ordinal}.bias"] = gs.sum(axis=(0, 1, 2))
+                if ordinal == 0:
+                    break
             k = w.shape[-1]
-            gs = g.transpose(0, 2, 3, 1)  # (B, oh, ow, out)
-            grads[f"layer{ordinal}.weight"] = np.tensordot(
-                gs, patches, axes=([0, 1, 2], [0, 1, 2]))
-            grads[f"layer{ordinal}.bias"] = gs.sum(axis=(0, 1, 2))
             pad = k - 1
             gpad = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
             gpatches = _im2col(gpad, k)  # (B, H, W, out, k, k)
@@ -500,8 +487,9 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             g = probs * (g - dot)
         else:
             raise NNError(f"unknown cache kind {kind!r}")
-    fixed = {name: grads[name] for name in params}
-    return fixed, unit_grad
+    if not wrt_params:
+        return g
+    return {name: grads[name] for name in params}
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +530,29 @@ def batch_unit_activations(spec: ModelSpec, params: ParameterSet,
     return out
 
 
+def batch_site_outputs(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+                       ordinal: int) -> np.ndarray:
+    """Per-sample output at the activation site of parameterized layer ordinal.
+
+    (B, units) for a dense layer, (B, channels, H, W) for a conv layer.  Only
+    the layers up to the site run.
+    """
+    spec.validate_unit(UnitId(ordinal, 0))
+    x = _as_batch(spec, inputs)
+    h, _, _ = _forward_engine(spec, params, x, stop=spec.site_position(ordinal) + 1)
+    return h
+
+
 def forward_with_scaled_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
                              unit: UnitId, scale: float) -> np.ndarray:
     """Forward pass with the unit's activation multiplied by scale in [0, 1]."""
     spec.validate_unit(unit)
     if not np.isscalar(scale) or not 0.0 <= float(scale) <= 1.0:
         raise NNError(f"scale must be a scalar in [0, 1], got {scale!r}")
-    x = _as_batch(spec, np.asarray(inputs, dtype=np.float64)[None])
-    probs, _, _ = _forward_engine(spec, params, x,
-                                  intervention=(unit.layer, unit.unit, float(scale)))
+    site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
+                              unit.layer)
+    probs, _, _ = _forward_engine(spec, params, _scale_slice(site, unit.unit, float(scale)),
+                                  start=spec.site_position(unit.layer) + 1)
     _check_finite(probs, "probabilities")
     return probs[0]
 
@@ -563,24 +565,32 @@ def gradient_wrt_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
         raise NNError(f"target class {target_class} out of range")
     if not 0.0 <= float(scale) <= 1.0:
         raise NNError(f"scale must be in [0, 1], got {scale!r}")
-    g = batch_unit_gradients(spec, params, np.asarray(inputs, dtype=np.float64)[None],
-                             target_class, unit, np.asarray([float(scale)]))
+    site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
+                              unit.layer)
+    g = batch_unit_gradients(spec, params, site, target_class, unit,
+                             np.asarray([float(scale)]))
     return float(g[0])
 
 
-def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, sites: np.ndarray,
                          target_class: int, unit: UnitId,
                          scales: np.ndarray) -> np.ndarray:
-    """Per-sample dP(target)/d(activation) with per-sample activation scales."""
+    """Per-row dP(target)/d(activation) with per-row activation scales.
+
+    sites are rows of batch_site_outputs for unit.layer.  The unit is scaled
+    in them and only the layers after its activation site run, forward and
+    backward, with no parameter gradients; a conv channel's gradient is summed
+    over spatial positions.
+    """
     spec.validate_unit(unit)
-    x = _as_batch(spec, inputs)
-    scales = np.asarray(scales, dtype=np.float64)
-    iv = (unit.layer, unit.unit, scales)
-    probs, caches, _ = _forward_engine(spec, params, x, intervention=iv, keep_caches=True)
+    start = spec.site_position(unit.layer) + 1
+    h = _scale_slice(_as_batch(spec, sites, start), unit.unit,
+                     np.asarray(scales, dtype=np.float64))
+    probs, caches, _ = _forward_engine(spec, params, h, keep_caches=True, start=start)
     seed = np.zeros_like(probs)
     seed[:, target_class] = 1.0
-    _, unit_grad = _backward_engine(spec, params, caches, seed, intervention=iv)
-    return unit_grad
+    g = _backward_engine(spec, params, caches, seed, start=start, wrt_params=False)
+    return g[:, unit.unit].copy() if g.ndim == 2 else g[:, unit.unit].sum(axis=(1, 2))
 
 
 def loss_and_gradient(spec: ModelSpec, params: ParameterSet, batch):
@@ -611,7 +621,7 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     loss = float(-np.log(py).mean())
     grad_probs = np.zeros_like(probs)
     grad_probs[np.arange(n), ys] = -1.0 / (n * py)
-    grads, _ = _backward_engine(spec, params, caches, grad_probs)
+    grads = _backward_engine(spec, params, caches, grad_probs)
     for name, g in grads.items():
         _check_finite(g, f"gradient of {name}")
     return loss, grads
@@ -662,6 +672,13 @@ def save_checkpoint(path, params: ParameterSet) -> None:
 
 
 def load_checkpoint(path) -> ParameterSet:
+    """Parameters of a checkpoint written by save_checkpoint.
+
+    The manifest must name each parameter once, with a shape of non-negative
+    integers and blobs laid out back to back in manifest order, covering the
+    data exactly; anything else raises CheckpointError naming the file and the
+    parameter.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     header_end = data.find(b"end\n")
@@ -669,19 +686,37 @@ def load_checkpoint(path) -> ParameterSet:
         raise CheckpointError(f"{path}: bad magic, expected {CHECKPOINT_MAGIC!r}")
     if header_end < 0:
         raise CheckpointError(f"{path}: manifest terminator missing")
-    manifest = data[len(CHECKPOINT_MAGIC) + 1:header_end].decode("ascii").splitlines()
+    try:
+        manifest = data[len(CHECKPOINT_MAGIC) + 1:header_end].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: manifest is not ASCII text") from None
     blob = data[header_end + 4:]
     params: ParameterSet = {}
+    end = 0
     for line in manifest:
         parts = line.split()
         if len(parts) != 3:
             raise CheckpointError(f"{path}: malformed manifest line {line!r}")
         name, shape_s, offset_s = parts
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name} listed twice")
+        if not re.fullmatch(r"[0-9]+(x[0-9]+)*", shape_s):
+            raise CheckpointError(f"{path}: parameter {name}: bad shape {shape_s!r}")
+        if not re.fullmatch(r"[0-9]+", offset_s):
+            raise CheckpointError(f"{path}: parameter {name}: bad offset {offset_s!r}")
         shape = tuple(int(d) for d in shape_s.split("x"))
-        count = int(np.prod(shape))
         offset = int(offset_s)
-        if offset + count * 8 > len(blob):
+        if offset != end:
+            raise CheckpointError(
+                f"{path}: parameter {name} starts at byte {offset}, expected {end}: "
+                f"offsets must follow each other without gaps or overlaps")
+        count = math.prod(shape)
+        end = offset + count * 8
+        if end > len(blob):
             raise CheckpointError(f"{path}: data truncated for parameter {name}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
+    if end != len(blob):
+        last = f"parameter {name}" if params else "the manifest"
+        raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes after {last}")
     return params

@@ -97,6 +97,19 @@ def test_stage_resume_uses_existing_artifacts(tmp_path):
     assert nncore.params_equal(params, params2)
 
 
+@pytest.mark.parametrize("checkpoint", ["checkpoint_trained.fusim",
+                                        "checkpoint_unlearned.fusim"])
+def test_resume_rejects_checkpoint_of_other_model(tmp_path, checkpoint):
+    from fusim import nncore
+    cfg = validate_config(TINY.format(route="delete"))
+    out = str(tmp_path / "run")
+    task, _, _, _ = experiment.ensure_unlearn(cfg, out)
+    narrow = nncore.small_mlp(task.spec.input_shape, task.spec.class_count, hidden=7)
+    nncore.save_checkpoint(os.path.join(out, checkpoint), nncore.init_params(narrow, 1))
+    with pytest.raises(nncore.CheckpointError, match=r"parameter layer0\.weight"):
+        experiment.ensure_unlearn(cfg, out)
+
+
 def test_cli_run_exit_codes(tmp_path):
     cfg_path = write_cfg(tmp_path, route="delete")
     out = str(tmp_path / "out")

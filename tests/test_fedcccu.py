@@ -144,9 +144,12 @@ def test_attribution_path_extension_identity():
 # sensitivity_scores
 
 
-def small_trained_setup():
-    spec = nn.small_mlp((1, 8, 8), 4, hidden=10)
-    gen = ds.SyntheticDomainSpec(base_pattern_seed=14, resolution=(8, 8),
+def small_trained_setup(model="small_mlp"):
+    if model == "small_mlp":
+        spec = nn.small_mlp((1, 8, 8), 4, hidden=10)
+    else:
+        spec = nn.small_cnn((1, 10, 10), 4)
+    gen = ds.SyntheticDomainSpec(base_pattern_seed=14, resolution=spec.input_shape[1:],
                                  samples_per_class=20, class_count=4)
     shard = ds.synth_domain(gen, 6).examples
     xs = np.stack([e.image for e in shard])
@@ -178,10 +181,14 @@ def test_sensitivity_duplicated_shard_invariant():
         assert ra.score == pytest.approx(rb.score, rel=1e-10, abs=1e-15)
 
 
-def test_sensitivity_two_example_mean_oracle():
-    spec, params, shard = small_trained_setup()
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_sensitivity_two_example_mean_oracle(model):
+    # small_cnn: units of both conv layers, the first scored through a suffix
+    # that holds the second conv block
+    spec, params, shard = small_trained_setup(model)
     two = shard[:2]
     records = fc.sensitivity_scores(spec, params, two, 2, 12)
+    assert {r.unit.layer for r in records} == set(range(spec.param_layer_count - 1))
     for rec in records:
         a0 = fc.attribute_unit(spec, params, two[0].image, 2, rec.unit, 12)
         a1 = fc.attribute_unit(spec, params, two[1].image, 2, rec.unit, 12)
@@ -192,6 +199,12 @@ def test_sensitivity_empty_shard_errors():
     spec, params, _ = small_trained_setup()
     with pytest.raises(fc.CccuError):
         fc.sensitivity_scores(spec, params, [], 0, 5)
+
+
+def test_sensitivity_rejects_zero_riemann_steps():
+    spec, params, shard = small_trained_setup()
+    with pytest.raises(fc.CccuError, match="m must be >= 1"):
+        fc.sensitivity_scores(spec, params, shard[:2], 0, 0)
 
 
 # ---------------------------------------------------------------------------

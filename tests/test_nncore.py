@@ -393,6 +393,57 @@ def test_checkpoint_truncated(tmp_path):
         nn.load_checkpoint(path)
 
 
+def write_manifest(path, lines, data_bytes):
+    """A checkpoint with the given manifest lines over data_bytes of zeros."""
+    path.write_bytes(b"FUSIM1\n" + "".join(f"{l}\n" for l in lines).encode()
+                     + b"end\n" + bytes(data_bytes))
+
+
+def load_error(path):
+    with pytest.raises(nn.CheckpointError) as info:
+        nn.load_checkpoint(path)
+    assert str(path) in str(info.value)
+    return str(info.value)
+
+
+def test_checkpoint_repeated_name(tmp_path):
+    path = tmp_path / "model.fusim"
+    write_manifest(path, ["w 2 0", "w 2 16"], 32)
+    assert "parameter w listed twice" in load_error(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path):
+    spec, params = tiny_net_222()
+    path = tmp_path / "model.fusim"
+    nn.save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    assert "8 trailing bytes after parameter layer1.bias" in load_error(path)
+
+
+def test_checkpoint_bad_shape_field(tmp_path):
+    path = tmp_path / "model.fusim"
+    write_manifest(path, ["w 5xq 0"], 40)
+    assert "parameter w: bad shape '5xq'" in load_error(path)
+
+
+def test_checkpoint_negative_offset(tmp_path):
+    path = tmp_path / "model.fusim"
+    write_manifest(path, ["w 2 0", "b 1 -8"], 24)
+    assert "parameter b: bad offset '-8'" in load_error(path)
+
+
+def test_checkpoint_out_of_order_offsets(tmp_path):
+    path = tmp_path / "model.fusim"
+    write_manifest(path, ["w 2 8", "b 1 0"], 24)
+    assert "parameter w starts at byte 8, expected 0" in load_error(path)
+
+
+def test_checkpoint_overlapping_offsets(tmp_path):
+    path = tmp_path / "model.fusim"
+    write_manifest(path, ["w 2 0", "b 2 8"], 32)
+    assert "parameter b starts at byte 8, expected 16" in load_error(path)
+
+
 # ---------------------------------------------------------------------------
 # model spec validation
 
