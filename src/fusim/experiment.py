@@ -1,10 +1,12 @@
 """Experiment stages: partition, train, unlearn, evaluate, compare.
 
 Stages read their prerequisites from the output directory when present and
-build them otherwise, so any stage can resume from on-disk artifacts.  All
-artifacts are pure functions of the config text: no timestamps, sorted keys,
-fixed float formatting.  Files are written to a stage-local temp directory
-and renamed into place on stage completion.
+build them otherwise, so any stage can resume from on-disk artifacts.  A
+compare trains once in its output directory and runs only the unlearn and
+evaluate stages of each route in a subdirectory.  All artifacts are pure
+functions of the config text: no timestamps, sorted keys, fixed float
+formatting.  Files are written to a stage-local temp directory and renamed
+into place on stage completion.
 """
 from __future__ import annotations
 
@@ -50,28 +52,31 @@ ART = {
 
 
 class _StageWriter:
-    """Collects artifact bytes, then renames them into place atomically."""
+    """Writes artifacts into a stage-local temp directory, then renames them
+    into place on commit; the temp directory (and out_dir) is made on demand."""
 
     def __init__(self, out_dir: str, stage: str):
         self.out_dir = out_dir
         self.tmp_dir = os.path.join(out_dir, f".tmp-{stage}")
-        self.pending: dict[str, bytes] = {}
+        self.names: list[str] = []
+
+    def _tmp_path(self, name: str) -> str:
+        os.makedirs(self.tmp_dir, exist_ok=True)
+        self.names.append(name)
+        return os.path.join(self.tmp_dir, name)
 
     def add_text(self, name: str, text: str) -> None:
-        self.pending[name] = text.encode("utf-8")
+        with open(self._tmp_path(name), "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
-    def add_bytes(self, name: str, data: bytes) -> None:
-        self.pending[name] = data
+    def add_checkpoint(self, name: str, params: ParameterSet) -> None:
+        nncore.save_checkpoint(self._tmp_path(name), params)
 
     def commit(self) -> None:
-        os.makedirs(self.out_dir, exist_ok=True)
-        os.makedirs(self.tmp_dir, exist_ok=True)
         try:
-            for name, data in self.pending.items():
-                tmp = os.path.join(self.tmp_dir, name)
-                with open(tmp, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, os.path.join(self.out_dir, name))
+            for name in self.names:
+                os.replace(os.path.join(self.tmp_dir, name),
+                           os.path.join(self.out_dir, name))
         finally:
             shutil.rmtree(self.tmp_dir, ignore_errors=True)
 
@@ -209,19 +214,16 @@ def _load_model(spec: ModelSpec, path: str) -> ParameterSet:
     return params
 
 
-def ensure_train(cfg: ExperimentConfig, out_dir: str, task: Task | None = None):
+def ensure_train(cfg: ExperimentConfig, out_dir: str):
     ckpt = os.path.join(out_dir, ART["ckpt_trained"])
     summary_path = os.path.join(out_dir, ART["train_summary"])
-    if task is None:
-        task = ensure_partition(cfg, out_dir)
+    task = ensure_partition(cfg, out_dir)
     if os.path.exists(ckpt) and os.path.exists(summary_path):
         with open(summary_path) as fh:
             summary = json.load(fh)
         return task, _load_model(task.spec, ckpt), summary
     clients = task.build_clients()
     ckpt_dir = out_dir if cfg.training.checkpoint_every else None
-    if ckpt_dir:
-        os.makedirs(ckpt_dir, exist_ok=True)
     result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
                                  _fed_config(cfg), checkpoint_dir=ckpt_dir)
     summary = {
@@ -230,11 +232,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str, task: Task | None = None):
         "final_val_error": result.logs[-1].val_error if result.logs else None,
     }
     writer = _StageWriter(out_dir, "train")
-    buf_ckpt = os.path.join(out_dir, ".ckpt_trained.partial")
-    nncore.save_checkpoint(buf_ckpt, result.params)
-    with open(buf_ckpt, "rb") as fh:
-        writer.add_bytes(ART["ckpt_trained"], fh.read())
-    os.remove(buf_ckpt)
+    writer.add_checkpoint(ART["ckpt_trained"], result.params)
     writer.add_text(ART["rounds_train"], fedsim.round_logs_to_csv(
         result.logs, [c.client_id for c in clients]))
     writer.add_text(ART["train_summary"], json.dumps(summary, sort_keys=True, indent=1))
@@ -299,10 +297,16 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
     raise StageError("unlearn", f"unknown route {route!r}")
 
 
-def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, task: Task | None = None):
+def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None):
+    """The route's unlearned model, read from or written to out_dir.
+
+    trained_stage is ensure_train's (task, params, summary) for a trained
+    stage held elsewhere (compare_routes shares one across routes); without
+    it the trained stage is read or built in out_dir.
+    """
     ckpt = os.path.join(out_dir, ART["ckpt_unlearned"])
     summary_path = os.path.join(out_dir, ART["unlearn_summary"])
-    task, trained, train_summary = ensure_train(cfg, out_dir, task)
+    task, trained, train_summary = trained_stage or ensure_train(cfg, out_dir)
     if os.path.exists(ckpt) and os.path.exists(summary_path):
         with open(summary_path) as fh:
             return task, trained, _load_model(task.spec, ckpt), json.load(fh)
@@ -317,11 +321,7 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, task: Task | None = None
         if key in extras:
             summary[key] = extras[key]
     writer = _StageWriter(out_dir, "unlearn")
-    buf_ckpt = os.path.join(out_dir, ".ckpt_unlearned.partial")
-    nncore.save_checkpoint(buf_ckpt, params)
-    with open(buf_ckpt, "rb") as fh:
-        writer.add_bytes(ART["ckpt_unlearned"], fh.read())
-    os.remove(buf_ckpt)
+    writer.add_checkpoint(ART["ckpt_unlearned"], params)
     writer.add_text(ART["rounds_unlearn"], fedsim.round_logs_to_csv(
         logs, sorted(cfg.unlearn.requesting_clients)))
     writer.add_text(ART["unlearn_summary"], json.dumps(summary, sort_keys=True, indent=1))
@@ -331,8 +331,9 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, task: Task | None = None
     return task, trained, params, summary
 
 
-def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, task: Task | None = None):
-    task, trained, unlearned, _ = ensure_unlearn(cfg, out_dir, task)
+def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None):
+    """Before/after reports and metrics; trained_stage as in ensure_unlearn."""
+    task, trained, unlearned, _ = ensure_unlearn(cfg, out_dir, trained_stage)
     before = evalkit.build_report(
         task.spec, trained, task.client_test_sets,
         metadata={"strategy": "before", "route": cfg.unlearn.route, "seed": cfg.seed})
@@ -366,7 +367,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 
 
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
-    """Run one experiment per config (differing only in route) and merge."""
+    """Compare configs that differ only in route; returns compare.csv's text.
+
+    The partition and train stages run once, in out_dir; each route's unlearn
+    and evaluate stages run in out_dir/route_<label> from that trained model.
+    """
     if not cfgs:
         raise StageError("compare", "no configurations given")
     key = cfgs[0].comparable_key()
@@ -382,9 +387,10 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     reports: dict[str, "evalkit.EvaluationReport"] = {}
     befores = []
     plot: dict[str, tuple[float, float]] = {}
+    trained_stage = ensure_train(cfgs[0], out_dir)
     for cfg, label in zip(cfgs, labels):
         sub = os.path.join(out_dir, f"route_{label}")
-        _, before, after, _ = run_experiment(cfg, sub)
+        _, before, after, _ = ensure_evaluate(cfg, sub, trained_stage)
         befores.append(before)
         reports[label] = after
         plot[label] = (before.global_accuracy, after.global_accuracy)

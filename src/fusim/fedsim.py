@@ -118,8 +118,13 @@ def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> lis
 
 def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec,
                 config: FedConfig, round_index: int = 0):
-    """Local mini-batch SGD pass; returns (new params, mean batch loss)."""
-    params = global_params
+    """Local mini-batch SGD pass; returns (new params, mean batch loss).
+
+    The steps update a private copy of global_params in place, reusing one
+    gradient buffer per parameter; global_params is left unchanged.
+    """
+    params = nncore.params_copy(global_params)
+    grad_buffers = {name: np.empty_like(p) for name, p in params.items()}
     losses = []
     rng = make_rng((config.seed, state.client_id, round_index), 501)
     n = state.sample_count
@@ -129,11 +134,11 @@ def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec
             batch_idx = np.sort(order[start:start + config.batch_size])
             try:
                 loss, grads = nncore.batch_loss_and_gradient(
-                    spec, params, state.x[batch_idx], state.y[batch_idx])
+                    spec, params, state.x[batch_idx], state.y[batch_idx], out=grad_buffers)
             except nncore.NNError as exc:
                 raise FedError(
                     f"client {state.client_id}, round {round_index}: {exc}") from exc
-            params = nncore.sgd_step(params, grads, config.learning_rate)
+            nncore.sgd_step(params, grads, config.learning_rate, out=params)
             state.local_step_counter += 1
             losses.append(loss)
     mean_loss = float(np.mean(losses)) if losses else float("nan")

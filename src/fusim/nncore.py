@@ -427,16 +427,19 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
 
 
 def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
-                     grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True):
+                     grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True,
+                     out: ParameterSet | None = None):
     """Backpropagate a gradient at the probabilities down to layer start.
 
     caches come from a _forward_engine run over start..end.  With wrt_params,
     returns the parameter gradients (start must be 0) and stops at the first
-    parameterized layer, whose input gradient nothing uses.  Otherwise returns
-    the gradient at the input of layer start and builds no parameter
-    gradients.
+    parameterized layer, whose input gradient nothing uses; dense weight and
+    bias gradients are written into out's arrays when out is given.
+    Otherwise returns the gradient at the input of layer start and builds no
+    parameter gradients.
     """
     grads: ParameterSet = {}
+    buffers = out or {}
     g = grad_probs
     for pos in reversed(range(start, len(spec.layers))):
         cache = caches[pos - start]
@@ -444,8 +447,9 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
         if kind == "dense":
             _, x_in, ordinal = cache
             if wrt_params:
-                grads[f"layer{ordinal}.weight"] = x_in.T @ g
-                grads[f"layer{ordinal}.bias"] = g.sum(axis=0)
+                w_name, b_name = f"layer{ordinal}.weight", f"layer{ordinal}.bias"
+                grads[w_name] = np.matmul(x_in.T, g, out=buffers.get(w_name))
+                grads[b_name] = g.sum(axis=0, out=buffers.get(b_name))
                 if ordinal == 0:
                     break
             g = g @ params[f"layer{ordinal}.weight"].T
@@ -604,7 +608,13 @@ def loss_and_gradient(spec: ModelSpec, params: ParameterSet, batch):
 
 
 def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
-                            inputs: np.ndarray, labels: np.ndarray):
+                            inputs: np.ndarray, labels: np.ndarray,
+                            out: ParameterSet | None = None):
+    """Mean cross-entropy loss and its gradient for a batch of arrays.
+
+    With out (gradient buffers shaped like params) the dense weight and bias
+    gradients are written into out's arrays instead of new ones.
+    """
     x = _as_batch(spec, inputs)
     ys = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0:
@@ -621,27 +631,43 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     loss = float(-np.log(py).mean())
     grad_probs = np.zeros_like(probs)
     grad_probs[np.arange(n), ys] = -1.0 / (n * py)
-    grads = _backward_engine(spec, params, caches, grad_probs)
+    grads = _backward_engine(spec, params, caches, grad_probs, out=out)
     for name, g in grads.items():
         _check_finite(g, f"gradient of {name}")
     return loss, grads
 
 
-def sgd_step(params: ParameterSet, gradient: ParameterSet, learning_rate: float) -> ParameterSet:
-    """params - learning_rate * gradient, element-wise."""
+def sgd_step(params: ParameterSet, gradient: ParameterSet, learning_rate: float,
+             out: ParameterSet | None = None) -> ParameterSet:
+    """params - learning_rate * gradient, element-wise.
+
+    With out (arrays shaped like params; params itself for an in-place
+    update) the result is written into out's arrays, and each gradient array
+    is scaled by learning_rate in place on the way; the bits are those of
+    the out-of-place update.  Nothing is written if a check fails.
+    """
     if learning_rate < 0 or not np.isfinite(learning_rate):
         raise NNError(f"learning rate must be finite and non-negative, got {learning_rate}")
     if list(params) != list(gradient):
         raise ShapeMismatchError("gradient names do not match parameters")
-    out: ParameterSet = {}
+    if out is not None and list(out) != list(params):
+        raise ShapeMismatchError("output names do not match parameters")
     for name, p in params.items():
         g = gradient[name]
         if g.shape != p.shape:
             raise ShapeMismatchError(
                 f"gradient {name}: expected shape {p.shape}, got {g.shape}")
+        if out is not None and out[name].shape != p.shape:
+            raise ShapeMismatchError(
+                f"output {name}: expected shape {p.shape}, got {out[name].shape}")
         if not np.all(np.isfinite(g)):
             raise NNError(f"non-finite gradient for {name}")
-        out[name] = p - learning_rate * g
+    if out is None:
+        return {name: p - learning_rate * gradient[name] for name, p in params.items()}
+    for name, p in params.items():
+        g = gradient[name]
+        np.multiply(g, learning_rate, out=g)
+        np.subtract(p, g, out=out[name])
     return out
 
 

@@ -2,10 +2,11 @@
 import filecmp
 import json
 import os
+import shutil
 
 import pytest
 
-from fusim import cli, experiment
+from fusim import cli, experiment, fedsim
 from fusim.config import validate_config
 
 TINY = """
@@ -179,3 +180,79 @@ def test_compare_identical_routes_identical_columns(tmp_path):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[-1] == cells[-2]
+
+
+COMPARED = ("delete", "relabel", "fedcccu")
+
+
+def count_trainings(monkeypatch) -> list:
+    """Record one entry per fedsim.run_training call."""
+    calls = []
+    real = fedsim.run_training
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(fedsim, "run_training", counted)
+    return calls
+
+
+def tree_bytes(root):
+    found = {}
+    for base, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+@pytest.fixture(scope="module")
+def compared(tmp_path_factory):
+    """A finished 3-route compare: (base dir, config path, out dir, trainings run)."""
+    base = tmp_path_factory.mktemp("compare")
+    cfg_path = write_cfg(base)
+    out = str(base / "cmp")
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_trainings(mp)
+        rc = cli.main(["compare", "--config", str(cfg_path), "--out", out,
+                       "--routes", ",".join(COMPARED)])
+    assert rc == cli.EXIT_OK
+    return base, cfg_path, out, len(calls)
+
+
+def test_compare_trains_once_in_top_directory(compared):
+    _, _, out, trainings = compared
+    assert trainings == 1
+    top = artifact_names(out)
+    train_artifacts = ["checkpoint_trained.fusim", "partition.json", "rounds_train.csv",
+                       "splits.json", "train_summary.json"]
+    assert set(train_artifacts) <= set(top)
+    for route in COMPARED:
+        names = artifact_names(os.path.join(out, f"route_{route}"))
+        assert "checkpoint_unlearned.fusim" in names
+        assert not set(train_artifacts) & set(names)
+
+
+def test_compare_route_artifacts_match_single_runs(compared):
+    base, cfg_path, out, _ = compared
+    for route in COMPARED:
+        single = str(base / f"run_{route}")
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", single, "--route", route])
+        assert rc == cli.EXIT_OK
+        for name in ("metrics.json", "report_after.json", "checkpoint_unlearned.fusim"):
+            assert filecmp.cmp(os.path.join(out, f"route_{route}", name),
+                               os.path.join(single, name), shallow=False), (route, name)
+
+
+def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, monkeypatch):
+    _, cfg_path, out, _ = compared
+    again = str(tmp_path / "again")
+    shutil.copytree(out, again)
+    finished = tree_bytes(again)
+    calls = count_trainings(monkeypatch)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
+                   "--routes", ",".join(COMPARED)])
+    assert rc == cli.EXIT_OK
+    assert calls == []
+    assert tree_bytes(again) == finished

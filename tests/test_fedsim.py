@@ -58,6 +58,37 @@ def test_local_train_single_example_is_one_sgd_step():
     assert single.local_step_counter == 1
 
 
+def test_local_train_leaves_global_params_unchanged():
+    spec, states, _, _ = make_federation()
+    params = nn.init_params(spec, 1)
+    snapshot = nn.params_copy(params)
+    out, _ = fs.local_train(states[0], params, spec, cfg(local_epochs=2), 1)
+    assert nn.params_equal(params, snapshot)
+    assert all(out[k] is not params[k] for k in params)
+    assert not nn.params_equal(out, params)
+
+
+def test_local_train_bit_identical_to_out_of_place_steps():
+    spec, states, _, _ = make_federation()
+    state = states[0]
+    params = nn.init_params(spec, 1)
+    config = cfg(local_epochs=2, batch_size=7)
+    out, loss = fs.local_train(state, params, spec, config, 4)
+    expected, losses = params, []
+    rng = nn.make_rng((config.seed, state.client_id, 4), 501)
+    for _ in range(config.local_epochs):
+        order = rng.permutation(state.sample_count)
+        for start in range(0, state.sample_count, config.batch_size):
+            idx = np.sort(order[start:start + config.batch_size])
+            batch_loss, grads = nn.batch_loss_and_gradient(spec, expected, state.x[idx],
+                                                           state.y[idx])
+            expected = nn.sgd_step(expected, grads, config.learning_rate)
+            losses.append(batch_loss)
+    assert len(losses) > 4
+    assert nn.params_equal(out, expected)
+    assert loss == float(np.mean(losses))
+
+
 def test_local_train_loss_decreases_on_separable_shard():
     spec, states, _, _ = make_federation(clients=1, per_class=50)
     params = nn.init_params(spec, 2)

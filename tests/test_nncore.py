@@ -221,6 +221,53 @@ def test_sgd_rejects_nonfinite_gradient():
         nn.sgd_step(params, grads, 0.1)
 
 
+def test_sgd_out_in_place_bit_identical_to_out_of_place():
+    rng = np.random.default_rng(12)
+    params = {"a": rng.normal(0, 1, (64, 32)), "b": rng.normal(0, 1, (32,))}
+    grads = {k: rng.normal(0, 1, v.shape) for k, v in params.items()}
+    lr = 0.37
+    expected = nn.sgd_step(params, grads, lr)
+    scaled = {k: lr * g for k, g in grads.items()}
+    arrays = {k: v for k, v in params.items()}
+    out = nn.sgd_step(params, grads, lr, out=params)
+    assert out is params
+    for k in params:
+        assert params[k] is arrays[k]
+        assert np.array_equal(params[k], expected[k])
+        assert np.array_equal(grads[k], scaled[k])
+
+
+def test_sgd_out_rejects_nonfinite_gradient_before_writing():
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+    grads = {"a": np.array([0.5, 0.5]), "b": np.array([np.inf])}
+    with pytest.raises(nn.NNError, match="non-finite gradient for b"):
+        nn.sgd_step(params, grads, 0.1, out=params)
+    assert params["a"].tolist() == [1.0, 2.0]
+    assert grads["a"].tolist() == [0.5, 0.5]
+
+
+def test_sgd_out_rejects_misshaped_output():
+    params = {"p": np.array([1.0, 2.0])}
+    grads = {"p": np.array([0.5, 0.5])}
+    with pytest.raises(nn.ShapeMismatchError, match="output p"):
+        nn.sgd_step(params, grads, 0.1, out={"p": np.zeros(3)})
+
+
+def test_batch_gradient_out_buffers_bit_identical():
+    spec = nn.small_mlp((1, 6, 6), 4, hidden=8)
+    params = nn.init_params(spec, 4)
+    rng = np.random.default_rng(13)
+    x = rng.random((7, 1, 6, 6))
+    y = rng.integers(0, 4, 7)
+    loss, grads = nn.batch_loss_and_gradient(spec, params, x, y)
+    buffers = {k: np.full_like(v, np.nan) for k, v in params.items()}
+    loss2, grads2 = nn.batch_loss_and_gradient(spec, params, x, y, out=buffers)
+    assert loss2 == loss
+    for k in params:
+        assert grads2[k] is buffers[k]
+        assert np.array_equal(grads2[k], grads[k])
+
+
 # ---------------------------------------------------------------------------
 # forward_with_scaled_unit
 
