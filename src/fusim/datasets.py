@@ -192,12 +192,16 @@ def save_idx(dataset: DomainDataset, images_path, labels_path) -> None:
 
 
 def _box_blur(img: np.ndarray) -> np.ndarray:
-    padded = np.pad(img, 1, mode="edge")
-    out = np.zeros_like(img)
+    """3x3 mean over the last two axes with edge padding, written into img."""
+    pad = [(0, 0)] * (img.ndim - 2) + [(1, 1), (1, 1)]
+    padded = np.pad(img, pad, mode="edge")
+    h, w = img.shape[-2:]
+    img.fill(0.0)
     for dy in range(3):
         for dx in range(3):
-            out += padded[dy:dy + img.shape[0], dx:dx + img.shape[1]]
-    return out / 9.0
+            img += padded[..., dy:dy + h, dx:dx + w]
+    img /= 9.0
+    return img
 
 
 def _class_patterns(seed: int, class_count: int, resolution: tuple[int, int]) -> np.ndarray:
@@ -213,19 +217,21 @@ def _class_patterns(seed: int, class_count: int, resolution: tuple[int, int]) ->
 
 def _apply_transforms(images: np.ndarray, transforms: tuple[Transform, ...],
                       rng: np.random.Generator) -> np.ndarray:
+    """The transform chain, applied in place where the shape allows."""
     for tf in transforms:
         if tf.kind == "identity":
             continue
         if tf.kind == "invert":
-            images = 1.0 - images
+            np.subtract(1.0, images, out=images)
         elif tf.kind == "gaussian_noise":
-            images = np.clip(images + rng.normal(0.0, tf.sigma, images.shape), 0.0, 1.0)
+            images += rng.normal(0.0, tf.sigma, images.shape)
+            np.clip(images, 0.0, 1.0, out=images)
         elif tf.kind == "downsample":
             images = images[:, ::tf.factor, ::tf.factor]
         elif tf.kind == "background_clutter":
-            n, h, w = images.shape
-            clutter = np.stack([_box_blur(rng.uniform(0.0, 1.0, (h, w))) for _ in range(n)])
-            images = np.maximum(images, tf.level * clutter)
+            clutter = _box_blur(rng.uniform(0.0, 1.0, images.shape))
+            clutter *= tf.level
+            np.maximum(images, clutter, out=images)
     return images
 
 
@@ -235,22 +241,20 @@ def synth_domain(spec: SyntheticDomainSpec, seed: int,
 
     The base sample stream depends only on (spec geometry, seed), never on the
     transform chain, so two specs that differ only in transforms produce
-    pixel-aligned sample pairs.
+    pixel-aligned sample pairs.  Each sample draws its shift, then its noise.
     """
     h, w = spec.resolution
     patterns = _class_patterns(spec.base_pattern_seed, spec.class_count, spec.resolution)
+    # shifted[c, dy + 1, dx + 1] is class c's pattern rolled by (dy, dx)
+    shifted = np.stack([[[np.roll(p, (dy, dx), axis=(0, 1)) for dx in (-1, 0, 1)]
+                         for dy in (-1, 0, 1)] for p in patterns])
     rng_base = make_rng((spec.base_pattern_seed, seed), 311)
-    images = np.empty((spec.class_count * spec.samples_per_class, h, w))
-    labels = np.empty(spec.class_count * spec.samples_per_class, dtype=np.int64)
-    i = 0
-    for c in range(spec.class_count):
-        for _ in range(spec.samples_per_class):
-            dy, dx = rng_base.integers(-1, 2, size=2)
-            sample = np.roll(patterns[c], (int(dy), int(dx)), axis=(0, 1))
-            sample = sample + rng_base.normal(0.0, 0.08, (h, w))
-            images[i] = np.clip(sample, 0.0, 1.0)
-            labels[i] = c
-            i += 1
+    labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), spec.samples_per_class)
+    images = np.empty((len(labels), h, w))
+    for i, c in enumerate(labels):
+        dy, dx = rng_base.integers(-1, 2, size=2)
+        np.add(shifted[c, dy + 1, dx + 1], rng_base.normal(0.0, 0.08, (h, w)), out=images[i])
+    np.clip(images, 0.0, 1.0, out=images)
     rng_tf = make_rng((spec.base_pattern_seed, seed), 313)
     images = _apply_transforms(images, spec.transforms, rng_tf)
     order = make_rng((spec.base_pattern_seed, seed), 317).permutation(len(labels))

@@ -10,6 +10,7 @@ into place on stage completion.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .datasets import (DomainDataset, DomainSplits, load_idx, resize,
                        stratified_split, subset, SyntheticDomainSpec, synth_domain)
 from .fedsim import ClientState, FedConfig, UnlearnRequest
@@ -186,6 +187,14 @@ def _splits_from_json(text: str) -> dict[str, DomainSplits]:
 # Stages
 
 
+def _check_resumed(path: str, key: str, found, wanted) -> None:
+    """Refuse to resume from an artifact written for another config."""
+    if found != wanted:
+        raise ConfigError(
+            f"{path}: {key} is {found!r} but the config asks for {wanted!r}; "
+            f"use a fresh output directory")
+
+
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     plan_path = os.path.join(out_dir, ART["partition"])
     splits_path = os.path.join(out_dir, ART["splits"])
@@ -193,6 +202,7 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     if os.path.exists(plan_path) and os.path.exists(splits_path):
         with open(plan_path) as fh:
             plan = PartitionPlan.from_json(fh.read())
+        _check_resumed(plan_path, "seed", plan.seed, cfg.seed)
         with open(splits_path) as fh:
             splits = _splits_from_json(fh.read())
         return build_task(cfg, plan, splits)
@@ -309,7 +319,9 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | N
     task, trained, train_summary = trained_stage or ensure_train(cfg, out_dir)
     if os.path.exists(ckpt) and os.path.exists(summary_path):
         with open(summary_path) as fh:
-            return task, trained, _load_model(task.spec, ckpt), json.load(fh)
+            summary = json.load(fh)
+        _check_resumed(summary_path, "route", summary["route"], cfg.unlearn.route)
+        return task, trained, _load_model(task.spec, ckpt), summary
     params, logs, extras = run_route(cfg, task, trained,
                                      start_round=train_summary["rounds_run"])
     summary = {
@@ -331,12 +343,18 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | N
     return task, trained, params, summary
 
 
-def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None):
-    """Before/after reports and metrics; trained_stage as in ensure_unlearn."""
+def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None,
+                    before: evalkit.EvaluationReport | None = None):
+    """Before/after reports and metrics; trained_stage as in ensure_unlearn.
+
+    before is the trained model's report when the caller already built it
+    (compare_routes shares one across routes); its metadata is set here.
+    """
     task, trained, unlearned, _ = ensure_unlearn(cfg, out_dir, trained_stage)
-    before = evalkit.build_report(
-        task.spec, trained, task.client_test_sets,
-        metadata={"strategy": "before", "route": cfg.unlearn.route, "seed": cfg.seed})
+    if before is None:
+        before = evalkit.build_report(task.spec, trained, task.client_test_sets)
+    before = dataclasses.replace(before, metadata={
+        "strategy": "before", "route": cfg.unlearn.route, "seed": cfg.seed})
     after = evalkit.build_report(
         task.spec, unlearned, task.client_test_sets,
         metadata={"strategy": "after", "route": cfg.unlearn.route, "seed": cfg.seed})
@@ -369,8 +387,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     """Compare configs that differ only in route; returns compare.csv's text.
 
-    The partition and train stages run once, in out_dir; each route's unlearn
-    and evaluate stages run in out_dir/route_<label> from that trained model.
+    The partition and train stages and the "before" report run once, in
+    out_dir; each route's unlearn and evaluate stages run in
+    out_dir/route_<label> from that trained model.
     """
     if not cfgs:
         raise StageError("compare", "no configurations given")
@@ -385,19 +404,16 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
         seen[route] = seen.get(route, 0) + 1
         labels.append(route if seen[route] == 1 else f"{route}_{seen[route]}")
     reports: dict[str, "evalkit.EvaluationReport"] = {}
-    befores = []
     plot: dict[str, tuple[float, float]] = {}
     trained_stage = ensure_train(cfgs[0], out_dir)
+    task, trained, _ = trained_stage
+    before = evalkit.build_report(task.spec, trained, task.client_test_sets)
     for cfg, label in zip(cfgs, labels):
         sub = os.path.join(out_dir, f"route_{label}")
-        _, before, after, _ = ensure_evaluate(cfg, sub, trained_stage)
-        befores.append(before)
+        _, _, after, _ = ensure_evaluate(cfg, sub, trained_stage, before)
         reports[label] = after
         plot[label] = (before.global_accuracy, after.global_accuracy)
-    for b in befores[1:]:
-        if not b.same_accuracies(befores[0]):
-            raise StageError("compare", "pre-unlearning reports diverged across routes")
-    merged = {"before": befores[0], **reports}
+    merged = {"before": before, **reports}
     text = evalkit.combined_csv(merged)
     writer = _StageWriter(out_dir, "compare")
     writer.add_text("compare.csv", text)

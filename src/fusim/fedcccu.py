@@ -10,10 +10,11 @@ safe to zero, units with ratio near 1 are shared and kept.  The edit itself
 zeroes incoming weights and biases, identically to the naive zeroing route.
 
 Scoring cost per client: one prefix pass per editable layer over the probes,
-up to the layer's activation site, gives every unit's activation; then one
-suffix pass per unit, forward and backward through the layers after the site
-only, over probes x m scaled rows.  attribute_unit is the per-unit oracle that
-runs the whole network for one input.
+up to the layer's activation site, gives every unit's activation, and the next
+parameterized layer's output is formed once for the probes x m rows.  Per
+unit, only the unit's rank-1 change is added to that output, and only the
+layers after it run, forward and backward.  attribute_unit scores one unit
+for one input through the same path.
 
 Raw examples never leave the clients; the server-side steps consume
 SensitivityReports only.
@@ -171,8 +172,9 @@ def attribute_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
     x = np.asarray(inputs, dtype=np.float64)[None]
     beta = nncore.batch_unit_activations(spec, params, x)[unit.layer][0, unit.unit]
     sites = nncore.batch_site_outputs(spec, params, np.repeat(x, m, axis=0), unit.layer)
+    rows = nncore.site_rows(spec, params, sites, unit.layer)
     steps = np.arange(1, m + 1, dtype=np.float64) / m
-    grads = nncore.batch_unit_gradients(spec, params, sites, target_class, unit, steps)
+    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit, steps)
     return float(beta / m * grads.sum())
 
 
@@ -182,8 +184,10 @@ def sensitivity_scores(spec: ModelSpec, params: ParameterSet,
     """Mean attribution per editable unit over the given examples.
 
     Per editable layer, one prefix pass over the examples gives every unit's
-    beta and the activation-site rows; per unit, only the layers after the
-    site run, over the n * m scaled rows.
+    beta and the activation-site rows, and site_rows forms the next
+    parameterized layer's output for the n * m rows; per unit,
+    batch_unit_gradients updates that output and runs only the layers after
+    it.
     """
     if not examples:
         raise CccuError("sensitivity_scores needs a nonempty shard")
@@ -198,7 +202,7 @@ def sensitivity_scores(spec: ModelSpec, params: ParameterSet,
     for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
         site = nncore.batch_site_outputs(spec, params, xs, ordinal)
         betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
-        rows = np.repeat(site, m, axis=0)
+        rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal)
         for unit in units:
             grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit,
                                                 scales)

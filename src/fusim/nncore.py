@@ -10,8 +10,11 @@ channel of a conv layer.  The "activation" of a unit is its value after the
 relu that immediately follows its layer (or the raw layer output when no relu
 follows).  Interventions scale that value; gradients are taken with respect
 to it (summed over spatial positions for conv channels).  The engine runs any
-range of layer positions, so batch_site_outputs computes a layer's site once
-and batch_unit_gradients then runs only the layers after it, per unit.
+range of layer positions.  batch_site_outputs computes a layer's site once and
+site_rows the next parameterized layer's output from it, once per layer;
+batch_unit_gradients then adds one unit's rank-1 change to that output and
+runs only the layers after it, per unit.  forward_with_scaled_unit runs the
+whole network on a scaled copy and is the oracle for that shortcut.
 """
 from __future__ import annotations
 
@@ -178,9 +181,13 @@ class ModelSpec:
                 site_positions.append(nxt)
             else:
                 site_positions.append(p)
+        # The first parameterized layer after each site; None for the output layer.
+        next_positions = tuple(next((q for q in param_positions if q > s), None)
+                               for s in site_positions)
         object.__setattr__(self, "_shapes", tuple(shapes))
         object.__setattr__(self, "_param_positions", param_positions)
         object.__setattr__(self, "_site_positions", tuple(site_positions))
+        object.__setattr__(self, "_next_positions", next_positions)
 
     @property
     def param_layer_count(self) -> int:
@@ -348,16 +355,6 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     s = x.strides
     return np.lib.stride_tricks.as_strided(
         x, (b, oh, ow, c, k, k), (s[0], s[2], s[3], s[1], s[2], s[3]))
-
-
-def _scale_slice(h: np.ndarray, unit: int, scales) -> np.ndarray:
-    out = h.copy()
-    if out.ndim == 2:
-        out[:, unit] *= scales
-    else:
-        s = scales if np.isscalar(scales) else np.asarray(scales)[:, None, None]
-        out[:, unit] *= s
-    return out
 
 
 def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
@@ -549,13 +546,18 @@ def batch_site_outputs(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray
 
 def forward_with_scaled_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
                              unit: UnitId, scale: float) -> np.ndarray:
-    """Forward pass with the unit's activation multiplied by scale in [0, 1]."""
+    """Forward pass with the unit's activation multiplied by scale in [0, 1].
+
+    The whole network runs on a copy of the site with the unit scaled in it:
+    this is the independent oracle for batch_unit_gradients.
+    """
     spec.validate_unit(unit)
     if not np.isscalar(scale) or not 0.0 <= float(scale) <= 1.0:
         raise NNError(f"scale must be a scalar in [0, 1], got {scale!r}")
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
-    probs, _, _ = _forward_engine(spec, params, _scale_slice(site, unit.unit, float(scale)),
+    site[:, unit.unit] *= float(scale)
+    probs, _, _ = _forward_engine(spec, params, site,
                                   start=spec.site_position(unit.layer) + 1)
     _check_finite(probs, "probabilities")
     return probs[0]
@@ -571,30 +573,101 @@ def gradient_wrt_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
         raise NNError(f"scale must be in [0, 1], got {scale!r}")
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
-    g = batch_unit_gradients(spec, params, site, target_class, unit,
-                             np.asarray([float(scale)]))
+    g = batch_unit_gradients(spec, params, site_rows(spec, params, site, unit.layer),
+                             target_class, unit, np.asarray([float(scale)]))
     return float(g[0])
 
 
-def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, sites: np.ndarray,
+@dataclass(frozen=True)
+class SiteRows:
+    """Rows at one layer's activation site, prepared for batch_unit_gradients.
+
+    pre is the input of the next parameterized layer (the site rows after the
+    maxpool, relu and flatten layers between the two) and z0 that layer's
+    output, both for the unscaled rows.  The output layer has no next layer:
+    there z0 is pre and the product is the identity.
+    """
+    ordinal: int
+    pre: np.ndarray
+    z0: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pre)
+
+
+def site_rows(spec: ModelSpec, params: ParameterSet, sites: np.ndarray,
+              ordinal: int) -> SiteRows:
+    """SiteRows for rows of batch_site_outputs(..., ordinal); the next
+    parameterized layer's product is formed here, once for all units."""
+    spec.validate_unit(UnitId(ordinal, 0))
+    start = spec.site_position(ordinal) + 1
+    nxt = spec._next_positions[ordinal]
+    x = _as_batch(spec, sites, start)
+    pre, _, _ = _forward_engine(spec, params, x, start=start,
+                                stop=len(spec.layers) - 1 if nxt is None else nxt)
+    if nxt is None:
+        return SiteRows(ordinal, pre, pre)
+    z0, _, _ = _forward_engine(spec, params, pre, start=nxt, stop=nxt + 1)
+    return SiteRows(ordinal, pre, z0)
+
+
+def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
                          target_class: int, unit: UnitId,
                          scales: np.ndarray) -> np.ndarray:
     """Per-row dP(target)/d(activation) with per-row activation scales.
 
-    sites are rows of batch_site_outputs for unit.layer.  The unit is scaled
-    in them and only the layers after its activation site run, forward and
-    backward, with no parameter gradients; a conv channel's gradient is summed
-    over spatial positions.
+    The layers between the site and the next parameterized layer act per
+    channel and commute with a non-negative scale, so scaling unit j by s
+    changes that layer's output by the rank-1 term P_j((s - 1) * a_j): a_j is
+    the unit's block of rows.pre and P_j the layer restricted to it, the
+    product with W[j] for a dense layer or one input channel's convolution.
+    Only the layers after the next parameterized layer run, forward and
+    backward, and the gradient is read back through P_j alone; a conv
+    channel's gradient is summed over positions.  Nothing is written into
+    rows.
     """
     spec.validate_unit(unit)
-    start = spec.site_position(unit.layer) + 1
-    h = _scale_slice(_as_batch(spec, sites, start), unit.unit,
-                     np.asarray(scales, dtype=np.float64))
-    probs, caches, _ = _forward_engine(spec, params, h, keep_caches=True, start=start)
+    if unit.layer != rows.ordinal:
+        raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
+    n = len(rows)
+    s = np.asarray(scales, dtype=np.float64)
+    if s.shape != (n,):
+        raise ShapeMismatchError(f"expected {n} scales, got shape {s.shape}")
+    if not np.all(s >= 0.0) or not np.all(np.isfinite(s)):
+        raise NNError("scales must be finite and non-negative")
+    units = spec.unit_count(unit.layer)
+    nxt = spec._next_positions[unit.layer]
+    a = rows.pre.reshape(n, units, -1)[:, unit.unit]
+    d = (s - 1.0)[:, None] * a
+    w = np.eye(rows.pre.shape[1]) if nxt is None else params[f"layer{unit.layer + 1}.weight"]
+    if w.ndim == 2:
+        wj = w.reshape(units, -1, w.shape[1])[unit.unit]
+        z = rows.z0 + d @ wj
+    else:
+        k = w.shape[-1]
+        patches = _im2col(d.reshape(n, 1, *rows.pre.shape[2:]), k)
+        dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
+        z = rows.z0 + dz.transpose(0, 3, 1, 2)
+    start = len(spec.layers) - 1 if nxt is None else nxt + 1
+    probs, caches, _ = _forward_engine(spec, params, z, keep_caches=True, start=start)
     seed = np.zeros_like(probs)
     seed[:, target_class] = 1.0
     g = _backward_engine(spec, params, caches, seed, start=start, wrt_params=False)
-    return g[:, unit.unit].copy() if g.ndim == 2 else g[:, unit.unit].sum(axis=(1, 2))
+    if w.ndim == 2:
+        ga = g @ wj.T
+    else:
+        # transposed convolution of g with the unit's input-channel filters
+        u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))  # (n, oh, ow, k, k)
+        oh, ow = g.shape[2:]
+        ga = np.zeros((n, *rows.pre.shape[2:]))
+        for dy in range(k):
+            for dx in range(k):
+                ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
+        ga = ga.reshape(n, -1)
+    site = spec.site_position(unit.layer)
+    if any(spec.layers[p].kind == "relu" for p in range(site + 1, start)):
+        ga = np.where(s[:, None] * a > 0.0, ga, 0.0)
+    return ga.sum(axis=1)
 
 
 def loss_and_gradient(spec: ModelSpec, params: ParameterSet, batch):

@@ -1,4 +1,5 @@
 """End-to-end CLI and experiment orchestration tests on tiny configs."""
+import dataclasses
 import filecmp
 import json
 import os
@@ -6,7 +7,7 @@ import shutil
 
 import pytest
 
-from fusim import cli, experiment, fedsim
+from fusim import cli, evalkit, experiment, fedsim
 from fusim.config import validate_config
 
 TINY = """
@@ -109,6 +110,24 @@ def test_resume_rejects_checkpoint_of_other_model(tmp_path, checkpoint):
     nncore.save_checkpoint(os.path.join(out, checkpoint), nncore.init_params(narrow, 1))
     with pytest.raises(nncore.CheckpointError, match=r"parameter layer0\.weight"):
         experiment.ensure_unlearn(cfg, out)
+
+
+def test_resume_refuses_artifacts_of_other_route_or_seed(tmp_path, caplog):
+    cfg_path = write_cfg(tmp_path, route="none")
+    out = str(tmp_path / "d")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out,
+                     "--route", "zeroing"]) == cli.EXIT_OK
+    finished = tree_bytes(out)
+    caplog.clear()
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", out, "--route", "fedcccu"])
+    assert rc == cli.EXIT_CONFIG
+    assert "route is 'zeroing' but the config asks for 'fedcccu'" in caplog.text
+    caplog.clear()
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", out, "--route", "zeroing",
+                   "--seed", "3"])
+    assert rc == cli.EXIT_CONFIG
+    assert "seed is 5 but the config asks for 3" in caplog.text
+    assert tree_bytes(out) == finished
 
 
 def test_cli_run_exit_codes(tmp_path):
@@ -234,13 +253,29 @@ def test_compare_trains_once_in_top_directory(compared):
         assert not set(train_artifacts) & set(names)
 
 
+def test_compare_builds_before_report_once(tmp_path, monkeypatch):
+    calls = []
+    real = evalkit.build_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evalkit, "build_report", counted)
+    cfg = validate_config(TINY.format(route="delete"))
+    routes = [dataclasses.replace(cfg, unlearn=dataclasses.replace(cfg.unlearn, route=r))
+              for r in ("delete", "zeroing")]
+    experiment.compare_routes(routes, str(tmp_path / "cmp"))
+    assert len(calls) == 3  # one before report, one after report per route
+
+
 def test_compare_route_artifacts_match_single_runs(compared):
     base, cfg_path, out, _ = compared
     for route in COMPARED:
         single = str(base / f"run_{route}")
         rc = cli.main(["run", "--config", str(cfg_path), "--out", single, "--route", route])
         assert rc == cli.EXIT_OK
-        for name in ("metrics.json", "report_after.json", "checkpoint_unlearned.fusim"):
+        for name in ("metrics.json", "report_before.json", "report_before.csv",
+                     "report_after.json", "checkpoint_unlearned.fusim"):
             assert filecmp.cmp(os.path.join(out, f"route_{route}", name),
                                os.path.join(single, name), shallow=False), (route, name)
 

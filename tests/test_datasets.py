@@ -162,6 +162,64 @@ def test_synth_linear_probe_separability():
         assert acc > 0.5, (chain, acc)
 
 
+def per_sample_synth(spec, seed):
+    """The per-sample synthetic generator, kept as an oracle for synth_domain:
+    (images, labels) in presentation order."""
+    def box_blur(img):
+        padded = np.pad(img, 1, mode="edge")
+        out = np.zeros_like(img)
+        for dy in range(3):
+            for dx in range(3):
+                out += padded[dy:dy + img.shape[0], dx:dx + img.shape[1]]
+        return out / 9.0
+
+    h, w = spec.resolution
+    rng = nn.make_rng(spec.base_pattern_seed, 301)
+    patterns = []
+    for _ in range(spec.class_count):
+        raw = box_blur(rng.uniform(0.0, 1.0, (h, w)))
+        patterns.append(box_blur(np.where(raw > np.quantile(raw, 0.65), 0.85, 0.15)))
+    rng_base = nn.make_rng((spec.base_pattern_seed, seed), 311)
+    images, labels = [], []
+    for c in range(spec.class_count):
+        for _ in range(spec.samples_per_class):
+            dy, dx = rng_base.integers(-1, 2, size=2)
+            sample = np.roll(patterns[c], (int(dy), int(dx)), axis=(0, 1))
+            sample = sample + rng_base.normal(0.0, 0.08, (h, w))
+            images.append(np.clip(sample, 0.0, 1.0))
+            labels.append(c)
+    images = np.stack(images)
+    rng_tf = nn.make_rng((spec.base_pattern_seed, seed), 313)
+    for tf in spec.transforms:
+        if tf.kind == "invert":
+            images = 1.0 - images
+        elif tf.kind == "gaussian_noise":
+            images = np.clip(images + rng_tf.normal(0.0, tf.sigma, images.shape), 0.0, 1.0)
+        elif tf.kind == "downsample":
+            images = images[:, ::tf.factor, ::tf.factor]
+        elif tf.kind == "background_clutter":
+            n, hh, ww = images.shape
+            clutter = np.stack([box_blur(rng_tf.uniform(0.0, 1.0, (hh, ww)))
+                                for _ in range(n)])
+            images = np.maximum(images, tf.level * clutter)
+    order = nn.make_rng((spec.base_pattern_seed, seed), 317).permutation(len(labels))
+    return images[order][:, None], np.asarray(labels)[order]
+
+
+@pytest.mark.parametrize("chain", [
+    "identity",
+    "invert+gaussian_noise(0.1)+downsample(2)+background_clutter(0.4)",
+    "background_clutter(0.3)+downsample(2)+invert+gaussian_noise(0.05)",
+])
+def test_synth_bit_identical_to_per_sample_generator(chain):
+    spec = ds.SyntheticDomainSpec(13, ds.parse_transforms(chain), (12, 10), 9, 4)
+    d = ds.synth_domain(spec, 6)
+    images, labels = per_sample_synth(spec, 6)
+    assert np.array_equal(d.images(), images)
+    assert np.array_equal(d.labels(), labels)
+    assert d.native_resolution == images.shape[2:]
+
+
 def test_parse_transform_chain():
     chain = ds.parse_transforms("invert+gaussian_noise(0.15)")
     assert [t.kind for t in chain] == ["invert", "gaussian_noise"]

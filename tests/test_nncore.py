@@ -390,6 +390,104 @@ def test_unit_gradient_conv_channel_sums_positions():
     assert rel_err(np.array(g), np.array(fd)) < 1e-4
 
 
+def test_unit_gradient_conv_channel_matches_scaled_forward_fd():
+    # A constant channel map (zero filters, positive bias) makes scaling the
+    # map the same as moving every position together, so the derivative of
+    # the scaled forward pass is beta times the position-summed gradient.
+    spec = nn.small_cnn((1, 16, 16), 3)
+    x = np.random.default_rng(2).uniform(0.0, 1.0, (1, 16, 16))
+    for ordinal, ch in ((0, 5), (1, 9)):
+        params = nn.init_params(spec, 12)
+        params[f"layer{ordinal}.weight"][ch] = 0.0
+        params[f"layer{ordinal}.bias"][ch] = 0.4
+        unit = nn.UnitId(ordinal, ch)
+        beta = nn.batch_unit_activations(spec, params, x[None])[ordinal][0, ch]
+        assert beta == pytest.approx(0.4)
+        for s in (0.3, 0.8):
+            delta = 1e-6
+            pp = nn.forward_with_scaled_unit(spec, params, x, unit, s + delta)[2]
+            pm = nn.forward_with_scaled_unit(spec, params, x, unit, s - delta)[2]
+            fd = (pp - pm) / (2 * delta * beta)
+            g = nn.gradient_wrt_unit(spec, params, x, 2, unit, s)
+            assert abs(fd) > 1e-6
+            assert rel_err(np.array(g), np.array(fd)) < 1e-4, (ordinal, s)
+
+
+def relu_between_spec():
+    """conv sites (no relu after them) -> maxpool -> relu -> conv, then dense."""
+    return nn.ModelSpec((nn.conv2d(1, 2, 3), nn.maxpool2d(2), nn.relu(), nn.conv2d(2, 3, 3),
+                         nn.maxpool2d(2), nn.relu(), nn.flatten(), nn.dense(12, 5),
+                         nn.relu(), nn.dense(5, 4), nn.softmax()),
+                        4, (1, 14, 14))
+
+
+def scaled_copy_gradients(spec, params, site, target, unit, scales):
+    """Per-row unit gradients from a scaled copy of the whole site block,
+    run through the engine's suffix forward and backward passes."""
+    start = spec.site_position(unit.layer) + 1
+    h = site.copy()
+    h[:, unit.unit] *= scales.reshape((-1,) + (1,) * (h.ndim - 2))
+    probs, caches, _ = nn._forward_engine(spec, params, h, keep_caches=True, start=start)
+    seed = np.zeros_like(probs)
+    seed[:, target] = 1.0
+    g = nn._backward_engine(spec, params, caches, seed, start=start, wrt_params=False)
+    g = g[:, unit.unit]
+    return g if g.ndim == 1 else g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
+    lambda: nn.small_cnn((1, 16, 16), 4),
+    relu_between_spec,
+], ids=["small_mlp", "small_cnn", "relu_between"])
+def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
+    spec = make_spec()
+    params = nn.init_params(spec, 4)
+    rng = np.random.default_rng(5)
+    xs = rng.normal(0.0, 1.0, (3,) + spec.input_shape)  # mixed signs at every site
+    scales = np.array([0.0, 0.05, 0.5, 1.0, 0.25, 0.9])
+    for ordinal in range(spec.param_layer_count):
+        site = np.repeat(nn.batch_site_outputs(spec, params, xs, ordinal), 2, axis=0)
+        rows = nn.site_rows(spec, params, site, ordinal)
+        for k in range(spec.unit_count(ordinal)):
+            unit = nn.UnitId(ordinal, k)
+            got = nn.batch_unit_gradients(spec, params, rows, 1, unit, scales)
+            want = scaled_copy_gradients(spec, params, site, 1, unit, scales)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_unit_gradients_rejects_negative_scale():
+    spec = nn.small_cnn((1, 10, 10), 3)
+    params = nn.init_params(spec, 1)
+    xs = np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 10, 10))
+    rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, xs, 0), 0)
+    with pytest.raises(nn.NNError, match="non-negative"):
+        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(0, 1),
+                                np.array([0.5, -0.1]))
+    with pytest.raises(nn.InvalidUnitError):
+        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(1, 1),
+                                np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
+    lambda: nn.small_cnn((1, 16, 16), 4),
+], ids=["small_mlp", "small_cnn"])
+def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
+    spec = make_spec()
+    params = nn.init_params(spec, 8)
+    xs = np.random.default_rng(1).uniform(0.0, 1.0, (3,) + spec.input_shape)
+    site = nn.batch_site_outputs(spec, params, xs, 0)
+    kept = site.copy()
+    rows = nn.site_rows(spec, params, site, 0)
+    pre, z0 = rows.pre.copy(), rows.z0.copy()
+    for k in range(spec.unit_count(0)):
+        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(0, k),
+                                np.array([0.0, 0.4, 1.0]))
+    assert np.array_equal(site, kept)
+    assert np.array_equal(rows.pre, pre) and np.array_equal(rows.z0, z0)
+
+
 # ---------------------------------------------------------------------------
 # zero_units edit primitive
 
