@@ -63,15 +63,6 @@ class EvaluationReport:
         ev = self.clients[client_id]
         return {c: ev.accuracy(c) for c in sorted(ev.class_total)}
 
-    def same_accuracies(self, other: "EvaluationReport") -> bool:
-        if set(self.clients) != set(other.clients):
-            return False
-        for cid, ev in self.clients.items():
-            oth = other.clients[cid]
-            if ev.class_correct != oth.class_correct or ev.class_total != oth.class_total:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ForgettingMetrics:
@@ -85,13 +76,6 @@ class ForgettingMetrics:
     forget_efficacy: float
     collateral_retained: float
     collateral_nonrequesting_forget: float
-
-
-def per_class_accuracy(spec: ModelSpec, params: ParameterSet,
-                       shard: DomainDataset) -> dict[int, float]:
-    """Argmax accuracy per class present in the shard."""
-    ev = evaluate_client(spec, params, shard)
-    return {c: ev.accuracy(c) for c in sorted(ev.class_total)}
 
 
 def evaluate_client(spec: ModelSpec, params: ParameterSet,
@@ -187,12 +171,14 @@ def report_to_json(report: EvaluationReport,
 
 
 def report_from_json(text: str) -> tuple[EvaluationReport, ForgettingMetrics | None]:
+    """Inverse of report_to_json; clients and classes in integer order, as
+    build_report makes them (JSON keys sort as strings: "10" before "2")."""
     doc = json.loads(text)
     clients = {}
-    for cid_s, entry in doc["clients"].items():
-        correct = {int(c): v["correct"] for c, v in entry["classes"].items()}
-        total = {int(c): v["total"] for c, v in entry["classes"].items()}
-        clients[int(cid_s)] = ClientEvaluation(correct, total)
+    for cid, entry in sorted((int(k), v) for k, v in doc["clients"].items()):
+        classes = sorted((int(c), v) for c, v in entry["classes"].items())
+        clients[cid] = ClientEvaluation({c: v["correct"] for c, v in classes},
+                                        {c: v["total"] for c, v in classes})
     report = EvaluationReport(clients, dict(doc.get("metadata", {})))
     metrics = None
     if "forgetting_metrics" in doc:
@@ -247,17 +233,3 @@ def plot_data_csv(global_accuracies: dict[str, tuple[float, float]]) -> str:
         b, a = global_accuracies[name]
         writer.writerow([name, _pct(b), _pct(a)])
     return buf.getvalue()
-
-
-def emit_report(report: EvaluationReport, metrics: ForgettingMetrics | None,
-                path, fmt: str = "json") -> None:
-    """Write a report to disk as json (exact) or csv (table layout)."""
-    if fmt == "json":
-        text = report_to_json(report, metrics)
-    elif fmt == "csv":
-        strategy = str(report.metadata.get("strategy", "accuracy"))
-        text = report_to_csv(report, strategy)
-    else:
-        raise EvalError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

@@ -347,10 +347,24 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
                     before: evalkit.EvaluationReport | None = None):
     """Before/after reports and metrics; trained_stage as in ensure_unlearn.
 
-    before is the trained model's report when the caller already built it
-    (compare_routes shares one across routes); its metadata is set here.
+    When every evaluate artifact exists, the reports and metrics are read
+    back from them and nothing is rewritten.  Otherwise before is the trained
+    model's report when the caller already has it (compare_routes shares one
+    across routes; its metadata is set here), else it is built.
     """
     task, trained, unlearned, _ = ensure_unlearn(cfg, out_dir, trained_stage)
+    paths = {key: os.path.join(out_dir, ART[key]) for key in (
+        "report_before_json", "report_before_csv", "report_after_json",
+        "report_after_csv", "metrics", "plot_data")}
+    if all(os.path.exists(path) for path in paths.values()):
+        with open(paths["metrics"]) as fh:
+            _check_resumed(paths["metrics"], "route", json.load(fh)["route"],
+                           cfg.unlearn.route)
+        with open(paths["report_before_json"]) as fh:
+            before, _ = evalkit.report_from_json(fh.read())
+        with open(paths["report_after_json"]) as fh:
+            after, metrics = evalkit.report_from_json(fh.read())
+        return task, before, after, metrics
     if before is None:
         before = evalkit.build_report(task.spec, trained, task.client_test_sets)
     before = dataclasses.replace(before, metadata={
@@ -387,9 +401,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     """Compare configs that differ only in route; returns compare.csv's text.
 
-    The partition and train stages and the "before" report run once, in
-    out_dir; each route's unlearn and evaluate stages run in
-    out_dir/route_<label> from that trained model.
+    The partition and train stages run once, in out_dir; each route's
+    unlearn and evaluate stages run in out_dir/route_<label> from that
+    trained model.  The "before" report is built at most once: each route
+    passes the one it returned (built or read back) to the next.
     """
     if not cfgs:
         raise StageError("compare", "no configurations given")
@@ -406,11 +421,10 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     reports: dict[str, "evalkit.EvaluationReport"] = {}
     plot: dict[str, tuple[float, float]] = {}
     trained_stage = ensure_train(cfgs[0], out_dir)
-    task, trained, _ = trained_stage
-    before = evalkit.build_report(task.spec, trained, task.client_test_sets)
+    before = None
     for cfg, label in zip(cfgs, labels):
         sub = os.path.join(out_dir, f"route_{label}")
-        _, _, after, _ = ensure_evaluate(cfg, sub, trained_stage, before)
+        _, before, after, _ = ensure_evaluate(cfg, sub, trained_stage, before)
         reports[label] = after
         plot[label] = (before.global_accuracy, after.global_accuracy)
     merged = {"before": before, **reports}

@@ -120,11 +120,14 @@ def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec
                 config: FedConfig, round_index: int = 0):
     """Local mini-batch SGD pass; returns (new params, mean batch loss).
 
-    The steps update a private copy of global_params in place, reusing one
-    gradient buffer per parameter; global_params is left unchanged.
+    global_params is copied once into a flat model (nncore.FlatParams),
+    which every step updates in place from one reused flat gradient: one
+    batch_loss_and_gradient and one sgd_step call, each checking the
+    gradient vector once.  Returns the model's views; global_params is left
+    unchanged.
     """
-    params = nncore.params_copy(global_params)
-    grad_buffers = {name: np.empty_like(p) for name, p in params.items()}
+    model = nncore.flat_params(global_params)
+    grad = nncore.flat_params(global_params)
     losses = []
     rng = make_rng((config.seed, state.client_id, round_index), 501)
     n = state.sample_count
@@ -133,19 +136,19 @@ def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec
         for start in range(0, n, config.batch_size):
             batch_idx = np.sort(order[start:start + config.batch_size])
             try:
-                loss, grads = nncore.batch_loss_and_gradient(
-                    spec, params, state.x[batch_idx], state.y[batch_idx], out=grad_buffers)
+                loss, _ = nncore.batch_loss_and_gradient(
+                    spec, model.views, state.x[batch_idx], state.y[batch_idx], out=grad)
             except nncore.NNError as exc:
                 raise FedError(
                     f"client {state.client_id}, round {round_index}: {exc}") from exc
-            nncore.sgd_step(params, grads, config.learning_rate, out=params)
+            nncore.sgd_step(model, grad, config.learning_rate)
             state.local_step_counter += 1
             losses.append(loss)
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     if losses and not np.isfinite(mean_loss):
         raise FedError(
             f"client {state.client_id}, round {round_index}: non-finite loss")
-    return params, mean_loss
+    return model.views, mean_loss
 
 
 def aggregate(updates) -> ParameterSet:

@@ -15,6 +15,11 @@ site_rows the next parameterized layer's output from it, once per layer;
 batch_unit_gradients then adds one unit's rank-1 change to that output and
 runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
+
+Local training holds a model and its gradient as FlatParams, one contiguous
+vector each: a step checks the gradient vector for finiteness once in
+batch_loss_and_gradient and once in sgd_step, and updates the model with one
+multiply and one subtract.  The dict paths, out of place, are the reference.
 """
 from __future__ import annotations
 
@@ -226,11 +231,6 @@ class ModelSpec:
                 out[f"layer{ordinal}.bias"] = (layer.out_channels,)
         return out
 
-    def all_units(self) -> list[UnitId]:
-        return [UnitId(l, k)
-                for l in range(self.param_layer_count)
-                for k in range(self.unit_count(l))]
-
 
 def small_mlp(input_shape: Sequence[int], class_count: int, hidden: int = 128) -> ModelSpec:
     """Reference spec: flatten -> dense(hidden) -> relu -> dense(C) -> softmax."""
@@ -299,6 +299,42 @@ def params_copy(params: ParameterSet) -> ParameterSet:
     return {k: v.copy() for k, v in params.items()}
 
 
+def _layout(params: ParameterSet) -> tuple:
+    return tuple((name, arr.shape) for name, arr in params.items())
+
+
+@dataclass(frozen=True)
+class FlatParams:
+    """A parameter set in one contiguous float64 vector: views tile vector
+    back to back in their order, so one call over vector acts on all of them.
+    layout, the (name, shape) sequence, must match for two sets to combine."""
+    vector: np.ndarray
+    views: ParameterSet
+
+    def __post_init__(self):
+        v, offset = self.vector, 0
+        for name, view in self.views.items():
+            if not (view.dtype == np.float64 and view.flags.c_contiguous
+                    and view.ctypes.data == v.ctypes.data + 8 * offset):
+                raise NNError(f"view {name} does not continue the vector at {offset}")
+            offset += view.size
+        if v.dtype != np.float64 or v.shape != (offset,) or not v.flags.c_contiguous:
+            raise NNError(f"views must tile a contiguous float64 vector of {offset}")
+        object.__setattr__(self, "layout", _layout(self.views))
+
+
+def flat_params(params: ParameterSet) -> FlatParams:
+    """A copy of params in one fresh vector, with its views in params' order."""
+    vector = np.empty(sum(arr.size for arr in params.values()))
+    views: ParameterSet = {}
+    offset = 0
+    for name, arr in params.items():
+        views[name] = vector[offset:offset + arr.size].reshape(arr.shape)
+        views[name][...] = arr
+        offset += arr.size
+    return FlatParams(vector, views)
+
+
 def params_equal(a: ParameterSet, b: ParameterSet) -> bool:
     return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -321,17 +357,6 @@ def zero_units(spec: ModelSpec, params: ParameterSet, units: Iterable[UnitId]) -
 
 # ---------------------------------------------------------------------------
 # Forward / backward engine (batched)
-
-
-@dataclass
-class ActivationTrace:
-    """Post-activation site output and per-unit scalar activation per layer.
-
-    unit_activations[l][k] is the activation of unit (l, k): the value itself
-    for dense units, the spatial mean of the channel map for conv channels.
-    """
-    layer_outputs: list[np.ndarray]
-    unit_activations: list[np.ndarray]
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -430,10 +455,10 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
 
     caches come from a _forward_engine run over start..end.  With wrt_params,
     returns the parameter gradients (start must be 0) and stops at the first
-    parameterized layer, whose input gradient nothing uses; dense weight and
-    bias gradients are written into out's arrays when out is given.
-    Otherwise returns the gradient at the input of layer start and builds no
-    parameter gradients.
+    parameterized layer, whose input gradient nothing uses; with out (arrays
+    shaped like params) every gradient ends up in out's arrays, and dense
+    ones are computed there directly.  Otherwise returns the gradient at the
+    input of layer start and builds no parameter gradients.
     """
     grads: ParameterSet = {}
     buffers = out or {}
@@ -446,7 +471,7 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             if wrt_params:
                 w_name, b_name = f"layer{ordinal}.weight", f"layer{ordinal}.bias"
                 grads[w_name] = np.matmul(x_in.T, g, out=buffers.get(w_name))
-                grads[b_name] = g.sum(axis=0, out=buffers.get(b_name))
+                grads[b_name] = np.add.reduce(g, axis=0, out=buffers.get(b_name))
                 if ordinal == 0:
                     break
             g = g @ params[f"layer{ordinal}.weight"].T
@@ -490,27 +515,16 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             raise NNError(f"unknown cache kind {kind!r}")
     if not wrt_params:
         return g
-    return {name: grads[name] for name in params}
+    if out is None:
+        return {name: grads[name] for name in params}
+    for name, grad in grads.items():
+        if grad is not out[name]:
+            out[name][...] = grad
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Public operations
-
-
-def forward(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray):
-    """Class probabilities plus the activation trace for one input."""
-    validate_params(spec, params)
-    x = _as_batch(spec, np.asarray(inputs, dtype=np.float64)[None])
-    _check_finite(x, "input")
-    probs, _, sites = _forward_engine(spec, params, x, capture_sites=True)
-    _check_finite(probs, "probabilities")
-    layer_outputs = []
-    unit_activations = []
-    for arr in sites:
-        one = arr[0]
-        layer_outputs.append(one)
-        unit_activations.append(one if one.ndim == 1 else one.mean(axis=(1, 2)))
-    return probs[0], ActivationTrace(layer_outputs, unit_activations)
 
 
 def predict_probs(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:
@@ -670,23 +684,14 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
     return ga.sum(axis=1)
 
 
-def loss_and_gradient(spec: ModelSpec, params: ParameterSet, batch):
-    """Mean cross-entropy loss and its exact gradient for (input, label) pairs."""
-    pairs = [(np.asarray(img, dtype=np.float64), int(lbl)) for img, lbl in batch]
-    if not pairs:
-        raise NNError("empty batch")
-    xs = np.stack([p[0] for p in pairs])
-    ys = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    return batch_loss_and_gradient(spec, params, xs, ys)
-
-
 def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
                             inputs: np.ndarray, labels: np.ndarray,
-                            out: ParameterSet | None = None):
+                            out: FlatParams | None = None):
     """Mean cross-entropy loss and its gradient for a batch of arrays.
 
-    With out (gradient buffers shaped like params) the dense weight and bias
-    gradients are written into out's arrays instead of new ones.
+    With out (a FlatParams laid out like params) every gradient is written
+    into out's views, which are returned, and the finiteness check runs once
+    over out's vector; the views are scanned only to name the offender.
     """
     x = _as_batch(spec, inputs)
     ys = np.asarray(labels, dtype=np.int64)
@@ -696,52 +701,56 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
         raise NNError(
             f"label out of range: got {int(ys.min())}..{int(ys.max())}, "
             f"class_count {spec.class_count}")
+    if out is not None and out.layout != _layout(params):
+        raise ShapeMismatchError("gradient buffers are not laid out like the parameters")
     probs, caches, _ = _forward_engine(spec, params, x, keep_caches=True)
     n = x.shape[0]
-    py = probs[np.arange(n), ys]
-    if np.any(py <= 0.0):
+    rows = np.arange(n)
+    py = probs[rows, ys]
+    if (py <= 0.0).any():
         raise NNError("predicted probability underflow; loss not finite")
-    loss = float(-np.log(py).mean())
-    grad_probs = np.zeros_like(probs)
-    grad_probs[np.arange(n), ys] = -1.0 / (n * py)
-    grads = _backward_engine(spec, params, caches, grad_probs, out=out)
-    for name, g in grads.items():
-        _check_finite(g, f"gradient of {name}")
+    loss = float(-np.add.reduce(np.log(py)) / n)  # the bits of -log(py).mean()
+    grad_probs = np.zeros(probs.shape)
+    grad_probs[rows, ys] = -1.0 / (n * py)
+    grads = _backward_engine(spec, params, caches, grad_probs,
+                             out=None if out is None else out.views)
+    if out is None or not np.isfinite(out.vector).all():
+        for name, g in grads.items():
+            _check_finite(g, f"gradient of {name}")
     return loss, grads
 
 
-def sgd_step(params: ParameterSet, gradient: ParameterSet, learning_rate: float,
-             out: ParameterSet | None = None) -> ParameterSet:
+def sgd_step(params: ParameterSet | FlatParams, gradient: ParameterSet | FlatParams,
+             learning_rate: float):
     """params - learning_rate * gradient, element-wise.
 
-    With out (arrays shaped like params; params itself for an in-place
-    update) the result is written into out's arrays, and each gradient array
-    is scaled by learning_rate in place on the way; the bits are those of
-    the out-of-place update.  Nothing is written if a check fails.
+    Dicts (ParameterSet) give a new dict.  Two FlatParams of one layout are
+    updated in place instead: one multiply scales gradient's vector by
+    learning_rate and one subtract writes the result into params' vector,
+    which is returned; the bits are those of the dict path.  Nothing is
+    written if a check fails.
     """
-    if learning_rate < 0 or not np.isfinite(learning_rate):
+    if learning_rate < 0 or not math.isfinite(learning_rate):
         raise NNError(f"learning rate must be finite and non-negative, got {learning_rate}")
+    if isinstance(params, FlatParams):
+        if not isinstance(gradient, FlatParams) or gradient.layout != params.layout:
+            raise ShapeMismatchError("gradient is not laid out like the parameters")
+        if not np.isfinite(gradient.vector).all():
+            bad = next(n for n, g in gradient.views.items() if not np.isfinite(g).all())
+            raise NNError(f"non-finite gradient for {bad}")
+        np.multiply(gradient.vector, learning_rate, out=gradient.vector)
+        np.subtract(params.vector, gradient.vector, out=params.vector)
+        return params
     if list(params) != list(gradient):
         raise ShapeMismatchError("gradient names do not match parameters")
-    if out is not None and list(out) != list(params):
-        raise ShapeMismatchError("output names do not match parameters")
     for name, p in params.items():
         g = gradient[name]
         if g.shape != p.shape:
             raise ShapeMismatchError(
                 f"gradient {name}: expected shape {p.shape}, got {g.shape}")
-        if out is not None and out[name].shape != p.shape:
-            raise ShapeMismatchError(
-                f"output {name}: expected shape {p.shape}, got {out[name].shape}")
         if not np.all(np.isfinite(g)):
             raise NNError(f"non-finite gradient for {name}")
-    if out is None:
-        return {name: p - learning_rate * gradient[name] for name, p in params.items()}
-    for name, p in params.items():
-        g = gradient[name]
-        np.multiply(g, learning_rate, out=g)
-        np.subtract(p, g, out=out[name])
-    return out
+    return {name: p - learning_rate * gradient[name] for name, p in params.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,11 @@ def test_criterion_1_numeric_core():
         spec, params = random_tiny_model(rng)
         batch = [(rng.normal(0, 1, spec.input_shape), int(rng.integers(0, spec.class_count)))
                  for _ in range(2)]
-        probs, _ = nn.forward(spec, params, batch[0][0])
+        xs = np.stack([img for img, _ in batch])
+        ys = np.array([lbl for _, lbl in batch])
+        probs = nn.predict_probs(spec, params, xs[:1])[0]
         assert abs(probs.sum() - 1.0) < 1e-9
-        _, grads = nn.loss_and_gradient(spec, params, batch)
+        _, grads = nn.batch_loss_and_gradient(spec, params, xs, ys)
         step = 1e-5
         for name, arr in params.items():
             fd = np.zeros_like(arr)
@@ -95,9 +97,9 @@ def test_criterion_1_numeric_core():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                lp, _ = nn.loss_and_gradient(spec, params, batch)
+                lp, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
                 flat[i] = orig - step
-                lm, _ = nn.loss_and_gradient(spec, params, batch)
+                lm, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
                 flat[i] = orig
                 fdflat[i] = (lp - lm) / (2 * step)
             err = np.abs(grads[name] - fd) / np.maximum(np.abs(fd), 1e-6)
@@ -188,7 +190,7 @@ def test_criterion_2_attribution_suite():
 
     for case in attribution_battery():
         spec, params, x, unit, target = case
-        beta = float(nn.forward(spec, params, x)[1].unit_activations[unit.layer][unit.unit])
+        beta = float(nn.batch_unit_activations(spec, params, x[None])[unit.layer][0, unit.unit])
         g_full = nn.gradient_wrt_unit(spec, params, x, target, unit, 1.0)
         a1 = fc_att(spec, params, x, target, unit, 1)
         assert a1 == pytest.approx(beta * g_full, rel=1e-12)

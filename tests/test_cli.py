@@ -53,7 +53,7 @@ def artifact_names(out):
 def test_route_none_pre_post_identical(tmp_path):
     cfg = validate_config(TINY.format(route="none"))
     _, before, after, metrics = experiment.run_experiment(cfg, str(tmp_path / "run"))
-    assert before.same_accuracies(after)
+    assert before.clients == after.clients
     assert metrics.forget_efficacy == 0.0
     assert metrics.collateral_retained == 0.0
 
@@ -280,14 +280,88 @@ def test_compare_route_artifacts_match_single_runs(compared):
                                os.path.join(single, name), shallow=False), (route, name)
 
 
+def count_reports(monkeypatch) -> list:
+    """Record one entry per evalkit.build_report call."""
+    calls = []
+    real = evalkit.build_report
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evalkit, "build_report", counted)
+    return calls
+
+
 def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, monkeypatch):
     _, cfg_path, out, _ = compared
     again = str(tmp_path / "again")
     shutil.copytree(out, again)
     finished = tree_bytes(again)
     calls = count_trainings(monkeypatch)
+    reports = count_reports(monkeypatch)
     rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
                    "--routes", ",".join(COMPARED)])
     assert rc == cli.EXIT_OK
     assert calls == []
+    assert reports == []
+    assert "compare.csv" in finished
     assert tree_bytes(again) == finished
+
+
+def test_compare_rebuilds_one_route_from_read_back_before_report(compared, tmp_path,
+                                                                 monkeypatch):
+    _, cfg_path, out, _ = compared
+    again = str(tmp_path / "again")
+    shutil.copytree(out, again)
+    finished = tree_bytes(again)
+    os.remove(os.path.join(again, f"route_{COMPARED[1]}", "metrics.json"))
+    reports = count_reports(monkeypatch)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
+                   "--routes", ",".join(COMPARED)])
+    assert rc == cli.EXIT_OK
+    assert len(reports) == 1  # the rebuilt route's "after" report only
+    assert tree_bytes(again) == finished
+
+
+EVALUATE_ARTIFACTS = ("report_before.json", "report_before.csv", "report_after.json",
+                      "report_after.csv", "metrics.json", "plot_data.csv")
+
+
+def test_run_resume_reads_evaluate_artifacts_back(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path, route="delete")
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    finished = tree_bytes(out)
+    inodes = {name: os.stat(os.path.join(out, name)).st_ino for name in EVALUATE_ARTIFACTS}
+    cfg = validate_config(cfg_path.read_text())
+    _, before, after, metrics = experiment.ensure_evaluate(cfg, out)
+    reports = count_reports(monkeypatch)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    assert reports == []
+    assert tree_bytes(out) == finished
+    assert {name: os.stat(os.path.join(out, name)).st_ino
+            for name in EVALUATE_ARTIFACTS} == inodes
+    fresh = str(tmp_path / "fresh")
+    monkeypatch.undo()
+    _, before2, after2, metrics2 = experiment.ensure_evaluate(cfg, fresh)
+    assert list(before.clients) == list(before2.clients)
+    assert before.clients == before2.clients and after.clients == after2.clients
+    assert metrics == metrics2
+    assert after.macro_global_accuracy == after2.macro_global_accuracy
+
+
+def test_evaluate_resume_refuses_metrics_of_other_route(tmp_path, caplog):
+    cfg_path = write_cfg(tmp_path, route="delete")
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    path = os.path.join(out, "metrics.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["route"] = "zeroing"
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+    finished = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert "metrics.json: route is 'zeroing' but the config asks for 'delete'" in caplog.text
+    assert tree_bytes(out) == finished

@@ -30,7 +30,7 @@ def report_from_counts(counts, metadata=None):
 
 
 # ---------------------------------------------------------------------------
-# per_class_accuracy
+# per-class accuracy of one shard (build_report)
 
 
 def test_perfect_predictor_all_ones():
@@ -46,14 +46,14 @@ def test_perfect_predictor_all_ones():
     for _ in range(60):
         _, g = nn.batch_loss_and_gradient(spec, params, shard.images(), shard.labels())
         params = nn.sgd_step(params, g, 0.5)
-    acc = ek.per_class_accuracy(spec, params, shard)
+    acc = ek.build_report(spec, params, {0: shard}).per_class(0)
     assert acc == {0: 1.0, 1: 1.0}
 
 
 def test_constant_predictor_balanced_two_class():
     spec, params = constant_predictor(2, winner=0)
     shard = shard_of([0] * 5 + [1] * 5)
-    acc = ek.per_class_accuracy(spec, params, shard)
+    acc = ek.build_report(spec, params, {0: shard}).per_class(0)
     assert acc == {0: 1.0, 1: 0.0}
 
 
@@ -61,14 +61,14 @@ def test_per_class_accuracy_matches_hand_tally():
     spec, params = constant_predictor(3, winner=1)
     shard = shard_of([0, 0, 1, 1, 1, 2, 2, 2, 2, 1])
     # constant class-1 predictor: class 0 -> 0/2, class 1 -> 4/4, class 2 -> 0/4
-    acc = ek.per_class_accuracy(spec, params, shard)
+    acc = ek.build_report(spec, params, {0: shard}).per_class(0)
     assert acc == {0: 0.0, 1: 1.0, 2: 0.0}
 
 
 def test_absent_classes_omitted():
     spec, params = constant_predictor(4, winner=0)
     shard = shard_of([0, 0, 2])
-    acc = ek.per_class_accuracy(spec, params, shard)
+    acc = ek.build_report(spec, params, {0: shard}).per_class(0)
     assert set(acc) == {0, 2}
 
 
@@ -156,22 +156,29 @@ def test_json_roundtrip_exact():
     metrics = ek.ForgettingMetrics(1.5, -0.25, 0.0)
     text = ek.report_to_json(report, metrics)
     back, back_metrics = ek.report_from_json(text)
-    assert back.same_accuracies(report)
+    assert back.clients == report.clients
     assert back.metadata == report.metadata
     assert back_metrics == metrics
     assert ek.report_to_json(back, back_metrics) == text
 
 
+def test_json_roundtrip_orders_clients_and_classes_by_integer_id():
+    counts = {cid: {c: (cid % 3 + c % 2, 4) for c in range(12)} for cid in range(12)}
+    report = report_from_counts(counts)
+    back, _ = ek.report_from_json(ek.report_to_json(report))
+    assert list(back.clients) == list(range(12))
+    assert all(list(ev.class_total) == list(range(12)) for ev in back.clients.values())
+    assert back.macro_global_accuracy == report.macro_global_accuracy
+
+
 def test_emission_byte_stable(tmp_path):
     report = report_from_counts({0: {0: (3, 4)}}, metadata={"strategy": "x"})
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    ek.emit_report(report, None, p1, "json")
-    ek.emit_report(report, None, p2, "json")
-    assert p1.read_bytes() == p2.read_bytes()
-    c1, c2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    ek.emit_report(report, None, c1, "csv")
-    ek.emit_report(report, None, c2, "csv")
-    assert c1.read_bytes() == c2.read_bytes()
+    for emit in (ek.report_to_json, lambda r: ek.report_to_csv(r, "x")):
+        p1, p2 = tmp_path / "a", tmp_path / "b"
+        p1.write_bytes(emit(report).encode("utf-8"))
+        p2.write_bytes(emit(report_from_counts({0: {0: (3, 4)}}, {"strategy": "x"}))
+                       .encode("utf-8"))
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_row_count_ten_clients_nine_classes():

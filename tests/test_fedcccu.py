@@ -46,8 +46,7 @@ def battery():
 def trapezoid_oracle(spec, params, x, unit, target, intervals=2000, delta=1e-6):
     """Independent path integral: finite differences on the scaled forward
     pass only (no backprop), trapezoid rule over the activation path."""
-    _, trace = nn.forward(spec, params, x)
-    beta = float(trace.unit_activations[unit.layer][unit.unit])
+    beta = float(nn.batch_unit_activations(spec, params, x[None])[unit.layer][0, unit.unit])
     if beta == 0.0:
         return 0.0
 
@@ -82,8 +81,7 @@ def test_attribution_zero_activation_is_exactly_zero():
 def test_attribution_m1_closed_form():
     for spec, params, x, unit, target in battery():
         att = fc.attribute_unit(spec, params, x, target, unit, 1)
-        _, trace = nn.forward(spec, params, x)
-        beta = float(trace.unit_activations[unit.layer][unit.unit])
+        beta = float(nn.batch_unit_activations(spec, params, x[None])[unit.layer][0, unit.unit])
         g = nn.gradient_wrt_unit(spec, params, x, target, unit, 1.0)
         assert att == pytest.approx(beta * g, rel=1e-12)
 
@@ -129,8 +127,8 @@ def test_attribution_path_extension_identity():
     x = np.array([0.6, 0.25])
     unit = nn.UnitId(0, 0)
     m = 40
-    beta = float(nn.forward(spec, params, x)[1].unit_activations[0][0])
-    beta2 = float(nn.forward(spec, params, 2 * x)[1].unit_activations[0][0])
+    beta = float(nn.batch_unit_activations(spec, params, x[None])[0][0, 0])
+    beta2 = float(nn.batch_unit_activations(spec, params, 2 * x[None])[0][0, 0])
     assert beta2 == 2 * beta
     att_x = fc.attribute_unit(spec, params, x, 0, unit, m)
     att_2x = fc.attribute_unit(spec, params, 2 * x, 0, unit, 2 * m)

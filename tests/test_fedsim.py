@@ -12,8 +12,8 @@ def tiny_spec(classes=4, side=8):
     return nn.small_mlp((1, side, side), classes, hidden=16)
 
 
-def make_federation(clients=3, classes=4, per_class=30, seed=2):
-    spec = ds.SyntheticDomainSpec(base_pattern_seed=8, resolution=(8, 8),
+def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
+    spec = ds.SyntheticDomainSpec(base_pattern_seed=8, resolution=(side, side),
                                   samples_per_class=per_class, class_count=classes)
     domain = ds.synth_domain(spec, seed, domain_id="syn")
     splits = ds.stratified_split(domain, 0.0, 0.2, seed)
@@ -21,7 +21,7 @@ def make_federation(clients=3, classes=4, per_class=30, seed=2):
     test = ds.subset(domain, splits.test)
     plan = pt.partition_iid(train, clients, seed)
     states = fs.build_clients(plan, {"syn": train})
-    return tiny_spec(classes), states, test.images(), test.labels()
+    return tiny_spec(classes, side), states, test.images(), test.labels()
 
 
 def cfg(**kw):
@@ -68,8 +68,11 @@ def test_local_train_leaves_global_params_unchanged():
     assert not nn.params_equal(out, params)
 
 
-def test_local_train_bit_identical_to_out_of_place_steps():
-    spec, states, _, _ = make_federation()
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_local_train_bit_identical_to_out_of_place_steps(model):
+    spec, states, _, _ = make_federation(side=8 if model == "small_mlp" else 10)
+    if model == "small_cnn":  # 10x10 is the smallest input both conv blocks take
+        spec = nn.small_cnn(spec.input_shape, spec.class_count)
     state = states[0]
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
@@ -87,6 +90,18 @@ def test_local_train_bit_identical_to_out_of_place_steps():
     assert len(losses) > 4
     assert nn.params_equal(out, expected)
     assert loss == float(np.mean(losses))
+
+
+def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
+    spec, states, _, _ = make_federation()
+    params = nn.init_params(spec, 1)
+    params["layer1.bias"][0] = np.nan
+    snapshot = nn.params_copy(params)
+    with pytest.raises(fs.FedError,
+                       match=r"client 1, round 3: non-finite values in gradient of layer0\.weight"):
+        fs.local_train(states[1], params, spec, cfg(), 3)
+    for k in params:
+        assert np.array_equal(params[k], snapshot[k], equal_nan=True)
 
 
 def test_local_train_loss_decreases_on_separable_shard():

@@ -24,7 +24,7 @@ def oracle_forward_222(w0, b0, w1, b1, x):
     return [v / s for v in e], a
 
 
-def fd_param_gradients(spec, params, batch, step=1e-5):
+def fd_param_gradients(spec, params, xs, ys, step=1e-5):
     """Central finite differences of the batch loss over every parameter."""
     out = {}
     for name, arr in params.items():
@@ -34,9 +34,9 @@ def fd_param_gradients(spec, params, batch, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            lp, _ = nn.loss_and_gradient(spec, params, batch)
+            lp, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
             flat[i] = orig - step
-            lm, _ = nn.loss_and_gradient(spec, params, batch)
+            lm, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
             flat[i] = orig
             gflat[i] = (lp - lm) / (2 * step)
         out[name] = g
@@ -78,9 +78,10 @@ def rel_err(a, b, floor=1e-6):
 def test_forward_zero_weights_uniform():
     spec = nn.ModelSpec((nn.dense(3, 4), nn.softmax()), 4, (3,))
     params = {"layer0.weight": np.zeros((3, 4)), "layer0.bias": np.zeros(4)}
-    probs, trace = nn.forward(spec, params, np.array([0.3, -1.0, 2.0]))
+    x = np.array([[0.3, -1.0, 2.0]])
+    probs = nn.predict_probs(spec, params, x)[0]
     assert np.allclose(probs, 0.25)
-    assert len(trace.layer_outputs) == 1
+    assert len(nn.batch_unit_activations(spec, params, x)) == 1
 
 
 def test_forward_identity_dense_softmax_of_onehot():
@@ -88,7 +89,7 @@ def test_forward_identity_dense_softmax_of_onehot():
     params = {"layer0.weight": np.eye(3), "layer0.bias": np.zeros(3)}
     x = np.zeros((3, 1, 1))
     x[1, 0, 0] = 1.0
-    probs, _ = nn.forward(spec, params, x)
+    probs = nn.predict_probs(spec, params, x[None])[0]
     expected = np.exp([0.0, 1.0, 0.0])
     expected /= expected.sum()
     assert np.allclose(probs, expected, atol=1e-12)
@@ -97,18 +98,19 @@ def test_forward_identity_dense_softmax_of_onehot():
 def test_forward_matches_hand_oracle_222():
     spec, params = tiny_net_222()
     x = np.array([0.5, -1.2])
-    probs, trace = nn.forward(spec, params, x)
+    probs = nn.predict_probs(spec, params, x[None])[0]
+    acts = nn.batch_unit_activations(spec, params, x[None])
     expected, hidden = oracle_forward_222(
         params["layer0.weight"].tolist(), params["layer0.bias"].tolist(),
         params["layer1.weight"].tolist(), params["layer1.bias"].tolist(), x.tolist())
     assert np.allclose(probs, expected, atol=1e-12)
-    assert np.allclose(trace.unit_activations[0], hidden, atol=1e-12)
+    assert np.allclose(acts[0][0], hidden, atol=1e-12)
 
 
 def test_forward_shape_mismatch_message():
     spec, params = tiny_net_222()
     with pytest.raises(nn.ShapeMismatchError) as exc:
-        nn.forward(spec, params, np.zeros(3))
+        nn.predict_probs(spec, params, np.zeros((1, 3)))
     assert "(2,)" in str(exc.value)
 
 
@@ -117,7 +119,7 @@ def test_forward_probability_normalization_randomized():
     for _ in range(25):
         spec, params = random_tiny_dense(rng)
         x = rng.normal(0, 1, spec.input_shape)
-        probs, _ = nn.forward(spec, params, x)
+        probs = nn.predict_probs(spec, params, x[None])[0]
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs >= 0)
 
@@ -126,20 +128,21 @@ def test_forward_deterministic():
     spec = nn.small_cnn((1, 12, 12), 5)
     params = nn.init_params(spec, 3)
     x = np.random.default_rng(1).uniform(0, 1, (1, 12, 12))
-    a, _ = nn.forward(spec, params, x)
-    b, _ = nn.forward(spec, params, x)
+    a = nn.predict_probs(spec, params, x[None])
+    b = nn.predict_probs(spec, params, x[None])
     assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
-# loss_and_gradient
+# batch_loss_and_gradient
 
 
 def test_loss_perfect_prediction_near_zero():
     spec = nn.ModelSpec((nn.dense(2, 2), nn.softmax()), 2, (2,))
     params = {"layer0.weight": np.array([[40.0, -40.0], [0.0, 0.0]]),
               "layer0.bias": np.zeros(2)}
-    loss, grads = nn.loss_and_gradient(spec, params, [(np.array([1.0, 0.0]), 0)])
+    loss, grads = nn.batch_loss_and_gradient(spec, params, np.array([[1.0, 0.0]]),
+                                             np.array([0]))
     assert loss < 1e-9
     assert all(np.max(np.abs(g)) < 1e-9 for g in grads.values())
 
@@ -147,23 +150,25 @@ def test_loss_perfect_prediction_near_zero():
 def test_loss_uniform_is_log_c():
     spec = nn.ModelSpec((nn.dense(3, 5), nn.softmax()), 5, (3,))
     params = {"layer0.weight": np.zeros((3, 5)), "layer0.bias": np.zeros(5)}
-    loss, _ = nn.loss_and_gradient(spec, params, [(np.array([1.0, 2.0, 3.0]), 2)])
+    loss, _ = nn.batch_loss_and_gradient(spec, params, np.array([[1.0, 2.0, 3.0]]),
+                                         np.array([2]))
     assert abs(loss - math.log(5)) < 1e-12
 
 
 def test_loss_errors():
     spec, params = tiny_net_222()
     with pytest.raises(nn.NNError):
-        nn.loss_and_gradient(spec, params, [])
+        nn.batch_loss_and_gradient(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(nn.NNError):
-        nn.loss_and_gradient(spec, params, [(np.zeros(2), 2)])
+        nn.batch_loss_and_gradient(spec, params, np.zeros((1, 2)), np.array([2]))
 
 
 def test_gradient_matches_finite_differences_222():
     spec, params = tiny_net_222()
-    batch = [(np.array([0.5, -1.2]), 0), (np.array([-0.3, 0.8]), 1)]
-    _, grads = nn.loss_and_gradient(spec, params, batch)
-    fd = fd_param_gradients(spec, params, batch)
+    xs = np.array([[0.5, -1.2], [-0.3, 0.8]])
+    ys = np.array([0, 1])
+    _, grads = nn.batch_loss_and_gradient(spec, params, xs, ys)
+    fd = fd_param_gradients(spec, params, xs, ys)
     for name in grads:
         assert np.all(rel_err(grads[name], fd[name]) < 1e-4), name
 
@@ -173,8 +178,10 @@ def test_gradient_matches_finite_differences_conv():
     params = nn.init_params(spec, 5)
     rng = np.random.default_rng(2)
     batch = [(rng.uniform(0, 1, (1, 10, 10)), int(rng.integers(0, 3))) for _ in range(3)]
-    _, grads = nn.loss_and_gradient(spec, params, batch)
-    fd = fd_param_gradients(spec, params, batch)
+    xs = np.stack([img for img, _ in batch])
+    ys = np.array([lbl for _, lbl in batch])
+    _, grads = nn.batch_loss_and_gradient(spec, params, xs, ys)
+    fd = fd_param_gradients(spec, params, xs, ys)
     for name in grads:
         assert np.all(rel_err(grads[name], fd[name]) < 1e-4), name
 
@@ -222,50 +229,98 @@ def test_sgd_rejects_nonfinite_gradient():
 
 
 def test_sgd_out_in_place_bit_identical_to_out_of_place():
+    """Flat sets are updated in place with the bits of the dict path."""
     rng = np.random.default_rng(12)
     params = {"a": rng.normal(0, 1, (64, 32)), "b": rng.normal(0, 1, (32,))}
     grads = {k: rng.normal(0, 1, v.shape) for k, v in params.items()}
     lr = 0.37
     expected = nn.sgd_step(params, grads, lr)
     scaled = {k: lr * g for k, g in grads.items()}
-    arrays = {k: v for k, v in params.items()}
-    out = nn.sgd_step(params, grads, lr, out=params)
-    assert out is params
+    model, grad = nn.flat_params(params), nn.flat_params(grads)
+    arrays = dict(model.views)
+    out = nn.sgd_step(model, grad, lr)
+    assert out is model
     for k in params:
-        assert params[k] is arrays[k]
-        assert np.array_equal(params[k], expected[k])
-        assert np.array_equal(grads[k], scaled[k])
+        assert model.views[k] is arrays[k]
+        assert np.array_equal(model.views[k], expected[k])
+        assert np.array_equal(grad.views[k], scaled[k])
 
 
 def test_sgd_out_rejects_nonfinite_gradient_before_writing():
-    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
-    grads = {"a": np.array([0.5, 0.5]), "b": np.array([np.inf])}
+    model = nn.flat_params({"a": np.array([1.0, 2.0]), "b": np.array([3.0])})
+    grad = nn.flat_params({"a": np.array([0.5, 0.5]), "b": np.array([np.inf])})
     with pytest.raises(nn.NNError, match="non-finite gradient for b"):
-        nn.sgd_step(params, grads, 0.1, out=params)
-    assert params["a"].tolist() == [1.0, 2.0]
-    assert grads["a"].tolist() == [0.5, 0.5]
+        nn.sgd_step(model, grad, 0.1)
+    assert model.vector.tolist() == [1.0, 2.0, 3.0]
+    assert grad.views["a"].tolist() == [0.5, 0.5]
 
 
 def test_sgd_out_rejects_misshaped_output():
-    params = {"p": np.array([1.0, 2.0])}
-    grads = {"p": np.array([0.5, 0.5])}
-    with pytest.raises(nn.ShapeMismatchError, match="output p"):
-        nn.sgd_step(params, grads, 0.1, out={"p": np.zeros(3)})
+    """A flat model takes only a flat gradient of the same layout."""
+    model = nn.flat_params({"p": np.array([1.0, 2.0])})
+    for gradient in (nn.flat_params({"p": np.array([0.5, 0.5, 0.5])}),
+                     nn.flat_params({"q": np.array([0.5, 0.5])}),
+                     {"p": np.array([0.5, 0.5])}):
+        with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+            nn.sgd_step(model, gradient, 0.1)
+    assert model.vector.tolist() == [1.0, 2.0]
 
 
 def test_batch_gradient_out_buffers_bit_identical():
+    """Every gradient, conv ones too, lands bit-identically in the flat views."""
+    rng = np.random.default_rng(13)
+    for spec in (nn.small_mlp((1, 6, 6), 4, hidden=8), nn.small_cnn((1, 10, 10), 4)):
+        params = nn.init_params(spec, 4)
+        x = rng.random((7, *spec.input_shape))
+        y = rng.integers(0, 4, 7)
+        loss, grads = nn.batch_loss_and_gradient(spec, params, x, y)
+        buffers = nn.flat_params({k: np.full_like(v, np.nan) for k, v in params.items()})
+        loss2, grads2 = nn.batch_loss_and_gradient(spec, params, x, y, out=buffers)
+        assert loss2 == loss
+        assert grads2 is buffers.views
+        for k in params:
+            assert np.array_equal(grads2[k], grads[k])
+
+
+def test_batch_gradient_out_rejects_other_layout():
     spec = nn.small_mlp((1, 6, 6), 4, hidden=8)
     params = nn.init_params(spec, 4)
-    rng = np.random.default_rng(13)
-    x = rng.random((7, 1, 6, 6))
-    y = rng.integers(0, 4, 7)
-    loss, grads = nn.batch_loss_and_gradient(spec, params, x, y)
-    buffers = {k: np.full_like(v, np.nan) for k, v in params.items()}
-    loss2, grads2 = nn.batch_loss_and_gradient(spec, params, x, y, out=buffers)
-    assert loss2 == loss
-    for k in params:
-        assert grads2[k] is buffers[k]
-        assert np.array_equal(grads2[k], grads[k])
+    other = nn.flat_params(nn.init_params(nn.small_mlp((1, 6, 6), 4, hidden=7), 4))
+    with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+        nn.batch_loss_and_gradient(spec, params, np.zeros((2, 1, 6, 6)), np.array([0, 1]),
+                                   out=other)
+
+
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_flat_params_views_tile_vector_in_spec_order(tmp_path, model):
+    spec = getattr(nn, model)((1, 10, 10), 4)
+    params = nn.init_params(spec, 6)
+    flat = nn.flat_params(params)
+    assert list(flat.views) == list(params)
+    assert flat.layout == tuple((k, v.shape) for k, v in params.items())
+    offset = 0
+    for k, view in flat.views.items():
+        assert np.shares_memory(view, flat.vector)
+        assert np.array_equal(flat.vector[offset:offset + view.size], params[k].ravel())
+        offset += view.size
+    assert offset == flat.vector.size
+    nn.save_checkpoint(tmp_path / "dict.fusim", params)
+    nn.save_checkpoint(tmp_path / "flat.fusim", flat.views)
+    assert (tmp_path / "dict.fusim").read_bytes() == (tmp_path / "flat.fusim").read_bytes()
+    flat.vector[:] = 7.0
+    assert all(np.all(view == 7.0) for view in flat.views.values())
+    assert not any(np.any(p == 7.0) for p in params.values())
+
+
+def test_flat_params_rejects_views_that_do_not_tile():
+    flat = nn.flat_params({"a": np.zeros((2, 3)), "b": np.zeros(4)})
+    a, b = flat.views["a"], flat.views["b"]
+    for views in ({"b": b, "a": a}, {"a": a}, {"a": a.copy(), "b": b},
+                  {"a": a.T, "b": b}):
+        with pytest.raises(nn.NNError):
+            nn.FlatParams(flat.vector, views)
+    with pytest.raises(nn.NNError):
+        nn.FlatParams(flat.vector[::2], {})
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +330,8 @@ def test_batch_gradient_out_buffers_bit_identical():
 def test_scaled_unit_scale_one_bit_identical():
     spec, params = tiny_net_222()
     x = np.array([0.5, -1.2])
-    plain, _ = nn.forward(spec, params, x)
-    for unit in spec.all_units():
+    plain = nn.predict_probs(spec, params, x[None])[0]
+    for unit in (nn.UnitId(l, k) for l in range(2) for k in range(2)):
         scaled = nn.forward_with_scaled_unit(spec, params, x, unit, 1.0)
         assert np.array_equal(plain, scaled)
 
@@ -286,7 +341,7 @@ def test_scaled_unit_zero_downstream_zero_noop():
     params = nn.params_copy(params)
     params["layer1.weight"][0, :] = 0.0  # unit (0,0) disconnected downstream
     x = np.array([0.5, -1.2])
-    plain, _ = nn.forward(spec, params, x)
+    plain = nn.predict_probs(spec, params, x[None])[0]
     scaled = nn.forward_with_scaled_unit(spec, params, x, nn.UnitId(0, 0), 0.0)
     assert np.allclose(plain, scaled, atol=1e-15)
 
@@ -319,12 +374,12 @@ def test_scaled_unit_conv_channel_scales_whole_map():
     spec = nn.small_cnn((1, 10, 10), 3)
     params = nn.init_params(spec, 9)
     x = np.random.default_rng(4).uniform(0, 1, (1, 10, 10))
-    plain, _ = nn.forward(spec, params, x)
+    plain = nn.predict_probs(spec, params, x[None])[0]
     ch = int(np.argmax(nn.batch_unit_activations(spec, params, x[None])[0][0]))
     scaled = nn.forward_with_scaled_unit(spec, params, x, nn.UnitId(0, ch), 0.0)
     # independent check: zero the channel by zeroing its filters and bias
     edited = nn.zero_units(spec, params, [nn.UnitId(0, ch)])
-    ref, _ = nn.forward(spec, edited, x)
+    ref = nn.predict_probs(spec, edited, x[None])[0]
     assert np.allclose(scaled, ref, atol=1e-12)
     assert not np.allclose(plain, scaled)
 
@@ -355,8 +410,7 @@ def test_unit_gradient_matches_finite_difference():
     spec, params = tiny_net_222()
     x = np.array([0.9, 0.2])
     unit = nn.UnitId(0, 0)
-    _, trace = nn.forward(spec, params, x)
-    beta = trace.unit_activations[0][0]
+    beta = nn.batch_unit_activations(spec, params, x[None])[0][0, 0]
     assert beta > 0
     s = 0.6
     delta = 1e-6
