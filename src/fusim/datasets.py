@@ -1,4 +1,8 @@
-"""Small-image datasets: IDX files and synthetic multi-domain generators.
+"""Small-image datasets: IDX loading and synthetic multi-domain generators.
+
+A DomainDataset holds one domain as two arrays, images (N, C, H, W) float64
+and labels (N,) int64, and validates them on construction; resizing, subsets
+and splits are index operations on those arrays.
 
 Synthetic domains share one label space but differ in feature distribution:
 each class has a seeded base pattern, samples add per-sample jitter, and a
@@ -7,6 +11,7 @@ the feature distribution without touching labels.
 """
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -42,39 +47,39 @@ class IdxCountMismatchError(IdxError):
 
 
 @dataclass(frozen=True)
-class LabeledExample:
-    image: np.ndarray  # (channels, height, width), float64 in [0, 1]
-    label: int
-
-
-@dataclass
 class DomainDataset:
-    examples: list[LabeledExample]
+    """One domain's examples as two arrays: images (N, C, H, W) float64 in
+    [0, 1] and labels (N,) int64 in [0, class_count)."""
+    images: np.ndarray
+    labels: np.ndarray
     domain_id: str
-    native_resolution: tuple[int, int]
-    channels: int
     class_count: int
 
     def __post_init__(self):
-        c, (h, w) = self.channels, self.native_resolution
-        for ex in self.examples:
-            if ex.image.shape != (c, h, w):
-                raise DatasetError(
-                    f"domain {self.domain_id}: example shape {ex.image.shape} "
-                    f"!= ({c}, {h}, {w})")
-            if not 0 <= ex.label < self.class_count:
-                raise DatasetError(
-                    f"domain {self.domain_id}: label {ex.label} outside "
-                    f"[0, {self.class_count})")
+        name = self.domain_id
+        if self.images.ndim != 4 or self.images.dtype != np.float64:
+            raise DatasetError(
+                f"domain {name}: images must be 4-D float64, got "
+                f"{self.images.ndim}-D {self.images.dtype}")
+        if self.labels.ndim != 1 or self.labels.dtype != np.int64:
+            raise DatasetError(
+                f"domain {name}: labels must be 1-D int64, got "
+                f"{self.labels.ndim}-D {self.labels.dtype}")
+        if len(self.images) != len(self.labels):
+            raise DatasetError(
+                f"domain {name}: {len(self.images)} images but {len(self.labels)} labels")
+        bad = (self.labels < 0) | (self.labels >= self.class_count)
+        if bad.any():
+            raise DatasetError(
+                f"domain {name}: label {self.labels[bad][0]} outside "
+                f"[0, {self.class_count})")
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
-    def labels(self) -> np.ndarray:
-        return np.asarray([ex.label for ex in self.examples], dtype=np.int64)
-
-    def images(self) -> np.ndarray:
-        return np.stack([ex.image for ex in self.examples])
+    @property
+    def native_resolution(self) -> tuple[int, int]:
+        return self.images.shape[2], self.images.shape[3]
 
 
 @dataclass(frozen=True)
@@ -138,53 +143,37 @@ class SyntheticDomainSpec:
 # IDX format
 
 
-def _read_exact(fh, n: int, path) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise IdxTruncatedError(f"{path}: expected {n} more bytes, got {len(data)}")
-    return data
+def _read_idx(path, magic: int, dims: int) -> np.ndarray:
+    """One IDX file's uint8 payload; the file must hold exactly its header
+    (magic, then one big-endian size per dimension) and the declared payload."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = 4 * (1 + dims)
+    if len(data) < header:
+        raise IdxTruncatedError(f"{path}: expected a {header}-byte header, got {len(data)}")
+    found, *shape = struct.unpack(f">{1 + dims}I", data[:header])
+    if found != magic:
+        raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+    size = math.prod(shape)
+    payload = len(data) - header
+    if payload < size:
+        raise IdxTruncatedError(f"{path}: expected {size} payload bytes, got {payload}")
+    if payload > size:
+        raise IdxError(f"{path}: {payload - size} bytes after the declared payload")
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
 def load_idx(images_path, labels_path, domain_id: str | None = None) -> DomainDataset:
     """Load a big-endian IDX image/label pair, rescaling pixels to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxMagicError(
-                f"{images_path}: magic {magic:#010x}, expected {IDX_IMAGES_MAGIC:#010x}")
-        raw = _read_exact(fh, count * rows * cols, images_path)
-    with open(labels_path, "rb") as fh:
-        magic, lcount = struct.unpack(">II", _read_exact(fh, 8, labels_path))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxMagicError(
-                f"{labels_path}: magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}")
-        lraw = _read_exact(fh, lcount, labels_path)
-    if count != lcount:
+    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1).astype(np.int64)
+    if len(pixels) != len(labels):
         raise IdxCountMismatchError(
-            f"{images_path}: {count} images but {lcount} labels")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    labels = np.frombuffer(lraw, dtype=np.uint8)
-    class_count = int(labels.max()) + 1 if count else 0
-    examples = [
-        LabeledExample(pixels[i][None].astype(np.float64) / 255.0, int(labels[i]))
-        for i in range(count)
-    ]
+            f"{images_path}: {len(pixels)} images but {len(labels)} labels")
+    class_count = int(labels.max()) + 1 if len(labels) else 0
     name = domain_id if domain_id is not None else str(images_path)
-    return DomainDataset(examples, name, (rows, cols), 1, class_count)
-
-
-def save_idx(dataset: DomainDataset, images_path, labels_path) -> None:
-    """Serialize a single-channel dataset back to an IDX pair."""
-    if dataset.channels != 1:
-        raise DatasetError("IDX serialization supports single-channel data only")
-    h, w = dataset.native_resolution
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(dataset), h, w))
-        for ex in dataset.examples:
-            fh.write(np.round(ex.image[0] * 255.0).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(dataset)))
-        fh.write(bytes(int(ex.label) for ex in dataset.examples))
+    return DomainDataset(pixels[:, None].astype(np.float64) / 255.0, labels, name,
+                         class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +248,7 @@ def synth_domain(spec: SyntheticDomainSpec, seed: int,
     images = _apply_transforms(images, spec.transforms, rng_tf)
     order = make_rng((spec.base_pattern_seed, seed), 317).permutation(len(labels))
     name = domain_id if domain_id is not None else "+".join(t.kind for t in spec.transforms)
-    examples = [LabeledExample(images[j][None].copy(), int(labels[j])) for j in order]
-    res = images.shape[1:]
-    return DomainDataset(examples, name, (res[0], res[1]), 1, spec.class_count)
+    return DomainDataset(images[order][:, None], labels[order], name, spec.class_count)
 
 
 def resize(dataset: DomainDataset, target_resolution: tuple[int, int]) -> DomainDataset:
@@ -271,14 +258,10 @@ def resize(dataset: DomainDataset, target_resolution: tuple[int, int]) -> Domain
         raise DatasetError("target resolution sides must be >= 1")
     h, w = dataset.native_resolution
     if (th, tw) == (h, w):
-        return replace(dataset, examples=list(dataset.examples))
+        return dataset
     rows = (np.arange(th) * h // th).astype(np.intp)
     cols = (np.arange(tw) * w // tw).astype(np.intp)
-    examples = [
-        LabeledExample(ex.image[:, rows][:, :, cols].copy(), ex.label)
-        for ex in dataset.examples
-    ]
-    return replace(dataset, examples=examples, native_resolution=(th, tw))
+    return replace(dataset, images=dataset.images[:, :, rows[:, None], cols])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +278,7 @@ class DomainSplits:
 def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction: float,
                      seed) -> DomainSplits:
     """Per-class shuffled split; every class must land in the training part."""
-    labels = dataset.labels()
+    labels = dataset.labels
     rng = make_rng(seed, 331)
     train, val, test = [], [], []
     for c in range(dataset.class_count):
@@ -316,5 +299,6 @@ def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction:
 
 
 def subset(dataset: DomainDataset, indices) -> DomainDataset:
-    examples = [dataset.examples[i] for i in indices]
-    return replace(dataset, examples=examples)
+    """The examples at the given integer positions, in that order."""
+    idx = np.asarray(indices, dtype=np.intp)
+    return replace(dataset, images=dataset.images[idx], labels=dataset.labels[idx])

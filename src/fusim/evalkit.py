@@ -82,9 +82,8 @@ def evaluate_client(spec: ModelSpec, params: ParameterSet,
                     shard: DomainDataset) -> ClientEvaluation:
     if len(shard) == 0:
         raise EvalError("cannot evaluate an empty shard")
-    xs = shard.images()
-    ys = shard.labels()
-    preds = nncore.predict_probs(spec, params, xs).argmax(axis=1)
+    ys = shard.labels
+    preds = nncore.predict_probs(spec, params, shard.images).argmax(axis=1)
     correct: dict[int, int] = {}
     total: dict[int, int] = {}
     for c in np.unique(ys):

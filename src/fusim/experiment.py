@@ -24,7 +24,7 @@ from .datasets import (DomainDataset, DomainSplits, load_idx, resize,
                        stratified_split, subset, SyntheticDomainSpec, synth_domain)
 from .fedsim import ClientState, FedConfig, UnlearnRequest
 from .nncore import ModelSpec, ParameterSet
-from .partition import PartitionPlan, label_intersection, partition_dirichlet, partition_iid
+from .partition import PartitionPlan, build_plan, label_intersection
 
 
 class StageError(RuntimeError):
@@ -117,24 +117,9 @@ def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
     return domains
 
 
-def _compute_plan(cfg: ExperimentConfig,
-                  train_domains: list[DomainDataset]) -> PartitionPlan:
-    part = cfg.partition
-    if part.strategy == "iid":
-        return partition_iid(train_domains[0], part.clients, cfg.seed)
-    if part.strategy == "dirichlet":
-        return partition_dirichlet(train_domains[0], part.clients, part.alpha, cfg.seed)
-    clients = []
-    for g, (domain, size) in enumerate(zip(train_domains, part.group_sizes)):
-        sub = partition_dirichlet(domain, size, part.alpha, (cfg.seed, 421, g))
-        clients.extend(sub.clients)
-    return PartitionPlan(tuple(clients), "real_noniid", cfg.seed, part.alpha)
-
-
 def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
                splits: dict[str, DomainSplits] | None = None) -> Task:
-    raw = build_raw_domains(cfg)
-    _, _, remapped = label_intersection(raw)
+    _, _, remapped = label_intersection(build_raw_domains(cfg))
     processed = [resize(d, cfg.partition.working_resolution) for d in remapped]
     class_count = processed[0].class_count
     if splits is None:
@@ -146,10 +131,10 @@ def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
     train_domains = {did: subset(by_id[did], sp.train) for did, sp in splits.items()}
     if plan is None:
         ordered_train = [train_domains[d.domain_id] for d in processed]
-        plan = _compute_plan(cfg, ordered_train)
+        plan = build_plan(cfg.partition, ordered_train, cfg.seed)
     val_sets = [subset(by_id[did], sp.val) for did, sp in sorted(splits.items())]
-    val_x = np.concatenate([d.images() for d in val_sets])
-    val_y = np.concatenate([d.labels() for d in val_sets])
+    val_x = np.concatenate([d.images for d in val_sets])
+    val_y = np.concatenate([d.labels for d in val_sets])
     test_domains = {did: subset(by_id[did], sp.test) for did, sp in splits.items()}
     client_test_sets = {i: test_domains[c.domain_id]
                         for i, c in enumerate(plan.clients)}
@@ -270,10 +255,10 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
             state = by_id[rid]
             if route == "delete":
                 edited = unlearn_routes.delete_retrain_prepare(
-                    state.examples, request.forget_class)
+                    state.shard, request.forget_class)
             else:
                 edited = unlearn_routes.relabel_poison_prepare(
-                    state.examples, request.forget_class, task.class_count,
+                    state.shard, request.forget_class, task.class_count,
                     seed=(cfg.seed, 853, rid))
             state.replace_shard(edited)
         pre_steps = {c.client_id: c.local_step_counter for c in clients}
@@ -285,10 +270,12 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
             for c in clients if c.client_id not in request.client_ids)
         return params, logs, extras
     if route == "zeroing":
-        probes = []
-        for rid in request.client_ids:
-            probes.extend(fedcccu.probe_examples(by_id[rid], request.forget_class,
-                                                 u.probe_cap, cfg.seed))
+        per_client = [fedcccu.probe_examples(by_id[rid], request.forget_class,
+                                             u.probe_cap, cfg.seed)
+                      for rid in request.client_ids]
+        probes = DomainDataset(np.concatenate([p.images for p in per_client]),
+                               np.concatenate([p.labels for p in per_client]),
+                               "probes", task.class_count)
         editable = unlearn_routes.editable_units(task.spec)
         top_m = max(1, round(u.top_m_fraction * len(editable)))
         params = unlearn_routes.naive_zeroing(task.spec, trained,
@@ -390,12 +377,6 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
         {cfg.unlearn.route: (before.global_accuracy, after.global_accuracy)}))
     writer.commit()
     return task, before, after, metrics
-
-
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
-    """All stages; returns (task, before report, after report, metrics)."""
-    out = out_dir or cfg.out_dir
-    return ensure_evaluate(cfg, out)
 
 
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:

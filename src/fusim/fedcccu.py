@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .datasets import LabeledExample
+from .datasets import DomainDataset, subset
 from .fedsim import ClientState, UnlearnRequest
 from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
 from .unlearn_routes import editable_units
@@ -178,29 +178,27 @@ def attribute_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
     return float(beta / m * grads.sum())
 
 
-def sensitivity_scores(spec: ModelSpec, params: ParameterSet,
-                       examples: list[LabeledExample], target_class: int,
-                       m: int) -> list[SensitivityRecord]:
-    """Mean attribution per editable unit over the given examples.
+def sensitivity_scores(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+                       target_class: int, m: int) -> list[SensitivityRecord]:
+    """Mean attribution per editable unit over the given inputs (N, C, H, W).
 
-    Per editable layer, one prefix pass over the examples gives every unit's
+    Per editable layer, one prefix pass over the inputs gives every unit's
     beta and the activation-site rows, and site_rows forms the next
     parameterized layer's output for the n * m rows; per unit,
     batch_unit_gradients updates that output and runs only the layers after
     it.
     """
-    if not examples:
+    n = len(inputs)
+    if n == 0:
         raise CccuError("sensitivity_scores needs a nonempty shard")
     if not 0 <= target_class < spec.class_count:
         raise CccuError(f"target class {target_class} out of range")
     if m < 1:
         raise CccuError("m must be >= 1")
-    xs = np.stack([ex.image for ex in examples])
-    n = xs.shape[0]
     scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
     records = []
     for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
-        site = nncore.batch_site_outputs(spec, params, xs, ordinal)
+        site = nncore.batch_site_outputs(spec, params, inputs, ordinal)
         betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
         rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal)
         for unit in units:
@@ -290,13 +288,15 @@ def apply_unlearning(spec: ModelSpec, params: ParameterSet,
 
 
 def probe_examples(state: ClientState, forget_class: int, probe_cap: int,
-                    seed) -> list[LabeledExample]:
-    candidates = [ex for ex in state.examples if ex.label == forget_class]
-    if len(candidates) <= probe_cap:
-        return candidates
-    rng = make_rng((seed, state.client_id), 801)
-    picks = sorted(rng.choice(len(candidates), size=probe_cap, replace=False).tolist())
-    return [candidates[i] for i in picks]
+                   seed) -> DomainDataset:
+    """The client's forget-class examples, a seeded sample of probe_cap of
+    them when it holds more, in shard order."""
+    candidates = np.flatnonzero(state.shard.labels == forget_class)
+    if len(candidates) > probe_cap:
+        rng = make_rng((seed, state.client_id), 801)
+        candidates = candidates[np.sort(rng.choice(len(candidates), size=probe_cap,
+                                                   replace=False))]
+    return subset(state.shard, candidates)
 
 
 def fedcccu_pipeline(spec: ModelSpec, global_params: ParameterSet,
@@ -313,8 +313,8 @@ def fedcccu_pipeline(spec: ModelSpec, global_params: ParameterSet,
     reports = []
     for state in sorted(clients, key=lambda c: c.client_id):
         probes = probe_examples(state, forget_class, config.probe_cap, config.seed)
-        if probes:
-            scores = sensitivity_scores(spec, global_params, probes, forget_class,
+        if len(probes):
+            scores = sensitivity_scores(spec, global_params, probes.images, forget_class,
                                         config.riemann_steps)
             reports.append(top_n_report(scores, state.client_id, config.top_n))
         else:

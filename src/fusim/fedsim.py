@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .datasets import DomainDataset, LabeledExample
+from .datasets import DomainDataset
 from .nncore import ModelSpec, ParameterSet, make_rng
 from .partition import PartitionPlan, materialize
 
@@ -61,28 +61,20 @@ class FedConfig:
 class ClientState:
     """Per-client shard, cached last submission, and a gradient-step counter."""
 
-    def __init__(self, client_id: int, examples: list[LabeledExample]):
-        if not examples:
-            raise FedError(f"client {client_id} has an empty shard")
+    def __init__(self, client_id: int, shard: DomainDataset):
         self.client_id = client_id
-        self.examples = list(examples)
         self.cache: ParameterSet | None = None
         self.local_step_counter = 0
-        self._stack()
+        self.replace_shard(shard)
 
-    def _stack(self):
-        self.x = np.stack([e.image for e in self.examples])
-        self.y = np.asarray([e.label for e in self.examples], dtype=np.int64)
-
-    def replace_shard(self, examples: list[LabeledExample]) -> None:
-        if not examples:
-            raise FedError(f"client {self.client_id}: edited shard is empty")
-        self.examples = list(examples)
-        self._stack()
+    def replace_shard(self, shard: DomainDataset) -> None:
+        if len(shard) == 0:
+            raise FedError(f"client {self.client_id} has an empty shard")
+        self.shard = shard
 
     @property
     def sample_count(self) -> int:
-        return len(self.examples)
+        return len(self.shard)
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class TrainingResult:
 
 def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[ClientState]:
     shards = materialize(plan, domains)
-    return [ClientState(i, s.examples) for i, s in enumerate(shards)]
+    return [ClientState(i, s) for i, s in enumerate(shards)]
 
 
 def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec,
@@ -130,14 +122,15 @@ def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec
     grad = nncore.flat_params(global_params)
     losses = []
     rng = make_rng((config.seed, state.client_id, round_index), 501)
-    n = state.sample_count
+    x, y = state.shard.images, state.shard.labels
+    n = len(y)
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = np.sort(order[start:start + config.batch_size])
             try:
                 loss, _ = nncore.batch_loss_and_gradient(
-                    spec, model.views, state.x[batch_idx], state.y[batch_idx], out=grad)
+                    spec, model.views, x[batch_idx], y[batch_idx], out=grad)
             except nncore.NNError as exc:
                 raise FedError(
                     f"client {state.client_id}, round {round_index}: {exc}") from exc

@@ -335,10 +335,6 @@ def flat_params(params: ParameterSet) -> FlatParams:
     return FlatParams(vector, views)
 
 
-def params_equal(a: ParameterSet, b: ParameterSet) -> bool:
-    return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
-
-
 def zero_units(spec: ModelSpec, params: ParameterSet, units: Iterable[UnitId]) -> ParameterSet:
     """Zero the incoming weights and bias of each unit; idempotent, local."""
     out = params_copy(params)

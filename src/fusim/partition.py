@@ -1,14 +1,19 @@
 """Client data assignment: IID, Dirichlet label skew, and domain-per-group.
 
 A PartitionPlan is pure bookkeeping: per client, a domain id and a list of
-example indices into that domain's dataset.  Heterogeneity regimes:
+example indices into that domain's dataset.  build_plan is the one entry
+point that picks the configured regime:
 
 * iid        — one dataset, uniform shuffle-split.
 * dirichlet  — one dataset, per-class client proportions from Dirichlet(alpha);
                small alpha skews each client's label prior.
-* real_noniid — one source domain per client group, shared label space, all
-               domains resized to a working resolution; feature distributions
-               differ across groups while labels stay comparable.
+* real_noniid — one source domain per client group, each group splitting its
+               domain via Dirichlet(alpha); feature distributions differ across
+               groups while labels stay comparable.
+
+label_intersection maps every domain onto the shared label space (a lookup
+table over the label array, plus a mask that drops the rest), and
+materialize turns a plan into per-client shard datasets by index.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DomainDataset, resize, subset
+from .config import PartitionConfig
+from .datasets import DomainDataset, subset
 from .nncore import make_rng
 
 DIRICHLET_MAX_RETRIES = 100
@@ -60,14 +66,6 @@ class PartitionPlan:
     @property
     def client_count(self) -> int:
         return len(self.clients)
-
-    @property
-    def sample_counts(self) -> tuple[int, ...]:
-        return tuple(c.count for c in self.clients)
-
-    @property
-    def total_samples(self) -> int:
-        return sum(self.sample_counts)
 
     def to_json(self) -> str:
         doc = {
@@ -137,7 +135,7 @@ def partition_dirichlet(dataset: DomainDataset, client_count: int, alpha: float,
         raise PartitionError("client_count must be >= 1")
     if client_count > n:
         raise PartitionError(f"cannot assign {n} examples to {client_count} clients")
-    labels = dataset.labels()
+    labels = dataset.labels
     for attempt in range(DIRICHLET_MAX_RETRIES):
         rng = make_rng(seed, 411, attempt)
         buckets = _dirichlet_assign(labels, client_count, alpha, rng)
@@ -166,45 +164,35 @@ def label_intersection(domains: list[DomainDataset]):
         raise PartitionError("label intersection across domains is empty")
     shared_sorted = sorted(shared)
     mapping = {old: new for new, old in enumerate(shared_sorted)}
+    lut = np.full(max(d.class_count for d in domains), -1, dtype=np.int64)
+    lut[shared_sorted] = np.arange(len(shared_sorted))
     remapped = []
     for d in domains:
-        keep = [ex for ex in d.examples if ex.label in mapping]
-        examples = [
-            ex if ex.label == mapping[ex.label]
-            else type(ex)(ex.image, mapping[ex.label])
-            for ex in keep
-        ]
-        remapped.append(DomainDataset(examples, d.domain_id, d.native_resolution,
-                                      d.channels, len(shared_sorted)))
+        labels = lut[d.labels]
+        keep = labels >= 0
+        remapped.append(DomainDataset(d.images[keep], labels[keep], d.domain_id,
+                                      len(shared_sorted)))
     return shared_sorted, mapping, remapped
 
 
-def partition_real_noniid(domains: list[DomainDataset], group_sizes: list[int],
-                          working_resolution: tuple[int, int], alpha: float = 100.0,
-                          seed=0):
-    """One domain per client group; intra-group split via Dirichlet(alpha).
+def build_plan(part: PartitionConfig, domains: list[DomainDataset], seed: int) -> PartitionPlan:
+    """The configured strategy's plan over the given domains, in config order.
 
-    Returns (plan, processed domains): every processed domain is remapped to
-    the shared label space and resized to the working resolution, and plan
-    indices refer to the processed datasets.
+    iid and dirichlet split the first (only) domain across part.clients;
+    real_noniid gives domain g its own group of part.group_sizes[g] clients,
+    split by Dirichlet(part.alpha) with seed (seed, 421, g).
     """
-    if len(domains) != len(group_sizes):
+    if part.strategy == "iid":
+        return partition_iid(domains[0], part.clients, seed)
+    if part.strategy == "dirichlet":
+        return partition_dirichlet(domains[0], part.clients, part.alpha, seed)
+    if len(domains) != len(part.group_sizes):
         raise PartitionError(
-            f"{len(domains)} domains but {len(group_sizes)} group sizes")
-    if any(g < 1 for g in group_sizes):
-        raise PartitionError("group sizes must be >= 1")
-    _, _, remapped = label_intersection(domains)
-    processed = [resize(d, working_resolution) for d in remapped]
-    clients: list[ClientAssignment] = []
-    for g, (domain, size) in enumerate(zip(processed, group_sizes)):
-        sub = partition_dirichlet(domain, size, alpha, (_seed_int(seed), 421, g))
-        clients.extend(sub.clients)
-    plan = PartitionPlan(tuple(clients), "real_noniid", _seed_int(seed), alpha)
-    return plan, processed
-
-
-def _seed_int(seed) -> int:
-    return seed if isinstance(seed, int) else int(seed[0])
+            f"{len(domains)} domains but {len(part.group_sizes)} group sizes")
+    clients = []
+    for g, (domain, size) in enumerate(zip(domains, part.group_sizes)):
+        clients.extend(partition_dirichlet(domain, size, part.alpha, (seed, 421, g)).clients)
+    return PartitionPlan(tuple(clients), "real_noniid", seed, part.alpha)
 
 
 def materialize(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[DomainDataset]:

@@ -9,10 +9,12 @@ rather than representation removal.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import nncore
-from .datasets import LabeledExample
+from .datasets import DomainDataset, subset
 from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
 
 
@@ -29,40 +31,34 @@ def editable_units(spec: ModelSpec) -> list[UnitId]:
             for k in range(spec.unit_count(l))]
 
 
-def delete_retrain_prepare(shard: list[LabeledExample],
-                           forget_class: int) -> list[LabeledExample]:
+def delete_retrain_prepare(shard: DomainDataset, forget_class: int) -> DomainDataset:
     """Drop every forget-class example, preserving order."""
-    kept = [ex for ex in shard if ex.label != forget_class]
-    if not kept:
+    kept = subset(shard, np.flatnonzero(shard.labels != forget_class))
+    if len(kept) == 0:
         raise RouteError("deleting the forget class empties the shard")
     return kept
 
 
-def relabel_poison_prepare(shard: list[LabeledExample], forget_class: int,
-                           class_count: int, seed) -> list[LabeledExample]:
+def relabel_poison_prepare(shard: DomainDataset, forget_class: int,
+                           class_count: int, seed) -> DomainDataset:
     """Rewrite forget-class labels to uniform draws over the other classes."""
     if class_count < 2:
         raise RouteError("relabeling needs at least two classes")
     rng = make_rng(seed, 701)
-    out = []
-    for ex in shard:
-        if ex.label == forget_class:
-            draw = int(rng.integers(0, class_count - 1))
-            new_label = draw if draw < forget_class else draw + 1
-            out.append(LabeledExample(ex.image, new_label))
-        else:
-            out.append(ex)
-    return out
+    hit = shard.labels == forget_class
+    draws = rng.integers(0, class_count - 1, size=int(hit.sum()))
+    labels = shard.labels.copy()
+    labels[hit] = draws + (draws >= forget_class)
+    return replace(shard, labels=labels)
 
 
 def rank_units_by_activation(spec: ModelSpec, params: ParameterSet,
-                             probes: list[LabeledExample],
+                             probes: DomainDataset,
                              forget_class: int) -> list[tuple[UnitId, float]]:
     """Editable units sorted by mean activation over forget-class probes."""
-    forget = [ex for ex in probes if ex.label == forget_class]
-    if not forget:
+    xs = probes.images[probes.labels == forget_class]
+    if len(xs) == 0:
         raise RouteError("probe set contains no forget-class examples")
-    xs = np.stack([ex.image for ex in forget])
     acts = nncore.batch_unit_activations(spec, params, xs)
     scored = []
     for unit in editable_units(spec):
@@ -72,7 +68,7 @@ def rank_units_by_activation(spec: ModelSpec, params: ParameterSet,
 
 
 def naive_zeroing(spec: ModelSpec, params: ParameterSet, forget_class: int,
-                  probes: list[LabeledExample], top_m: int) -> ParameterSet:
+                  probes: DomainDataset, top_m: int) -> ParameterSet:
     """Zero the top_m most forget-class-activated hidden units."""
     ranked = rank_units_by_activation(spec, params, probes, forget_class)
     if top_m < 0 or top_m > len(ranked):

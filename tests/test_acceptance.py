@@ -12,6 +12,7 @@ import pytest
 
 from fusim import evalkit, experiment, fedcccu, fedsim, nncore as nn, unlearn_routes
 from fusim.config import load_config
+from helpers import params_equal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -225,12 +226,12 @@ def test_criterion_3_protocol_suite():
     task_a, clients_a, run_a = one_run()
     task_b, clients_b, run_b = one_run()
     assert run_a.logs == run_b.logs
-    assert nn.params_equal(run_a.params, run_b.params)
+    assert params_equal(run_a.params, run_b.params)
 
     # fairness: zero gradient computations by non-requesting clients
     request = fedsim.UnlearnRequest((0,), 0)
     state0 = clients_a[0]
-    state0.replace_shard(unlearn_routes.delete_retrain_prepare(state0.examples, 0))
+    state0.replace_shard(unlearn_routes.delete_retrain_prepare(state0.shard, 0))
     pre = {c.client_id: c.local_step_counter for c in clients_a}
     fedsim.fair_unlearn_rounds(run_a.params, task_a.spec, clients_a, request,
                                task_a.val_x, task_a.val_y,
@@ -244,11 +245,11 @@ def test_criterion_3_protocol_suite():
     # aggregate identity and permutation invariants
     spec = task_a.spec
     p = nn.init_params(spec, 3)
-    assert nn.params_equal(fedsim.aggregate([(p, 2), (p, 5), (p, 1)]), p)
+    assert params_equal(fedsim.aggregate([(p, 2), (p, 5), (p, 1)]), p)
     sets = [(nn.init_params(spec, i), i + 1) for i in range(4)]
     shuffled = [sets[3], sets[1], sets[0], sets[2]]
-    assert nn.params_equal(fedsim.aggregate(sets),
-                           fedsim.aggregate(sorted(shuffled, key=lambda t: t[1])))
+    assert params_equal(fedsim.aggregate(sets),
+                        fedsim.aggregate(sorted(shuffled, key=lambda t: t[1])))
     weights = [c.sample_count for c in clients_a]
     assert abs(sum(w / sum(weights) for w in weights) - 1.0) < 1e-15
 

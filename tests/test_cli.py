@@ -9,6 +9,7 @@ import pytest
 
 from fusim import cli, evalkit, experiment, fedsim
 from fusim.config import validate_config
+from helpers import params_equal
 
 TINY = """
 [experiment]
@@ -52,7 +53,7 @@ def artifact_names(out):
 
 def test_route_none_pre_post_identical(tmp_path):
     cfg = validate_config(TINY.format(route="none"))
-    _, before, after, metrics = experiment.run_experiment(cfg, str(tmp_path / "run"))
+    _, before, after, metrics = experiment.ensure_evaluate(cfg, str(tmp_path / "run"))
     assert before.clients == after.clients
     assert metrics.forget_efficacy == 0.0
     assert metrics.collateral_retained == 0.0
@@ -61,8 +62,8 @@ def test_route_none_pre_post_identical(tmp_path):
 def test_same_config_twice_byte_identical_artifacts(tmp_path):
     cfg = validate_config(TINY.format(route="fedcccu"))
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    experiment.run_experiment(cfg, out1)
-    experiment.run_experiment(cfg, out2)
+    experiment.ensure_evaluate(cfg, out1)
+    experiment.ensure_evaluate(cfg, out2)
     names = artifact_names(out1)
     assert names == artifact_names(out2)
     for name in names:
@@ -75,7 +76,7 @@ def test_same_config_twice_byte_identical_artifacts(tmp_path):
 def test_fedcccu_run_writes_audit_with_selection(tmp_path):
     cfg = validate_config(TINY.format(route="fedcccu"))
     out = str(tmp_path / "run")
-    experiment.run_experiment(cfg, out)
+    experiment.ensure_evaluate(cfg, out)
     with open(os.path.join(out, "audit_fedcccu.json")) as fh:
         audit = json.load(fh)
     assert audit["selected"]
@@ -95,8 +96,7 @@ def test_stage_resume_uses_existing_artifacts(tmp_path):
     # re-entry loads the checkpoint instead of retraining
     _, params2, summary2 = experiment.ensure_train(cfg, out)
     assert summary2 == summary
-    from fusim import nncore
-    assert nncore.params_equal(params, params2)
+    assert params_equal(params, params2)
 
 
 @pytest.mark.parametrize("checkpoint", ["checkpoint_trained.fusim",

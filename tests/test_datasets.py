@@ -4,21 +4,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fusim import datasets as ds
 from fusim import nncore as nn
+from helpers import save_idx, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
-    n, h, w = images.shape
     ip = tmp_path / "imgs-idx3-ubyte"
     lp = tmp_path / "lbls-idx1-ubyte"
-    with open(ip, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, n, h, w))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lp, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, len(labels)))
-        fh.write(bytes(int(v) for v in labels))
+    write_idx(images, labels, ip, lp)
     return ip, lp
 
 
@@ -32,9 +30,9 @@ def test_load_idx_two_images(tmp_path):
     d = ds.load_idx(ip, lp)
     assert len(d) == 2
     assert d.native_resolution == (3, 4)
-    assert d.examples[0].image.shape == (1, 3, 4)
-    assert d.examples[0].label == 1
-    assert np.allclose(d.examples[1].image[0] * 255.0, images[1])
+    assert d.images.shape == (2, 1, 3, 4)
+    assert d.labels.tolist() == [1, 0]
+    assert np.allclose(d.images[1, 0] * 255.0, images[1])
 
 
 def test_load_idx_count_mismatch(tmp_path):
@@ -62,6 +60,23 @@ def test_load_idx_truncated(tmp_path):
         ds.load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_load_idx_refuses_trailing_bytes(tmp_path, which):
+    images = np.zeros((2, 3, 3), dtype=np.uint8)
+    ip, lp = write_idx_pair(tmp_path, images, [0, 1])
+    path = ip if which == "images" else lp
+    path.write_bytes(path.read_bytes() + b"\x00" * 13)
+    with pytest.raises(ds.IdxError, match=f"{path}: 13 bytes after"):
+        ds.load_idx(ip, lp)
+
+
+def test_load_idx_truncated_header(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
+    lp.write_bytes(lp.read_bytes()[:6])
+    with pytest.raises(ds.IdxTruncatedError, match=str(lp)):
+        ds.load_idx(ip, lp)
+
+
 def test_idx_roundtrip_bytes(tmp_path):
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, size=(5, 6, 6), dtype=np.uint8)
@@ -70,9 +85,21 @@ def test_idx_roundtrip_bytes(tmp_path):
     d = ds.load_idx(ip, lp)
     ip2 = tmp_path / "imgs2"
     lp2 = tmp_path / "lbls2"
-    ds.save_idx(d, ip2, lp2)
+    save_idx(d, ip2, lp2)
     assert ip2.read_bytes() == ip.read_bytes()
     assert lp2.read_bytes() == lp.read_bytes()
+
+
+@given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=3, max_dims=3, max_side=6)),
+       st.data())
+def test_idx_roundtrip_bit_exact(tmp_path_factory, images, data):
+    labels = data.draw(hnp.arrays(np.uint8, len(images), elements=st.integers(0, 9)))
+    tmp = tmp_path_factory.mktemp("idx")
+    ip, lp = write_idx_pair(tmp, images, labels)
+    d = ds.load_idx(ip, lp)
+    assert np.array_equal(d.images[:, 0], images / 255.0)
+    assert np.array_equal(d.labels, labels)
+    assert np.array_equal(np.round(d.images[:, 0] * 255.0), images)
 
 
 MNIST_IMAGES = os.path.join("data", "MNIST", "train-images-idx3-ubyte")
@@ -103,23 +130,21 @@ def test_synth_deterministic():
     a = ds.synth_domain(spec, 9)
     b = ds.synth_domain(spec, 9)
     assert len(a) == len(b) == 80
-    for ea, eb in zip(a.examples, b.examples):
-        assert ea.label == eb.label
-        assert np.array_equal(ea.image, eb.image)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.images, b.images)
 
 
 def test_synth_label_marginals_uniform():
     d = ds.synth_domain(make_spec(), 1)
-    counts = np.bincount(d.labels(), minlength=4)
+    counts = np.bincount(d.labels, minlength=4)
     assert np.all(counts == 20)
 
 
 def test_synth_invert_is_pixel_complement():
     ident = ds.synth_domain(make_spec(), 2)
     inv = ds.synth_domain(make_spec(transforms=ds.parse_transforms("invert")), 2)
-    for ea, eb in zip(ident.examples, inv.examples):
-        assert ea.label == eb.label
-        assert np.allclose(eb.image, 1.0 - ea.image, atol=1e-15)
+    assert np.array_equal(ident.labels, inv.labels)
+    assert np.allclose(inv.images, 1.0 - ident.images, atol=1e-15)
 
 
 def test_synth_gaussian_noise_mean_abs_difference():
@@ -130,8 +155,7 @@ def test_synth_gaussian_noise_mean_abs_difference():
                         transforms=ds.parse_transforms("gaussian_noise(0.1)"))
     a = ds.synth_domain(spec_id, 3)
     b = ds.synth_domain(spec_nz, 3)
-    diffs = [np.abs(eb.image - ea.image).mean() for ea, eb in zip(a.examples, b.examples)]
-    mad = float(np.mean(diffs))
+    mad = float(np.abs(b.images - a.images).mean())
     assert 0.06 <= mad <= 0.10
 
 
@@ -152,7 +176,7 @@ def test_synth_linear_probe_separability():
         probe = nn.ModelSpec(
             (nn.flatten(), nn.dense(res[0] * res[1], 4), nn.softmax()), 4, (1, *res))
         params = nn.init_params(probe, 0)
-        xs, ys = d.images(), d.labels()
+        xs, ys = d.images, d.labels
         tr, te = slice(0, 120), slice(120, 160)
         for _ in range(60):
             _, g = nn.batch_loss_and_gradient(probe, params, xs[tr], ys[tr])
@@ -215,8 +239,8 @@ def test_synth_bit_identical_to_per_sample_generator(chain):
     spec = ds.SyntheticDomainSpec(13, ds.parse_transforms(chain), (12, 10), 9, 4)
     d = ds.synth_domain(spec, 6)
     images, labels = per_sample_synth(spec, 6)
-    assert np.array_equal(d.images(), images)
-    assert np.array_equal(d.labels(), labels)
+    assert np.array_equal(d.images, images)
+    assert np.array_equal(d.labels, labels)
     assert d.native_resolution == images.shape[2:]
 
 
@@ -237,15 +261,14 @@ def test_parse_transform_chain():
 def test_resize_same_resolution_identical():
     d = ds.synth_domain(make_spec(), 1)
     r = ds.resize(d, (12, 12))
-    for ea, eb in zip(d.examples, r.examples):
-        assert np.array_equal(ea.image, eb.image)
+    assert np.array_equal(r.images, d.images)
 
 
 def test_resize_checkerboard_upscale():
     board = np.array([[0.0, 1.0], [1.0, 0.0]])
-    d = ds.DomainDataset([ds.LabeledExample(board[None], 0)], "x", (2, 2), 1, 1)
+    d = ds.DomainDataset(board[None, None], np.zeros(1, dtype=np.int64), "x", 1)
     r = ds.resize(d, (4, 4))
-    img = r.examples[0].image[0]
+    img = r.images[0, 0]
     expected = np.kron(board, np.ones((2, 2)))
     assert np.array_equal(img, expected)
 
@@ -254,8 +277,7 @@ def test_resize_roundtrip_bounded_aliasing():
     d = ds.synth_domain(make_spec(resolution=(16, 16)), 5)
     up = ds.resize(d, (28, 28))
     back = ds.resize(up, (16, 16))
-    mae = float(np.mean([np.abs(a.image - b.image).mean()
-                         for a, b in zip(d.examples, back.examples)]))
+    mae = float(np.abs(d.images - back.images).mean())
     # measured on the frozen generator: 0.1553; pinned with headroom
     assert 0.0 < mae <= 0.20
 
@@ -264,7 +286,7 @@ def test_resize_preserves_labels_and_counts():
     d = ds.synth_domain(make_spec(), 8)
     r = ds.resize(d, (7, 9))
     assert len(r) == len(d)
-    assert np.array_equal(r.labels(), d.labels())
+    assert np.array_equal(r.labels, d.labels)
     assert r.native_resolution == (7, 9)
 
 
@@ -278,7 +300,7 @@ def test_stratified_split_covers_classes():
     assert len(sp.train) + len(sp.val) + len(sp.test) == len(d)
     assert not set(sp.train) & set(sp.val)
     assert not set(sp.train) & set(sp.test)
-    labels = d.labels()
+    labels = d.labels
     for part in (sp.train, sp.val, sp.test):
         assert set(labels[list(part)]) == set(range(4))
 
@@ -288,3 +310,68 @@ def test_stratified_split_deterministic():
     a = ds.stratified_split(d, 0.1, 0.1, 3)
     b = ds.stratified_split(d, 0.1, 0.1, 3)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# DomainDataset validation
+
+
+def test_subset_is_an_index_operation():
+    d = ds.synth_domain(make_spec(), 3)
+    s = ds.subset(d, (5, 1, 5))
+    assert np.array_equal(s.images, d.images[[5, 1, 5]])
+    assert s.labels.tolist() == d.labels[[5, 1, 5]].tolist()
+    assert len(ds.subset(d, ())) == 0
+
+
+def valid_arrays(n=3, classes=4):
+    return np.zeros((n, 1, 2, 2)), np.arange(n, dtype=np.int64) % classes
+
+
+@given(st.integers(0, 6).filter(lambda k: k != 4))
+def test_dataset_rejects_images_of_wrong_ndim(ndim):
+    _, labels = valid_arrays()
+    images = np.zeros((3,) + (1,) * (ndim - 1)) if ndim else np.float64(0.0)
+    with pytest.raises(ds.DatasetError, match="domain dom-x: images"):
+        ds.DomainDataset(images, labels, "dom-x", 4)
+
+
+@given(st.integers(0, 3).filter(lambda k: k != 1))
+def test_dataset_rejects_labels_of_wrong_ndim(ndim):
+    images, _ = valid_arrays()
+    labels = np.zeros((3,) * ndim, dtype=np.int64)
+    with pytest.raises(ds.DatasetError, match="domain dom-x: labels"):
+        ds.DomainDataset(images, labels, "dom-x", 4)
+
+
+def test_dataset_rejects_wrong_dtypes():
+    images, labels = valid_arrays()
+    with pytest.raises(ds.DatasetError, match="domain d: images .* float32"):
+        ds.DomainDataset(images.astype(np.float32), labels, "d", 4)
+    with pytest.raises(ds.DatasetError, match="domain d: labels .* int32"):
+        ds.DomainDataset(images, labels.astype(np.int32), "d", 4)
+
+
+@given(st.integers(0, 8), st.integers(0, 8))
+def test_dataset_rejects_length_mismatch(n_images, n_labels):
+    images = np.zeros((n_images, 1, 2, 2))
+    labels = np.zeros(n_labels, dtype=np.int64)
+    if n_images == n_labels:
+        assert len(ds.DomainDataset(images, labels, "d", 1)) == n_images
+    else:
+        with pytest.raises(ds.DatasetError, match=f"domain d: {n_images} images but"):
+            ds.DomainDataset(images, labels, "d", 1)
+
+
+@given(st.integers(1, 12), st.lists(st.integers(-3, 14), min_size=1, max_size=10))
+def test_dataset_rejects_out_of_range_label(class_count, labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    images = np.zeros((len(labels), 1, 2, 2))
+    bad = [v for v in labels.tolist() if not 0 <= v < class_count]
+    if bad:
+        with pytest.raises(ds.DatasetError,
+                           match=f"domain d: label {bad[0]} outside \\[0, {class_count}\\)"):
+            ds.DomainDataset(images, labels, "d", class_count)
+    else:
+        d = ds.DomainDataset(images, labels, "d", class_count)
+        assert d.native_resolution == (2, 2)

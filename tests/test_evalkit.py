@@ -16,8 +16,8 @@ def constant_predictor(classes, winner, side=4):
 
 
 def shard_of(labels, side=4, value=0.3):
-    examples = [ds.LabeledExample(np.full((1, side, side), value), l) for l in labels]
-    return ds.DomainDataset(examples, "t", (side, side), 1, max(labels) + 1)
+    return ds.DomainDataset(np.full((len(labels), 1, side, side), value),
+                            np.asarray(labels, dtype=np.int64), "t", max(labels) + 1)
 
 
 def report_from_counts(counts, metadata=None):
@@ -36,15 +36,16 @@ def report_from_counts(counts, metadata=None):
 def test_perfect_predictor_all_ones():
     spec = nn.small_mlp((1, 4, 4), 2, hidden=4)
     rng = np.random.default_rng(1)
-    examples = []
+    images, labels = [], []
     for label in (0, 1):
         for _ in range(10):
             img = np.full((1, 4, 4), 0.1 if label == 0 else 0.9)
-            examples.append(ds.LabeledExample(img + rng.normal(0, 0.01, (1, 4, 4)), label))
-    shard = ds.DomainDataset(examples, "t", (4, 4), 1, 2)
+            images.append(img + rng.normal(0, 0.01, (1, 4, 4)))
+            labels.append(label)
+    shard = ds.DomainDataset(np.stack(images), np.asarray(labels), "t", 2)
     params = nn.init_params(spec, 3)
     for _ in range(60):
-        _, g = nn.batch_loss_and_gradient(spec, params, shard.images(), shard.labels())
+        _, g = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
         params = nn.sgd_step(params, g, 0.5)
     acc = ek.build_report(spec, params, {0: shard}).per_class(0)
     assert acc == {0: 1.0, 1: 1.0}

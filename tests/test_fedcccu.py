@@ -8,6 +8,7 @@ from fusim import datasets as ds
 from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
+from helpers import params_equal
 
 
 # ---------------------------------------------------------------------------
@@ -149,29 +150,26 @@ def small_trained_setup(model="small_mlp"):
         spec = nn.small_cnn((1, 10, 10), 4)
     gen = ds.SyntheticDomainSpec(base_pattern_seed=14, resolution=spec.input_shape[1:],
                                  samples_per_class=20, class_count=4)
-    shard = ds.synth_domain(gen, 6).examples
-    xs = np.stack([e.image for e in shard])
-    ys = np.array([e.label for e in shard])
+    shard = ds.synth_domain(gen, 6)
     params = nn.init_params(spec, 5)
     for _ in range(40):
-        _, g = nn.batch_loss_and_gradient(spec, params, xs, ys)
+        _, g = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
         params = nn.sgd_step(params, g, 0.5)
     return spec, params, shard
 
 
 def test_sensitivity_single_example_equals_attribution():
     spec, params, shard = small_trained_setup()
-    ex = shard[0]
-    records = fc.sensitivity_scores(spec, params, [ex], 0, 10)
+    records = fc.sensitivity_scores(spec, params, shard.images[:1], 0, 10)
     for rec in records:
-        att = fc.attribute_unit(spec, params, ex.image, 0, rec.unit, 10)
+        att = fc.attribute_unit(spec, params, shard.images[0], 0, rec.unit, 10)
         assert rec.score == pytest.approx(att, rel=1e-9, abs=1e-15)
 
 
 def test_sensitivity_duplicated_shard_invariant():
     spec, params, shard = small_trained_setup()
-    two = shard[:2]
-    doubled = two + two
+    two = shard.images[:2]
+    doubled = np.concatenate([two, two])
     a = fc.sensitivity_scores(spec, params, two, 1, 8)
     b = fc.sensitivity_scores(spec, params, doubled, 1, 8)
     for ra, rb in zip(a, b):
@@ -184,25 +182,25 @@ def test_sensitivity_two_example_mean_oracle(model):
     # small_cnn: units of both conv layers, the first scored through a suffix
     # that holds the second conv block
     spec, params, shard = small_trained_setup(model)
-    two = shard[:2]
+    two = shard.images[:2]
     records = fc.sensitivity_scores(spec, params, two, 2, 12)
     assert {r.unit.layer for r in records} == set(range(spec.param_layer_count - 1))
     for rec in records:
-        a0 = fc.attribute_unit(spec, params, two[0].image, 2, rec.unit, 12)
-        a1 = fc.attribute_unit(spec, params, two[1].image, 2, rec.unit, 12)
+        a0 = fc.attribute_unit(spec, params, two[0], 2, rec.unit, 12)
+        a1 = fc.attribute_unit(spec, params, two[1], 2, rec.unit, 12)
         assert rec.score == pytest.approx((a0 + a1) / 2, rel=1e-9, abs=1e-15)
 
 
 def test_sensitivity_empty_shard_errors():
     spec, params, _ = small_trained_setup()
     with pytest.raises(fc.CccuError):
-        fc.sensitivity_scores(spec, params, [], 0, 5)
+        fc.sensitivity_scores(spec, params, np.empty((0, 1, 8, 8)), 0, 5)
 
 
 def test_sensitivity_rejects_zero_riemann_steps():
     spec, params, shard = small_trained_setup()
     with pytest.raises(fc.CccuError, match="m must be >= 1"):
-        fc.sensitivity_scores(spec, params, shard[:2], 0, 0)
+        fc.sensitivity_scores(spec, params, shard.images[:2], 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +333,7 @@ def test_rank_select_scale_invariant():
 def test_apply_unlearning_empty_is_identity():
     spec, params, _ = small_trained_setup()
     out = fc.apply_unlearning(spec, params, [])
-    assert nn.params_equal(out, params)
+    assert params_equal(out, params)
 
 
 def test_apply_unlearning_idempotent():
@@ -343,15 +341,14 @@ def test_apply_unlearning_idempotent():
     units = [nn.UnitId(0, 2), nn.UnitId(0, 5)]
     once = fc.apply_unlearning(spec, params, units)
     twice = fc.apply_unlearning(spec, once, units)
-    assert nn.params_equal(once, twice)
+    assert params_equal(once, twice)
 
 
 def test_apply_unlearning_zeroes_activation_on_probes():
     spec, params, shard = small_trained_setup()
     units = [nn.UnitId(0, 3)]
     edited = fc.apply_unlearning(spec, params, units)
-    xs = np.stack([e.image for e in shard[:10]])
-    acts = nn.batch_unit_activations(spec, edited, xs)[0]
+    acts = nn.batch_unit_activations(spec, edited, shard.images[:10])[0]
     assert np.all(acts[:, 3] == 0.0)
 
 
@@ -379,7 +376,7 @@ def test_pipeline_single_client_degenerates():
     # selection is the requester's own positive-score units, best first
     positive = [r.unit for r in audit.reports[0].records_for(0) if r.score > 0]
     assert list(audit.selection.units) == positive[:3]
-    assert not nn.params_equal(edited, params)
+    assert not params_equal(edited, params)
 
 
 def test_pipeline_select_zero_keeps_model():
@@ -388,7 +385,7 @@ def test_pipeline_select_zero_keeps_model():
     request = fs.UnlearnRequest((0,), forget_class=0)
     config = fc.CccuConfig(riemann_steps=6, top_n=5, select_n=0, probe_cap=8, seed=1)
     edited, audit = fc.fedcccu_pipeline(spec, params, [state], request, config)
-    assert nn.params_equal(edited, params)
+    assert params_equal(edited, params)
     assert audit.selection.units == ()
     assert audit.reports
 
@@ -396,7 +393,7 @@ def test_pipeline_select_zero_keeps_model():
 def test_pipeline_client_without_forget_data_uploads_empty_report():
     spec, params, shard = small_trained_setup()
     with_zero = fs.ClientState(0, shard)
-    without_zero = fs.ClientState(1, [e for e in shard if e.label != 0])
+    without_zero = fs.ClientState(1, ds.subset(shard, np.flatnonzero(shard.labels != 0)))
     request = fs.UnlearnRequest((0,), forget_class=0)
     config = fc.CccuConfig(riemann_steps=5, top_n=4, select_n=2, probe_cap=8, seed=0)
     _, audit = fc.fedcccu_pipeline(spec, params, [with_zero, without_zero],

@@ -6,6 +6,7 @@ from fusim import datasets as ds
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
+from helpers import params_equal
 
 
 def tiny_spec(classes=4, side=8):
@@ -21,7 +22,7 @@ def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
     test = ds.subset(domain, splits.test)
     plan = pt.partition_iid(train, clients, seed)
     states = fs.build_clients(plan, {"syn": train})
-    return tiny_spec(classes, side), states, test.images(), test.labels()
+    return tiny_spec(classes, side), states, test.images, test.labels
 
 
 def cfg(**kw):
@@ -39,22 +40,21 @@ def test_local_train_zero_epochs_identity():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 0)
     out, loss = fs.local_train(states[0], params, spec, cfg(local_epochs=0), 1)
-    assert nn.params_equal(out, params)
+    assert params_equal(out, params)
     assert states[0].local_step_counter == 0
     assert np.isnan(loss)
 
 
 def test_local_train_single_example_is_one_sgd_step():
     spec, states, _, _ = make_federation()
-    ex = states[0].examples[0]
-    single = fs.ClientState(0, [ex])
+    single = fs.ClientState(0, ds.subset(states[0].shard, [0]))
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=1, batch_size=1, learning_rate=0.2)
     out, _ = fs.local_train(single, params, spec, config, 1)
-    _, grads = nn.batch_loss_and_gradient(spec, params, ex.image[None],
-                                          np.array([ex.label]))
+    _, grads = nn.batch_loss_and_gradient(spec, params, single.shard.images,
+                                          single.shard.labels)
     expected = nn.sgd_step(params, grads, 0.2)
-    assert nn.params_equal(out, expected)
+    assert params_equal(out, expected)
     assert single.local_step_counter == 1
 
 
@@ -63,9 +63,9 @@ def test_local_train_leaves_global_params_unchanged():
     params = nn.init_params(spec, 1)
     snapshot = nn.params_copy(params)
     out, _ = fs.local_train(states[0], params, spec, cfg(local_epochs=2), 1)
-    assert nn.params_equal(params, snapshot)
+    assert params_equal(params, snapshot)
     assert all(out[k] is not params[k] for k in params)
-    assert not nn.params_equal(out, params)
+    assert not params_equal(out, params)
 
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
@@ -83,12 +83,12 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
         order = rng.permutation(state.sample_count)
         for start in range(0, state.sample_count, config.batch_size):
             idx = np.sort(order[start:start + config.batch_size])
-            batch_loss, grads = nn.batch_loss_and_gradient(spec, expected, state.x[idx],
-                                                           state.y[idx])
+            batch_loss, grads = nn.batch_loss_and_gradient(
+                spec, expected, state.shard.images[idx], state.shard.labels[idx])
             expected = nn.sgd_step(expected, grads, config.learning_rate)
             losses.append(batch_loss)
     assert len(losses) > 4
-    assert nn.params_equal(out, expected)
+    assert params_equal(out, expected)
     assert loss == float(np.mean(losses))
 
 
@@ -123,7 +123,7 @@ def test_aggregate_identical_inputs_identity():
     spec = tiny_spec()
     params = nn.init_params(spec, 5)
     out = fs.aggregate([(params, 1), (params, 3), (params, 2)])
-    assert nn.params_equal(out, params)
+    assert params_equal(out, params)
 
 
 def test_aggregate_forced_arithmetic():
@@ -161,7 +161,7 @@ def test_aggregate_permutation_invariance_after_sorting():
     ordered = fs.aggregate(sets)
     shuffled = [sets[2], sets[0], sets[3], sets[1]]
     resorted = fs.aggregate(sorted(shuffled, key=lambda t: t[1]))
-    assert nn.params_equal(ordered, resorted)
+    assert params_equal(ordered, resorted)
 
 
 def test_aggregate_errors():
@@ -185,7 +185,7 @@ def test_run_training_zero_rounds():
     result = fs.run_training(spec, states, vx, vy, config)
     assert result.logs == []
     assert result.convergence_round is None
-    assert nn.params_equal(result.params, nn.init_params(spec, (config.seed, 601)))
+    assert params_equal(result.params, nn.init_params(spec, (config.seed, 601)))
 
 
 def test_run_training_single_client_equals_centralized_sgd():
@@ -194,22 +194,22 @@ def test_run_training_single_client_equals_centralized_sgd():
     result = fs.run_training(spec, states, vx, vy, config)
     # replay the same schedule by hand
     params = nn.init_params(spec, (config.seed, 601))
-    replay = fs.ClientState(0, states[0].examples)
+    replay = fs.ClientState(0, states[0].shard)
     for t in range(1, 4):
         params, _ = fs.local_train(replay, params, spec, config, t)
-    assert nn.params_equal(result.params, params)
+    assert params_equal(result.params, params)
 
 
 def test_run_training_identical_shards_equal_centralized_full_batch():
     # with full-batch steps every client computes the same update, so the
     # weighted mean is bit-identical to the single-client run
     spec, states, vx, vy = make_federation(clients=1, per_class=20)
-    shard = states[0].examples
+    shard = states[0].shard
     config = cfg(rounds_max=3, batch_size=len(shard), epsilon=0.0001)
     clones = [fs.ClientState(i, shard) for i in range(3)]
     multi = fs.run_training(spec, clones, vx, vy, config)
     single = fs.run_training(spec, [fs.ClientState(0, shard)], vx, vy, config)
-    assert nn.params_equal(multi.params, single.params)
+    assert params_equal(multi.params, single.params)
 
 
 def test_run_training_records_convergence_and_stops():
@@ -230,7 +230,7 @@ def test_run_training_bitwise_deterministic():
 
     a = one_run()
     b = one_run()
-    assert nn.params_equal(a.params, b.params)
+    assert params_equal(a.params, b.params)
     assert a.logs == b.logs
 
 
@@ -257,7 +257,7 @@ def test_fair_rounds_all_clients_matches_run_training():
     request = fs.UnlearnRequest(tuple(c.client_id for c in states2))
     edited, logs = fs.fair_unlearn_rounds(init, spec2, states2, request, vx, vy,
                                           config, start_round=0)
-    assert nn.params_equal(full.params, edited)
+    assert params_equal(full.params, edited)
     assert [l.val_error for l in full.logs] == [l.val_error for l in logs]
 
 
@@ -267,7 +267,7 @@ def test_fair_rounds_zero_rounds_no_change():
     request = fs.UnlearnRequest((1,))
     out, logs = fs.fair_unlearn_rounds(params, spec, states, request, vx, vy,
                                        cfg(unlearn_rounds_max=0))
-    assert nn.params_equal(out, params)
+    assert params_equal(out, params)
     assert logs == []
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fusim import nncore as nn
+from helpers import params_equal
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def test_sgd_zero_lr_identity():
     spec, params = tiny_net_222()
     grads = {k: np.ones_like(v) for k, v in params.items()}
     out = nn.sgd_step(params, grads, 0.0)
-    assert nn.params_equal(out, params)
+    assert params_equal(out, params)
 
 
 def test_sgd_forced_arithmetic():
@@ -218,7 +219,7 @@ def test_sgd_zero_gradient_identity():
     spec, params = tiny_net_222()
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     out = nn.sgd_step(params, grads, 0.5)
-    assert nn.params_equal(out, params)
+    assert params_equal(out, params)
 
 
 def test_sgd_rejects_nonfinite_gradient():
@@ -552,12 +553,12 @@ def test_zero_units_locality_and_idempotence():
     units = [nn.UnitId(0, 1), nn.UnitId(0, 4)]
     once = nn.zero_units(spec, params, units)
     twice = nn.zero_units(spec, once, units)
-    assert nn.params_equal(once, twice)
+    assert params_equal(once, twice)
     assert np.all(once["layer0.weight"][:, 1] == 0.0)
     assert once["layer0.bias"][1] == 0.0
     keep = [k for k in range(6) if k not in (1, 4)]
     assert np.array_equal(once["layer0.weight"][:, keep], params["layer0.weight"][:, keep])
-    assert nn.params_equal(
+    assert params_equal(
         {"w": once["layer1.weight"]}, {"w": params["layer1.weight"]})
 
 
@@ -571,7 +572,7 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.fusim"
     nn.save_checkpoint(path, params)
     loaded = nn.load_checkpoint(path)
-    assert nn.params_equal(params, loaded)
+    assert params_equal(params, loaded)
     raw = path.read_bytes()
     assert raw.startswith(b"FUSIM1\n")
 
@@ -660,7 +661,7 @@ def test_init_params_deterministic_and_shaped():
     spec = nn.small_mlp((1, 6, 6), 5, hidden=7)
     a = nn.init_params(spec, 42)
     b = nn.init_params(spec, 42)
-    assert nn.params_equal(a, b)
+    assert params_equal(a, b)
     assert set(a) == set(spec.param_shapes())
     for name, shape in spec.param_shapes().items():
         assert a[name].shape == shape

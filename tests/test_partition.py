@@ -4,6 +4,7 @@ import pytest
 
 from fusim import datasets as ds
 from fusim import partition as pt
+from fusim.config import PartitionConfig
 
 
 def synth(classes=10, per_class=100, seed=1, transforms="identity", name=None):
@@ -14,7 +15,7 @@ def synth(classes=10, per_class=100, seed=1, transforms="identity", name=None):
 
 
 def label_marginal(dataset, indices, classes):
-    labels = dataset.labels()[list(indices)]
+    labels = dataset.labels[list(indices)]
     return np.bincount(labels, minlength=classes) / len(indices)
 
 
@@ -33,13 +34,13 @@ def test_iid_single_client_gets_everything():
 def test_iid_sizes_differ_by_at_most_one():
     d = synth(classes=2, per_class=5)  # 10 examples
     plan = pt.partition_iid(d, 3, 7)
-    assert sorted(plan.sample_counts, reverse=True) == [4, 3, 3]
+    assert sorted((c.count for c in plan.clients), reverse=True) == [4, 3, 3]
 
 
 def test_iid_label_marginals_close_to_global():
     d = synth(classes=10, per_class=1000, seed=2)
     plan = pt.partition_iid(d, 10, 5)
-    global_m = np.bincount(d.labels(), minlength=10) / len(d)
+    global_m = np.bincount(d.labels, minlength=10) / len(d)
     for c in plan.clients:
         m = label_marginal(d, c.indices, 10)
         assert np.max(np.abs(m - global_m)) < 0.05
@@ -63,7 +64,7 @@ def test_iid_deterministic():
 def test_dirichlet_huge_alpha_near_iid():
     d = synth(classes=10, per_class=1000, seed=3)
     plan = pt.partition_dirichlet(d, 10, 1e6, 1)
-    global_m = np.bincount(d.labels(), minlength=10) / len(d)
+    global_m = np.bincount(d.labels, minlength=10) / len(d)
     for c in plan.clients:
         m = label_marginal(d, c.indices, 10)
         assert np.max(np.abs(m - global_m)) < 0.02
@@ -93,7 +94,7 @@ def test_dirichlet_conservation_and_disjoint():
     plan = pt.partition_dirichlet(d, 6, 0.5, 11)
     all_idx = [i for c in plan.clients for i in c.indices]
     assert len(all_idx) == len(set(all_idx)) == len(d)
-    assert plan.total_samples == len(d)
+    assert sum(c.count for c in plan.clients) == len(d)
 
 
 def test_dirichlet_rejects_bad_alpha():
@@ -121,6 +122,9 @@ def test_label_intersection_ten_and_nine():
     assert remapped[0].class_count == 9
     assert len(remapped[0]) == 90  # class 9 dropped
     assert len(remapped[1]) == 90
+    keep = a.labels < 9
+    assert np.array_equal(remapped[0].images, a.images[keep])
+    assert np.array_equal(remapped[0].labels, a.labels[keep])
 
 
 def test_label_intersection_identity():
@@ -140,12 +144,36 @@ def test_label_intersection_hundred_and_sixtyfive():
 
 
 # ---------------------------------------------------------------------------
-# real_noniid
+# build_plan
+
+
+def real_noniid(domains, group_sizes, resolution, alpha, seed):
+    """The shared label space, the working resolution, then build_plan: the
+    steps experiment.build_task runs before planning a real_noniid split."""
+    _, _, remapped = pt.label_intersection(domains)
+    processed = [ds.resize(d, resolution) for d in remapped]
+    part = PartitionConfig("real_noniid", alpha=alpha, group_sizes=tuple(group_sizes),
+                           working_resolution=resolution)
+    return pt.build_plan(part, processed, seed), processed
+
+
+def test_build_plan_single_domain_strategies():
+    d = synth(classes=5, per_class=20)
+    assert pt.build_plan(PartitionConfig("iid", clients=4), [d], 3) == \
+        pt.partition_iid(d, 4, 3)
+    assert pt.build_plan(PartitionConfig("dirichlet", clients=4, alpha=0.5), [d], 3) == \
+        pt.partition_dirichlet(d, 4, 0.5, 3)
+
+
+def test_build_plan_rejects_group_count_mismatch():
+    domains = [synth(name="a"), synth(name="b")]
+    with pytest.raises(pt.PartitionError, match="2 domains but 3 group sizes"):
+        pt.build_plan(PartitionConfig(group_sizes=(1, 1, 1)), domains, 0)
 
 
 def test_real_noniid_three_by_three():
     domains = [synth(per_class=30, seed=i, name=f"dom{i}") for i in range(3)]
-    plan, processed = pt.partition_real_noniid(domains, [3, 3, 3], (8, 8), 100.0, 5)
+    plan, processed = real_noniid(domains, [3, 3, 3], (8, 8), 100.0, 5)
     assert plan.client_count == 9
     for i in range(3):
         assert plan.clients[i].domain_id == "dom0"
@@ -157,7 +185,7 @@ def test_real_noniid_three_by_three():
 def test_real_noniid_two_by_five():
     domains = [synth(classes=10, per_class=20, seed=1, name="lo"),
                synth(classes=9, per_class=20, seed=2, name="hi")]
-    plan, processed = pt.partition_real_noniid(domains, [5, 5], (8, 8), 100.0, 3)
+    plan, processed = real_noniid(domains, [5, 5], (8, 8), 100.0, 3)
     assert plan.client_count == 10
     assert {c.domain_id for c in plan.clients[:5]} == {"lo"}
     assert {c.domain_id for c in plan.clients[5:]} == {"hi"}
@@ -167,7 +195,7 @@ def test_real_noniid_two_by_five():
 
 def test_real_noniid_single_group_degenerates():
     d = synth(classes=4, per_class=10, name="only")
-    plan, processed = pt.partition_real_noniid([d], [1], (8, 8), 100.0, 0)
+    plan, processed = real_noniid([d], [1], (8, 8), 100.0, 0)
     assert plan.client_count == 1
     assert plan.clients[0].count == len(processed[0])
 
@@ -180,18 +208,18 @@ def test_real_noniid_resizes_to_working_resolution():
                                   class_count=4)
     b = ds.synth_domain(spec, 1, domain_id="b")
     assert b.native_resolution == (8, 8)
-    plan, processed = pt.partition_real_noniid([a, b], [2, 2], (12, 12), 100.0, 2)
+    plan, processed = real_noniid([a, b], [2, 2], (12, 12), 100.0, 2)
     assert all(d.native_resolution == (12, 12) for d in processed)
     shards = pt.materialize(plan, {d.domain_id: d for d in processed})
-    assert all(s.examples[0].image.shape == (1, 12, 12) for s in shards)
+    assert all(s.images.shape[1:] == (1, 12, 12) for s in shards)
 
 
 def test_real_noniid_label_sets_identical_across_clients():
     domains = [synth(per_class=60, seed=i, name=f"d{i}") for i in range(3)]
-    plan, processed = pt.partition_real_noniid(domains, [3, 3, 3], (8, 8), 100.0, 7)
+    plan, processed = real_noniid(domains, [3, 3, 3], (8, 8), 100.0, 7)
     lookup = {d.domain_id: d for d in processed}
     shards = pt.materialize(plan, lookup)
-    label_sets = [frozenset(s.labels().tolist()) for s in shards]
+    label_sets = [frozenset(s.labels.tolist()) for s in shards]
     assert len(set(label_sets)) == 1
     # feature divergence: domain differs across groups
     assert len({c.domain_id for c in plan.clients}) == 3

@@ -5,10 +5,14 @@ import pytest
 from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim import unlearn_routes as ur
+from helpers import params_equal
 
 
-def example(label, value=0.5, side=4):
-    return ds.LabeledExample(np.full((1, side, side), value), label)
+def shard_of(labels, value=0.5, side=4, class_count=10):
+    """One constant image per label; value may be one number per example."""
+    values = np.broadcast_to(np.asarray(value, dtype=np.float64), (len(labels),))
+    images = np.ones((len(labels), 1, side, side)) * values[:, None, None, None]
+    return ds.DomainDataset(images, np.asarray(labels, dtype=np.int64), "t", class_count)
 
 
 # ---------------------------------------------------------------------------
@@ -16,23 +20,24 @@ def example(label, value=0.5, side=4):
 
 
 def test_delete_removes_forget_class_in_order():
-    shard = [example(0), example(1), example(0), example(2)]
+    shard = shard_of([0, 1, 0, 2], value=[0.1, 0.2, 0.3, 0.4])
     out = ur.delete_retrain_prepare(shard, 0)
-    assert [e.label for e in out] == [1, 2]
-    assert out[0] is shard[1]
+    assert out.labels.tolist() == [1, 2]
+    assert np.array_equal(out.images, shard.images[[1, 3]])
 
 
 def test_delete_without_forget_class_unchanged():
-    shard = [example(1), example(2)]
+    shard = shard_of([1, 2], value=[0.1, 0.2])
     out = ur.delete_retrain_prepare(shard, 0)
-    assert out == shard
+    assert np.array_equal(out.labels, shard.labels)
+    assert np.array_equal(out.images, shard.images)
 
 
 def test_delete_drops_exact_count():
     spec = ds.SyntheticDomainSpec(base_pattern_seed=1, resolution=(8, 8),
                                   samples_per_class=100, class_count=10)
-    shard = ds.synth_domain(spec, 4).examples
-    zero_count = sum(1 for e in shard if e.label == 0)
+    shard = ds.synth_domain(spec, 4)
+    zero_count = int((shard.labels == 0).sum())
     out = ur.delete_retrain_prepare(shard, 0)
     assert len(out) == len(shard) - zero_count
     assert zero_count == 100
@@ -40,7 +45,7 @@ def test_delete_drops_exact_count():
 
 def test_delete_empty_result_errors():
     with pytest.raises(ur.RouteError):
-        ur.delete_retrain_prepare([example(0), example(0)], 0)
+        ur.delete_retrain_prepare(shard_of([0, 0]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -48,32 +53,46 @@ def test_delete_empty_result_errors():
 
 
 def test_relabel_rewrites_only_forget_class():
-    shard = [example(0), example(0), example(1)]
+    shard = shard_of([0, 0, 1], value=[0.1, 0.2, 0.3])
     out = ur.relabel_poison_prepare(shard, 0, 3, seed=5)
-    assert out[2].label == 1
-    assert all(e.label in (1, 2) for e in out[:2])
-    assert all(np.array_equal(a.image, b.image) for a, b in zip(shard, out))
+    assert out.labels[2] == 1
+    assert set(out.labels[:2].tolist()) <= {1, 2}
+    assert np.array_equal(out.images, shard.images)
+    assert shard.labels.tolist() == [0, 0, 1]  # the input shard is not edited
 
 
 def test_relabel_no_forget_class_identical():
-    shard = [example(1), example(2)]
-    out = ur.relabel_poison_prepare(shard, 0, 3, seed=5)
-    assert [e.label for e in out] == [1, 2]
+    out = ur.relabel_poison_prepare(shard_of([1, 2]), 0, 3, seed=5)
+    assert out.labels.tolist() == [1, 2]
 
 
 def test_relabel_deterministic():
-    shard = [example(0) for _ in range(50)]
+    shard = shard_of([0] * 50)
     a = ur.relabel_poison_prepare(shard, 0, 10, seed=9)
     b = ur.relabel_poison_prepare(shard, 0, 10, seed=9)
-    assert [e.label for e in a] == [e.label for e in b]
+    assert np.array_equal(a.labels, b.labels)
+
+
+def test_relabel_draws_match_one_scalar_draw_per_example():
+    # the route's labels are those of one scalar draw per forget-class
+    # example, in shard order, shifted past the forget class
+    shard = shard_of([3, 1, 3, 0, 3, 3, 2] * 30)
+    out = ur.relabel_poison_prepare(shard, 3, 5, seed=(4, 853, 2))
+    rng = nn.make_rng((4, 853, 2), 701)
+    expected = []
+    for label in shard.labels.tolist():
+        if label == 3:
+            draw = int(rng.integers(0, 4))
+            label = draw if draw < 3 else draw + 1
+        expected.append(label)
+    assert out.labels.tolist() == expected
 
 
 def test_relabel_uniform_over_other_classes():
     # multinomial oracle: each replacement class ~ Binomial(n, 1/9)
     n = 10000
-    shard = [example(0) for _ in range(n)]
-    out = ur.relabel_poison_prepare(shard, 0, 10, seed=13)
-    labels = np.array([e.label for e in out])
+    out = ur.relabel_poison_prepare(shard_of([0] * n, side=1), 0, 10, seed=13)
+    labels = out.labels
     assert not np.any(labels == 0)
     p = 1.0 / 9.0
     sigma = np.sqrt(n * p * (1 - p))
@@ -83,7 +102,7 @@ def test_relabel_uniform_over_other_classes():
 
 def test_relabel_needs_two_classes():
     with pytest.raises(ur.RouteError):
-        ur.relabel_poison_prepare([example(0)], 0, 1, seed=0)
+        ur.relabel_poison_prepare(shard_of([0], class_count=1), 0, 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +128,7 @@ def hand_net_three_units():
 
 def test_naive_zeroing_selects_most_activated_unit_first():
     spec, params = hand_net_three_units()
-    probes = [example(0, value=1.0, side=2)]
+    probes = shard_of([0], value=1.0, side=2)
     # hand-computed activations on an all-ones input: (0.4, 0.8, 3.61)
     ranked = ur.rank_units_by_activation(spec, params, probes, 0)
     assert ranked[0][0] == nn.UnitId(0, 2)
@@ -121,13 +140,13 @@ def test_naive_zeroing_selects_most_activated_unit_first():
 
 def test_naive_zeroing_top_zero_unchanged():
     spec, params = hand_net_three_units()
-    edited = ur.naive_zeroing(spec, params, 0, [example(0, side=2)], 0)
-    assert nn.params_equal(edited, params)
+    edited = ur.naive_zeroing(spec, params, 0, shard_of([0], side=2), 0)
+    assert params_equal(edited, params)
 
 
 def test_naive_zeroing_locality():
     spec, params = hand_net_three_units()
-    edited = ur.naive_zeroing(spec, params, 0, [example(0, value=1.0, side=2)], 1)
+    edited = ur.naive_zeroing(spec, params, 0, shard_of([0], value=1.0, side=2), 1)
     diff_names = [k for k in params
                   if not np.array_equal(edited[k], params[k])]
     assert diff_names == ["layer0.weight", "layer0.bias"]
@@ -136,13 +155,13 @@ def test_naive_zeroing_locality():
 def test_naive_zeroing_top_m_bounds():
     spec, params = hand_net_three_units()
     with pytest.raises(ur.RouteError):
-        ur.naive_zeroing(spec, params, 0, [example(0, side=2)], 4)
+        ur.naive_zeroing(spec, params, 0, shard_of([0], side=2), 4)
 
 
 def test_naive_zeroing_needs_forget_probes():
     spec, params = hand_net_three_units()
     with pytest.raises(ur.RouteError):
-        ur.naive_zeroing(spec, params, 0, [example(1, side=2)], 1)
+        ur.naive_zeroing(spec, params, 0, shard_of([1], side=2), 1)
 
 
 def test_naive_zeroing_all_hidden_units_collapses_forget_class():
@@ -152,28 +171,27 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
     spec = nn.small_mlp((1, 8, 8), 4, hidden=12)
     gen = ds.SyntheticDomainSpec(base_pattern_seed=6, resolution=(8, 8),
                                  samples_per_class=40, class_count=4)
-    shard = ds.synth_domain(gen, 3).examples
-    shard = [e for i, e in enumerate(shard) if not (e.label == 0 and i % 5 == 0)]
-    xs = np.stack([e.image for e in shard])
-    ys = np.array([e.label for e in shard])
+    shard = ds.synth_domain(gen, 3)
+    shard = ds.subset(shard, np.flatnonzero(
+        (shard.labels != 0) | (np.arange(len(shard)) % 5 != 0)))
     params = nn.init_params(spec, 7)
     for _ in range(80):
-        _, g = nn.batch_loss_and_gradient(spec, params, xs, ys)
+        _, g = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
         params = nn.sgd_step(params, g, 0.5)
-    probes = [e for e in shard if e.label == 0][:20]
-    before = nn.predict_probs(spec, params, np.stack([e.image for e in probes]))
+    probes = ds.subset(shard, np.flatnonzero(shard.labels == 0)[:20])
+    before = nn.predict_probs(spec, params, probes.images)
     assert before[:, 0].mean() > 0.5  # model actually knows class 0
     edited = ur.naive_zeroing(spec, params, 0, probes, 12)
-    after = nn.predict_probs(spec, edited, np.stack([e.image for e in probes]))
+    after = nn.predict_probs(spec, edited, probes.images)
     assert np.all(after[:, 0] <= 1.0 / 4.0)
 
 
 def test_routes_deterministic_under_shuffling_up_to_order():
-    shard = [example(i % 3) for i in range(30)]
-    shuffled = list(reversed(shard))
+    shard = shard_of([i % 3 for i in range(30)])
+    shuffled = ds.subset(shard, np.arange(30)[::-1])
     a = ur.delete_retrain_prepare(shard, 0)
     b = ur.delete_retrain_prepare(shuffled, 0)
-    assert sorted(e.label for e in a) == sorted(e.label for e in b)
+    assert sorted(a.labels.tolist()) == sorted(b.labels.tolist())
 
 
 def test_editable_units_exclude_output_layer():
