@@ -59,11 +59,12 @@ class FedConfig:
 
 
 class ClientState:
-    """Per-client shard, cached last submission, and a gradient-step counter."""
+    """Per-client shard, cached last submission, step counter, gradient buffer."""
 
     def __init__(self, client_id: int, shard: DomainDataset):
         self.client_id = client_id
         self.cache: ParameterSet | None = None
+        self.grad: nncore.FlatParams | None = None
         self.local_step_counter = 0
         self.replace_shard(shard)
 
@@ -112,14 +113,15 @@ def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec
                 config: FedConfig, round_index: int = 0):
     """Local mini-batch SGD pass; returns (new params, mean batch loss).
 
-    global_params is copied once into a flat model (nncore.FlatParams),
-    which every step updates in place from one reused flat gradient: one
-    batch_loss_and_gradient and one sgd_step call, each checking the
-    gradient vector once.  Returns the model's views; global_params is left
-    unchanged.
+    global_params is copied into a fresh flat model (nncore.FlatParams) that
+    each step, one batch_loss_and_gradient and one sgd_step call, updates in
+    place through state.grad, a flat gradient buffer reused every round.  The
+    model is fresh per call: its views, returned, are the client's submission,
+    which callers keep (client.cache, the updates).  global_params is unchanged.
     """
     model = nncore.flat_params(global_params)
-    grad = nncore.flat_params(global_params)
+    if state.grad is None or state.grad.layout != model.layout:
+        state.grad = nncore.flat_params(global_params)
     losses = []
     rng = make_rng((config.seed, state.client_id, round_index), 501)
     x, y = state.shard.images, state.shard.labels
@@ -130,11 +132,11 @@ def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec
             batch_idx = np.sort(order[start:start + config.batch_size])
             try:
                 loss, _ = nncore.batch_loss_and_gradient(
-                    spec, model.views, x[batch_idx], y[batch_idx], out=grad)
+                    spec, model.views, x[batch_idx], y[batch_idx], out=state.grad)
             except nncore.NNError as exc:
                 raise FedError(
                     f"client {state.client_id}, round {round_index}: {exc}") from exc
-            nncore.sgd_step(model, grad, config.learning_rate)
+            nncore.sgd_step(model, state.grad, config.learning_rate)
             state.local_step_counter += 1
             losses.append(loss)
     mean_loss = float(np.mean(losses)) if losses else float("nan")

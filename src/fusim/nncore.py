@@ -17,9 +17,12 @@ runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
 Local training holds a model and its gradient as FlatParams, one contiguous
-vector each: a step checks the gradient vector for finiteness once in
-batch_loss_and_gradient and once in sgd_step, and updates the model with one
-multiply and one subtract.  The dict paths, out of place, are the reference.
+vector each: a step checks the gradient vector for finiteness once in each of
+batch_loss_and_gradient and sgd_step, exactly: a NaN or inf makes np.vdot(v, v)
+non-finite, and only then (or on its silent overflow) are the elements scanned.
+The engine's element-wise layers write only into arrays their own call made,
+never into its input, the parameters, a cache read later or SiteRows.  The
+dict paths, out of place, are the reference.
 """
 from __future__ import annotations
 
@@ -360,6 +363,10 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise NNError(f"non-finite values in {what}")
 
 
+def _all_finite(v: np.ndarray) -> bool:
+    return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
+
 def _as_batch(spec: ModelSpec, inputs: np.ndarray, start: int = 0) -> np.ndarray:
     """inputs as a float64 batch that feeds layer position start."""
     x = np.asarray(inputs, dtype=np.float64)
@@ -400,7 +407,8 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
             b = params[f"layer{ordinal_counter}.bias"]
             if keep_caches:
                 caches.append(("dense", h, ordinal_counter))
-            h = h @ w + b
+            h = h @ w
+            h += b
             ordinal_counter += 1
         elif kind == "conv2d":
             w = params[f"layer{ordinal_counter}.weight"]
@@ -409,13 +417,12 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
             if keep_caches:
                 caches.append(("conv2d", patches, h.shape, ordinal_counter))
             out = np.tensordot(patches, w, axes=([3, 4, 5], [1, 2, 3]))
-            h = np.ascontiguousarray(out.transpose(0, 3, 1, 2)) + b[None, :, None, None]
+            h = np.add(out.transpose(0, 3, 1, 2), b[None, :, None, None], order="C")
             ordinal_counter += 1
         elif kind == "relu":
-            mask = h > 0
             if keep_caches:
-                caches.append(("relu", mask))
-            h = np.where(mask, h, 0.0)
+                caches.append(("relu", h > 0))
+            h = np.fmax(h, 0.0)
         elif kind == "maxpool2d":
             p = layer.pool_size
             b_, c_, hh, ww = h.shape
@@ -432,9 +439,9 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
                 caches.append(("flatten", h.shape))
             h = h.reshape(h.shape[0], -1)
         elif kind == "softmax":
-            z = h - h.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            h = e / e.sum(axis=1, keepdims=True)
+            h = h - h.max(axis=1, keepdims=True)
+            np.exp(h, out=h)
+            h /= h.sum(axis=1, keepdims=True)
             if keep_caches:
                 caches.append(("softmax", h))
         else:
@@ -489,7 +496,7 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             dx = np.tensordot(gpatches, wflip, axes=([3, 4, 5], [0, 2, 3]))
             g = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
         elif kind == "relu":
-            g = np.where(cache[1], g, 0.0)
+            g *= cache[1]
         elif kind == "maxpool2d":
             _, idx, in_shape, p = cache
             b_, c_, hh, ww = in_shape
@@ -506,7 +513,8 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
         elif kind == "softmax":
             probs = cache[1]
             dot = (g * probs).sum(axis=1, keepdims=True)
-            g = probs * (g - dot)
+            g = g - dot
+            g *= probs
         else:
             raise NNError(f"unknown cache kind {kind!r}")
     if not wrt_params:
@@ -710,7 +718,7 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     grad_probs[rows, ys] = -1.0 / (n * py)
     grads = _backward_engine(spec, params, caches, grad_probs,
                              out=None if out is None else out.views)
-    if out is None or not np.isfinite(out.vector).all():
+    if out is None or not _all_finite(out.vector):
         for name, g in grads.items():
             _check_finite(g, f"gradient of {name}")
     return loss, grads
@@ -731,7 +739,7 @@ def sgd_step(params: ParameterSet | FlatParams, gradient: ParameterSet | FlatPar
     if isinstance(params, FlatParams):
         if not isinstance(gradient, FlatParams) or gradient.layout != params.layout:
             raise ShapeMismatchError("gradient is not laid out like the parameters")
-        if not np.isfinite(gradient.vector).all():
+        if not _all_finite(gradient.vector):
             bad = next(n for n, g in gradient.views.items() if not np.isfinite(g).all())
             raise NNError(f"non-finite gradient for {bad}")
         np.multiply(gradient.vector, learning_rate, out=gradient.vector)

@@ -92,6 +92,24 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
     assert loss == float(np.mean(losses))
 
 
+def test_local_train_reuses_the_client_gradient_buffer():
+    """Later calls write into the buffer the first call made, with the bits
+    of a fresh buffer; each call still returns a fresh model."""
+    spec, states, _, _ = make_federation()
+    params = nn.init_params(spec, 1)
+    config = cfg(local_epochs=2, batch_size=7)
+    state = states[0]
+    first, _ = fs.local_train(state, params, spec, config, 1)
+    grad = state.grad
+    second, loss = fs.local_train(state, first, spec, config, 2)
+    assert state.grad is grad
+    assert all(second[k] is not first[k] for k in params)
+    fresh = fs.ClientState(state.client_id, state.shard)
+    expected, expected_loss = fs.local_train(fresh, first, spec, config, 2)
+    assert fresh.grad is not grad
+    assert params_equal(second, expected) and loss == expected_loss
+
+
 def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)

@@ -1,8 +1,13 @@
 """Core substrate tests: forward oracle, finite differences, interventions."""
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fusim import nncore as nn
 from helpers import params_equal
@@ -541,6 +546,248 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
                                 np.array([0.0, 0.4, 1.0]))
     assert np.array_equal(site, kept)
     assert np.array_equal(rows.pre, pre) and np.array_equal(rows.z0, z0)
+
+
+# ---------------------------------------------------------------------------
+# element-wise layers: result bits and the write rule
+
+
+def reference_loss_gradient_probs(spec, params, x, y):
+    """The engine's arithmetic with every element-wise layer out of place:
+    h @ w + b, np.where relu, e / e.sum softmax, probs * (g - dot)."""
+    caches, h, ordinal = [], x, 0
+    for layer in spec.layers:
+        if layer.kind == "dense":
+            caches.append((h, ordinal))
+            h = h @ params[f"layer{ordinal}.weight"] + params[f"layer{ordinal}.bias"]
+            ordinal += 1
+        elif layer.kind == "conv2d":
+            patches = nn._im2col(h, layer.kernel_size)
+            caches.append((patches, ordinal))
+            out = np.tensordot(patches, params[f"layer{ordinal}.weight"],
+                               axes=([3, 4, 5], [1, 2, 3]))
+            h = (np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+                 + params[f"layer{ordinal}.bias"][None, :, None, None])
+            ordinal += 1
+        elif layer.kind == "relu":
+            caches.append(h > 0)
+            h = np.where(h > 0, h, 0.0)
+        elif layer.kind == "maxpool2d":
+            p = layer.pool_size
+            b, c, hh, ww = h.shape
+            win = h[:, :, :hh // p * p, :ww // p * p].reshape(b, c, hh // p, p, ww // p, p)
+            win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh // p, ww // p, p * p)
+            idx = win.argmax(axis=-1)
+            caches.append((idx, h.shape))
+            h = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        elif layer.kind == "flatten":
+            caches.append(h.shape)
+            h = h.reshape(len(h), -1)
+        else:
+            e = np.exp(h - h.max(axis=1, keepdims=True))
+            h = e / e.sum(axis=1, keepdims=True)
+            caches.append(h)
+    probs, n, rows = h, len(y), np.arange(len(y))
+    loss = float(-np.add.reduce(np.log(probs[rows, y])) / n)
+    g = np.zeros(probs.shape)
+    g[rows, y] = -1.0 / (n * probs[rows, y])
+    grads = {}
+    for layer, cache in zip(reversed(spec.layers), reversed(caches)):
+        if layer.kind == "softmax":
+            g = cache * (g - (g * cache).sum(axis=1, keepdims=True))
+        elif layer.kind == "relu":
+            g = np.where(cache, g, 0.0)
+        elif layer.kind == "flatten":
+            g = g.reshape(cache)
+        elif layer.kind == "maxpool2d":
+            (idx, in_shape), p = cache, layer.pool_size
+            b, c, h2, w2 = idx.shape
+            dwin = np.zeros((b, c, h2, w2, p * p))
+            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+            g = np.zeros(in_shape)
+            g[:, :, :h2 * p, :w2 * p] = dwin.reshape(b, c, h2, w2, p, p).transpose(
+                0, 1, 2, 4, 3, 5).reshape(b, c, h2 * p, w2 * p)
+        elif layer.kind == "dense":
+            x_in, o = cache
+            grads[f"layer{o}.weight"] = x_in.T @ g
+            grads[f"layer{o}.bias"] = np.add.reduce(g, axis=0)
+            g = g @ params[f"layer{o}.weight"].T
+        else:
+            patches, o = cache
+            w = params[f"layer{o}.weight"]
+            gs = g.transpose(0, 2, 3, 1)
+            grads[f"layer{o}.weight"] = np.tensordot(gs, patches, axes=([0, 1, 2], [0, 1, 2]))
+            grads[f"layer{o}.bias"] = gs.sum(axis=(0, 1, 2))
+            k = w.shape[-1]
+            gpad = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+            dx = np.tensordot(nn._im2col(gpad, k), w[:, :, ::-1, ::-1],
+                              axes=([3, 4, 5], [0, 2, 3]))
+            g = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    return loss, grads, probs
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_engine_bits_equal_out_of_place_reference(model):
+    """Training, evaluation and the flat gradient path give the reference's
+    bits.  Gradients are compared after + 0.0: relu backward multiplies by its
+    mask and may give -0.0 where np.where gives +0.0, and nothing else."""
+    spec = getattr(nn, model)((1, 12, 12), 4)
+    rng = np.random.default_rng(21)
+    for seed in range(6):
+        params = nn.init_params(spec, seed)
+        for name in params:
+            params[name] = params[name] + rng.normal(0.0, 0.1, params[name].shape)
+        x = rng.normal(0.0, 1.0, (9, *spec.input_shape))  # mixed signs: dead relu units
+        y = rng.integers(0, 4, 9)
+        loss, grads, probs = reference_loss_gradient_probs(spec, params, x, y)
+        assert same_bits(nn.predict_probs(spec, params, x), probs)
+        buffers = nn.flat_params(params)
+        for out in (None, buffers):
+            got_loss, got = nn.batch_loss_and_gradient(spec, params, x, y, out=out)
+            assert got_loss == loss
+            for name in params:
+                assert same_bits(got[name] + 0.0, grads[name] + 0.0), name
+
+
+def test_relu_bits_equal_where_on_special_values():
+    """The engine's relu gives np.where's bits for ±0, NaN, ±inf, subnormals
+    and the extremes (np.maximum would propagate NaN)."""
+    tiny, least_normal, big = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+    values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                       least_normal, -least_normal, big, -big, 1.0, -1.0])
+    expected = np.where(values > 0, values, 0.0)
+    assert same_bits(np.fmax(values, 0.0), expected)
+    spec = nn.ModelSpec((nn.dense(1, 1), nn.relu(), nn.dense(1, 2), nn.softmax()), 2, (1,))
+    params = nn.init_params(spec, 0)
+    h, caches, _ = nn._forward_engine(spec, params, values[:, None], keep_caches=True,
+                                      start=1, stop=2)
+    assert same_bits(h[:, 0], expected)
+    assert np.array_equal(caches[0][1][:, 0], values > 0)
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
+    lambda: nn.small_cnn((1, 12, 12), 4),
+    relu_between_spec,
+    lambda: nn.ModelSpec((nn.relu(), nn.softmax()), 4, (4,)),
+    lambda: nn.ModelSpec((nn.softmax(),), 4, (4,)),
+], ids=["small_mlp", "small_cnn", "relu_between", "relu_softmax", "softmax"])
+def test_engine_writes_into_no_caller_array(make_spec):
+    """No public engine operation writes into its inputs, the parameter views
+    or SiteRows, and the backward pass writes into neither its seed gradient
+    nor the caches; the last two specs feed the caller's array straight into
+    the element-wise layers."""
+    spec = make_spec()
+    model = nn.flat_params(nn.init_params(spec, 3))
+    params = model.views
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 1.0, (5, *spec.input_shape))
+    y = rng.integers(0, spec.class_count, 5)
+    kept = [arr.tobytes() for arr in (model.vector, x, y)]
+    nn.predict_probs(spec, params, x)
+    nn.batch_loss_and_gradient(spec, params, x, y)
+    nn.batch_loss_and_gradient(spec, params, x, y, out=nn.flat_params(params))
+    for ordinal in range(spec.param_layer_count):
+        site = nn.batch_site_outputs(spec, params, x, ordinal)
+        site_kept = site.tobytes()
+        rows = nn.site_rows(spec, params, site, ordinal)
+        rows_kept = rows.pre.tobytes(), rows.z0.tobytes()
+        for unit in range(min(3, spec.unit_count(ordinal))):
+            nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(ordinal, unit),
+                                    np.linspace(0.0, 1.0, 5))
+        assert site.tobytes() == site_kept
+        assert (rows.pre.tobytes(), rows.z0.tobytes()) == rows_kept
+    probs, caches, _ = nn._forward_engine(spec, params, x, keep_caches=True)
+    seed = rng.normal(0.0, 1.0, probs.shape)
+
+    def backward_inputs():
+        return [a.tobytes() for c in caches for a in c if isinstance(a, np.ndarray)] + \
+            [seed.tobytes()]
+
+    kept_backward = backward_inputs()
+    nn._backward_engine(spec, params, caches, seed)
+    nn._backward_engine(spec, params, caches, seed, wrt_params=False)
+    assert backward_inputs() == kept_backward
+    assert [arr.tobytes() for arr in (model.vector, x, y)] == kept
+
+
+FINITE_SPEC = nn.small_mlp((1, 3, 3), 3, hidden=4)
+FINITE_NAMES = list(FINITE_SPEC.param_shapes())
+
+
+def finite_case(data):
+    """A flat parameter set, one view name, a position in that view."""
+    seed = data.draw(st.integers(0, 2**16))
+    flat = nn.flat_params(nn.init_params(FINITE_SPEC, seed))
+    name = data.draw(st.sampled_from(FINITE_NAMES))
+    position = data.draw(st.integers(0, flat.views[name].size - 1))
+    return flat, name, position
+
+
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_sgd_step_rejects_one_nonfinite_gradient_element(data, bad):
+    model, name, position = finite_case(data)
+    grad = nn.flat_params({k: np.full(v.shape, 0.5) for k, v in model.views.items()})
+    grad.views[name].flat[position] = bad
+    kept = model.vector.tobytes(), grad.vector.tobytes()
+    with pytest.raises(nn.NNError, match=f"non-finite gradient for {re.escape(name)}$"):
+        nn.sgd_step(model, grad, 0.1)
+    assert (model.vector.tobytes(), grad.vector.tobytes()) == kept
+
+
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad):
+    """The flat check after the backward pass names the one parameter whose
+    gradient holds the planted value; the parameters are not written."""
+    model, name, position = finite_case(data)
+    real_backward = nn._backward_engine
+
+    def planted(*args, **kwargs):
+        out = real_backward(*args, **kwargs)
+        out[name].flat[position] = bad
+        return out
+
+    kept = model.vector.tobytes()
+    x = np.random.default_rng(0).random((4, *FINITE_SPEC.input_shape))
+    with mock.patch.object(nn, "_backward_engine", planted):
+        with pytest.raises(nn.NNError, match=f"gradient of {re.escape(name)}$"):
+            nn.batch_loss_and_gradient(FINITE_SPEC, model.views, x, np.array([0, 1, 2, 0]),
+                                       out=nn.flat_params(model.views))
+    assert model.vector.tobytes() == kept
+
+
+@given(data=st.data(), magnitude=st.one_of(st.floats(1e160, 1e300), st.just(1.7e308)),
+       alternate=st.booleans())
+def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, alternate):
+    """v . v overflows to inf for these finite vectors (and so may their
+    sum); the element scan then accepts them, without a warning."""
+    model, _, _ = finite_case(data)
+    signs = np.where(alternate & (np.arange(model.vector.size) % 2 == 1), -1.0, 1.0)
+    grad = nn.flat_params({k: np.empty(v.shape) for k, v in model.views.items()})
+    grad.vector[...] = magnitude * signs
+    assert not math.isfinite(np.vdot(grad.vector, grad.vector))
+    real_backward = nn._backward_engine
+
+    def huge(*args, **kwargs):
+        out = real_backward(*args, **kwargs)
+        for k in out:
+            out[k][...] = grad.views[k]
+        return out
+
+    x = np.random.default_rng(0).random((4, *FINITE_SPEC.input_shape))
+    buffers = nn.flat_params(model.views)
+    expected = model.vector - 1e-200 * grad.vector
+    with mock.patch.object(nn, "_backward_engine", huge), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nn.batch_loss_and_gradient(FINITE_SPEC, model.views, x, np.array([0, 1, 2, 0]),
+                                   out=buffers)
+        assert np.array_equal(buffers.vector, grad.vector)
+        nn.sgd_step(model, grad, 1e-200)
+    assert np.array_equal(model.vector, expected)
 
 
 # ---------------------------------------------------------------------------
