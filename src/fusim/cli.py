@@ -74,7 +74,8 @@ def main(argv=None) -> int:
         if args.command == "partition":
             task = experiment.ensure_partition(cfg, out)
             logger.info("partition: %d clients over %d domains -> %s",
-                        task.plan.client_count, len(task.train_domains), out)
+                        task.plan.client_count,
+                        len({c.domain_id for c in task.plan.clients}), out)
         elif args.command == "train":
             _, _, summary = experiment.ensure_train(cfg, out)
             logger.info("train: convergence_round=%s final_val_error=%s",

@@ -163,6 +163,16 @@ def _read_idx(path, magic: int, dims: int) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
+def _class_count(labels: np.ndarray) -> int:
+    """An IDX domain's class count: max label + 1, or 0 without labels."""
+    return int(labels.max()) + 1 if len(labels) else 0
+
+
+def idx_class_count(labels_path) -> int:
+    """The class count load_idx gives, read from the labels file alone."""
+    return _class_count(_read_idx(labels_path, IDX_LABELS_MAGIC, 1))
+
+
 def load_idx(images_path, labels_path, domain_id: str | None = None) -> DomainDataset:
     """Load a big-endian IDX image/label pair, rescaling pixels to [0, 1]."""
     pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
@@ -170,10 +180,9 @@ def load_idx(images_path, labels_path, domain_id: str | None = None) -> DomainDa
     if len(pixels) != len(labels):
         raise IdxCountMismatchError(
             f"{images_path}: {len(pixels)} images but {len(labels)} labels")
-    class_count = int(labels.max()) + 1 if len(labels) else 0
     name = domain_id if domain_id is not None else str(images_path)
     return DomainDataset(pixels[:, None].astype(np.float64) / 255.0, labels, name,
-                         class_count)
+                         _class_count(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 Stages read their prerequisites from the output directory when present and
 build them otherwise, so any stage can resume from on-disk artifacts.  A
+finished directory resumes from its artifacts alone: the data (domains,
+splits, subsets) is built only when a stage has to run, once per Task.  A
 compare trains once in its output directory and runs only the unlearn and
 evaluate stages of each route in a subdirectory.  All artifacts are pure
 functions of the config text: no timestamps, sorted keys, fixed float
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, ExperimentConfig
-from .datasets import (DomainDataset, DomainSplits, load_idx, resize,
+from .datasets import (DomainDataset, DomainSplits, idx_class_count, load_idx, resize,
                        stratified_split, subset, SyntheticDomainSpec, synth_domain)
 from .fedsim import ClientState, FedConfig, UnlearnRequest
 from .nncore import ModelSpec, ParameterSet
@@ -87,18 +89,60 @@ class _StageWriter:
 
 
 @dataclass
-class Task:
-    spec: ModelSpec
-    plan: PartitionPlan
+class TaskData:
+    """The data a running stage trains and evaluates on, made by build_task."""
     splits: dict[str, DomainSplits]
     train_domains: dict[str, DomainDataset]
     val_x: np.ndarray
     val_y: np.ndarray
     client_test_sets: dict[int, DomainDataset]
-    class_count: int
+
+
+class Task:
+    """What the stages share: the model spec, class count and plan, set at
+    once, and the data (the TaskData fields), built on first use and once per
+    Task by build_task from the plan and the splits in splits_path.  A
+    finished stage needs only the first three, so a resume of a finished
+    directory builds no data."""
+
+    def __init__(self, cfg: ExperimentConfig, plan: PartitionPlan,
+                 splits_path: str | None = None, data: TaskData | None = None):
+        self.spec = build_spec(cfg)
+        self.class_count = self.spec.class_count
+        self.plan = plan
+        self._cfg, self._splits_path, self._data = cfg, splits_path, data
+
+    @property
+    def data(self) -> TaskData:
+        if self._data is None:
+            with open(self._splits_path) as fh:
+                splits = _splits_from_json(fh.read())
+            self._data = build_task(self._cfg, self.plan, splits).data
+        return self._data
+
+    splits = property(lambda self: self.data.splits)
+    train_domains = property(lambda self: self.data.train_domains)
+    val_x = property(lambda self: self.data.val_x)
+    val_y = property(lambda self: self.data.val_y)
+    client_test_sets = property(lambda self: self.data.client_test_sets)
 
     def build_clients(self) -> list[ClientState]:
         return fedsim.build_clients(self.plan, self.train_domains)
+
+
+def build_spec(cfg: ExperimentConfig) -> ModelSpec:
+    """The configured model over the shared label space, from the config alone.
+
+    A synthetic domain has [data] class_count classes and an IDX domain max
+    label + 1, read from its labels file only; the shared count is their
+    minimum, the label range label_intersection keeps.
+    """
+    class_count = min(cfg.class_count if dc.kind == "synthetic"
+                      else idx_class_count(dc.labels_path) for dc in cfg.domains)
+    shape = (1, *cfg.partition.working_resolution)
+    if cfg.model_spec == "small_mlp":
+        return nncore.small_mlp(shape, class_count, hidden=cfg.hidden)
+    return nncore.small_cnn(shape, class_count)
 
 
 def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
@@ -119,32 +163,42 @@ def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
 
 def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
                splits: dict[str, DomainSplits] | None = None) -> Task:
-    _, _, remapped = label_intersection(build_raw_domains(cfg))
-    processed = [resize(d, cfg.partition.working_resolution) for d in remapped]
-    class_count = processed[0].class_count
-    if splits is None:
-        splits = {d.domain_id: stratified_split(d, cfg.evaluate.val_fraction,
-                                                cfg.evaluate.test_fraction,
-                                                (cfg.seed, 831))
-                  for d in processed}
-    by_id = {d.domain_id: d for d in processed}
-    train_domains = {did: subset(by_id[did], sp.train) for did, sp in splits.items()}
+    """The one data build, with its data in place.
+
+    Every domain is made, mapped onto the shared labels and resized; then,
+    one domain at a time, split (unless splits is given) and cut into its
+    train, validation and test subsets, after which the whole domain is
+    released.  The plan is built over the train subsets unless given.
+    """
+    ev = cfg.evaluate
+    fresh = splits is None
+    splits = {} if fresh else splits
+    train_domains, val_sets, test_domains = {}, {}, {}
+    domains = label_intersection(build_raw_domains(cfg))[2]
+    for i, d in enumerate(domains):
+        domains[i] = None   # d is the one reference left to the whole domain
+        d = resize(d, cfg.partition.working_resolution)
+        did = d.domain_id
+        if fresh:
+            splits[did] = stratified_split(d, ev.val_fraction, ev.test_fraction,
+                                           (cfg.seed, 831))
+        sp = splits[did]
+        for key, part, what in (("val_fraction", sp.val, "validation"),
+                                ("test_fraction", sp.test, "test")):
+            if not part:
+                raise ConfigError(f"evaluate.{key}: domain {did!r} gets no {what} "
+                                  f"examples; raise it or the samples per class")
+        train_domains[did] = subset(d, sp.train)
+        val_sets[did] = subset(d, sp.val)
+        test_domains[did] = subset(d, sp.test)
+    del d
     if plan is None:
-        ordered_train = [train_domains[d.domain_id] for d in processed]
-        plan = build_plan(cfg.partition, ordered_train, cfg.seed)
-    val_sets = [subset(by_id[did], sp.val) for did, sp in sorted(splits.items())]
-    val_x = np.concatenate([d.images for d in val_sets])
-    val_y = np.concatenate([d.labels for d in val_sets])
-    test_domains = {did: subset(by_id[did], sp.test) for did, sp in splits.items()}
-    client_test_sets = {i: test_domains[c.domain_id]
-                        for i, c in enumerate(plan.clients)}
-    if cfg.model_spec == "small_mlp":
-        spec = nncore.small_mlp((1, *cfg.partition.working_resolution), class_count,
-                                hidden=cfg.hidden)
-    else:
-        spec = nncore.small_cnn((1, *cfg.partition.working_resolution), class_count)
-    return Task(spec, plan, splits, train_domains, val_x, val_y,
-                client_test_sets, class_count)
+        plan = build_plan(cfg.partition, list(train_domains.values()), cfg.seed)
+    val_x = np.concatenate([val_sets[did].images for did in sorted(val_sets)])
+    val_y = np.concatenate([val_sets[did].labels for did in sorted(val_sets)])
+    client_test_sets = {i: test_domains[c.domain_id] for i, c in enumerate(plan.clients)}
+    return Task(cfg, plan, data=TaskData(splits, train_domains, val_x, val_y,
+                                         client_test_sets))
 
 
 def _fed_config(cfg: ExperimentConfig) -> FedConfig:
@@ -181,16 +235,15 @@ def _check_resumed(path: str, key: str, found, wanted) -> None:
 
 
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
+    """The task; on resume only partition.json is read, and the data is
+    built when a stage first uses it."""
     plan_path = os.path.join(out_dir, ART["partition"])
     splits_path = os.path.join(out_dir, ART["splits"])
-    plan = splits = None
     if os.path.exists(plan_path) and os.path.exists(splits_path):
         with open(plan_path) as fh:
             plan = PartitionPlan.from_json(fh.read())
         _check_resumed(plan_path, "seed", plan.seed, cfg.seed)
-        with open(splits_path) as fh:
-            splits = _splits_from_json(fh.read())
-        return build_task(cfg, plan, splits)
+        return Task(cfg, plan, splits_path)
     task = build_task(cfg)
     writer = _StageWriter(out_dir, "partition")
     writer.add_text(ART["partition"], task.plan.to_json())

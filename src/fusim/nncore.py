@@ -698,9 +698,12 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     over out's vector; the views are scanned only to name the offender.
     """
     x = _as_batch(spec, inputs)
-    ys = np.asarray(labels, dtype=np.int64)
+    ys = np.asarray(labels)
     if x.shape[0] == 0:
         raise NNError("empty batch")
+    if ys.shape != (x.shape[0],) or ys.dtype.kind not in "iu":
+        raise NNError(f"labels must be a 1-D integer array of {x.shape[0]}, got "
+                      f"shape {ys.shape} dtype {ys.dtype}")
     if ys.min() < 0 or ys.max() >= spec.class_count:
         raise NNError(
             f"label out of range: got {int(ys.min())}..{int(ys.max())}, "

@@ -153,7 +153,8 @@ def label_intersection(domains: list[DomainDataset]):
 
     The shared set is the intersection of each domain's [0, class_count)
     range; labels are remapped to a contiguous [0, len(shared)) space and
-    out-of-intersection examples are dropped.
+    out-of-intersection examples are dropped.  A domain that drops none keeps
+    its image array, uncopied.
     """
     if not domains:
         raise PartitionError("need at least one domain")
@@ -170,8 +171,10 @@ def label_intersection(domains: list[DomainDataset]):
     for d in domains:
         labels = lut[d.labels]
         keep = labels >= 0
-        remapped.append(DomainDataset(d.images[keep], labels[keep], d.domain_id,
-                                      len(shared_sorted)))
+        images = d.images
+        if not keep.all():
+            images, labels = images[keep], labels[keep]
+        remapped.append(DomainDataset(images, labels, d.domain_id, len(shared_sorted)))
     return shared_sorted, mapping, remapped
 
 

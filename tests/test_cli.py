@@ -2,6 +2,7 @@
 import dataclasses
 import filecmp
 import json
+import logging
 import os
 import shutil
 
@@ -204,16 +205,31 @@ def test_compare_identical_routes_identical_columns(tmp_path):
 COMPARED = ("delete", "relabel", "fedcccu")
 
 
-def count_trainings(monkeypatch) -> list:
-    """Record one entry per fedsim.run_training call."""
-    calls = []
-    real = fedsim.run_training
+def count_calls(monkeypatch, module, name: str, calls: list | None = None) -> list:
+    """Append name to calls (a new list unless given) on each call of module.name."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(name)
         return real(*args, **kwargs)
-    monkeypatch.setattr(fedsim, "run_training", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_trainings(monkeypatch) -> list:
+    return count_calls(monkeypatch, fedsim, "run_training")
+
+
+def count_reports(monkeypatch) -> list:
+    return count_calls(monkeypatch, evalkit, "build_report")
+
+
+def count_builds(monkeypatch) -> tuple[list, list]:
+    """Entries per data build (experiment.build_task) and per domain made."""
+    domains = count_calls(monkeypatch, experiment, "synth_domain")
+    count_calls(monkeypatch, experiment, "load_idx", domains)
+    return count_calls(monkeypatch, experiment, "build_task"), domains
 
 
 def tree_bytes(root):
@@ -254,13 +270,7 @@ def test_compare_trains_once_in_top_directory(compared):
 
 
 def test_compare_builds_before_report_once(tmp_path, monkeypatch):
-    calls = []
-    real = evalkit.build_report
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(evalkit, "build_report", counted)
+    calls = count_reports(monkeypatch)
     cfg = validate_config(TINY.format(route="delete"))
     routes = [dataclasses.replace(cfg, unlearn=dataclasses.replace(cfg.unlearn, route=r))
               for r in ("delete", "zeroing")]
@@ -280,18 +290,6 @@ def test_compare_route_artifacts_match_single_runs(compared):
                                os.path.join(single, name), shallow=False), (route, name)
 
 
-def count_reports(monkeypatch) -> list:
-    """Record one entry per evalkit.build_report call."""
-    calls = []
-    real = evalkit.build_report
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(evalkit, "build_report", counted)
-    return calls
-
-
 def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, monkeypatch):
     _, cfg_path, out, _ = compared
     again = str(tmp_path / "again")
@@ -299,11 +297,13 @@ def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, m
     finished = tree_bytes(again)
     calls = count_trainings(monkeypatch)
     reports = count_reports(monkeypatch)
+    builds, domains = count_builds(monkeypatch)
     rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
                    "--routes", ",".join(COMPARED)])
     assert rc == cli.EXIT_OK
     assert calls == []
     assert reports == []
+    assert builds == [] and domains == []
     assert "compare.csv" in finished
     assert tree_bytes(again) == finished
 
@@ -316,11 +316,43 @@ def test_compare_rebuilds_one_route_from_read_back_before_report(compared, tmp_p
     finished = tree_bytes(again)
     os.remove(os.path.join(again, f"route_{COMPARED[1]}", "metrics.json"))
     reports = count_reports(monkeypatch)
+    _, domains = count_builds(monkeypatch)
+    events = count_calls(monkeypatch, experiment, "ensure_evaluate")
+    count_calls(monkeypatch, experiment, "build_task", events)
     rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
                    "--routes", ",".join(COMPARED)])
     assert rc == cli.EXIT_OK
     assert len(reports) == 1  # the rebuilt route's "after" report only
+    # the data is built once, when the rebuilt route's evaluate stage runs
+    assert events == ["ensure_evaluate"] * 2 + ["build_task", "ensure_evaluate"]
+    assert len(domains) == 2
     assert tree_bytes(again) == finished
+
+
+def test_compare_new_route_builds_the_data_once(compared, tmp_path, monkeypatch):
+    """A route added to a finished compare builds the data once, inside its own
+    stages, and writes what a fresh single run of that route writes."""
+    _, cfg_path, out, _ = compared
+    again = str(tmp_path / "again")
+    shutil.copytree(out, again)
+    finished = tree_bytes(again)
+    events = count_calls(monkeypatch, experiment, "ensure_evaluate")
+    count_calls(monkeypatch, experiment, "build_task", events)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
+                   "--routes", ",".join(COMPARED + ("zeroing",))])
+    assert rc == cli.EXIT_OK
+    assert events == ["ensure_evaluate"] * 4 + ["build_task"]  # inside the new route
+    now = tree_bytes(again)
+    for name, data in finished.items():
+        if not name.startswith("compare"):
+            assert now[name] == data, name
+    monkeypatch.undo()
+    single = str(tmp_path / "single")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", single,
+                     "--route", "zeroing"]) == cli.EXIT_OK
+    for name in ("checkpoint_unlearned.fusim", "metrics.json", "report_after.json"):
+        assert filecmp.cmp(os.path.join(again, "route_zeroing", name),
+                           os.path.join(single, name), shallow=False), name
 
 
 EVALUATE_ARTIFACTS = ("report_before.json", "report_before.csv", "report_after.json",
@@ -336,8 +368,10 @@ def test_run_resume_reads_evaluate_artifacts_back(tmp_path, monkeypatch):
     cfg = validate_config(cfg_path.read_text())
     _, before, after, metrics = experiment.ensure_evaluate(cfg, out)
     reports = count_reports(monkeypatch)
+    builds, domains = count_builds(monkeypatch)
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
     assert reports == []
+    assert builds == [] and domains == []
     assert tree_bytes(out) == finished
     assert {name: os.stat(os.path.join(out, name)).st_ino
             for name in EVALUATE_ARTIFACTS} == inodes
@@ -365,3 +399,78 @@ def test_evaluate_resume_refuses_metrics_of_other_route(tmp_path, caplog):
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
     assert "metrics.json: route is 'zeroing' but the config asks for 'delete'" in caplog.text
     assert tree_bytes(out) == finished
+
+
+def test_partition_resume_builds_no_data(tmp_path, monkeypatch, caplog):
+    cfg_path = write_cfg(tmp_path)
+    out = str(tmp_path / "part")
+    argv = ["partition", "--config", str(cfg_path), "--out", out]
+    assert cli.main(argv) == cli.EXIT_OK
+    finished = tree_bytes(out)
+    caplog.set_level(logging.INFO, logger="fusim")
+    caplog.clear()
+    builds, domains = count_builds(monkeypatch)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert builds == [] and domains == []
+    assert "partition: 4 clients over 2 domains" in caplog.text
+    assert tree_bytes(out) == finished
+
+
+IDX_CFG = """
+[experiment]
+seed = 3
+[domain.wide]
+images = {wide}-images.idx
+labels = {wide}-labels.idx
+[domain.narrow]
+images = {narrow}-images.idx
+labels = {narrow}-labels.idx
+[partition]
+group_sizes = 1,2
+working_resolution = 8x8
+"""
+
+
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+def test_resumed_spec_equals_fresh_spec(tmp_path, monkeypatch, source):
+    """The resumed spec comes from the config alone; the data it builds on
+    first use is the fresh stage's, bit for bit."""
+    if source == "idx":
+        from fusim import datasets
+        from helpers import save_idx
+        for name, classes in (("wide", 6), ("narrow", 4)):
+            spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
+                                                class_count=classes)
+            save_idx(datasets.synth_domain(spec, 0), tmp_path / f"{name}-images.idx",
+                     tmp_path / f"{name}-labels.idx")
+        cfg = validate_config(IDX_CFG.format(wide=tmp_path / "wide",
+                                             narrow=tmp_path / "narrow"))
+        classes = 4   # the labels both domains share
+    else:
+        cfg = validate_config(TINY.format(route="none"))
+        classes = 6
+    out = str(tmp_path / "part")
+    fresh = experiment.ensure_partition(cfg, out)
+    assert fresh.spec.class_count == classes
+    assert {d.class_count for d in fresh.train_domains.values()} == {classes}
+    builds, domains = count_builds(monkeypatch)
+    resumed = experiment.ensure_partition(cfg, out)
+    assert resumed.spec == fresh.spec and resumed.plan == fresh.plan
+    assert builds == [] and domains == []
+    assert resumed.val_x.tobytes() == fresh.val_x.tobytes()
+    assert resumed.val_y.tobytes() == fresh.val_y.tobytes()
+    assert resumed.splits == fresh.splits
+    for i, test_set in fresh.client_test_sets.items():
+        assert resumed.client_test_sets[i].images.tobytes() == test_set.images.tobytes()
+    assert len(builds) == 1 and len(domains) == 2
+
+
+@pytest.mark.parametrize("key,what", [("val_fraction", "validation"),
+                                      ("test_fraction", "test")])
+def test_partition_refuses_an_empty_split(tmp_path, caplog, key, what):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(TINY.format(route="none") + f"[evaluate]\n{key} = 0.01\n")
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert f"evaluate.{key}: domain 'clean' gets no {what} examples" in caplog.text
+    assert not os.path.exists(out)

@@ -169,6 +169,34 @@ def test_loss_errors():
         nn.batch_loss_and_gradient(spec, params, np.zeros((1, 2)), np.array([2]))
 
 
+@given(n=st.integers(1, 8), m=st.integers(0, 9))
+def test_loss_rejects_labels_of_another_length(n, m):
+    """Too few labels used to raise IndexError; too many were ignored."""
+    if m == n:
+        m += 1
+    spec, params = tiny_net_222()
+    with pytest.raises(nn.NNError, match=rf"of {n}, got shape \({m},\)"):
+        nn.batch_loss_and_gradient(spec, params, np.zeros((n, 2)), np.zeros(m, dtype=int))
+
+
+@given(n=st.integers(1, 8), k=st.integers(1, 3))
+def test_loss_rejects_labels_of_another_rank(n, k):
+    """An (n, k) label array used to raise TypeError (or IndexError)."""
+    spec, params = tiny_net_222()
+    with pytest.raises(nn.NNError, match=rf"got shape \({n}, {k}\)"):
+        nn.batch_loss_and_gradient(spec, params, np.zeros((n, 2)), np.zeros((n, k), dtype=int))
+
+
+@given(labels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       dtype=st.sampled_from([np.float64, np.float32, bool]))
+def test_loss_rejects_labels_of_a_non_integer_dtype(labels, dtype):
+    """Float labels such as 0.5 used to be truncated to class 0."""
+    spec, params = tiny_net_222()
+    ys = np.array(labels, dtype=dtype)
+    with pytest.raises(nn.NNError, match=rf"dtype {np.dtype(dtype).name}$"):
+        nn.batch_loss_and_gradient(spec, params, np.zeros((len(ys), 2)), ys)
+
+
 def test_gradient_matches_finite_differences_222():
     spec, params = tiny_net_222()
     xs = np.array([[0.5, -1.2], [-0.3, 0.8]])

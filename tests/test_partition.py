@@ -125,6 +125,9 @@ def test_label_intersection_ten_and_nine():
     keep = a.labels < 9
     assert np.array_equal(remapped[0].images, a.images[keep])
     assert np.array_equal(remapped[0].labels, a.labels[keep])
+    # b keeps every example, so its images are not copied
+    assert remapped[1].images is b.images
+    assert np.array_equal(remapped[1].labels, b.labels)
 
 
 def test_label_intersection_identity():
