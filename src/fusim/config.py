@@ -8,6 +8,7 @@ three clients each, small MLP at 16x16).
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -180,6 +181,9 @@ class _Reader:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}",
+                              self.where(section, key))
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}",
                               self.where(section, key))
         self._check_range(section, key, value, lo, hi, lo_open, hi_open)
         return value

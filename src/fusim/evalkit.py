@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nncore
+from .config import UnlearnConfig
 from .datasets import DomainDataset
-from .fedsim import UnlearnRequest
 from .nncore import ModelSpec, ParameterSet
 
 
@@ -102,11 +102,11 @@ def build_report(spec: ModelSpec, params: ParameterSet,
 
 
 def forgetting_metrics(before: EvaluationReport, after: EvaluationReport,
-                       request: UnlearnRequest) -> ForgettingMetrics:
+                       unlearn: UnlearnConfig) -> ForgettingMetrics:
     if set(before.clients) != set(after.clients):
         raise EvalError("reports cover different clients")
-    forget = request.forget_class
-    req = set(request.client_ids)
+    forget = unlearn.forget_class
+    req = set(unlearn.requesting_clients)
     drops_forget_req = []
     drops_forget_other = []
     drops_retained = []

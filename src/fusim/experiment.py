@@ -24,7 +24,7 @@ from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, ExperimentConfig
 from .datasets import (DomainDataset, DomainSplits, idx_class_count, load_idx, resize,
                        stratified_split, subset, SyntheticDomainSpec, synth_domain)
-from .fedsim import ClientState, FedConfig, UnlearnRequest
+from .fedsim import ClientState
 from .nncore import ModelSpec, ParameterSet
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -135,10 +135,14 @@ def build_spec(cfg: ExperimentConfig) -> ModelSpec:
 
     A synthetic domain has [data] class_count classes and an IDX domain max
     label + 1, read from its labels file only; the shared count is their
-    minimum, the label range label_intersection keeps.
+    minimum, the label range label_intersection keeps, and it must hold the
+    forget class.
     """
     class_count = min(cfg.class_count if dc.kind == "synthetic"
                       else idx_class_count(dc.labels_path) for dc in cfg.domains)
+    if cfg.unlearn.forget_class >= class_count:
+        raise ConfigError(f"unlearn.forget_class: {cfg.unlearn.forget_class} >= "
+                          f"shared class count {class_count}")
     shape = (1, *cfg.partition.working_resolution)
     if cfg.model_spec == "small_mlp":
         return nncore.small_mlp(shape, class_count, hidden=cfg.hidden)
@@ -199,15 +203,6 @@ def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
     client_test_sets = {i: test_domains[c.domain_id] for i, c in enumerate(plan.clients)}
     return Task(cfg, plan, data=TaskData(splits, train_domains, val_x, val_y,
                                          client_test_sets))
-
-
-def _fed_config(cfg: ExperimentConfig) -> FedConfig:
-    t = cfg.training
-    return FedConfig(rounds_max=t.rounds_max, local_epochs=t.local_epochs,
-                     batch_size=t.batch_size, learning_rate=t.learning_rate,
-                     epsilon=t.epsilon, seed=cfg.seed,
-                     unlearn_rounds_max=cfg.unlearn.rounds_max,
-                     checkpoint_every=t.checkpoint_every)
 
 
 def _splits_to_json(splits: dict[str, DomainSplits]) -> str:
@@ -273,7 +268,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
     clients = task.build_clients()
     ckpt_dir = out_dir if cfg.training.checkpoint_every else None
     result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
-                                 _fed_config(cfg), checkpoint_dir=ckpt_dir)
+                                 cfg.training, cfg.seed, checkpoint_dir=ckpt_dir)
     summary = {
         "convergence_round": result.convergence_round,
         "rounds_run": len(result.logs),
@@ -288,59 +283,50 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
     return task, result.params, summary
 
 
-def _route_request(cfg: ExperimentConfig) -> UnlearnRequest:
-    return UnlearnRequest(cfg.unlearn.requesting_clients, cfg.unlearn.forget_class)
-
-
 def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
               start_round: int):
     """Apply the configured route; returns (params, unlearn logs, extras)."""
-    route = cfg.unlearn.route
     u = cfg.unlearn
+    route = u.route
     extras: dict[str, object] = {"route": route}
     if route == "none":
         return trained, [], extras
-    request = _route_request(cfg)
     clients = task.build_clients()
     by_id = {c.client_id: c for c in clients}
     if route in ("delete", "relabel"):
-        for rid in request.client_ids:
+        for rid in u.requesting_clients:
             state = by_id[rid]
             if route == "delete":
-                edited = unlearn_routes.delete_retrain_prepare(
-                    state.shard, request.forget_class)
+                edited = unlearn_routes.delete_retrain_prepare(state.shard, u.forget_class)
             else:
                 edited = unlearn_routes.relabel_poison_prepare(
-                    state.shard, request.forget_class, task.class_count,
+                    state.shard, u.forget_class, task.class_count,
                     seed=(cfg.seed, 853, rid))
             state.replace_shard(edited)
         pre_steps = {c.client_id: c.local_step_counter for c in clients}
         params, logs = fedsim.fair_unlearn_rounds(
-            trained, task.spec, clients, request, task.val_x, task.val_y,
-            _fed_config(cfg), start_round=start_round)
+            trained, task.spec, clients, u, task.val_x, task.val_y,
+            cfg.training, cfg.seed, start_round=start_round)
         extras["nonrequesting_steps"] = sum(
             c.local_step_counter - pre_steps[c.client_id]
-            for c in clients if c.client_id not in request.client_ids)
+            for c in clients if c.client_id not in u.requesting_clients)
         return params, logs, extras
     if route == "zeroing":
-        per_client = [fedcccu.probe_examples(by_id[rid], request.forget_class,
+        per_client = [fedcccu.probe_examples(by_id[rid], u.forget_class,
                                              u.probe_cap, cfg.seed)
-                      for rid in request.client_ids]
+                      for rid in u.requesting_clients]
         probes = DomainDataset(np.concatenate([p.images for p in per_client]),
                                np.concatenate([p.labels for p in per_client]),
                                "probes", task.class_count)
         editable = unlearn_routes.editable_units(task.spec)
         top_m = max(1, round(u.top_m_fraction * len(editable)))
         params = unlearn_routes.naive_zeroing(task.spec, trained,
-                                              request.forget_class, probes, top_m)
+                                              u.forget_class, probes, top_m)
         extras["zeroed_units"] = top_m
         return params, [], extras
     if route == "fedcccu":
-        cccu = fedcccu.CccuConfig(riemann_steps=u.riemann_steps, top_n=u.top_n,
-                                  select_n=u.select_n, probe_cap=u.probe_cap,
-                                  seed=cfg.seed)
-        params, audit = fedcccu.fedcccu_pipeline(task.spec, trained, clients,
-                                                 request, cccu)
+        params, audit = fedcccu.fedcccu_pipeline(task.spec, trained, clients, u,
+                                                 cfg.seed)
         extras["audit"] = audit
         extras["selected_units"] = len(audit.selection.units)
         return params, [], extras
@@ -412,8 +398,7 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
     after = evalkit.build_report(
         task.spec, unlearned, task.client_test_sets,
         metadata={"strategy": "after", "route": cfg.unlearn.route, "seed": cfg.seed})
-    request = _route_request(cfg)
-    metrics = evalkit.forgetting_metrics(before, after, request)
+    metrics = evalkit.forgetting_metrics(before, after, cfg.unlearn)
     writer = _StageWriter(out_dir, "evaluate")
     writer.add_text(ART["report_before_json"], evalkit.report_to_json(before))
     writer.add_text(ART["report_before_csv"], evalkit.report_to_csv(before, "before"))

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
+from .config import UnlearnConfig
 from .datasets import DomainDataset, subset
-from .fedsim import ClientState, UnlearnRequest
+from .fedsim import ClientState
 from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
 from .unlearn_routes import editable_units
 
@@ -69,40 +70,25 @@ class RankSelection:
     capped: bool  # true when fewer entries existed than were requested
 
 
-@dataclass(frozen=True)
-class CccuConfig:
-    riemann_steps: int = 20    # m
-    top_n: int = 32            # N records uploaded per class
-    select_n: int = 16         # n units zeroed
-    probe_cap: int = 256
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.riemann_steps < 1:
-            raise CccuError("riemann_steps must be >= 1")
-        if self.top_n < 1 or self.select_n < 0 or self.probe_cap < 1:
-            raise CccuError("bad top_n / select_n / probe_cap")
-
-
 @dataclass
 class AuditRecord:
-    forget_class: int
-    requesting_clients: tuple[int, ...]
+    unlearn: UnlearnConfig
+    seed: int
     reports: list[SensitivityReport]
     entries: list[DominanceEntry]
     selection: RankSelection
-    config: CccuConfig
 
     def to_json(self) -> str:
+        u = self.unlearn
         doc = {
-            "forget_class": self.forget_class,
-            "requesting_clients": list(self.requesting_clients),
+            "forget_class": u.forget_class,
+            "requesting_clients": list(u.requesting_clients),
             "config": {
-                "riemann_steps": self.config.riemann_steps,
-                "top_n": self.config.top_n,
-                "select_n": self.config.select_n,
-                "probe_cap": self.config.probe_cap,
-                "seed": self.config.seed,
+                "riemann_steps": u.riemann_steps,
+                "top_n": u.top_n,
+                "select_n": u.select_n,
+                "probe_cap": u.probe_cap,
+                "seed": self.seed,
             },
             "reports": [
                 {
@@ -127,32 +113,6 @@ class AuditRecord:
             "selection_capped": self.selection.capped,
         }
         return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def report_to_json(report: SensitivityReport) -> str:
-    """Wire format for one client's upload."""
-    doc = {
-        "client": report.client_id,
-        "classes": {
-            str(cid): [
-                {"layer": rec.unit.layer, "unit": rec.unit.unit, "score": rec.score}
-                for rec in recs
-            ]
-            for cid, recs in sorted(report.per_class.items())
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def report_from_json(text: str) -> SensitivityReport:
-    doc = json.loads(text)
-    per_class = {
-        int(cid): tuple(
-            SensitivityRecord(UnitId(r["layer"], r["unit"]), int(cid), r["score"])
-            for r in recs)
-        for cid, recs in doc["classes"].items()
-    }
-    return SensitivityReport(int(doc["client"]), per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +237,6 @@ def rank_select(entries: list[DominanceEntry], n: int) -> RankSelection:
                          requested=n, capped=capped)
 
 
-def apply_unlearning(spec: ModelSpec, params: ParameterSet,
-                     units) -> ParameterSet:
-    """Zero the selected units' incoming weights and biases; idempotent."""
-    return nncore.zero_units(spec, params, units)
-
-
 # ---------------------------------------------------------------------------
 # Orchestration
 
@@ -300,26 +254,27 @@ def probe_examples(state: ClientState, forget_class: int, probe_cap: int,
 
 
 def fedcccu_pipeline(spec: ModelSpec, global_params: ParameterSet,
-                     clients: list[ClientState], request: UnlearnRequest,
-                     config: CccuConfig) -> tuple[ParameterSet, AuditRecord]:
+                     clients: list[ClientState], unlearn: UnlearnConfig,
+                     seed: int) -> tuple[ParameterSet, AuditRecord]:
     """Full protocol: local scoring, top-N upload, dominance, selection, edit.
 
     Clients attribute the forget class over their own forget-class examples
-    (capped at probe_cap); clients holding none upload an empty report.
+    (capped at probe_cap); clients holding none upload an empty report.  The
+    edit zeroes the selected units' incoming weights and biases.
     """
-    forget_class = request.forget_class
+    forget_class = unlearn.forget_class
     if not 0 <= forget_class < spec.class_count:
         raise CccuError(f"forget class {forget_class} out of range")
     reports = []
     for state in sorted(clients, key=lambda c: c.client_id):
-        probes = probe_examples(state, forget_class, config.probe_cap, config.seed)
+        probes = probe_examples(state, forget_class, unlearn.probe_cap, seed)
         if len(probes):
             scores = sensitivity_scores(spec, global_params, probes.images, forget_class,
-                                        config.riemann_steps)
-            reports.append(top_n_report(scores, state.client_id, config.top_n))
+                                        unlearn.riemann_steps)
+            reports.append(top_n_report(scores, state.client_id, unlearn.top_n))
         else:
             reports.append(SensitivityReport(state.client_id, {}))
-    requesters = set(request.client_ids)
+    requesters = set(unlearn.requesting_clients)
     merged: dict[UnitId, DominanceEntry] = {}
     for rid in sorted(requesters):
         report = next(r for r in reports if r.client_id == rid)
@@ -331,8 +286,6 @@ def fedcccu_pipeline(spec: ModelSpec, global_params: ParameterSet,
                 merged[entry.unit] = entry
     entries = sorted(merged.values(),
                      key=lambda e: (e.ratio, -e.s_forget, e.unit.layer, e.unit.unit))
-    selection = rank_select(entries, config.select_n)
-    edited = apply_unlearning(spec, global_params, selection.units)
-    audit = AuditRecord(forget_class, request.client_ids, reports, entries,
-                        selection, config)
-    return edited, audit
+    selection = rank_select(entries, unlearn.select_n)
+    edited = nncore.zero_units(spec, global_params, selection.units)
+    return edited, AuditRecord(unlearn, seed, reports, entries, selection)

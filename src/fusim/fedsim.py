@@ -1,14 +1,17 @@
 """Round-based federated training and the fair unlearning protocol.
 
-Every round, all clients run local mini-batch SGD from the current global
-parameters and the server takes the sample-count-weighted mean of their
-submissions.  Training stops at the first round whose validation error drops
-below the configured threshold; that round index is the convergence round.
+One round loop serves both.  Each round the training clients run local
+mini-batch SGD from the current global parameters into their cached
+submission, and the server takes the sample-count-weighted mean of every
+client's cache.  The loop stops at the first round whose validation error
+drops below [training] epsilon; in run_training that round is the
+convergence round.
 
-During fair unlearning rounds only the requesting clients retrain; every
-other client is represented by its cached last-known parameters (initialized
-to the converged global model), so non-requesting clients perform zero
-gradient computations.
+run_training makes every client a trainer.  fair_unlearn_rounds makes only
+the requesting clients trainers; every other client is represented by its
+cache, set to the converged global model, so non-requesting clients perform
+zero gradient computations.  Both read their parameters from the config
+sections (TrainingConfig, UnlearnConfig) and the experiment seed.
 
 Determinism: batch composition is drawn from a generator seeded by
 (seed, client_id, round); indices inside a batch are sorted so the gradient
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
+from .config import TrainingConfig, UnlearnConfig
 from .datasets import DomainDataset
 from .nncore import ModelSpec, ParameterSet, make_rng
 from .partition import PartitionPlan, materialize
@@ -32,30 +36,6 @@ from .partition import PartitionPlan, materialize
 
 class FedError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FedConfig:
-    rounds_max: int
-    local_epochs: int = 1
-    batch_size: int = 32
-    learning_rate: float = 0.1
-    epsilon: float = 0.1
-    seed: int = 0
-    unlearn_rounds_max: int = 20
-    checkpoint_every: int = 0  # 0 disables periodic checkpoints
-
-    def __post_init__(self):
-        if self.rounds_max < 0:
-            raise FedError("rounds_max must be >= 0")
-        if self.checkpoint_every < 0:
-            raise FedError("checkpoint_every must be >= 0")
-        if not 0.0 < self.epsilon < 1.0:
-            raise FedError("epsilon must be in (0, 1)")
-        if self.local_epochs < 0 or self.batch_size < 1:
-            raise FedError("bad local_epochs or batch_size")
-        if self.learning_rate <= 0 or not np.isfinite(self.learning_rate):
-            raise FedError("learning_rate must be positive and finite")
 
 
 class ClientState:
@@ -86,17 +66,6 @@ class RoundLog:
     participants: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UnlearnRequest:
-    client_ids: tuple[int, ...]
-    forget_class: int = 0
-
-    def __post_init__(self):
-        if not self.client_ids:
-            raise FedError("unlearn request must name at least one client")
-        object.__setattr__(self, "client_ids", tuple(sorted(set(self.client_ids))))
-
-
 @dataclass
 class TrainingResult:
     params: ParameterSet
@@ -110,33 +79,33 @@ def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> lis
 
 
 def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec,
-                config: FedConfig, round_index: int = 0):
+                training: TrainingConfig, seed: int, round_index: int = 0):
     """Local mini-batch SGD pass; returns (new params, mean batch loss).
 
     global_params is copied into a fresh flat model (nncore.FlatParams) that
     each step, one batch_loss_and_gradient and one sgd_step call, updates in
     place through state.grad, a flat gradient buffer reused every round.  The
     model is fresh per call: its views, returned, are the client's submission,
-    which callers keep (client.cache, the updates).  global_params is unchanged.
+    which the round loop keeps in client.cache.  global_params is unchanged.
     """
     model = nncore.flat_params(global_params)
     if state.grad is None or state.grad.layout != model.layout:
         state.grad = nncore.flat_params(global_params)
     losses = []
-    rng = make_rng((config.seed, state.client_id, round_index), 501)
+    rng = make_rng((seed, state.client_id, round_index), 501)
     x, y = state.shard.images, state.shard.labels
     n = len(y)
-    for _ in range(config.local_epochs):
+    for _ in range(training.local_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch_idx = np.sort(order[start:start + config.batch_size])
+        for start in range(0, n, training.batch_size):
+            batch_idx = np.sort(order[start:start + training.batch_size])
             try:
                 loss, _ = nncore.batch_loss_and_gradient(
                     spec, model.views, x[batch_idx], y[batch_idx], out=state.grad)
             except nncore.NNError as exc:
                 raise FedError(
                     f"client {state.client_id}, round {round_index}: {exc}") from exc
-            nncore.sgd_step(model, state.grad, config.learning_rate)
+            nncore.sgd_step(model, state.grad, training.learning_rate)
             state.local_step_counter += 1
             losses.append(loss)
     mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -182,72 +151,72 @@ def _validation_error(spec: ModelSpec, params: ParameterSet,
     return float(1.0 - (preds == val_y).mean())
 
 
+def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientState],
+            params: ParameterSet, rounds: range, val_x: np.ndarray, val_y: np.ndarray,
+            training: TrainingConfig, seed: int,
+            checkpoint_dir: str | None = None) -> tuple[ParameterSet, list[RoundLog]]:
+    """The one FedAvg round loop over the clients in client-id order.
+
+    Each round the trainers run local_train into client.cache, every cache is
+    aggregated in client-id order, the round is validated and logged, a
+    checkpoint is written if one is due, and the loop stops at epsilon.
+    """
+    logs: list[RoundLog] = []
+    for t in rounds:
+        losses = {}
+        for client in trainers:
+            client.cache, losses[client.client_id] = local_train(
+                client, params, spec, training, seed, round_index=t)
+        params = aggregate([(c.cache, c.sample_count) for c in ordered])
+        err = _validation_error(spec, params, val_x, val_y)
+        logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in trainers)))
+        if checkpoint_dir and training.checkpoint_every and t % training.checkpoint_every == 0:
+            nncore.save_checkpoint(os.path.join(checkpoint_dir, f"round_{t}.fusim"),
+                                   params)
+        if err < training.epsilon:
+            break
+    return params, logs
+
+
 def run_training(spec: ModelSpec, clients: list[ClientState], val_x: np.ndarray,
-                 val_y: np.ndarray, config: FedConfig,
-                 initial_params: ParameterSet | None = None,
+                 val_y: np.ndarray, training: TrainingConfig, seed: int,
                  checkpoint_dir: str | None = None) -> TrainingResult:
-    """FedAvg rounds until the validation error beats epsilon or the budget ends.
+    """FedAvg rounds from a seeded initial model, every client training, until
+    the validation error beats epsilon or rounds_max ends.
 
     With checkpoint_every > 0 and a checkpoint_dir, the aggregated model is
     written as round_<t>.fusim every checkpoint_every rounds.
     """
-    params = initial_params if initial_params is not None \
-        else nncore.init_params(spec, (config.seed, 601))
-    logs: list[RoundLog] = []
-    convergence_round = None
     ordered = sorted(clients, key=lambda c: c.client_id)
-    for t in range(1, config.rounds_max + 1):
-        updates = []
-        losses = {}
-        for client in ordered:
-            new_params, loss = local_train(client, params, spec, config, round_index=t)
-            client.cache = new_params
-            updates.append((new_params, client.sample_count))
-            losses[client.client_id] = loss
-        params = aggregate(updates)
-        err = _validation_error(spec, params, val_x, val_y)
-        logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in ordered)))
-        if checkpoint_dir and config.checkpoint_every and t % config.checkpoint_every == 0:
-            nncore.save_checkpoint(os.path.join(checkpoint_dir, f"round_{t}.fusim"),
-                                   params)
-        if err < config.epsilon:
-            convergence_round = t
-            break
-    return TrainingResult(params, logs, convergence_round)
+    # The initial model is passed, not kept here, so the loop can free it
+    # after round 1.
+    params, logs = _rounds(spec, ordered, ordered, nncore.init_params(spec, (seed, 601)),
+                           range(1, training.rounds_max + 1), val_x, val_y, training,
+                           seed, checkpoint_dir)
+    converged = bool(logs) and logs[-1].val_error < training.epsilon
+    return TrainingResult(params, logs, logs[-1].round_index if converged else None)
 
 
 def fair_unlearn_rounds(global_params: ParameterSet, spec: ModelSpec,
-                        clients: list[ClientState], request: UnlearnRequest,
-                        val_x: np.ndarray, val_y: np.ndarray, config: FedConfig,
-                        start_round: int = 0) -> tuple[ParameterSet, list[RoundLog]]:
-    """Retraining rounds where only the requesting clients compute gradients.
+                        clients: list[ClientState], unlearn: UnlearnConfig,
+                        val_x: np.ndarray, val_y: np.ndarray, training: TrainingConfig,
+                        seed: int, start_round: int = 0) -> tuple[ParameterSet, list[RoundLog]]:
+    """Up to unlearn.rounds_max rounds where only the requesting clients train.
 
     Non-requesting clients contribute their cached parameters (the model they
-    already hold) at their original aggregation weights; their step counters
-    never move.
+    already hold, set to global_params here) at their original aggregation
+    weights; their step counters never move.
     """
-    ids = {c.client_id for c in clients}
-    missing = set(request.client_ids) - ids
+    missing = set(unlearn.requesting_clients) - {c.client_id for c in clients}
     if missing:
         raise FedError(f"unlearn request names unknown clients {sorted(missing)}")
     ordered = sorted(clients, key=lambda c: c.client_id)
     for client in ordered:
         client.cache = global_params
-    requesters = [c for c in ordered if c.client_id in request.client_ids]
-    params = global_params
-    logs: list[RoundLog] = []
-    for t in range(start_round + 1, start_round + config.unlearn_rounds_max + 1):
-        losses = {}
-        for client in requesters:
-            new_params, loss = local_train(client, params, spec, config, round_index=t)
-            client.cache = new_params
-            losses[client.client_id] = loss
-        params = aggregate([(c.cache, c.sample_count) for c in ordered])
-        err = _validation_error(spec, params, val_x, val_y)
-        logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in requesters)))
-        if err < config.epsilon:
-            break
-    return params, logs
+    requesters = [c for c in ordered if c.client_id in unlearn.requesting_clients]
+    return _rounds(spec, ordered, requesters, global_params,
+                   range(start_round + 1, start_round + unlearn.rounds_max + 1),
+                   val_x, val_y, training, seed)
 
 
 def round_logs_to_csv(logs: list[RoundLog], client_ids: list[int]) -> str:

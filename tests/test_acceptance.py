@@ -220,7 +220,7 @@ def test_criterion_3_protocol_suite():
         task = experiment.build_task(cfg)
         clients = task.build_clients()
         result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
-                                     experiment._fed_config(cfg))
+                                     cfg.training, cfg.seed)
         return task, clients, result
 
     task_a, clients_a, run_a = one_run()
@@ -229,13 +229,12 @@ def test_criterion_3_protocol_suite():
     assert params_equal(run_a.params, run_b.params)
 
     # fairness: zero gradient computations by non-requesting clients
-    request = fedsim.UnlearnRequest((0,), 0)
+    request = dataclasses.replace(cfg.unlearn, forget_class=0, requesting_clients=(0,))
     state0 = clients_a[0]
     state0.replace_shard(unlearn_routes.delete_retrain_prepare(state0.shard, 0))
     pre = {c.client_id: c.local_step_counter for c in clients_a}
     fedsim.fair_unlearn_rounds(run_a.params, task_a.spec, clients_a, request,
-                               task_a.val_x, task_a.val_y,
-                               experiment._fed_config(cfg),
+                               task_a.val_x, task_a.val_y, cfg.training, cfg.seed,
                                start_round=len(run_a.logs))
     nonreq_steps = sum(c.local_step_counter - pre[c.client_id]
                        for c in clients_a if c.client_id != 0)

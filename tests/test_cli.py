@@ -474,3 +474,39 @@ def test_partition_refuses_an_empty_split(tmp_path, caplog, key, what):
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
     assert f"evaluate.{key}: domain 'clean' gets no {what} examples" in caplog.text
     assert not os.path.exists(out)
+
+
+def test_run_refuses_non_finite_learning_rate(tmp_path, caplog):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(TINY.format(route="delete").replace(
+        "learning_rate = 0.4", "learning_rate = nan"))
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert "training.learning_rate: expected a finite number, got 'nan'" in caplog.text
+    assert not os.path.exists(out)
+
+
+def test_run_refuses_forget_class_outside_shared_labels(tmp_path, caplog):
+    """[data] class_count admits class 7, but the IDX labels run 0..4."""
+    from fusim import datasets
+    from helpers import save_idx
+    spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
+                                        class_count=5)
+    save_idx(datasets.synth_domain(spec, 0), tmp_path / "real-images.idx",
+             tmp_path / "real-labels.idx")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[domain.real]
+images = {tmp_path / "real-images.idx"}
+labels = {tmp_path / "real-labels.idx"}
+[partition]
+working_resolution = 8x8
+[unlearn]
+route = delete
+forget_class = 7
+""")
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert "unlearn.forget_class: 7 >= shared class count 5" in caplog.text
+    assert not os.path.exists(os.path.join(out, "checkpoint_trained.fusim"))
+    assert not os.path.exists(out)

@@ -101,3 +101,18 @@ def test_pair_config_parses():
 def test_select_n_defaults_to_half_top_n():
     cfg = validate_config("[unlearn]\ntop_n = 10\n")
     assert cfg.unlearn.select_n == 5
+
+
+FLOAT_KEYS = [("partition", "alpha"), ("training", "learning_rate"),
+              ("training", "epsilon"), ("unlearn", "top_m_fraction"),
+              ("evaluate", "val_fraction"), ("evaluate", "test_fraction")]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_non_finite_float_names_key_and_line(section, key, raw):
+    text = f"[experiment]\nseed = 1\n[{section}]\n{key} = {raw}\n"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert f"{section}.{key}: expected a finite number, got {raw!r}" in str(exc.value)
+    assert exc.value.line == 4

@@ -4,8 +4,10 @@ import pytest
 
 from fusim import datasets as ds
 from fusim import evalkit as ek
-from fusim import fedsim as fs
 from fusim import nncore as nn
+from fusim.config import UnlearnConfig
+
+CLIENT0_FORGETS_0 = UnlearnConfig(forget_class=0, requesting_clients=(0,))
 
 
 def constant_predictor(classes, winner, side=4):
@@ -95,7 +97,7 @@ def test_global_accuracy_is_pooled_counts():
 
 def test_metrics_identical_reports_zero():
     r = report_from_counts({0: {0: (3, 4), 1: (2, 2)}, 1: {0: (1, 5), 1: (4, 4)}})
-    m = ek.forgetting_metrics(r, r, fs.UnlearnRequest((0,), 0))
+    m = ek.forgetting_metrics(r, r, CLIENT0_FORGETS_0)
     assert m.forget_efficacy == 0.0
     assert m.collateral_retained == 0.0
     assert m.collateral_nonrequesting_forget == 0.0
@@ -105,7 +107,7 @@ def test_metrics_benchmark_table_arithmetic():
     # requester forget class: 94.33% -> 16.55% is a 77.78-point drop
     before = report_from_counts({0: {0: (9433, 10000), 1: (9000, 10000)}})
     after = report_from_counts({0: {0: (1655, 10000), 1: (9000, 10000)}})
-    m = ek.forgetting_metrics(before, after, fs.UnlearnRequest((0,), 0))
+    m = ek.forgetting_metrics(before, after, CLIENT0_FORGETS_0)
     assert m.forget_efficacy == pytest.approx(77.78)
     assert m.collateral_retained == pytest.approx(0.0)
 
@@ -119,7 +121,7 @@ def test_metrics_hand_computed_means():
         0: {0: (2, 10), 1: (7, 10), 2: (6, 10)},
         1: {0: (8, 10), 1: (7, 10), 2: (3, 10)},
     })
-    m = ek.forgetting_metrics(before, after, fs.UnlearnRequest((0,), 0))
+    m = ek.forgetting_metrics(before, after, CLIENT0_FORGETS_0)
     assert m.forget_efficacy == pytest.approx(80.0)
     # client 0 retained mean: (10 + 0)/2 = 5; client 1: (0 + 20)/2 = 10
     assert m.collateral_retained == pytest.approx(7.5)
@@ -129,9 +131,8 @@ def test_metrics_hand_computed_means():
 def test_metrics_antisymmetric():
     before = report_from_counts({0: {0: (10, 10), 1: (8, 10)}})
     after = report_from_counts({0: {0: (4, 10), 1: (6, 10)}})
-    req = fs.UnlearnRequest((0,), 0)
-    m1 = ek.forgetting_metrics(before, after, req)
-    m2 = ek.forgetting_metrics(after, before, req)
+    m1 = ek.forgetting_metrics(before, after, CLIENT0_FORGETS_0)
+    m2 = ek.forgetting_metrics(after, before, CLIENT0_FORGETS_0)
     assert m1.forget_efficacy == -m2.forget_efficacy
     assert m1.collateral_retained == -m2.collateral_retained
 
@@ -140,10 +141,10 @@ def test_metrics_coverage_mismatch_errors():
     a = report_from_counts({0: {0: (1, 2)}})
     b = report_from_counts({1: {0: (1, 2)}})
     with pytest.raises(ek.EvalError):
-        ek.forgetting_metrics(a, b, fs.UnlearnRequest((0,), 0))
+        ek.forgetting_metrics(a, b, CLIENT0_FORGETS_0)
     c = report_from_counts({0: {0: (1, 2), 1: (1, 2)}})
     with pytest.raises(ek.EvalError):
-        ek.forgetting_metrics(a, c, fs.UnlearnRequest((0,), 0))
+        ek.forgetting_metrics(a, c, CLIENT0_FORGETS_0)
 
 
 # ---------------------------------------------------------------------------

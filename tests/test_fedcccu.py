@@ -1,5 +1,6 @@
 """Attribution, dominance and pipeline tests."""
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fusim import datasets as ds
 from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
+from fusim.config import UnlearnConfig
 from helpers import params_equal
 
 
@@ -327,34 +329,20 @@ def test_rank_select_scale_invariant():
 
 
 # ---------------------------------------------------------------------------
-# apply_unlearning
+# the edit: nncore.zero_units on a trained model
 
 
-def test_apply_unlearning_empty_is_identity():
-    spec, params, _ = small_trained_setup()
-    out = fc.apply_unlearning(spec, params, [])
-    assert params_equal(out, params)
-
-
-def test_apply_unlearning_idempotent():
-    spec, params, _ = small_trained_setup()
-    units = [nn.UnitId(0, 2), nn.UnitId(0, 5)]
-    once = fc.apply_unlearning(spec, params, units)
-    twice = fc.apply_unlearning(spec, once, units)
-    assert params_equal(once, twice)
-
-
-def test_apply_unlearning_zeroes_activation_on_probes():
+def test_zero_units_zeroes_activation_on_probes():
     spec, params, shard = small_trained_setup()
     units = [nn.UnitId(0, 3)]
-    edited = fc.apply_unlearning(spec, params, units)
+    edited = nn.zero_units(spec, params, units)
     acts = nn.batch_unit_activations(spec, edited, shard.images[:10])[0]
     assert np.all(acts[:, 3] == 0.0)
 
 
 def test_edit_locality_bit_identical_elsewhere():
     spec, params, _ = small_trained_setup()
-    edited = fc.apply_unlearning(spec, params, [nn.UnitId(0, 1)])
+    edited = nn.zero_units(spec, params, [nn.UnitId(0, 1)])
     w = edited["layer0.weight"]
     keep = [k for k in range(w.shape[1]) if k != 1]
     assert np.array_equal(w[:, keep], params["layer0.weight"][:, keep])
@@ -369,9 +357,9 @@ def test_edit_locality_bit_identical_elsewhere():
 def test_pipeline_single_client_degenerates():
     spec, params, shard = small_trained_setup()
     state = fs.ClientState(0, shard)
-    request = fs.UnlearnRequest((0,), forget_class=0)
-    config = fc.CccuConfig(riemann_steps=6, top_n=5, select_n=3, probe_cap=8, seed=1)
-    edited, audit = fc.fedcccu_pipeline(spec, params, [state], request, config)
+    config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=6,
+                           top_n=5, select_n=3, probe_cap=8)
+    edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
     assert all(e.ratio == 0.0 for e in audit.entries)
     # selection is the requester's own positive-score units, best first
     positive = [r.unit for r in audit.reports[0].records_for(0) if r.score > 0]
@@ -382,9 +370,9 @@ def test_pipeline_single_client_degenerates():
 def test_pipeline_select_zero_keeps_model():
     spec, params, shard = small_trained_setup()
     state = fs.ClientState(0, shard)
-    request = fs.UnlearnRequest((0,), forget_class=0)
-    config = fc.CccuConfig(riemann_steps=6, top_n=5, select_n=0, probe_cap=8, seed=1)
-    edited, audit = fc.fedcccu_pipeline(spec, params, [state], request, config)
+    config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=6,
+                           top_n=5, select_n=0, probe_cap=8)
+    edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
     assert params_equal(edited, params)
     assert audit.selection.units == ()
     assert audit.reports
@@ -394,10 +382,9 @@ def test_pipeline_client_without_forget_data_uploads_empty_report():
     spec, params, shard = small_trained_setup()
     with_zero = fs.ClientState(0, shard)
     without_zero = fs.ClientState(1, ds.subset(shard, np.flatnonzero(shard.labels != 0)))
-    request = fs.UnlearnRequest((0,), forget_class=0)
-    config = fc.CccuConfig(riemann_steps=5, top_n=4, select_n=2, probe_cap=8, seed=0)
-    _, audit = fc.fedcccu_pipeline(spec, params, [with_zero, without_zero],
-                                   request, config)
+    config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=5,
+                           top_n=4, select_n=2, probe_cap=8)
+    _, audit = fc.fedcccu_pipeline(spec, params, [with_zero, without_zero], config, 0)
     empty = next(r for r in audit.reports if r.client_id == 1)
     assert empty.per_class == {}
 
@@ -405,25 +392,20 @@ def test_pipeline_client_without_forget_data_uploads_empty_report():
 def test_pipeline_audit_json_serializes():
     spec, params, shard = small_trained_setup()
     state = fs.ClientState(0, shard)
-    request = fs.UnlearnRequest((0,), forget_class=1)
-    config = fc.CccuConfig(riemann_steps=4, top_n=3, select_n=2, probe_cap=4, seed=2)
-    _, audit = fc.fedcccu_pipeline(spec, params, [state], request, config)
+    config = UnlearnConfig(forget_class=1, requesting_clients=(0,), riemann_steps=4,
+                           top_n=3, select_n=2, probe_cap=4)
+    _, audit = fc.fedcccu_pipeline(spec, params, [state], config, 2)
     text = audit.to_json()
     assert '"forget_class": 1' in text
     assert '"selected"' in text
-
-
-def test_sensitivity_report_json_roundtrip():
-    report = fc.SensitivityReport(3, {0: (rec(0, 4, 0.75), rec(1, 2, 0.5)),
-                                      2: (rec(0, 1, 0.25, cid=2),)})
-    text = fc.report_to_json(report)
-    back = fc.report_from_json(text)
-    assert back == report
-    assert fc.report_to_json(back) == text
+    doc = json.loads(text)
+    assert doc["requesting_clients"] == [0]
+    assert doc["config"] == {"riemann_steps": 4, "top_n": 3, "select_n": 2,
+                             "probe_cap": 4, "seed": 2}
 
 
 def test_privacy_boundary_server_ops_take_no_raw_data():
     banned = ("example", "shard", "probe", "input", "image", "dataset")
-    for op in (fc.compute_dominance, fc.rank_select, fc.apply_unlearning):
+    for op in (fc.compute_dominance, fc.rank_select, nn.zero_units):
         names = [p.lower() for p in inspect.signature(op).parameters]
         assert not any(b in name for b in banned for name in names), op.__name__

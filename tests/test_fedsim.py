@@ -6,7 +6,10 @@ from fusim import datasets as ds
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
+from fusim.config import TrainingConfig, UnlearnConfig
 from helpers import params_equal
+
+SEED = 3
 
 
 def tiny_spec(classes=4, side=8):
@@ -27,9 +30,13 @@ def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
 
 def cfg(**kw):
     base = dict(rounds_max=5, local_epochs=1, batch_size=16, learning_rate=0.5,
-                epsilon=0.05, seed=3)
+                epsilon=0.05)
     base.update(kw)
-    return fs.FedConfig(**base)
+    return TrainingConfig(**base)
+
+
+def unlearn(*client_ids, rounds_max=20):
+    return UnlearnConfig(requesting_clients=client_ids, rounds_max=rounds_max)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +46,7 @@ def cfg(**kw):
 def test_local_train_zero_epochs_identity():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 0)
-    out, loss = fs.local_train(states[0], params, spec, cfg(local_epochs=0), 1)
+    out, loss = fs.local_train(states[0], params, spec, cfg(local_epochs=0), SEED, 1)
     assert params_equal(out, params)
     assert states[0].local_step_counter == 0
     assert np.isnan(loss)
@@ -50,7 +57,7 @@ def test_local_train_single_example_is_one_sgd_step():
     single = fs.ClientState(0, ds.subset(states[0].shard, [0]))
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=1, batch_size=1, learning_rate=0.2)
-    out, _ = fs.local_train(single, params, spec, config, 1)
+    out, _ = fs.local_train(single, params, spec, config, SEED, 1)
     _, grads = nn.batch_loss_and_gradient(spec, params, single.shard.images,
                                           single.shard.labels)
     expected = nn.sgd_step(params, grads, 0.2)
@@ -62,7 +69,7 @@ def test_local_train_leaves_global_params_unchanged():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)
     snapshot = nn.params_copy(params)
-    out, _ = fs.local_train(states[0], params, spec, cfg(local_epochs=2), 1)
+    out, _ = fs.local_train(states[0], params, spec, cfg(local_epochs=2), SEED, 1)
     assert params_equal(params, snapshot)
     assert all(out[k] is not params[k] for k in params)
     assert not params_equal(out, params)
@@ -76,9 +83,9 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
     state = states[0]
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
-    out, loss = fs.local_train(state, params, spec, config, 4)
+    out, loss = fs.local_train(state, params, spec, config, SEED, 4)
     expected, losses = params, []
-    rng = nn.make_rng((config.seed, state.client_id, 4), 501)
+    rng = nn.make_rng((SEED, state.client_id, 4), 501)
     for _ in range(config.local_epochs):
         order = rng.permutation(state.sample_count)
         for start in range(0, state.sample_count, config.batch_size):
@@ -99,13 +106,13 @@ def test_local_train_reuses_the_client_gradient_buffer():
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
     state = states[0]
-    first, _ = fs.local_train(state, params, spec, config, 1)
+    first, _ = fs.local_train(state, params, spec, config, SEED, 1)
     grad = state.grad
-    second, loss = fs.local_train(state, first, spec, config, 2)
+    second, loss = fs.local_train(state, first, spec, config, SEED, 2)
     assert state.grad is grad
     assert all(second[k] is not first[k] for k in params)
     fresh = fs.ClientState(state.client_id, state.shard)
-    expected, expected_loss = fs.local_train(fresh, first, spec, config, 2)
+    expected, expected_loss = fs.local_train(fresh, first, spec, config, SEED, 2)
     assert fresh.grad is not grad
     assert params_equal(second, expected) and loss == expected_loss
 
@@ -117,7 +124,7 @@ def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
     snapshot = nn.params_copy(params)
     with pytest.raises(fs.FedError,
                        match=r"client 1, round 3: non-finite values in gradient of layer0\.weight"):
-        fs.local_train(states[1], params, spec, cfg(), 3)
+        fs.local_train(states[1], params, spec, cfg(), SEED, 3)
     for k in params:
         assert np.array_equal(params[k], snapshot[k], equal_nan=True)
 
@@ -128,7 +135,7 @@ def test_local_train_loss_decreases_on_separable_shard():
     config = cfg(learning_rate=0.2)
     losses = []
     for r in range(1, 6):
-        params, loss = fs.local_train(states[0], params, spec, config, r)
+        params, loss = fs.local_train(states[0], params, spec, config, SEED, r)
         losses.append(loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -200,21 +207,21 @@ def test_aggregate_errors():
 def test_run_training_zero_rounds():
     spec, states, vx, vy = make_federation()
     config = cfg(rounds_max=0)
-    result = fs.run_training(spec, states, vx, vy, config)
+    result = fs.run_training(spec, states, vx, vy, config, SEED)
     assert result.logs == []
     assert result.convergence_round is None
-    assert params_equal(result.params, nn.init_params(spec, (config.seed, 601)))
+    assert params_equal(result.params, nn.init_params(spec, (SEED, 601)))
 
 
 def test_run_training_single_client_equals_centralized_sgd():
     spec, states, vx, vy = make_federation(clients=1)
     config = cfg(rounds_max=3, epsilon=0.0001)
-    result = fs.run_training(spec, states, vx, vy, config)
+    result = fs.run_training(spec, states, vx, vy, config, SEED)
     # replay the same schedule by hand
-    params = nn.init_params(spec, (config.seed, 601))
+    params = nn.init_params(spec, (SEED, 601))
     replay = fs.ClientState(0, states[0].shard)
     for t in range(1, 4):
-        params, _ = fs.local_train(replay, params, spec, config, t)
+        params, _ = fs.local_train(replay, params, spec, config, SEED, t)
     assert params_equal(result.params, params)
 
 
@@ -225,15 +232,15 @@ def test_run_training_identical_shards_equal_centralized_full_batch():
     shard = states[0].shard
     config = cfg(rounds_max=3, batch_size=len(shard), epsilon=0.0001)
     clones = [fs.ClientState(i, shard) for i in range(3)]
-    multi = fs.run_training(spec, clones, vx, vy, config)
-    single = fs.run_training(spec, [fs.ClientState(0, shard)], vx, vy, config)
+    multi = fs.run_training(spec, clones, vx, vy, config, SEED)
+    single = fs.run_training(spec, [fs.ClientState(0, shard)], vx, vy, config, SEED)
     assert params_equal(multi.params, single.params)
 
 
 def test_run_training_records_convergence_and_stops():
     spec, states, vx, vy = make_federation(clients=3, per_class=40)
     config = cfg(rounds_max=40, epsilon=0.25, learning_rate=0.5)
-    result = fs.run_training(spec, states, vx, vy, config)
+    result = fs.run_training(spec, states, vx, vy, config, SEED)
     assert result.convergence_round is not None
     assert result.convergence_round == result.logs[-1].round_index
     assert result.logs[-1].val_error < 0.25
@@ -244,7 +251,7 @@ def test_run_training_records_convergence_and_stops():
 def test_run_training_bitwise_deterministic():
     def one_run():
         spec, states, vx, vy = make_federation(clients=3)
-        return fs.run_training(spec, states, vx, vy, cfg(rounds_max=4))
+        return fs.run_training(spec, states, vx, vy, cfg(rounds_max=4), SEED)
 
     a = one_run()
     b = one_run()
@@ -267,14 +274,14 @@ def test_round_log_csv_layout():
 
 def test_fair_rounds_all_clients_matches_run_training():
     spec, states, vx, vy = make_federation(clients=3)
-    config = cfg(rounds_max=3, unlearn_rounds_max=3, epsilon=0.001)
-    init = nn.init_params(spec, (config.seed, 601))
-    full = fs.run_training(spec, states, vx, vy, config)
+    config = cfg(rounds_max=3, epsilon=0.001)
+    init = nn.init_params(spec, (SEED, 601))
+    full = fs.run_training(spec, states, vx, vy, config, SEED)
 
     spec2, states2, _, _ = make_federation(clients=3)
-    request = fs.UnlearnRequest(tuple(c.client_id for c in states2))
+    request = unlearn(*(c.client_id for c in states2), rounds_max=3)
     edited, logs = fs.fair_unlearn_rounds(init, spec2, states2, request, vx, vy,
-                                          config, start_round=0)
+                                          config, SEED, start_round=0)
     assert params_equal(full.params, edited)
     assert [l.val_error for l in full.logs] == [l.val_error for l in logs]
 
@@ -282,21 +289,19 @@ def test_fair_rounds_all_clients_matches_run_training():
 def test_fair_rounds_zero_rounds_no_change():
     spec, states, vx, vy = make_federation()
     params = nn.init_params(spec, 4)
-    request = fs.UnlearnRequest((1,))
-    out, logs = fs.fair_unlearn_rounds(params, spec, states, request, vx, vy,
-                                       cfg(unlearn_rounds_max=0))
+    out, logs = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=0),
+                                       vx, vy, cfg(), SEED)
     assert params_equal(out, params)
     assert logs == []
 
 
 def test_fair_rounds_nonrequesting_counters_frozen():
     spec, states, vx, vy = make_federation(clients=4)
-    config = cfg(rounds_max=2, unlearn_rounds_max=3, epsilon=0.0001)
-    trained = fs.run_training(spec, states, vx, vy, config)
+    config = cfg(rounds_max=2, epsilon=0.0001)
+    trained = fs.run_training(spec, states, vx, vy, config, SEED)
     counters = {c.client_id: c.local_step_counter for c in states}
-    request = fs.UnlearnRequest((1,))
-    fs.fair_unlearn_rounds(trained.params, spec, states, request, vx, vy, config,
-                           start_round=len(trained.logs))
+    fs.fair_unlearn_rounds(trained.params, spec, states, unlearn(1, rounds_max=3), vx, vy,
+                           config, SEED, start_round=len(trained.logs))
     for c in states:
         if c.client_id == 1:
             assert c.local_step_counter > counters[1]
@@ -304,12 +309,25 @@ def test_fair_rounds_nonrequesting_counters_frozen():
             assert c.local_step_counter == counters[c.client_id]
 
 
+def test_fair_rounds_aggregate_the_models_nonrequesters_hold():
+    spec, states, vx, vy = make_federation(clients=3)
+    params = nn.init_params(spec, 1)
+    config = cfg(epsilon=0.0001)
+    out, _ = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=1), vx, vy,
+                                    config, SEED, start_round=4)
+    trained, _ = fs.local_train(fs.ClientState(1, states[1].shard), params, spec, config,
+                                SEED, 5)
+    expected = fs.aggregate([(params, states[0].sample_count),
+                             (trained, states[1].sample_count),
+                             (params, states[2].sample_count)])
+    assert params_equal(out, expected)
+
+
 def test_fair_rounds_participants_logged():
     spec, states, vx, vy = make_federation(clients=3)
-    config = cfg(unlearn_rounds_max=2, epsilon=0.0001)
     params = nn.init_params(spec, 1)
-    request = fs.UnlearnRequest((0, 2))
-    _, logs = fs.fair_unlearn_rounds(params, spec, states, request, vx, vy, config)
+    _, logs = fs.fair_unlearn_rounds(params, spec, states, unlearn(0, 2, rounds_max=2),
+                                     vx, vy, cfg(epsilon=0.0001), SEED)
     assert all(l.participants == (0, 2) for l in logs)
     assert all(set(l.client_losses) == {0, 2} for l in logs)
 
@@ -317,7 +335,7 @@ def test_fair_rounds_participants_logged():
 def test_run_training_periodic_checkpoints(tmp_path):
     spec, states, vx, vy = make_federation(clients=2)
     config = cfg(rounds_max=5, epsilon=0.0001, checkpoint_every=2)
-    result = fs.run_training(spec, states, vx, vy, config,
+    result = fs.run_training(spec, states, vx, vy, config, SEED,
                              checkpoint_dir=str(tmp_path))
     import os
     files = sorted(os.listdir(tmp_path))
@@ -327,9 +345,7 @@ def test_run_training_periodic_checkpoints(tmp_path):
 
 
 def test_unlearn_request_validation():
-    with pytest.raises(fs.FedError):
-        fs.UnlearnRequest(())
     spec, states, vx, vy = make_federation()
-    with pytest.raises(fs.FedError):
-        fs.fair_unlearn_rounds(nn.init_params(spec, 0), spec, states,
-                               fs.UnlearnRequest((9,)), vx, vy, cfg())
+    with pytest.raises(fs.FedError, match=r"unknown clients \[9\]"):
+        fs.fair_unlearn_rounds(nn.init_params(spec, 0), spec, states, unlearn(9),
+                               vx, vy, cfg(), SEED)

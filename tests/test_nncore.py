@@ -822,6 +822,12 @@ def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, a
 # zero_units edit primitive
 
 
+def test_zero_units_empty_is_identity():
+    spec = nn.small_mlp((1, 4, 4), 4, hidden=6)
+    params = nn.init_params(spec, 2)
+    assert params_equal(nn.zero_units(spec, params, []), params)
+
+
 def test_zero_units_locality_and_idempotence():
     spec = nn.small_mlp((1, 4, 4), 4, hidden=6)
     params = nn.init_params(spec, 2)
