@@ -24,6 +24,9 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 TRANSFORM_KINDS = ("identity", "invert", "gaussian_noise", "downsample", "background_clutter")
+# the kinds that take one argument: the Transform field it sets and its type
+TRANSFORM_ARGS = {"gaussian_noise": ("sigma", float), "downsample": ("factor", int),
+                  "background_clutter": ("level", float)}
 
 
 class DatasetError(ValueError):
@@ -92,8 +95,8 @@ class Transform:
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
             raise DatasetError(f"unknown transform {self.kind!r}")
-        if self.kind == "gaussian_noise" and self.sigma < 0:
-            raise DatasetError("gaussian_noise sigma must be >= 0")
+        if self.kind == "gaussian_noise" and not 0.0 <= self.sigma < math.inf:
+            raise DatasetError("gaussian_noise sigma must be finite and >= 0")
         if self.kind == "downsample" and self.factor not in (2, 4):
             raise DatasetError("downsample factor must be 2 or 4")
         if self.kind == "background_clutter" and not 0.0 <= self.level <= 1.0:
@@ -101,26 +104,30 @@ class Transform:
 
 
 def parse_transforms(text: str) -> tuple[Transform, ...]:
-    """Parse a transform chain such as 'invert+gaussian_noise(0.1)'."""
+    """Parse a transform chain such as 'invert+gaussian_noise(0.1)'; a '+'
+    inside parentheses belongs to the argument ('gaussian_noise(1e+2)')."""
     out = []
-    for part in text.strip().split("+"):
+    for part in re.split(r"\+(?![^()]*\))", text.strip()):
         part = part.strip()
         m = re.fullmatch(r"([a-z_0-9]+)(?:\(([^)]*)\))?", part)
         if not m:
             raise DatasetError(f"cannot parse transform {part!r}")
         name, arg = m.group(1), m.group(2)
-        if name == "identity":
-            out.append(Transform("identity"))
-        elif name == "invert":
-            out.append(Transform("invert"))
-        elif name == "gaussian_noise":
-            out.append(Transform("gaussian_noise", sigma=float(arg)))
-        elif name == "downsample":
-            out.append(Transform("downsample", factor=int(arg)))
-        elif name == "background_clutter":
-            out.append(Transform("background_clutter", level=float(arg)))
-        else:
+        if name not in TRANSFORM_KINDS:
             raise DatasetError(f"unknown transform {name!r}")
+        if name not in TRANSFORM_ARGS:
+            if arg is not None:
+                raise DatasetError(f"transform {name}: expected no argument, got {part!r}")
+            out.append(Transform(name))
+            continue
+        key, kind = TRANSFORM_ARGS[name]
+        try:
+            value = kind(arg)
+        except (TypeError, ValueError):
+            what = "an integer" if kind is int else "a finite number"
+            raise DatasetError(f"transform {name}: expected {what} argument, "
+                               f"got {part!r}") from None
+        out.append(Transform(name, **{key: value}))
     return tuple(out)
 
 
@@ -233,26 +240,78 @@ def _apply_transforms(images: np.ndarray, transforms: tuple[Transform, ...],
     return images
 
 
-def synth_domain(spec: SyntheticDomainSpec, seed: int,
-                 domain_id: str | None = None) -> DomainDataset:
+class BaseStream:
+    """The base sample stream that synthetic domains over one
+    (base_pattern_seed, seed, resolution, class_count) share, drawn once.
+
+    It holds the class patterns rolled by each of the nine shifts and, for
+    samples 0..count-1, each sample's shift and then its noise, drawn in that
+    order.  Sample i's draws depend on neither its class nor the domain's
+    transforms, so a domain of n <= count samples uses the first n.  The
+    stream serves `uses` domains; the last one forms its images inside the
+    noise array, which the stream then lets go.
+    """
+
+    def __init__(self, base_pattern_seed: int, seed: int, resolution: tuple[int, int],
+                 class_count: int, count: int, uses: int = 1):
+        self.key = (base_pattern_seed, seed, tuple(resolution), class_count)
+        patterns = _class_patterns(base_pattern_seed, class_count, resolution)
+        # rolled[c, 3 * dy + dx + 4] is class c's pattern rolled by (dy, dx)
+        self.rolled = np.stack([[np.roll(p, (dy, dx), axis=(0, 1))
+                                 for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+                                for p in patterns])
+        rng = make_rng((base_pattern_seed, seed), 311)
+        integers, standard_normal = rng.integers, rng.standard_normal
+        shifts = np.empty((count, 2), dtype=np.int64)
+        noise = np.empty((count, *resolution))
+        for i in range(count):
+            shifts[i] = integers(-1, 2, size=2)
+            standard_normal(out=noise[i])
+        # 0.08 * z has the bits of normal(0.0, 0.08)'s 0.0 + 0.08 * z up to
+        # the sign of a zero, which adding a pattern (>= 0.15) erases
+        noise *= 0.08
+        self.roll_index = 3 * shifts[:, 0] + shifts[:, 1] + 4
+        self.noise: np.ndarray | None = noise
+        self.uses = uses
+
+    def base_images(self, samples_per_class: int) -> np.ndarray:
+        """Clipped (n, h, w) images of samples 0..n-1, labelled class by
+        class with samples_per_class each: pattern rolled by the sample's
+        shift, plus its noise.  The last use writes them into the noise array."""
+        class_count = len(self.rolled)
+        n = class_count * samples_per_class
+        if self.noise is None or n > len(self.noise):
+            raise DatasetError(f"base stream {self.key} cannot serve {n} more samples")
+        noise = self.noise[:n]
+        self.uses -= 1
+        if self.uses == 0:
+            images, self.noise = noise, None
+        else:
+            images = np.empty_like(noise)
+        for c in range(class_count):
+            rows = slice(c * samples_per_class, (c + 1) * samples_per_class)
+            np.add(noise[rows], self.rolled[c][self.roll_index[rows]], out=images[rows])
+        np.clip(images, 0.0, 1.0, out=images)
+        return images
+
+
+def synth_domain(spec: SyntheticDomainSpec, seed: int, domain_id: str | None = None,
+                 stream: BaseStream | None = None) -> DomainDataset:
     """Deterministic synthetic domain: equal class counts, shared label space.
 
-    The base sample stream depends only on (spec geometry, seed), never on the
-    transform chain, so two specs that differ only in transforms produce
-    pixel-aligned sample pairs.  Each sample draws its shift, then its noise.
+    The base sample stream depends only on (spec geometry, seed): sample i
+    gets the same shift and noise whatever the transform chain or the class
+    size, so two specs that differ only in transforms produce pixel-aligned
+    sample pairs.  The stream is `stream` when given (its key must match the
+    spec and seed), else one drawn for this domain alone.
     """
-    h, w = spec.resolution
-    patterns = _class_patterns(spec.base_pattern_seed, spec.class_count, spec.resolution)
-    # shifted[c, dy + 1, dx + 1] is class c's pattern rolled by (dy, dx)
-    shifted = np.stack([[[np.roll(p, (dy, dx), axis=(0, 1)) for dx in (-1, 0, 1)]
-                         for dy in (-1, 0, 1)] for p in patterns])
-    rng_base = make_rng((spec.base_pattern_seed, seed), 311)
     labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), spec.samples_per_class)
-    images = np.empty((len(labels), h, w))
-    for i, c in enumerate(labels):
-        dy, dx = rng_base.integers(-1, 2, size=2)
-        np.add(shifted[c, dy + 1, dx + 1], rng_base.normal(0.0, 0.08, (h, w)), out=images[i])
-    np.clip(images, 0.0, 1.0, out=images)
+    key = (spec.base_pattern_seed, seed, tuple(spec.resolution), spec.class_count)
+    if stream is None:
+        stream = BaseStream(*key, count=len(labels))
+    elif stream.key != key:
+        raise DatasetError(f"base stream {stream.key} does not fit domain {key}")
+    images = stream.base_images(spec.samples_per_class)
     rng_tf = make_rng((spec.base_pattern_seed, seed), 313)
     images = _apply_transforms(images, spec.transforms, rng_tf)
     order = make_rng((spec.base_pattern_seed, seed), 317).permutation(len(labels))

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, ExperimentConfig
-from .datasets import (DomainDataset, DomainSplits, idx_class_count, load_idx, resize,
-                       stratified_split, subset, SyntheticDomainSpec, synth_domain)
+from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
+                       resize, stratified_split, subset, SyntheticDomainSpec, synth_domain)
 from .fedsim import ClientState
 from .nncore import ModelSpec, ParameterSet
 from .partition import PartitionPlan, build_plan, label_intersection
@@ -150,19 +150,32 @@ def build_spec(cfg: ExperimentConfig) -> ModelSpec:
 
 
 def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
-    domains = []
+    """Every configured domain, in config order.
+
+    The synthetic domains of one resolution share one base stream, drawn
+    once for the largest of them; they are built smallest first, so that
+    the largest, built last, forms its images inside the stream's draws.
+    """
+    domains: dict[str, DomainDataset] = {}
+    by_resolution: dict[tuple[int, int], list[tuple[str, SyntheticDomainSpec]]] = {}
     for dc in cfg.domains:
         if dc.kind == "idx":
-            domains.append(load_idx(dc.images_path, dc.labels_path, domain_id=dc.name))
+            domains[dc.name] = load_idx(dc.images_path, dc.labels_path, domain_id=dc.name)
         else:
-            spec = SyntheticDomainSpec(
+            by_resolution.setdefault(dc.resolution, []).append((dc.name, SyntheticDomainSpec(
                 base_pattern_seed=cfg.base_pattern_seed,
                 transforms=dc.transforms,
                 resolution=dc.resolution,
                 samples_per_class=dc.samples_per_class or cfg.samples_per_class,
-                class_count=cfg.class_count)
-            domains.append(synth_domain(spec, cfg.seed, domain_id=dc.name))
-    return domains
+                class_count=cfg.class_count)))
+    for resolution, group in by_resolution.items():
+        group.sort(key=lambda named: named[1].samples_per_class)
+        stream = BaseStream(cfg.base_pattern_seed, cfg.seed, resolution, cfg.class_count,
+                            count=cfg.class_count * group[-1][1].samples_per_class,
+                            uses=len(group))
+        for name, spec in group:
+            domains[name] = synth_domain(spec, cfg.seed, domain_id=name, stream=stream)
+    return [domains[dc.name] for dc in cfg.domains]
 
 
 def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,

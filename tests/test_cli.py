@@ -140,9 +140,11 @@ def test_cli_run_exit_codes(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "missing.ini")])
     assert rc == cli.EXIT_CONFIG
     bad = tmp_path / "bad.ini"
-    bad.write_text("[unlearn]\nroute = nonsense\n")
-    rc = cli.main(["run", "--config", str(bad)])
-    assert rc == cli.EXIT_CONFIG
+    for text in ("[unlearn]\nroute = nonsense\n",
+                 "[domain.x]\ntransform = gaussian_noise(abc)\n"):
+        bad.write_text(text)
+        rc = cli.main(["run", "--config", str(bad)])
+        assert rc == cli.EXIT_CONFIG
 
 
 def test_cli_single_stages(tmp_path):

@@ -80,6 +80,17 @@ def test_bad_transform_chain_reports_domain():
     assert "domain.x.transform" in str(exc.value)
 
 
+@pytest.mark.parametrize("chain", ["gaussian_noise(abc)", "gaussian_noise()", "gaussian_noise",
+                                   "downsample(x)", "gaussian_noise(nan)",
+                                   "gaussian_noise(inf)", "invert(3)", "identity(1)"])
+def test_bad_transform_argument_names_key_and_line(chain):
+    text = f"[domain.clean]\ntransform = identity\n[domain.x]\ntransform = {chain}\n"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert str(exc.value).startswith("line 4: domain.x.transform: ")
+    assert exc.value.line == 4
+
+
 def test_benchmark_config_parses_to_table_analogue():
     cfg = load_config("configs/digits3.ini")
     assert cfg.partition.strategy == "real_noniid"

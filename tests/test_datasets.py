@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from fusim import datasets as ds
 from fusim import nncore as nn
+from fusim.config import validate_config
+from fusim.experiment import build_raw_domains
 from helpers import save_idx, write_idx
 
 
@@ -244,6 +246,62 @@ def test_synth_bit_identical_to_per_sample_generator(chain):
     assert d.native_resolution == images.shape[2:]
 
 
+SHARED_STREAM_CONFIG = """
+[experiment]
+seed = 6
+[data]
+class_count = 4
+samples_per_class = 7
+base_pattern_seed = 13
+[domain.mid]
+transform = identity
+resolution = 12x10
+[domain.large]
+transform = invert+gaussian_noise(0.1)+downsample(2)+background_clutter(0.4)
+resolution = 12x10
+samples_per_class = 9
+[domain.other]
+transform = gaussian_noise(0.05)
+resolution = 8x8
+samples_per_class = 5
+[domain.small]
+transform = background_clutter(0.3)+downsample(2)+invert
+resolution = 12x10
+samples_per_class = 4
+[domain.mid_twin]
+transform = invert
+resolution = 12x10
+[partition]
+group_sizes = 1,1,1,1,1
+"""
+
+
+def test_build_raw_domains_shares_a_stream_bit_identically():
+    # four domains share the 12x10 stream at three class sizes, two of them
+    # the same size; one domain draws its own stream at 8x8
+    cfg = validate_config(SHARED_STREAM_CONFIG)
+    domains = build_raw_domains(cfg)
+    assert [d.domain_id for d in domains] == [dc.name for dc in cfg.domains]
+    for dc, d in zip(cfg.domains, domains):
+        spec = ds.SyntheticDomainSpec(13, dc.transforms, dc.resolution,
+                                      dc.samples_per_class or 7, 4)
+        images, labels = per_sample_synth(spec, 6)
+        assert np.array_equal(d.images, images), dc.name
+        assert np.array_equal(d.labels, labels), dc.name
+
+
+def test_base_stream_refuses_a_domain_it_cannot_serve():
+    stream = ds.BaseStream(13, 6, (12, 10), 4, count=4 * 5)
+    with pytest.raises(ds.DatasetError, match="does not fit"):
+        ds.synth_domain(make_spec(base_pattern_seed=13, resolution=(12, 10)), 7,
+                        stream=stream)
+    with pytest.raises(ds.DatasetError, match="cannot serve 24 more samples"):
+        stream.base_images(6)
+    stream.base_images(5)
+    with pytest.raises(ds.DatasetError, match="cannot serve 4 more samples"):
+        stream.base_images(1)
+
+
 def test_parse_transform_chain():
     chain = ds.parse_transforms("invert+gaussian_noise(0.15)")
     assert [t.kind for t in chain] == ["invert", "gaussian_noise"]
@@ -252,6 +310,45 @@ def test_parse_transform_chain():
         ds.parse_transforms("sharpen(2)")
     with pytest.raises(ds.DatasetError):
         ds.parse_transforms("downsample(3)")
+
+
+def transforms():
+    """Any valid Transform."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        st.sampled_from([ds.Transform("identity"), ds.Transform("invert")]),
+        st.floats(min_value=0.0, **finite).map(lambda v: ds.Transform("gaussian_noise", sigma=v)),
+        st.sampled_from([2, 4]).map(lambda v: ds.Transform("downsample", factor=v)),
+        st.floats(0.0, 1.0).map(lambda v: ds.Transform("background_clutter", level=v)))
+
+
+def render(tf: ds.Transform, arg=None) -> str:
+    """tf as chain text; arg, when given, replaces its argument's text."""
+    if tf.kind not in ds.TRANSFORM_ARGS:
+        return tf.kind
+    if arg is None:
+        arg = repr(getattr(tf, ds.TRANSFORM_ARGS[tf.kind][0]))
+    return f"{tf.kind}({arg})"
+
+
+@given(st.lists(transforms(), min_size=1, max_size=5))
+def test_transform_chain_round_trips_through_text(chain):
+    assert ds.parse_transforms("+".join(map(render, chain))) == tuple(chain)
+
+
+NOT_A_NUMBER = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "1e999", "0.1.2"]),
+                         st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1))
+
+
+@given(st.lists(transforms(), min_size=1, max_size=5).filter(
+           lambda chain: any(tf.kind in ds.TRANSFORM_ARGS for tf in chain)),
+       NOT_A_NUMBER, st.data())
+def test_transform_argument_that_is_not_a_finite_number_is_refused(chain, bad, data):
+    i = data.draw(st.sampled_from([i for i, tf in enumerate(chain)
+                                   if tf.kind in ds.TRANSFORM_ARGS]))
+    parts = [render(tf, bad if j == i else None) for j, tf in enumerate(chain)]
+    with pytest.raises(ds.DatasetError):
+        ds.parse_transforms("+".join(parts))
 
 
 # ---------------------------------------------------------------------------

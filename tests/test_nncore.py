@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fusim import nncore as nn
 from helpers import params_equal
@@ -923,6 +924,63 @@ def test_checkpoint_overlapping_offsets(tmp_path):
     path = tmp_path / "model.fusim"
     write_manifest(path, ["w 2 0", "b 2 8"], 32)
     assert "parameter b starts at byte 8, expected 16" in load_error(path)
+
+
+# float64 bit patterns hypothesis would rarely draw: -0.0, the smallest and
+# largest subnormals, +-inf, a quiet NaN with a payload, a signalling NaN and
+# a negative NaN
+SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000ABC,
+                0x7FF0000000000001, 0xFFF8000000000000]
+
+
+def float64_arrays():
+    """Arrays of 1 to 3 dims, sides 0 to 3, with any float64 bit pattern."""
+    bits = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS))
+    return hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3).flatmap(
+        lambda shape: hnp.arrays(np.uint64, shape, elements=bits)).map(
+        lambda a: a.view(np.float64))
+
+
+def checkpoints():
+    """Parameter sets as save_checkpoint takes them: whitespace-free names."""
+    return st.dictionaries(st.from_regex(r"[a-z][a-z0-9_.]{0,8}", fullmatch=True),
+                           float64_arrays(), max_size=3)
+
+
+@given(checkpoints())
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("ckpt") / "model.fusim"
+    nn.save_checkpoint(path, params)
+    loaded = nn.load_checkpoint(path)
+    assert list(loaded) == list(params)
+    assert all(same_bits(loaded[k], params[k]) for k in params)
+
+
+@given(checkpoints(), st.integers(0, 255), st.data())
+def test_damaged_checkpoint_raises_checkpoint_error_only(tmp_path_factory, params,
+                                                         extra, data):
+    path = tmp_path_factory.mktemp("ckpt") / "model.fusim"
+    nn.save_checkpoint(path, params)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(nn.CheckpointError):
+            nn.load_checkpoint(path)
+    path.write_bytes(raw + bytes([extra]))
+    with pytest.raises(nn.CheckpointError, match="1 trailing bytes"):
+        nn.load_checkpoint(path)
+    # a changed manifest byte either is refused or, like a renamed parameter,
+    # still lays the same data out back to back
+    pos = data.draw(st.integers(len(b"FUSIM1\n"), raw.index(b"end\n") + 3))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+    path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1:])
+    try:
+        loaded = nn.load_checkpoint(path)
+    except nn.CheckpointError:
+        return
+    assert b"".join(a.tobytes() for a in loaded.values()) == \
+        b"".join(a.tobytes() for a in params.values())
 
 
 # ---------------------------------------------------------------------------
