@@ -1,9 +1,13 @@
 """Round-based federated training and the fair unlearning protocol.
 
 One round loop serves both.  Each round the training clients run local
-mini-batch SGD from the current global parameters into their cached
-submission, and the server takes the sample-count-weighted mean of every
-client's cache.  The loop stops at the first round whose validation error
+mini-batch SGD from the current global parameters, in lockstep: their models
+and gradients are the rows of two (k, P) matrices made once per loop, and at
+each step one stacked engine call covers every run of trainers whose batches
+have one size (nncore's stack axis), with each trainer's bits those of its
+own unstacked steps.  Each trainer's row is its cached submission, and the
+server takes the sample-count-weighted mean of every client's cache, whole
+vectors at a time.  The loop stops at the first round whose validation error
 drops below [training] epsilon; in run_training that round is the
 convergence round.
 
@@ -39,12 +43,11 @@ class FedError(ValueError):
 
 
 class ClientState:
-    """Per-client shard, cached last submission, step counter, gradient buffer."""
+    """Per-client shard, cached last submission, step counter."""
 
     def __init__(self, client_id: int, shard: DomainDataset):
         self.client_id = client_id
-        self.cache: ParameterSet | None = None
-        self.grad: nncore.FlatParams | None = None
+        self.cache: nncore.FlatParams | None = None
         self.local_step_counter = 0
         self.replace_shard(shard)
 
@@ -78,71 +81,110 @@ def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> lis
     return [ClientState(i, s) for i, s in enumerate(shards)]
 
 
-def local_train(state: ClientState, global_params: ParameterSet, spec: ModelSpec,
-                training: TrainingConfig, seed: int, round_index: int = 0):
-    """Local mini-batch SGD pass; returns (new params, mean batch loss).
+def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: ModelSpec,
+                training: TrainingConfig, seed: int, round_index: int = 0,
+                models: nncore.FlatParams | None = None,
+                grads: nncore.FlatParams | None = None
+                ) -> list[tuple[nncore.FlatParams, float]]:
+    """One round of local mini-batch SGD for every trainer, in lockstep.
 
-    global_params is copied into a fresh flat model (nncore.FlatParams) that
-    each step, one batch_loss_and_gradient and one sgd_step call, updates in
-    place through state.grad, a flat gradient buffer reused every round.  The
-    model is fresh per call: its views, returned, are the client's submission,
-    which the round loop keeps in client.cache.  global_params is unchanged.
+    models and grads are stacked FlatParams with one row per trainer, made
+    here when not given; each row of models starts as global_params.  Step s
+    gathers every trainer's batch s into one buffer of rows, and each run of
+    adjacent rows with full batches (batch_size rows) takes one
+    batch_loss_and_gradient and one sgd_step call; a shorter batch steps
+    alone, as a run of one.  Rows are ordered by full-batch count, so in a
+    one-epoch round every full batch of a step is in one run.  Returns, in
+    trainers' order, each trainer's row of models (its submission, a view)
+    and its mean batch loss, both bit for bit those of its own unstacked
+    steps.  global_params is unchanged.
     """
-    model = nncore.flat_params(global_params)
-    if state.grad is None or state.grad.layout != model.layout:
-        state.grad = nncore.flat_params(global_params)
-    losses = []
-    rng = make_rng((seed, state.client_id, round_index), 501)
-    x, y = state.shard.images, state.shard.labels
-    n = len(y)
-    for _ in range(training.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, training.batch_size):
-            batch_idx = np.sort(order[start:start + training.batch_size])
+    k, size = len(trainers), training.batch_size
+    if models is None:
+        models, grads = (nncore.flat_params(global_params, stack=k) for _ in range(2))
+    else:
+        for name, view in models.views.items():
+            view[...] = global_params[name]
+    batches = []
+    for client in trainers:
+        if client.shard.images.shape[1:] != spec.input_shape:
+            raise FedError(f"client {client.client_id}: images of shape "
+                           f"{client.shard.images.shape[1:]}, the model takes "
+                           f"{spec.input_shape}")
+        rng = make_rng((seed, client.client_id, round_index), 501)
+        n = client.sample_count
+        orders = (rng.permutation(n) for _ in range(training.local_epochs))
+        batches.append([np.sort(order[i:i + size]) for order in orders
+                        for i in range(0, n, size)])
+    rank = sorted(range(k), key=lambda i: -sum(len(b) == size for b in batches[i]))
+    ranked = [trainers[i] for i in rank]
+    batches = [batches[i] for i in rank]
+    x = np.empty((k * size, *spec.input_shape))
+    y = np.empty(k * size, dtype=np.int64)
+    losses: list[list] = [[] for _ in range(k)]
+    stacks: dict[tuple[int, int], tuple] = {}  # rows a..b-1 of models and grads
+    for step in range(max(map(len, batches), default=0)):
+        runs: list[list[int]] = []  # [first row, end row, batch size]
+        for r, client in enumerate(ranked):
+            if step < len(batches[r]):
+                idx = batches[r][step]
+                x[r * size:r * size + len(idx)] = client.shard.images[idx]
+                y[r * size:r * size + len(idx)] = client.shard.labels[idx]
+                if len(idx) == size and runs and runs[-1][1:] == [r, size]:
+                    runs[-1][1] = r + 1
+                else:
+                    runs.append([r, r + 1, len(idx)])
+        for a, b, m in runs:
+            if (a, b) not in stacks:
+                stacks[a, b] = models[a:b], grads[a:b]
+            model, grad = stacks[a, b]
+            rows = slice(a * size, (b - 1) * size + m)
             try:
-                loss, _ = nncore.batch_loss_and_gradient(
-                    spec, model.views, x[batch_idx], y[batch_idx], out=state.grad)
+                loss, _ = nncore.batch_loss_and_gradient(spec, model.views, x[rows], y[rows],
+                                                         out=grad)
+                nncore.sgd_step(model, grad, training.learning_rate)
             except nncore.NNError as exc:
+                client = ranked[a + (exc.row or 0)]
                 raise FedError(
-                    f"client {state.client_id}, round {round_index}: {exc}") from exc
-            nncore.sgd_step(model, state.grad, training.learning_rate)
-            state.local_step_counter += 1
-            losses.append(loss)
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    if losses and not np.isfinite(mean_loss):
-        raise FedError(
-            f"client {state.client_id}, round {round_index}: non-finite loss")
-    return model.views, mean_loss
+                    f"client {client.client_id}, round {round_index}: {exc}") from exc
+            for r in range(a, b):
+                ranked[r].local_step_counter += 1
+                losses[r].append(loss[r - a])
+    out: list = [None] * k
+    for r, i in enumerate(rank):
+        mean_loss = float(np.mean(losses[r])) if losses[r] else float("nan")
+        if losses[r] and not np.isfinite(mean_loss):
+            raise FedError(
+                f"client {trainers[i].client_id}, round {round_index}: non-finite loss")
+        out[i] = (models[r], mean_loss)
+    return out
 
 
 def aggregate(updates) -> ParameterSet:
     """Weighted mean with weights n_k / sum(n_k), reduced in the given order.
 
-    Computed as first + sum(w_k * (theta_k - first)) so that identical inputs
-    aggregate to a bit-identical copy of themselves.
+    Each update's parameters are a ParameterSet or a FlatParams, such as a
+    row of the round's model matrix.  Computed element-wise over whole
+    vectors as first + sum((w_k / total) * (theta_k - first)), the per-array
+    formula's bits, so that identical inputs aggregate to a bit-identical
+    copy of themselves; the result's arrays are views of one fresh vector.
     """
-    updates = list(updates)
+    updates = [(p if isinstance(p, nncore.FlatParams) else nncore.flat_params(p), w)
+               for p, w in updates]
     if not updates:
         raise FedError("nothing to aggregate")
     total = float(sum(w for _, w in updates))
     if total <= 0:
         raise FedError("total aggregation weight must be positive")
     first = updates[0][0]
-    names = list(first)
-    out: ParameterSet = {}
-    for name in names:
-        ref = first[name]
-        acc = ref.copy()
-        for params, weight in updates:
-            arr = params.get(name)
-            if arr is None or arr.shape != ref.shape:
-                raise FedError(f"aggregate: parameter {name} missing or misshaped")
-            acc += (weight / total) * (arr - ref)
-        out[name] = acc
-    for params, _ in updates:
-        if list(params) != names:
-            raise FedError("aggregate: parameter names differ across updates")
-    return out
+    out = nncore.flat_params(first.views)
+    acc = out.vector
+    for i, (params, weight) in enumerate(updates):
+        if params.layout != first.layout:
+            raise FedError(f"aggregate: update {i} has other parameter names or shapes "
+                           f"than update 0")
+        acc += (weight / total) * (params.vector - first.vector)
+    return out.views
 
 
 def _validation_error(spec: ModelSpec, params: ParameterSet,
@@ -157,16 +199,19 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
             checkpoint_dir: str | None = None) -> tuple[ParameterSet, list[RoundLog]]:
     """The one FedAvg round loop over the clients in client-id order.
 
-    Each round the trainers run local_train into client.cache, every cache is
-    aggregated in client-id order, the round is validated and logged, a
-    checkpoint is written if one is due, and the loop stops at epsilon.
+    The trainers' model and gradient matrices are made once, here.  Each
+    round local_train fills the trainers' rows and sets them as their caches,
+    every cache is aggregated in client-id order, the round is validated and
+    logged, a checkpoint is written if one is due, and the loop stops at
+    epsilon.
     """
     logs: list[RoundLog] = []
+    models, grads = (nncore.flat_params(params, stack=len(trainers)) for _ in range(2))
     for t in rounds:
         losses = {}
-        for client in trainers:
-            client.cache, losses[client.client_id] = local_train(
-                client, params, spec, training, seed, round_index=t)
+        submissions = local_train(trainers, params, spec, training, seed, t, models, grads)
+        for client, (submission, loss) in zip(trainers, submissions):
+            client.cache, losses[client.client_id] = submission, loss
         params = aggregate([(c.cache, c.sample_count) for c in ordered])
         err = _validation_error(spec, params, val_x, val_y)
         logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in trainers)))
@@ -211,8 +256,9 @@ def fair_unlearn_rounds(global_params: ParameterSet, spec: ModelSpec,
     if missing:
         raise FedError(f"unlearn request names unknown clients {sorted(missing)}")
     ordered = sorted(clients, key=lambda c: c.client_id)
+    held = nncore.flat_params(global_params)
     for client in ordered:
-        client.cache = global_params
+        client.cache = held
     requesters = [c for c in ordered if c.client_id in unlearn.requesting_clients]
     return _rounds(spec, ordered, requesters, global_params,
                    range(start_round + 1, start_round + unlearn.rounds_max + 1),
@@ -225,9 +271,9 @@ def round_logs_to_csv(logs: list[RoundLog], client_ids: list[int]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["round", "val_error"] + [f"loss_c{cid}" for cid in client_ids])
     for log in logs:
-        row = [log.round_index, repr(log.val_error)]
+        row = [log.round_index, repr(float(log.val_error))]
         for cid in client_ids:
             loss = log.client_losses.get(cid)
-            row.append("" if loss is None else repr(loss))
+            row.append("" if loss is None else repr(float(loss)))
         writer.writerow(row)
     return buf.getvalue()

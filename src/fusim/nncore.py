@@ -16,13 +16,19 @@ batch_unit_gradients then adds one unit's rank-1 change to that output and
 runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
-Local training holds a model and its gradient as FlatParams, one contiguous
-vector each: a step checks the gradient vector for finiteness once in each of
-batch_loss_and_gradient and sgd_step, exactly: a NaN or inf makes np.vdot(v, v)
-non-finite, and only then (or on its silent overflow) are the elements scanned.
-The engine's element-wise layers write only into arrays their own call made,
-never into its input, the parameters, a cache read later or SiteRows.  The
-dict paths, out of place, are the reference.
+Local training holds models and gradients as FlatParams, one contiguous
+vector each, or one row each of a (k, P) matrix when k models train in
+lockstep.  The engine takes an optional leading stack axis: stacked
+parameters (views (k, *shape)) run k models at once, each on its own block of
+rows, through the same layers, whose products become one gemm per stack slice
+(np.matmul) and whose reductions run over the trailing axes, so every model's
+numbers are bit for bit those of its own unstacked call.  A step checks the
+gradient matrix for finiteness once in each of batch_loss_and_gradient and
+sgd_step, exactly: a NaN or inf makes np.vdot(v, v) non-finite, and only then
+(or on its silent overflow) are the elements scanned, to name the stack row
+and the parameter.  The engine's element-wise layers write only into arrays
+their own call made, never into its input, the parameters, a cache read later
+or SiteRows.  The dict paths, out of place, are the reference.
 """
 from __future__ import annotations
 
@@ -44,7 +50,12 @@ CHECKPOINT_MAGIC = b"FUSIM1"
 
 
 class NNError(ValueError):
-    """Base class for model construction and evaluation errors."""
+    """Base class for model construction and evaluation errors.  In a stacked
+    call, row is the stack row (the model) the error concerns, else None."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ShapeMismatchError(NNError):
@@ -310,29 +321,43 @@ def _layout(params: ParameterSet) -> tuple:
 class FlatParams:
     """A parameter set in one contiguous float64 vector: views tile vector
     back to back in their order, so one call over vector acts on all of them.
-    layout, the (name, shape) sequence, must match for two sets to combine."""
+    A stacked set holds k sets as the rows of a (k, P) vector, with views
+    (k, *shape) that tile every row alike; flat[i] is row i as an unstacked
+    set and flat[a:b] rows a..b-1 as a stacked one, both views.  layout, the
+    (name, shape) sequence, must match for two sets to combine."""
     vector: np.ndarray
     views: ParameterSet
 
     def __post_init__(self):
         v, offset = self.vector, 0
+        stack = v.shape[:-1]
         for name, view in self.views.items():
-            if not (view.dtype == np.float64 and view.flags.c_contiguous
+            row = view[(0,) * len(stack)] if view.size else view
+            if not (view.dtype == np.float64 and view.shape[:len(stack)] == stack
+                    and all(d == 1 or a == b
+                            for d, a, b in zip(stack, view.strides, v.strides))
+                    and row.flags.c_contiguous
                     and view.ctypes.data == v.ctypes.data + 8 * offset):
                 raise NNError(f"view {name} does not continue the vector at {offset}")
-            offset += view.size
-        if v.dtype != np.float64 or v.shape != (offset,) or not v.flags.c_contiguous:
+            offset += math.prod(view.shape[len(stack):])
+        if (v.dtype != np.float64 or v.ndim not in (1, 2) or v.shape[-1] != offset
+                or not v.flags.c_contiguous):
             raise NNError(f"views must tile a contiguous float64 vector of {offset}")
         object.__setattr__(self, "layout", _layout(self.views))
 
+    def __getitem__(self, rows) -> FlatParams:
+        return FlatParams(self.vector[rows], {n: v[rows] for n, v in self.views.items()})
 
-def flat_params(params: ParameterSet) -> FlatParams:
-    """A copy of params in one fresh vector, with its views in params' order."""
-    vector = np.empty(sum(arr.size for arr in params.values()))
+
+def flat_params(params: ParameterSet, stack: int | None = None) -> FlatParams:
+    """A copy of params in one fresh vector, with its views in params' order;
+    with stack=k, k copies in the rows of a fresh (k, P) vector."""
+    lead = () if stack is None else (stack,)
+    vector = np.empty(lead + (sum(arr.size for arr in params.values()),))
     views: ParameterSet = {}
     offset = 0
     for name, arr in params.items():
-        views[name] = vector[offset:offset + arr.size].reshape(arr.shape)
+        views[name] = vector[..., offset:offset + arr.size].reshape(lead + arr.shape)
         views[name][...] = arr
         offset += arr.size
     return FlatParams(vector, views)
@@ -378,11 +403,12 @@ def _as_batch(spec: ModelSpec, inputs: np.ndarray, start: int = 0) -> np.ndarray
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    b, c, h, w = x.shape
+    """(..., C, H, W) -> (..., oh, ow, C, k, k) patches, a strided view."""
+    *lead, c, h, w = x.shape
     oh, ow = h - k + 1, w - k + 1
     s = x.strides
     return np.lib.stride_tricks.as_strided(
-        x, (b, oh, ow, c, k, k), (s[0], s[2], s[3], s[1], s[2], s[3]))
+        x, (*lead, oh, ow, c, k, k), (*s[:-3], s[-2], s[-1], s[-3], s[-2], s[-1]))
 
 
 def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
@@ -390,9 +416,10 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
                     start: int = 0, stop: int | None = None):
     """Run layer positions start..stop-1 on a batch x that feeds layer start.
 
-    Returns (h, caches, sites): h is the output of layer stop-1, caches feed
-    _backward_engine, sites holds the post-activation output of every
-    parameterized layer whose activation site lies in the range.
+    x is (B, ...), or (k, B, ...) with parameters stacked on a leading axis
+    of k.  Returns (h, caches, sites): h is the output of layer stop-1,
+    caches feed _backward_engine, sites holds the post-activation output of
+    every parameterized layer whose activation site lies in the range.
     """
     stop = len(spec.layers) if stop is None else stop
     caches: list | None = [] if keep_caches else None
@@ -408,28 +435,33 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
             if keep_caches:
                 caches.append(("dense", h, ordinal_counter))
             h = h @ w
-            h += b
+            h += b[..., None, :]
             ordinal_counter += 1
         elif kind == "conv2d":
             w = params[f"layer{ordinal_counter}.weight"]
             b = params[f"layer{ordinal_counter}.bias"]
+            stack, out_c = w.shape[:-4], w.shape[-4]
             patches = _im2col(h, layer.kernel_size)
+            lead = patches.shape[:-3]  # (*stack, B, oh, ow)
+            cols = patches.reshape(*stack, -1, math.prod(patches.shape[-3:]))
             if keep_caches:
-                caches.append(("conv2d", patches, h.shape, ordinal_counter))
-            out = np.tensordot(patches, w, axes=([3, 4, 5], [1, 2, 3]))
-            h = np.add(out.transpose(0, 3, 1, 2), b[None, :, None, None], order="C")
+                caches.append(("conv2d", cols, ordinal_counter))
+            out = np.matmul(cols, w.reshape(*stack, out_c, -1).swapaxes(-1, -2))
+            h = np.add(np.moveaxis(out.reshape(*lead, out_c), -1, -3),
+                       b[..., None, :, None, None], order="C")
             ordinal_counter += 1
         elif kind == "relu":
             if keep_caches:
                 caches.append(("relu", h > 0))
-            h = np.fmax(h, 0.0)
+            # a dense or conv output is this call's own array, referenced nowhere else
+            fresh = pos > start and spec.layers[pos - 1].kind in PARAM_KINDS
+            h = np.fmax(h, 0.0, out=h if fresh else None)
         elif kind == "maxpool2d":
             p = layer.pool_size
-            b_, c_, hh, ww = h.shape
+            *lead, c_, hh, ww = h.shape
             h2, w2 = hh // p, ww // p
-            hc = h[:, :, :h2 * p, :w2 * p]
-            windows = hc.reshape(b_, c_, h2, p, w2, p).transpose(0, 1, 2, 4, 3, 5)
-            windows = windows.reshape(b_, c_, h2, w2, p * p)
+            windows = h[..., :h2 * p, :w2 * p].reshape(*lead, c_, h2, p, w2, p)
+            windows = windows.swapaxes(-3, -2).reshape(*lead, c_, h2, w2, p * p)
             idx = windows.argmax(axis=-1)
             if keep_caches:
                 caches.append(("maxpool2d", idx, h.shape, p))
@@ -437,11 +469,11 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
         elif kind == "flatten":
             if keep_caches:
                 caches.append(("flatten", h.shape))
-            h = h.reshape(h.shape[0], -1)
+            h = h.reshape(*h.shape[:h.ndim - len(spec._shapes[pos])], -1)
         elif kind == "softmax":
-            h = h - h.max(axis=1, keepdims=True)
+            h = h - h.max(axis=-1, keepdims=True)
             np.exp(h, out=h)
-            h /= h.sum(axis=1, keepdims=True)
+            h /= h.sum(axis=-1, keepdims=True)
             if keep_caches:
                 caches.append(("softmax", h))
         else:
@@ -456,12 +488,13 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
                      out: ParameterSet | None = None):
     """Backpropagate a gradient at the probabilities down to layer start.
 
-    caches come from a _forward_engine run over start..end.  With wrt_params,
-    returns the parameter gradients (start must be 0) and stops at the first
-    parameterized layer, whose input gradient nothing uses; with out (arrays
-    shaped like params) every gradient ends up in out's arrays, and dense
-    ones are computed there directly.  Otherwise returns the gradient at the
-    input of layer start and builds no parameter gradients.
+    caches come from a _forward_engine run over start..end, stacked or not.
+    With wrt_params, returns the parameter gradients (start must be 0) and
+    stops at the first parameterized layer, whose input gradient nothing
+    uses; with out (arrays shaped like params) every gradient ends up in
+    out's arrays, and dense ones are computed there directly.  Otherwise
+    returns the gradient at the input of layer start and builds no parameter
+    gradients.
     """
     grads: ParameterSet = {}
     buffers = out or {}
@@ -473,46 +506,45 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             _, x_in, ordinal = cache
             if wrt_params:
                 w_name, b_name = f"layer{ordinal}.weight", f"layer{ordinal}.bias"
-                grads[w_name] = np.matmul(x_in.T, g, out=buffers.get(w_name))
-                grads[b_name] = np.add.reduce(g, axis=0, out=buffers.get(b_name))
+                grads[w_name] = np.matmul(x_in.swapaxes(-1, -2), g, out=buffers.get(w_name))
+                grads[b_name] = np.add.reduce(g, axis=-2, out=buffers.get(b_name))
                 if ordinal == 0:
                     break
-            g = g @ params[f"layer{ordinal}.weight"].T
+            g = g @ params[f"layer{ordinal}.weight"].swapaxes(-1, -2)
         elif kind == "conv2d":
-            _, patches, in_shape, ordinal = cache
+            _, cols, ordinal = cache
             w = params[f"layer{ordinal}.weight"]
+            stack, (out_c, c, k) = w.shape[:-4], w.shape[-4:-1]
             if wrt_params:
-                gs = g.transpose(0, 2, 3, 1)  # (B, oh, ow, out)
-                grads[f"layer{ordinal}.weight"] = np.tensordot(
-                    gs, patches, axes=([0, 1, 2], [0, 1, 2]))
-                grads[f"layer{ordinal}.bias"] = gs.sum(axis=(0, 1, 2))
+                gt = g.swapaxes(-4, -3).reshape(*stack, out_c, -1)  # (*stack, out, B*oh*ow)
+                grads[f"layer{ordinal}.weight"] = np.matmul(gt, cols).reshape(w.shape)
+                grads[f"layer{ordinal}.bias"] = np.moveaxis(g, -3, -1).sum(axis=(-4, -3, -2))
                 if ordinal == 0:
                     break
-            k = w.shape[-1]
             pad = k - 1
-            gpad = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            gpatches = _im2col(gpad, k)  # (B, H, W, out, k, k)
-            wflip = w[:, :, ::-1, ::-1]
-            dx = np.tensordot(gpatches, wflip, axes=([3, 4, 5], [0, 2, 3]))
-            g = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+            gpad = np.pad(g, [(0, 0)] * (g.ndim - 2) + [(pad, pad)] * 2)
+            gpatches = _im2col(gpad, k)  # (*stack, B, H, W, out, k, k)
+            wflip = np.moveaxis(w[..., ::-1, ::-1], -3, -1)  # (*stack, out, k, k, c)
+            dx = np.matmul(gpatches.reshape(*stack, -1, out_c * k * k),
+                           wflip.reshape(*stack, out_c * k * k, c))
+            g = np.ascontiguousarray(np.moveaxis(dx.reshape(*gpatches.shape[:-3], c), -1, -3))
         elif kind == "relu":
             g *= cache[1]
         elif kind == "maxpool2d":
             _, idx, in_shape, p = cache
-            b_, c_, hh, ww = in_shape
-            h2, w2 = idx.shape[2], idx.shape[3]
-            dwin = np.zeros((b_, c_, h2, w2, p * p))
+            *lead, c_, hh, ww = in_shape
+            h2, w2 = idx.shape[-2:]
+            dwin = np.zeros((*lead, c_, h2, w2, p * p))
             np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dwin = dwin.reshape(b_, c_, h2, w2, p, p).transpose(0, 1, 2, 4, 3, 5)
-            dcrop = dwin.reshape(b_, c_, h2 * p, w2 * p)
+            dwin = dwin.reshape(*lead, c_, h2, w2, p, p).swapaxes(-3, -2)
             dx = np.zeros(in_shape)
-            dx[:, :, :h2 * p, :w2 * p] = dcrop
+            dx[..., :h2 * p, :w2 * p] = dwin.reshape(*lead, c_, h2 * p, w2 * p)
             g = dx
         elif kind == "flatten":
             g = g.reshape(cache[1])
         elif kind == "softmax":
             probs = cache[1]
-            dot = (g * probs).sum(axis=1, keepdims=True)
+            dot = (g * probs).sum(axis=-1, keepdims=True)
             g = g - dot
             g *= probs
         else:
@@ -688,63 +720,103 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
     return ga.sum(axis=1)
 
 
+def _stack_of(params: ParameterSet) -> tuple[int, ...]:
+    """() for one model's parameters, (k,) for k models stacked on a leading
+    axis: weights have 2 (dense) or 4 (conv) axes, so an odd count is a stack."""
+    w = params.get("layer0.weight")
+    return () if w is None else w.shape[:w.ndim % 2]
+
+
+def _stack_row(bad: np.ndarray, block: int, stack: tuple) -> int | None:
+    """The stack row of bad's first True, bad a mask over rows in blocks of
+    block per model; None when unstacked."""
+    return int(np.flatnonzero(bad)[0]) // block if stack else None
+
+
+def _first_nonfinite(views: ParameterSet, stacked: bool) -> tuple[int | None, str] | None:
+    """(stack row, name) of the first array in views holding a NaN or inf,
+    scanning rows and within a row the names in order; None if all finite."""
+    for row in range(len(next(iter(views.values())))) if stacked else (None,):
+        for name, arr in views.items():
+            if not np.isfinite(arr if row is None else arr[row]).all():
+                return row, name
+    return None
+
+
 def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
                             inputs: np.ndarray, labels: np.ndarray,
                             out: FlatParams | None = None):
     """Mean cross-entropy loss and its gradient for a batch of arrays.
 
-    With out (a FlatParams laid out like params) every gradient is written
-    into out's views, which are returned, and the finiteness check runs once
-    over out's vector; the views are scanned only to name the offender.
+    With params stacked on a leading axis of k (views (k, *shape), as a
+    stacked FlatParams holds them), inputs and labels are k equal blocks of
+    rows, block i for model i; the loss is then a (k,) array of each model's
+    mean and every gradient is (k, *shape), each model's with the bits of its
+    own unstacked call.  With out (a FlatParams laid out like params) every
+    gradient is written into out's views, which are returned, and the
+    finiteness check runs once over out's vector; the views are scanned only
+    to name the offender.  An NNError of a stacked call names its row.
     """
+    stack = _stack_of(params)
     x = _as_batch(spec, inputs)
     ys = np.asarray(labels)
-    if x.shape[0] == 0:
+    n = x.shape[0]
+    if n == 0:
         raise NNError("empty batch")
-    if ys.shape != (x.shape[0],) or ys.dtype.kind not in "iu":
-        raise NNError(f"labels must be a 1-D integer array of {x.shape[0]}, got "
+    if ys.shape != (n,) or ys.dtype.kind not in "iu":
+        raise NNError(f"labels must be a 1-D integer array of {n}, got "
                       f"shape {ys.shape} dtype {ys.dtype}")
-    if ys.min() < 0 or ys.max() >= spec.class_count:
+    k = math.prod(stack)
+    if n % k:
+        raise ShapeMismatchError(f"{n} rows do not split into {k} equal blocks")
+    block = n // k
+    bad = (ys < 0) | (ys >= spec.class_count)
+    if bad.any():
         raise NNError(
             f"label out of range: got {int(ys.min())}..{int(ys.max())}, "
-            f"class_count {spec.class_count}")
+            f"class_count {spec.class_count}", _stack_row(bad, block, stack))
     if out is not None and out.layout != _layout(params):
         raise ShapeMismatchError("gradient buffers are not laid out like the parameters")
-    probs, caches, _ = _forward_engine(spec, params, x, keep_caches=True)
-    n = x.shape[0]
+    probs, caches, _ = _forward_engine(spec, params, x.reshape(*stack, block, *x.shape[1:]),
+                                       keep_caches=True)
+    flat = probs.reshape(n, -1)
     rows = np.arange(n)
-    py = probs[rows, ys]
+    py = flat[rows, ys]
     if (py <= 0.0).any():
-        raise NNError("predicted probability underflow; loss not finite")
-    loss = float(-np.add.reduce(np.log(py)) / n)  # the bits of -log(py).mean()
-    grad_probs = np.zeros(probs.shape)
-    grad_probs[rows, ys] = -1.0 / (n * py)
-    grads = _backward_engine(spec, params, caches, grad_probs,
+        raise NNError("predicted probability underflow; loss not finite",
+                      _stack_row(py <= 0.0, block, stack))
+    # the bits of -log(py).mean() over each model's block
+    loss = -np.add.reduce(np.log(py).reshape(*stack, block), axis=-1) / block
+    grad_probs = np.zeros(flat.shape)
+    grad_probs[rows, ys] = -1.0 / (block * py)
+    grads = _backward_engine(spec, params, caches, grad_probs.reshape(probs.shape),
                              out=None if out is None else out.views)
     if out is None or not _all_finite(out.vector):
-        for name, g in grads.items():
-            _check_finite(g, f"gradient of {name}")
-    return loss, grads
+        found = _first_nonfinite(grads, bool(stack))
+        if found:
+            raise NNError(f"non-finite values in gradient of {found[1]}", found[0])
+    return (loss if stack else float(loss)), grads
 
 
 def sgd_step(params: ParameterSet | FlatParams, gradient: ParameterSet | FlatParams,
              learning_rate: float):
     """params - learning_rate * gradient, element-wise.
 
-    Dicts (ParameterSet) give a new dict.  Two FlatParams of one layout are
-    updated in place instead: one multiply scales gradient's vector by
-    learning_rate and one subtract writes the result into params' vector,
-    which is returned; the bits are those of the dict path.  Nothing is
-    written if a check fails.
+    Dicts (ParameterSet) give a new dict.  Two FlatParams of one layout,
+    stacked or not, are updated in place instead: one multiply scales
+    gradient's vector by learning_rate and one subtract writes the result
+    into params' vector, which is returned; the bits are those of the dict
+    path.  Nothing is written if a check fails.
     """
     if learning_rate < 0 or not math.isfinite(learning_rate):
         raise NNError(f"learning rate must be finite and non-negative, got {learning_rate}")
     if isinstance(params, FlatParams):
-        if not isinstance(gradient, FlatParams) or gradient.layout != params.layout:
+        if (not isinstance(gradient, FlatParams) or gradient.layout != params.layout
+                or gradient.vector.shape != params.vector.shape):
             raise ShapeMismatchError("gradient is not laid out like the parameters")
         if not _all_finite(gradient.vector):
-            bad = next(n for n, g in gradient.views.items() if not np.isfinite(g).all())
-            raise NNError(f"non-finite gradient for {bad}")
+            row, bad = _first_nonfinite(gradient.views, gradient.vector.ndim == 2)
+            raise NNError(f"non-finite gradient for {bad}", row)
         np.multiply(gradient.vector, learning_rate, out=gradient.vector)
         np.subtract(params.vector, gradient.vector, out=params.vector)
         return params

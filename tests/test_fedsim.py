@@ -1,6 +1,10 @@
 """Federated training and fair-protocol tests."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusim import datasets as ds
 from fusim import fedsim as fs
@@ -46,8 +50,8 @@ def unlearn(*client_ids, rounds_max=20):
 def test_local_train_zero_epochs_identity():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 0)
-    out, loss = fs.local_train(states[0], params, spec, cfg(local_epochs=0), SEED, 1)
-    assert params_equal(out, params)
+    [(out, loss)] = fs.local_train([states[0]], params, spec, cfg(local_epochs=0), SEED, 1)
+    assert params_equal(out.views, params)
     assert states[0].local_step_counter == 0
     assert np.isnan(loss)
 
@@ -57,11 +61,11 @@ def test_local_train_single_example_is_one_sgd_step():
     single = fs.ClientState(0, ds.subset(states[0].shard, [0]))
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=1, batch_size=1, learning_rate=0.2)
-    out, _ = fs.local_train(single, params, spec, config, SEED, 1)
+    [(out, _)] = fs.local_train([single], params, spec, config, SEED, 1)
     _, grads = nn.batch_loss_and_gradient(spec, params, single.shard.images,
                                           single.shard.labels)
     expected = nn.sgd_step(params, grads, 0.2)
-    assert params_equal(out, expected)
+    assert params_equal(out.views, expected)
     assert single.local_step_counter == 1
 
 
@@ -69,10 +73,10 @@ def test_local_train_leaves_global_params_unchanged():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)
     snapshot = nn.params_copy(params)
-    out, _ = fs.local_train(states[0], params, spec, cfg(local_epochs=2), SEED, 1)
+    [(out, _)] = fs.local_train([states[0]], params, spec, cfg(local_epochs=2), SEED, 1)
     assert params_equal(params, snapshot)
-    assert all(out[k] is not params[k] for k in params)
-    assert not params_equal(out, params)
+    assert not any(np.shares_memory(out.vector, params[k]) for k in params)
+    assert not params_equal(out.views, params)
 
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
@@ -83,7 +87,7 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
     state = states[0]
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
-    out, loss = fs.local_train(state, params, spec, config, SEED, 4)
+    [(out, loss)] = fs.local_train([state], params, spec, config, SEED, 4)
     expected, losses = params, []
     rng = nn.make_rng((SEED, state.client_id, 4), 501)
     for _ in range(config.local_epochs):
@@ -95,26 +99,27 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
             expected = nn.sgd_step(expected, grads, config.learning_rate)
             losses.append(batch_loss)
     assert len(losses) > 4
-    assert params_equal(out, expected)
+    assert params_equal(out.views, expected)
     assert loss == float(np.mean(losses))
 
 
-def test_local_train_reuses_the_client_gradient_buffer():
-    """Later calls write into the buffer the first call made, with the bits
-    of a fresh buffer; each call still returns a fresh model."""
+def test_local_train_reuses_the_round_matrices():
+    """A call given the round's model and gradient matrices writes into them,
+    with the bits of a call that makes its own; the submissions are rows of
+    the model matrix."""
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
-    state = states[0]
-    first, _ = fs.local_train(state, params, spec, config, SEED, 1)
-    grad = state.grad
-    second, loss = fs.local_train(state, first, spec, config, SEED, 2)
-    assert state.grad is grad
-    assert all(second[k] is not first[k] for k in params)
-    fresh = fs.ClientState(state.client_id, state.shard)
-    expected, expected_loss = fs.local_train(fresh, first, spec, config, SEED, 2)
-    assert fresh.grad is not grad
-    assert params_equal(second, expected) and loss == expected_loss
+    models, grads = (nn.flat_params(params, stack=len(states)) for _ in range(2))
+    first = fs.local_train(states, params, spec, config, SEED, 1, models, grads)
+    start = fs.aggregate([(sub, 1) for sub, _ in first])
+    second = fs.local_train(states, start, spec, config, SEED, 2, models, grads)
+    fresh = [fs.ClientState(s.client_id, s.shard) for s in states]
+    expected = fs.local_train(fresh, start, spec, config, SEED, 2)
+    for (sub, loss), (want, want_loss) in zip(second, expected):
+        assert np.shares_memory(sub.vector, models.vector)
+        assert not np.shares_memory(want.vector, models.vector)
+        assert params_equal(sub.views, want.views) and loss == want_loss
 
 
 def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
@@ -124,9 +129,73 @@ def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
     snapshot = nn.params_copy(params)
     with pytest.raises(fs.FedError,
                        match=r"client 1, round 3: non-finite values in gradient of layer0\.weight"):
-        fs.local_train(states[1], params, spec, cfg(), SEED, 3)
+        fs.local_train([states[1]], params, spec, cfg(), SEED, 3)
     for k in params:
         assert np.array_equal(params[k], snapshot[k], equal_nan=True)
+
+
+def test_local_train_nonfinite_gradient_names_a_client_inside_the_stack():
+    """Client 2's NaN pixel makes only its row's gradient non-finite; the
+    error names it, the round and the parameter, the global parameters are
+    untouched and nothing of the failed round is aggregated."""
+    spec, states, vx, vy = make_federation()
+    assert len({s.sample_count // 16 for s in states}) == 1  # rows in client order
+    images = states[2].shard.images.copy()
+    images[0, 0, 0, 0] = np.nan
+    states[2].replace_shard(ds.DomainDataset(images, states[2].shard.labels, "syn", 4))
+    params = nn.init_params(spec, 1)
+    snapshot = nn.params_copy(params)
+    with mock.patch.object(fs, "aggregate", wraps=fs.aggregate) as spy:
+        with pytest.raises(fs.FedError, match=r"client 2, round 5: non-finite values in "
+                                              r"gradient of layer0\.weight"):
+            fs.fair_unlearn_rounds(params, spec, states, unlearn(0, 2), vx, vy, cfg(), SEED,
+                                   start_round=4)
+    assert spy.call_count == 0
+    assert params_equal(params, snapshot)
+    assert states[1].local_step_counter == 0
+
+
+def unstacked_round(client, params, spec, config, seed, round_index):
+    """One client's local round from unstacked batch_loss_and_gradient and
+    sgd_step calls: (model vector, mean loss, steps taken)."""
+    model, grad = nn.flat_params(params), nn.flat_params(params)
+    rng = nn.make_rng((seed, client.client_id, round_index), 501)
+    losses, n = [], client.sample_count
+    for _ in range(config.local_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = np.sort(order[start:start + config.batch_size])
+            loss, _ = nn.batch_loss_and_gradient(spec, model.views, client.shard.images[idx],
+                                                 client.shard.labels[idx], out=grad)
+            nn.sgd_step(model, grad, config.learning_rate)
+            losses.append(loss)
+    return model.vector, float(np.mean(losses)) if losses else float("nan"), len(losses)
+
+
+@settings(max_examples=25)
+@given(sizes=st.lists(st.integers(1, 23), min_size=1, max_size=6),
+       batch_size=st.integers(1, 9), epochs=st.integers(1, 2),
+       model=st.sampled_from(["small_mlp", "small_cnn"]), seed=st.integers(0, 2**16))
+def test_lockstep_round_bit_identical_to_unstacked_rounds(sizes, batch_size, epochs, model,
+                                                           seed):
+    """Ragged shards (unequal step counts, short last batches): every
+    submission, mean loss and step count of a lockstep round equals, bit for
+    bit, the client's own round of unstacked steps."""
+    side = 6 if model == "small_mlp" else 10
+    spec = getattr(nn, model)((1, side, side), 3)
+    rng = np.random.default_rng(seed)
+    clients = [fs.ClientState(i, ds.DomainDataset(rng.random((n, 1, side, side)),
+                                                  rng.integers(0, 3, n), "syn", 3))
+               for i, n in enumerate(sizes)]
+    params = nn.init_params(spec, seed)
+    config = cfg(batch_size=batch_size, local_epochs=epochs, learning_rate=0.3)
+    got = fs.local_train(clients, params, spec, config, SEED, 7)
+    for client, (submission, loss) in zip(clients, got):
+        replay = fs.ClientState(client.client_id, client.shard)
+        vector, want_loss, steps = unstacked_round(replay, params, spec, config, SEED, 7)
+        assert submission.vector.tobytes() == vector.tobytes()
+        assert loss == want_loss
+        assert client.local_step_counter == steps
 
 
 def test_local_train_loss_decreases_on_separable_shard():
@@ -135,7 +204,8 @@ def test_local_train_loss_decreases_on_separable_shard():
     config = cfg(learning_rate=0.2)
     losses = []
     for r in range(1, 6):
-        params, loss = fs.local_train(states[0], params, spec, config, SEED, r)
+        [(submission, loss)] = fs.local_train([states[0]], params, spec, config, SEED, r)
+        params = submission.views
         losses.append(loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -189,6 +259,44 @@ def test_aggregate_permutation_invariance_after_sorting():
     assert params_equal(ordered, resorted)
 
 
+def random_rows(seed, k):
+    """k random parameter sets as the rows of a stacked FlatParams."""
+    flat = nn.flat_params({"w": np.zeros((3, 2)), "b": np.zeros(2)}, stack=k)
+    flat.vector[...] = np.random.default_rng(seed).normal(0.0, 1.0, flat.vector.shape)
+    return flat
+
+
+weights_st = st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6)
+
+
+@given(seed=st.integers(0, 2**16), weights=weights_st)
+def test_aggregate_identical_submissions_give_a_bit_identical_copy(seed, weights):
+    row = random_rows(seed, 1)[0]
+    out = fs.aggregate([(row, w) for w in weights])
+    assert params_equal(out, row.views)
+    assert not any(np.shares_memory(a, row.vector) for a in out.values())
+
+
+@given(seed=st.integers(0, 2**16), weights=weights_st, power=st.integers(-20, 20))
+def test_aggregate_weights_matter_only_through_their_ratios(seed, weights, power):
+    rows = random_rows(seed, len(weights))
+    scaled = [w * 2.0 ** power for w in weights]
+    assert params_equal(fs.aggregate([(rows[i], w) for i, w in enumerate(weights)]),
+                        fs.aggregate([(rows[i], w) for i, w in enumerate(scaled)]))
+
+
+@given(seed=st.integers(0, 2**16), weights=weights_st)
+def test_aggregate_of_rows_equals_the_per_array_formula(seed, weights):
+    rows = random_rows(seed, len(weights))
+    total = float(sum(weights))
+    first = rows[0].views
+    for name, got in fs.aggregate([(rows[i], w) for i, w in enumerate(weights)]).items():
+        want = first[name].copy()
+        for i, w in enumerate(weights):
+            want += (w / total) * (rows[i].views[name] - first[name])
+        assert got.tobytes() == want.tobytes()
+
+
 def test_aggregate_errors():
     with pytest.raises(fs.FedError):
         fs.aggregate([])
@@ -221,7 +329,8 @@ def test_run_training_single_client_equals_centralized_sgd():
     params = nn.init_params(spec, (SEED, 601))
     replay = fs.ClientState(0, states[0].shard)
     for t in range(1, 4):
-        params, _ = fs.local_train(replay, params, spec, config, SEED, t)
+        [(submission, _)] = fs.local_train([replay], params, spec, config, SEED, t)
+        params = submission.views
     assert params_equal(result.params, params)
 
 
@@ -266,6 +375,16 @@ def test_round_log_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "round,val_error,loss_c0,loss_c1"
     assert lines[2].endswith(",")  # client 1 absent in round 2
+
+
+def test_round_log_csv_numpy_scalars_write_as_floats():
+    """Losses taken from a loss array are numpy scalars; the CSV holds their
+    float text, as for Python floats."""
+    floats = [fs.RoundLog(1, 0.5, {0: 1.2, 1: 0.1 + 0.2}, (0, 1))]
+    scalars = [fs.RoundLog(1, np.float64(0.5),
+                           {0: np.float64(1.2), 1: np.array([0.1 + 0.2])[0]}, (0, 1))]
+    assert fs.round_logs_to_csv(scalars, [0, 1]) == fs.round_logs_to_csv(floats, [0, 1])
+    assert "np.float64" not in fs.round_logs_to_csv(scalars, [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +434,8 @@ def test_fair_rounds_aggregate_the_models_nonrequesters_hold():
     config = cfg(epsilon=0.0001)
     out, _ = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=1), vx, vy,
                                     config, SEED, start_round=4)
-    trained, _ = fs.local_train(fs.ClientState(1, states[1].shard), params, spec, config,
-                                SEED, 5)
+    [(trained, _)] = fs.local_train([fs.ClientState(1, states[1].shard)], params, spec,
+                                    config, SEED, 5)
     expected = fs.aggregate([(params, states[0].sample_count),
                              (trained, states[1].sample_count),
                              (params, states[2].sample_count)])

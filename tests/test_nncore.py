@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -581,11 +581,13 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
 # element-wise layers: result bits and the write rule
 
 
-def reference_loss_gradient_probs(spec, params, x, y):
-    """The engine's arithmetic with every element-wise layer out of place:
-    h @ w + b, np.where relu, e / e.sum softmax, probs * (g - dot)."""
-    caches, h, ordinal = [], x, 0
-    for layer in spec.layers:
+def reference_forward(spec, params, h, start=0, stop=None):
+    """The engine's forward arithmetic over layers start..stop-1, with every
+    element-wise layer out of place: h @ w + b, np.where relu, e / e.sum
+    softmax, and np.tensordot convolutions."""
+    caches = []
+    ordinal = sum(layer.kind in nn.PARAM_KINDS for layer in spec.layers[:start])
+    for layer in spec.layers[start:stop]:
         if layer.kind == "dense":
             caches.append((h, ordinal))
             h = h @ params[f"layer{ordinal}.weight"] + params[f"layer{ordinal}.bias"]
@@ -616,12 +618,14 @@ def reference_loss_gradient_probs(spec, params, x, y):
             e = np.exp(h - h.max(axis=1, keepdims=True))
             h = e / e.sum(axis=1, keepdims=True)
             caches.append(h)
-    probs, n, rows = h, len(y), np.arange(len(y))
-    loss = float(-np.add.reduce(np.log(probs[rows, y])) / n)
-    g = np.zeros(probs.shape)
-    g[rows, y] = -1.0 / (n * probs[rows, y])
+    return h, caches
+
+
+def reference_backward(spec, params, caches, g, start=0):
+    """The gradient at the input of layer start and every parameter
+    gradient, out of place: probs * (g - dot) softmax, np.where relu."""
     grads = {}
-    for layer, cache in zip(reversed(spec.layers), reversed(caches)):
+    for layer, cache in zip(reversed(spec.layers[start:]), reversed(caches)):
         if layer.kind == "softmax":
             g = cache * (g - (g * cache).sum(axis=1, keepdims=True))
         elif layer.kind == "relu":
@@ -652,7 +656,59 @@ def reference_loss_gradient_probs(spec, params, x, y):
             dx = np.tensordot(nn._im2col(gpad, k), w[:, :, ::-1, ::-1],
                               axes=([3, 4, 5], [0, 2, 3]))
             g = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    return g, grads
+
+
+def reference_loss_gradient_probs(spec, params, x, y):
+    """Mean cross-entropy, its parameter gradients and the probabilities,
+    from reference_forward and reference_backward."""
+    probs, caches = reference_forward(spec, params, x)
+    n, rows = len(y), np.arange(len(y))
+    loss = float(-np.add.reduce(np.log(probs[rows, y])) / n)
+    g = np.zeros(probs.shape)
+    g[rows, y] = -1.0 / (n * probs[rows, y])
+    _, grads = reference_backward(spec, params, caches, g)
     return loss, grads, probs
+
+
+def reference_unit_gradients(spec, params, x, target, unit, scales):
+    """batch_unit_gradients' rank-1 arithmetic on reference_forward and
+    reference_backward, for x the network inputs."""
+    site_pos, nxt = spec.site_position(unit.layer), spec._next_positions[unit.layer]
+    units, n = spec.unit_count(unit.layer), len(x)
+    site, _ = reference_forward(spec, params, x, 0, site_pos + 1)
+    pre, _ = reference_forward(spec, params, site, site_pos + 1,
+                               len(spec.layers) - 1 if nxt is None else nxt)
+    a = pre.reshape(n, units, -1)[:, unit.unit]
+    d = (scales - 1.0)[:, None] * a
+    w = np.eye(pre.shape[1]) if nxt is None else params[f"layer{unit.layer + 1}.weight"]
+    if w.ndim == 2:
+        wj = w.reshape(units, -1, w.shape[1])[unit.unit]
+        z = (pre if nxt is None else reference_forward(spec, params, pre, nxt, nxt + 1)[0])
+        z = z + d @ wj
+    else:
+        k = w.shape[-1]
+        patches = nn._im2col(d.reshape(n, 1, *pre.shape[2:]), k)
+        dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
+        z = reference_forward(spec, params, pre, nxt, nxt + 1)[0] + dz.transpose(0, 3, 1, 2)
+    start = len(spec.layers) - 1 if nxt is None else nxt + 1
+    probs, caches = reference_forward(spec, params, z, start)
+    seed = np.zeros(probs.shape)
+    seed[:, target] = 1.0
+    g, _ = reference_backward(spec, params, caches, seed, start)
+    if w.ndim == 2:
+        ga = g @ wj.T
+    else:
+        u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))
+        oh, ow = g.shape[2:]
+        ga = np.zeros((n, *pre.shape[2:]))
+        for dy in range(k):
+            for dx in range(k):
+                ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
+        ga = ga.reshape(n, -1)
+    if any(spec.layers[p].kind == "relu" for p in range(site_pos + 1, start)):
+        ga = np.where(scales[:, None] * a > 0.0, ga, 0.0)
+    return ga.sum(axis=1)
 
 
 def same_bits(a, b) -> bool:
@@ -680,6 +736,77 @@ def test_engine_bits_equal_out_of_place_reference(model):
             assert got_loss == loss
             for name in params:
                 assert same_bits(got[name] + 0.0, grads[name] + 0.0), name
+
+
+@pytest.mark.parametrize("make_spec", [
+    lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
+    lambda: nn.small_cnn((1, 16, 16), 4),
+    relu_between_spec,
+], ids=["small_mlp", "small_cnn", "relu_between"])
+def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
+    """On a fixed model, predict_probs and batch_unit_gradients (up to four
+    units a layer) give the reference's bits: the engine's stack axis leaves
+    unstacked calls as they were."""
+    spec = make_spec()
+    params = nn.init_params(spec, 6)
+    x = np.random.default_rng(7).normal(0.0, 1.0, (5, *spec.input_shape))
+    scales = np.array([0.0, 0.3, 0.5, 1.0, 0.8])
+    assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
+    for ordinal in range(spec.param_layer_count):
+        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
+                            ordinal)
+        for j in range(min(4, spec.unit_count(ordinal))):
+            unit = nn.UnitId(ordinal, j)
+            got = nn.batch_unit_gradients(spec, params, rows, 1, unit, scales)
+            want = reference_unit_gradients(spec, params, x, 1, unit, scales)
+            assert same_bits(got + 0.0, want + 0.0), unit
+
+
+def stacked_sets(spec, sets):
+    """The parameter sets as the rows of one stacked FlatParams."""
+    flat = nn.flat_params(sets[0], stack=len(sets))
+    for i, params in enumerate(sets):
+        for name, view in flat.views.items():
+            view[i] = params[name]
+    return flat
+
+
+@settings(max_examples=15)
+@given(k=st.integers(1, 4), block=st.integers(1, 6), model=st.sampled_from(["mlp", "cnn"]),
+       seed=st.integers(0, 2**16))
+def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, model, seed):
+    """k models stacked on a leading axis, each on its own block of rows,
+    give each model's unstacked loss and gradients bit for bit, with out
+    buffers and without."""
+    spec = (nn.small_mlp((1, 6, 6), 3, hidden=5) if model == "mlp"
+            else nn.small_cnn((1, 10, 10), 3))
+    rng = np.random.default_rng(seed)
+    sets = [nn.init_params(spec, (seed, i)) for i in range(k)]
+    x = rng.normal(0.0, 1.0, (k * block, *spec.input_shape))
+    y = rng.integers(0, 3, k * block)
+    stacked = stacked_sets(spec, sets)
+    for out in (None, nn.flat_params(sets[0], stack=k)):
+        loss, grads = nn.batch_loss_and_gradient(spec, stacked.views, x, y, out=out)
+        assert loss.shape == (k,)
+        for i, params in enumerate(sets):
+            rows = slice(i * block, (i + 1) * block)
+            want_loss, want = nn.batch_loss_and_gradient(spec, params, x[rows], y[rows])
+            assert loss[i] == want_loss
+            assert all(same_bits(grads[name][i], want[name]) for name in params)
+
+
+def test_stacked_errors_name_the_row():
+    spec = nn.small_mlp((1, 3, 3), 3, hidden=4)
+    stacked = stacked_sets(spec, [nn.init_params(spec, i) for i in range(3)])
+    x = np.zeros((6, 1, 3, 3))
+    with pytest.raises(nn.NNError, match="label out of range") as exc:
+        nn.batch_loss_and_gradient(spec, stacked.views, x, np.array([0, 1, 2, 0, 3, 1]))
+    assert exc.value.row == 2
+    with pytest.raises(nn.ShapeMismatchError, match="7 rows do not split into 3"):
+        nn.batch_loss_and_gradient(spec, stacked.views, np.zeros((7, 1, 3, 3)),
+                                   np.zeros(7, dtype=int))
+    with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+        nn.sgd_step(stacked, nn.flat_params(stacked.views), 0.1)
 
 
 def test_relu_bits_equal_where_on_special_values():
@@ -749,43 +876,68 @@ FINITE_NAMES = list(FINITE_SPEC.param_shapes())
 
 
 def finite_case(data):
-    """A flat parameter set, one view name, a position in that view."""
+    """A flat parameter set, unstacked or of k stacked rows, one view name,
+    a row of the stack (None unstacked) and a position in that row's view."""
     seed = data.draw(st.integers(0, 2**16))
-    flat = nn.flat_params(nn.init_params(FINITE_SPEC, seed))
+    stack = data.draw(st.sampled_from([None, 1, 3]))
+    flat = nn.flat_params(nn.init_params(FINITE_SPEC, seed), stack=stack)
     name = data.draw(st.sampled_from(FINITE_NAMES))
-    position = data.draw(st.integers(0, flat.views[name].size - 1))
-    return flat, name, position
+    row = None if stack is None else data.draw(st.integers(0, stack - 1))
+    position = data.draw(st.integers(0, math.prod(FINITE_SPEC.param_shapes()[name]) - 1))
+    return flat, name, row, position
+
+
+def flat_like(model, value):
+    """A FlatParams laid out and stacked like model, every element value."""
+    flat = nn.flat_params(nn.init_params(FINITE_SPEC, 0),
+                          stack=len(model.vector) if model.vector.ndim == 2 else None)
+    flat.vector[...] = value
+    return flat
+
+
+def finite_batch(model):
+    """Four rows of inputs and labels per model in the stack."""
+    k = len(model.vector) if model.vector.ndim == 2 else 1
+    x = np.random.default_rng(0).random((4 * k, *FINITE_SPEC.input_shape))
+    return x, np.tile([0, 1, 2, 0], k)
+
+
+def in_row(view, row):
+    return view if row is None else view[row]
 
 
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_sgd_step_rejects_one_nonfinite_gradient_element(data, bad):
-    model, name, position = finite_case(data)
-    grad = nn.flat_params({k: np.full(v.shape, 0.5) for k, v in model.views.items()})
-    grad.views[name].flat[position] = bad
+    model, name, row, position = finite_case(data)
+    grad = flat_like(model, 0.5)
+    in_row(grad.views[name], row).flat[position] = bad
     kept = model.vector.tobytes(), grad.vector.tobytes()
-    with pytest.raises(nn.NNError, match=f"non-finite gradient for {re.escape(name)}$"):
+    match = f"non-finite gradient for {re.escape(name)}$"
+    with pytest.raises(nn.NNError, match=match) as exc:
         nn.sgd_step(model, grad, 0.1)
+    assert exc.value.row == row
     assert (model.vector.tobytes(), grad.vector.tobytes()) == kept
 
 
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad):
     """The flat check after the backward pass names the one parameter whose
-    gradient holds the planted value; the parameters are not written."""
-    model, name, position = finite_case(data)
+    gradient holds the planted value, and its stack row; the parameters are
+    not written."""
+    model, name, row, position = finite_case(data)
     real_backward = nn._backward_engine
 
     def planted(*args, **kwargs):
         out = real_backward(*args, **kwargs)
-        out[name].flat[position] = bad
+        in_row(out[name], row).flat[position] = bad
         return out
 
     kept = model.vector.tobytes()
-    x = np.random.default_rng(0).random((4, *FINITE_SPEC.input_shape))
     with mock.patch.object(nn, "_backward_engine", planted):
-        with pytest.raises(nn.NNError, match=f"gradient of {re.escape(name)}$"):
-            nn.batch_loss_and_gradient(FINITE_SPEC, model.views, x, np.array([0, 1, 2, 0]),
-                                       out=nn.flat_params(model.views))
+        with pytest.raises(nn.NNError, match=f"gradient of {re.escape(name)}$") as exc:
+            nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model),
+                                       out=flat_like(model, 0.0))
+    assert exc.value.row == row
     assert model.vector.tobytes() == kept
 
 
@@ -794,10 +946,10 @@ def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad):
 def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, alternate):
     """v . v overflows to inf for these finite vectors (and so may their
     sum); the element scan then accepts them, without a warning."""
-    model, _, _ = finite_case(data)
+    model, _, _, _ = finite_case(data)
     signs = np.where(alternate & (np.arange(model.vector.size) % 2 == 1), -1.0, 1.0)
-    grad = nn.flat_params({k: np.empty(v.shape) for k, v in model.views.items()})
-    grad.vector[...] = magnitude * signs
+    grad = flat_like(model, 0.0)
+    grad.vector[...] = magnitude * signs.reshape(grad.vector.shape)
     assert not math.isfinite(np.vdot(grad.vector, grad.vector))
     real_backward = nn._backward_engine
 
@@ -807,12 +959,11 @@ def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, a
             out[k][...] = grad.views[k]
         return out
 
-    x = np.random.default_rng(0).random((4, *FINITE_SPEC.input_shape))
-    buffers = nn.flat_params(model.views)
+    buffers = flat_like(model, 0.0)
     expected = model.vector - 1e-200 * grad.vector
     with mock.patch.object(nn, "_backward_engine", huge), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        nn.batch_loss_and_gradient(FINITE_SPEC, model.views, x, np.array([0, 1, 2, 0]),
+        nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model),
                                    out=buffers)
         assert np.array_equal(buffers.vector, grad.vector)
         nn.sgd_step(model, grad, 1e-200)
