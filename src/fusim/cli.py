@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 
@@ -19,25 +18,29 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "route", None):
-        cfg = dataclasses.replace(
-            cfg, unlearn=dataclasses.replace(cfg.unlearn, route=args.route))
-    if args.out:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+def _load(args) -> list[ExperimentConfig]:
+    """The command's configs, the flags applied as overrides: one, or for
+    compare one per route of --routes."""
+    overrides = [(flag, key, value) for flag, key, value in (
+        ("--seed", "experiment.seed", args.seed),
+        ("--route", "unlearn.route", getattr(args, "route", None)),
+        ("--out", "experiment.out_dir", args.out)) if value is not None]
+    if args.command != "compare":
+        return [load_config(args.config, overrides)]
+    routes = [r.strip() for r in args.routes.split(",") if r.strip()]
+    if not routes:
+        raise ConfigError(f"--routes: no routes given in {args.routes!r}")
+    return [load_config(args.config, overrides + [("--routes", "unlearn.route", r)])
+            for r in routes]
 
 
 def _add_common(p: argparse.ArgumentParser, with_route: bool = True) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
+    p.add_argument("--seed", default=None, help="seed override")
     if with_route:
-        p.add_argument("--route", choices=ROUTES, default=None,
-                       help="unlearning route override")
+        p.add_argument("--route", default=None,
+                       help=f"unlearning route override: {' | '.join(ROUTES)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +68,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfgs = _load(args)
     except (ConfigError, OSError) as exc:
         logger.error("config: %s", exc)
         return EXIT_CONFIG
+    cfg = cfgs[0]
     out = cfg.out_dir
     try:
         if args.command == "partition":
@@ -82,7 +86,7 @@ def main(argv=None) -> int:
                         summary["convergence_round"], summary["final_val_error"])
         elif args.command == "unlearn":
             _, _, _, summary = experiment.ensure_unlearn(cfg, out)
-            logger.info("unlearn: route=%s rounds=%s", summary["route"],
+            logger.info("unlearn: route=%s rounds=%s", cfg.unlearn.route,
                         summary["unlearn_rounds_run"])
         elif args.command in ("evaluate", "run"):
             _, before, after, metrics = experiment.ensure_evaluate(cfg, out)
@@ -91,14 +95,6 @@ def main(argv=None) -> int:
             logger.info("forget_efficacy=%.2f collateral_retained=%.2f",
                         metrics.forget_efficacy, metrics.collateral_retained)
         elif args.command == "compare":
-            routes = [r.strip() for r in args.routes.split(",") if r.strip()]
-            bad = [r for r in routes if r not in ROUTES]
-            if bad:
-                logger.error("config: unknown routes %s", bad)
-                return EXIT_CONFIG
-            cfgs = [dataclasses.replace(
-                cfg, unlearn=dataclasses.replace(cfg.unlearn, route=r))
-                for r in routes]
             experiment.compare_routes(cfgs, out)
             logger.info("compare: wrote %s/compare.csv", out)
         return EXIT_OK

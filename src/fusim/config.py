@@ -1,19 +1,24 @@
 """Experiment configuration: INI-style text with a strict, documented schema.
 
-Unknown sections or keys are rejected; range violations name the key and the
-line it came from.  Every key has a default, so the minimal valid config is
-an empty file: it describes the reference benchmark (three synthetic domains,
-three clients each, small MLP at 16x16).
+The schema is one table, KEYS: a row per key gives the field that holds its
+value, the kind of text it takes and its bounds; the key's default is that
+field's default.  Unknown sections or keys are rejected; a bad value names
+the key and the line it came from (or the command-line flag that set it).
+Every key has a default, so the minimal valid config is an empty file: it
+describes the reference benchmark (three synthetic domains, three clients
+each, small MLP at 16x16).
 """
 from __future__ import annotations
 
 import configparser
+import functools
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
 
-from .datasets import DatasetError, Transform, parse_transforms
+from .datasets import TRANSFORM_ARGS, DatasetError, Transform, parse_transforms
 
 ROUTES = ("none", "delete", "relabel", "zeroing", "fedcccu")
 STRATEGIES = ("iid", "dirichlet", "real_noniid")
@@ -27,10 +32,12 @@ DEFAULT_DOMAINS = (
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A config the schema rejects; line is the line number, or the
+    command-line flag, that set the offending key."""
+
+    def __init__(self, message: str, line: int | str | None = None):
+        prefix = f"line {line}" if isinstance(line, int) else line
+        super().__init__(message if line is None else f"{prefix}: {message}")
         self.line = line
 
 
@@ -38,7 +45,7 @@ class ConfigError(ValueError):
 class DomainConfig:
     name: str
     kind: str                      # synthetic | idx
-    transforms: tuple[Transform, ...] = ()
+    transforms: tuple[Transform, ...] = (Transform("identity"),)
     resolution: tuple[int, int] = (16, 16)
     samples_per_class: int | None = None
     images_path: str | None = None
@@ -99,31 +106,68 @@ class ExperimentConfig:
     unlearn: UnlearnConfig = field(default_factory=UnlearnConfig)
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
 
-    def comparable_key(self) -> tuple:
-        """Everything a route comparison requires to be held fixed."""
-        return (self.name, self.seed, self.model_spec, self.hidden,
-                self.class_count, self.samples_per_class, self.base_pattern_seed,
-                self.domains, self.partition, self.training,
-                self.unlearn.forget_class, self.unlearn.requesting_clients,
-                self.evaluate)
+
+# One row per key: (section, key, attribute, kind, bounds).  The attribute is
+# the ExperimentConfig field that holds the value, dotted into a section's
+# dataclass (for "domain", the [domain.<name>] sections: the DomainConfig
+# field).  Kinds: int, float, ints (comma-separated integers), choice, str,
+# res (HxW) and chain (a transform chain).  Bounds are the allowed range of
+# every number of an int, float or ints key, and the values of a choice key.
+KEYS = (
+    ("experiment", "name", "name", "str", None),
+    ("experiment", "seed", "seed", "int", "[0, inf]"),
+    ("experiment", "out_dir", "out_dir", "str", None),
+    ("model", "spec", "model_spec", "choice", MODEL_SPECS),
+    ("model", "hidden", "hidden", "int", "[1, inf]"),
+    ("data", "class_count", "class_count", "int", "[2, inf]"),
+    ("data", "samples_per_class", "samples_per_class", "int", "[4, inf]"),
+    ("data", "base_pattern_seed", "base_pattern_seed", "int", "[0, inf]"),
+    ("domain", "transform", "transforms", "chain", None),
+    ("domain", "resolution", "resolution", "res", None),
+    ("domain", "samples_per_class", "samples_per_class", "int", "[4, inf]"),
+    ("domain", "images", "images_path", "str", None),
+    ("domain", "labels", "labels_path", "str", None),
+    ("partition", "strategy", "partition.strategy", "choice", STRATEGIES),
+    ("partition", "clients", "partition.clients", "int", "[1, inf]"),
+    ("partition", "alpha", "partition.alpha", "float", "(0, inf]"),
+    ("partition", "group_sizes", "partition.group_sizes", "ints", "[1, inf]"),
+    ("partition", "working_resolution", "partition.working_resolution", "res", None),
+    ("training", "rounds_max", "training.rounds_max", "int", "[0, inf]"),
+    ("training", "local_epochs", "training.local_epochs", "int", "[0, inf]"),
+    ("training", "batch_size", "training.batch_size", "int", "[1, inf]"),
+    ("training", "learning_rate", "training.learning_rate", "float", "(0, inf]"),
+    ("training", "epsilon", "training.epsilon", "float", "(0, 1)"),
+    ("training", "checkpoint_every", "training.checkpoint_every", "int", "[0, inf]"),
+    ("unlearn", "route", "unlearn.route", "choice", ROUTES),
+    ("unlearn", "forget_class", "unlearn.forget_class", "int", "[0, inf]"),
+    ("unlearn", "requesting_clients", "unlearn.requesting_clients", "ints", "[0, inf]"),
+    ("unlearn", "rounds_max", "unlearn.rounds_max", "int", "[0, inf]"),
+    ("unlearn", "top_m_fraction", "unlearn.top_m_fraction", "float", "(0, 1]"),
+    ("unlearn", "riemann_steps", "unlearn.riemann_steps", "int", "[1, inf]"),
+    ("unlearn", "top_n", "unlearn.top_n", "int", "[1, inf]"),
+    ("unlearn", "select_n", "unlearn.select_n", "int", "[0, inf]"),
+    ("unlearn", "probe_cap", "unlearn.probe_cap", "int", "[1, inf]"),
+    ("evaluate", "val_fraction", "evaluate.val_fraction", "float", "(0, 0.5)"),
+    ("evaluate", "test_fraction", "evaluate.test_fraction", "float", "(0, 0.5)"),
+)
+_ROWS = {(row[0], row[1]): row for row in KEYS}
 
 
-# ---------------------------------------------------------------------------
-# Parsing helpers
+def _chain_text(transforms: tuple[Transform, ...]) -> str:
+    return "+".join(t.kind if t.kind not in TRANSFORM_ARGS
+                    else f"{t.kind}({getattr(t, TRANSFORM_ARGS[t.kind][0])!r})"
+                    for t in transforms)
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "experiment": {"name", "seed", "out_dir"},
-    "model": {"spec", "hidden"},
-    "data": {"class_count", "samples_per_class", "base_pattern_seed"},
-    "partition": {"strategy", "clients", "alpha", "group_sizes", "working_resolution"},
-    "training": {"rounds_max", "local_epochs", "batch_size", "learning_rate",
-                 "epsilon", "checkpoint_every"},
-    "unlearn": {"route", "forget_class", "requesting_clients", "rounds_max",
-                "top_m_fraction", "riemann_steps", "top_n", "select_n", "probe_cap"},
-    "evaluate": {"val_fraction", "test_fraction"},
-}
-_DOMAIN_KEYS = {"transform", "resolution", "samples_per_class", "images", "labels"}
+# The keys canonical records, all but the two no artifact depends on, each
+# with its getter and its value's JSON form: the config text of res and chain
+# values, a list for ints, the value itself for the other kinds.
+_AS_JSON = {"res": lambda v: "%dx%d" % v, "chain": _chain_text, "ints": list}
+_RECORDED = tuple((section, key, f"{section}.{key}", operator.attrgetter(attr),
+                   _AS_JSON.get(kind, lambda v: v))
+                  for section, key, attr, kind, _ in KEYS
+                  if f"{section}.{key}" not in ("experiment.name", "experiment.out_dir"))
+_EXPECTED = {"int": "an integer", "float": "a number", "ints": "comma-separated integers"}
 
 
 def _line_map(text: str) -> dict[tuple[str, str], int]:
@@ -146,91 +190,50 @@ def _line_map(text: str) -> dict[tuple[str, str], int]:
     return lines
 
 
-class _Reader:
-    def __init__(self, parser: configparser.ConfigParser,
-                 lines: dict[tuple[str, str], int]):
-        self.parser = parser
-        self.lines = lines
-
-    def where(self, section: str, key: str | None = None) -> int | None:
-        return self.lines.get((section, key))
-
-    def get(self, section, key, default):
-        if not self.parser.has_section(section) or not self.parser.has_option(section, key):
-            return default
-        return self.parser.get(section, key).strip()
-
-    def get_int(self, section, key, default, lo=None, hi=None):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}",
-                              self.where(section, key))
-        self._check_range(section, key, value, lo, hi)
-        return value
-
-    def get_float(self, section, key, default, lo=None, hi=None,
-                  lo_open=False, hi_open=False):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}",
-                              self.where(section, key))
-        if not math.isfinite(value):
-            raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}",
-                              self.where(section, key))
-        self._check_range(section, key, value, lo, hi, lo_open, hi_open)
-        return value
-
-    def get_choice(self, section, key, default, choices):
-        raw = self.get(section, key, None)
-        if raw is None:
-            return default
-        if raw not in choices:
-            raise ConfigError(
-                f"{section}.{key}: {raw!r} not one of {sorted(choices)}",
-                self.where(section, key))
+def _parse(row: tuple, raw: str, what: str, where) -> object:
+    """One key's value from its text, checked against its row's kind and bounds."""
+    kind, bounds = row[3], row[4]
+    if kind == "str":
         return raw
-
-    def _check_range(self, section, key, value, lo, hi, lo_open=False, hi_open=False):
-        bad = ((lo is not None and (value <= lo if lo_open else value < lo))
-               or (hi is not None and (value >= hi if hi_open else value > hi)))
-        if bad:
-            lo_b = "(" if lo_open else "["
-            hi_b = ")" if hi_open else "]"
-            raise ConfigError(
-                f"{section}.{key}: {value} outside allowed range "
-                f"{lo_b}{lo if lo is not None else '-inf'}, "
-                f"{hi if hi is not None else 'inf'}{hi_b}",
-                self.where(section, key))
-
-
-def _parse_resolution(raw: str, where, what: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", raw.strip())
-    if not m:
-        raise ConfigError(f"{what}: expected HxW, got {raw!r}", where)
-    return int(m.group(1)), int(m.group(2))
-
-
-def _parse_int_list(raw: str, where, what: str) -> tuple[int, ...]:
+    if kind == "choice":
+        if raw not in bounds:
+            raise ConfigError(f"{what}: {raw!r} not one of {sorted(bounds)}", where)
+        return raw
+    if kind == "res":
+        m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", raw)
+        if not m:
+            raise ConfigError(f"{what}: expected HxW, got {raw!r}", where)
+        return int(m.group(1)), int(m.group(2))
+    if kind == "chain":
+        try:
+            return parse_transforms(raw)
+        except DatasetError as exc:
+            raise ConfigError(f"{what}: {exc}", where) from exc
+    number = float if kind == "float" else int
     try:
-        values = tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+        values = tuple(number(v) for v in raw.split(",") if v.strip()) \
+            if kind == "ints" else (number(raw),)
     except ValueError:
-        raise ConfigError(f"{what}: expected comma-separated integers, got {raw!r}",
-                          where)
+        raise ConfigError(f"{what}: expected {_EXPECTED[kind]}, got {raw!r}", where) from None
     if not values:
         raise ConfigError(f"{what}: empty list", where)
-    return values
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what}: expected a finite number, got {raw!r}", where)
+    lo, hi = (float(t) if number is float or "inf" in t else int(t)
+              for t in bounds[1:-1].split(", "))
+    for v in values:
+        if not ((lo < v if bounds[0] == "(" else lo <= v)
+                and (v < hi if bounds[-1] == ")" else v <= hi)):
+            raise ConfigError(f"{what}: {v} outside allowed range "
+                              f"{bounds[0]}{lo}, {hi}{bounds[-1]}", where)
+    return values if kind == "ints" else values[0]
 
 
-def validate_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text into a fully-defaulted ExperimentConfig."""
+@functools.lru_cache(maxsize=4)
+def _read(text: str) -> tuple:
+    """The text's sections in order, each (section, header line, ((key, value,
+    line), ...)), every value parsed and checked by its key's row.  Cached,
+    as compare validates one text once per route."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
@@ -239,151 +242,126 @@ def validate_config(text: str) -> ExperimentConfig:
         line = getattr(exc, "lineno", None)
         raise ConfigError(f"cannot parse config: {exc.message}", line) from exc
     lines = _line_map(text)
-    reader = _Reader(parser, lines)
-
+    sections = []
     for section in parser.sections():
-        if section.startswith("domain."):
-            name = section[len("domain."):]
-            if not name:
-                raise ConfigError("domain section needs a name: [domain.<name>]",
-                                  reader.where(section))
-            for key in parser.options(section):
-                if key not in _DOMAIN_KEYS:
-                    raise ConfigError(f"unknown key {section}.{key}",
-                                      reader.where(section, key))
-        elif section in _SCHEMA:
-            for key in parser.options(section):
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown key {section}.{key}",
-                                      reader.where(section, key))
-        else:
-            raise ConfigError(f"unknown section [{section}]", reader.where(section))
+        table = "domain" if section.startswith("domain.") else section
+        if section == "domain.":
+            raise ConfigError("domain section needs a name: [domain.<name>]",
+                              lines.get((section, None)))
+        if table not in {row[0] for row in KEYS}:
+            raise ConfigError(f"unknown section [{section}]", lines.get((section, None)))
+        keys = []
+        for key, raw in parser.items(section):
+            line = lines.get((section, key))
+            if (table, key) not in _ROWS:
+                raise ConfigError(f"unknown key {section}.{key}", line)
+            keys.append((key, _parse(_ROWS[table, key], raw.strip(), f"{section}.{key}", line),
+                         line))
+        sections.append((section, lines.get((section, None)), tuple(keys)))
+    return tuple(sections)
 
-    name = reader.get("experiment", "name", "experiment")
-    seed = reader.get_int("experiment", "seed", 0, lo=0)
-    out_dir = reader.get("experiment", "out_dir", os.path.join("runs", name))
 
-    model_spec = reader.get_choice("model", "spec", "small_mlp", MODEL_SPECS)
-    hidden = reader.get_int("model", "hidden", 128, lo=1)
+def validate_config(text: str, overrides=()) -> ExperimentConfig:
+    """Parse and validate config text into a fully-defaulted ExperimentConfig.
 
-    class_count = reader.get_int("data", "class_count", 10, lo=2)
-    samples_per_class = reader.get_int("data", "samples_per_class", 150, lo=4)
-    base_pattern_seed = reader.get_int("data", "base_pattern_seed", 40, lo=0)
+    overrides are (flag, "section.key", text) triples whose value replaces
+    the text's value of the key; the flag stands in for the line in errors.
+    """
+    sections = _read(text)
+    headers = {section: line for section, line, _ in sections}
+    entries = {section: {key: (value, line) for key, value, line in keys}
+               for section, _, keys in sections}
+    for flag, name, raw in overrides:
+        section, key = name.rsplit(".", 1)
+        value = _parse(_ROWS[section, key], raw, name, flag)
+        entries.setdefault(section, {})[key] = value, flag
 
+    def where(section, key=None):
+        if key is None:
+            return headers.get(section)
+        return entries.get(section, {}).get(key, (None, None))[1]
+
+    held: dict[str, dict] = {"": {}, "partition": {}, "training": {}, "unlearn": {},
+                             "evaluate": {}}
     domains = []
-    for section in parser.sections():
-        if not section.startswith("domain."):
+    for section, keys in entries.items():
+        if section.startswith("domain."):
+            domains.append(_domain(section, {_ROWS["domain", key][2]: value
+                                             for key, (value, _) in keys.items()}, where))
             continue
-        dname = section[len("domain."):]
-        images = reader.get(section, "images", None)
-        labels = reader.get(section, "labels", None)
-        if (images is None) != (labels is None):
-            raise ConfigError(f"{section}: images and labels must come together",
-                              reader.where(section))
-        if images is not None:
-            for p, key in ((images, "images"), (labels, "labels")):
-                if not os.path.exists(p):
-                    raise ConfigError(f"{section}.{key}: file not found: {p}",
-                                      reader.where(section, key))
-            domains.append(DomainConfig(dname, "idx", images_path=images,
-                                        labels_path=labels))
-            continue
-        raw_tf = reader.get(section, "transform", "identity")
-        try:
-            transforms = parse_transforms(raw_tf)
-        except DatasetError as exc:
-            raise ConfigError(f"{section}.transform: {exc}",
-                              reader.where(section, "transform")) from exc
-        resolution = _parse_resolution(reader.get(section, "resolution", "16x16"),
-                                       reader.where(section, "resolution"),
-                                       f"{section}.resolution")
-        spc = reader.get_int(section, "samples_per_class", None, lo=4)
-        domains.append(DomainConfig(dname, "synthetic", transforms=transforms,
-                                    resolution=resolution, samples_per_class=spc))
+        for key, (value, _) in keys.items():
+            holder, _, name = _ROWS[section, key][2].rpartition(".")
+            held[holder][name] = value
     if not domains:
         domains = [DomainConfig(dn, "synthetic", transforms=parse_transforms(tf))
                    for dn, tf in DEFAULT_DOMAINS]
 
-    strategy = reader.get_choice("partition", "strategy", "real_noniid", STRATEGIES)
-    clients = reader.get_int("partition", "clients", 9, lo=1)
-    alpha = reader.get_float("partition", "alpha", 100.0, lo=0.0, lo_open=True)
-    raw_groups = reader.get("partition", "group_sizes", None)
-    if raw_groups is not None:
-        group_sizes = _parse_int_list(raw_groups, reader.where("partition", "group_sizes"),
-                                      "partition.group_sizes")
-        if any(g < 1 for g in group_sizes):
-            raise ConfigError("partition.group_sizes: entries must be >= 1",
-                              reader.where("partition", "group_sizes"))
-    else:
-        group_sizes = tuple(1 for _ in domains) if strategy == "real_noniid" \
-            and len(domains) != 3 else (3, 3, 3)
-    working_resolution = _parse_resolution(
-        reader.get("partition", "working_resolution", "16x16"),
-        reader.where("partition", "working_resolution"), "partition.working_resolution")
-    if strategy == "real_noniid" and len(group_sizes) != len(domains):
-        raise ConfigError(
-            f"partition.group_sizes: {len(group_sizes)} groups for "
-            f"{len(domains)} domains", reader.where("partition", "group_sizes"))
-    if strategy in ("iid", "dirichlet") and len(domains) != 1:
-        raise ConfigError(
-            f"partition.strategy {strategy!r} needs exactly one domain, "
-            f"got {len(domains)}", reader.where("partition", "strategy"))
-    partition = PartitionConfig(strategy, clients, alpha, group_sizes,
-                                working_resolution)
+    top, part, unlearn = held[""], held["partition"], held["unlearn"]
+    top.setdefault("out_dir", os.path.join("runs", top.get("name", ExperimentConfig.name)))
+    strategy = part.get("strategy", PartitionConfig.strategy)
+    if "group_sizes" not in part and strategy == "real_noniid" and len(domains) != 3:
+        part["group_sizes"] = (1,) * len(domains)
+    unlearn.setdefault("select_n", max(1, unlearn.get("top_n", UnlearnConfig.top_n) // 2))
+    if "requesting_clients" in unlearn:
+        unlearn["requesting_clients"] = tuple(sorted(set(unlearn["requesting_clients"])))
+    cfg = ExperimentConfig(**top, domains=tuple(domains), partition=PartitionConfig(**part),
+                           training=TrainingConfig(**held["training"]),
+                           unlearn=UnlearnConfig(**unlearn),
+                           evaluate=EvaluateConfig(**held["evaluate"]))
 
-    training = TrainingConfig(
-        rounds_max=reader.get_int("training", "rounds_max", 50, lo=0),
-        local_epochs=reader.get_int("training", "local_epochs", 1, lo=0),
-        batch_size=reader.get_int("training", "batch_size", 32, lo=1),
-        learning_rate=reader.get_float("training", "learning_rate", 0.5,
-                                       lo=0.0, lo_open=True),
-        epsilon=reader.get_float("training", "epsilon", 0.10, lo=0.0, hi=1.0,
-                                 lo_open=True, hi_open=True),
-        checkpoint_every=reader.get_int("training", "checkpoint_every", 0, lo=0),
-    )
-
-    route = reader.get_choice("unlearn", "route", "none", ROUTES)
-    forget_class = reader.get_int("unlearn", "forget_class", 0, lo=0)
-    if forget_class >= class_count:
+    p, u = cfg.partition, cfg.unlearn
+    if p.strategy == "real_noniid" and len(p.group_sizes) != len(domains):
         raise ConfigError(
-            f"unlearn.forget_class: {forget_class} >= class_count {class_count}",
-            reader.where("unlearn", "forget_class"))
-    raw_req = reader.get("unlearn", "requesting_clients", "0")
-    requesting = _parse_int_list(raw_req, reader.where("unlearn", "requesting_clients"),
-                                 "unlearn.requesting_clients")
-    total_clients = sum(group_sizes) if strategy == "real_noniid" else clients
-    if any(r < 0 or r >= total_clients for r in requesting):
+            f"partition.group_sizes: {len(p.group_sizes)} groups for "
+            f"{len(domains)} domains", where("partition", "group_sizes"))
+    if p.strategy in ("iid", "dirichlet") and len(domains) != 1:
+        raise ConfigError(
+            f"partition.strategy {p.strategy!r} needs exactly one domain, "
+            f"got {len(domains)}", where("partition", "strategy"))
+    if u.forget_class >= cfg.class_count:
+        raise ConfigError(
+            f"unlearn.forget_class: {u.forget_class} >= class_count {cfg.class_count}",
+            where("unlearn", "forget_class"))
+    total_clients = sum(p.group_sizes) if p.strategy == "real_noniid" else p.clients
+    if u.requesting_clients[-1] >= total_clients:
         raise ConfigError(
             f"unlearn.requesting_clients: ids must be in [0, {total_clients})",
-            reader.where("unlearn", "requesting_clients"))
-    top_n = reader.get_int("unlearn", "top_n", 32, lo=1)
-    unlearn = UnlearnConfig(
-        route=route,
-        forget_class=forget_class,
-        requesting_clients=tuple(sorted(set(requesting))),
-        rounds_max=reader.get_int("unlearn", "rounds_max", 20, lo=0),
-        top_m_fraction=reader.get_float("unlearn", "top_m_fraction", 0.1,
-                                        lo=0.0, hi=1.0, lo_open=True),
-        riemann_steps=reader.get_int("unlearn", "riemann_steps", 20, lo=1),
-        top_n=top_n,
-        select_n=reader.get_int("unlearn", "select_n", max(1, top_n // 2), lo=0),
-        probe_cap=reader.get_int("unlearn", "probe_cap", 256, lo=1),
-    )
-
-    evaluate = EvaluateConfig(
-        val_fraction=reader.get_float("evaluate", "val_fraction", 0.1,
-                                      lo=0.0, hi=0.5, lo_open=True, hi_open=True),
-        test_fraction=reader.get_float("evaluate", "test_fraction", 0.1,
-                                       lo=0.0, hi=0.5, lo_open=True, hi_open=True),
-    )
-
-    return ExperimentConfig(
-        name=name, seed=seed, out_dir=out_dir, model_spec=model_spec, hidden=hidden,
-        class_count=class_count, samples_per_class=samples_per_class,
-        base_pattern_seed=base_pattern_seed, domains=tuple(domains),
-        partition=partition, training=training, unlearn=unlearn, evaluate=evaluate)
+            where("unlearn", "requesting_clients"))
+    return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _domain(section: str, values: dict, where) -> DomainConfig:
+    """One [domain.<name>] section: synthetic, or an IDX image/label pair."""
+    images, labels = values.get("images_path"), values.get("labels_path")
+    if (images is None) != (labels is None):
+        raise ConfigError(f"{section}: images and labels must come together", where(section))
+    for key, path in (("images", images), ("labels", labels)):
+        if path is not None and not os.path.exists(path):
+            raise ConfigError(f"{section}.{key}: file not found: {path}", where(section, key))
+    return DomainConfig(section[len("domain."):], "synthetic" if images is None else "idx",
+                        **values)
+
+
+def canonical(cfg: ExperimentConfig, sections) -> dict:
+    """The resolved values of the named sections, a flat section.key -> JSON
+    value map.  Domain keys are named domain.<name>.<key>, and "domains" holds
+    the domain order, on which group_sizes depends.  experiment.name and
+    experiment.out_dir are left out: no artifact depends on them."""
+    out = {}
+    for section, key, name, get, as_json in _RECORDED:
+        if section not in sections:
+            continue
+        if section != "domain":
+            out[name] = as_json(get(cfg))
+            continue
+        for d in cfg.domains:
+            out[f"domain.{d.name}.{key}"] = as_json(get(d))
+    if "domain" in sections:
+        out["domains"] = [d.name for d in cfg.domains]
+    return out
+
+
+def load_config(path, overrides=()) -> ExperimentConfig:
+    """The config file at path, with overrides as in validate_config."""
     with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(fh.read())
+        return validate_config(fh.read(), overrides)

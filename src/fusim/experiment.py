@@ -7,8 +7,10 @@ splits, subsets) is built only when a stage has to run, once per Task.  A
 compare trains once in its output directory and runs only the unlearn and
 evaluate stages of each route in a subdirectory.  All artifacts are pure
 functions of the config text: no timestamps, sorted keys, fixed float
-formatting.  Files are written to a stage-local temp directory and renamed
-into place on stage completion.
+formatting.  Each stage's record artifact holds the canonical config values
+the stage depends on, and a resume with any other value is refused.  Files
+are written to a stage-local temp directory and renamed into place on stage
+completion.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, canonical
 from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
                        resize, stratified_split, subset, SyntheticDomainSpec, synth_domain)
 from .fedsim import ClientState
@@ -33,25 +35,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
-
-
-ART = {
-    "partition": "partition.json",
-    "splits": "splits.json",
-    "ckpt_trained": "checkpoint_trained.fusim",
-    "rounds_train": "rounds_train.csv",
-    "train_summary": "train_summary.json",
-    "ckpt_unlearned": "checkpoint_unlearned.fusim",
-    "rounds_unlearn": "rounds_unlearn.csv",
-    "unlearn_summary": "unlearn_summary.json",
-    "audit": "audit_fedcccu.json",
-    "report_before_json": "report_before.json",
-    "report_before_csv": "report_before.csv",
-    "report_after_json": "report_after.json",
-    "report_after_csv": "report_after.csv",
-    "metrics": "metrics.json",
-    "plot_data": "plot_data.csv",
-}
 
 
 class _StageWriter:
@@ -233,31 +216,66 @@ def _splits_from_json(text: str) -> dict[str, DomainSplits]:
 # ---------------------------------------------------------------------------
 # Stages
 
+# The config sections each stage's artifacts depend on; the stage's record
+# holds their canonical values.
+_PARTITION_SECTIONS = ("experiment", "data", "domain", "partition", "evaluate")
+_TRAIN_SECTIONS = _PARTITION_SECTIONS + ("model", "training")
+_UNLEARN_SECTIONS = _TRAIN_SECTIONS + ("unlearn",)
 
-def _check_resumed(path: str, key: str, found, wanted) -> None:
-    """Refuse to resume from an artifact written for another config."""
-    if found != wanted:
-        raise ConfigError(
-            f"{path}: {key} is {found!r} but the config asks for {wanted!r}; "
-            f"use a fresh output directory")
+
+def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str, ...],
+           sections: tuple[str, ...], prior, resume, run):
+    """Resume or run one stage in out_dir.
+
+    The first of the stage's artifacts is its record: a JSON document whose
+    "config" holds the canonical values of sections.  When every artifact
+    exists, the record is read and must hold cfg's values, and the result is
+    resume(prior(), record); the check comes before prior (the stage this one
+    builds on), so a finished directory is checked against its fullest record
+    first.  Otherwise run(prior(), writer) writes the other artifacts and
+    returns (result, record), and the record is written with the values.
+    """
+    wanted = canonical(cfg, sections)
+    record_path = os.path.join(out_dir, artifacts[0])
+    if all(os.path.exists(os.path.join(out_dir, a)) for a in artifacts):
+        record = _read_record(name, record_path, wanted)
+        return resume(prior(), record)
+    writer = _StageWriter(out_dir, name)
+    result, record = run(prior(), writer)
+    record["config"] = wanted
+    writer.add_text(artifacts[0], json.dumps(record, sort_keys=True, indent=1))
+    writer.commit()
+    return result
+
+
+def _read_record(stage: str, path: str, wanted: dict) -> dict:
+    """The record at path; refused unless its config values equal wanted."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except ValueError as exc:
+        raise StageError(stage, f"{path}: not valid JSON: {exc}") from None
+    found = record.get("config") if isinstance(record, dict) else None
+    if not isinstance(found, dict):
+        raise ConfigError(f"{path}: no config record; use a fresh output directory")
+    if found == wanted:
+        return record
+    clauses = [f"{key} is {found.get(key)!r} but the config asks for {wanted.get(key)!r}"
+               for key in {**wanted, **found} if found.get(key) != wanted.get(key)]
+    raise ConfigError(f"{path}: {'; '.join(clauses)}; use a fresh output directory")
 
 
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     """The task; on resume only partition.json is read, and the data is
     built when a stage first uses it."""
-    plan_path = os.path.join(out_dir, ART["partition"])
-    splits_path = os.path.join(out_dir, ART["splits"])
-    if os.path.exists(plan_path) and os.path.exists(splits_path):
-        with open(plan_path) as fh:
-            plan = PartitionPlan.from_json(fh.read())
-        _check_resumed(plan_path, "seed", plan.seed, cfg.seed)
-        return Task(cfg, plan, splits_path)
-    task = build_task(cfg)
-    writer = _StageWriter(out_dir, "partition")
-    writer.add_text(ART["partition"], task.plan.to_json())
-    writer.add_text(ART["splits"], _splits_to_json(task.splits))
-    writer.commit()
-    return task
+    def run(_, writer):
+        task = build_task(cfg)
+        writer.add_text("splits.json", _splits_to_json(task.splits))
+        return task, task.plan.to_doc()
+    splits = os.path.join(out_dir, "splits.json")
+    return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json"),
+                  _PARTITION_SECTIONS, lambda: None,
+                  lambda _, plan: Task(cfg, PartitionPlan.from_doc(plan), splits), run)
 
 
 def _load_model(spec: ModelSpec, path: str) -> ParameterSet:
@@ -271,29 +289,24 @@ def _load_model(spec: ModelSpec, path: str) -> ParameterSet:
 
 
 def ensure_train(cfg: ExperimentConfig, out_dir: str):
-    ckpt = os.path.join(out_dir, ART["ckpt_trained"])
-    summary_path = os.path.join(out_dir, ART["train_summary"])
-    task = ensure_partition(cfg, out_dir)
-    if os.path.exists(ckpt) and os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            summary = json.load(fh)
-        return task, _load_model(task.spec, ckpt), summary
-    clients = task.build_clients()
-    ckpt_dir = out_dir if cfg.training.checkpoint_every else None
-    result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
-                                 cfg.training, cfg.seed, checkpoint_dir=ckpt_dir)
-    summary = {
-        "convergence_round": result.convergence_round,
-        "rounds_run": len(result.logs),
-        "final_val_error": result.logs[-1].val_error if result.logs else None,
-    }
-    writer = _StageWriter(out_dir, "train")
-    writer.add_checkpoint(ART["ckpt_trained"], result.params)
-    writer.add_text(ART["rounds_train"], fedsim.round_logs_to_csv(
-        result.logs, [c.client_id for c in clients]))
-    writer.add_text(ART["train_summary"], json.dumps(summary, sort_keys=True, indent=1))
-    writer.commit()
-    return task, result.params, summary
+    def run(task, writer):
+        clients = task.build_clients()
+        ckpt_dir = out_dir if cfg.training.checkpoint_every else None
+        result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
+                                     cfg.training, cfg.seed, checkpoint_dir=ckpt_dir)
+        summary = {
+            "convergence_round": result.convergence_round,
+            "rounds_run": len(result.logs),
+            "final_val_error": result.logs[-1].val_error if result.logs else None,
+        }
+        writer.add_checkpoint("checkpoint_trained.fusim", result.params)
+        writer.add_text("rounds_train.csv", fedsim.round_logs_to_csv(
+            result.logs, [c.client_id for c in clients]))
+        return (task, result.params, summary), summary
+    ckpt = os.path.join(out_dir, "checkpoint_trained.fusim")
+    return _stage(cfg, out_dir, "train", ("train_summary.json", "checkpoint_trained.fusim"),
+                  _TRAIN_SECTIONS, lambda: ensure_partition(cfg, out_dir),
+                  lambda task, summary: (task, _load_model(task.spec, ckpt), summary), run)
 
 
 def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
@@ -301,7 +314,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
     """Apply the configured route; returns (params, unlearn logs, extras)."""
     u = cfg.unlearn
     route = u.route
-    extras: dict[str, object] = {"route": route}
+    extras: dict[str, object] = {}
     if route == "none":
         return trained, [], extras
     clients = task.build_clients()
@@ -353,33 +366,28 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | N
     stage held elsewhere (compare_routes shares one across routes); without
     it the trained stage is read or built in out_dir.
     """
-    ckpt = os.path.join(out_dir, ART["ckpt_unlearned"])
-    summary_path = os.path.join(out_dir, ART["unlearn_summary"])
-    task, trained, train_summary = trained_stage or ensure_train(cfg, out_dir)
-    if os.path.exists(ckpt) and os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            summary = json.load(fh)
-        _check_resumed(summary_path, "route", summary["route"], cfg.unlearn.route)
+    def resume(trained_stage, summary):
+        task, trained, _ = trained_stage
+        ckpt = os.path.join(out_dir, "checkpoint_unlearned.fusim")
         return task, trained, _load_model(task.spec, ckpt), summary
-    params, logs, extras = run_route(cfg, task, trained,
-                                     start_round=train_summary["rounds_run"])
-    summary = {
-        "route": cfg.unlearn.route,
-        "unlearn_rounds_run": len(logs),
-        "final_val_error": logs[-1].val_error if logs else None,
-    }
-    for key in ("nonrequesting_steps", "zeroed_units", "selected_units"):
-        if key in extras:
-            summary[key] = extras[key]
-    writer = _StageWriter(out_dir, "unlearn")
-    writer.add_checkpoint(ART["ckpt_unlearned"], params)
-    writer.add_text(ART["rounds_unlearn"], fedsim.round_logs_to_csv(
-        logs, sorted(cfg.unlearn.requesting_clients)))
-    writer.add_text(ART["unlearn_summary"], json.dumps(summary, sort_keys=True, indent=1))
-    if "audit" in extras:
-        writer.add_text(ART["audit"], extras["audit"].to_json())
-    writer.commit()
-    return task, trained, params, summary
+
+    def run(trained_stage, writer):
+        task, trained, train_summary = trained_stage
+        params, logs, extras = run_route(cfg, task, trained,
+                                         start_round=train_summary["rounds_run"])
+        audit = extras.pop("audit", None)
+        summary = {"unlearn_rounds_run": len(logs),
+                   "final_val_error": logs[-1].val_error if logs else None, **extras}
+        writer.add_checkpoint("checkpoint_unlearned.fusim", params)
+        writer.add_text("rounds_unlearn.csv", fedsim.round_logs_to_csv(
+            logs, sorted(cfg.unlearn.requesting_clients)))
+        if audit is not None:
+            writer.add_text("audit_fedcccu.json", audit.to_json())
+        return (task, trained, params, summary), summary
+    return _stage(cfg, out_dir, "unlearn", ("unlearn_summary.json",
+                                            "checkpoint_unlearned.fusim"),
+                  _UNLEARN_SECTIONS, lambda: trained_stage or ensure_train(cfg, out_dir),
+                  resume, run)
 
 
 def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None,
@@ -391,43 +399,38 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
     model's report when the caller already has it (compare_routes shares one
     across routes; its metadata is set here), else it is built.
     """
-    task, trained, unlearned, _ = ensure_unlearn(cfg, out_dir, trained_stage)
-    paths = {key: os.path.join(out_dir, ART[key]) for key in (
-        "report_before_json", "report_before_csv", "report_after_json",
-        "report_after_csv", "metrics", "plot_data")}
-    if all(os.path.exists(path) for path in paths.values()):
-        with open(paths["metrics"]) as fh:
-            _check_resumed(paths["metrics"], "route", json.load(fh)["route"],
-                           cfg.unlearn.route)
-        with open(paths["report_before_json"]) as fh:
-            before, _ = evalkit.report_from_json(fh.read())
-        with open(paths["report_after_json"]) as fh:
+    route = cfg.unlearn.route
+
+    def resume(unlearned_stage, _):
+        with open(os.path.join(out_dir, "report_before.json")) as fh:
+            read_before, _ = evalkit.report_from_json(fh.read())
+        with open(os.path.join(out_dir, "report_after.json")) as fh:
             after, metrics = evalkit.report_from_json(fh.read())
-        return task, before, after, metrics
-    if before is None:
-        before = evalkit.build_report(task.spec, trained, task.client_test_sets)
-    before = dataclasses.replace(before, metadata={
-        "strategy": "before", "route": cfg.unlearn.route, "seed": cfg.seed})
-    after = evalkit.build_report(
-        task.spec, unlearned, task.client_test_sets,
-        metadata={"strategy": "after", "route": cfg.unlearn.route, "seed": cfg.seed})
-    metrics = evalkit.forgetting_metrics(before, after, cfg.unlearn)
-    writer = _StageWriter(out_dir, "evaluate")
-    writer.add_text(ART["report_before_json"], evalkit.report_to_json(before))
-    writer.add_text(ART["report_before_csv"], evalkit.report_to_csv(before, "before"))
-    writer.add_text(ART["report_after_json"], evalkit.report_to_json(after, metrics))
-    writer.add_text(ART["report_after_csv"],
-                    evalkit.report_to_csv(after, cfg.unlearn.route))
-    writer.add_text(ART["metrics"], json.dumps({
-        "route": cfg.unlearn.route,
-        "forget_efficacy": metrics.forget_efficacy,
-        "collateral_retained": metrics.collateral_retained,
-        "collateral_nonrequesting_forget": metrics.collateral_nonrequesting_forget,
-    }, sort_keys=True, indent=1))
-    writer.add_text(ART["plot_data"], evalkit.plot_data_csv(
-        {cfg.unlearn.route: (before.global_accuracy, after.global_accuracy)}))
-    writer.commit()
-    return task, before, after, metrics
+        return unlearned_stage[0], read_before, after, metrics
+
+    def run(unlearned_stage, writer):
+        task, trained, unlearned, _ = unlearned_stage
+        shared = before if before is not None else evalkit.build_report(
+            task.spec, trained, task.client_test_sets)
+        shared = dataclasses.replace(shared, metadata={
+            "strategy": "before", "route": route, "seed": cfg.seed})
+        after = evalkit.build_report(
+            task.spec, unlearned, task.client_test_sets,
+            metadata={"strategy": "after", "route": route, "seed": cfg.seed})
+        metrics = evalkit.forgetting_metrics(shared, after, cfg.unlearn)
+        writer.add_text("report_before.json", evalkit.report_to_json(shared))
+        writer.add_text("report_before.csv", evalkit.report_to_csv(shared, "before"))
+        writer.add_text("report_after.json", evalkit.report_to_json(after, metrics))
+        writer.add_text("report_after.csv", evalkit.report_to_csv(after, route))
+        writer.add_text("plot_data.csv", evalkit.plot_data_csv(
+            {route: (shared.global_accuracy, after.global_accuracy)}))
+        # "route" repeats the record's unlearn.route for readers of metrics.json
+        # alone (perfbench prints it); the record's value is the one checked
+        return (task, shared, after, metrics), {"route": route, **dataclasses.asdict(metrics)}
+    return _stage(cfg, out_dir, "evaluate", (
+        "metrics.json", "report_before.json", "report_before.csv", "report_after.json",
+        "report_after.csv", "plot_data.csv"), _UNLEARN_SECTIONS,
+        lambda: ensure_unlearn(cfg, out_dir, trained_stage), resume, run)
 
 
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
@@ -440,10 +443,11 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     """
     if not cfgs:
         raise StageError("compare", "no configurations given")
-    key = cfgs[0].comparable_key()
-    for other in cfgs[1:]:
-        if other.comparable_key() != key:
-            raise StageError("compare", "configurations differ beyond unlearn.route")
+    held = [canonical(cfg, _UNLEARN_SECTIONS) for cfg in cfgs]
+    for values in held:
+        del values["unlearn.route"]
+    if any(values != held[0] for values in held[1:]):
+        raise StageError("compare", "configurations differ beyond unlearn.route")
     labels = []
     seen: dict[str, int] = {}
     for cfg in cfgs:

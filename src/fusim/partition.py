@@ -17,7 +17,6 @@ materialize turns a plan into per-client shard datasets by index.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +66,9 @@ class PartitionPlan:
     def client_count(self) -> int:
         return len(self.clients)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        """The plan as a JSON document; from_doc inverts it."""
+        return {
             "strategy": self.strategy,
             "seed": self.seed,
             "alpha": self.alpha,
@@ -77,13 +77,11 @@ class PartitionPlan:
                 for c in self.clients
             ],
         }
-        return json.dumps(doc, sort_keys=True, indent=1)
 
     @staticmethod
-    def from_json(text: str) -> "PartitionPlan":
-        doc = json.loads(text)
+    def from_doc(doc: dict) -> "PartitionPlan":
         clients = tuple(
-            ClientAssignment(c["domain"], tuple(int(i) for i in c["indices"]))
+            ClientAssignment(c["domain"], tuple(map(int, c["indices"])))
             for c in doc["clients"]
         )
         return PartitionPlan(clients, doc["strategy"], int(doc["seed"]),

@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from fusim import cli, evalkit, experiment, fedsim
+from fusim import cli, config, evalkit, experiment, fedsim
 from fusim.config import validate_config
 from helpers import params_equal
 
@@ -167,7 +167,7 @@ def test_cli_route_override(tmp_path):
                    "--route", "zeroing"])
     assert rc == cli.EXIT_OK
     with open(os.path.join(out, "unlearn_summary.json")) as fh:
-        assert json.load(fh)["route"] == "zeroing"
+        assert json.load(fh)["config"]["unlearn.route"] == "zeroing"
 
 
 def test_compare_four_routes_merged_table(tmp_path):
@@ -393,13 +393,14 @@ def test_evaluate_resume_refuses_metrics_of_other_route(tmp_path, caplog):
     path = os.path.join(out, "metrics.json")
     with open(path) as fh:
         doc = json.load(fh)
-    doc["route"] = "zeroing"
+    doc["config"]["unlearn.route"] = "zeroing"
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
     finished = tree_bytes(out)
     caplog.clear()
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
-    assert "metrics.json: route is 'zeroing' but the config asks for 'delete'" in caplog.text
+    assert ("metrics.json: unlearn.route is 'zeroing' but the config asks for 'delete'"
+            in caplog.text)
     assert tree_bytes(out) == finished
 
 
@@ -512,3 +513,227 @@ forget_class = 7
     assert "unlearn.forget_class: 7 >= shared class count 5" in caplog.text
     assert not os.path.exists(os.path.join(out, "checkpoint_trained.fusim"))
     assert not os.path.exists(out)
+
+
+def test_seed_override_is_checked_by_the_table(tmp_path, caplog):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "part"
+    rc = cli.main(["partition", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "config: --seed: experiment.seed: -1 outside allowed range [0, inf]" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("routes,message", [
+    (" , ", "config: --routes: no routes given"),
+    ("", "config: --routes: no routes given"),
+    ("delete,bogus", "config: --routes: unlearn.route: 'bogus' not one of"),
+])
+def test_compare_refuses_routes_the_table_does_not_allow(tmp_path, caplog, routes, message):
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "cmp"
+    rc = cli.main(["compare", "--config", str(cfg_path), "--out", str(out), "--routes", routes])
+    assert rc == cli.EXIT_CONFIG
+    assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished delete run of TINY: (config path, out dir)."""
+    base = tmp_path_factory.mktemp("finished")
+    cfg_path = write_cfg(base, route="delete")
+    out = str(base / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("name,damage,rc,message", [
+    ("train_summary.json", lambda data: data[:len(data) // 2], cli.EXIT_RUNTIME,
+     "train_summary.json: not valid JSON"),
+    ("partition.json", lambda data: b"[1]", cli.EXIT_CONFIG,
+     "partition.json: no config record; use a fresh output directory"),
+    ("train_summary.json", lambda data: b"{}", cli.EXIT_CONFIG,
+     "train_summary.json: no config record; use a fresh output directory"),
+])
+def test_resume_names_a_malformed_record(finished_run, tmp_path, caplog, name, damage, rc,
+                                         message):
+    cfg_path, finished = finished_run
+    out = str(tmp_path / "run")
+    shutil.copytree(finished, out)
+    path = os.path.join(out, name)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(damage(data))
+    before = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == rc
+    assert os.path.join(out, message) in caplog.text
+    assert tree_bytes(out) == before
+
+
+def test_changed_unlearn_key_after_train_runs_unlearn_on_the_trained_model(tmp_path,
+                                                                          monkeypatch):
+    cfg_path = write_cfg(tmp_path, route="delete")
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    trained = tree_bytes(out)
+    changed = tmp_path / "changed.ini"
+    changed.write_text(cfg_path.read_text().replace("rounds_max = 3", "rounds_max = 2"))
+    trainings = count_trainings(monkeypatch)
+    assert cli.main(["run", "--config", str(changed), "--out", out]) == cli.EXIT_OK
+    assert trainings == []
+    now = tree_bytes(out)
+    assert {name: now[name] for name in trained} == trained
+    with open(os.path.join(out, "unlearn_summary.json")) as fh:
+        assert json.load(fh)["config"]["unlearn.rounds_max"] == 2
+
+
+@pytest.mark.parametrize("old,new,record,clause", [
+    ("learning_rate = 0.4", "learning_rate = 0.3", "train_summary.json",
+     "training.learning_rate is 0.4 but the config asks for 0.3"),
+    ("riemann_steps = 5", "riemann_steps = 6", os.path.join(f"route_{COMPARED[0]}",
+                                                            "metrics.json"),
+     "unlearn.riemann_steps is 5 but the config asks for 6"),
+])
+def test_compare_refuses_a_changed_key_where_it_is_recorded(compared, tmp_path, monkeypatch,
+                                                            caplog, old, new, record, clause):
+    _, cfg_path, out, _ = compared
+    again = str(tmp_path / "again")
+    shutil.copytree(out, again)
+    finished = tree_bytes(again)
+    changed = tmp_path / "changed.ini"
+    changed.write_text(cfg_path.read_text().replace(old, new))
+    builds, _ = count_builds(monkeypatch)
+    caplog.clear()
+    rc = cli.main(["compare", "--config", str(changed), "--out", again,
+                   "--routes", ",".join(COMPARED)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{os.path.join(again, record)}: {clause}; use a fresh output directory" \
+        in caplog.text
+    assert builds == []
+    assert tree_bytes(again) == finished
+
+
+# A one-domain variant of TINY, so that partition.strategy has valid
+# alternatives, at a working resolution small_cnn accepts.
+KEYED = {
+    "experiment": {"name": "keyed", "seed": "5"},
+    "data": {"samples_per_class": "30", "class_count": "6"},
+    "domain.clean": {"transform": "identity", "resolution": "8x8"},
+    "partition": {"group_sizes": "4", "working_resolution": "10x10"},
+    "training": {"rounds_max": "4", "learning_rate": "0.4", "epsilon": "0.2"},
+    "unlearn": {"route": "delete", "rounds_max": "2", "top_n": "8", "select_n": "4",
+                "probe_cap": "16", "riemann_steps": "5"},
+}
+# One other valid value per key of the table; {idx} is an IDX pair's path
+# prefix, and a domain's images and labels are set together.
+ALTERNATIVES = {
+    "experiment.name": "other", "experiment.seed": "6", "experiment.out_dir": "elsewhere",
+    "model.spec": "small_cnn", "model.hidden": "64",
+    "data.class_count": "5", "data.samples_per_class": "31", "data.base_pattern_seed": "41",
+    "domain.transform": "invert", "domain.resolution": "10x10",
+    "domain.samples_per_class": "30", "domain.images": "{idx}-images.idx",
+    "domain.labels": "{idx}-labels.idx",
+    "partition.strategy": "iid", "partition.clients": "4", "partition.alpha": "50",
+    "partition.group_sizes": "3", "partition.working_resolution": "12x12",
+    "training.rounds_max": "5", "training.local_epochs": "2", "training.batch_size": "16",
+    "training.learning_rate": "0.3", "training.epsilon": "0.3",
+    "training.checkpoint_every": "2",
+    "unlearn.route": "zeroing", "unlearn.forget_class": "1",
+    "unlearn.requesting_clients": "1", "unlearn.rounds_max": "3",
+    "unlearn.top_m_fraction": "0.2", "unlearn.riemann_steps": "6", "unlearn.top_n": "10",
+    "unlearn.select_n": "3", "unlearn.probe_cap": "8",
+    "evaluate.val_fraction": "0.2", "evaluate.test_fraction": "0.2",
+}
+PARTITION_SECTIONS = {"experiment", "data", "domain", "partition", "evaluate"}
+UNLEARN_SECTIONS = PARTITION_SECTIONS | {"model", "training", "unlearn"}
+# The command's stage: its record, and the sections the stage depends on.
+STAGE_RECORDS = {
+    "partition": ("partition.json", PARTITION_SECTIONS),
+    "train": ("train_summary.json", PARTITION_SECTIONS | {"model", "training"}),
+    "unlearn": ("unlearn_summary.json", UNLEARN_SECTIONS),
+    "run": ("metrics.json", UNLEARN_SECTIONS),
+}
+
+
+def render(sections: dict) -> str:
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+@pytest.fixture(scope="module")
+def keyed_run(tmp_path_factory):
+    """A finished run of KEYED and an IDX pair: (base dir, out dir)."""
+    from fusim import datasets
+    from helpers import save_idx
+    base = tmp_path_factory.mktemp("keyed")
+    spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
+                                        class_count=6)
+    save_idx(datasets.synth_domain(spec, 0), base / "idx-images.idx", base / "idx-labels.idx")
+    cfg_path = base / "keyed.ini"
+    cfg_path.write_text(render(KEYED))
+    out = str(base / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    return base, out
+
+
+def test_key_alternatives_cover_the_table():
+    assert set(ALTERNATIVES) == {f"{section}.{key}" for section, key, *_ in config.KEYS}
+
+
+@pytest.mark.parametrize("name", sorted(ALTERNATIVES))
+def test_resume_refuses_every_key_its_stage_depends_on(keyed_run, monkeypatch, caplog, name):
+    """Each stage command on a finished directory, with one key changed: it
+    is refused, naming the key and both values, when the stage depends on
+    the key, and resumes otherwise; no data is built and no byte changes."""
+    base, out = keyed_run
+    section, key = name.rsplit(".", 1)
+    header = "domain.clean" if section == "domain" else section
+    changed = {s: dict(keys) for s, keys in KEYED.items()}
+    changed.setdefault(header, {})[key] = ALTERNATIVES[name].format(idx=base / "idx")
+    if key in ("images", "labels"):
+        for k in ("images", "labels"):
+            changed[header][k] = ALTERNATIVES[f"domain.{k}"].format(idx=base / "idx")
+    cfg_path = base / f"{name}.ini"
+    cfg_path.write_text(render(changed))
+    everything = tuple(UNLEARN_SECTIONS)
+    old = config.canonical(validate_config(render(KEYED)), everything)
+    new = config.canonical(validate_config(render(changed)), everything)
+    recorded = f"domain.clean.{key}" if section == "domain" else name
+    finished = tree_bytes(out)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("a resume built data")
+    monkeypatch.setattr(experiment, "build_task", no_data)
+    for command, (record, sections) in STAGE_RECORDS.items():
+        caplog.clear()
+        rc = cli.main([command, "--config", str(cfg_path), "--out", out])
+        if name in ("experiment.name", "experiment.out_dir") or section not in sections:
+            assert rc == cli.EXIT_OK, (command, caplog.text)
+        else:
+            assert rc == cli.EXIT_CONFIG, command
+            assert old[recorded] != new[recorded]
+            assert (f"{os.path.join(out, record)}: " in caplog.text
+                    and f"{recorded} is {old[recorded]!r} but the config asks for "
+                        f"{new[recorded]!r}" in caplog.text), caplog.text
+        assert tree_bytes(out) == finished, command
+
+
+def test_resume_refuses_reordered_domains(finished_run, tmp_path, caplog):
+    """Reordering [domain.*] sections reassigns group_sizes: the record's
+    domain order is checked too."""
+    cfg_path, finished = finished_run
+    out = str(tmp_path / "run")
+    shutil.copytree(finished, out)
+    text = cfg_path.read_text()
+    clean = "[domain.clean]\ntransform = identity\nresolution = 8x8\n"
+    swapped = tmp_path / "swapped.ini"
+    swapped.write_text(text.replace(clean, "").replace("[partition]", clean + "[partition]"))
+    before = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["run", "--config", str(swapped), "--out", out]) == cli.EXIT_CONFIG
+    assert ("domains is ['clean', 'noisy'] but the config asks for ['noisy', 'clean']"
+            in caplog.text)
+    assert tree_bytes(out) == before

@@ -1,7 +1,13 @@
 """Config schema validation tests."""
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from fusim.config import ConfigError, load_config, validate_config
+from fusim.config import KEYS, ConfigError, load_config, validate_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_minimal_config_fills_defaults():
@@ -114,9 +120,19 @@ def test_select_n_defaults_to_half_top_n():
     assert cfg.unlearn.select_n == 5
 
 
-FLOAT_KEYS = [("partition", "alpha"), ("training", "learning_rate"),
-              ("training", "epsilon"), ("unlearn", "top_m_fraction"),
-              ("evaluate", "val_fraction"), ("evaluate", "test_fraction")]
+FLOAT_KEYS = [(section, key) for section, key, _, kind, _ in KEYS if kind == "float"]
+
+
+def test_float_keys_come_from_the_table():
+    assert {("partition", "alpha"), ("training", "learning_rate"), ("training", "epsilon"),
+            ("unlearn", "top_m_fraction"), ("evaluate", "val_fraction"),
+            ("evaluate", "test_fraction")} <= set(FLOAT_KEYS)
+
+
+def test_table_holds_the_thirty_section_keys_and_five_domain_keys():
+    names = [(section, key) for section, key, *_ in KEYS]
+    assert len(set(names)) == len(names) == 35
+    assert sum(section == "domain" for section, _ in names) == 5
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
@@ -127,3 +143,100 @@ def test_non_finite_float_names_key_and_line(section, key, raw):
         validate_config(text)
     assert f"{section}.{key}: expected a finite number, got {raw!r}" in str(exc.value)
     assert exc.value.line == 4
+
+
+def key_text(section: str, key: str, value: str) -> tuple[str, str]:
+    """Config text that sets one key on line 4, and the name errors give it."""
+    header = "domain.x" if section == "domain" else section
+    return f"# one key\n\n[{header}]\n{key} = {value}\n", f"{header}.{key}"
+
+
+def out_of_range(kind: str, bounds) -> list[str]:
+    """Values just outside a row's bounds: below, and above when finite."""
+    if kind == "choice":
+        return ["bogus"]
+    lo, hi = bounds[1:-1].split(", ")
+    values = [lo if bounds[0] == "(" else str(float(lo) - 0.5 if kind == "float"
+                                              else int(lo) - 1)]
+    if hi != "inf":
+        values.append(hi if bounds[-1] == ")" else str(float(hi) * 2))
+    return values
+
+
+BOUNDED = [(section, key, value) for section, key, _, kind, bounds in KEYS if bounds
+           for value in out_of_range(kind, bounds)]
+
+
+@pytest.mark.parametrize("section,key,value", BOUNDED)
+def test_every_bounded_key_refuses_a_value_out_of_range(section, key, value):
+    text, name = key_text(section, key, value)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert str(exc.value).startswith(f"line 4: {name}: ")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("section,key", [(section, key) for section, key, _, kind, _ in KEYS
+                                         if kind in ("int", "float", "ints")])
+def test_every_numeric_key_refuses_text(section, key):
+    text, name = key_text(section, key, "abc")
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert str(exc.value).startswith(f"line 4: {name}: expected ")
+    assert str(exc.value).endswith("got 'abc'")
+
+
+def test_out_of_range_message_names_the_range():
+    with pytest.raises(ConfigError, match=re.escape(
+            "line 2: partition.alpha: -1.0 outside allowed range (0.0, inf]")):
+        validate_config("[partition]\nalpha = -1\n")
+    with pytest.raises(ConfigError, match=re.escape(
+            "--seed: experiment.seed: -1 outside allowed range [0, inf]")):
+        validate_config("", [("--seed", "experiment.seed", "-1")])
+
+
+def test_overrides_replace_the_text_value():
+    cfg = validate_config("[experiment]\nseed = 4\n[unlearn]\nroute = delete\n",
+                          [("--seed", "experiment.seed", "9"),
+                           ("--route", "unlearn.route", "zeroing")])
+    assert (cfg.seed, cfg.unlearn.route) == (9, "zeroing")
+
+
+def readme_reference() -> list[tuple[str, str, str]]:
+    """(section, key, value) of each key in README's config reference block;
+    the [domain.<name>] keys have section "domain"."""
+    block = README.read_text().split("## Config reference", 1)[1]
+    block = block.split("```ini", 1)[1].split("```", 1)[0]
+    found, section = [], None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]").split(".")[0]
+        elif "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            found.append((section, key, value))
+    return found
+
+
+def test_readme_config_reference_lists_the_table():
+    assert sorted((s, k) for s, k, _ in readme_reference()) == \
+        sorted((s, k) for s, k, *_ in KEYS)
+
+
+PLACEHOLDERS = ("runs/<name>", "...", "path")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    entry for entry in readme_reference() if entry[2] not in PLACEHOLDERS])
+def test_readme_defaults_parse_to_the_table_defaults(section, key, value):
+    """The table's default of a key is the default of the dataclass field
+    that holds it."""
+    attr = next(row[2] for row in KEYS if row[:2] == (section, key))
+    holder, _, name = attr.rpartition(".")
+    parsed = validate_config(key_text(section, key, value)[0])
+    if section == "domain":
+        parsed = parsed.domains[0]
+    elif holder:
+        parsed = getattr(parsed, holder)
+    default = {f.name: f.default for f in dataclasses.fields(parsed)}[name]
+    assert getattr(parsed, name) == default
