@@ -322,6 +322,9 @@ def validate_config(text: str, overrides=()) -> ExperimentConfig:
         raise ConfigError(
             f"unlearn.forget_class: {u.forget_class} >= class_count {cfg.class_count}",
             where("unlearn", "forget_class"))
+    if cfg.model_spec == "small_cnn" and min(p.working_resolution) < 10:
+        raise ConfigError("partition.working_resolution: small_cnn needs at least 10x10",
+                          where("partition", "working_resolution"))
     total_clients = sum(p.group_sizes) if p.strategy == "real_noniid" else p.clients
     if u.requesting_clients[-1] >= total_clients:
         raise ConfigError(

@@ -26,7 +26,6 @@ from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, ExperimentConfig, canonical
 from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
                        resize, stratified_split, subset, SyntheticDomainSpec, synth_domain)
-from .fedsim import ClientState
 from .nncore import ModelSpec, ParameterSet
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -108,9 +107,6 @@ class Task:
     val_x = property(lambda self: self.data.val_x)
     val_y = property(lambda self: self.data.val_y)
     client_test_sets = property(lambda self: self.data.client_test_sets)
-
-    def build_clients(self) -> list[ClientState]:
-        return fedsim.build_clients(self.plan, self.train_domains)
 
 
 def build_spec(cfg: ExperimentConfig) -> ModelSpec:
@@ -290,7 +286,7 @@ def _load_model(spec: ModelSpec, path: str) -> ParameterSet:
 
 def ensure_train(cfg: ExperimentConfig, out_dir: str):
     def run(task, writer):
-        clients = task.build_clients()
+        clients = fedsim.build_clients(task.plan, task.train_domains)
         ckpt_dir = out_dir if cfg.training.checkpoint_every else None
         result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
                                      cfg.training, cfg.seed, checkpoint_dir=ckpt_dir)
@@ -317,18 +313,15 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
     extras: dict[str, object] = {}
     if route == "none":
         return trained, [], extras
-    clients = task.build_clients()
-    by_id = {c.client_id: c for c in clients}
+    clients = fedsim.build_clients(task.plan, task.train_domains)
     if route in ("delete", "relabel"):
         for rid in u.requesting_clients:
-            state = by_id[rid]
+            state = clients[rid]  # build_clients puts client i at i
             if route == "delete":
-                edited = unlearn_routes.delete_retrain_prepare(state.shard, u.forget_class)
+                state.keep(unlearn_routes.delete_retrain_prepare(state.labels, u.forget_class))
             else:
-                edited = unlearn_routes.relabel_poison_prepare(
-                    state.shard, u.forget_class, task.class_count,
-                    seed=(cfg.seed, 853, rid))
-            state.replace_shard(edited)
+                state.labels = unlearn_routes.relabel_poison_prepare(
+                    state.labels, u.forget_class, task.class_count, (cfg.seed, 853, rid))
         pre_steps = {c.client_id: c.local_step_counter for c in clients}
         params, logs = fedsim.fair_unlearn_rounds(
             trained, task.spec, clients, u, task.val_x, task.val_y,
@@ -338,7 +331,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
             for c in clients if c.client_id not in u.requesting_clients)
         return params, logs, extras
     if route == "zeroing":
-        per_client = [fedcccu.probe_examples(by_id[rid], u.forget_class,
+        per_client = [fedcccu.probe_examples(clients[rid], u.forget_class,
                                              u.probe_cap, cfg.seed)
                       for rid in u.requesting_clients]
         probes = DomainDataset(np.concatenate([p.images for p in per_client]),

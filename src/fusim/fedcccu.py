@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nncore
 from .config import UnlearnConfig
-from .datasets import DomainDataset, subset
+from .datasets import DomainDataset
 from .fedsim import ClientState
 from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
 from .unlearn_routes import editable_units
@@ -244,13 +244,14 @@ def rank_select(entries: list[DominanceEntry], n: int) -> RankSelection:
 def probe_examples(state: ClientState, forget_class: int, probe_cap: int,
                    seed) -> DomainDataset:
     """The client's forget-class examples, a seeded sample of probe_cap of
-    them when it holds more, in shard order."""
-    candidates = np.flatnonzero(state.shard.labels == forget_class)
+    them when it holds more, in the client's order; only these are gathered."""
+    candidates = np.flatnonzero(state.labels == forget_class)
     if len(candidates) > probe_cap:
         rng = make_rng((seed, state.client_id), 801)
         candidates = candidates[np.sort(rng.choice(len(candidates), size=probe_cap,
                                                    replace=False))]
-    return subset(state.shard, candidates)
+    return DomainDataset(state.domain.images[state.index[candidates]],
+                         state.labels[candidates], "probes", state.domain.class_count)
 
 
 def fedcccu_pipeline(spec: ModelSpec, global_params: ParameterSet,

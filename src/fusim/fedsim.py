@@ -4,12 +4,12 @@ One round loop serves both.  Each round the training clients run local
 mini-batch SGD from the current global parameters, in lockstep: their models
 and gradients are the rows of two (k, P) matrices made once per loop, and at
 each step one stacked engine call covers every run of trainers whose batches
-have one size (nncore's stack axis), with each trainer's bits those of its
-own unstacked steps.  Each trainer's row is its cached submission, and the
-server takes the sample-count-weighted mean of every client's cache, whole
-vectors at a time.  The loop stops at the first round whose validation error
-drops below [training] epsilon; in run_training that round is the
-convergence round.
+(gathered from the train domains, not copies) have one size (nncore's stack
+axis), with each trainer's bits those of its own unstacked steps.  Each
+trainer's row is its cached submission, and the server takes the
+sample-count-weighted mean of every client's cache, whole vectors at a time.
+The loop stops at the first round whose validation error drops below
+[training] epsilon; in run_training that round is the convergence round.
 
 run_training makes every client a trainer.  fair_unlearn_rounds makes only
 the requesting clients trainers; every other client is represented by its
@@ -43,22 +43,24 @@ class FedError(ValueError):
 
 
 class ClientState:
-    """Per-client shard, cached last submission, step counter."""
+    """A client's view of its train domain (never written): an intp index vector
+    and its own labels, domain.labels[index] until a route rewrites them."""
 
-    def __init__(self, client_id: int, shard: DomainDataset):
+    def __init__(self, client_id: int, domain: DomainDataset, index):
         self.client_id = client_id
         self.cache: nncore.FlatParams | None = None
         self.local_step_counter = 0
-        self.replace_shard(shard)
+        self.domain = domain
+        self.index = np.asarray(index, dtype=np.intp)
+        self.labels = domain.labels[self.index]
 
-    def replace_shard(self, shard: DomainDataset) -> None:
-        if len(shard) == 0:
-            raise FedError(f"client {self.client_id} has an empty shard")
-        self.shard = shard
+    def keep(self, positions) -> None:
+        """Keep only the examples at positions, in that order."""
+        self.index, self.labels = self.index[positions], self.labels[positions]
 
     @property
     def sample_count(self) -> int:
-        return len(self.shard)
+        return len(self.index)
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ class TrainingResult:
 
 
 def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[ClientState]:
-    shards = materialize(plan, domains)
-    return [ClientState(i, s) for i, s in enumerate(shards)]
+    return [ClientState(i, domains[c.domain_id], index)
+            for i, (c, index) in enumerate(zip(plan.clients, materialize(plan, domains)))]
 
 
 def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: ModelSpec,
@@ -107,10 +109,9 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
             view[...] = global_params[name]
     batches = []
     for client in trainers:
-        if client.shard.images.shape[1:] != spec.input_shape:
-            raise FedError(f"client {client.client_id}: images of shape "
-                           f"{client.shard.images.shape[1:]}, the model takes "
-                           f"{spec.input_shape}")
+        if (shape := client.domain.images.shape[1:]) != spec.input_shape:
+            raise FedError(f"client {client.client_id}: images of shape {shape}, "
+                           f"the model takes {spec.input_shape}")
         rng = make_rng((seed, client.client_id, round_index), 501)
         n = client.sample_count
         orders = (rng.permutation(n) for _ in range(training.local_epochs))
@@ -128,8 +129,8 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
         for r, client in enumerate(ranked):
             if step < len(batches[r]):
                 idx = batches[r][step]
-                x[r * size:r * size + len(idx)] = client.shard.images[idx]
-                y[r * size:r * size + len(idx)] = client.shard.labels[idx]
+                x[r * size:r * size + len(idx)] = client.domain.images[client.index[idx]]
+                y[r * size:r * size + len(idx)] = client.labels[idx]
                 if len(idx) == size and runs and runs[-1][1:] == [r, size]:
                     runs[-1][1] = r + 1
                 else:

@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-Array = np.ndarray
 ParameterSet = dict[str, np.ndarray]
 
 PARAM_KINDS = ("dense", "conv2d")

@@ -13,7 +13,7 @@ point that picks the configured regime:
 
 label_intersection maps every domain onto the shared label space (a lookup
 table over the label array, plus a mask that drops the rest), and
-materialize turns a plan into per-client shard datasets by index.
+materialize checks a plan's per-client index vectors against the domains.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PartitionConfig
-from .datasets import DomainDataset, subset
+from .datasets import DomainDataset
 from .nncore import make_rng
 
 DIRICHLET_MAX_RETRIES = 100
@@ -196,11 +196,16 @@ def build_plan(part: PartitionConfig, domains: list[DomainDataset], seed: int) -
     return PartitionPlan(tuple(clients), "real_noniid", seed, part.alpha)
 
 
-def materialize(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[DomainDataset]:
-    """Per-client shard datasets, in client order."""
-    shards = []
-    for c in plan.clients:
+def materialize(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[np.ndarray]:
+    """Per-client intp index vectors, each index checked to be in its domain."""
+    out = []
+    for i, c in enumerate(plan.clients):
         if c.domain_id not in domains:
             raise PartitionError(f"plan references unknown domain {c.domain_id!r}")
-        shards.append(subset(domains[c.domain_id], c.indices))
-    return shards
+        index, size = np.asarray(c.indices, dtype=np.intp), len(domains[c.domain_id])
+        bad = (index < 0) | (index >= size)
+        if bad.any():
+            raise PartitionError(f"client {i}: index {index[bad][0]} outside [0, {size}) "
+                                 f"of domain {c.domain_id!r}")
+        out.append(index)
+    return out

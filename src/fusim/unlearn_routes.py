@@ -1,20 +1,18 @@
 """Baseline unlearning routes: delete-retrain, relabel-poison, neuron zeroing.
 
-The first two edit the requesting client's shard and rely on fair retraining
-rounds; the third edits the model directly by zeroing the units most
-activated by forget-class probes.  Unit ranking and edits address hidden
-parameterized layers only: output-layer units are class logits whose scale is
-not comparable to hidden activations, and zeroing them is label suppression
-rather than representation removal.
+The first two give the requesting client's kept positions or new labels and
+rely on fair retraining rounds; the third edits the model directly by zeroing
+the units most activated by forget-class probes.  Unit ranking and edits
+address hidden parameterized layers only: output-layer units are class logits
+whose scale is not comparable to hidden activations, and zeroing them is label
+suppression rather than representation removal.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
 from . import nncore
-from .datasets import DomainDataset, subset
+from .datasets import DomainDataset
 from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
 
 
@@ -31,25 +29,25 @@ def editable_units(spec: ModelSpec) -> list[UnitId]:
             for k in range(spec.unit_count(l))]
 
 
-def delete_retrain_prepare(shard: DomainDataset, forget_class: int) -> DomainDataset:
-    """Drop every forget-class example, preserving order."""
-    kept = subset(shard, np.flatnonzero(shard.labels != forget_class))
+def delete_retrain_prepare(labels: np.ndarray, forget_class: int) -> np.ndarray:
+    """The positions of every example not of the forget class, in order."""
+    kept = np.flatnonzero(labels != forget_class)
     if len(kept) == 0:
         raise RouteError("deleting the forget class empties the shard")
     return kept
 
 
-def relabel_poison_prepare(shard: DomainDataset, forget_class: int,
-                           class_count: int, seed) -> DomainDataset:
-    """Rewrite forget-class labels to uniform draws over the other classes."""
+def relabel_poison_prepare(labels: np.ndarray, forget_class: int,
+                           class_count: int, seed) -> np.ndarray:
+    """A copy of labels with the forget class drawn uniformly over the others."""
     if class_count < 2:
         raise RouteError("relabeling needs at least two classes")
     rng = make_rng(seed, 701)
-    hit = shard.labels == forget_class
+    hit = labels == forget_class
     draws = rng.integers(0, class_count - 1, size=int(hit.sum()))
-    labels = shard.labels.copy()
+    labels = labels.copy()
     labels[hit] = draws + (draws >= forget_class)
-    return replace(shard, labels=labels)
+    return labels
 
 
 def rank_units_by_activation(spec: ModelSpec, params: ParameterSet,

@@ -1,14 +1,30 @@
-"""Test-side helpers: a parameter-set comparison and the IDX fixture writers."""
+"""Test-side helpers: a parameter-set comparison, the copied-shard reference
+for client views, and the IDX fixture writers."""
+import dataclasses
 import struct
 
 import numpy as np
 
 from fusim import datasets as ds
+from fusim import fedsim as fs
 
 
 def params_equal(a, b) -> bool:
     """Same names in the same order and bit-identical arrays."""
     return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def copied_shard(client) -> ds.DomainDataset:
+    """The client's examples copied into a dataset of their own, with its labels."""
+    return dataclasses.replace(ds.subset(client.domain, client.index),
+                               labels=client.labels.copy())
+
+
+def on_copied_shard(client) -> fs.ClientState:
+    """The client over a copy of its examples, indexed 0..n-1: the reference a
+    client viewing its train domain must match bit for bit."""
+    shard = copied_shard(client)
+    return fs.ClientState(client.client_id, shard, np.arange(len(shard)))
 
 
 def write_idx(images, labels, images_path, labels_path) -> None:

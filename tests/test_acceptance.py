@@ -218,7 +218,7 @@ def test_criterion_3_protocol_suite():
 
     def one_run():
         task = experiment.build_task(cfg)
-        clients = task.build_clients()
+        clients = fedsim.build_clients(task.plan, task.train_domains)
         result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
                                      cfg.training, cfg.seed)
         return task, clients, result
@@ -231,7 +231,7 @@ def test_criterion_3_protocol_suite():
     # fairness: zero gradient computations by non-requesting clients
     request = dataclasses.replace(cfg.unlearn, forget_class=0, requesting_clients=(0,))
     state0 = clients_a[0]
-    state0.replace_shard(unlearn_routes.delete_retrain_prepare(state0.shard, 0))
+    state0.keep(unlearn_routes.delete_retrain_prepare(state0.labels, 0))
     pre = {c.client_id: c.local_step_counter for c in clients_a}
     fedsim.fair_unlearn_rounds(run_a.params, task_a.spec, clients_a, request,
                                task_a.val_x, task_a.val_y, cfg.training, cfg.seed,

@@ -6,9 +6,10 @@ import logging
 import os
 import shutil
 
+import numpy as np
 import pytest
 
-from fusim import cli, config, evalkit, experiment, fedsim
+from fusim import cli, config, evalkit, experiment, fedsim, nncore
 from fusim.config import validate_config
 from helpers import params_equal
 
@@ -571,6 +572,80 @@ def test_resume_names_a_malformed_record(finished_run, tmp_path, caplog, name, d
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == rc
     assert os.path.join(out, message) in caplog.text
     assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("past_end", [False, True])
+def test_train_refuses_a_plan_index_outside_its_domain(tmp_path, caplog, past_end):
+    """An index of -1 (which would read the domain's last example) or of
+    len(domain) in partition.json stops the train stage before it trains,
+    naming the client, the index and the domain's size; no file changes."""
+    cfg_path = write_cfg(tmp_path)
+    out = str(tmp_path / "run")
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    with open(os.path.join(out, "splits.json")) as fh:
+        size = len(json.load(fh)["clean"]["train"])
+    bad = size if past_end else -1
+    path = os.path.join(out, "partition.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    client = doc["clients"][1]
+    assert client["domain"] == "clean" and bad not in client["indices"]
+    client["indices"][0] = bad
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+    before = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["train", "--config", str(cfg_path), "--out", out]) == cli.EXIT_RUNTIME
+    assert f"client 1: index {bad} outside [0, {size}) of domain 'clean'" in caplog.text
+    assert tree_bytes(out) == before
+
+
+def test_clients_view_the_train_domains():
+    """A client's images are its train domain's array, not a copy; its
+    index is the plan's and its labels the domain's at that index."""
+    task = experiment.build_task(validate_config(TINY.format(route="none")))
+    clients = fedsim.build_clients(task.plan, task.train_domains)
+    for client, assignment in zip(clients, task.plan.clients):
+        domain = task.train_domains[assignment.domain_id]
+        assert np.shares_memory(client.domain.images, domain.images)
+        assert client.index.tolist() == list(assignment.indices)
+        assert np.array_equal(client.labels, domain.labels[client.index])
+
+
+@pytest.mark.parametrize("route", ["delete", "relabel"])
+def test_label_routes_edit_only_the_requesters_view(monkeypatch, route):
+    """delete and relabel change the requesting client's index or labels and
+    nothing else: the train domains' bytes and every other client's view
+    stay as they were."""
+    cfg = validate_config(TINY.format(route=route))
+    task = experiment.build_task(cfg)
+    before = {did: (d.images.tobytes(), d.labels.tobytes())
+              for did, d in task.train_domains.items()}
+    built, real = [], fedsim.build_clients
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(fedsim, "build_clients", spy)
+    experiment.run_route(cfg, task, nncore.init_params(task.spec, 0), start_round=0)
+    [clients] = built
+    assert {did: (d.images.tobytes(), d.labels.tobytes())
+            for did, d in task.train_domains.items()} == before
+    forget = cfg.unlearn.forget_class
+    for client, assignment in zip(clients, task.plan.clients):
+        labels = task.train_domains[assignment.domain_id].labels[list(assignment.indices)]
+        if client.client_id not in cfg.unlearn.requesting_clients:
+            assert client.index.tolist() == list(assignment.indices)
+            assert np.array_equal(client.labels, labels)
+        elif route == "delete":
+            kept = labels != forget
+            assert not kept.all()
+            assert client.index.tolist() == np.asarray(assignment.indices)[kept].tolist()
+            assert np.array_equal(client.labels, labels[kept])
+        else:
+            assert client.index.tolist() == list(assignment.indices)
+            assert (client.labels != forget).all() and (labels == forget).any()
+            assert np.array_equal(client.labels[labels != forget], labels[labels != forget])
 
 
 def test_changed_unlearn_key_after_train_runs_unlearn_on_the_trained_model(tmp_path,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fusim import cli
 from fusim.config import KEYS, ConfigError, load_config, validate_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -64,6 +65,26 @@ def test_group_sizes_must_match_domains():
     with pytest.raises(ConfigError) as exc:
         validate_config(text)
     assert "group_sizes" in str(exc.value)
+
+
+@pytest.mark.parametrize("resolution", ["8x8", "9x12", "12x9"])
+def test_small_cnn_below_ten_by_ten_names_the_working_resolution(tmp_path, caplog,
+                                                                 resolution):
+    """Two conv/pool blocks leave no feature map below 10x10: a config error
+    (exit 1) naming the key and its line, not a failed first stage."""
+    text = f"[model]\nspec = small_cnn\n[partition]\nworking_resolution = {resolution}\n"
+    with pytest.raises(ConfigError, match=r"^line 4: partition\.working_resolution: "
+                                          r"small_cnn needs at least 10x10$"):
+        validate_config(text)
+    path = tmp_path / "cnn.ini"
+    path.write_text(text)
+    assert cli.main(["partition", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    assert "partition.working_resolution" in caplog.text
+    assert not (tmp_path / "o").exists()
+    assert validate_config(text.replace(resolution, "10x10")).partition.working_resolution \
+        == (10, 10)
+    validate_config(text.replace("small_cnn", "small_mlp"))
 
 
 def test_iid_needs_single_domain():

@@ -10,7 +10,7 @@ from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
-from helpers import params_equal
+from helpers import on_copied_shard, params_equal
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +354,26 @@ def test_edit_locality_bit_identical_elsewhere():
 # pipeline
 
 
+def test_probe_examples_of_a_view_equal_those_of_its_copied_shard():
+    """The probes of a client viewing its domain are, bit for bit, those of a
+    copy of its shard, capped or not; the client's own labels pick them."""
+    gen = ds.SyntheticDomainSpec(base_pattern_seed=14, resolution=(8, 8),
+                                 samples_per_class=20, class_count=4)
+    domain = ds.synth_domain(gen, 6)
+    view = fs.ClientState(3, domain, np.arange(len(domain))[::-3])
+    for cap in (4, 1000):
+        got = fc.probe_examples(view, 0, cap, 7)
+        want = fc.probe_examples(on_copied_shard(view), 0, cap, 7)
+        assert got.images.tobytes() == want.images.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+        assert set(got.labels.tolist()) == {0} and len(got) == min(cap, 7)
+    view.labels = np.where(view.labels == 0, 1, view.labels)
+    assert len(fc.probe_examples(view, 0, 1000, 7)) == 0
+
+
 def test_pipeline_single_client_degenerates():
     spec, params, shard = small_trained_setup()
-    state = fs.ClientState(0, shard)
+    state = fs.ClientState(0, shard, np.arange(len(shard)))
     config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=6,
                            top_n=5, select_n=3, probe_cap=8)
     edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
@@ -369,7 +386,7 @@ def test_pipeline_single_client_degenerates():
 
 def test_pipeline_select_zero_keeps_model():
     spec, params, shard = small_trained_setup()
-    state = fs.ClientState(0, shard)
+    state = fs.ClientState(0, shard, np.arange(len(shard)))
     config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=6,
                            top_n=5, select_n=0, probe_cap=8)
     edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
@@ -380,8 +397,8 @@ def test_pipeline_select_zero_keeps_model():
 
 def test_pipeline_client_without_forget_data_uploads_empty_report():
     spec, params, shard = small_trained_setup()
-    with_zero = fs.ClientState(0, shard)
-    without_zero = fs.ClientState(1, ds.subset(shard, np.flatnonzero(shard.labels != 0)))
+    with_zero = fs.ClientState(0, shard, np.arange(len(shard)))
+    without_zero = fs.ClientState(1, shard, np.flatnonzero(shard.labels != 0))
     config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=5,
                            top_n=4, select_n=2, probe_cap=8)
     _, audit = fc.fedcccu_pipeline(spec, params, [with_zero, without_zero], config, 0)
@@ -391,7 +408,7 @@ def test_pipeline_client_without_forget_data_uploads_empty_report():
 
 def test_pipeline_audit_json_serializes():
     spec, params, shard = small_trained_setup()
-    state = fs.ClientState(0, shard)
+    state = fs.ClientState(0, shard, np.arange(len(shard)))
     config = UnlearnConfig(forget_class=1, requesting_clients=(0,), riemann_steps=4,
                            top_n=3, select_n=2, probe_cap=4)
     _, audit = fc.fedcccu_pipeline(spec, params, [state], config, 2)

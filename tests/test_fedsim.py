@@ -11,7 +11,7 @@ from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
 from fusim.config import TrainingConfig, UnlearnConfig
-from helpers import params_equal
+from helpers import copied_shard, on_copied_shard, params_equal
 
 SEED = 3
 
@@ -58,12 +58,12 @@ def test_local_train_zero_epochs_identity():
 
 def test_local_train_single_example_is_one_sgd_step():
     spec, states, _, _ = make_federation()
-    single = fs.ClientState(0, ds.subset(states[0].shard, [0]))
+    single = fs.ClientState(0, states[0].domain, states[0].index[:1])
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=1, batch_size=1, learning_rate=0.2)
     [(out, _)] = fs.local_train([single], params, spec, config, SEED, 1)
-    _, grads = nn.batch_loss_and_gradient(spec, params, single.shard.images,
-                                          single.shard.labels)
+    shard = copied_shard(single)
+    _, grads = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
     expected = nn.sgd_step(params, grads, 0.2)
     assert params_equal(out.views, expected)
     assert single.local_step_counter == 1
@@ -88,14 +88,14 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
     [(out, loss)] = fs.local_train([state], params, spec, config, SEED, 4)
-    expected, losses = params, []
+    expected, losses, shard = params, [], copied_shard(state)
     rng = nn.make_rng((SEED, state.client_id, 4), 501)
     for _ in range(config.local_epochs):
         order = rng.permutation(state.sample_count)
         for start in range(0, state.sample_count, config.batch_size):
             idx = np.sort(order[start:start + config.batch_size])
             batch_loss, grads = nn.batch_loss_and_gradient(
-                spec, expected, state.shard.images[idx], state.shard.labels[idx])
+                spec, expected, shard.images[idx], shard.labels[idx])
             expected = nn.sgd_step(expected, grads, config.learning_rate)
             losses.append(batch_loss)
     assert len(losses) > 4
@@ -114,7 +114,7 @@ def test_local_train_reuses_the_round_matrices():
     first = fs.local_train(states, params, spec, config, SEED, 1, models, grads)
     start = fs.aggregate([(sub, 1) for sub, _ in first])
     second = fs.local_train(states, start, spec, config, SEED, 2, models, grads)
-    fresh = [fs.ClientState(s.client_id, s.shard) for s in states]
+    fresh = [fs.ClientState(s.client_id, s.domain, s.index) for s in states]
     expected = fs.local_train(fresh, start, spec, config, SEED, 2)
     for (sub, loss), (want, want_loss) in zip(second, expected):
         assert np.shares_memory(sub.vector, models.vector)
@@ -140,9 +140,8 @@ def test_local_train_nonfinite_gradient_names_a_client_inside_the_stack():
     untouched and nothing of the failed round is aggregated."""
     spec, states, vx, vy = make_federation()
     assert len({s.sample_count // 16 for s in states}) == 1  # rows in client order
-    images = states[2].shard.images.copy()
-    images[0, 0, 0, 0] = np.nan
-    states[2].replace_shard(ds.DomainDataset(images, states[2].shard.labels, "syn", 4))
+    states[2] = on_copied_shard(states[2])  # a domain of its own for the NaN
+    states[2].domain.images[0, 0, 0, 0] = np.nan
     params = nn.init_params(spec, 1)
     snapshot = nn.params_copy(params)
     with mock.patch.object(fs, "aggregate", wraps=fs.aggregate) as spy:
@@ -159,14 +158,15 @@ def unstacked_round(client, params, spec, config, seed, round_index):
     """One client's local round from unstacked batch_loss_and_gradient and
     sgd_step calls: (model vector, mean loss, steps taken)."""
     model, grad = nn.flat_params(params), nn.flat_params(params)
+    shard = copied_shard(client)
     rng = nn.make_rng((seed, client.client_id, round_index), 501)
     losses, n = [], client.sample_count
     for _ in range(config.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = np.sort(order[start:start + config.batch_size])
-            loss, _ = nn.batch_loss_and_gradient(spec, model.views, client.shard.images[idx],
-                                                 client.shard.labels[idx], out=grad)
+            loss, _ = nn.batch_loss_and_gradient(spec, model.views, shard.images[idx],
+                                                 shard.labels[idx], out=grad)
             nn.sgd_step(model, grad, config.learning_rate)
             losses.append(loss)
     return model.vector, float(np.mean(losses)) if losses else float("nan"), len(losses)
@@ -185,17 +185,52 @@ def test_lockstep_round_bit_identical_to_unstacked_rounds(sizes, batch_size, epo
     spec = getattr(nn, model)((1, side, side), 3)
     rng = np.random.default_rng(seed)
     clients = [fs.ClientState(i, ds.DomainDataset(rng.random((n, 1, side, side)),
-                                                  rng.integers(0, 3, n), "syn", 3))
+                                                  rng.integers(0, 3, n), "syn", 3),
+                              np.arange(n))
                for i, n in enumerate(sizes)]
     params = nn.init_params(spec, seed)
     config = cfg(batch_size=batch_size, local_epochs=epochs, learning_rate=0.3)
     got = fs.local_train(clients, params, spec, config, SEED, 7)
     for client, (submission, loss) in zip(clients, got):
-        replay = fs.ClientState(client.client_id, client.shard)
+        replay = fs.ClientState(client.client_id, client.domain, client.index)
         vector, want_loss, steps = unstacked_round(replay, params, spec, config, SEED, 7)
         assert submission.vector.tobytes() == vector.tobytes()
         assert loss == want_loss
         assert client.local_step_counter == steps
+
+
+@settings(max_examples=25)
+@given(data=st.data(), size=st.integers(1, 40), batch_size=st.integers(1, 9),
+       epochs=st.integers(1, 2), model=st.sampled_from(["small_mlp", "small_cnn"]))
+def test_lockstep_round_over_views_equals_the_round_over_copied_shards(data, size,
+                                                                      batch_size, epochs,
+                                                                      model):
+    """Clients viewing one domain through unsorted, overlapping index vectors,
+    some with rewritten labels: a lockstep round gives every submission, loss
+    and step count bit for bit those of the round over copies of their shards,
+    and leaves the domain's bytes as they were."""
+    side = 6 if model == "small_mlp" else 10
+    spec = getattr(nn, model)((1, side, side), 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    domain = ds.DomainDataset(rng.random((size, 1, side, side)), rng.integers(0, 3, size),
+                              "syn", 3)
+    before = domain.images.tobytes(), domain.labels.tobytes()
+    views = []
+    for i in range(data.draw(st.integers(1, 5))):
+        index = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=25))
+        views.append(fs.ClientState(i, domain, index))
+        if data.draw(st.booleans()):
+            views[-1].labels = rng.integers(0, 3, len(index))
+    copies = [on_copied_shard(c) for c in views]
+    params = nn.init_params(spec, 1)
+    config = cfg(batch_size=batch_size, local_epochs=epochs, learning_rate=0.3)
+    got = fs.local_train(views, params, spec, config, SEED, 7)
+    want = fs.local_train(copies, params, spec, config, SEED, 7)
+    for view, copy, (sub, loss), (want_sub, want_loss) in zip(views, copies, got, want):
+        assert sub.vector.tobytes() == want_sub.vector.tobytes()
+        assert loss == want_loss
+        assert view.local_step_counter == copy.local_step_counter
+    assert (domain.images.tobytes(), domain.labels.tobytes()) == before
 
 
 def test_local_train_loss_decreases_on_separable_shard():
@@ -327,7 +362,7 @@ def test_run_training_single_client_equals_centralized_sgd():
     result = fs.run_training(spec, states, vx, vy, config, SEED)
     # replay the same schedule by hand
     params = nn.init_params(spec, (SEED, 601))
-    replay = fs.ClientState(0, states[0].shard)
+    replay = fs.ClientState(0, states[0].domain, states[0].index)
     for t in range(1, 4):
         [(submission, _)] = fs.local_train([replay], params, spec, config, SEED, t)
         params = submission.views
@@ -338,11 +373,11 @@ def test_run_training_identical_shards_equal_centralized_full_batch():
     # with full-batch steps every client computes the same update, so the
     # weighted mean is bit-identical to the single-client run
     spec, states, vx, vy = make_federation(clients=1, per_class=20)
-    shard = states[0].shard
-    config = cfg(rounds_max=3, batch_size=len(shard), epsilon=0.0001)
-    clones = [fs.ClientState(i, shard) for i in range(3)]
+    domain, index = states[0].domain, states[0].index
+    config = cfg(rounds_max=3, batch_size=len(index), epsilon=0.0001)
+    clones = [fs.ClientState(i, domain, index) for i in range(3)]
     multi = fs.run_training(spec, clones, vx, vy, config, SEED)
-    single = fs.run_training(spec, [fs.ClientState(0, shard)], vx, vy, config, SEED)
+    single = fs.run_training(spec, [fs.ClientState(0, domain, index)], vx, vy, config, SEED)
     assert params_equal(multi.params, single.params)
 
 
@@ -434,8 +469,8 @@ def test_fair_rounds_aggregate_the_models_nonrequesters_hold():
     config = cfg(epsilon=0.0001)
     out, _ = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=1), vx, vy,
                                     config, SEED, start_round=4)
-    [(trained, _)] = fs.local_train([fs.ClientState(1, states[1].shard)], params, spec,
-                                    config, SEED, 5)
+    [(trained, _)] = fs.local_train([fs.ClientState(1, states[1].domain, states[1].index)],
+                                    params, spec, config, SEED, 5)
     expected = fs.aggregate([(params, states[0].sample_count),
                              (trained, states[1].sample_count),
                              (params, states[2].sample_count)])

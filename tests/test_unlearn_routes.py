@@ -1,4 +1,6 @@
 """Baseline route tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,20 +17,32 @@ def shard_of(labels, value=0.5, side=4, class_count=10):
     return ds.DomainDataset(images, np.asarray(labels, dtype=np.int64), "t", class_count)
 
 
+def deleted(shard, forget_class):
+    """The shard's examples at the positions delete keeps."""
+    return ds.subset(shard, ur.delete_retrain_prepare(shard.labels, forget_class))
+
+
+def relabeled(shard, *args, **kwargs):
+    """The shard with the labels relabel gives."""
+    return dataclasses.replace(shard, labels=ur.relabel_poison_prepare(shard.labels, *args,
+                                                                       **kwargs))
+
+
 # ---------------------------------------------------------------------------
 # delete
 
 
 def test_delete_removes_forget_class_in_order():
     shard = shard_of([0, 1, 0, 2], value=[0.1, 0.2, 0.3, 0.4])
-    out = ur.delete_retrain_prepare(shard, 0)
+    assert ur.delete_retrain_prepare(shard.labels, 0).tolist() == [1, 3]
+    out = deleted(shard, 0)
     assert out.labels.tolist() == [1, 2]
     assert np.array_equal(out.images, shard.images[[1, 3]])
 
 
 def test_delete_without_forget_class_unchanged():
     shard = shard_of([1, 2], value=[0.1, 0.2])
-    out = ur.delete_retrain_prepare(shard, 0)
+    out = deleted(shard, 0)
     assert np.array_equal(out.labels, shard.labels)
     assert np.array_equal(out.images, shard.images)
 
@@ -38,14 +52,14 @@ def test_delete_drops_exact_count():
                                   samples_per_class=100, class_count=10)
     shard = ds.synth_domain(spec, 4)
     zero_count = int((shard.labels == 0).sum())
-    out = ur.delete_retrain_prepare(shard, 0)
+    out = deleted(shard, 0)
     assert len(out) == len(shard) - zero_count
     assert zero_count == 100
 
 
 def test_delete_empty_result_errors():
     with pytest.raises(ur.RouteError):
-        ur.delete_retrain_prepare(shard_of([0, 0]), 0)
+        deleted(shard_of([0, 0]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +68,7 @@ def test_delete_empty_result_errors():
 
 def test_relabel_rewrites_only_forget_class():
     shard = shard_of([0, 0, 1], value=[0.1, 0.2, 0.3])
-    out = ur.relabel_poison_prepare(shard, 0, 3, seed=5)
+    out = relabeled(shard, 0, 3, seed=5)
     assert out.labels[2] == 1
     assert set(out.labels[:2].tolist()) <= {1, 2}
     assert np.array_equal(out.images, shard.images)
@@ -62,14 +76,14 @@ def test_relabel_rewrites_only_forget_class():
 
 
 def test_relabel_no_forget_class_identical():
-    out = ur.relabel_poison_prepare(shard_of([1, 2]), 0, 3, seed=5)
+    out = relabeled(shard_of([1, 2]), 0, 3, seed=5)
     assert out.labels.tolist() == [1, 2]
 
 
 def test_relabel_deterministic():
     shard = shard_of([0] * 50)
-    a = ur.relabel_poison_prepare(shard, 0, 10, seed=9)
-    b = ur.relabel_poison_prepare(shard, 0, 10, seed=9)
+    a = relabeled(shard, 0, 10, seed=9)
+    b = relabeled(shard, 0, 10, seed=9)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -77,7 +91,7 @@ def test_relabel_draws_match_one_scalar_draw_per_example():
     # the route's labels are those of one scalar draw per forget-class
     # example, in shard order, shifted past the forget class
     shard = shard_of([3, 1, 3, 0, 3, 3, 2] * 30)
-    out = ur.relabel_poison_prepare(shard, 3, 5, seed=(4, 853, 2))
+    out = relabeled(shard, 3, 5, seed=(4, 853, 2))
     rng = nn.make_rng((4, 853, 2), 701)
     expected = []
     for label in shard.labels.tolist():
@@ -91,7 +105,7 @@ def test_relabel_draws_match_one_scalar_draw_per_example():
 def test_relabel_uniform_over_other_classes():
     # multinomial oracle: each replacement class ~ Binomial(n, 1/9)
     n = 10000
-    out = ur.relabel_poison_prepare(shard_of([0] * n, side=1), 0, 10, seed=13)
+    out = relabeled(shard_of([0] * n, side=1), 0, 10, seed=13)
     labels = out.labels
     assert not np.any(labels == 0)
     p = 1.0 / 9.0
@@ -102,7 +116,7 @@ def test_relabel_uniform_over_other_classes():
 
 def test_relabel_needs_two_classes():
     with pytest.raises(ur.RouteError):
-        ur.relabel_poison_prepare(shard_of([0], class_count=1), 0, 1, seed=0)
+        relabeled(shard_of([0], class_count=1), 0, 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +203,8 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
 def test_routes_deterministic_under_shuffling_up_to_order():
     shard = shard_of([i % 3 for i in range(30)])
     shuffled = ds.subset(shard, np.arange(30)[::-1])
-    a = ur.delete_retrain_prepare(shard, 0)
-    b = ur.delete_retrain_prepare(shuffled, 0)
+    a = deleted(shard, 0)
+    b = deleted(shuffled, 0)
     assert sorted(a.labels.tolist()) == sorted(b.labels.tolist())
 
 
