@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -43,6 +44,7 @@ def _add_common(p: argparse.ArgumentParser, with_route: bool = True) -> None:
                        help=f"unlearning route override: {' | '.join(ROUTES)}")
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusim",

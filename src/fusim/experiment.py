@@ -24,8 +24,9 @@ import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, ExperimentConfig, canonical
-from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
-                       resize, stratified_split, subset, SyntheticDomainSpec, synth_domain)
+from .datasets import (BaseStream, DatasetError, DomainDataset, DomainSplits, idx_class_count,
+                       load_idx, resize, stratified_split, subset, SyntheticDomainSpec,
+                       synth_domain)
 from .nncore import ModelSpec, ParameterSet
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -179,6 +180,11 @@ def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
             splits[did] = stratified_split(d, ev.val_fraction, ev.test_fraction,
                                            (cfg.seed, 831))
         sp = splits[did]
+        for part in () if fresh else ("train", "val", "test"):
+            bad = next((i for i in getattr(sp, part) if not 0 <= i < len(d)), None)
+            if bad is not None:
+                raise DatasetError(f"splits.json: domain {did!r}: {part} index {bad} "
+                                   f"outside [0, {len(d)})")
         for key, part, what in (("val_fraction", sp.val, "validation"),
                                 ("test_fraction", sp.test, "test")):
             if not part:

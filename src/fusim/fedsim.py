@@ -2,11 +2,14 @@
 
 One round loop serves both.  Each round the training clients run local
 mini-batch SGD from the current global parameters, in lockstep: their models
-and gradients are the rows of two (k, P) matrices made once per loop, and at
-each step one stacked engine call covers every run of trainers whose batches
-(gathered from the train domains, not copies) have one size (nncore's stack
-axis), with each trainer's bits those of its own unstacked steps.  Each
-trainer's row is its cached submission, and the server takes the
+are the rows of one (k, P) matrix, and at each step one stacked engine call
+covers every run of trainers whose batches (gathered from the train
+domains, not copies) have one size (nncore's stack axis), with each
+trainer's bits those of its own unstacked steps; sgd_step forms and applies
+each trainer's gradient in turn in one P-sized vector.  Both are made once
+per loop.  A non-finite gradient abandons the round with a FedError naming
+client, round and parameter (trainers before it in the step have stepped).
+Each trainer's row is its cached submission, and the server takes the
 sample-count-weighted mean of every client's cache, whole vectors at a time.
 The loop stops at the first round whose validation error drops below
 [training] epsilon; in run_training that round is the convergence round.
@@ -86,12 +89,14 @@ def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> lis
 def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: ModelSpec,
                 training: TrainingConfig, seed: int, round_index: int = 0,
                 models: nncore.FlatParams | None = None,
-                grads: nncore.FlatParams | None = None
+                grad: nncore.FlatParams | None = None
                 ) -> list[tuple[nncore.FlatParams, float]]:
     """One round of local mini-batch SGD for every trainer, in lockstep.
 
-    models and grads are stacked FlatParams with one row per trainer, made
-    here when not given; each row of models starts as global_params.  Step s
+    models is a stacked FlatParams with one row per trainer, made here when
+    not given, each row starting as global_params; grad is the FlatParams
+    laid out like global_params in which sgd_step forms each trainer's
+    gradient in turn (sgd_step makes one per step when not given).  Step s
     gathers every trainer's batch s into one buffer of rows, and each run of
     adjacent rows with full batches (batch_size rows) takes one
     batch_loss_and_gradient and one sgd_step call; a shorter batch steps
@@ -103,7 +108,7 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
     """
     k, size = len(trainers), training.batch_size
     if models is None:
-        models, grads = (nncore.flat_params(global_params, stack=k) for _ in range(2))
+        models = nncore.flat_params(global_params, stack=k)
     else:
         for name, view in models.views.items():
             view[...] = global_params[name]
@@ -123,7 +128,7 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
     x = np.empty((k * size, *spec.input_shape))
     y = np.empty(k * size, dtype=np.int64)
     losses: list[list] = [[] for _ in range(k)]
-    stacks: dict[tuple[int, int], tuple] = {}  # rows a..b-1 of models and grads
+    stacks: dict[tuple[int, int], nncore.FlatParams] = {}  # rows a..b-1 of models
     for step in range(max(map(len, batches), default=0)):
         runs: list[list[int]] = []  # [first row, end row, batch size]
         for r, client in enumerate(ranked):
@@ -137,13 +142,13 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
                     runs.append([r, r + 1, len(idx)])
         for a, b, m in runs:
             if (a, b) not in stacks:
-                stacks[a, b] = models[a:b], grads[a:b]
-            model, grad = stacks[a, b]
+                stacks[a, b] = models[a:b]
+            model = stacks[a, b]
             rows = slice(a * size, (b - 1) * size + m)
             try:
-                loss, _ = nncore.batch_loss_and_gradient(spec, model.views, x[rows], y[rows],
-                                                         out=grad)
-                nncore.sgd_step(model, grad, training.learning_rate)
+                loss, gradient = nncore.batch_loss_and_gradient(spec, model.views, x[rows],
+                                                                y[rows])
+                nncore.sgd_step(model, gradient, training.learning_rate, grad)
             except nncore.NNError as exc:
                 client = ranked[a + (exc.row or 0)]
                 raise FedError(
@@ -200,17 +205,17 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
             checkpoint_dir: str | None = None) -> tuple[ParameterSet, list[RoundLog]]:
     """The one FedAvg round loop over the clients in client-id order.
 
-    The trainers' model and gradient matrices are made once, here.  Each
+    The trainers' model matrix and gradient vector are made once, here.  Each
     round local_train fills the trainers' rows and sets them as their caches,
     every cache is aggregated in client-id order, the round is validated and
     logged, a checkpoint is written if one is due, and the loop stops at
     epsilon.
     """
     logs: list[RoundLog] = []
-    models, grads = (nncore.flat_params(params, stack=len(trainers)) for _ in range(2))
+    models, grad = nncore.flat_params(params, stack=len(trainers)), nncore.flat_params(params)
     for t in rounds:
         losses = {}
-        submissions = local_train(trainers, params, spec, training, seed, t, models, grads)
+        submissions = local_train(trainers, params, spec, training, seed, t, models, grad)
         for client, (submission, loss) in zip(trainers, submissions):
             client.cache, losses[client.client_id] = submission, loss
         params = aggregate([(c.cache, c.sample_count) for c in ordered])

@@ -16,19 +16,22 @@ batch_unit_gradients then adds one unit's rank-1 change to that output and
 runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
-Local training holds models and gradients as FlatParams, one contiguous
-vector each, or one row each of a (k, P) matrix when k models train in
-lockstep.  The engine takes an optional leading stack axis: stacked
-parameters (views (k, *shape)) run k models at once, each on its own block of
-rows, through the same layers, whose products become one gemm per stack slice
-(np.matmul) and whose reductions run over the trailing axes, so every model's
-numbers are bit for bit those of its own unstacked call.  A step checks the
-gradient matrix for finiteness once in each of batch_loss_and_gradient and
-sgd_step, exactly: a NaN or inf makes np.vdot(v, v) non-finite, and only then
-(or on its silent overflow) are the elements scanned, to name the stack row
-and the parameter.  The engine's element-wise layers write only into arrays
-their own call made, never into its input, the parameters, a cache read later
-or SiteRows.  The dict paths, out of place, are the reference.
+Local training holds models as FlatParams, one contiguous vector each, or
+one row each of a (k, P) matrix when k models train in lockstep.  The engine
+takes an optional leading stack axis: stacked parameters (views (k, *shape))
+run k models at once, each on its own block of rows, through the same layers,
+whose products become one gemm per stack slice (np.matmul) and whose
+reductions run over the trailing axes, so every model's numbers are bit for
+bit those of its own unstacked call.  A stacked batch_loss_and_gradient
+hands its gradient to sgd_step as the factors its backward pass holds (each
+parameterized layer's input and output gradient); sgd_step forms each row
+in one P-sized scratch vector, with an unstacked call's products and sums,
+checks it once, exactly (a NaN or inf makes np.vdot(v, v) non-finite, and
+only then, or on its silent overflow, are the elements scanned to name the
+parameter), and applies it while it is in cache; a non-finite row raises
+before it is written, after the rows before it have stepped.  Element-wise
+layers write only into arrays their own call made, never into its input,
+the parameters, a cache read later or SiteRows.  Dict paths: the reference.
 """
 from __future__ import annotations
 
@@ -483,20 +486,17 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
 
 
 def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
-                     grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True,
-                     out: ParameterSet | None = None):
+                     grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True):
     """Backpropagate a gradient at the probabilities down to layer start.
 
     caches come from a _forward_engine run over start..end, stacked or not.
-    With wrt_params, returns the parameter gradients (start must be 0) and
-    stops at the first parameterized layer, whose input gradient nothing
-    uses; with out (arrays shaped like params) every gradient ends up in
-    out's arrays, and dense ones are computed there directly.  Otherwise
-    returns the gradient at the input of layer start and builds no parameter
-    gradients.
+    With wrt_params (start must be 0), returns the parameter gradients as
+    their factors, one (ordinal, input, output gradient) per parameterized
+    layer, output layer first (see _form_gradients), and stops at the first
+    parameterized layer, whose input gradient nothing uses.  Otherwise
+    returns the gradient at the input of layer start.
     """
-    grads: ParameterSet = {}
-    buffers = out or {}
+    factors = []
     g = grad_probs
     for pos in reversed(range(start, len(spec.layers))):
         cache = caches[pos - start]
@@ -504,9 +504,7 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
         if kind == "dense":
             _, x_in, ordinal = cache
             if wrt_params:
-                w_name, b_name = f"layer{ordinal}.weight", f"layer{ordinal}.bias"
-                grads[w_name] = np.matmul(x_in.swapaxes(-1, -2), g, out=buffers.get(w_name))
-                grads[b_name] = np.add.reduce(g, axis=-2, out=buffers.get(b_name))
+                factors.append((ordinal, x_in, g))
                 if ordinal == 0:
                     break
             g = g @ params[f"layer{ordinal}.weight"].swapaxes(-1, -2)
@@ -515,9 +513,7 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             w = params[f"layer{ordinal}.weight"]
             stack, (out_c, c, k) = w.shape[:-4], w.shape[-4:-1]
             if wrt_params:
-                gt = g.swapaxes(-4, -3).reshape(*stack, out_c, -1)  # (*stack, out, B*oh*ow)
-                grads[f"layer{ordinal}.weight"] = np.matmul(gt, cols).reshape(w.shape)
-                grads[f"layer{ordinal}.bias"] = np.moveaxis(g, -3, -1).sum(axis=(-4, -3, -2))
+                factors.append((ordinal, cols, g))
                 if ordinal == 0:
                     break
             pad = k - 1
@@ -548,14 +544,23 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
             g *= probs
         else:
             raise NNError(f"unknown cache kind {kind!r}")
-    if not wrt_params:
-        return g
-    if out is None:
-        return {name: grads[name] for name in params}
-    for name, grad in grads.items():
-        if grad is not out[name]:
-            out[name][...] = grad
-    return out
+    return factors if wrt_params else g
+
+
+def _form_gradients(factors: Iterable, views: ParameterSet) -> ParameterSet:
+    """views, with each layer's unstacked weight and bias gradients written
+    from its factors (ordinal, a, g): a is its input (B, fan_in), or for conv
+    its im2col columns, and g the gradient at its output; the weight gradient
+    is a^T g (for conv, g channels first times a), the bias g's sum."""
+    for ordinal, a, g in factors:
+        w, b = views[f"layer{ordinal}.weight"], views[f"layer{ordinal}.bias"]
+        if g.ndim == 2:
+            np.matmul(a.T, g, out=w)
+            np.add.reduce(g, axis=0, out=b)
+        else:
+            np.matmul(g.swapaxes(0, 1).reshape(len(w), -1), a, out=w.reshape(len(w), -1))
+            np.add.reduce(np.moveaxis(g, 1, -1), axis=(0, 1, 2), out=b)
+    return views
 
 
 # ---------------------------------------------------------------------------
@@ -732,29 +737,36 @@ def _stack_row(bad: np.ndarray, block: int, stack: tuple) -> int | None:
     return int(np.flatnonzero(bad)[0]) // block if stack else None
 
 
-def _first_nonfinite(views: ParameterSet, stacked: bool) -> tuple[int | None, str] | None:
-    """(stack row, name) of the first array in views holding a NaN or inf,
-    scanning rows and within a row the names in order; None if all finite."""
-    for row in range(len(next(iter(views.values())))) if stacked else (None,):
-        for name, arr in views.items():
-            if not np.isfinite(arr if row is None else arr[row]).all():
-                return row, name
-    return None
+def _first_nonfinite(views: ParameterSet) -> str | None:
+    """The name of the first array in views holding a NaN or inf, else None."""
+    return next((name for name, arr in views.items() if not np.isfinite(arr).all()), None)
+
+
+@dataclass(frozen=True)
+class GradientFactors:
+    """A stacked call's gradients as (ordinal, input, output gradient) per
+    parameterized layer, each (k, ...), for parameters of layout; layer 0's
+    input is a view of the call's inputs, which must not change before
+    form(row, out) writes model row's gradients into out (laid out like a row)."""
+    layout: tuple
+    layers: tuple
+
+    def form(self, row: int, out: FlatParams) -> None:
+        _form_gradients(((o, a[row], g[row]) for o, a, g in self.layers), out.views)
 
 
 def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
-                            inputs: np.ndarray, labels: np.ndarray,
-                            out: FlatParams | None = None):
+                            inputs: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and its gradient for a batch of arrays.
 
-    With params stacked on a leading axis of k (views (k, *shape), as a
-    stacked FlatParams holds them), inputs and labels are k equal blocks of
-    rows, block i for model i; the loss is then a (k,) array of each model's
-    mean and every gradient is (k, *shape), each model's with the bits of its
-    own unstacked call.  With out (a FlatParams laid out like params) every
-    gradient is written into out's views, which are returned, and the
-    finiteness check runs once over out's vector; the views are scanned only
-    to name the offender.  An NNError of a stacked call names its row.
+    Unstacked, returns the float loss and a dict of fresh gradient arrays,
+    checked for finiteness.  With params stacked on a leading axis of k
+    (views (k, *shape), as a stacked FlatParams holds them), inputs and labels
+    are k equal blocks of rows, block i for model i; the loss is then a (k,)
+    array of each model's mean and the gradient the GradientFactors that
+    sgd_step forms, checks and applies one row at a time, each row with the
+    bits of the model's own unstacked call.  An NNError of a stacked call
+    names its row.
     """
     stack = _stack_of(params)
     x = _as_batch(spec, inputs)
@@ -774,8 +786,6 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
         raise NNError(
             f"label out of range: got {int(ys.min())}..{int(ys.max())}, "
             f"class_count {spec.class_count}", _stack_row(bad, block, stack))
-    if out is not None and out.layout != _layout(params):
-        raise ShapeMismatchError("gradient buffers are not laid out like the parameters")
     probs, caches, _ = _forward_engine(spec, params, x.reshape(*stack, block, *x.shape[1:]),
                                        keep_caches=True)
     flat = probs.reshape(n, -1)
@@ -788,36 +798,43 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     loss = -np.add.reduce(np.log(py).reshape(*stack, block), axis=-1) / block
     grad_probs = np.zeros(flat.shape)
     grad_probs[rows, ys] = -1.0 / (block * py)
-    grads = _backward_engine(spec, params, caches, grad_probs.reshape(probs.shape),
-                             out=None if out is None else out.views)
-    if out is None or not _all_finite(out.vector):
-        found = _first_nonfinite(grads, bool(stack))
-        if found:
-            raise NNError(f"non-finite values in gradient of {found[1]}", found[0])
-    return (loss if stack else float(loss)), grads
+    factors = _backward_engine(spec, params, caches, grad_probs.reshape(probs.shape))
+    if stack:
+        return loss, GradientFactors(_layout(params), tuple(factors))
+    grads = _form_gradients(factors, {name: np.empty(a.shape) for name, a in params.items()})
+    if (name := _first_nonfinite(grads)) is not None:
+        raise NNError(f"non-finite values in gradient of {name}")
+    return float(loss), grads
 
 
-def sgd_step(params: ParameterSet | FlatParams, gradient: ParameterSet | FlatParams,
-             learning_rate: float):
-    """params - learning_rate * gradient, element-wise.
+def sgd_step(params: ParameterSet | FlatParams, gradient: ParameterSet | GradientFactors,
+             learning_rate: float, scratch: FlatParams | None = None):
+    """params - learning_rate * gradient, element-wise, with the dict path's bits.
 
-    Dicts (ParameterSet) give a new dict.  Two FlatParams of one layout,
-    stacked or not, are updated in place instead: one multiply scales
-    gradient's vector by learning_rate and one subtract writes the result
-    into params' vector, which is returned; the bits are those of the dict
-    path.  Nothing is written if a check fails.
+    Dicts (ParameterSet) give a new dict.  A stacked FlatParams steps in place
+    on the GradientFactors of a stacked call on its views, one row at a time:
+    its gradient is formed in scratch (laid out like one row; made here when
+    not given), checked and applied while in cache, leaving scratch holding
+    it times learning_rate.  A non-finite row raises, naming it, before it
+    is written; the rows before it have stepped.
     """
     if learning_rate < 0 or not math.isfinite(learning_rate):
         raise NNError(f"learning rate must be finite and non-negative, got {learning_rate}")
-    if isinstance(params, FlatParams):
-        if (not isinstance(gradient, FlatParams) or gradient.layout != params.layout
-                or gradient.vector.shape != params.vector.shape):
+    if isinstance(params, FlatParams) or isinstance(gradient, GradientFactors):
+        if not (isinstance(params, FlatParams) and isinstance(gradient, GradientFactors)
+                and gradient.layout == params.layout):
             raise ShapeMismatchError("gradient is not laid out like the parameters")
-        if not _all_finite(gradient.vector):
-            row, bad = _first_nonfinite(gradient.views, gradient.vector.ndim == 2)
-            raise NNError(f"non-finite gradient for {bad}", row)
-        np.multiply(gradient.vector, learning_rate, out=gradient.vector)
-        np.subtract(params.vector, gradient.vector, out=params.vector)
+        if scratch is None:
+            scratch = flat_params({name: view[0] for name, view in params.views.items()})
+        if scratch.layout != tuple((name, shape[1:]) for name, shape in params.layout):
+            raise ShapeMismatchError("scratch is not laid out like one row of the parameters")
+        for row, vector in enumerate(params.vector):
+            gradient.form(row, scratch)
+            if not _all_finite(scratch.vector):
+                raise NNError(
+                    f"non-finite values in gradient of {_first_nonfinite(scratch.views)}", row)
+            np.multiply(scratch.vector, learning_rate, out=scratch.vector)
+            np.subtract(vector, scratch.vector, out=vector)
         return params
     if list(params) != list(gradient):
         raise ShapeMismatchError("gradient names do not match parameters")

@@ -600,6 +600,60 @@ def test_train_refuses_a_plan_index_outside_its_domain(tmp_path, caplog, past_en
     assert tree_bytes(out) == before
 
 
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("past_end", [False, True])
+def test_train_refuses_a_split_index_outside_its_domain(tmp_path, caplog, split, past_end):
+    """An index of -1 (which would read the domain's last example) or of
+    len(domain) in splits.json stops the train stage before it trains,
+    naming the domain, the split, the index and the domain's size; no file
+    changes and no train artifact is written."""
+    cfg_path = write_cfg(tmp_path)
+    out = str(tmp_path / "run")
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    path = os.path.join(out, "splits.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    size = sum(len(doc["noisy"][part]) for part in ("train", "val", "test"))
+    bad = size if past_end else -1
+    doc["noisy"][split][0] = bad
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+    before = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["train", "--config", str(cfg_path), "--out", out]) == cli.EXIT_RUNTIME
+    assert (f"splits.json: domain 'noisy': {split} index {bad} outside [0, {size})"
+            in caplog.text)
+    assert tree_bytes(out) == before
+    assert not os.path.exists(os.path.join(out, "train_summary.json"))
+
+
+def test_main_calls_in_one_process_behave_as_alone(tmp_path, caplog):
+    """main builds its parser once per process; calls with other subcommands
+    and flags after it give the exit code, log and files each gives with a
+    parser of its own."""
+    caplog.set_level(logging.INFO, logger="fusim")
+    cfg = str(write_cfg(tmp_path, route="zeroing"))
+    calls = [["compare", "--config", cfg, "--routes", "zeroing", "--seed", "3"],
+             ["partition", "--config", cfg],
+             ["run", "--config", cfg, "--route", "none"],
+             ["train", "--config", cfg, "--seed", "-1"]]
+
+    def outcome(call, out):
+        caplog.clear()
+        rc = cli.main(call + ["--out", out])
+        return (rc, caplog.text.replace(out, "OUT"),
+                tree_bytes(out) if os.path.exists(out) else None)
+
+    together = [outcome(call, str(tmp_path / f"together{i}")) for i, call in enumerate(calls)]
+    assert cli.build_parser() is cli.build_parser()
+    alone = []
+    for i, call in enumerate(calls):
+        cli.build_parser.cache_clear()
+        alone.append(outcome(call, str(tmp_path / f"alone{i}")))
+    assert together == alone
+    assert [rc for rc, _, _ in together] == [cli.EXIT_OK] * 3 + [cli.EXIT_CONFIG]
+
+
 def test_clients_view_the_train_domains():
     """A client's images are its train domain's array, not a copy; its
     index is the plan's and its labels the domain's at that index."""

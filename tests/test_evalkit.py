@@ -1,6 +1,8 @@
 """Evaluation report and metrics tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusim import datasets as ds
 from fusim import evalkit as ek
@@ -171,6 +173,31 @@ def test_json_roundtrip_orders_clients_and_classes_by_integer_id():
     assert list(back.clients) == list(range(12))
     assert all(list(ev.class_total) == list(range(12)) for ev in back.clients.values())
     assert back.macro_global_accuracy == report.macro_global_accuracy
+
+
+CLASS_COUNTS = st.tuples(st.integers(0, 60), st.integers(1, 60)).map(
+    lambda t: (min(t), t[1]))  # (correct, total), correct <= total
+
+
+@settings(max_examples=30)
+@given(counts=st.dictionaries(st.integers(0, 120),
+                              st.dictionaries(st.integers(0, 120), CLASS_COUNTS,
+                                              min_size=1, max_size=8),
+                              min_size=1, max_size=8),
+       metadata=st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5),
+                                max_size=3),
+       metrics=st.none() | st.builds(ek.ForgettingMetrics,
+                                     *[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+def test_json_roundtrip_property(counts, metadata, metrics):
+    """For any client and class ids, the report and metrics come back equal,
+    with clients and classes in integer order ("10" after "2")."""
+    report = report_from_counts(counts, metadata)
+    text = ek.report_to_json(report, metrics)
+    back, back_metrics = ek.report_from_json(text)
+    assert back == report and back_metrics == metrics
+    assert list(back.clients) == sorted(counts)
+    for cid, ev in back.clients.items():
+        assert list(ev.class_total) == list(ev.class_correct) == sorted(counts[cid])
 
 
 def test_emission_byte_stable(tmp_path):

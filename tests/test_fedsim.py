@@ -104,16 +104,16 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
 
 
 def test_local_train_reuses_the_round_matrices():
-    """A call given the round's model and gradient matrices writes into them,
-    with the bits of a call that makes its own; the submissions are rows of
-    the model matrix."""
+    """A call given the round's model matrix and gradient vector writes into
+    them, with the bits of a call that makes its own; the submissions are
+    rows of the model matrix."""
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
-    models, grads = (nn.flat_params(params, stack=len(states)) for _ in range(2))
-    first = fs.local_train(states, params, spec, config, SEED, 1, models, grads)
+    models, grad = nn.flat_params(params, stack=len(states)), nn.flat_params(params)
+    first = fs.local_train(states, params, spec, config, SEED, 1, models, grad)
     start = fs.aggregate([(sub, 1) for sub, _ in first])
-    second = fs.local_train(states, start, spec, config, SEED, 2, models, grads)
+    second = fs.local_train(states, start, spec, config, SEED, 2, models, grad)
     fresh = [fs.ClientState(s.client_id, s.domain, s.index) for s in states]
     expected = fs.local_train(fresh, start, spec, config, SEED, 2)
     for (sub, loss), (want, want_loss) in zip(second, expected):
@@ -155,9 +155,8 @@ def test_local_train_nonfinite_gradient_names_a_client_inside_the_stack():
 
 
 def unstacked_round(client, params, spec, config, seed, round_index):
-    """One client's local round from unstacked batch_loss_and_gradient and
-    sgd_step calls: (model vector, mean loss, steps taken)."""
-    model, grad = nn.flat_params(params), nn.flat_params(params)
+    """One client's local round from the dict path's batch_loss_and_gradient
+    and sgd_step calls: (model vector, mean loss, steps taken)."""
     shard = copied_shard(client)
     rng = nn.make_rng((seed, client.client_id, round_index), 501)
     losses, n = [], client.sample_count
@@ -165,11 +164,12 @@ def unstacked_round(client, params, spec, config, seed, round_index):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = np.sort(order[start:start + config.batch_size])
-            loss, _ = nn.batch_loss_and_gradient(spec, model.views, shard.images[idx],
-                                                 shard.labels[idx], out=grad)
-            nn.sgd_step(model, grad, config.learning_rate)
+            loss, grads = nn.batch_loss_and_gradient(spec, params, shard.images[idx],
+                                                     shard.labels[idx])
+            params = nn.sgd_step(params, grads, config.learning_rate)
             losses.append(loss)
-    return model.vector, float(np.mean(losses)) if losses else float("nan"), len(losses)
+    return (nn.flat_params(params).vector, float(np.mean(losses)) if losses else float("nan"),
+            len(losses))
 
 
 @settings(max_examples=25)

@@ -264,66 +264,113 @@ def test_sgd_rejects_nonfinite_gradient():
 
 
 def test_sgd_out_in_place_bit_identical_to_out_of_place():
-    """Flat sets are updated in place with the bits of the dict path."""
-    rng = np.random.default_rng(12)
-    params = {"a": rng.normal(0, 1, (64, 32)), "b": rng.normal(0, 1, (32,))}
-    grads = {k: rng.normal(0, 1, v.shape) for k, v in params.items()}
-    lr = 0.37
-    expected = nn.sgd_step(params, grads, lr)
-    scaled = {k: lr * g for k, g in grads.items()}
-    model, grad = nn.flat_params(params), nn.flat_params(grads)
+    """A stacked flat model is updated in place, each row with the bits of
+    its own dict-path step; its views stay the same arrays, and scratch ends
+    up holding the last row's gradient times the learning rate."""
+    spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
+    sets = [nn.init_params(spec, i) for i in range(3)]
+    model = stacked_sets(spec, sets)
+    x = np.random.default_rng(12).random((6, *spec.input_shape))
+    y = np.array([0, 1, 2, 2, 1, 0])
     arrays = dict(model.views)
-    out = nn.sgd_step(model, grad, lr)
-    assert out is model
-    for k in params:
-        assert model.views[k] is arrays[k]
-        assert np.array_equal(model.views[k], expected[k])
-        assert np.array_equal(grad.views[k], scaled[k])
+    scratch = nn.flat_params(sets[0])
+    lr = 0.37
+    _, factors = nn.batch_loss_and_gradient(spec, model.views, x, y)
+    assert nn.sgd_step(model, factors, lr, scratch) is model
+    for i, params in enumerate(sets):
+        _, grads = nn.batch_loss_and_gradient(spec, params, x[2 * i:2 * i + 2],
+                                              y[2 * i:2 * i + 2])
+        assert same_bits(model.vector[i],
+                         nn.flat_params(nn.sgd_step(params, grads, lr)).vector)
+    assert all(model.views[k] is arrays[k] for k in arrays)
+    scaled = nn.flat_params({k: lr * g for k, g in grads.items()})
+    assert same_bits(scratch.vector, scaled.vector)
 
 
 def test_sgd_out_rejects_nonfinite_gradient_before_writing():
-    model = nn.flat_params({"a": np.array([1.0, 2.0]), "b": np.array([3.0])})
-    grad = nn.flat_params({"a": np.array([0.5, 0.5]), "b": np.array([np.inf])})
-    with pytest.raises(nn.NNError, match="non-finite gradient for b"):
-        nn.sgd_step(model, grad, 0.1)
-    assert model.vector.tolist() == [1.0, 2.0, 3.0]
-    assert grad.views["a"].tolist() == [0.5, 0.5]
+    """A NaN pixel in row 1's block makes only that row's gradient
+    non-finite: row 0 steps, row 1 and row 2 are not written, and the error
+    names row 1 and the first parameter."""
+    spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
+    model = stacked_sets(spec, [nn.init_params(spec, i) for i in range(3)])
+    x = np.random.default_rng(12).random((6, *spec.input_shape))
+    x[3, 0, 1, 2] = np.nan
+    kept = model.vector.copy()
+    _, factors = nn.batch_loss_and_gradient(spec, model.views, x, np.array([0, 1, 2, 2, 1, 0]))
+    with pytest.raises(nn.NNError, match="non-finite values in gradient of layer0.weight$") \
+            as exc:
+        nn.sgd_step(model, factors, 0.1)
+    assert exc.value.row == 1
+    assert not same_bits(model.vector[0], kept[0])
+    assert same_bits(model.vector[1:], kept[1:])
 
 
 def test_sgd_out_rejects_misshaped_output():
-    """A flat model takes only a flat gradient of the same layout."""
-    model = nn.flat_params({"p": np.array([1.0, 2.0])})
-    for gradient in (nn.flat_params({"p": np.array([0.5, 0.5, 0.5])}),
-                     nn.flat_params({"q": np.array([0.5, 0.5])}),
-                     {"p": np.array([0.5, 0.5])}):
-        with pytest.raises(nn.ShapeMismatchError, match="laid out"):
-            nn.sgd_step(model, gradient, 0.1)
-    assert model.vector.tolist() == [1.0, 2.0]
+    """A flat model steps only on GradientFactors: a flat gradient, stacked
+    or not, or a dict is refused before anything is written."""
+    spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
+    params = nn.init_params(spec, 0)
+    for model in (nn.flat_params(params), nn.flat_params(params, stack=2)):
+        kept = model.vector.tobytes()
+        for gradient in (nn.flat_params(model.views), model, dict(model.views)):
+            with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+                nn.sgd_step(model, gradient, 0.1)
+        assert model.vector.tobytes() == kept
+
+
+def formed_rows(spec, model, x, y, learning_rate=0.1, scratch=None):
+    """One stacked step of model (a stacked FlatParams) on x and y: the loss
+    and a copy of each gradient row sgd_step forms, in row order, taken as the
+    row is checked; model is stepped in place."""
+    rows, real = [], nn._all_finite
+
+    def spy(v):
+        rows.append(v.copy())
+        return real(v)
+
+    loss, factors = nn.batch_loss_and_gradient(spec, model.views, x, y)
+    with mock.patch.object(nn, "_all_finite", spy):
+        assert nn.sgd_step(model, factors, learning_rate, scratch) is model
+    return loss, rows
 
 
 def test_batch_gradient_out_buffers_bit_identical():
-    """Every gradient, conv ones too, lands bit-identically in the flat views."""
+    """Every gradient, conv ones too, that sgd_step forms in its scratch row
+    has the dict path's bits, with every element of the row written."""
     rng = np.random.default_rng(13)
     for spec in (nn.small_mlp((1, 6, 6), 4, hidden=8), nn.small_cnn((1, 10, 10), 4)):
         params = nn.init_params(spec, 4)
         x = rng.random((7, *spec.input_shape))
         y = rng.integers(0, 4, 7)
         loss, grads = nn.batch_loss_and_gradient(spec, params, x, y)
-        buffers = nn.flat_params({k: np.full_like(v, np.nan) for k, v in params.items()})
-        loss2, grads2 = nn.batch_loss_and_gradient(spec, params, x, y, out=buffers)
-        assert loss2 == loss
-        assert grads2 is buffers.views
-        for k in params:
-            assert np.array_equal(grads2[k], grads[k])
+        scratch = nn.flat_params({k: np.full_like(v, np.nan) for k, v in params.items()})
+        row_loss, [row] = formed_rows(spec, nn.flat_params(params, stack=1), x, y,
+                                      scratch=scratch)
+        assert row_loss[0] == loss
+        assert same_bits(row, nn.flat_params(grads).vector)
 
 
 def test_batch_gradient_out_rejects_other_layout():
-    spec = nn.small_mlp((1, 6, 6), 4, hidden=8)
-    params = nn.init_params(spec, 4)
-    other = nn.flat_params(nn.init_params(nn.small_mlp((1, 6, 6), 4, hidden=7), 4))
+    """A stacked model steps only on the factors of a call on its own views,
+    with a scratch laid out like one of its rows; nothing is written else."""
+    spec, other_spec = (nn.small_mlp((1, 6, 6), 4, hidden=h) for h in (8, 7))
+    model = nn.flat_params(nn.init_params(spec, 4), stack=2)
+    x, y = np.zeros((6, 1, 6, 6)), np.array([0, 1, 2, 3, 0, 1])
+    _, factors = nn.batch_loss_and_gradient(spec, model.views, x[:2], y[:2])
+    other = nn.flat_params(nn.init_params(other_spec, 4), stack=2)
+    _, other_factors = nn.batch_loss_and_gradient(other_spec, other.views, x[:2], y[:2])
+    three = nn.flat_params(nn.init_params(spec, 4), stack=3)
+    _, three_factors = nn.batch_loss_and_gradient(spec, three.views, x[:3], y[:3])
+    kept = model.vector.tobytes()
+    for gradient, scratch in ((other_factors, None), (three_factors, None),
+                              (factors, nn.flat_params(nn.init_params(other_spec, 4))),
+                              (factors, model[0:1]), (nn.flat_params(model.views), None),
+                              (nn.flat_params(nn.init_params(spec, 4), stack=2), None)):
+        with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+            nn.sgd_step(model, gradient, 0.1, scratch)
     with pytest.raises(nn.ShapeMismatchError, match="laid out"):
-        nn.batch_loss_and_gradient(spec, params, np.zeros((2, 1, 6, 6)), np.array([0, 1]),
-                                   out=other)
+        nn.sgd_step(nn.init_params(spec, 4), factors, 0.1)
+    assert model.vector.tobytes() == kept
 
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
@@ -717,9 +764,10 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_engine_bits_equal_out_of_place_reference(model):
-    """Training, evaluation and the flat gradient path give the reference's
-    bits.  Gradients are compared after + 0.0: relu backward multiplies by its
-    mask and may give -0.0 where np.where gives +0.0, and nothing else."""
+    """Training, evaluation and the gradient row a stacked step forms give
+    the reference's bits.  Gradients are compared after + 0.0: relu backward
+    multiplies by its mask and may give -0.0 where np.where gives +0.0, and
+    nothing else."""
     spec = getattr(nn, model)((1, 12, 12), 4)
     rng = np.random.default_rng(21)
     for seed in range(6):
@@ -730,12 +778,13 @@ def test_engine_bits_equal_out_of_place_reference(model):
         y = rng.integers(0, 4, 9)
         loss, grads, probs = reference_loss_gradient_probs(spec, params, x, y)
         assert same_bits(nn.predict_probs(spec, params, x), probs)
-        buffers = nn.flat_params(params)
-        for out in (None, buffers):
-            got_loss, got = nn.batch_loss_and_gradient(spec, params, x, y, out=out)
-            assert got_loss == loss
-            for name in params:
-                assert same_bits(got[name] + 0.0, grads[name] + 0.0), name
+        got_loss, got = nn.batch_loss_and_gradient(spec, params, x, y)
+        assert got_loss == loss
+        for name in params:
+            assert same_bits(got[name] + 0.0, grads[name] + 0.0), name
+        row_loss, [row] = formed_rows(spec, nn.flat_params(params, stack=1), x, y)
+        assert row_loss[0] == loss
+        assert same_bits(row + 0.0, nn.flat_params({n: grads[n] for n in params}).vector + 0.0)
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -776,8 +825,8 @@ def stacked_sets(spec, sets):
        seed=st.integers(0, 2**16))
 def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, model, seed):
     """k models stacked on a leading axis, each on its own block of rows,
-    give each model's unstacked loss and gradients bit for bit, with out
-    buffers and without."""
+    give each model's unstacked loss bit for bit; so do the gradient rows
+    sgd_step forms from the call's factors, and the rows it steps."""
     spec = (nn.small_mlp((1, 6, 6), 3, hidden=5) if model == "mlp"
             else nn.small_cnn((1, 10, 10), 3))
     rng = np.random.default_rng(seed)
@@ -785,14 +834,32 @@ def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, mo
     x = rng.normal(0.0, 1.0, (k * block, *spec.input_shape))
     y = rng.integers(0, 3, k * block)
     stacked = stacked_sets(spec, sets)
-    for out in (None, nn.flat_params(sets[0], stack=k)):
-        loss, grads = nn.batch_loss_and_gradient(spec, stacked.views, x, y, out=out)
-        assert loss.shape == (k,)
-        for i, params in enumerate(sets):
-            rows = slice(i * block, (i + 1) * block)
-            want_loss, want = nn.batch_loss_and_gradient(spec, params, x[rows], y[rows])
-            assert loss[i] == want_loss
-            assert all(same_bits(grads[name][i], want[name]) for name in params)
+    loss, rows = formed_rows(spec, stacked, x, y, learning_rate=0.3)
+    assert loss.shape == (k,) and len(rows) == k
+    for i, params in enumerate(sets):
+        block_rows = slice(i * block, (i + 1) * block)
+        want_loss, want = nn.batch_loss_and_gradient(spec, params, x[block_rows],
+                                                     y[block_rows])
+        assert loss[i] == want_loss
+        assert same_bits(rows[i], nn.flat_params(want).vector)
+        assert same_bits(stacked.vector[i],
+                         nn.flat_params(nn.sgd_step(params, want, 0.3)).vector)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_stacked_step_makes_one_finite_pass_per_row(k):
+    """One stacked step (batch_loss_and_gradient, then sgd_step) checks the
+    gradient once per row, on the one P-sized scratch vector it forms each
+    row in, and nowhere else."""
+    spec = nn.small_mlp((1, 6, 6), 3, hidden=5)
+    model = stacked_sets(spec, [nn.init_params(spec, i) for i in range(k)])
+    x = np.random.default_rng(k).random((2 * k, *spec.input_shape))
+    scratch = nn.flat_params(nn.init_params(spec, 0))
+    with mock.patch.object(nn, "_all_finite", wraps=nn._all_finite) as spy:
+        _, factors = nn.batch_loss_and_gradient(spec, model.views, x, np.arange(2 * k) % 3)
+        nn.sgd_step(model, factors, 0.1, scratch)
+    assert spy.call_count == k
+    assert all(call.args[0] is scratch.vector for call in spy.call_args_list)
 
 
 def test_stacked_errors_name_the_row():
@@ -834,9 +901,10 @@ def test_relu_bits_equal_where_on_special_values():
 ], ids=["small_mlp", "small_cnn", "relu_between", "relu_softmax", "softmax"])
 def test_engine_writes_into_no_caller_array(make_spec):
     """No public engine operation writes into its inputs, the parameter views
-    or SiteRows, and the backward pass writes into neither its seed gradient
-    nor the caches; the last two specs feed the caller's array straight into
-    the element-wise layers."""
+    or SiteRows (a stacked step writes only into its model and its scratch),
+    and the backward pass writes into neither its seed gradient nor the
+    caches; the last two specs feed the caller's array straight into the
+    element-wise layers."""
     spec = make_spec()
     model = nn.flat_params(nn.init_params(spec, 3))
     params = model.views
@@ -846,7 +914,9 @@ def test_engine_writes_into_no_caller_array(make_spec):
     kept = [arr.tobytes() for arr in (model.vector, x, y)]
     nn.predict_probs(spec, params, x)
     nn.batch_loss_and_gradient(spec, params, x, y)
-    nn.batch_loss_and_gradient(spec, params, x, y, out=nn.flat_params(params))
+    if spec.param_layer_count:
+        stacked = nn.flat_params(params, stack=1)
+        nn.sgd_step(stacked, nn.batch_loss_and_gradient(spec, stacked.views, x, y)[1], 0.1)
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
         site_kept = site.tobytes()
@@ -875,11 +945,11 @@ FINITE_SPEC = nn.small_mlp((1, 3, 3), 3, hidden=4)
 FINITE_NAMES = list(FINITE_SPEC.param_shapes())
 
 
-def finite_case(data):
+def finite_case(data, stacks=(None, 1, 3)):
     """A flat parameter set, unstacked or of k stacked rows, one view name,
     a row of the stack (None unstacked) and a position in that row's view."""
     seed = data.draw(st.integers(0, 2**16))
-    stack = data.draw(st.sampled_from([None, 1, 3]))
+    stack = data.draw(st.sampled_from(stacks))
     flat = nn.flat_params(nn.init_params(FINITE_SPEC, seed), stack=stack)
     name = data.draw(st.sampled_from(FINITE_NAMES))
     row = None if stack is None else data.draw(st.integers(0, stack - 1))
@@ -906,67 +976,110 @@ def in_row(view, row):
     return view if row is None else view[row]
 
 
+def reference_steps(model, learning_rate):
+    """Each row of a stacked model after its own dict-path step on its block
+    of finite_batch, as a flat vector."""
+    x, y = finite_batch(model)
+    steps = []
+    for i in range(len(model.vector)):
+        params = {name: view[i].copy() for name, view in model.views.items()}
+        _, grads = nn.batch_loss_and_gradient(FINITE_SPEC, params, x[4 * i:4 * i + 4],
+                                              y[4 * i:4 * i + 4])
+        steps.append(nn.flat_params(nn.sgd_step(params, grads, learning_rate)).vector)
+    return steps
+
+
+def assert_stopped_at(model, row, kept, learning_rate):
+    """Rows row.. of model hold the bytes kept before the step, and the rows
+    before row their reference steps."""
+    before = flat_from(kept, model)
+    for i, want in enumerate(reference_steps(before, learning_rate)):
+        assert same_bits(model.vector[i], want if i < row else before.vector[i])
+
+
+def flat_from(raw, model):
+    """A fresh FlatParams laid out and stacked like model, from model's bytes."""
+    flat = flat_like(model, 0.0)
+    flat.vector[...] = np.frombuffer(raw).reshape(flat.vector.shape)
+    return flat
+
+
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_sgd_step_rejects_one_nonfinite_gradient_element(data, bad):
-    model, name, row, position = finite_case(data)
-    grad = flat_like(model, 0.5)
-    in_row(grad.views[name], row).flat[position] = bad
-    kept = model.vector.tobytes(), grad.vector.tobytes()
-    match = f"non-finite gradient for {re.escape(name)}$"
-    with pytest.raises(nn.NNError, match=match) as exc:
-        nn.sgd_step(model, grad, 0.1)
+    """A NaN or inf at any row, parameter and position of the gradient row a
+    stacked step forms raises naming that row and parameter before the row
+    is written: that row and the ones after it keep their bytes, and the
+    rows before it have taken their steps."""
+    model, name, row, position = finite_case(data, stacks=(1, 3))
+    kept = model.vector.tobytes()
+    _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model))
+    real_form = nn.GradientFactors.form
+
+    def planted(self, r, out):
+        real_form(self, r, out)
+        if r == row:
+            out.views[name].flat[position] = bad
+
+    match = f"non-finite values in gradient of {re.escape(name)}$"
+    with mock.patch.object(nn.GradientFactors, "form", planted):
+        with pytest.raises(nn.NNError, match=match) as exc:
+            nn.sgd_step(model, factors, 0.1)
     assert exc.value.row == row
-    assert (model.vector.tobytes(), grad.vector.tobytes()) == kept
+    assert_stopped_at(model, row, kept, 0.1)
 
 
-@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
-def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad):
-    """The flat check after the backward pass names the one parameter whose
-    gradient holds the planted value, and its stack row; the parameters are
-    not written."""
-    model, name, row, position = finite_case(data)
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       ordinal=st.integers(0, 1), which=st.sampled_from(["input", "output gradient"]))
+def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad, ordinal, which):
+    """A NaN or inf at any position of one row's factor of one layer, as the
+    backward pass hands the factors over, reaches that layer's weight
+    gradient: the step names the row and that weight and stops before the
+    row is written, the rows before it having stepped.  The dict path names
+    the weight too and writes nothing."""
+    model, _, row, _ = finite_case(data)
     real_backward = nn._backward_engine
 
     def planted(*args, **kwargs):
-        out = real_backward(*args, **kwargs)
-        in_row(out[name], row).flat[position] = bad
-        return out
+        factors = real_backward(*args, **kwargs)
+        [(a, g)] = [(a, g) for o, a, g in factors if o == ordinal]
+        arr = in_row(a if which == "input" else g, row)
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
+        return factors
 
     kept = model.vector.tobytes()
-    with mock.patch.object(nn, "_backward_engine", planted):
-        with pytest.raises(nn.NNError, match=f"gradient of {re.escape(name)}$") as exc:
-            nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model),
-                                       out=flat_like(model, 0.0))
+    match = f"non-finite values in gradient of layer{ordinal}\\.weight$"
+    with mock.patch.object(nn, "_backward_engine", planted), np.errstate(invalid="ignore"):
+        with pytest.raises(nn.NNError, match=match) as exc:
+            _, gradient = nn.batch_loss_and_gradient(FINITE_SPEC, model.views,
+                                                     *finite_batch(model))
+            nn.sgd_step(model, gradient, 0.1)
     assert exc.value.row == row
-    assert model.vector.tobytes() == kept
+    if row is None:
+        assert model.vector.tobytes() == kept
+    else:
+        assert_stopped_at(model, row, kept, 0.1)
 
 
 @given(data=st.data(), magnitude=st.one_of(st.floats(1e160, 1e300), st.just(1.7e308)),
        alternate=st.booleans())
 def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, alternate):
     """v . v overflows to inf for these finite vectors (and so may their
-    sum); the element scan then accepts them, without a warning."""
-    model, _, _, _ = finite_case(data)
-    signs = np.where(alternate & (np.arange(model.vector.size) % 2 == 1), -1.0, 1.0)
-    grad = flat_like(model, 0.0)
-    grad.vector[...] = magnitude * signs.reshape(grad.vector.shape)
-    assert not math.isfinite(np.vdot(grad.vector, grad.vector))
-    real_backward = nn._backward_engine
+    sum); the element scan then accepts them, without a warning, as every
+    gradient row a stacked step forms in its scratch."""
+    model, _, _, _ = finite_case(data, stacks=(1, 3))
+    size = model.vector.shape[-1]
+    huge = magnitude * np.where(alternate & (np.arange(size) % 2 == 1), -1.0, 1.0)
+    assert not math.isfinite(np.vdot(huge, huge))
+    expected = model.vector - 1e-200 * huge
 
-    def huge(*args, **kwargs):
-        out = real_backward(*args, **kwargs)
-        for k in out:
-            out[k][...] = grad.views[k]
-        return out
+    def huge_form(self, row, out):
+        out.vector[...] = huge
 
-    buffers = flat_like(model, 0.0)
-    expected = model.vector - 1e-200 * grad.vector
-    with mock.patch.object(nn, "_backward_engine", huge), warnings.catch_warnings():
+    _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model))
+    with mock.patch.object(nn.GradientFactors, "form", huge_form), \
+            warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model),
-                                   out=buffers)
-        assert np.array_equal(buffers.vector, grad.vector)
-        nn.sgd_step(model, grad, 1e-200)
+        nn.sgd_step(model, factors, 1e-200)
     assert np.array_equal(model.vector, expected)
 
 
