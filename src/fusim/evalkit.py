@@ -56,8 +56,8 @@ class EvaluationReport:
 
     @property
     def macro_global_accuracy(self) -> float:
-        """Mean of per-client overall accuracies (alternative global view)."""
-        return float(np.mean([c.overall for c in self.clients.values()]))
+        """Mean of per-client overall accuracies, summed in client-id order."""
+        return float(np.mean([c.overall for _, c in sorted(self.clients.items())]))
 
     def per_class(self, client_id: int) -> dict[int, float]:
         ev = self.clients[client_id]
@@ -112,7 +112,7 @@ def forgetting_metrics(before: EvaluationReport, after: EvaluationReport,
     drops_retained = []
     for cid in sorted(before.clients):
         b, a = before.clients[cid], after.clients[cid]
-        if set(b.class_total) != set(a.class_total) or b.class_total != a.class_total:
+        if b.class_total != a.class_total:
             raise EvalError(f"client {cid}: class coverage differs between reports")
         per_client_retained = []
         for c in sorted(b.class_total):

@@ -15,6 +15,7 @@ completion.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -267,17 +268,37 @@ def _read_record(stage: str, path: str, wanted: dict) -> dict:
     raise ConfigError(f"{path}: {'; '.join(clauses)}; use a fresh output directory")
 
 
+def _idx_files(cfg: ExperimentConfig) -> dict:
+    """Byte size and sha256 of each IDX file the config reads, by path."""
+    files = {}
+    for path in (p for dc in cfg.domains if dc.kind == "idx"
+                 for p in (dc.images_path, dc.labels_path)):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        files[path] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return files
+
+
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
-    """The task; on resume only partition.json is read, and the data is
-    built when a stage first uses it."""
+    """The task; on resume only partition.json and the IDX files, whose sizes
+    and hashes it records, are read, and the data is built when a stage
+    first uses it."""
     def run(_, writer):
         task = build_task(cfg)
         writer.add_text("splits.json", _splits_to_json(task.splits))
-        return task, task.plan.to_doc()
+        files = _idx_files(cfg)
+        return task, {**task.plan.to_doc(), **({"idx_files": files} if files else {})}
+
+    def resume(_, record):
+        for path, found in _idx_files(cfg).items():
+            if found != (recorded := record.get("idx_files", {}).get(path)):
+                raise ConfigError(f"{os.path.join(out_dir, 'partition.json')}: {path} is "
+                                  f"{found} but the record holds {recorded}; use a fresh "
+                                  f"output directory")
+        return Task(cfg, PartitionPlan.from_doc(record), splits)
     splits = os.path.join(out_dir, "splits.json")
     return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json"),
-                  _PARTITION_SECTIONS, lambda: None,
-                  lambda _, plan: Task(cfg, PartitionPlan.from_doc(plan), splits), run)
+                  _PARTITION_SECTIONS, lambda: None, resume, run)
 
 
 def _load_model(spec: ModelSpec, path: str) -> ParameterSet:

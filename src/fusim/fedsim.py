@@ -5,10 +5,11 @@ mini-batch SGD from the current global parameters, in lockstep: their models
 are the rows of one (k, P) matrix, and at each step one stacked engine call
 covers every run of trainers whose batches (gathered from the train
 domains, not copies) have one size (nncore's stack axis), with each
-trainer's bits those of its own unstacked steps; sgd_step forms and applies
-each trainer's gradient in turn in one P-sized vector.  Both are made once
-per loop.  A non-finite gradient abandons the round with a FedError naming
-client, round and parameter (trainers before it in the step have stepped).
+trainer's bits those of its own k = 1 steps; sgd_step forms and applies
+each trainer's gradient in turn in one P-sized vector.  The loop makes both
+once and passes them to local_train, whose arguments are all required.  A
+non-finite gradient abandons the round with a FedError naming client, round
+and parameter (trainers before it in the step have stepped).
 Each trainer's row is its cached submission, and the server takes the
 sample-count-weighted mean of every client's cache, whole vectors at a time.
 The loop stops at the first round whose validation error drops below
@@ -87,31 +88,26 @@ def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> lis
 
 
 def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: ModelSpec,
-                training: TrainingConfig, seed: int, round_index: int = 0,
-                models: nncore.FlatParams | None = None,
-                grad: nncore.FlatParams | None = None
+                training: TrainingConfig, seed: int, round_index: int,
+                models: nncore.FlatParams, grad: nncore.FlatParams
                 ) -> list[tuple[nncore.FlatParams, float]]:
     """One round of local mini-batch SGD for every trainer, in lockstep.
 
-    models is a stacked FlatParams with one row per trainer, made here when
-    not given, each row starting as global_params; grad is the FlatParams
-    laid out like global_params in which sgd_step forms each trainer's
-    gradient in turn (sgd_step makes one per step when not given).  Step s
+    models is a stacked FlatParams with one row per trainer, each row set to
+    global_params here; grad is a FlatParams laid out like global_params, the
+    scratch in which sgd_step forms each trainer's gradient in turn.  Step s
     gathers every trainer's batch s into one buffer of rows, and each run of
     adjacent rows with full batches (batch_size rows) takes one
     batch_loss_and_gradient and one sgd_step call; a shorter batch steps
     alone, as a run of one.  Rows are ordered by full-batch count, so in a
     one-epoch round every full batch of a step is in one run.  Returns, in
     trainers' order, each trainer's row of models (its submission, a view)
-    and its mean batch loss, both bit for bit those of its own unstacked
-    steps.  global_params is unchanged.
+    and its mean batch loss, both bit for bit those of its own k = 1 steps.
+    global_params is unchanged.
     """
     k, size = len(trainers), training.batch_size
-    if models is None:
-        models = nncore.flat_params(global_params, stack=k)
-    else:
-        for name, view in models.views.items():
-            view[...] = global_params[name]
+    for name, view in models.views.items():
+        view[...] = global_params[name]
     batches = []
     for client in trainers:
         if (shape := client.domain.images.shape[1:]) != spec.input_shape:
@@ -146,8 +142,7 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
             model = stacks[a, b]
             rows = slice(a * size, (b - 1) * size + m)
             try:
-                loss, gradient = nncore.batch_loss_and_gradient(spec, model.views, x[rows],
-                                                                y[rows])
+                loss, gradient = nncore.batch_loss_and_gradient(spec, model, x[rows], y[rows])
                 nncore.sgd_step(model, gradient, training.learning_rate, grad)
             except nncore.NNError as exc:
                 client = ranked[a + (exc.row or 0)]
@@ -166,17 +161,15 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
     return out
 
 
-def aggregate(updates) -> ParameterSet:
+def aggregate(updates: list[tuple[nncore.FlatParams, float]]) -> ParameterSet:
     """Weighted mean with weights n_k / sum(n_k), reduced in the given order.
 
-    Each update's parameters are a ParameterSet or a FlatParams, such as a
-    row of the round's model matrix.  Computed element-wise over whole
-    vectors as first + sum((w_k / total) * (theta_k - first)), the per-array
-    formula's bits, so that identical inputs aggregate to a bit-identical
-    copy of themselves; the result's arrays are views of one fresh vector.
+    Each update's parameters are a FlatParams, such as a row of the round's
+    model matrix.  Computed element-wise over whole vectors as
+    first + sum((w_k / total) * (theta_k - first)), the per-array formula's
+    bits, so that identical inputs aggregate to a bit-identical copy of
+    themselves; the result's arrays are views of one fresh vector.
     """
-    updates = [(p if isinstance(p, nncore.FlatParams) else nncore.flat_params(p), w)
-               for p, w in updates]
     if not updates:
         raise FedError("nothing to aggregate")
     total = float(sum(w for _, w in updates))

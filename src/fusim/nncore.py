@@ -16,22 +16,21 @@ batch_unit_gradients then adds one unit's rank-1 change to that output and
 runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
-Local training holds models as FlatParams, one contiguous vector each, or
-one row each of a (k, P) matrix when k models train in lockstep.  The engine
-takes an optional leading stack axis: stacked parameters (views (k, *shape))
-run k models at once, each on its own block of rows, through the same layers,
-whose products become one gemm per stack slice (np.matmul) and whose
-reductions run over the trailing axes, so every model's numbers are bit for
-bit those of its own unstacked call.  A stacked batch_loss_and_gradient
-hands its gradient to sgd_step as the factors its backward pass holds (each
-parameterized layer's input and output gradient); sgd_step forms each row
-in one P-sized scratch vector, with an unstacked call's products and sums,
+Local training holds models as the rows of a stacked FlatParams, a (k, P)
+matrix, k >= 1; the engine takes an optional leading stack axis (views
+(k, *shape)) and runs k models at once, each on its own block of rows, through
+the same layers, whose products become one gemm per stack slice (np.matmul)
+and whose reductions run over the trailing axes, so every model's numbers are
+bit for bit those of a k = 1 call.  The one training step is
+batch_loss_and_gradient, which hands its gradient to sgd_step as the factors
+its backward pass holds (each parameterized layer's input and output
+gradient), then sgd_step, which forms each row in one P-sized scratch vector,
 checks it once, exactly (a NaN or inf makes np.vdot(v, v) non-finite, and
 only then, or on its silent overflow, are the elements scanned to name the
 parameter), and applies it while it is in cache; a non-finite row raises
 before it is written, after the rows before it have stepped.  Element-wise
 layers write only into arrays their own call made, never into its input,
-the parameters, a cache read later or SiteRows.  Dict paths: the reference.
+the parameters, a cache read later or SiteRows.
 """
 from __future__ import annotations
 
@@ -385,11 +384,6 @@ def zero_units(spec: ModelSpec, params: ParameterSet, units: Iterable[UnitId]) -
 # Forward / backward engine (batched)
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NNError(f"non-finite values in {what}")
-
-
 def _all_finite(v: np.ndarray) -> bool:
     return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
 
@@ -492,7 +486,7 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
     caches come from a _forward_engine run over start..end, stacked or not.
     With wrt_params (start must be 0), returns the parameter gradients as
     their factors, one (ordinal, input, output gradient) per parameterized
-    layer, output layer first (see _form_gradients), and stops at the first
+    layer, output layer first (see GradientFactors), and stops at the first
     parameterized layer, whose input gradient nothing uses.  Otherwise
     returns the gradient at the input of layer start.
     """
@@ -547,22 +541,6 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
     return factors if wrt_params else g
 
 
-def _form_gradients(factors: Iterable, views: ParameterSet) -> ParameterSet:
-    """views, with each layer's unstacked weight and bias gradients written
-    from its factors (ordinal, a, g): a is its input (B, fan_in), or for conv
-    its im2col columns, and g the gradient at its output; the weight gradient
-    is a^T g (for conv, g channels first times a), the bias g's sum."""
-    for ordinal, a, g in factors:
-        w, b = views[f"layer{ordinal}.weight"], views[f"layer{ordinal}.bias"]
-        if g.ndim == 2:
-            np.matmul(a.T, g, out=w)
-            np.add.reduce(g, axis=0, out=b)
-        else:
-            np.matmul(g.swapaxes(0, 1).reshape(len(w), -1), a, out=w.reshape(len(w), -1))
-            np.add.reduce(np.moveaxis(g, 1, -1), axis=(0, 1, 2), out=b)
-    return views
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
@@ -613,7 +591,8 @@ def forward_with_scaled_unit(spec: ModelSpec, params: ParameterSet, inputs: np.n
     site[:, unit.unit] *= float(scale)
     probs, _, _ = _forward_engine(spec, params, site,
                                   start=spec.site_position(unit.layer) + 1)
-    _check_finite(probs, "probabilities")
+    if not _all_finite(probs):
+        raise NNError("non-finite values in probabilities")
     return probs[0]
 
 
@@ -724,51 +703,43 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
     return ga.sum(axis=1)
 
 
-def _stack_of(params: ParameterSet) -> tuple[int, ...]:
-    """() for one model's parameters, (k,) for k models stacked on a leading
-    axis: weights have 2 (dense) or 4 (conv) axes, so an odd count is a stack."""
-    w = params.get("layer0.weight")
-    return () if w is None else w.shape[:w.ndim % 2]
-
-
-def _stack_row(bad: np.ndarray, block: int, stack: tuple) -> int | None:
-    """The stack row of bad's first True, bad a mask over rows in blocks of
-    block per model; None when unstacked."""
-    return int(np.flatnonzero(bad)[0]) // block if stack else None
-
-
-def _first_nonfinite(views: ParameterSet) -> str | None:
-    """The name of the first array in views holding a NaN or inf, else None."""
-    return next((name for name, arr in views.items() if not np.isfinite(arr).all()), None)
-
-
 @dataclass(frozen=True)
 class GradientFactors:
-    """A stacked call's gradients as (ordinal, input, output gradient) per
-    parameterized layer, each (k, ...), for parameters of layout; layer 0's
-    input is a view of the call's inputs, which must not change before
-    form(row, out) writes model row's gradients into out (laid out like a row)."""
+    """A stacked call's gradients as (ordinal, a, g) per parameterized layer,
+    each (k, ...), for parameters of layout: a is the layer's input
+    (k, B, fan_in), or for conv its im2col columns, and g the gradient at its
+    output.  Layer 0's a is a view of the call's inputs, which must not change
+    before form(row, out) writes model row's gradients into out (laid out like
+    a row): the weight gradient a^T g (for conv, g channels first times a) and
+    the bias gradient g's sum."""
     layout: tuple
     layers: tuple
 
     def form(self, row: int, out: FlatParams) -> None:
-        _form_gradients(((o, a[row], g[row]) for o, a, g in self.layers), out.views)
+        for ordinal, a, g in self.layers:
+            a, g = a[row], g[row]
+            w, b = out.views[f"layer{ordinal}.weight"], out.views[f"layer{ordinal}.bias"]
+            if g.ndim == 2:
+                np.matmul(a.T, g, out=w)
+                np.add.reduce(g, axis=0, out=b)
+            else:
+                np.matmul(g.swapaxes(0, 1).reshape(len(w), -1), a, out=w.reshape(len(w), -1))
+                np.add.reduce(np.moveaxis(g, 1, -1), axis=(0, 1, 2), out=b)
 
 
-def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
+def batch_loss_and_gradient(spec: ModelSpec, model: FlatParams,
                             inputs: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy loss and its gradient for a batch of arrays.
+    """Mean cross-entropy loss and its gradient for k models on their batches.
 
-    Unstacked, returns the float loss and a dict of fresh gradient arrays,
-    checked for finiteness.  With params stacked on a leading axis of k
-    (views (k, *shape), as a stacked FlatParams holds them), inputs and labels
-    are k equal blocks of rows, block i for model i; the loss is then a (k,)
-    array of each model's mean and the gradient the GradientFactors that
-    sgd_step forms, checks and applies one row at a time, each row with the
-    bits of the model's own unstacked call.  An NNError of a stacked call
-    names its row.
+    model is a stacked FlatParams of k >= 1 rows; inputs and labels are k
+    equal blocks of rows, block i for row i.  Returns the (k,) array of each
+    model's mean loss and the GradientFactors that sgd_step forms, checks and
+    applies one row at a time, every row with the bits of a k = 1 call on its
+    block alone.  An NNError names the row it concerns.
     """
-    stack = _stack_of(params)
+    if model.vector.ndim != 2:
+        raise ShapeMismatchError("model is not a stacked FlatParams (k, P)")
+    k = len(model.vector)
     x = _as_batch(spec, inputs)
     ys = np.asarray(labels)
     n = x.shape[0]
@@ -777,7 +748,6 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     if ys.shape != (n,) or ys.dtype.kind not in "iu":
         raise NNError(f"labels must be a 1-D integer array of {n}, got "
                       f"shape {ys.shape} dtype {ys.dtype}")
-    k = math.prod(stack)
     if n % k:
         raise ShapeMismatchError(f"{n} rows do not split into {k} equal blocks")
     block = n // k
@@ -785,67 +755,48 @@ def batch_loss_and_gradient(spec: ModelSpec, params: ParameterSet,
     if bad.any():
         raise NNError(
             f"label out of range: got {int(ys.min())}..{int(ys.max())}, "
-            f"class_count {spec.class_count}", _stack_row(bad, block, stack))
-    probs, caches, _ = _forward_engine(spec, params, x.reshape(*stack, block, *x.shape[1:]),
+            f"class_count {spec.class_count}", int(np.flatnonzero(bad)[0]) // block)
+    probs, caches, _ = _forward_engine(spec, model.views, x.reshape(k, block, *x.shape[1:]),
                                        keep_caches=True)
     flat = probs.reshape(n, -1)
     rows = np.arange(n)
     py = flat[rows, ys]
     if (py <= 0.0).any():
         raise NNError("predicted probability underflow; loss not finite",
-                      _stack_row(py <= 0.0, block, stack))
+                      int(np.flatnonzero(py <= 0.0)[0]) // block)
     # the bits of -log(py).mean() over each model's block
-    loss = -np.add.reduce(np.log(py).reshape(*stack, block), axis=-1) / block
+    loss = -np.add.reduce(np.log(py).reshape(k, block), axis=-1) / block
     grad_probs = np.zeros(flat.shape)
     grad_probs[rows, ys] = -1.0 / (block * py)
-    factors = _backward_engine(spec, params, caches, grad_probs.reshape(probs.shape))
-    if stack:
-        return loss, GradientFactors(_layout(params), tuple(factors))
-    grads = _form_gradients(factors, {name: np.empty(a.shape) for name, a in params.items()})
-    if (name := _first_nonfinite(grads)) is not None:
-        raise NNError(f"non-finite values in gradient of {name}")
-    return float(loss), grads
+    factors = _backward_engine(spec, model.views, caches, grad_probs.reshape(probs.shape))
+    return loss, GradientFactors(model.layout, tuple(factors))
 
 
-def sgd_step(params: ParameterSet | FlatParams, gradient: ParameterSet | GradientFactors,
-             learning_rate: float, scratch: FlatParams | None = None):
-    """params - learning_rate * gradient, element-wise, with the dict path's bits.
+def sgd_step(model: FlatParams, factors: GradientFactors, learning_rate: float,
+             scratch: FlatParams) -> FlatParams:
+    """model's rows minus learning_rate times their gradients, in place.
 
-    Dicts (ParameterSet) give a new dict.  A stacked FlatParams steps in place
-    on the GradientFactors of a stacked call on its views, one row at a time:
-    its gradient is formed in scratch (laid out like one row; made here when
-    not given), checked and applied while in cache, leaving scratch holding
-    it times learning_rate.  A non-finite row raises, naming it, before it
-    is written; the rows before it have stepped.
+    factors come from a batch_loss_and_gradient call on model.  Row by row,
+    the gradient is formed in scratch (laid out like one row), checked and
+    applied while in cache, leaving scratch holding it times learning_rate;
+    each row gets the bits of params - learning_rate * gradient.  A
+    non-finite row raises, naming it, before it is written; the rows before
+    it have stepped.
     """
     if learning_rate < 0 or not math.isfinite(learning_rate):
         raise NNError(f"learning rate must be finite and non-negative, got {learning_rate}")
-    if isinstance(params, FlatParams) or isinstance(gradient, GradientFactors):
-        if not (isinstance(params, FlatParams) and isinstance(gradient, GradientFactors)
-                and gradient.layout == params.layout):
-            raise ShapeMismatchError("gradient is not laid out like the parameters")
-        if scratch is None:
-            scratch = flat_params({name: view[0] for name, view in params.views.items()})
-        if scratch.layout != tuple((name, shape[1:]) for name, shape in params.layout):
-            raise ShapeMismatchError("scratch is not laid out like one row of the parameters")
-        for row, vector in enumerate(params.vector):
-            gradient.form(row, scratch)
-            if not _all_finite(scratch.vector):
-                raise NNError(
-                    f"non-finite values in gradient of {_first_nonfinite(scratch.views)}", row)
-            np.multiply(scratch.vector, learning_rate, out=scratch.vector)
-            np.subtract(vector, scratch.vector, out=vector)
-        return params
-    if list(params) != list(gradient):
-        raise ShapeMismatchError("gradient names do not match parameters")
-    for name, p in params.items():
-        g = gradient[name]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(
-                f"gradient {name}: expected shape {p.shape}, got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NNError(f"non-finite gradient for {name}")
-    return {name: p - learning_rate * gradient[name] for name, p in params.items()}
+    if factors.layout != model.layout:
+        raise ShapeMismatchError("gradient is not laid out like the parameters")
+    if scratch.layout != tuple((name, shape[1:]) for name, shape in model.layout):
+        raise ShapeMismatchError("scratch is not laid out like one row of the parameters")
+    for row, vector in enumerate(model.vector):
+        factors.form(row, scratch)
+        if not _all_finite(scratch.vector):
+            name = next(n for n, v in scratch.views.items() if not np.isfinite(v).all())
+            raise NNError(f"non-finite values in gradient of {name}", row)
+        np.multiply(scratch.vector, learning_rate, out=scratch.vector)
+        np.subtract(vector, scratch.vector, out=vector)
+    return model
 
 
 # ---------------------------------------------------------------------------

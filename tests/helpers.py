@@ -1,5 +1,6 @@
-"""Test-side helpers: a parameter-set comparison, the copied-shard reference
-for client views, and the IDX fixture writers."""
+"""Test-side helpers: a parameter-set comparison, one library training step
+of a dict parameter set, the out-of-place engine reference, the copied-shard
+reference for client views, and the IDX fixture writers."""
 import dataclasses
 import struct
 
@@ -7,11 +8,114 @@ import numpy as np
 
 from fusim import datasets as ds
 from fusim import fedsim as fs
+from fusim import nncore as nn
 
 
 def params_equal(a, b) -> bool:
     """Same names in the same order and bit-identical arrays."""
     return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def library_step(spec, params, inputs, labels, learning_rate=0.0):
+    """One library training step of a dict ParameterSet, run as a stack of one:
+    batch_loss_and_gradient, then sgd_step.  Returns the stepped parameters,
+    the loss and the gradient the step formed, as a fresh dict, a float and a
+    fresh dict; params is unchanged."""
+    model, grad = nn.flat_params(params, stack=1), nn.flat_params(params)
+    loss, factors = nn.batch_loss_and_gradient(spec, model, inputs, labels)
+    factors.form(0, grad)
+    nn.sgd_step(model, factors, learning_rate, nn.flat_params(params))
+    return model[0].views, float(loss[0]), grad.views
+
+
+def reference_forward(spec, params, h, start=0, stop=None):
+    """The engine's forward arithmetic over layers start..stop-1, with every
+    element-wise layer out of place: h @ w + b, np.where relu, e / e.sum
+    softmax, and np.tensordot convolutions."""
+    caches = []
+    ordinal = sum(layer.kind in nn.PARAM_KINDS for layer in spec.layers[:start])
+    for layer in spec.layers[start:stop]:
+        if layer.kind == "dense":
+            caches.append((h, ordinal))
+            h = h @ params[f"layer{ordinal}.weight"] + params[f"layer{ordinal}.bias"]
+            ordinal += 1
+        elif layer.kind == "conv2d":
+            patches = nn._im2col(h, layer.kernel_size)
+            caches.append((patches, ordinal))
+            out = np.tensordot(patches, params[f"layer{ordinal}.weight"],
+                               axes=([3, 4, 5], [1, 2, 3]))
+            h = (np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+                 + params[f"layer{ordinal}.bias"][None, :, None, None])
+            ordinal += 1
+        elif layer.kind == "relu":
+            caches.append(h > 0)
+            h = np.where(h > 0, h, 0.0)
+        elif layer.kind == "maxpool2d":
+            p = layer.pool_size
+            b, c, hh, ww = h.shape
+            win = h[:, :, :hh // p * p, :ww // p * p].reshape(b, c, hh // p, p, ww // p, p)
+            win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh // p, ww // p, p * p)
+            idx = win.argmax(axis=-1)
+            caches.append((idx, h.shape))
+            h = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        elif layer.kind == "flatten":
+            caches.append(h.shape)
+            h = h.reshape(len(h), -1)
+        else:
+            e = np.exp(h - h.max(axis=1, keepdims=True))
+            h = e / e.sum(axis=1, keepdims=True)
+            caches.append(h)
+    return h, caches
+
+
+def reference_backward(spec, params, caches, g, start=0):
+    """The gradient at the input of layer start and every parameter
+    gradient, out of place: probs * (g - dot) softmax, np.where relu."""
+    grads = {}
+    for layer, cache in zip(reversed(spec.layers[start:]), reversed(caches)):
+        if layer.kind == "softmax":
+            g = cache * (g - (g * cache).sum(axis=1, keepdims=True))
+        elif layer.kind == "relu":
+            g = np.where(cache, g, 0.0)
+        elif layer.kind == "flatten":
+            g = g.reshape(cache)
+        elif layer.kind == "maxpool2d":
+            (idx, in_shape), p = cache, layer.pool_size
+            b, c, h2, w2 = idx.shape
+            dwin = np.zeros((b, c, h2, w2, p * p))
+            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+            g = np.zeros(in_shape)
+            g[:, :, :h2 * p, :w2 * p] = dwin.reshape(b, c, h2, w2, p, p).transpose(
+                0, 1, 2, 4, 3, 5).reshape(b, c, h2 * p, w2 * p)
+        elif layer.kind == "dense":
+            x_in, o = cache
+            grads[f"layer{o}.weight"] = x_in.T @ g
+            grads[f"layer{o}.bias"] = np.add.reduce(g, axis=0)
+            g = g @ params[f"layer{o}.weight"].T
+        else:
+            patches, o = cache
+            w = params[f"layer{o}.weight"]
+            gs = g.transpose(0, 2, 3, 1)
+            grads[f"layer{o}.weight"] = np.tensordot(gs, patches, axes=([0, 1, 2], [0, 1, 2]))
+            grads[f"layer{o}.bias"] = gs.sum(axis=(0, 1, 2))
+            k = w.shape[-1]
+            gpad = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+            dx = np.tensordot(nn._im2col(gpad, k), w[:, :, ::-1, ::-1],
+                              axes=([3, 4, 5], [0, 2, 3]))
+            g = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    return g, grads
+
+
+def reference_loss_gradient_probs(spec, params, x, y):
+    """Mean cross-entropy, its parameter gradients and the probabilities,
+    from reference_forward and reference_backward."""
+    probs, caches = reference_forward(spec, params, x)
+    n, rows = len(y), np.arange(len(y))
+    loss = float(-np.add.reduce(np.log(probs[rows, y])) / n)
+    g = np.zeros(probs.shape)
+    g[rows, y] = -1.0 / (n * probs[rows, y])
+    _, grads = reference_backward(spec, params, caches, g)
+    return loss, grads, probs
 
 
 def copied_shard(client) -> ds.DomainDataset:

@@ -12,7 +12,7 @@ import pytest
 
 from fusim import evalkit, experiment, fedcccu, fedsim, nncore as nn, unlearn_routes
 from fusim.config import load_config
-from helpers import params_equal
+from helpers import library_step, params_equal
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -90,7 +90,7 @@ def test_criterion_1_numeric_core():
         ys = np.array([lbl for _, lbl in batch])
         probs = nn.predict_probs(spec, params, xs[:1])[0]
         assert abs(probs.sum() - 1.0) < 1e-9
-        _, grads = nn.batch_loss_and_gradient(spec, params, xs, ys)
+        _, _, grads = library_step(spec, params, xs, ys)
         step = 1e-5
         for name, arr in params.items():
             fd = np.zeros_like(arr)
@@ -98,9 +98,9 @@ def test_criterion_1_numeric_core():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + step
-                lp, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
+                lp = library_step(spec, params, xs, ys)[1]
                 flat[i] = orig - step
-                lm, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
+                lm = library_step(spec, params, xs, ys)[1]
                 flat[i] = orig
                 fdflat[i] = (lp - lm) / (2 * step)
             err = np.abs(grads[name] - fd) / np.maximum(np.abs(fd), 1e-6)
@@ -127,14 +127,15 @@ def test_criterion_1_numeric_core():
         checked += 1
 
     # sgd and aggregation against independent oracles
-    params = {"w": rng.normal(0, 1, (7, 3)), "b": rng.normal(0, 1, (3,))}
-    grad = {"w": rng.normal(0, 1, (7, 3)), "b": rng.normal(0, 1, (3,))}
-    stepped = nn.sgd_step(params, grad, 0.31)
+    spec, params = random_tiny_model(rng)
+    xs = rng.normal(0, 1, (2, *spec.input_shape))
+    stepped, _, grad = library_step(spec, params, xs, rng.integers(0, spec.class_count, 2),
+                                    0.31)
     for k in params:
         assert np.max(np.abs(stepped[k] - (params[k] - 0.31 * grad[k]))) < 1e-12
     sets = [({k: rng.normal(0, 1, v.shape) for k, v in params.items()},
              float(rng.integers(1, 20))) for _ in range(5)]
-    agg = fedsim.aggregate(sets)
+    agg = fedsim.aggregate([(nn.flat_params(p), w) for p, w in sets])
     total = sum(w for _, w in sets)
     for k in params:
         oracle = sum((w / total) * p[k] for p, w in sets)
@@ -243,9 +244,9 @@ def test_criterion_3_protocol_suite():
 
     # aggregate identity and permutation invariants
     spec = task_a.spec
-    p = nn.init_params(spec, 3)
-    assert params_equal(fedsim.aggregate([(p, 2), (p, 5), (p, 1)]), p)
-    sets = [(nn.init_params(spec, i), i + 1) for i in range(4)]
+    p = nn.flat_params(nn.init_params(spec, 3))
+    assert params_equal(fedsim.aggregate([(p, 2), (p, 5), (p, 1)]), p.views)
+    sets = [(nn.flat_params(nn.init_params(spec, i)), i + 1) for i in range(4)]
     shuffled = [sets[3], sets[1], sets[0], sets[2]]
     assert params_equal(fedsim.aggregate(sets),
                         fedsim.aggregate(sorted(shuffled, key=lambda t: t[1])))

@@ -516,6 +516,48 @@ forget_class = 7
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("rewrite", ["images", "labels"])
+def test_partition_resume_refuses_a_rewritten_idx_file(tmp_path, caplog, rewrite):
+    """partition.json records each IDX file's byte size and sha256; a file
+    rewritten in place, with the same size or not, is refused on resume,
+    naming it, and no byte of the output directory changes."""
+    import hashlib
+
+    from fusim import datasets
+    from helpers import save_idx
+    spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
+                                        class_count=5)
+    paths = {part: tmp_path / f"a-{part}.idx" for part in ("images", "labels")}
+    save_idx(datasets.synth_domain(spec, 0), paths["images"], paths["labels"])
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[domain.a]
+images = {paths["images"]}
+labels = {paths["labels"]}
+[partition]
+working_resolution = 8x8
+""")
+    out = str(tmp_path / "run")
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    with open(os.path.join(out, "partition.json")) as fh:
+        recorded = json.load(fh)["idx_files"]
+    for path in paths.values():
+        data = path.read_bytes()
+        assert recorded[str(path)] == {"bytes": len(data),
+                                       "sha256": hashlib.sha256(data).hexdigest()}
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    other = datasets.synth_domain(spec, 1)
+    if rewrite == "labels":  # one label fewer changes the size as well
+        other = dataclasses.replace(other, images=other.images[:-1], labels=other.labels[:-1])
+    save_idx(other, tmp_path / "other-images.idx", tmp_path / "other-labels.idx")
+    paths[rewrite].write_bytes((tmp_path / f"other-{rewrite}.idx").read_bytes())
+    finished = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert f"{os.path.join(out, 'partition.json')}: {paths[rewrite]} is " in caplog.text
+    assert tree_bytes(out) == finished
+
+
 def test_seed_override_is_checked_by_the_table(tmp_path, caplog):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "part"

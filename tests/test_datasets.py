@@ -12,7 +12,7 @@ from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim.config import validate_config
 from fusim.experiment import build_raw_domains
-from helpers import save_idx, write_idx
+from helpers import library_step, save_idx, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -181,8 +181,7 @@ def test_synth_linear_probe_separability():
         xs, ys = d.images, d.labels
         tr, te = slice(0, 120), slice(120, 160)
         for _ in range(60):
-            _, g = nn.batch_loss_and_gradient(probe, params, xs[tr], ys[tr])
-            params = nn.sgd_step(params, g, 0.5)
+            params = library_step(probe, params, xs[tr], ys[tr], 0.5)[0]
         preds = nn.predict_probs(probe, params, xs[te]).argmax(axis=1)
         acc = float((preds == ys[te]).mean())
         assert acc > 0.5, (chain, acc)

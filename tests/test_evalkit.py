@@ -8,6 +8,7 @@ from fusim import datasets as ds
 from fusim import evalkit as ek
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
+from helpers import library_step
 
 CLIENT0_FORGETS_0 = UnlearnConfig(forget_class=0, requesting_clients=(0,))
 
@@ -49,8 +50,7 @@ def test_perfect_predictor_all_ones():
     shard = ds.DomainDataset(np.stack(images), np.asarray(labels), "t", 2)
     params = nn.init_params(spec, 3)
     for _ in range(60):
-        _, g = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
-        params = nn.sgd_step(params, g, 0.5)
+        params = library_step(spec, params, shard.images, shard.labels, 0.5)[0]
     acc = ek.build_report(spec, params, {0: shard}).per_class(0)
     assert acc == {0: 1.0, 1: 1.0}
 
@@ -173,6 +173,17 @@ def test_json_roundtrip_orders_clients_and_classes_by_integer_id():
     assert list(back.clients) == list(range(12))
     assert all(list(ev.class_total) == list(range(12)) for ev in back.clients.values())
     assert back.macro_global_accuracy == report.macro_global_accuracy
+
+
+def test_json_text_survives_a_round_trip_of_clients_out_of_integer_order():
+    """macro_accuracy is averaged in client-id order: the mean over clients
+    0, 1, 3, 2 in dict order differs from it in the last bit."""
+    report = report_from_counts({0: {0: (1, 3)}, 1: {0: (1, 3)}, 3: {0: (3, 7)},
+                                 2: {0: (1, 3)}})
+    text = ek.report_to_json(report)
+    back, _ = ek.report_from_json(text)
+    assert list(back.clients) == [0, 1, 2, 3]
+    assert ek.report_to_json(back) == text
 
 
 CLASS_COUNTS = st.tuples(st.integers(0, 60), st.integers(1, 60)).map(

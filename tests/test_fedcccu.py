@@ -10,7 +10,7 @@ from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
-from helpers import on_copied_shard, params_equal
+from helpers import library_step, on_copied_shard, params_equal
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +155,7 @@ def small_trained_setup(model="small_mlp"):
     shard = ds.synth_domain(gen, 6)
     params = nn.init_params(spec, 5)
     for _ in range(40):
-        _, g = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
-        params = nn.sgd_step(params, g, 0.5)
+        params = library_step(spec, params, shard.images, shard.labels, 0.5)[0]
     return spec, params, shard
 
 

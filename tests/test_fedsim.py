@@ -11,7 +11,8 @@ from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
 from fusim.config import TrainingConfig, UnlearnConfig
-from helpers import copied_shard, on_copied_shard, params_equal
+from helpers import (copied_shard, library_step, on_copied_shard, params_equal,
+                     reference_loss_gradient_probs)
 
 SEED = 3
 
@@ -43,6 +44,19 @@ def unlearn(*client_ids, rounds_max=20):
     return UnlearnConfig(requesting_clients=client_ids, rounds_max=rounds_max)
 
 
+def train_round(trainers, params, spec, config, round_index):
+    """local_train with a model matrix and a gradient scratch of its own."""
+    return fs.local_train(trainers, params, spec, config, SEED, round_index,
+                          nn.flat_params(params, stack=len(trainers)), nn.flat_params(params))
+
+
+def reference_step(spec, params, x, y, learning_rate):
+    """params - learning_rate * gradient, with the out-of-place reference's
+    gradient: (the stepped dict, the loss)."""
+    loss, grads, _ = reference_loss_gradient_probs(spec, params, x, y)
+    return {k: p - learning_rate * grads[k] for k, p in params.items()}, loss
+
+
 # ---------------------------------------------------------------------------
 # local_train
 
@@ -50,7 +64,7 @@ def unlearn(*client_ids, rounds_max=20):
 def test_local_train_zero_epochs_identity():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 0)
-    [(out, loss)] = fs.local_train([states[0]], params, spec, cfg(local_epochs=0), SEED, 1)
+    [(out, loss)] = train_round([states[0]], params, spec, cfg(local_epochs=0), 1)
     assert params_equal(out.views, params)
     assert states[0].local_step_counter == 0
     assert np.isnan(loss)
@@ -61,11 +75,12 @@ def test_local_train_single_example_is_one_sgd_step():
     single = fs.ClientState(0, states[0].domain, states[0].index[:1])
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=1, batch_size=1, learning_rate=0.2)
-    [(out, _)] = fs.local_train([single], params, spec, config, SEED, 1)
+    [(out, _)] = train_round([single], params, spec, config, 1)
     shard = copied_shard(single)
-    _, grads = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
-    expected = nn.sgd_step(params, grads, 0.2)
+    expected, _, _ = library_step(spec, params, shard.images, shard.labels, 0.2)
     assert params_equal(out.views, expected)
+    assert params_equal(expected, reference_step(spec, params, shard.images, shard.labels,
+                                                 0.2)[0])
     assert single.local_step_counter == 1
 
 
@@ -73,7 +88,7 @@ def test_local_train_leaves_global_params_unchanged():
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)
     snapshot = nn.params_copy(params)
-    [(out, _)] = fs.local_train([states[0]], params, spec, cfg(local_epochs=2), SEED, 1)
+    [(out, _)] = train_round([states[0]], params, spec, cfg(local_epochs=2), 1)
     assert params_equal(params, snapshot)
     assert not any(np.shares_memory(out.vector, params[k]) for k in params)
     assert not params_equal(out.views, params)
@@ -87,16 +102,15 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
     state = states[0]
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
-    [(out, loss)] = fs.local_train([state], params, spec, config, SEED, 4)
+    [(out, loss)] = train_round([state], params, spec, config, 4)
     expected, losses, shard = params, [], copied_shard(state)
     rng = nn.make_rng((SEED, state.client_id, 4), 501)
     for _ in range(config.local_epochs):
         order = rng.permutation(state.sample_count)
         for start in range(0, state.sample_count, config.batch_size):
             idx = np.sort(order[start:start + config.batch_size])
-            batch_loss, grads = nn.batch_loss_and_gradient(
-                spec, expected, shard.images[idx], shard.labels[idx])
-            expected = nn.sgd_step(expected, grads, config.learning_rate)
+            expected, batch_loss = reference_step(spec, expected, shard.images[idx],
+                                                  shard.labels[idx], config.learning_rate)
             losses.append(batch_loss)
     assert len(losses) > 4
     assert params_equal(out.views, expected)
@@ -104,8 +118,8 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
 
 
 def test_local_train_reuses_the_round_matrices():
-    """A call given the round's model matrix and gradient vector writes into
-    them, with the bits of a call that makes its own; the submissions are
+    """A call given the round's model matrix and gradient vector again writes
+    into them, with the bits of a call given fresh ones; the submissions are
     rows of the model matrix."""
     spec, states, _, _ = make_federation()
     params = nn.init_params(spec, 1)
@@ -115,7 +129,7 @@ def test_local_train_reuses_the_round_matrices():
     start = fs.aggregate([(sub, 1) for sub, _ in first])
     second = fs.local_train(states, start, spec, config, SEED, 2, models, grad)
     fresh = [fs.ClientState(s.client_id, s.domain, s.index) for s in states]
-    expected = fs.local_train(fresh, start, spec, config, SEED, 2)
+    expected = train_round(fresh, start, spec, config, 2)
     for (sub, loss), (want, want_loss) in zip(second, expected):
         assert np.shares_memory(sub.vector, models.vector)
         assert not np.shares_memory(want.vector, models.vector)
@@ -129,7 +143,7 @@ def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
     snapshot = nn.params_copy(params)
     with pytest.raises(fs.FedError,
                        match=r"client 1, round 3: non-finite values in gradient of layer0\.weight"):
-        fs.local_train([states[1]], params, spec, cfg(), SEED, 3)
+        train_round([states[1]], params, spec, cfg(), 3)
     for k in params:
         assert np.array_equal(params[k], snapshot[k], equal_nan=True)
 
@@ -155,8 +169,8 @@ def test_local_train_nonfinite_gradient_names_a_client_inside_the_stack():
 
 
 def unstacked_round(client, params, spec, config, seed, round_index):
-    """One client's local round from the dict path's batch_loss_and_gradient
-    and sgd_step calls: (model vector, mean loss, steps taken)."""
+    """One client's local round from out-of-place reference steps:
+    (model vector, mean loss, steps taken)."""
     shard = copied_shard(client)
     rng = nn.make_rng((seed, client.client_id, round_index), 501)
     losses, n = [], client.sample_count
@@ -164,9 +178,8 @@ def unstacked_round(client, params, spec, config, seed, round_index):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = np.sort(order[start:start + config.batch_size])
-            loss, grads = nn.batch_loss_and_gradient(spec, params, shard.images[idx],
-                                                     shard.labels[idx])
-            params = nn.sgd_step(params, grads, config.learning_rate)
+            params, loss = reference_step(spec, params, shard.images[idx], shard.labels[idx],
+                                          config.learning_rate)
             losses.append(loss)
     return (nn.flat_params(params).vector, float(np.mean(losses)) if losses else float("nan"),
             len(losses))
@@ -180,7 +193,8 @@ def test_lockstep_round_bit_identical_to_unstacked_rounds(sizes, batch_size, epo
                                                            seed):
     """Ragged shards (unequal step counts, short last batches): every
     submission, mean loss and step count of a lockstep round equals, bit for
-    bit, the client's own round of unstacked steps."""
+    bit, the client's own round as the one trainer (k = 1), and in value the
+    round of out-of-place reference steps."""
     side = 6 if model == "small_mlp" else 10
     spec = getattr(nn, model)((1, side, side), 3)
     rng = np.random.default_rng(seed)
@@ -190,11 +204,14 @@ def test_lockstep_round_bit_identical_to_unstacked_rounds(sizes, batch_size, epo
                for i, n in enumerate(sizes)]
     params = nn.init_params(spec, seed)
     config = cfg(batch_size=batch_size, local_epochs=epochs, learning_rate=0.3)
-    got = fs.local_train(clients, params, spec, config, SEED, 7)
+    got = train_round(clients, params, spec, config, 7)
     for client, (submission, loss) in zip(clients, got):
         replay = fs.ClientState(client.client_id, client.domain, client.index)
+        [(alone, alone_loss)] = train_round([replay], params, spec, config, 7)
+        assert submission.vector.tobytes() == alone.vector.tobytes()
+        assert loss == alone_loss and client.local_step_counter == replay.local_step_counter
         vector, want_loss, steps = unstacked_round(replay, params, spec, config, SEED, 7)
-        assert submission.vector.tobytes() == vector.tobytes()
+        assert np.array_equal(submission.vector, vector)
         assert loss == want_loss
         assert client.local_step_counter == steps
 
@@ -224,8 +241,8 @@ def test_lockstep_round_over_views_equals_the_round_over_copied_shards(data, siz
     copies = [on_copied_shard(c) for c in views]
     params = nn.init_params(spec, 1)
     config = cfg(batch_size=batch_size, local_epochs=epochs, learning_rate=0.3)
-    got = fs.local_train(views, params, spec, config, SEED, 7)
-    want = fs.local_train(copies, params, spec, config, SEED, 7)
+    got = train_round(views, params, spec, config, 7)
+    want = train_round(copies, params, spec, config, 7)
     for view, copy, (sub, loss), (want_sub, want_loss) in zip(views, copies, got, want):
         assert sub.vector.tobytes() == want_sub.vector.tobytes()
         assert loss == want_loss
@@ -239,7 +256,7 @@ def test_local_train_loss_decreases_on_separable_shard():
     config = cfg(learning_rate=0.2)
     losses = []
     for r in range(1, 6):
-        [(submission, loss)] = fs.local_train([states[0]], params, spec, config, SEED, r)
+        [(submission, loss)] = train_round([states[0]], params, spec, config, r)
         params = submission.views
         losses.append(loss)
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -252,13 +269,14 @@ def test_local_train_loss_decreases_on_separable_shard():
 def test_aggregate_identical_inputs_identity():
     spec = tiny_spec()
     params = nn.init_params(spec, 5)
-    out = fs.aggregate([(params, 1), (params, 3), (params, 2)])
+    flat = nn.flat_params(params)
+    out = fs.aggregate([(flat, 1), (flat, 3), (flat, 2)])
     assert params_equal(out, params)
 
 
 def test_aggregate_forced_arithmetic():
-    a = {"p": np.array([0.0])}
-    b = {"p": np.array([4.0])}
+    a = nn.flat_params({"p": np.array([0.0])})
+    b = nn.flat_params({"p": np.array([4.0])})
     out = fs.aggregate([(a, 1), (b, 3)])
     assert out["p"][0] == 3.0
 
@@ -270,7 +288,7 @@ def test_aggregate_matches_independent_weighted_mean():
     for _ in range(5):
         sets.append(({k: rng.normal(0, 1, s) for k, s in shapes.items()},
                      float(rng.integers(1, 50))))
-    out = fs.aggregate(sets)
+    out = fs.aggregate([(nn.flat_params(p), w) for p, w in sets])
     total = sum(w for _, w in sets)
     for name in shapes:
         oracle = np.zeros(shapes[name])
@@ -287,7 +305,7 @@ def test_aggregate_weights_sum_to_one():
 
 def test_aggregate_permutation_invariance_after_sorting():
     spec = tiny_spec()
-    sets = [(nn.init_params(spec, i), i + 1) for i in range(4)]
+    sets = [(nn.flat_params(nn.init_params(spec, i)), i + 1) for i in range(4)]
     ordered = fs.aggregate(sets)
     shuffled = [sets[2], sets[0], sets[3], sets[1]]
     resorted = fs.aggregate(sorted(shuffled, key=lambda t: t[1]))
@@ -335,8 +353,8 @@ def test_aggregate_of_rows_equals_the_per_array_formula(seed, weights):
 def test_aggregate_errors():
     with pytest.raises(fs.FedError):
         fs.aggregate([])
-    a = {"p": np.zeros(2)}
-    b = {"p": np.zeros(3)}
+    a = nn.flat_params({"p": np.zeros(2)})
+    b = nn.flat_params({"p": np.zeros(3)})
     with pytest.raises(fs.FedError):
         fs.aggregate([(a, 1), (b, 1)])
     with pytest.raises(fs.FedError):
@@ -364,7 +382,7 @@ def test_run_training_single_client_equals_centralized_sgd():
     params = nn.init_params(spec, (SEED, 601))
     replay = fs.ClientState(0, states[0].domain, states[0].index)
     for t in range(1, 4):
-        [(submission, _)] = fs.local_train([replay], params, spec, config, SEED, t)
+        [(submission, _)] = train_round([replay], params, spec, config, t)
         params = submission.views
     assert params_equal(result.params, params)
 
@@ -469,11 +487,12 @@ def test_fair_rounds_aggregate_the_models_nonrequesters_hold():
     config = cfg(epsilon=0.0001)
     out, _ = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=1), vx, vy,
                                     config, SEED, start_round=4)
-    [(trained, _)] = fs.local_train([fs.ClientState(1, states[1].domain, states[1].index)],
-                                    params, spec, config, SEED, 5)
-    expected = fs.aggregate([(params, states[0].sample_count),
+    [(trained, _)] = train_round([fs.ClientState(1, states[1].domain, states[1].index)],
+                                 params, spec, config, 5)
+    held = nn.flat_params(params)
+    expected = fs.aggregate([(held, states[0].sample_count),
                              (trained, states[1].sample_count),
-                             (params, states[2].sample_count)])
+                             (held, states[2].sample_count)])
     assert params_equal(out, expected)
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fusim import nncore as nn
-from helpers import params_equal
+from helpers import (library_step, params_equal, reference_backward, reference_forward,
+                     reference_loss_gradient_probs)
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +42,9 @@ def fd_param_gradients(spec, params, xs, ys, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            lp, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
+            lp = library_step(spec, params, xs, ys)[1]
             flat[i] = orig - step
-            lm, _ = nn.batch_loss_and_gradient(spec, params, xs, ys)
+            lm = library_step(spec, params, xs, ys)[1]
             flat[i] = orig
             gflat[i] = (lp - lm) / (2 * step)
         out[name] = g
@@ -76,6 +77,11 @@ def random_tiny_dense(rng):
 
 def rel_err(a, b, floor=1e-6):
     return np.abs(a - b) / np.maximum(np.abs(b), floor)
+
+
+def row_scratch(model):
+    """A scratch FlatParams laid out like one row of the stacked model."""
+    return nn.flat_params({name: view[0] for name, view in model.views.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +154,7 @@ def test_loss_perfect_prediction_near_zero():
     spec = nn.ModelSpec((nn.dense(2, 2), nn.softmax()), 2, (2,))
     params = {"layer0.weight": np.array([[40.0, -40.0], [0.0, 0.0]]),
               "layer0.bias": np.zeros(2)}
-    loss, grads = nn.batch_loss_and_gradient(spec, params, np.array([[1.0, 0.0]]),
-                                             np.array([0]))
+    _, loss, grads = library_step(spec, params, np.array([[1.0, 0.0]]), np.array([0]))
     assert loss < 1e-9
     assert all(np.max(np.abs(g)) < 1e-9 for g in grads.values())
 
@@ -157,17 +162,17 @@ def test_loss_perfect_prediction_near_zero():
 def test_loss_uniform_is_log_c():
     spec = nn.ModelSpec((nn.dense(3, 5), nn.softmax()), 5, (3,))
     params = {"layer0.weight": np.zeros((3, 5)), "layer0.bias": np.zeros(5)}
-    loss, _ = nn.batch_loss_and_gradient(spec, params, np.array([[1.0, 2.0, 3.0]]),
-                                         np.array([2]))
+    _, loss, _ = library_step(spec, params, np.array([[1.0, 2.0, 3.0]]), np.array([2]))
     assert abs(loss - math.log(5)) < 1e-12
 
 
 def test_loss_errors():
     spec, params = tiny_net_222()
+    model = nn.flat_params(params, stack=1)
     with pytest.raises(nn.NNError):
-        nn.batch_loss_and_gradient(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int))
+        nn.batch_loss_and_gradient(spec, model, np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(nn.NNError):
-        nn.batch_loss_and_gradient(spec, params, np.zeros((1, 2)), np.array([2]))
+        nn.batch_loss_and_gradient(spec, model, np.zeros((1, 2)), np.array([2]))
 
 
 @given(n=st.integers(1, 8), m=st.integers(0, 9))
@@ -177,7 +182,8 @@ def test_loss_rejects_labels_of_another_length(n, m):
         m += 1
     spec, params = tiny_net_222()
     with pytest.raises(nn.NNError, match=rf"of {n}, got shape \({m},\)"):
-        nn.batch_loss_and_gradient(spec, params, np.zeros((n, 2)), np.zeros(m, dtype=int))
+        nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1), np.zeros((n, 2)),
+                                   np.zeros(m, dtype=int))
 
 
 @given(n=st.integers(1, 8), k=st.integers(1, 3))
@@ -185,7 +191,8 @@ def test_loss_rejects_labels_of_another_rank(n, k):
     """An (n, k) label array used to raise TypeError (or IndexError)."""
     spec, params = tiny_net_222()
     with pytest.raises(nn.NNError, match=rf"got shape \({n}, {k}\)"):
-        nn.batch_loss_and_gradient(spec, params, np.zeros((n, 2)), np.zeros((n, k), dtype=int))
+        nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1), np.zeros((n, 2)),
+                                   np.zeros((n, k), dtype=int))
 
 
 @given(labels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
@@ -195,14 +202,15 @@ def test_loss_rejects_labels_of_a_non_integer_dtype(labels, dtype):
     spec, params = tiny_net_222()
     ys = np.array(labels, dtype=dtype)
     with pytest.raises(nn.NNError, match=rf"dtype {np.dtype(dtype).name}$"):
-        nn.batch_loss_and_gradient(spec, params, np.zeros((len(ys), 2)), ys)
+        nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1),
+                                   np.zeros((len(ys), 2)), ys)
 
 
 def test_gradient_matches_finite_differences_222():
     spec, params = tiny_net_222()
     xs = np.array([[0.5, -1.2], [-0.3, 0.8]])
     ys = np.array([0, 1])
-    _, grads = nn.batch_loss_and_gradient(spec, params, xs, ys)
+    _, _, grads = library_step(spec, params, xs, ys)
     fd = fd_param_gradients(spec, params, xs, ys)
     for name in grads:
         assert np.all(rel_err(grads[name], fd[name]) < 1e-4), name
@@ -215,7 +223,7 @@ def test_gradient_matches_finite_differences_conv():
     batch = [(rng.uniform(0, 1, (1, 10, 10)), int(rng.integers(0, 3))) for _ in range(3)]
     xs = np.stack([img for img, _ in batch])
     ys = np.array([lbl for _, lbl in batch])
-    _, grads = nn.batch_loss_and_gradient(spec, params, xs, ys)
+    _, _, grads = library_step(spec, params, xs, ys)
     fd = fd_param_gradients(spec, params, xs, ys)
     for name in grads:
         assert np.all(rel_err(grads[name], fd[name]) < 1e-4), name
@@ -225,48 +233,59 @@ def test_gradient_matches_finite_differences_conv():
 # sgd_step
 
 
+def one_weight_step(gradient, learning_rate, weight=1.0):
+    """A dense(1, 1) model of weight and bias weight, stepped on factors that
+    form gradient for both: (the model, its vector before the step)."""
+    model = nn.flat_params({"layer0.weight": np.full((1, 1), weight),
+                            "layer0.bias": np.full(1, weight)}, stack=1)
+    kept = model.vector.copy()
+    factors = nn.GradientFactors(model.layout, ((0, np.ones((1, 1, 1)),
+                                                 np.full((1, 1, 1), gradient)),))
+    nn.sgd_step(model, factors, learning_rate, row_scratch(model))
+    return model, kept
+
+
 def test_sgd_zero_lr_identity():
-    spec, params = tiny_net_222()
-    grads = {k: np.ones_like(v) for k, v in params.items()}
-    out = nn.sgd_step(params, grads, 0.0)
-    assert params_equal(out, params)
+    model, kept = one_weight_step(1.0, 0.0, weight=0.3)
+    assert np.array_equal(model.vector, kept)
 
 
 def test_sgd_forced_arithmetic():
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([0.5])}
-    out = nn.sgd_step(params, grads, 0.1)
-    assert out["p"][0] == pytest.approx(0.95, abs=1e-15)
+    model, _ = one_weight_step(0.5, 0.1)
+    assert model.vector[0, 0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_matches_direct_recomputation():
+    """Each row steps to params - lr * a^T g (and the bias to the sum of g),
+    from factors a and g given directly."""
     rng = np.random.default_rng(11)
-    params = {"a": rng.normal(0, 1, (4, 3)), "b": rng.normal(0, 1, (3,))}
-    grads = {"a": rng.normal(0, 1, (4, 3)), "b": rng.normal(0, 1, (3,))}
+    model = nn.flat_params({"layer0.weight": np.zeros((4, 3)), "layer0.bias": np.zeros(3)},
+                           stack=2)
+    model.vector[...] = rng.normal(0, 1, model.vector.shape)
+    kept = model.vector.copy()
+    a, g = rng.normal(0, 1, (2, 5, 4)), rng.normal(0, 1, (2, 5, 3))
     lr = 0.37
-    out = nn.sgd_step(params, grads, lr)
-    for k in params:
-        assert np.array_equal(out[k], params[k] - lr * grads[k])
+    nn.sgd_step(model, nn.GradientFactors(model.layout, ((0, a, g),)), lr, row_scratch(model))
+    for i in range(2):
+        grad = np.concatenate([(a[i].T @ g[i]).ravel(), np.add.reduce(g[i], axis=0)])
+        assert np.array_equal(model.vector[i], kept[i] - lr * grad)
 
 
 def test_sgd_zero_gradient_identity():
-    spec, params = tiny_net_222()
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    out = nn.sgd_step(params, grads, 0.5)
-    assert params_equal(out, params)
+    model, kept = one_weight_step(0.0, 0.5, weight=0.3)
+    assert np.array_equal(model.vector, kept)
 
 
 def test_sgd_rejects_nonfinite_gradient():
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([np.nan])}
-    with pytest.raises(nn.NNError):
-        nn.sgd_step(params, grads, 0.1)
+    with pytest.raises(nn.NNError, match="gradient of layer0.weight"):
+        one_weight_step(np.nan, 0.1)
 
 
 def test_sgd_out_in_place_bit_identical_to_out_of_place():
     """A stacked flat model is updated in place, each row with the bits of
-    its own dict-path step; its views stay the same arrays, and scratch ends
-    up holding the last row's gradient times the learning rate."""
+    its own k = 1 step and with the values of params - lr * gradient from
+    the out-of-place reference; its views stay the same arrays, and scratch
+    ends up holding the last row's gradient times the learning rate."""
     spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
     sets = [nn.init_params(spec, i) for i in range(3)]
     model = stacked_sets(spec, sets)
@@ -275,13 +294,14 @@ def test_sgd_out_in_place_bit_identical_to_out_of_place():
     arrays = dict(model.views)
     scratch = nn.flat_params(sets[0])
     lr = 0.37
-    _, factors = nn.batch_loss_and_gradient(spec, model.views, x, y)
+    _, factors = nn.batch_loss_and_gradient(spec, model, x, y)
     assert nn.sgd_step(model, factors, lr, scratch) is model
     for i, params in enumerate(sets):
-        _, grads = nn.batch_loss_and_gradient(spec, params, x[2 * i:2 * i + 2],
-                                              y[2 * i:2 * i + 2])
-        assert same_bits(model.vector[i],
-                         nn.flat_params(nn.sgd_step(params, grads, lr)).vector)
+        rows = slice(2 * i, 2 * i + 2)
+        stepped, _, grads = library_step(spec, params, x[rows], y[rows], lr)
+        assert same_bits(model.vector[i], nn.flat_params(stepped).vector)
+        _, ref, _ = reference_loss_gradient_probs(spec, params, x[rows], y[rows])
+        assert params_equal(stepped, {k: params[k] - lr * ref[k] for k in params})
     assert all(model.views[k] is arrays[k] for k in arrays)
     scaled = nn.flat_params({k: lr * g for k, g in grads.items()})
     assert same_bits(scratch.vector, scaled.vector)
@@ -296,26 +316,30 @@ def test_sgd_out_rejects_nonfinite_gradient_before_writing():
     x = np.random.default_rng(12).random((6, *spec.input_shape))
     x[3, 0, 1, 2] = np.nan
     kept = model.vector.copy()
-    _, factors = nn.batch_loss_and_gradient(spec, model.views, x, np.array([0, 1, 2, 2, 1, 0]))
+    _, factors = nn.batch_loss_and_gradient(spec, model, x, np.array([0, 1, 2, 2, 1, 0]))
     with pytest.raises(nn.NNError, match="non-finite values in gradient of layer0.weight$") \
             as exc:
-        nn.sgd_step(model, factors, 0.1)
+        nn.sgd_step(model, factors, 0.1, row_scratch(model))
     assert exc.value.row == 1
     assert not same_bits(model.vector[0], kept[0])
     assert same_bits(model.vector[1:], kept[1:])
 
 
 def test_sgd_out_rejects_misshaped_output():
-    """A flat model steps only on GradientFactors: a flat gradient, stacked
-    or not, or a dict is refused before anything is written."""
+    """Both functions take only a stacked model: an unstacked FlatParams is
+    refused before anything is written, by batch_loss_and_gradient and by
+    sgd_step given a stacked call's factors."""
     spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
     params = nn.init_params(spec, 0)
-    for model in (nn.flat_params(params), nn.flat_params(params, stack=2)):
-        kept = model.vector.tobytes()
-        for gradient in (nn.flat_params(model.views), model, dict(model.views)):
-            with pytest.raises(nn.ShapeMismatchError, match="laid out"):
-                nn.sgd_step(model, gradient, 0.1)
-        assert model.vector.tobytes() == kept
+    model = nn.flat_params(params)
+    kept = model.vector.tobytes()
+    x, y = np.zeros((2, *spec.input_shape)), np.array([0, 1])
+    with pytest.raises(nn.ShapeMismatchError, match="not a stacked FlatParams"):
+        nn.batch_loss_and_gradient(spec, model, x, y)
+    _, factors = nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1), x, y)
+    with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+        nn.sgd_step(model, factors, 0.1, nn.flat_params(params))
+    assert model.vector.tobytes() == kept
 
 
 def formed_rows(spec, model, x, y, learning_rate=0.1, scratch=None):
@@ -328,7 +352,8 @@ def formed_rows(spec, model, x, y, learning_rate=0.1, scratch=None):
         rows.append(v.copy())
         return real(v)
 
-    loss, factors = nn.batch_loss_and_gradient(spec, model.views, x, y)
+    loss, factors = nn.batch_loss_and_gradient(spec, model, x, y)
+    scratch = row_scratch(model) if scratch is None else scratch
     with mock.patch.object(nn, "_all_finite", spy):
         assert nn.sgd_step(model, factors, learning_rate, scratch) is model
     return loss, rows
@@ -336,40 +361,51 @@ def formed_rows(spec, model, x, y, learning_rate=0.1, scratch=None):
 
 def test_batch_gradient_out_buffers_bit_identical():
     """Every gradient, conv ones too, that sgd_step forms in its scratch row
-    has the dict path's bits, with every element of the row written."""
+    has the out-of-place reference's bits, with every element of the row
+    written."""
     rng = np.random.default_rng(13)
     for spec in (nn.small_mlp((1, 6, 6), 4, hidden=8), nn.small_cnn((1, 10, 10), 4)):
         params = nn.init_params(spec, 4)
         x = rng.random((7, *spec.input_shape))
         y = rng.integers(0, 4, 7)
-        loss, grads = nn.batch_loss_and_gradient(spec, params, x, y)
+        loss, grads, _ = reference_loss_gradient_probs(spec, params, x, y)
         scratch = nn.flat_params({k: np.full_like(v, np.nan) for k, v in params.items()})
         row_loss, [row] = formed_rows(spec, nn.flat_params(params, stack=1), x, y,
                                       scratch=scratch)
         assert row_loss[0] == loss
-        assert same_bits(row, nn.flat_params(grads).vector)
+        assert same_bits(row + 0.0, nn.flat_params({k: grads[k] for k in params}).vector + 0.0)
 
 
 def test_batch_gradient_out_rejects_other_layout():
-    """A stacked model steps only on the factors of a call on its own views,
+    """A stacked model steps only on the factors of a call on its own layout,
     with a scratch laid out like one of its rows; nothing is written else."""
     spec, other_spec = (nn.small_mlp((1, 6, 6), 4, hidden=h) for h in (8, 7))
     model = nn.flat_params(nn.init_params(spec, 4), stack=2)
     x, y = np.zeros((6, 1, 6, 6)), np.array([0, 1, 2, 3, 0, 1])
-    _, factors = nn.batch_loss_and_gradient(spec, model.views, x[:2], y[:2])
+    _, factors = nn.batch_loss_and_gradient(spec, model, x[:2], y[:2])
     other = nn.flat_params(nn.init_params(other_spec, 4), stack=2)
-    _, other_factors = nn.batch_loss_and_gradient(other_spec, other.views, x[:2], y[:2])
+    _, other_factors = nn.batch_loss_and_gradient(other_spec, other, x[:2], y[:2])
     three = nn.flat_params(nn.init_params(spec, 4), stack=3)
-    _, three_factors = nn.batch_loss_and_gradient(spec, three.views, x[:3], y[:3])
+    _, three_factors = nn.batch_loss_and_gradient(spec, three, x[:3], y[:3])
     kept = model.vector.tobytes()
-    for gradient, scratch in ((other_factors, None), (three_factors, None),
+    for gradient, scratch in ((other_factors, row_scratch(model)),
+                              (three_factors, row_scratch(model)),
                               (factors, nn.flat_params(nn.init_params(other_spec, 4))),
-                              (factors, model[0:1]), (nn.flat_params(model.views), None),
-                              (nn.flat_params(nn.init_params(spec, 4), stack=2), None)):
+                              (factors, model[0:1]), (factors, model)):
         with pytest.raises(nn.ShapeMismatchError, match="laid out"):
             nn.sgd_step(model, gradient, 0.1, scratch)
-    with pytest.raises(nn.ShapeMismatchError, match="laid out"):
-        nn.sgd_step(nn.init_params(spec, 4), factors, 0.1)
+    assert model.vector.tobytes() == kept
+
+
+@pytest.mark.parametrize("learning_rate", [-0.1, np.nan, np.inf])
+def test_stacked_step_refuses_a_negative_or_nonfinite_learning_rate(learning_rate):
+    spec = nn.small_mlp((1, 6, 6), 4, hidden=8)
+    model = nn.flat_params(nn.init_params(spec, 4), stack=2)
+    _, factors = nn.batch_loss_and_gradient(spec, model, np.zeros((4, 1, 6, 6)),
+                                            np.array([0, 1, 2, 3]))
+    kept = model.vector.tobytes()
+    with pytest.raises(nn.NNError, match="learning rate must be finite and non-negative"):
+        nn.sgd_step(model, factors, learning_rate, row_scratch(model))
     assert model.vector.tobytes() == kept
 
 
@@ -628,96 +664,6 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
 # element-wise layers: result bits and the write rule
 
 
-def reference_forward(spec, params, h, start=0, stop=None):
-    """The engine's forward arithmetic over layers start..stop-1, with every
-    element-wise layer out of place: h @ w + b, np.where relu, e / e.sum
-    softmax, and np.tensordot convolutions."""
-    caches = []
-    ordinal = sum(layer.kind in nn.PARAM_KINDS for layer in spec.layers[:start])
-    for layer in spec.layers[start:stop]:
-        if layer.kind == "dense":
-            caches.append((h, ordinal))
-            h = h @ params[f"layer{ordinal}.weight"] + params[f"layer{ordinal}.bias"]
-            ordinal += 1
-        elif layer.kind == "conv2d":
-            patches = nn._im2col(h, layer.kernel_size)
-            caches.append((patches, ordinal))
-            out = np.tensordot(patches, params[f"layer{ordinal}.weight"],
-                               axes=([3, 4, 5], [1, 2, 3]))
-            h = (np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-                 + params[f"layer{ordinal}.bias"][None, :, None, None])
-            ordinal += 1
-        elif layer.kind == "relu":
-            caches.append(h > 0)
-            h = np.where(h > 0, h, 0.0)
-        elif layer.kind == "maxpool2d":
-            p = layer.pool_size
-            b, c, hh, ww = h.shape
-            win = h[:, :, :hh // p * p, :ww // p * p].reshape(b, c, hh // p, p, ww // p, p)
-            win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh // p, ww // p, p * p)
-            idx = win.argmax(axis=-1)
-            caches.append((idx, h.shape))
-            h = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-        elif layer.kind == "flatten":
-            caches.append(h.shape)
-            h = h.reshape(len(h), -1)
-        else:
-            e = np.exp(h - h.max(axis=1, keepdims=True))
-            h = e / e.sum(axis=1, keepdims=True)
-            caches.append(h)
-    return h, caches
-
-
-def reference_backward(spec, params, caches, g, start=0):
-    """The gradient at the input of layer start and every parameter
-    gradient, out of place: probs * (g - dot) softmax, np.where relu."""
-    grads = {}
-    for layer, cache in zip(reversed(spec.layers[start:]), reversed(caches)):
-        if layer.kind == "softmax":
-            g = cache * (g - (g * cache).sum(axis=1, keepdims=True))
-        elif layer.kind == "relu":
-            g = np.where(cache, g, 0.0)
-        elif layer.kind == "flatten":
-            g = g.reshape(cache)
-        elif layer.kind == "maxpool2d":
-            (idx, in_shape), p = cache, layer.pool_size
-            b, c, h2, w2 = idx.shape
-            dwin = np.zeros((b, c, h2, w2, p * p))
-            np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            g = np.zeros(in_shape)
-            g[:, :, :h2 * p, :w2 * p] = dwin.reshape(b, c, h2, w2, p, p).transpose(
-                0, 1, 2, 4, 3, 5).reshape(b, c, h2 * p, w2 * p)
-        elif layer.kind == "dense":
-            x_in, o = cache
-            grads[f"layer{o}.weight"] = x_in.T @ g
-            grads[f"layer{o}.bias"] = np.add.reduce(g, axis=0)
-            g = g @ params[f"layer{o}.weight"].T
-        else:
-            patches, o = cache
-            w = params[f"layer{o}.weight"]
-            gs = g.transpose(0, 2, 3, 1)
-            grads[f"layer{o}.weight"] = np.tensordot(gs, patches, axes=([0, 1, 2], [0, 1, 2]))
-            grads[f"layer{o}.bias"] = gs.sum(axis=(0, 1, 2))
-            k = w.shape[-1]
-            gpad = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-            dx = np.tensordot(nn._im2col(gpad, k), w[:, :, ::-1, ::-1],
-                              axes=([3, 4, 5], [0, 2, 3]))
-            g = np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
-    return g, grads
-
-
-def reference_loss_gradient_probs(spec, params, x, y):
-    """Mean cross-entropy, its parameter gradients and the probabilities,
-    from reference_forward and reference_backward."""
-    probs, caches = reference_forward(spec, params, x)
-    n, rows = len(y), np.arange(len(y))
-    loss = float(-np.add.reduce(np.log(probs[rows, y])) / n)
-    g = np.zeros(probs.shape)
-    g[rows, y] = -1.0 / (n * probs[rows, y])
-    _, grads = reference_backward(spec, params, caches, g)
-    return loss, grads, probs
-
-
 def reference_unit_gradients(spec, params, x, target, unit, scales):
     """batch_unit_gradients' rank-1 arithmetic on reference_forward and
     reference_backward, for x the network inputs."""
@@ -764,7 +710,7 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_engine_bits_equal_out_of_place_reference(model):
-    """Training, evaluation and the gradient row a stacked step forms give
+    """Evaluation, the loss and the gradient row a stacked step forms give
     the reference's bits.  Gradients are compared after + 0.0: relu backward
     multiplies by its mask and may give -0.0 where np.where gives +0.0, and
     nothing else."""
@@ -778,10 +724,6 @@ def test_engine_bits_equal_out_of_place_reference(model):
         y = rng.integers(0, 4, 9)
         loss, grads, probs = reference_loss_gradient_probs(spec, params, x, y)
         assert same_bits(nn.predict_probs(spec, params, x), probs)
-        got_loss, got = nn.batch_loss_and_gradient(spec, params, x, y)
-        assert got_loss == loss
-        for name in params:
-            assert same_bits(got[name] + 0.0, grads[name] + 0.0), name
         row_loss, [row] = formed_rows(spec, nn.flat_params(params, stack=1), x, y)
         assert row_loss[0] == loss
         assert same_bits(row + 0.0, nn.flat_params({n: grads[n] for n in params}).vector + 0.0)
@@ -825,8 +767,9 @@ def stacked_sets(spec, sets):
        seed=st.integers(0, 2**16))
 def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, model, seed):
     """k models stacked on a leading axis, each on its own block of rows,
-    give each model's unstacked loss bit for bit; so do the gradient rows
-    sgd_step forms from the call's factors, and the rows it steps."""
+    give each model's k = 1 loss bit for bit; so do the gradient rows
+    sgd_step forms from the call's factors, and the rows it steps.  Loss and
+    gradient are the out-of-place reference's too."""
     spec = (nn.small_mlp((1, 6, 6), 3, hidden=5) if model == "mlp"
             else nn.small_cnn((1, 10, 10), 3))
     rng = np.random.default_rng(seed)
@@ -838,12 +781,15 @@ def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, mo
     assert loss.shape == (k,) and len(rows) == k
     for i, params in enumerate(sets):
         block_rows = slice(i * block, (i + 1) * block)
-        want_loss, want = nn.batch_loss_and_gradient(spec, params, x[block_rows],
-                                                     y[block_rows])
+        stepped, want_loss, want = library_step(spec, params, x[block_rows], y[block_rows],
+                                                0.3)
         assert loss[i] == want_loss
         assert same_bits(rows[i], nn.flat_params(want).vector)
-        assert same_bits(stacked.vector[i],
-                         nn.flat_params(nn.sgd_step(params, want, 0.3)).vector)
+        assert same_bits(stacked.vector[i], nn.flat_params(stepped).vector)
+        ref_loss, ref, _ = reference_loss_gradient_probs(spec, params, x[block_rows],
+                                                         y[block_rows])
+        assert ref_loss == want_loss
+        assert same_bits(rows[i] + 0.0, nn.flat_params({n: ref[n] for n in params}).vector + 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -856,7 +802,7 @@ def test_stacked_step_makes_one_finite_pass_per_row(k):
     x = np.random.default_rng(k).random((2 * k, *spec.input_shape))
     scratch = nn.flat_params(nn.init_params(spec, 0))
     with mock.patch.object(nn, "_all_finite", wraps=nn._all_finite) as spy:
-        _, factors = nn.batch_loss_and_gradient(spec, model.views, x, np.arange(2 * k) % 3)
+        _, factors = nn.batch_loss_and_gradient(spec, model, x, np.arange(2 * k) % 3)
         nn.sgd_step(model, factors, 0.1, scratch)
     assert spy.call_count == k
     assert all(call.args[0] is scratch.vector for call in spy.call_args_list)
@@ -867,13 +813,16 @@ def test_stacked_errors_name_the_row():
     stacked = stacked_sets(spec, [nn.init_params(spec, i) for i in range(3)])
     x = np.zeros((6, 1, 3, 3))
     with pytest.raises(nn.NNError, match="label out of range") as exc:
-        nn.batch_loss_and_gradient(spec, stacked.views, x, np.array([0, 1, 2, 0, 3, 1]))
+        nn.batch_loss_and_gradient(spec, stacked, x, np.array([0, 1, 2, 0, 3, 1]))
     assert exc.value.row == 2
     with pytest.raises(nn.ShapeMismatchError, match="7 rows do not split into 3"):
-        nn.batch_loss_and_gradient(spec, stacked.views, np.zeros((7, 1, 3, 3)),
+        nn.batch_loss_and_gradient(spec, stacked, np.zeros((7, 1, 3, 3)),
                                    np.zeros(7, dtype=int))
-    with pytest.raises(nn.ShapeMismatchError, match="laid out"):
-        nn.sgd_step(stacked, nn.flat_params(stacked.views), 0.1)
+    # row 1 puts all its mass on class 0, so its label 2 gets probability 0
+    stacked.views["layer1.bias"][1] = [1e4, 0.0, 0.0]
+    with pytest.raises(nn.NNError, match="probability underflow") as exc:
+        nn.batch_loss_and_gradient(spec, stacked, x, np.array([0, 1, 2, 0, 1, 2]))
+    assert exc.value.row == 1
 
 
 def test_relu_bits_equal_where_on_special_values():
@@ -913,10 +862,9 @@ def test_engine_writes_into_no_caller_array(make_spec):
     y = rng.integers(0, spec.class_count, 5)
     kept = [arr.tobytes() for arr in (model.vector, x, y)]
     nn.predict_probs(spec, params, x)
-    nn.batch_loss_and_gradient(spec, params, x, y)
-    if spec.param_layer_count:
-        stacked = nn.flat_params(params, stack=1)
-        nn.sgd_step(stacked, nn.batch_loss_and_gradient(spec, stacked.views, x, y)[1], 0.1)
+    stacked = nn.flat_params(params, stack=1)
+    nn.sgd_step(stacked, nn.batch_loss_and_gradient(spec, stacked, x, y)[1], 0.1,
+                row_scratch(stacked))
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
         site_kept = site.tobytes()
@@ -945,47 +893,41 @@ FINITE_SPEC = nn.small_mlp((1, 3, 3), 3, hidden=4)
 FINITE_NAMES = list(FINITE_SPEC.param_shapes())
 
 
-def finite_case(data, stacks=(None, 1, 3)):
-    """A flat parameter set, unstacked or of k stacked rows, one view name,
-    a row of the stack (None unstacked) and a position in that row's view."""
+def finite_case(data):
+    """A flat parameter set of k stacked rows, one view name, a row of the
+    stack and a position in that row's view."""
     seed = data.draw(st.integers(0, 2**16))
-    stack = data.draw(st.sampled_from(stacks))
+    stack = data.draw(st.sampled_from([1, 3]))
     flat = nn.flat_params(nn.init_params(FINITE_SPEC, seed), stack=stack)
     name = data.draw(st.sampled_from(FINITE_NAMES))
-    row = None if stack is None else data.draw(st.integers(0, stack - 1))
+    row = data.draw(st.integers(0, stack - 1))
     position = data.draw(st.integers(0, math.prod(FINITE_SPEC.param_shapes()[name]) - 1))
     return flat, name, row, position
 
 
 def flat_like(model, value):
     """A FlatParams laid out and stacked like model, every element value."""
-    flat = nn.flat_params(nn.init_params(FINITE_SPEC, 0),
-                          stack=len(model.vector) if model.vector.ndim == 2 else None)
+    flat = nn.flat_params(nn.init_params(FINITE_SPEC, 0), stack=len(model.vector))
     flat.vector[...] = value
     return flat
 
 
 def finite_batch(model):
     """Four rows of inputs and labels per model in the stack."""
-    k = len(model.vector) if model.vector.ndim == 2 else 1
+    k = len(model.vector)
     x = np.random.default_rng(0).random((4 * k, *FINITE_SPEC.input_shape))
     return x, np.tile([0, 1, 2, 0], k)
 
 
-def in_row(view, row):
-    return view if row is None else view[row]
-
-
 def reference_steps(model, learning_rate):
-    """Each row of a stacked model after its own dict-path step on its block
-    of finite_batch, as a flat vector."""
+    """Each row of a stacked model after its own k = 1 step on its block of
+    finite_batch, as a flat vector."""
     x, y = finite_batch(model)
     steps = []
     for i in range(len(model.vector)):
-        params = {name: view[i].copy() for name, view in model.views.items()}
-        _, grads = nn.batch_loss_and_gradient(FINITE_SPEC, params, x[4 * i:4 * i + 4],
-                                              y[4 * i:4 * i + 4])
-        steps.append(nn.flat_params(nn.sgd_step(params, grads, learning_rate)).vector)
+        stepped, _, _ = library_step(FINITE_SPEC, model[i].views, x[4 * i:4 * i + 4],
+                                     y[4 * i:4 * i + 4], learning_rate)
+        steps.append(nn.flat_params(stepped).vector)
     return steps
 
 
@@ -1010,9 +952,9 @@ def test_sgd_step_rejects_one_nonfinite_gradient_element(data, bad):
     stacked step forms raises naming that row and parameter before the row
     is written: that row and the ones after it keep their bytes, and the
     rows before it have taken their steps."""
-    model, name, row, position = finite_case(data, stacks=(1, 3))
+    model, name, row, position = finite_case(data)
     kept = model.vector.tobytes()
-    _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model))
+    _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model, *finite_batch(model))
     real_form = nn.GradientFactors.form
 
     def planted(self, r, out):
@@ -1023,7 +965,7 @@ def test_sgd_step_rejects_one_nonfinite_gradient_element(data, bad):
     match = f"non-finite values in gradient of {re.escape(name)}$"
     with mock.patch.object(nn.GradientFactors, "form", planted):
         with pytest.raises(nn.NNError, match=match) as exc:
-            nn.sgd_step(model, factors, 0.1)
+            nn.sgd_step(model, factors, 0.1, row_scratch(model))
     assert exc.value.row == row
     assert_stopped_at(model, row, kept, 0.1)
 
@@ -1034,15 +976,14 @@ def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad, ordinal, wh
     """A NaN or inf at any position of one row's factor of one layer, as the
     backward pass hands the factors over, reaches that layer's weight
     gradient: the step names the row and that weight and stops before the
-    row is written, the rows before it having stepped.  The dict path names
-    the weight too and writes nothing."""
+    row is written, the rows before it having stepped."""
     model, _, row, _ = finite_case(data)
     real_backward = nn._backward_engine
 
     def planted(*args, **kwargs):
         factors = real_backward(*args, **kwargs)
         [(a, g)] = [(a, g) for o, a, g in factors if o == ordinal]
-        arr = in_row(a if which == "input" else g, row)
+        arr = (a if which == "input" else g)[row]
         arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
         return factors
 
@@ -1050,14 +991,10 @@ def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad, ordinal, wh
     match = f"non-finite values in gradient of layer{ordinal}\\.weight$"
     with mock.patch.object(nn, "_backward_engine", planted), np.errstate(invalid="ignore"):
         with pytest.raises(nn.NNError, match=match) as exc:
-            _, gradient = nn.batch_loss_and_gradient(FINITE_SPEC, model.views,
-                                                     *finite_batch(model))
-            nn.sgd_step(model, gradient, 0.1)
+            _, gradient = nn.batch_loss_and_gradient(FINITE_SPEC, model, *finite_batch(model))
+            nn.sgd_step(model, gradient, 0.1, row_scratch(model))
     assert exc.value.row == row
-    if row is None:
-        assert model.vector.tobytes() == kept
-    else:
-        assert_stopped_at(model, row, kept, 0.1)
+    assert_stopped_at(model, row, kept, 0.1)
 
 
 @given(data=st.data(), magnitude=st.one_of(st.floats(1e160, 1e300), st.just(1.7e308)),
@@ -1066,7 +1003,7 @@ def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, a
     """v . v overflows to inf for these finite vectors (and so may their
     sum); the element scan then accepts them, without a warning, as every
     gradient row a stacked step forms in its scratch."""
-    model, _, _, _ = finite_case(data, stacks=(1, 3))
+    model, _, _, _ = finite_case(data)
     size = model.vector.shape[-1]
     huge = magnitude * np.where(alternate & (np.arange(size) % 2 == 1), -1.0, 1.0)
     assert not math.isfinite(np.vdot(huge, huge))
@@ -1075,11 +1012,11 @@ def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, a
     def huge_form(self, row, out):
         out.vector[...] = huge
 
-    _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model.views, *finite_batch(model))
+    _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model, *finite_batch(model))
     with mock.patch.object(nn.GradientFactors, "form", huge_form), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        nn.sgd_step(model, factors, 1e-200)
+        nn.sgd_step(model, factors, 1e-200, row_scratch(model))
     assert np.array_equal(model.vector, expected)
 
 

@@ -7,7 +7,7 @@ import pytest
 from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim import unlearn_routes as ur
-from helpers import params_equal
+from helpers import library_step, params_equal
 
 
 def shard_of(labels, value=0.5, side=4, class_count=10):
@@ -190,8 +190,7 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
         (shard.labels != 0) | (np.arange(len(shard)) % 5 != 0)))
     params = nn.init_params(spec, 7)
     for _ in range(80):
-        _, g = nn.batch_loss_and_gradient(spec, params, shard.images, shard.labels)
-        params = nn.sgd_step(params, g, 0.5)
+        params = library_step(spec, params, shard.images, shard.labels, 0.5)[0]
     probes = ds.subset(shard, np.flatnonzero(shard.labels == 0)[:20])
     before = nn.predict_probs(spec, params, probes.images)
     assert before[:, 0].mean() > 0.5  # model actually knows class 0
