@@ -191,17 +191,6 @@ def _pct(value: float) -> str:
     return f"{value * 100.0:.2f}"
 
 
-def report_to_csv(report: EvaluationReport, strategy: str) -> str:
-    """One row per (client, class); percentage with two decimals."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["client", "class", strategy])
-    for cid, ev in sorted(report.clients.items()):
-        for c in sorted(ev.class_total):
-            writer.writerow([cid, c, _pct(ev.accuracy(c))])
-    return buf.getvalue()
-
-
 def combined_csv(reports: dict[str, EvaluationReport]) -> str:
     """Multi-strategy table keyed on identical (client, class) coverage."""
     names = list(reports)
@@ -222,13 +211,3 @@ def combined_csv(reports: dict[str, EvaluationReport]) -> str:
                                     for n in names])
     return buf.getvalue()
 
-
-def plot_data_csv(global_accuracies: dict[str, tuple[float, float]]) -> str:
-    """Per-strategy (before, after) global accuracy pairs for plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["strategy", "global_before", "global_after"])
-    for name in sorted(global_accuracies):
-        b, a = global_accuracies[name]
-        writer.writerow([name, _pct(b), _pct(a)])
-    return buf.getvalue()

@@ -301,22 +301,12 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
                   _PARTITION_SECTIONS, lambda: None, resume, run)
 
 
-def _load_model(spec: ModelSpec, path: str) -> ParameterSet:
-    """A stage checkpoint, checked against the model the config builds."""
-    params = nncore.load_checkpoint(path)
-    try:
-        nncore.validate_params(spec, params)
-    except nncore.ShapeMismatchError as exc:
-        raise nncore.CheckpointError(f"{path}: {exc}") from None
-    return params
-
-
 def ensure_train(cfg: ExperimentConfig, out_dir: str):
     def run(task, writer):
         clients = fedsim.build_clients(task.plan, task.train_domains)
-        ckpt_dir = out_dir if cfg.training.checkpoint_every else None
-        result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
-                                     cfg.training, cfg.seed, checkpoint_dir=ckpt_dir)
+        result = fedsim.run_training(
+            task.spec, clients, task.val_x, task.val_y, cfg.training, cfg.seed,
+            save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", params))
         summary = {
             "convergence_round": result.convergence_round,
             "rounds_run": len(result.logs),
@@ -329,7 +319,8 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
     ckpt = os.path.join(out_dir, "checkpoint_trained.fusim")
     return _stage(cfg, out_dir, "train", ("train_summary.json", "checkpoint_trained.fusim"),
                   _TRAIN_SECTIONS, lambda: ensure_partition(cfg, out_dir),
-                  lambda task, summary: (task, _load_model(task.spec, ckpt), summary), run)
+                  lambda task, summary: (task, nncore.load_checkpoint(ckpt, task.spec), summary),
+                  run)
 
 
 def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
@@ -389,7 +380,7 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | N
     def resume(trained_stage, summary):
         task, trained, _ = trained_stage
         ckpt = os.path.join(out_dir, "checkpoint_unlearned.fusim")
-        return task, trained, _load_model(task.spec, ckpt), summary
+        return task, trained, nncore.load_checkpoint(ckpt, task.spec), summary
 
     def run(trained_stage, writer):
         task, trained, train_summary = trained_stage
@@ -439,18 +430,14 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
             metadata={"strategy": "after", "route": route, "seed": cfg.seed})
         metrics = evalkit.forgetting_metrics(shared, after, cfg.unlearn)
         writer.add_text("report_before.json", evalkit.report_to_json(shared))
-        writer.add_text("report_before.csv", evalkit.report_to_csv(shared, "before"))
         writer.add_text("report_after.json", evalkit.report_to_json(after, metrics))
-        writer.add_text("report_after.csv", evalkit.report_to_csv(after, route))
-        writer.add_text("plot_data.csv", evalkit.plot_data_csv(
-            {route: (shared.global_accuracy, after.global_accuracy)}))
+        writer.add_text("report.csv", evalkit.combined_csv({"before": shared, route: after}))
         # "route" repeats the record's unlearn.route for readers of metrics.json
         # alone (perfbench prints it); the record's value is the one checked
         return (task, shared, after, metrics), {"route": route, **dataclasses.asdict(metrics)}
     return _stage(cfg, out_dir, "evaluate", (
-        "metrics.json", "report_before.json", "report_before.csv", "report_after.json",
-        "report_after.csv", "plot_data.csv"), _UNLEARN_SECTIONS,
-        lambda: ensure_unlearn(cfg, out_dir, trained_stage), resume, run)
+        "metrics.json", "report_before.json", "report_after.json", "report.csv"),
+        _UNLEARN_SECTIONS, lambda: ensure_unlearn(cfg, out_dir, trained_stage), resume, run)
 
 
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
@@ -475,18 +462,15 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
         seen[route] = seen.get(route, 0) + 1
         labels.append(route if seen[route] == 1 else f"{route}_{seen[route]}")
     reports: dict[str, "evalkit.EvaluationReport"] = {}
-    plot: dict[str, tuple[float, float]] = {}
     trained_stage = ensure_train(cfgs[0], out_dir)
     before = None
     for cfg, label in zip(cfgs, labels):
         sub = os.path.join(out_dir, f"route_{label}")
         _, before, after, _ = ensure_evaluate(cfg, sub, trained_stage, before)
         reports[label] = after
-        plot[label] = (before.global_accuracy, after.global_accuracy)
     merged = {"before": before, **reports}
     text = evalkit.combined_csv(merged)
     writer = _StageWriter(out_dir, "compare")
     writer.add_text("compare.csv", text)
-    writer.add_text("compare_plot_data.csv", evalkit.plot_data_csv(plot))
     writer.commit()
     return text

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -195,14 +195,15 @@ def _validation_error(spec: ModelSpec, params: ParameterSet,
 def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientState],
             params: ParameterSet, rounds: range, val_x: np.ndarray, val_y: np.ndarray,
             training: TrainingConfig, seed: int,
-            checkpoint_dir: str | None = None) -> tuple[ParameterSet, list[RoundLog]]:
+            save_round: Callable[[int, ParameterSet], None] | None = None
+            ) -> tuple[ParameterSet, list[RoundLog]]:
     """The one FedAvg round loop over the clients in client-id order.
 
     The trainers' model matrix and gradient vector are made once, here.  Each
     round local_train fills the trainers' rows and sets them as their caches,
     every cache is aggregated in client-id order, the round is validated and
-    logged, a checkpoint is written if one is due, and the loop stops at
-    epsilon.
+    logged, handed to save_round if a checkpoint is due, and the loop stops
+    at epsilon.
     """
     logs: list[RoundLog] = []
     models, grad = nncore.flat_params(params, stack=len(trainers)), nncore.flat_params(params)
@@ -214,9 +215,8 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
         params = aggregate([(c.cache, c.sample_count) for c in ordered])
         err = _validation_error(spec, params, val_x, val_y)
         logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in trainers)))
-        if checkpoint_dir and training.checkpoint_every and t % training.checkpoint_every == 0:
-            nncore.save_checkpoint(os.path.join(checkpoint_dir, f"round_{t}.fusim"),
-                                   params)
+        if save_round and training.checkpoint_every and t % training.checkpoint_every == 0:
+            save_round(t, params)
         if err < training.epsilon:
             break
     return params, logs
@@ -224,19 +224,20 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
 
 def run_training(spec: ModelSpec, clients: list[ClientState], val_x: np.ndarray,
                  val_y: np.ndarray, training: TrainingConfig, seed: int,
-                 checkpoint_dir: str | None = None) -> TrainingResult:
+                 save_round: Callable[[int, ParameterSet], None] | None = None
+                 ) -> TrainingResult:
     """FedAvg rounds from a seeded initial model, every client training, until
     the validation error beats epsilon or rounds_max ends.
 
-    With checkpoint_every > 0 and a checkpoint_dir, the aggregated model is
-    written as round_<t>.fusim every checkpoint_every rounds.
+    With checkpoint_every > 0 and a save_round, save_round(t, params) gets the
+    aggregated model of every checkpoint_every-th round t.
     """
     ordered = sorted(clients, key=lambda c: c.client_id)
     # The initial model is passed, not kept here, so the loop can free it
     # after round 1.
     params, logs = _rounds(spec, ordered, ordered, nncore.init_params(spec, (seed, 601)),
                            range(1, training.rounds_max + 1), val_x, val_y, training,
-                           seed, checkpoint_dir)
+                           seed, save_round)
     converged = bool(logs) and logs[-1].val_error < training.epsilon
     return TrainingResult(params, logs, logs[-1].round_index if converged else None)
 

@@ -31,12 +31,17 @@ parameter), and applies it while it is in cache; a non-finite row raises
 before it is written, after the rows before it have stepped.  Element-wise
 layers write only into arrays their own call made, never into its input,
 the parameters, a cache read later or SiteRows.
+
+A checkpoint is a NumPy .npy file (format 1.0) holding the model's one
+float64 vector, (P,), its parameters back to back in spec.param_shapes()
+order.  load_checkpoint compares the file's header byte for byte with the
+one save_checkpoint writes for the spec's P and checks the data size, so a
+file of any other model or a damaged one raises CheckpointError.
 """
 from __future__ import annotations
 
 import io
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,8 +51,6 @@ ParameterSet = dict[str, np.ndarray]
 
 PARAM_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten", "softmax")
-
-CHECKPOINT_MAGIC = b"FUSIM1"
 
 
 class NNError(ValueError):
@@ -299,17 +302,6 @@ def init_params(spec: ModelSpec, seed) -> ParameterSet:
     return params
 
 
-def validate_params(spec: ModelSpec, params: ParameterSet) -> None:
-    expected = spec.param_shapes()
-    if list(params.keys()) != list(expected.keys()):
-        raise ShapeMismatchError(
-            f"parameter names {sorted(params)} do not match spec {sorted(expected)}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise ShapeMismatchError(
-                f"parameter {name}: expected shape {shape}, got {params[name].shape}")
-
-
 def params_copy(params: ParameterSet) -> ParameterSet:
     return {k: v.copy() for k, v in params.items()}
 
@@ -355,13 +347,20 @@ def flat_params(params: ParameterSet, stack: int | None = None) -> FlatParams:
     with stack=k, k copies in the rows of a fresh (k, P) vector."""
     lead = () if stack is None else (stack,)
     vector = np.empty(lead + (sum(arr.size for arr in params.values()),))
-    views: ParameterSet = {}
-    offset = 0
+    views = _tile(vector, {name: arr.shape for name, arr in params.items()})
     for name, arr in params.items():
-        views[name] = vector[..., offset:offset + arr.size].reshape(lead + arr.shape)
         views[name][...] = arr
-        offset += arr.size
     return FlatParams(vector, views)
+
+
+def _tile(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> ParameterSet:
+    """Views of vector, one per (name, shape), back to back along its last axis."""
+    lead, views, offset = vector.shape[:-1], {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = vector[..., offset:offset + size].reshape(lead + shape)
+        offset += size
+    return views
 
 
 def zero_units(spec: ModelSpec, params: ParameterSet, units: Iterable[UnitId]) -> ParameterSet:
@@ -800,77 +799,47 @@ def sgd_step(model: FlatParams, factors: GradientFactors, learning_rate: float,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: "FUSIM1" magic, text manifest, little-endian float64 data
+# Checkpoints: a NumPy .npy file (format 1.0) of the model's one float64 vector
+
+
+def _npy_header(count: int) -> bytes:
+    """The .npy format 1.0 header of a little-endian float64 vector of count."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (count,)})
+    return buf.getvalue()
 
 
 def save_checkpoint(path, params: ParameterSet) -> None:
-    buf = io.BytesIO()
-    offset = 0
-    lines = []
-    blobs = []
-    for name, arr in params.items():
-        a = np.ascontiguousarray(arr, dtype=np.float64)
-        raw = a.astype("<f8").tobytes()
-        shape = "x".join(str(d) for d in a.shape) if a.shape else "1"
-        lines.append(f"{name} {shape} {offset}\n")
-        blobs.append(raw)
-        offset += len(raw)
-    buf.write(CHECKPOINT_MAGIC + b"\n")
-    for line in lines:
-        buf.write(line.encode("ascii"))
-    buf.write(b"end\n")
-    for raw in blobs:
-        buf.write(raw)
+    """Write params as one little-endian float64 vector, the arrays back to
+    back in params' order, in a .npy file that np.load reads."""
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_npy_header(sum(np.size(a) for a in params.values())))
+        for arr in params.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def load_checkpoint(path) -> ParameterSet:
-    """Parameters of a checkpoint written by save_checkpoint.
+def load_checkpoint(path, spec: ModelSpec) -> ParameterSet:
+    """spec's parameters from a checkpoint, as views of one fresh vector.
 
-    The manifest must name each parameter once, with a shape of non-negative
-    integers and blobs laid out back to back in manifest order, covering the
-    data exactly; anything else raises CheckpointError naming the file and the
-    parameter.
+    The file must start with the header save_checkpoint writes for spec's P
+    values, byte for byte, and hold exactly 8 P data bytes after it.  The
+    header is compared, not parsed: numpy's parser raises other errors than
+    ValueError on some damaged headers.  Any other file raises
+    CheckpointError naming the file, the values it holds and the P the
+    model takes.
     """
+    shapes = spec.param_shapes()
+    count = sum(math.prod(shape) for shape in shapes.values())
+    header = _npy_header(count)
     with open(path, "rb") as fh:
         data = fh.read()
-    header_end = data.find(b"end\n")
-    if not data.startswith(CHECKPOINT_MAGIC + b"\n"):
-        raise CheckpointError(f"{path}: bad magic, expected {CHECKPOINT_MAGIC!r}")
-    if header_end < 0:
-        raise CheckpointError(f"{path}: manifest terminator missing")
-    try:
-        manifest = data[len(CHECKPOINT_MAGIC) + 1:header_end].decode("ascii").splitlines()
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: manifest is not ASCII text") from None
-    blob = data[header_end + 4:]
-    params: ParameterSet = {}
-    end = 0
-    for line in manifest:
-        parts = line.split()
-        if len(parts) != 3:
-            raise CheckpointError(f"{path}: malformed manifest line {line!r}")
-        name, shape_s, offset_s = parts
-        if name in params:
-            raise CheckpointError(f"{path}: parameter {name} listed twice")
-        if not re.fullmatch(r"[0-9]+(x[0-9]+)*", shape_s):
-            raise CheckpointError(f"{path}: parameter {name}: bad shape {shape_s!r}")
-        if not re.fullmatch(r"[0-9]+", offset_s):
-            raise CheckpointError(f"{path}: parameter {name}: bad offset {offset_s!r}")
-        shape = tuple(int(d) for d in shape_s.split("x"))
-        offset = int(offset_s)
-        if offset != end:
-            raise CheckpointError(
-                f"{path}: parameter {name} starts at byte {offset}, expected {end}: "
-                f"offsets must follow each other without gaps or overlaps")
-        count = math.prod(shape)
-        end = offset + count * 8
-        if end > len(blob):
-            raise CheckpointError(f"{path}: data truncated for parameter {name}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        params[name] = arr.astype(np.float64).reshape(shape)
-    if end != len(blob):
-        last = f"parameter {name}" if params else "the manifest"
-        raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes after {last}")
-    return params
+    if not data.startswith(header) or len(data) != len(header) + 8 * count:
+        found, odd = divmod(max(len(data) - len(header), 0), 8)
+        at = next((i for i, (a, b) in enumerate(zip(data, header)) if a != b),
+                  min(len(data), len(header)))
+        raise CheckpointError(
+            f"{path}: holds {found} float64 values" + (f" and {odd} bytes" if odd else "")
+            + ("" if at == len(header) else f", header byte {at} differs or is missing")
+            + f"; the model takes {count}")
+    return _tile(np.frombuffer(data, "<f8", count, len(header)).astype(np.float64), shapes)

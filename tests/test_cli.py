@@ -110,8 +110,37 @@ def test_resume_rejects_checkpoint_of_other_model(tmp_path, checkpoint):
     task, _, _, _ = experiment.ensure_unlearn(cfg, out)
     narrow = nncore.small_mlp(task.spec.input_shape, task.spec.class_count, hidden=7)
     nncore.save_checkpoint(os.path.join(out, checkpoint), nncore.init_params(narrow, 1))
-    with pytest.raises(nncore.CheckpointError, match=r"parameter layer0\.weight"):
+    wide = sum(a.size for a in nncore.init_params(task.spec, 1).values())
+    with pytest.raises(nncore.CheckpointError,
+                       match=rf"{checkpoint}: holds 503 float64 values, header byte \d+ "
+                             rf"differs or is missing; the model takes {wide}$"):
         experiment.ensure_unlearn(cfg, out)
+
+
+def test_failed_train_stage_leaves_no_round_checkpoint(tmp_path, monkeypatch):
+    """Round checkpoints are written through the train stage's temp directory:
+    a stage that fails in round 3 leaves none of them in the output directory,
+    and a rerun commits them with the stage."""
+    cfg = validate_config(TINY.format(route="none"))
+    cfg = dataclasses.replace(cfg, training=dataclasses.replace(
+        cfg.training, checkpoint_every=1, epsilon=1e-9))
+    out = str(tmp_path / "run")
+    real = fedsim.local_train
+
+    def fail_in_round_3(trainers, global_params, spec, training, seed, round_index, *rest):
+        if round_index == 3:
+            raise fedsim.FedError("client 0, round 3: forced")
+        return real(trainers, global_params, spec, training, seed, round_index, *rest)
+    monkeypatch.setattr(fedsim, "local_train", fail_in_round_3)
+    with pytest.raises(fedsim.FedError, match="forced"):
+        experiment.ensure_train(cfg, out)
+    assert artifact_names(out) == ["partition.json", "splits.json"]
+    monkeypatch.undo()
+    task, params, _ = experiment.ensure_train(cfg, out)
+    rounds = [f"round_{t}.fusim" for t in range(1, cfg.training.rounds_max + 1)]
+    assert set(rounds) | {"train_summary.json"} <= set(artifact_names(out))
+    last = nncore.load_checkpoint(os.path.join(out, rounds[-1]), task.spec)
+    assert params_equal(last, params)
 
 
 def test_resume_refuses_artifacts_of_other_route_or_seed(tmp_path, caplog):
@@ -220,6 +249,14 @@ def count_calls(monkeypatch, module, name: str, calls: list | None = None) -> li
     return calls
 
 
+TRAIN_ARTIFACTS = ("checkpoint_trained.fusim", "partition.json", "rounds_train.csv",
+                   "splits.json", "train_summary.json")
+UNLEARN_ARTIFACTS = ("checkpoint_unlearned.fusim", "rounds_unlearn.csv",
+                     "unlearn_summary.json")
+EVALUATE_ARTIFACTS = ("report_before.json", "report_after.json", "report.csv",
+                      "metrics.json")
+
+
 def count_trainings(monkeypatch) -> list:
     return count_calls(monkeypatch, fedsim, "run_training")
 
@@ -262,14 +299,12 @@ def compared(tmp_path_factory):
 def test_compare_trains_once_in_top_directory(compared):
     _, _, out, trainings = compared
     assert trainings == 1
-    top = artifact_names(out)
-    train_artifacts = ["checkpoint_trained.fusim", "partition.json", "rounds_train.csv",
-                       "splits.json", "train_summary.json"]
-    assert set(train_artifacts) <= set(top)
+    assert artifact_names(out) == sorted(TRAIN_ARTIFACTS + ("compare.csv",) + tuple(
+        f"route_{route}" for route in COMPARED))
     for route in COMPARED:
-        names = artifact_names(os.path.join(out, f"route_{route}"))
-        assert "checkpoint_unlearned.fusim" in names
-        assert not set(train_artifacts) & set(names)
+        assert artifact_names(os.path.join(out, f"route_{route}")) == sorted(
+            UNLEARN_ARTIFACTS + EVALUATE_ARTIFACTS
+            + (("audit_fedcccu.json",) if route == "fedcccu" else ()))
 
 
 def test_compare_builds_before_report_once(tmp_path, monkeypatch):
@@ -287,8 +322,8 @@ def test_compare_route_artifacts_match_single_runs(compared):
         single = str(base / f"run_{route}")
         rc = cli.main(["run", "--config", str(cfg_path), "--out", single, "--route", route])
         assert rc == cli.EXIT_OK
-        for name in ("metrics.json", "report_before.json", "report_before.csv",
-                     "report_after.json", "checkpoint_unlearned.fusim"):
+        for name in ("metrics.json", "report_before.json", "report_after.json",
+                     "report.csv", "checkpoint_unlearned.fusim"):
             assert filecmp.cmp(os.path.join(out, f"route_{route}", name),
                                os.path.join(single, name), shallow=False), (route, name)
 
@@ -358,14 +393,12 @@ def test_compare_new_route_builds_the_data_once(compared, tmp_path, monkeypatch)
                            os.path.join(single, name), shallow=False), name
 
 
-EVALUATE_ARTIFACTS = ("report_before.json", "report_before.csv", "report_after.json",
-                      "report_after.csv", "metrics.json", "plot_data.csv")
-
-
 def test_run_resume_reads_evaluate_artifacts_back(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, route="delete")
     out = str(tmp_path / "run")
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    assert artifact_names(out) == sorted(TRAIN_ARTIFACTS + UNLEARN_ARTIFACTS
+                                         + EVALUATE_ARTIFACTS)
     finished = tree_bytes(out)
     inodes = {name: os.stat(os.path.join(out, name)).st_ino for name in EVALUATE_ARTIFACTS}
     cfg = validate_config(cfg_path.read_text())

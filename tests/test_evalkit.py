@@ -213,7 +213,7 @@ def test_json_roundtrip_property(counts, metadata, metrics):
 
 def test_emission_byte_stable(tmp_path):
     report = report_from_counts({0: {0: (3, 4)}}, metadata={"strategy": "x"})
-    for emit in (ek.report_to_json, lambda r: ek.report_to_csv(r, "x")):
+    for emit in (ek.report_to_json, lambda r: ek.combined_csv({"x": r})):
         p1, p2 = tmp_path / "a", tmp_path / "b"
         p1.write_bytes(emit(report).encode("utf-8"))
         p2.write_bytes(emit(report_from_counts({0: {0: (3, 4)}}, {"strategy": "x"}))
@@ -224,7 +224,7 @@ def test_emission_byte_stable(tmp_path):
 def test_csv_row_count_ten_clients_nine_classes():
     counts = {cid: {c: (1, 2) for c in range(9)} for cid in range(10)}
     report = report_from_counts(counts, metadata={"strategy": "before"})
-    text = ek.report_to_csv(report, "before")
+    text = ek.combined_csv({"before": report})
     lines = text.strip().split("\n")
     assert len(lines) == 1 + 90
     assert lines[0] == "client,class,before"
@@ -243,8 +243,12 @@ def test_combined_csv_columns():
         ek.combined_csv({"before": a, "bad": report_from_counts({1: {0: (1, 2)}})})
 
 
-def test_plot_data_csv():
-    text = ek.plot_data_csv({"fedcccu": (0.9, 0.85), "delete": (0.9, 0.89)})
-    lines = text.strip().split("\n")
-    assert lines[0] == "strategy,global_before,global_after"
-    assert lines[1] == "delete,90.00,89.00"
+def test_combined_csv_strategy_columns_in_given_order():
+    """The evaluate stage's report.csv: "before" then the route, and compare's
+    table: the columns in the order given, not sorted."""
+    before = report_from_counts({0: {0: (9, 10)}, 1: {0: (1, 3)}})
+    after = report_from_counts({0: {0: (0, 10)}, 1: {0: (2, 3)}})
+    assert ek.combined_csv({"before": before, "zeroing": after}) == (
+        "client,class,before,zeroing\n0,0,90.00,0.00\n1,0,33.33,66.67\n")
+    assert ek.combined_csv({"zeroing": after, "delete": before}).split("\n")[0] == \
+        "client,class,zeroing,delete"

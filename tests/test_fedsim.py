@@ -505,16 +505,15 @@ def test_fair_rounds_participants_logged():
     assert all(set(l.client_losses) == {0, 2} for l in logs)
 
 
-def test_run_training_periodic_checkpoints(tmp_path):
+def test_run_training_periodic_checkpoints():
     spec, states, vx, vy = make_federation(clients=2)
     config = cfg(rounds_max=5, epsilon=0.0001, checkpoint_every=2)
+    saved = []
     result = fs.run_training(spec, states, vx, vy, config, SEED,
-                             checkpoint_dir=str(tmp_path))
-    import os
-    files = sorted(os.listdir(tmp_path))
-    assert files == ["round_2.fusim", "round_4.fusim"]
-    loaded = nn.load_checkpoint(tmp_path / "round_4.fusim")
-    assert set(loaded) == set(result.params)
+                             save_round=lambda t, params: saved.append((t, params)))
+    assert [t for t, _ in saved] == [2, 4]
+    assert len(result.logs) == 5
+    assert list(saved[-1][1]) == list(result.params)
 
 
 def test_unlearn_request_validation():

@@ -1049,50 +1049,38 @@ def test_zero_units_locality_and_idempotence():
 # checkpoint io
 
 
+def load_error(path, spec):
+    with pytest.raises(nn.CheckpointError) as info:
+        nn.load_checkpoint(path, spec)
+    assert str(path) in str(info.value)
+    return str(info.value)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     spec = nn.small_cnn((1, 12, 12), 4)
     params = nn.init_params(spec, 13)
     path = tmp_path / "model.fusim"
     nn.save_checkpoint(path, params)
-    loaded = nn.load_checkpoint(path)
+    loaded = nn.load_checkpoint(path, spec)
     assert params_equal(params, loaded)
     raw = path.read_bytes()
-    assert raw.startswith(b"FUSIM1\n")
+    assert raw.startswith(b"\x93NUMPY\x01\x00")
 
 
 def test_checkpoint_bad_magic(tmp_path):
+    spec, _ = tiny_net_222()
     path = tmp_path / "bad.fusim"
     path.write_bytes(b"NOPE\nend\n")
-    with pytest.raises(nn.CheckpointError):
-        nn.load_checkpoint(path)
+    assert ("holds 0 float64 values, header byte 0 differs or is missing; "
+            "the model takes 12") in load_error(path, spec)
 
 
 def test_checkpoint_truncated(tmp_path):
     spec, params = tiny_net_222()
     path = tmp_path / "model.fusim"
     nn.save_checkpoint(path, params)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(nn.CheckpointError):
-        nn.load_checkpoint(path)
-
-
-def write_manifest(path, lines, data_bytes):
-    """A checkpoint with the given manifest lines over data_bytes of zeros."""
-    path.write_bytes(b"FUSIM1\n" + "".join(f"{l}\n" for l in lines).encode()
-                     + b"end\n" + bytes(data_bytes))
-
-
-def load_error(path):
-    with pytest.raises(nn.CheckpointError) as info:
-        nn.load_checkpoint(path)
-    assert str(path) in str(info.value)
-    return str(info.value)
-
-
-def test_checkpoint_repeated_name(tmp_path):
-    path = tmp_path / "model.fusim"
-    write_manifest(path, ["w 2 0", "w 2 16"], 32)
-    assert "parameter w listed twice" in load_error(path)
+    path.write_bytes(path.read_bytes()[:-12])
+    assert "holds 10 float64 values and 4 bytes; the model takes 12" in load_error(path, spec)
 
 
 def test_checkpoint_trailing_bytes(tmp_path):
@@ -1100,31 +1088,7 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = tmp_path / "model.fusim"
     nn.save_checkpoint(path, params)
     path.write_bytes(path.read_bytes() + b"\0" * 8)
-    assert "8 trailing bytes after parameter layer1.bias" in load_error(path)
-
-
-def test_checkpoint_bad_shape_field(tmp_path):
-    path = tmp_path / "model.fusim"
-    write_manifest(path, ["w 5xq 0"], 40)
-    assert "parameter w: bad shape '5xq'" in load_error(path)
-
-
-def test_checkpoint_negative_offset(tmp_path):
-    path = tmp_path / "model.fusim"
-    write_manifest(path, ["w 2 0", "b 1 -8"], 24)
-    assert "parameter b: bad offset '-8'" in load_error(path)
-
-
-def test_checkpoint_out_of_order_offsets(tmp_path):
-    path = tmp_path / "model.fusim"
-    write_manifest(path, ["w 2 8", "b 1 0"], 24)
-    assert "parameter w starts at byte 8, expected 0" in load_error(path)
-
-
-def test_checkpoint_overlapping_offsets(tmp_path):
-    path = tmp_path / "model.fusim"
-    write_manifest(path, ["w 2 0", "b 2 8"], 32)
-    assert "parameter b starts at byte 8, expected 16" in load_error(path)
+    assert "holds 13 float64 values; the model takes 12" in load_error(path, spec)
 
 
 # float64 bit patterns hypothesis would rarely draw: -0.0, the smallest and
@@ -1135,53 +1099,70 @@ SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
                 0x7FF0000000000001, 0xFFF8000000000000]
 
 
-def float64_arrays():
-    """Arrays of 1 to 3 dims, sides 0 to 3, with any float64 bit pattern."""
-    bits = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS))
-    return hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3).flatmap(
-        lambda shape: hnp.arrays(np.uint64, shape, elements=bits)).map(
-        lambda a: a.view(np.float64))
+def param_count(spec):
+    return sum(math.prod(shape) for shape in spec.param_shapes().values())
 
 
 def checkpoints():
-    """Parameter sets as save_checkpoint takes them: whitespace-free names."""
-    return st.dictionaries(st.from_regex(r"[a-z][a-z0-9_.]{0,8}", fullmatch=True),
-                           float64_arrays(), max_size=3)
+    """(spec, vector): a small small_mlp or small_cnn spec and a (P,) vector
+    of any float64 bit patterns."""
+    bits = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS))
+    specs = st.one_of(
+        st.builds(lambda side, classes, hidden: nn.small_mlp((1, side, side), classes, hidden),
+                  st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+        st.builds(lambda classes: nn.small_cnn((1, 10, 10), classes), st.integers(1, 3)))
+    return specs.flatmap(lambda spec: st.tuples(st.just(spec), hnp.arrays(
+        np.uint64, param_count(spec), elements=bits).map(lambda a: a.view(np.float64))))
+
+
+def saved(tmp_path_factory, spec, vector):
+    """vector saved as spec's parameters: the checkpoint's path and bytes."""
+    flat = nn.flat_params(nn.init_params(spec, 0))
+    flat.vector[...] = vector
+    path = tmp_path_factory.mktemp("ckpt") / "model.fusim"
+    nn.save_checkpoint(path, flat.views)
+    return path, path.read_bytes()
 
 
 @given(checkpoints())
-def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, params):
-    path = tmp_path_factory.mktemp("ckpt") / "model.fusim"
-    nn.save_checkpoint(path, params)
-    loaded = nn.load_checkpoint(path)
-    assert list(loaded) == list(params)
-    assert all(same_bits(loaded[k], params[k]) for k in params)
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, checkpoint):
+    spec, vector = checkpoint
+    path, _ = saved(tmp_path_factory, spec, vector)
+    loaded = nn.load_checkpoint(path, spec)
+    assert [(k, v.shape) for k, v in loaded.items()] == list(spec.param_shapes().items())
+    assert b"".join(v.tobytes() for v in loaded.values()) == vector.tobytes()
+    # views of one fresh, writable vector
+    base = next(iter(loaded.values())).base
+    assert nn.FlatParams(base, loaded).layout and base.flags.writeable
+
+
+@given(checkpoints())
+def test_checkpoint_is_a_npy_vector(tmp_path_factory, checkpoint):
+    spec, vector = checkpoint
+    path, _ = saved(tmp_path_factory, spec, vector)
+    assert same_bits(np.load(path), vector)
 
 
 @given(checkpoints(), st.integers(0, 255), st.data())
-def test_damaged_checkpoint_raises_checkpoint_error_only(tmp_path_factory, params,
+def test_damaged_checkpoint_raises_checkpoint_error_only(tmp_path_factory, checkpoint,
                                                          extra, data):
-    path = tmp_path_factory.mktemp("ckpt") / "model.fusim"
-    nn.save_checkpoint(path, params)
-    raw = path.read_bytes()
-    for cut in range(len(raw)):
+    """Truncations, an extra trailing byte and a changed header byte are each
+    refused, naming the file.  The file is cut at every byte of the header,
+    the first value and the last value, and at one drawn byte: the data cuts
+    between differ only in length."""
+    spec, vector = checkpoint
+    path, raw = saved(tmp_path_factory, spec, vector)
+    header = len(raw) - 8 * len(vector)
+    cuts = set(range(header + 8)) | set(range(len(raw) - 8, len(raw)))
+    for cut in sorted(cuts | {data.draw(st.integers(0, len(raw) - 1))}):
         path.write_bytes(raw[:cut])
-        with pytest.raises(nn.CheckpointError):
-            nn.load_checkpoint(path)
+        load_error(path, spec)
     path.write_bytes(raw + bytes([extra]))
-    with pytest.raises(nn.CheckpointError, match="1 trailing bytes"):
-        nn.load_checkpoint(path)
-    # a changed manifest byte either is refused or, like a renamed parameter,
-    # still lays the same data out back to back
-    pos = data.draw(st.integers(len(b"FUSIM1\n"), raw.index(b"end\n") + 3))
+    assert f"holds {len(vector)} float64 values and 1 bytes" in load_error(path, spec)
+    pos = data.draw(st.integers(0, header - 1))
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
     path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1:])
-    try:
-        loaded = nn.load_checkpoint(path)
-    except nn.CheckpointError:
-        return
-    assert b"".join(a.tobytes() for a in loaded.values()) == \
-        b"".join(a.tobytes() for a in params.values())
+    assert f"header byte {pos} differs" in load_error(path, spec)
 
 
 # ---------------------------------------------------------------------------
