@@ -112,7 +112,8 @@ class ExperimentConfig:
 # dataclass (for "domain", the [domain.<name>] sections: the DomainConfig
 # field).  Kinds: int, float, ints (comma-separated integers), choice, str,
 # res (HxW) and chain (a transform chain).  Bounds are the allowed range of
-# every number of an int, float or ints key, and the values of a choice key.
+# every number of an int, float, ints or res key, and the values of a choice
+# key.  A synthetic domain is drawn at 4x4 or more.
 KEYS = (
     ("experiment", "name", "name", "str", None),
     ("experiment", "seed", "seed", "int", "[0, inf]"),
@@ -123,7 +124,7 @@ KEYS = (
     ("data", "samples_per_class", "samples_per_class", "int", "[4, inf]"),
     ("data", "base_pattern_seed", "base_pattern_seed", "int", "[0, inf]"),
     ("domain", "transform", "transforms", "chain", None),
-    ("domain", "resolution", "resolution", "res", None),
+    ("domain", "resolution", "resolution", "res", "[4, inf]"),
     ("domain", "samples_per_class", "samples_per_class", "int", "[4, inf]"),
     ("domain", "images", "images_path", "str", None),
     ("domain", "labels", "labels_path", "str", None),
@@ -131,7 +132,7 @@ KEYS = (
     ("partition", "clients", "partition.clients", "int", "[1, inf]"),
     ("partition", "alpha", "partition.alpha", "float", "(0, inf]"),
     ("partition", "group_sizes", "partition.group_sizes", "ints", "[1, inf]"),
-    ("partition", "working_resolution", "partition.working_resolution", "res", None),
+    ("partition", "working_resolution", "partition.working_resolution", "res", "[1, inf]"),
     ("training", "rounds_max", "training.rounds_max", "int", "[0, inf]"),
     ("training", "local_epochs", "training.local_epochs", "int", "[0, inf]"),
     ("training", "batch_size", "training.batch_size", "int", "[1, inf]"),
@@ -199,26 +200,28 @@ def _parse(row: tuple, raw: str, what: str, where) -> object:
         if raw not in bounds:
             raise ConfigError(f"{what}: {raw!r} not one of {sorted(bounds)}", where)
         return raw
-    if kind == "res":
-        m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", raw)
-        if not m:
-            raise ConfigError(f"{what}: expected HxW, got {raw!r}", where)
-        return int(m.group(1)), int(m.group(2))
     if kind == "chain":
         try:
             return parse_transforms(raw)
         except DatasetError as exc:
             raise ConfigError(f"{what}: {exc}", where) from exc
     number = float if kind == "float" else int
-    try:
-        values = tuple(number(v) for v in raw.split(",") if v.strip()) \
-            if kind == "ints" else (number(raw),)
-    except ValueError:
-        raise ConfigError(f"{what}: expected {_EXPECTED[kind]}, got {raw!r}", where) from None
-    if not values:
-        raise ConfigError(f"{what}: empty list", where)
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{what}: expected a finite number, got {raw!r}", where)
+    if kind == "res":
+        m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", raw)
+        if not m:
+            raise ConfigError(f"{what}: expected HxW, got {raw!r}", where)
+        values = int(m.group(1)), int(m.group(2))
+    else:
+        try:
+            values = tuple(number(v) for v in raw.split(",") if v.strip()) \
+                if kind == "ints" else (number(raw),)
+        except ValueError:
+            raise ConfigError(f"{what}: expected {_EXPECTED[kind]}, got {raw!r}",
+                              where) from None
+        if not values:
+            raise ConfigError(f"{what}: empty list", where)
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{what}: expected a finite number, got {raw!r}", where)
     lo, hi = (float(t) if number is float or "inf" in t else int(t)
               for t in bounds[1:-1].split(", "))
     for v in values:
@@ -226,7 +229,7 @@ def _parse(row: tuple, raw: str, what: str, where) -> object:
                 and (v < hi if bounds[-1] == ")" else v <= hi)):
             raise ConfigError(f"{what}: {v} outside allowed range "
                               f"{bounds[0]}{lo}, {hi}{bounds[-1]}", where)
-    return values if kind == "ints" else values[0]
+    return values if kind in ("ints", "res") else values[0]
 
 
 @functools.lru_cache(maxsize=4)

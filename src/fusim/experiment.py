@@ -40,7 +40,8 @@ class StageError(RuntimeError):
 
 class _StageWriter:
     """Writes artifacts into a stage-local temp directory, then renames them
-    into place on commit; the temp directory (and out_dir) is made on demand."""
+    into place on commit; the temp directory (and out_dir) is made on demand
+    and removed when the writer's with block ends, committed or raised."""
 
     def __init__(self, out_dir: str, stage: str):
         self.out_dir = out_dir
@@ -60,12 +61,14 @@ class _StageWriter:
         nncore.save_checkpoint(self._tmp_path(name), params)
 
     def commit(self) -> None:
-        try:
-            for name in self.names:
-                os.replace(os.path.join(self.tmp_dir, name),
-                           os.path.join(self.out_dir, name))
-        finally:
-            shutil.rmtree(self.tmp_dir, ignore_errors=True)
+        for name in self.names:
+            os.replace(os.path.join(self.tmp_dir, name), os.path.join(self.out_dir, name))
+
+    def __enter__(self) -> "_StageWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        shutil.rmtree(self.tmp_dir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +246,11 @@ def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str,
     if all(os.path.exists(os.path.join(out_dir, a)) for a in artifacts):
         record = _read_record(name, record_path, wanted)
         return resume(prior(), record)
-    writer = _StageWriter(out_dir, name)
-    result, record = run(prior(), writer)
-    record["config"] = wanted
-    writer.add_text(artifacts[0], json.dumps(record, sort_keys=True, indent=1))
-    writer.commit()
+    with _StageWriter(out_dir, name) as writer:
+        result, record = run(prior(), writer)
+        record["config"] = wanted
+        writer.add_text(artifacts[0], json.dumps(record, sort_keys=True, indent=1))
+        writer.commit()
     return result
 
 
@@ -470,7 +473,7 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
         reports[label] = after
     merged = {"before": before, **reports}
     text = evalkit.combined_csv(merged)
-    writer = _StageWriter(out_dir, "compare")
-    writer.add_text("compare.csv", text)
-    writer.commit()
+    with _StageWriter(out_dir, "compare") as writer:
+        writer.add_text("compare.csv", text)
+        writer.commit()
     return text

@@ -1,6 +1,7 @@
 """Minimal dense/conv network substrate with unit-level interventions.
 
-Models are pure data: a ModelSpec lists layers, a ParameterSet maps parameter
+Models are pure data: a ModelSpec holds one of the two reference models,
+small_mlp or small_cnn, as its layer stack, and a ParameterSet maps parameter
 names to float64 arrays.  Every operation is a deterministic function of its
 inputs; nothing keeps hidden state.  All arithmetic is 64-bit.
 
@@ -50,7 +51,6 @@ import numpy as np
 ParameterSet = dict[str, np.ndarray]
 
 PARAM_KINDS = ("dense", "conv2d")
-LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten", "softmax")
 
 
 class NNError(ValueError):
@@ -80,48 +80,14 @@ class CheckpointError(NNError):
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer of a reference model.  kind is dense, conv2d, relu,
+    maxpool2d (2x2 windows), flatten or softmax; a dense layer maps fan_in
+    features to fan_out, a conv2d layer fan_in channels to fan_out with a
+    kernel_size square kernel."""
     kind: str
     fan_in: int = 0
     fan_out: int = 0
-    in_channels: int = 0
-    out_channels: int = 0
     kernel_size: int = 0
-    pool_size: int = 2
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise NNError(f"unknown layer kind {self.kind!r}")
-
-
-def dense(fan_in: int, fan_out: int) -> LayerSpec:
-    if fan_in < 1 or fan_out < 1:
-        raise NNError("dense dimensions must be positive")
-    return LayerSpec("dense", fan_in=fan_in, fan_out=fan_out)
-
-
-def conv2d(in_channels: int, out_channels: int, kernel_size: int) -> LayerSpec:
-    if min(in_channels, out_channels, kernel_size) < 1:
-        raise NNError("conv2d dimensions must be positive")
-    return LayerSpec("conv2d", in_channels=in_channels, out_channels=out_channels,
-                     kernel_size=kernel_size)
-
-
-def relu() -> LayerSpec:
-    return LayerSpec("relu")
-
-
-def maxpool2d(pool_size: int = 2) -> LayerSpec:
-    if pool_size < 1:
-        raise NNError("pool size must be positive")
-    return LayerSpec("maxpool2d", pool_size=pool_size)
-
-
-def flatten() -> LayerSpec:
-    return LayerSpec("flatten")
-
-
-def softmax() -> LayerSpec:
-    return LayerSpec("softmax")
 
 
 @dataclass(frozen=True)
@@ -134,82 +100,39 @@ class UnitId:
         return {"layer": self.layer, "unit": self.unit}
 
 
-def _shape_after(layer: LayerSpec, shape: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    kind = layer.kind
-    if kind == "dense":
-        if shape != (layer.fan_in,):
-            raise ShapeMismatchError(
-                f"layer {pos} (dense): expected input shape ({layer.fan_in},), got {shape}")
-        return (layer.fan_out,)
-    if kind == "conv2d":
-        if len(shape) != 3 or shape[0] != layer.in_channels:
-            raise ShapeMismatchError(
-                f"layer {pos} (conv2d): expected input shape ({layer.in_channels}, H, W), got {shape}")
-        c, h, w = shape
-        k = layer.kernel_size
-        if h < k or w < k:
-            raise ShapeMismatchError(
-                f"layer {pos} (conv2d): spatial size {h}x{w} smaller than kernel {k}")
-        return (layer.out_channels, h - k + 1, w - k + 1)
-    if kind == "relu":
-        return shape
-    if kind == "maxpool2d":
-        if len(shape) != 3:
-            raise ShapeMismatchError(
-                f"layer {pos} (maxpool2d): expected (C, H, W) input, got {shape}")
-        c, h, w = shape
-        p = layer.pool_size
-        if h < p or w < p:
-            raise ShapeMismatchError(
-                f"layer {pos} (maxpool2d): spatial size {h}x{w} smaller than pool {p}")
-        return (c, h // p, w // p)
-    if kind == "flatten":
-        return (int(np.prod(shape)),)
-    if kind == "softmax":
-        if len(shape) != 1:
-            raise ShapeMismatchError(
-                f"layer {pos} (softmax): expected flat input, got {shape}")
-        return shape
-    raise NNError(f"unknown layer kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Ordered layer stack ending in softmax over class_count outputs."""
+    """Layer stack ending in softmax over class_count outputs, as small_mlp
+    and small_cnn build it; the per-example shape after each layer is
+    computed here, not checked."""
     layers: tuple[LayerSpec, ...]
     class_count: int
     input_shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
-        if self.class_count < 1:
-            raise NNError("class_count must be positive")
-        if any(d < 1 for d in self.input_shape):
-            raise NNError("input_shape entries must be positive")
-        if not self.layers or self.layers[-1].kind != "softmax":
-            raise NNError("model must end with a softmax layer")
         shapes = [self.input_shape]
-        for pos, layer in enumerate(self.layers):
-            shapes.append(_shape_after(layer, shapes[-1], pos))
-        if shapes[-1] != (self.class_count,):
-            raise ShapeMismatchError(
-                f"final layer produces {shapes[-1]}, expected ({self.class_count},)")
+        for layer in self.layers:
+            shape = shapes[-1]
+            if layer.kind == "dense":
+                shape = (layer.fan_out,)
+            elif layer.kind == "conv2d":
+                k = layer.kernel_size - 1
+                shape = (layer.fan_out, shape[1] - k, shape[2] - k)
+            elif layer.kind == "maxpool2d":
+                shape = (shape[0], shape[1] // 2, shape[2] // 2)
+            elif layer.kind == "flatten":
+                shape = (math.prod(shape),)
+            shapes.append(shape)
         param_positions = tuple(i for i, l in enumerate(self.layers) if l.kind in PARAM_KINDS)
         # Activation site: the relu directly after the layer, else the layer itself.
-        site_positions = []
-        for p in param_positions:
-            nxt = p + 1
-            if nxt < len(self.layers) and self.layers[nxt].kind == "relu":
-                site_positions.append(nxt)
-            else:
-                site_positions.append(p)
+        site_positions = tuple(p + 1 if self.layers[p + 1].kind == "relu" else p
+                               for p in param_positions)
         # The first parameterized layer after each site; None for the output layer.
         next_positions = tuple(next((q for q in param_positions if q > s), None)
                                for s in site_positions)
         object.__setattr__(self, "_shapes", tuple(shapes))
         object.__setattr__(self, "_param_positions", param_positions)
-        object.__setattr__(self, "_site_positions", tuple(site_positions))
+        object.__setattr__(self, "_site_positions", site_positions)
         object.__setattr__(self, "_next_positions", next_positions)
 
     @property
@@ -220,8 +143,7 @@ class ModelSpec:
         return self.layers[self._param_positions[ordinal]]
 
     def unit_count(self, ordinal: int) -> int:
-        layer = self.layer_at(ordinal)
-        return layer.fan_out if layer.kind == "dense" else layer.out_channels
+        return self.layer_at(ordinal).fan_out
 
     def site_position(self, ordinal: int) -> int:
         return self._site_positions[ordinal]
@@ -238,34 +160,31 @@ class ModelSpec:
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, tuple[int, ...]] = {}
-        for ordinal, pos in enumerate(self._param_positions):
-            layer = self.layers[pos]
-            if layer.kind == "dense":
-                out[f"layer{ordinal}.weight"] = (layer.fan_in, layer.fan_out)
-                out[f"layer{ordinal}.bias"] = (layer.fan_out,)
-            else:
-                k = layer.kernel_size
-                out[f"layer{ordinal}.weight"] = (layer.out_channels, layer.in_channels, k, k)
-                out[f"layer{ordinal}.bias"] = (layer.out_channels,)
+        for ordinal in range(self.param_layer_count):
+            layer = self.layer_at(ordinal)
+            k = layer.kernel_size
+            out[f"layer{ordinal}.weight"] = ((layer.fan_in, layer.fan_out) if layer.kind == "dense"
+                                             else (layer.fan_out, layer.fan_in, k, k))
+            out[f"layer{ordinal}.bias"] = (layer.fan_out,)
         return out
 
 
 def small_mlp(input_shape: Sequence[int], class_count: int, hidden: int = 128) -> ModelSpec:
     """Reference spec: flatten -> dense(hidden) -> relu -> dense(C) -> softmax."""
-    flat = int(np.prod(input_shape))
-    layers = (flatten(), dense(flat, hidden), relu(), dense(hidden, class_count), softmax())
+    layers = (LayerSpec("flatten"), LayerSpec("dense", math.prod(input_shape), hidden),
+              LayerSpec("relu"), LayerSpec("dense", hidden, class_count), LayerSpec("softmax"))
     return ModelSpec(layers, class_count, tuple(input_shape))
 
 
 def small_cnn(input_shape: Sequence[int], class_count: int) -> ModelSpec:
     """Reference spec: two conv/relu/pool blocks followed by a dense classifier."""
     c, h, w = input_shape
-    layers = [conv2d(c, 8, 3), relu(), maxpool2d(2),
-              conv2d(8, 16, 3), relu(), maxpool2d(2), flatten()]
-    h1, w1 = (h - 2) // 2, (w - 2) // 2
-    h2, w2 = (h1 - 2) // 2, (w1 - 2) // 2
-    layers += [dense(16 * h2 * w2, class_count), softmax()]
-    return ModelSpec(tuple(layers), class_count, tuple(input_shape))
+    h2, w2 = ((h - 2) // 2 - 2) // 2, ((w - 2) // 2 - 2) // 2
+    block = (LayerSpec("relu"), LayerSpec("maxpool2d"))
+    layers = (LayerSpec("conv2d", c, 8, 3), *block, LayerSpec("conv2d", 8, 16, 3), *block,
+              LayerSpec("flatten"), LayerSpec("dense", 16 * h2 * w2, class_count),
+              LayerSpec("softmax"))
+    return ModelSpec(layers, class_count, tuple(input_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +203,14 @@ def make_rng(seed, *tags: int) -> np.random.Generator:
 def init_params(spec: ModelSpec, seed) -> ParameterSet:
     """Fan-in-scaled uniform weights, zero biases, fully seed-determined."""
     params: ParameterSet = {}
+    shapes = spec.param_shapes()
     for ordinal in range(spec.param_layer_count):
         layer = spec.layer_at(ordinal)
-        rng = make_rng(seed, 101, ordinal)
-        if layer.kind == "dense":
-            bound = 1.0 / np.sqrt(layer.fan_in)
-            w = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
-            b = np.zeros(layer.fan_out)
-        else:
-            k = layer.kernel_size
-            bound = 1.0 / np.sqrt(layer.in_channels * k * k)
-            w = rng.uniform(-bound, bound,
-                            size=(layer.out_channels, layer.in_channels, k, k))
-            b = np.zeros(layer.out_channels)
-        params[f"layer{ordinal}.weight"] = w
-        params[f"layer{ordinal}.bias"] = b
+        k = layer.kernel_size if layer.kind == "conv2d" else 1
+        bound = 1.0 / np.sqrt(layer.fan_in * k * k)
+        name = f"layer{ordinal}.weight"
+        params[name] = make_rng(seed, 101, ordinal).uniform(-bound, bound, size=shapes[name])
+        params[f"layer{ordinal}.bias"] = np.zeros(layer.fan_out)
     return params
 
 
@@ -448,31 +360,28 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
         elif kind == "relu":
             if keep_caches:
                 caches.append(("relu", h > 0))
-            # a dense or conv output is this call's own array, referenced nowhere else
-            fresh = pos > start and spec.layers[pos - 1].kind in PARAM_KINDS
-            h = np.fmax(h, 0.0, out=h if fresh else None)
+            # every relu follows a dense or conv layer, whose output is this
+            # call's own array, referenced nowhere else
+            h = np.fmax(h, 0.0, out=h if pos > start else None)
         elif kind == "maxpool2d":
-            p = layer.pool_size
             *lead, c_, hh, ww = h.shape
-            h2, w2 = hh // p, ww // p
-            windows = h[..., :h2 * p, :w2 * p].reshape(*lead, c_, h2, p, w2, p)
-            windows = windows.swapaxes(-3, -2).reshape(*lead, c_, h2, w2, p * p)
+            h2, w2 = hh // 2, ww // 2
+            windows = h[..., :h2 * 2, :w2 * 2].reshape(*lead, c_, h2, 2, w2, 2)
+            windows = windows.swapaxes(-3, -2).reshape(*lead, c_, h2, w2, 4)
             idx = windows.argmax(axis=-1)
             if keep_caches:
-                caches.append(("maxpool2d", idx, h.shape, p))
+                caches.append(("maxpool2d", idx, h.shape))
             h = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
         elif kind == "flatten":
             if keep_caches:
                 caches.append(("flatten", h.shape))
             h = h.reshape(*h.shape[:h.ndim - len(spec._shapes[pos])], -1)
-        elif kind == "softmax":
+        else:  # softmax
             h = h - h.max(axis=-1, keepdims=True)
             np.exp(h, out=h)
             h /= h.sum(axis=-1, keepdims=True)
             if keep_caches:
                 caches.append(("softmax", h))
-        else:
-            raise NNError(f"unknown layer kind {kind!r}")
         if capture_sites and pos in spec._site_positions:
             sites.append(h)
     return h, caches, sites
@@ -519,24 +428,22 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
         elif kind == "relu":
             g *= cache[1]
         elif kind == "maxpool2d":
-            _, idx, in_shape, p = cache
+            _, idx, in_shape = cache
             *lead, c_, hh, ww = in_shape
             h2, w2 = idx.shape[-2:]
-            dwin = np.zeros((*lead, c_, h2, w2, p * p))
+            dwin = np.zeros((*lead, c_, h2, w2, 4))
             np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-            dwin = dwin.reshape(*lead, c_, h2, w2, p, p).swapaxes(-3, -2)
+            dwin = dwin.reshape(*lead, c_, h2, w2, 2, 2).swapaxes(-3, -2)
             dx = np.zeros(in_shape)
-            dx[..., :h2 * p, :w2 * p] = dwin.reshape(*lead, c_, h2 * p, w2 * p)
+            dx[..., :h2 * 2, :w2 * 2] = dwin.reshape(*lead, c_, h2 * 2, w2 * 2)
             g = dx
         elif kind == "flatten":
             g = g.reshape(cache[1])
-        elif kind == "softmax":
+        else:  # softmax
             probs = cache[1]
             dot = (g * probs).sum(axis=-1, keepdims=True)
             g = g - dot
             g *= probs
-        else:
-            raise NNError(f"unknown cache kind {kind!r}")
     return factors if wrt_params else g
 
 
@@ -615,7 +522,7 @@ class SiteRows:
     """Rows at one layer's activation site, prepared for batch_unit_gradients.
 
     pre is the input of the next parameterized layer (the site rows after the
-    maxpool, relu and flatten layers between the two) and z0 that layer's
+    maxpool and flatten layers between the two) and z0 that layer's
     output, both for the unscaled rows.  The output layer has no next layer:
     there z0 is pre and the product is the identity.
     """
@@ -648,8 +555,9 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
                          scales: np.ndarray) -> np.ndarray:
     """Per-row dP(target)/d(activation) with per-row activation scales.
 
-    The layers between the site and the next parameterized layer act per
-    channel and commute with a non-negative scale, so scaling unit j by s
+    The layers between the site and the next parameterized layer, maxpool
+    and flatten in both reference models (no relu), act per channel and
+    commute with a non-negative scale, so scaling unit j by s
     changes that layer's output by the rank-1 term P_j((s - 1) * a_j): a_j is
     the unit's block of rows.pre and P_j the layer restricted to it, the
     product with W[j] for a dense layer or one input channel's convolution.
@@ -696,9 +604,6 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
             for dx in range(k):
                 ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
         ga = ga.reshape(n, -1)
-    site = spec.site_position(unit.layer)
-    if any(spec.layers[p].kind == "relu" for p in range(site + 1, start)):
-        ga = np.where(s[:, None] * a > 0.0, ga, 0.0)
     return ga.sum(axis=1)
 
 

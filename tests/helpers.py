@@ -51,10 +51,9 @@ def reference_forward(spec, params, h, start=0, stop=None):
             caches.append(h > 0)
             h = np.where(h > 0, h, 0.0)
         elif layer.kind == "maxpool2d":
-            p = layer.pool_size
             b, c, hh, ww = h.shape
-            win = h[:, :, :hh // p * p, :ww // p * p].reshape(b, c, hh // p, p, ww // p, p)
-            win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh // p, ww // p, p * p)
+            win = h[:, :, :hh // 2 * 2, :ww // 2 * 2].reshape(b, c, hh // 2, 2, ww // 2, 2)
+            win = win.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, hh // 2, ww // 2, 4)
             idx = win.argmax(axis=-1)
             caches.append((idx, h.shape))
             h = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
@@ -80,13 +79,13 @@ def reference_backward(spec, params, caches, g, start=0):
         elif layer.kind == "flatten":
             g = g.reshape(cache)
         elif layer.kind == "maxpool2d":
-            (idx, in_shape), p = cache, layer.pool_size
+            idx, in_shape = cache
             b, c, h2, w2 = idx.shape
-            dwin = np.zeros((b, c, h2, w2, p * p))
+            dwin = np.zeros((b, c, h2, w2, 4))
             np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
             g = np.zeros(in_shape)
-            g[:, :, :h2 * p, :w2 * p] = dwin.reshape(b, c, h2, w2, p, p).transpose(
-                0, 1, 2, 4, 3, 5).reshape(b, c, h2 * p, w2 * p)
+            g[:, :, :h2 * 2, :w2 * 2] = dwin.reshape(b, c, h2, w2, 2, 2).transpose(
+                0, 1, 2, 4, 3, 5).reshape(b, c, h2 * 2, w2 * 2)
         elif layer.kind == "dense":
             x_in, o = cache
             grads[f"layer{o}.weight"] = x_in.T @ g

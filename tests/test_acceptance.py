@@ -70,9 +70,7 @@ def mean_retained_drop(before, after, forget=0):
 
 def random_tiny_model(rng):
     widths = [int(rng.integers(2, 6)) for _ in range(3)]
-    layers = (nn.dense(widths[0], widths[1]), nn.relu(),
-              nn.dense(widths[1], widths[2]), nn.softmax())
-    spec = nn.ModelSpec(layers, widths[2], (widths[0],))
+    spec = nn.small_mlp((widths[0],), widths[2], hidden=widths[1])
     params = nn.init_params(spec, int(rng.integers(0, 2**31)))
     params = {k: v + rng.normal(0, 0.6, v.shape) for k, v in params.items()}
     return spec, params
@@ -153,8 +151,7 @@ def test_criterion_1_numeric_core():
 
 def attribution_battery():
     cases = []
-    spec = nn.ModelSpec(
-        (nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.softmax()), 2, (2,))
+    spec = nn.small_mlp((2,), 2, hidden=2)
     params = {
         "layer0.weight": np.array([[0.8, -0.3], [0.5, 0.9]]),
         "layer0.bias": np.array([0.2, 0.1]),
@@ -163,8 +160,7 @@ def attribution_battery():
     }
     cases.append((spec, params, np.array([0.9, 0.6]), nn.UnitId(0, 0), 0))
     cases.append((spec, params, np.array([0.9, 0.6]), nn.UnitId(0, 1), 1))
-    spec_b = nn.ModelSpec(
-        (nn.dense(3, 4), nn.relu(), nn.dense(4, 3), nn.softmax()), 3, (3,))
+    spec_b = nn.small_mlp((3,), 3, hidden=4)
     rng = np.random.default_rng(90)
     params_b = {k: v + rng.normal(0, 0.5, v.shape)
                 for k, v in nn.init_params(spec_b, 90).items()}
@@ -184,8 +180,7 @@ def fc_att(spec, params, x, target, unit, m):
 def test_criterion_2_attribution_suite():
     start = time.monotonic()
     # zero activation -> exactly zero
-    spec = nn.ModelSpec((nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.softmax()),
-                        2, (2,))
+    spec = nn.small_mlp((2,), 2, hidden=2)
     params = nn.init_params(spec, 5)
     params["layer0.bias"] = np.array([-40.0, -40.0])
     assert fc_att(spec, params, np.ones(2), 0, nn.UnitId(0, 0), 20) == 0.0

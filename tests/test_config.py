@@ -87,6 +87,28 @@ def test_small_cnn_below_ten_by_ten_names_the_working_resolution(tmp_path, caplo
     validate_config(text.replace("small_cnn", "small_mlp"))
 
 
+@pytest.mark.parametrize("section, key, bad, least", [
+    ("partition", "working_resolution", "0x16", "1x1"),
+    ("domain.a", "resolution", "0x5", "4x4"),
+])
+def test_resolution_below_its_bound_names_the_key(tmp_path, caplog, section, key, bad,
+                                                  least):
+    """A working resolution side below 1, or a synthetic domain's below 4, is
+    a config error (exit 1) naming the key and its line, not a failed first
+    stage; the least allowed resolution is accepted."""
+    text = f"[{section}]\n{key} = {bad}\n"
+    with pytest.raises(ConfigError, match=rf"^line 2: {re.escape(section)}\.{key}: "
+                                          r"\d+ outside allowed range \["):
+        validate_config(text)
+    path = tmp_path / "res.ini"
+    path.write_text(text)
+    assert cli.main(["partition", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    assert f"{section}.{key}" in caplog.text
+    assert not (tmp_path / "o").exists()
+    validate_config(text.replace(bad, least))
+
+
 def test_iid_needs_single_domain():
     text = ("[domain.a]\ntransform = identity\n[domain.b]\ntransform = invert\n"
             "[partition]\nstrategy = iid\ngroup_sizes = 1,1\n")
@@ -173,10 +195,13 @@ def key_text(section: str, key: str, value: str) -> tuple[str, str]:
 
 
 def out_of_range(kind: str, bounds) -> list[str]:
-    """Values just outside a row's bounds: below, and above when finite."""
+    """Values just outside a row's bounds: below, and above when finite; for
+    a resolution, its second side below."""
     if kind == "choice":
         return ["bogus"]
     lo, hi = bounds[1:-1].split(", ")
+    if kind == "res":
+        return [f"{lo}x{int(lo) - 1}"]
     values = [lo if bounds[0] == "(" else str(float(lo) - 0.5 if kind == "float"
                                               else int(lo) - 1)]
     if hi != "inf":

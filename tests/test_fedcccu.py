@@ -20,8 +20,7 @@ from helpers import library_step, on_copied_shard, params_equal
 def battery():
     """(spec, params, input, unit, target) cases with beta > 0."""
     cases = []
-    spec_a = nn.ModelSpec(
-        (nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.softmax()), 2, (2,))
+    spec_a = nn.small_mlp((2,), 2, hidden=2)
     params_a = {
         "layer0.weight": np.array([[0.8, -0.3], [0.5, 0.9]]),
         "layer0.bias": np.array([0.2, 0.1]),
@@ -31,8 +30,7 @@ def battery():
     cases.append((spec_a, params_a, np.array([0.9, 0.6]), nn.UnitId(0, 0), 0))
     cases.append((spec_a, params_a, np.array([0.9, 0.6]), nn.UnitId(0, 1), 1))
 
-    spec_b = nn.ModelSpec(
-        (nn.dense(3, 4), nn.relu(), nn.dense(4, 3), nn.softmax()), 3, (3,))
+    spec_b = nn.small_mlp((3,), 3, hidden=4)
     rng = np.random.default_rng(21)
     params_b = nn.init_params(spec_b, 21)
     params_b = {k: v + rng.normal(0, 0.4, v.shape) for k, v in params_b.items()}
@@ -73,8 +71,7 @@ def trapezoid_oracle(spec, params, x, unit, target, intervals=2000, delta=1e-6):
 
 
 def test_attribution_zero_activation_is_exactly_zero():
-    spec = nn.ModelSpec(
-        (nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.softmax()), 2, (2,))
+    spec = nn.small_mlp((2,), 2, hidden=2)
     params = nn.init_params(spec, 3)
     params["layer0.bias"] = np.array([-50.0, -50.0])  # relu always dead
     att = fc.attribute_unit(spec, params, np.array([1.0, 1.0]), 0, nn.UnitId(0, 0), 20)
@@ -120,7 +117,8 @@ def test_attribution_path_extension_identity():
     # probability is a fixed function of that unit's activation and the
     # attribution of a doubled input over doubled steps extends the original
     # attribution by exactly the second half of the path.
-    spec = nn.ModelSpec((nn.dense(2, 1), nn.dense(1, 3), nn.softmax()), 3, (2,))
+    # the relu after the hidden unit is inactive: 0.6 * 0.7 - 0.25 * 0.2 > 0
+    spec = nn.small_mlp((2,), 3, hidden=1)
     params = {
         "layer0.weight": np.array([[0.7], [-0.2]]),
         "layer0.bias": np.zeros(1),

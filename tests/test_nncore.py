@@ -52,9 +52,7 @@ def fd_param_gradients(spec, params, xs, ys, step=1e-5):
 
 
 def tiny_net_222():
-    spec = nn.ModelSpec(
-        (nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.softmax()),
-        class_count=2, input_shape=(2,))
+    spec = nn.small_mlp((2,), 2, hidden=2)
     params = {
         "layer0.weight": np.array([[0.4, -0.3], [0.7, 0.2]]),
         "layer0.bias": np.array([0.1, -0.05]),
@@ -66,9 +64,7 @@ def tiny_net_222():
 
 def random_tiny_dense(rng):
     widths = [int(rng.integers(2, 5)) for _ in range(3)]
-    layers = [nn.dense(widths[0], widths[1]), nn.relu(),
-              nn.dense(widths[1], widths[2]), nn.softmax()]
-    spec = nn.ModelSpec(tuple(layers), class_count=widths[2], input_shape=(widths[0],))
+    spec = nn.small_mlp((widths[0],), widths[2], hidden=widths[1])
     params = nn.init_params(spec, int(rng.integers(0, 2**31)))
     for name in params:
         params[name] = params[name] + rng.normal(0, 0.5, params[name].shape)
@@ -89,17 +85,19 @@ def row_scratch(model):
 
 
 def test_forward_zero_weights_uniform():
-    spec = nn.ModelSpec((nn.dense(3, 4), nn.softmax()), 4, (3,))
-    params = {"layer0.weight": np.zeros((3, 4)), "layer0.bias": np.zeros(4)}
+    spec = nn.small_mlp((3,), 4, hidden=3)
+    params = {name: np.zeros(shape) for name, shape in spec.param_shapes().items()}
     x = np.array([[0.3, -1.0, 2.0]])
     probs = nn.predict_probs(spec, params, x)[0]
     assert np.allclose(probs, 0.25)
-    assert len(nn.batch_unit_activations(spec, params, x)) == 1
+    assert len(nn.batch_unit_activations(spec, params, x)) == 2
 
 
 def test_forward_identity_dense_softmax_of_onehot():
-    spec = nn.ModelSpec((nn.flatten(), nn.dense(3, 3), nn.softmax()), 3, (3, 1, 1))
-    params = {"layer0.weight": np.eye(3), "layer0.bias": np.zeros(3)}
+    # identity weights: the relu passes the non-negative one-hot input as it is
+    spec = nn.small_mlp((3, 1, 1), 3, hidden=3)
+    params = {"layer0.weight": np.eye(3), "layer0.bias": np.zeros(3),
+              "layer1.weight": np.eye(3), "layer1.bias": np.zeros(3)}
     x = np.zeros((3, 1, 1))
     x[1, 0, 0] = 1.0
     probs = nn.predict_probs(spec, params, x[None])[0]
@@ -151,17 +149,18 @@ def test_forward_deterministic():
 
 
 def test_loss_perfect_prediction_near_zero():
-    spec = nn.ModelSpec((nn.dense(2, 2), nn.softmax()), 2, (2,))
-    params = {"layer0.weight": np.array([[40.0, -40.0], [0.0, 0.0]]),
-              "layer0.bias": np.zeros(2)}
+    spec = nn.small_mlp((2,), 2, hidden=2)
+    params = {"layer0.weight": np.eye(2), "layer0.bias": np.zeros(2),
+              "layer1.weight": np.array([[40.0, -40.0], [0.0, 0.0]]),
+              "layer1.bias": np.zeros(2)}
     _, loss, grads = library_step(spec, params, np.array([[1.0, 0.0]]), np.array([0]))
     assert loss < 1e-9
     assert all(np.max(np.abs(g)) < 1e-9 for g in grads.values())
 
 
 def test_loss_uniform_is_log_c():
-    spec = nn.ModelSpec((nn.dense(3, 5), nn.softmax()), 5, (3,))
-    params = {"layer0.weight": np.zeros((3, 5)), "layer0.bias": np.zeros(5)}
+    spec = nn.small_mlp((3,), 5, hidden=3)
+    params = {name: np.zeros(shape) for name, shape in spec.param_shapes().items()}
     _, loss, _ = library_step(spec, params, np.array([[1.0, 2.0, 3.0]]), np.array([2]))
     assert abs(loss - math.log(5)) < 1e-12
 
@@ -515,13 +514,12 @@ def test_unit_gradient_zero_outgoing_weights():
 
 
 def test_unit_gradient_dead_downstream_relu():
-    spec = nn.ModelSpec(
-        (nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.relu(), nn.dense(2, 2), nn.softmax()),
-        2, (2,))
+    spec = nn.small_cnn((1, 10, 10), 3)
     params = nn.init_params(spec, 0)
-    params["layer1.bias"] = np.array([-100.0, -100.0])  # second relu always dead
-    g = nn.gradient_wrt_unit(spec, params, np.array([0.9, 0.4]), 0, nn.UnitId(0, 0), 1.0)
-    assert g == 0.0
+    params["layer1.bias"] = np.full(16, -100.0)  # conv1's relu always dead
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (1, 10, 10))
+    for k in range(spec.unit_count(0)):
+        assert nn.gradient_wrt_unit(spec, params, x, 0, nn.UnitId(0, k), 1.0) == 0.0
 
 
 def test_unit_gradient_matches_finite_difference():
@@ -585,14 +583,6 @@ def test_unit_gradient_conv_channel_matches_scaled_forward_fd():
             assert rel_err(np.array(g), np.array(fd)) < 1e-4, (ordinal, s)
 
 
-def relu_between_spec():
-    """conv sites (no relu after them) -> maxpool -> relu -> conv, then dense."""
-    return nn.ModelSpec((nn.conv2d(1, 2, 3), nn.maxpool2d(2), nn.relu(), nn.conv2d(2, 3, 3),
-                         nn.maxpool2d(2), nn.relu(), nn.flatten(), nn.dense(12, 5),
-                         nn.relu(), nn.dense(5, 4), nn.softmax()),
-                        4, (1, 14, 14))
-
-
 def scaled_copy_gradients(spec, params, site, target, unit, scales):
     """Per-row unit gradients from a scaled copy of the whole site block,
     run through the engine's suffix forward and backward passes."""
@@ -610,8 +600,7 @@ def scaled_copy_gradients(spec, params, site, target, unit, scales):
 @pytest.mark.parametrize("make_spec", [
     lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
     lambda: nn.small_cnn((1, 16, 16), 4),
-    relu_between_spec,
-], ids=["small_mlp", "small_cnn", "relu_between"])
+], ids=["small_mlp", "small_cnn"])
 def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
     spec = make_spec()
     params = nn.init_params(spec, 4)
@@ -699,8 +688,6 @@ def reference_unit_gradients(spec, params, x, target, unit, scales):
             for dx in range(k):
                 ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
         ga = ga.reshape(n, -1)
-    if any(spec.layers[p].kind == "relu" for p in range(site_pos + 1, start)):
-        ga = np.where(scales[:, None] * a > 0.0, ga, 0.0)
     return ga.sum(axis=1)
 
 
@@ -732,8 +719,7 @@ def test_engine_bits_equal_out_of_place_reference(model):
 @pytest.mark.parametrize("make_spec", [
     lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
     lambda: nn.small_cnn((1, 16, 16), 4),
-    relu_between_spec,
-], ids=["small_mlp", "small_cnn", "relu_between"])
+], ids=["small_mlp", "small_cnn"])
 def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
     """On a fixed model, predict_probs and batch_unit_gradients (up to four
     units a layer) give the reference's bits: the engine's stack axis leaves
@@ -833,27 +819,25 @@ def test_relu_bits_equal_where_on_special_values():
                        least_normal, -least_normal, big, -big, 1.0, -1.0])
     expected = np.where(values > 0, values, 0.0)
     assert same_bits(np.fmax(values, 0.0), expected)
-    spec = nn.ModelSpec((nn.dense(1, 1), nn.relu(), nn.dense(1, 2), nn.softmax()), 2, (1,))
+    spec = nn.small_mlp((1,), 2, hidden=1)
     params = nn.init_params(spec, 0)
+    kept = values.tobytes()
     h, caches, _ = nn._forward_engine(spec, params, values[:, None], keep_caches=True,
-                                      start=1, stop=2)
+                                      start=2, stop=3)
     assert same_bits(h[:, 0], expected)
     assert np.array_equal(caches[0][1][:, 0], values > 0)
+    assert values.tobytes() == kept  # a relu that starts the range writes a new array
 
 
 @pytest.mark.parametrize("make_spec", [
     lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
     lambda: nn.small_cnn((1, 12, 12), 4),
-    relu_between_spec,
-    lambda: nn.ModelSpec((nn.relu(), nn.softmax()), 4, (4,)),
-    lambda: nn.ModelSpec((nn.softmax(),), 4, (4,)),
-], ids=["small_mlp", "small_cnn", "relu_between", "relu_softmax", "softmax"])
+], ids=["small_mlp", "small_cnn"])
 def test_engine_writes_into_no_caller_array(make_spec):
     """No public engine operation writes into its inputs, the parameter views
     or SiteRows (a stacked step writes only into its model and its scratch),
     and the backward pass writes into neither its seed gradient nor the
-    caches; the last two specs feed the caller's array straight into the
-    element-wise layers."""
+    caches."""
     spec = make_spec()
     model = nn.flat_params(nn.init_params(spec, 3))
     params = model.views
@@ -1166,16 +1150,7 @@ def test_damaged_checkpoint_raises_checkpoint_error_only(tmp_path_factory, check
 
 
 # ---------------------------------------------------------------------------
-# model spec validation
-
-
-def test_model_spec_rejects_incompatible_layers():
-    with pytest.raises(nn.ShapeMismatchError):
-        nn.ModelSpec((nn.dense(3, 4), nn.dense(5, 2), nn.softmax()), 2, (3,))
-    with pytest.raises(nn.NNError):
-        nn.ModelSpec((nn.dense(3, 2),), 2, (3,))  # no softmax
-    with pytest.raises(nn.ShapeMismatchError):
-        nn.ModelSpec((nn.dense(3, 4), nn.softmax()), 2, (3,))  # wrong class count
+# model spec
 
 
 def test_init_params_deterministic_and_shaped():

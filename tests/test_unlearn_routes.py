@@ -125,9 +125,7 @@ def test_relabel_needs_two_classes():
 
 def hand_net_three_units():
     # flatten(4) -> dense(4,3) -> relu -> dense(3,2) -> softmax
-    spec = nn.ModelSpec(
-        (nn.flatten(), nn.dense(4, 3), nn.relu(), nn.dense(3, 2), nn.softmax()),
-        2, (1, 2, 2))
+    spec = nn.small_mlp((1, 2, 2), 2, hidden=3)
     params = {
         "layer0.weight": np.array([[0.1, 0.2, 0.9],
                                    [0.1, 0.2, 0.9],
