@@ -344,6 +344,10 @@ def _domain(section: str, values: dict, where) -> DomainConfig:
     for key, path in (("images", images), ("labels", labels)):
         if path is not None and not os.path.exists(path):
             raise ConfigError(f"{section}.{key}: file not found: {path}", where(section, key))
+    for key in ("transform", "resolution", "samples_per_class"):
+        if images is not None and _ROWS["domain", key][2] in values:
+            raise ConfigError(f"{section}.{key}: an IDX domain takes only images and labels",
+                              where(section, key))
     return DomainConfig(section[len("domain."):], "synthetic" if images is None else "idx",
                         **values)
 

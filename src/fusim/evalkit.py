@@ -17,7 +17,7 @@ import numpy as np
 from . import nncore
 from .config import UnlearnConfig
 from .datasets import DomainDataset
-from .nncore import ModelSpec, ParameterSet
+from .nncore import ModelSpec
 
 
 class EvalError(ValueError):
@@ -78,7 +78,7 @@ class ForgettingMetrics:
     collateral_nonrequesting_forget: float
 
 
-def evaluate_client(spec: ModelSpec, params: ParameterSet,
+def evaluate_client(spec: ModelSpec, params: np.ndarray,
                     shard: DomainDataset) -> ClientEvaluation:
     if len(shard) == 0:
         raise EvalError("cannot evaluate an empty shard")
@@ -93,7 +93,7 @@ def evaluate_client(spec: ModelSpec, params: ParameterSet,
     return ClientEvaluation(correct, total)
 
 
-def build_report(spec: ModelSpec, params: ParameterSet,
+def build_report(spec: ModelSpec, params: np.ndarray,
                  client_test_sets: dict[int, DomainDataset],
                  metadata: dict | None = None) -> EvaluationReport:
     clients = {cid: evaluate_client(spec, params, shard)

@@ -28,7 +28,7 @@ from .config import ConfigError, ExperimentConfig, canonical
 from .datasets import (BaseStream, DatasetError, DomainDataset, DomainSplits, idx_class_count,
                        load_idx, resize, stratified_split, subset, SyntheticDomainSpec,
                        synth_domain)
-from .nncore import ModelSpec, ParameterSet
+from .nncore import ModelSpec
 from .partition import PartitionPlan, build_plan, label_intersection
 
 
@@ -57,8 +57,8 @@ class _StageWriter:
         with open(self._tmp_path(name), "wb") as fh:
             fh.write(text.encode("utf-8"))
 
-    def add_checkpoint(self, name: str, params: ParameterSet) -> None:
-        nncore.save_checkpoint(self._tmp_path(name), params)
+    def add_checkpoint(self, name: str, spec: ModelSpec, params: np.ndarray) -> None:
+        nncore.save_checkpoint(self._tmp_path(name), spec, params)
 
     def commit(self) -> None:
         for name in self.names:
@@ -309,13 +309,14 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
         clients = fedsim.build_clients(task.plan, task.train_domains)
         result = fedsim.run_training(
             task.spec, clients, task.val_x, task.val_y, cfg.training, cfg.seed,
-            save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", params))
+            save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", task.spec,
+                                                               params))
         summary = {
             "convergence_round": result.convergence_round,
             "rounds_run": len(result.logs),
             "final_val_error": result.logs[-1].val_error if result.logs else None,
         }
-        writer.add_checkpoint("checkpoint_trained.fusim", result.params)
+        writer.add_checkpoint("checkpoint_trained.fusim", task.spec, result.params)
         writer.add_text("rounds_train.csv", fedsim.round_logs_to_csv(
             result.logs, [c.client_id for c in clients]))
         return (task, result.params, summary), summary
@@ -326,7 +327,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
                   run)
 
 
-def run_route(cfg: ExperimentConfig, task: Task, trained: ParameterSet,
+def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
               start_round: int):
     """Apply the configured route; returns (params, unlearn logs, extras)."""
     u = cfg.unlearn
@@ -392,7 +393,7 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | N
         audit = extras.pop("audit", None)
         summary = {"unlearn_rounds_run": len(logs),
                    "final_val_error": logs[-1].val_error if logs else None, **extras}
-        writer.add_checkpoint("checkpoint_unlearned.fusim", params)
+        writer.add_checkpoint("checkpoint_unlearned.fusim", task.spec, params)
         writer.add_text("rounds_unlearn.csv", fedsim.round_logs_to_csv(
             logs, sorted(cfg.unlearn.requesting_clients)))
         if audit is not None:

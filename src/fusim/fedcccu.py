@@ -31,7 +31,7 @@ from . import nncore
 from .config import UnlearnConfig
 from .datasets import DomainDataset
 from .fedsim import ClientState
-from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
+from .nncore import ModelSpec, UnitId, make_rng
 from .unlearn_routes import editable_units
 
 
@@ -119,7 +119,7 @@ class AuditRecord:
 # Attribution
 
 
-def attribute_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                    target_class: int, unit: UnitId, m: int) -> float:
     """Riemann-sum attribution of one unit for one input.
 
@@ -129,16 +129,16 @@ def attribute_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
     if m < 1:
         raise CccuError("m must be >= 1")
     spec.validate_unit(unit)
-    x = np.asarray(inputs, dtype=np.float64)[None]
-    beta = nncore.batch_unit_activations(spec, params, x)[unit.layer][0, unit.unit]
-    sites = nncore.batch_site_outputs(spec, params, np.repeat(x, m, axis=0), unit.layer)
-    rows = nncore.site_rows(spec, params, sites, unit.layer)
+    site = nncore.batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
+                                     unit.layer)
+    beta = (site if site.ndim == 2 else site.mean(axis=(2, 3)))[0, unit.unit]
+    rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), unit.layer)
     steps = np.arange(1, m + 1, dtype=np.float64) / m
     grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit, steps)
     return float(beta / m * grads.sum())
 
 
-def sensitivity_scores(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                        target_class: int, m: int) -> list[SensitivityRecord]:
     """Mean attribution per editable unit over the given inputs (N, C, H, W).
 
@@ -254,9 +254,9 @@ def probe_examples(state: ClientState, forget_class: int, probe_cap: int,
                          state.labels[candidates], "probes", state.domain.class_count)
 
 
-def fedcccu_pipeline(spec: ModelSpec, global_params: ParameterSet,
+def fedcccu_pipeline(spec: ModelSpec, global_params: np.ndarray,
                      clients: list[ClientState], unlearn: UnlearnConfig,
-                     seed: int) -> tuple[ParameterSet, AuditRecord]:
+                     seed: int) -> tuple[np.ndarray, AuditRecord]:
     """Full protocol: local scoring, top-N upload, dominance, selection, edit.
 
     Clients attribute the forget class over their own forget-class examples

@@ -1,17 +1,18 @@
 """Round-based federated training and the fair unlearning protocol.
 
-One round loop serves both.  Each round the training clients run local
-mini-batch SGD from the current global parameters, in lockstep: their models
-are the rows of one (k, P) matrix, and at each step one stacked engine call
-covers every run of trainers whose batches (gathered from the train
-domains, not copies) have one size (nncore's stack axis), with each
-trainer's bits those of its own k = 1 steps; sgd_step forms and applies
-each trainer's gradient in turn in one P-sized vector.  The loop makes both
-once and passes them to local_train, whose arguments are all required.  A
-non-finite gradient abandons the round with a FedError naming client, round
-and parameter (trainers before it in the step have stepped).
-Each trainer's row is its cached submission, and the server takes the
-sample-count-weighted mean of every client's cache, whole vectors at a time.
+A model is nncore's one float64 vector, (P,).  One round loop serves both.
+Each round the training clients run local mini-batch SGD from the current
+global vector, in lockstep: their models are the rows of one (k, P) matrix,
+and at each step one stacked engine call covers every run of trainers (a
+slice of the matrix's rows) whose batches (gathered from the train domains,
+not copies) have one size (nncore's stack axis), with each trainer's bits
+those of its own k = 1 steps; sgd_step forms and applies each trainer's
+gradient in turn in one (P,) vector.  The loop makes both once and passes
+them to local_train, whose arguments are all required.  A non-finite
+gradient abandons the round with a FedError naming client, round and
+parameter (trainers before it in the step have stepped).  Each trainer's
+row is its cached submission, and the server takes the
+sample-count-weighted mean of every client's cached vector.
 The loop stops at the first round whose validation error drops below
 [training] epsilon; in run_training that round is the convergence round.
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import nncore
 from .config import TrainingConfig, UnlearnConfig
 from .datasets import DomainDataset
-from .nncore import ModelSpec, ParameterSet, make_rng
+from .nncore import ModelSpec, make_rng
 from .partition import PartitionPlan, materialize
 
 
@@ -52,7 +53,7 @@ class ClientState:
 
     def __init__(self, client_id: int, domain: DomainDataset, index):
         self.client_id = client_id
-        self.cache: nncore.FlatParams | None = None
+        self.cache: np.ndarray | None = None
         self.local_step_counter = 0
         self.domain = domain
         self.index = np.asarray(index, dtype=np.intp)
@@ -77,7 +78,7 @@ class RoundLog:
 
 @dataclass
 class TrainingResult:
-    params: ParameterSet
+    params: np.ndarray
     logs: list[RoundLog]
     convergence_round: int | None
 
@@ -87,17 +88,16 @@ def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> lis
             for i, (c, index) in enumerate(zip(plan.clients, materialize(plan, domains)))]
 
 
-def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: ModelSpec,
+def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: ModelSpec,
                 training: TrainingConfig, seed: int, round_index: int,
-                models: nncore.FlatParams, grad: nncore.FlatParams
-                ) -> list[tuple[nncore.FlatParams, float]]:
+                models: np.ndarray, grad: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """One round of local mini-batch SGD for every trainer, in lockstep.
 
-    models is a stacked FlatParams with one row per trainer, each row set to
-    global_params here; grad is a FlatParams laid out like global_params, the
-    scratch in which sgd_step forms each trainer's gradient in turn.  Step s
-    gathers every trainer's batch s into one buffer of rows, and each run of
-    adjacent rows with full batches (batch_size rows) takes one
+    models is a (k, P) matrix with one row per trainer, each row set to
+    global_params here; grad is a (P,) vector, the scratch in which sgd_step
+    forms each trainer's gradient in turn.  Step s gathers every trainer's
+    batch s into one buffer of rows, and each run of adjacent rows with full
+    batches (batch_size rows), a slice of models, takes one
     batch_loss_and_gradient and one sgd_step call; a shorter batch steps
     alone, as a run of one.  Rows are ordered by full-batch count, so in a
     one-epoch round every full batch of a step is in one run.  Returns, in
@@ -106,8 +106,7 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
     global_params is unchanged.
     """
     k, size = len(trainers), training.batch_size
-    for name, view in models.views.items():
-        view[...] = global_params[name]
+    models[...] = global_params
     batches = []
     for client in trainers:
         if (shape := client.domain.images.shape[1:]) != spec.input_shape:
@@ -124,7 +123,6 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
     x = np.empty((k * size, *spec.input_shape))
     y = np.empty(k * size, dtype=np.int64)
     losses: list[list] = [[] for _ in range(k)]
-    stacks: dict[tuple[int, int], nncore.FlatParams] = {}  # rows a..b-1 of models
     for step in range(max(map(len, batches), default=0)):
         runs: list[list[int]] = []  # [first row, end row, batch size]
         for r, client in enumerate(ranked):
@@ -137,9 +135,7 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
                 else:
                     runs.append([r, r + 1, len(idx)])
         for a, b, m in runs:
-            if (a, b) not in stacks:
-                stacks[a, b] = models[a:b]
-            model = stacks[a, b]
+            model = models[a:b]
             rows = slice(a * size, (b - 1) * size + m)
             try:
                 loss, gradient = nncore.batch_loss_and_gradient(spec, model, x[rows], y[rows])
@@ -161,14 +157,13 @@ def local_train(trainers: list[ClientState], global_params: ParameterSet, spec: 
     return out
 
 
-def aggregate(updates: list[tuple[nncore.FlatParams, float]]) -> ParameterSet:
+def aggregate(spec: ModelSpec, updates: list[tuple[np.ndarray, float]]) -> np.ndarray:
     """Weighted mean with weights n_k / sum(n_k), reduced in the given order.
 
-    Each update's parameters are a FlatParams, such as a row of the round's
-    model matrix.  Computed element-wise over whole vectors as
-    first + sum((w_k / total) * (theta_k - first)), the per-array formula's
-    bits, so that identical inputs aggregate to a bit-identical copy of
-    themselves; the result's arrays are views of one fresh vector.
+    Each update's parameters are spec's (P,) vector, such as a row of the
+    round's model matrix.  Computed element-wise as
+    first + sum((w_k / total) * (theta_k - first)), so that identical inputs
+    aggregate to a bit-identical copy of themselves, in a fresh vector.
     """
     if not updates:
         raise FedError("nothing to aggregate")
@@ -176,27 +171,24 @@ def aggregate(updates: list[tuple[nncore.FlatParams, float]]) -> ParameterSet:
     if total <= 0:
         raise FedError("total aggregation weight must be positive")
     first = updates[0][0]
-    out = nncore.flat_params(first.views)
-    acc = out.vector
-    for i, (params, weight) in enumerate(updates):
-        if params.layout != first.layout:
-            raise FedError(f"aggregate: update {i} has other parameter names or shapes "
-                           f"than update 0")
-        acc += (weight / total) * (params.vector - first.vector)
-    return out.views
+    acc = first.copy()
+    for params, weight in updates:
+        spec.views(params)  # refuses a vector of another dtype, rank or P
+        acc += (weight / total) * (params - first)
+    return acc
 
 
-def _validation_error(spec: ModelSpec, params: ParameterSet,
+def _validation_error(spec: ModelSpec, params: np.ndarray,
                       val_x: np.ndarray, val_y: np.ndarray) -> float:
     preds = nncore.predict_probs(spec, params, val_x).argmax(axis=1)
     return float(1.0 - (preds == val_y).mean())
 
 
 def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientState],
-            params: ParameterSet, rounds: range, val_x: np.ndarray, val_y: np.ndarray,
+            params: np.ndarray, rounds: range, val_x: np.ndarray, val_y: np.ndarray,
             training: TrainingConfig, seed: int,
-            save_round: Callable[[int, ParameterSet], None] | None = None
-            ) -> tuple[ParameterSet, list[RoundLog]]:
+            save_round: Callable[[int, np.ndarray], None] | None = None
+            ) -> tuple[np.ndarray, list[RoundLog]]:
     """The one FedAvg round loop over the clients in client-id order.
 
     The trainers' model matrix and gradient vector are made once, here.  Each
@@ -206,13 +198,13 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
     at epsilon.
     """
     logs: list[RoundLog] = []
-    models, grad = nncore.flat_params(params, stack=len(trainers)), nncore.flat_params(params)
+    models, grad = np.empty((len(trainers), spec.param_count)), np.empty(spec.param_count)
     for t in rounds:
         losses = {}
         submissions = local_train(trainers, params, spec, training, seed, t, models, grad)
         for client, (submission, loss) in zip(trainers, submissions):
             client.cache, losses[client.client_id] = submission, loss
-        params = aggregate([(c.cache, c.sample_count) for c in ordered])
+        params = aggregate(spec, [(c.cache, c.sample_count) for c in ordered])
         err = _validation_error(spec, params, val_x, val_y)
         logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in trainers)))
         if save_round and training.checkpoint_every and t % training.checkpoint_every == 0:
@@ -224,7 +216,7 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
 
 def run_training(spec: ModelSpec, clients: list[ClientState], val_x: np.ndarray,
                  val_y: np.ndarray, training: TrainingConfig, seed: int,
-                 save_round: Callable[[int, ParameterSet], None] | None = None
+                 save_round: Callable[[int, np.ndarray], None] | None = None
                  ) -> TrainingResult:
     """FedAvg rounds from a seeded initial model, every client training, until
     the validation error beats epsilon or rounds_max ends.
@@ -242,23 +234,22 @@ def run_training(spec: ModelSpec, clients: list[ClientState], val_x: np.ndarray,
     return TrainingResult(params, logs, logs[-1].round_index if converged else None)
 
 
-def fair_unlearn_rounds(global_params: ParameterSet, spec: ModelSpec,
+def fair_unlearn_rounds(global_params: np.ndarray, spec: ModelSpec,
                         clients: list[ClientState], unlearn: UnlearnConfig,
                         val_x: np.ndarray, val_y: np.ndarray, training: TrainingConfig,
-                        seed: int, start_round: int = 0) -> tuple[ParameterSet, list[RoundLog]]:
+                        seed: int, start_round: int = 0) -> tuple[np.ndarray, list[RoundLog]]:
     """Up to unlearn.rounds_max rounds where only the requesting clients train.
 
     Non-requesting clients contribute their cached parameters (the model they
-    already hold, set to global_params here) at their original aggregation
-    weights; their step counters never move.
+    already hold, global_params itself, which nothing writes) at their
+    original aggregation weights; their step counters never move.
     """
     missing = set(unlearn.requesting_clients) - {c.client_id for c in clients}
     if missing:
         raise FedError(f"unlearn request names unknown clients {sorted(missing)}")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    held = nncore.flat_params(global_params)
     for client in ordered:
-        client.cache = held
+        client.cache = global_params
     requesters = [c for c in ordered if c.client_id in unlearn.requesting_clients]
     return _rounds(spec, ordered, requesters, global_params,
                    range(start_round + 1, start_round + unlearn.rounds_max + 1),

@@ -1,12 +1,18 @@
 """Minimal dense/conv network substrate with unit-level interventions.
 
 Models are pure data: a ModelSpec holds one of the two reference models,
-small_mlp or small_cnn, as its layer stack, and a ParameterSet maps parameter
-names to float64 arrays.  Every operation is a deterministic function of its
-inputs; nothing keeps hidden state.  All arithmetic is 64-bit.
+small_mlp or small_cnn, as its layer stack, and a model's parameters are one
+float64 ndarray whose last axis holds the spec's P values back to back, each
+parameterized layer's weight then its bias in network order (layer0.weight,
+layer0.bias, layer1.weight, ...): (P,) for one model, (k, P) for k models in
+lockstep.  Every public function takes and returns that array; the
+parameter names live only here, in the views spec.views(params) returns,
+which refuse an array of another dtype, rank or P.  Every operation is a
+deterministic function of its inputs; nothing keeps hidden state.  All
+arithmetic is 64-bit.
 
-Unit addressing: parameterized layers (dense, conv2d) are numbered 0..P-1 in
-network order, and a unit is an output neuron of a dense layer or an output
+Unit addressing: parameterized layers (dense, conv2d) are numbered 0, 1, ...
+in network order, and a unit is an output neuron of a dense layer or an output
 channel of a conv layer.  The "activation" of a unit is its value after the
 relu that immediately follows its layer (or the raw layer output when no relu
 follows).  Interventions scale that value; gradients are taken with respect
@@ -17,15 +23,15 @@ batch_unit_gradients then adds one unit's rank-1 change to that output and
 runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
-Local training holds models as the rows of a stacked FlatParams, a (k, P)
-matrix, k >= 1; the engine takes an optional leading stack axis (views
-(k, *shape)) and runs k models at once, each on its own block of rows, through
-the same layers, whose products become one gemm per stack slice (np.matmul)
-and whose reductions run over the trailing axes, so every model's numbers are
-bit for bit those of a k = 1 call.  The one training step is
+Local training holds models as the rows of a (k, P) matrix, k >= 1; the
+engine takes an optional leading stack axis (views (k, *shape)) and runs k
+models at once, each on its own block of rows, through the same layers,
+whose products become one gemm per stack slice (np.matmul) and whose
+reductions run over the trailing axes, so every model's numbers are bit for
+bit those of a k = 1 call.  The one training step is
 batch_loss_and_gradient, which hands its gradient to sgd_step as the factors
 its backward pass holds (each parameterized layer's input and output
-gradient), then sgd_step, which forms each row in one P-sized scratch vector,
+gradient), then sgd_step, which forms each row in one (P,) scratch vector,
 checks it once, exactly (a NaN or inf makes np.vdot(v, v) non-finite, and
 only then, or on its silent overflow, are the elements scanned to name the
 parameter), and applies it while it is in cache; a non-finite row raises
@@ -33,9 +39,8 @@ before it is written, after the rows before it have stepped.  Element-wise
 layers write only into arrays their own call made, never into its input,
 the parameters, a cache read later or SiteRows.
 
-A checkpoint is a NumPy .npy file (format 1.0) holding the model's one
-float64 vector, (P,), its parameters back to back in spec.param_shapes()
-order.  load_checkpoint compares the file's header byte for byte with the
+A checkpoint is a NumPy .npy file (format 1.0) holding the model's (P,)
+vector.  load_checkpoint compares the file's header byte for byte with the
 one save_checkpoint writes for the spec's P and checks the data size, so a
 file of any other model or a damaged one raises CheckpointError.
 """
@@ -47,8 +52,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-ParameterSet = dict[str, np.ndarray]
 
 PARAM_KINDS = ("dense", "conv2d")
 
@@ -104,7 +107,8 @@ class UnitId:
 class ModelSpec:
     """Layer stack ending in softmax over class_count outputs, as small_mlp
     and small_cnn build it; the per-example shape after each layer is
-    computed here, not checked."""
+    computed here, not checked, and so is param_count, the P values of the
+    model's parameter vector."""
     layers: tuple[LayerSpec, ...]
     class_count: int
     input_shape: tuple[int, ...]
@@ -130,10 +134,22 @@ class ModelSpec:
         # The first parameterized layer after each site; None for the output layer.
         next_positions = tuple(next((q for q in param_positions if q > s), None)
                                for s in site_positions)
+        # Each parameter's name, slice of the vector and shape, in vector order.
+        slots, offset = [], 0
+        for ordinal, p in enumerate(param_positions):
+            l, k = self.layers[p], self.layers[p].kernel_size
+            weight = (l.fan_in, l.fan_out) if l.kind == "dense" else (l.fan_out, l.fan_in, k, k)
+            for name, shape in ((f"layer{ordinal}.weight", weight),
+                                (f"layer{ordinal}.bias", (l.fan_out,))):
+                size = math.prod(shape)
+                slots.append((name, slice(offset, offset + size), shape))
+                offset += size
         object.__setattr__(self, "_shapes", tuple(shapes))
         object.__setattr__(self, "_param_positions", param_positions)
         object.__setattr__(self, "_site_positions", site_positions)
         object.__setattr__(self, "_next_positions", next_positions)
+        object.__setattr__(self, "_slots", tuple(slots))
+        object.__setattr__(self, "param_count", offset)
 
     @property
     def param_layer_count(self) -> int:
@@ -158,15 +174,24 @@ class ModelSpec:
             raise InvalidUnitError(
                 f"unit {unit.unit} out of range for layer {unit.layer} (width {width})")
 
-    def param_shapes(self) -> dict[str, tuple[int, ...]]:
-        out: dict[str, tuple[int, ...]] = {}
-        for ordinal in range(self.param_layer_count):
-            layer = self.layer_at(ordinal)
-            k = layer.kernel_size
-            out[f"layer{ordinal}.weight"] = ((layer.fan_in, layer.fan_out) if layer.kind == "dense"
-                                             else (layer.fan_out, layer.fan_in, k, k))
-            out[f"layer{ordinal}.bias"] = (layer.fan_out,)
-        return out
+    def views(self, params: np.ndarray, stacked: bool = False) -> dict[str, np.ndarray]:
+        """The named parameters of params, views in the order the vector
+        holds them.
+
+        params is one model's (P,) float64 vector, or with stacked the (k, P)
+        matrix of k models, whose views are (k, *shape).  Any other array
+        raises ShapeMismatchError naming the P the model takes and what was
+        found.
+        """
+        ndim, want = (2, "(k, P)") if stacked else (1, "(P,)")
+        if not (isinstance(params, np.ndarray) and params.dtype == np.float64
+                and params.ndim == ndim and params.shape[-1] == self.param_count):
+            found = (f"{params.dtype} array of shape {params.shape}"
+                     if isinstance(params, np.ndarray) else type(params).__name__)
+            raise ShapeMismatchError(f"parameters must be a float64 array {want} with "
+                                     f"P = {self.param_count}, got {found}")
+        lead = params.shape[:-1]
+        return {name: params[..., at].reshape(lead + shape) for name, at, shape in self._slots}
 
 
 def small_mlp(input_shape: Sequence[int], class_count: int, hidden: int = 128) -> ModelSpec:
@@ -200,94 +225,33 @@ def make_rng(seed, *tags: int) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-def init_params(spec: ModelSpec, seed) -> ParameterSet:
+def init_params(spec: ModelSpec, seed) -> np.ndarray:
     """Fan-in-scaled uniform weights, zero biases, fully seed-determined."""
-    params: ParameterSet = {}
-    shapes = spec.param_shapes()
+    params = np.zeros(spec.param_count)
+    views = spec.views(params)
     for ordinal in range(spec.param_layer_count):
         layer = spec.layer_at(ordinal)
         k = layer.kernel_size if layer.kind == "conv2d" else 1
         bound = 1.0 / np.sqrt(layer.fan_in * k * k)
-        name = f"layer{ordinal}.weight"
-        params[name] = make_rng(seed, 101, ordinal).uniform(-bound, bound, size=shapes[name])
-        params[f"layer{ordinal}.bias"] = np.zeros(layer.fan_out)
+        weight = views[f"layer{ordinal}.weight"]
+        weight[...] = make_rng(seed, 101, ordinal).uniform(-bound, bound, size=weight.shape)
     return params
 
 
-def params_copy(params: ParameterSet) -> ParameterSet:
-    return {k: v.copy() for k, v in params.items()}
-
-
-def _layout(params: ParameterSet) -> tuple:
-    return tuple((name, arr.shape) for name, arr in params.items())
-
-
-@dataclass(frozen=True)
-class FlatParams:
-    """A parameter set in one contiguous float64 vector: views tile vector
-    back to back in their order, so one call over vector acts on all of them.
-    A stacked set holds k sets as the rows of a (k, P) vector, with views
-    (k, *shape) that tile every row alike; flat[i] is row i as an unstacked
-    set and flat[a:b] rows a..b-1 as a stacked one, both views.  layout, the
-    (name, shape) sequence, must match for two sets to combine."""
-    vector: np.ndarray
-    views: ParameterSet
-
-    def __post_init__(self):
-        v, offset = self.vector, 0
-        stack = v.shape[:-1]
-        for name, view in self.views.items():
-            row = view[(0,) * len(stack)] if view.size else view
-            if not (view.dtype == np.float64 and view.shape[:len(stack)] == stack
-                    and all(d == 1 or a == b
-                            for d, a, b in zip(stack, view.strides, v.strides))
-                    and row.flags.c_contiguous
-                    and view.ctypes.data == v.ctypes.data + 8 * offset):
-                raise NNError(f"view {name} does not continue the vector at {offset}")
-            offset += math.prod(view.shape[len(stack):])
-        if (v.dtype != np.float64 or v.ndim not in (1, 2) or v.shape[-1] != offset
-                or not v.flags.c_contiguous):
-            raise NNError(f"views must tile a contiguous float64 vector of {offset}")
-        object.__setattr__(self, "layout", _layout(self.views))
-
-    def __getitem__(self, rows) -> FlatParams:
-        return FlatParams(self.vector[rows], {n: v[rows] for n, v in self.views.items()})
-
-
-def flat_params(params: ParameterSet, stack: int | None = None) -> FlatParams:
-    """A copy of params in one fresh vector, with its views in params' order;
-    with stack=k, k copies in the rows of a fresh (k, P) vector."""
-    lead = () if stack is None else (stack,)
-    vector = np.empty(lead + (sum(arr.size for arr in params.values()),))
-    views = _tile(vector, {name: arr.shape for name, arr in params.items()})
-    for name, arr in params.items():
-        views[name][...] = arr
-    return FlatParams(vector, views)
-
-
-def _tile(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> ParameterSet:
-    """Views of vector, one per (name, shape), back to back along its last axis."""
-    lead, views, offset = vector.shape[:-1], {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        views[name] = vector[..., offset:offset + size].reshape(lead + shape)
-        offset += size
-    return views
-
-
-def zero_units(spec: ModelSpec, params: ParameterSet, units: Iterable[UnitId]) -> ParameterSet:
-    """Zero the incoming weights and bias of each unit; idempotent, local."""
-    out = params_copy(params)
+def zero_units(spec: ModelSpec, params: np.ndarray, units: Iterable[UnitId]) -> np.ndarray:
+    """Zero the incoming weights and bias of each unit in a copy of params;
+    idempotent, local."""
+    out = params.copy()
+    views = spec.views(out)
     for unit in units:
         spec.validate_unit(unit)
         layer = spec.layer_at(unit.layer)
-        w = out[f"layer{unit.layer}.weight"]
-        b = out[f"layer{unit.layer}.bias"]
+        w = views[f"layer{unit.layer}.weight"]
         if layer.kind == "dense":
             w[:, unit.unit] = 0.0
         else:
             w[unit.unit] = 0.0
-        b[unit.unit] = 0.0
+        views[f"layer{unit.layer}.bias"][unit.unit] = 0.0
     return out
 
 
@@ -318,19 +282,16 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
         x, (*lead, oh, ow, c, k, k), (*s[:-3], s[-2], s[-1], s[-3], s[-2], s[-1]))
 
 
-def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
-                    keep_caches: bool = False, capture_sites: bool = False,
-                    start: int = 0, stop: int | None = None):
+def _forward_engine(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray,
+                    keep_caches: bool = False, start: int = 0, stop: int | None = None):
     """Run layer positions start..stop-1 on a batch x that feeds layer start.
 
-    x is (B, ...), or (k, B, ...) with parameters stacked on a leading axis
-    of k.  Returns (h, caches, sites): h is the output of layer stop-1,
-    caches feed _backward_engine, sites holds the post-activation output of
-    every parameterized layer whose activation site lies in the range.
+    params are spec.views of the parameters.  x is (B, ...), or (k, B, ...)
+    with parameters stacked on a leading axis of k.  Returns (h, caches): h
+    is the output of layer stop-1, caches feed _backward_engine.
     """
     stop = len(spec.layers) if stop is None else stop
     caches: list | None = [] if keep_caches else None
-    sites: list | None = [] if capture_sites else None
     h = x
     ordinal_counter = sum(1 for p in spec._param_positions if p < start)
     for pos in range(start, stop):
@@ -382,12 +343,10 @@ def _forward_engine(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
             h /= h.sum(axis=-1, keepdims=True)
             if keep_caches:
                 caches.append(("softmax", h))
-        if capture_sites and pos in spec._site_positions:
-            sites.append(h)
-    return h, caches, sites
+    return h, caches
 
 
-def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
+def _backward_engine(spec: ModelSpec, params: dict[str, np.ndarray], caches: list,
                      grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True):
     """Backpropagate a gradient at the probabilities down to layer start.
 
@@ -451,25 +410,25 @@ def _backward_engine(spec: ModelSpec, params: ParameterSet, caches: list,
 # Public operations
 
 
-def predict_probs(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray) -> np.ndarray:
+def predict_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Batched probabilities; no trace capture."""
-    x = _as_batch(spec, inputs)
-    probs, _, _ = _forward_engine(spec, params, x)
+    views = spec.views(params)
+    probs, _ = _forward_engine(spec, views, _as_batch(spec, inputs))
     return probs
 
 
-def batch_unit_activations(spec: ModelSpec, params: ParameterSet,
+def batch_unit_activations(spec: ModelSpec, params: np.ndarray,
                            inputs: np.ndarray) -> list[np.ndarray]:
-    """Per-sample unit activations, one (B, units) matrix per layer ordinal."""
-    x = _as_batch(spec, inputs)
-    _, _, sites = _forward_engine(spec, params, x, capture_sites=True)
+    """Per-sample unit activations, one (B, units) matrix per layer ordinal:
+    each layer's batch_site_outputs, a conv channel's averaged over positions."""
     out = []
-    for arr in sites:
-        out.append(arr if arr.ndim == 2 else arr.mean(axis=(2, 3)))
+    for ordinal in range(spec.param_layer_count):
+        site = batch_site_outputs(spec, params, inputs, ordinal)
+        out.append(site if site.ndim == 2 else site.mean(axis=(2, 3)))
     return out
 
 
-def batch_site_outputs(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+def batch_site_outputs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                        ordinal: int) -> np.ndarray:
     """Per-sample output at the activation site of parameterized layer ordinal.
 
@@ -477,12 +436,13 @@ def batch_site_outputs(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray
     the layers up to the site run.
     """
     spec.validate_unit(UnitId(ordinal, 0))
-    x = _as_batch(spec, inputs)
-    h, _, _ = _forward_engine(spec, params, x, stop=spec.site_position(ordinal) + 1)
+    views = spec.views(params)
+    h, _ = _forward_engine(spec, views, _as_batch(spec, inputs),
+                           stop=spec.site_position(ordinal) + 1)
     return h
 
 
-def forward_with_scaled_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+def forward_with_scaled_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                              unit: UnitId, scale: float) -> np.ndarray:
     """Forward pass with the unit's activation multiplied by scale in [0, 1].
 
@@ -495,14 +455,14 @@ def forward_with_scaled_unit(spec: ModelSpec, params: ParameterSet, inputs: np.n
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
     site[:, unit.unit] *= float(scale)
-    probs, _, _ = _forward_engine(spec, params, site,
-                                  start=spec.site_position(unit.layer) + 1)
+    probs, _ = _forward_engine(spec, spec.views(params), site,
+                               start=spec.site_position(unit.layer) + 1)
     if not _all_finite(probs):
         raise NNError("non-finite values in probabilities")
     return probs[0]
 
 
-def gradient_wrt_unit(spec: ModelSpec, params: ParameterSet, inputs: np.ndarray,
+def gradient_wrt_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                       target_class: int, unit: UnitId, scale: float) -> float:
     """d P(target_class | input) / d(activation), at the scaled activation."""
     spec.validate_unit(unit)
@@ -534,23 +494,24 @@ class SiteRows:
         return len(self.pre)
 
 
-def site_rows(spec: ModelSpec, params: ParameterSet, sites: np.ndarray,
+def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
               ordinal: int) -> SiteRows:
     """SiteRows for rows of batch_site_outputs(..., ordinal); the next
     parameterized layer's product is formed here, once for all units."""
     spec.validate_unit(UnitId(ordinal, 0))
+    views = spec.views(params)
     start = spec.site_position(ordinal) + 1
     nxt = spec._next_positions[ordinal]
     x = _as_batch(spec, sites, start)
-    pre, _, _ = _forward_engine(spec, params, x, start=start,
-                                stop=len(spec.layers) - 1 if nxt is None else nxt)
+    pre, _ = _forward_engine(spec, views, x, start=start,
+                             stop=len(spec.layers) - 1 if nxt is None else nxt)
     if nxt is None:
         return SiteRows(ordinal, pre, pre)
-    z0, _, _ = _forward_engine(spec, params, pre, start=nxt, stop=nxt + 1)
+    z0, _ = _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)
     return SiteRows(ordinal, pre, z0)
 
 
-def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
+def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
                          target_class: int, unit: UnitId,
                          scales: np.ndarray) -> np.ndarray:
     """Per-row dP(target)/d(activation) with per-row activation scales.
@@ -567,6 +528,7 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
     rows.
     """
     spec.validate_unit(unit)
+    views = spec.views(params)
     if unit.layer != rows.ordinal:
         raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
     n = len(rows)
@@ -579,7 +541,7 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
     nxt = spec._next_positions[unit.layer]
     a = rows.pre.reshape(n, units, -1)[:, unit.unit]
     d = (s - 1.0)[:, None] * a
-    w = np.eye(rows.pre.shape[1]) if nxt is None else params[f"layer{unit.layer + 1}.weight"]
+    w = np.eye(rows.pre.shape[1]) if nxt is None else views[f"layer{unit.layer + 1}.weight"]
     if w.ndim == 2:
         wj = w.reshape(units, -1, w.shape[1])[unit.unit]
         z = rows.z0 + d @ wj
@@ -589,10 +551,10 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
         dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
         z = rows.z0 + dz.transpose(0, 3, 1, 2)
     start = len(spec.layers) - 1 if nxt is None else nxt + 1
-    probs, caches, _ = _forward_engine(spec, params, z, keep_caches=True, start=start)
+    probs, caches = _forward_engine(spec, views, z, keep_caches=True, start=start)
     seed = np.zeros_like(probs)
     seed[:, target_class] = 1.0
-    g = _backward_engine(spec, params, caches, seed, start=start, wrt_params=False)
+    g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
     if w.ndim == 2:
         ga = g @ wj.T
     else:
@@ -609,20 +571,20 @@ def batch_unit_gradients(spec: ModelSpec, params: ParameterSet, rows: SiteRows,
 
 @dataclass(frozen=True)
 class GradientFactors:
-    """A stacked call's gradients as (ordinal, a, g) per parameterized layer,
-    each (k, ...), for parameters of layout: a is the layer's input
-    (k, B, fan_in), or for conv its im2col columns, and g the gradient at its
-    output.  Layer 0's a is a view of the call's inputs, which must not change
-    before form(row, out) writes model row's gradients into out (laid out like
-    a row): the weight gradient a^T g (for conv, g channels first times a) and
-    the bias gradient g's sum."""
-    layout: tuple
+    """A stacked call's gradients as (ordinal, a, g) per parameterized layer
+    of spec, each (k, ...): a is the layer's input (k, B, fan_in), or for
+    conv its im2col columns, and g the gradient at its output.  Layer 0's a
+    is a view of the call's inputs, which must not change before
+    form(row, out) writes model row's gradients into out, the spec.views of
+    a (P,) vector: the weight gradient a^T g (for conv, g channels first
+    times a) and the bias gradient g's sum."""
+    spec: ModelSpec
     layers: tuple
 
-    def form(self, row: int, out: FlatParams) -> None:
+    def form(self, row: int, out: dict[str, np.ndarray]) -> None:
         for ordinal, a, g in self.layers:
             a, g = a[row], g[row]
-            w, b = out.views[f"layer{ordinal}.weight"], out.views[f"layer{ordinal}.bias"]
+            w, b = out[f"layer{ordinal}.weight"], out[f"layer{ordinal}.bias"]
             if g.ndim == 2:
                 np.matmul(a.T, g, out=w)
                 np.add.reduce(g, axis=0, out=b)
@@ -631,19 +593,18 @@ class GradientFactors:
                 np.add.reduce(np.moveaxis(g, 1, -1), axis=(0, 1, 2), out=b)
 
 
-def batch_loss_and_gradient(spec: ModelSpec, model: FlatParams,
+def batch_loss_and_gradient(spec: ModelSpec, model: np.ndarray,
                             inputs: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and its gradient for k models on their batches.
 
-    model is a stacked FlatParams of k >= 1 rows; inputs and labels are k
+    model is the (k, P) matrix of k >= 1 models; inputs and labels are k
     equal blocks of rows, block i for row i.  Returns the (k,) array of each
     model's mean loss and the GradientFactors that sgd_step forms, checks and
     applies one row at a time, every row with the bits of a k = 1 call on its
     block alone.  An NNError names the row it concerns.
     """
-    if model.vector.ndim != 2:
-        raise ShapeMismatchError("model is not a stacked FlatParams (k, P)")
-    k = len(model.vector)
+    views = spec.views(model, stacked=True)
+    k = len(model)
     x = _as_batch(spec, inputs)
     ys = np.asarray(labels)
     n = x.shape[0]
@@ -660,8 +621,8 @@ def batch_loss_and_gradient(spec: ModelSpec, model: FlatParams,
         raise NNError(
             f"label out of range: got {int(ys.min())}..{int(ys.max())}, "
             f"class_count {spec.class_count}", int(np.flatnonzero(bad)[0]) // block)
-    probs, caches, _ = _forward_engine(spec, model.views, x.reshape(k, block, *x.shape[1:]),
-                                       keep_caches=True)
+    probs, caches = _forward_engine(spec, views, x.reshape(k, block, *x.shape[1:]),
+                                    keep_caches=True)
     flat = probs.reshape(n, -1)
     rows = np.arange(n)
     py = flat[rows, ys]
@@ -672,39 +633,41 @@ def batch_loss_and_gradient(spec: ModelSpec, model: FlatParams,
     loss = -np.add.reduce(np.log(py).reshape(k, block), axis=-1) / block
     grad_probs = np.zeros(flat.shape)
     grad_probs[rows, ys] = -1.0 / (block * py)
-    factors = _backward_engine(spec, model.views, caches, grad_probs.reshape(probs.shape))
-    return loss, GradientFactors(model.layout, tuple(factors))
+    factors = _backward_engine(spec, views, caches, grad_probs.reshape(probs.shape))
+    return loss, GradientFactors(spec, tuple(factors))
 
 
-def sgd_step(model: FlatParams, factors: GradientFactors, learning_rate: float,
-             scratch: FlatParams) -> FlatParams:
+def sgd_step(model: np.ndarray, factors: GradientFactors, learning_rate: float,
+             scratch: np.ndarray) -> np.ndarray:
     """model's rows minus learning_rate times their gradients, in place.
 
-    factors come from a batch_loss_and_gradient call on model.  Row by row,
-    the gradient is formed in scratch (laid out like one row), checked and
-    applied while in cache, leaving scratch holding it times learning_rate;
-    each row gets the bits of params - learning_rate * gradient.  A
-    non-finite row raises, naming it, before it is written; the rows before
-    it have stepped.
+    factors come from a batch_loss_and_gradient call on model, a (k, P)
+    matrix.  Row by row, the gradient is formed in scratch, a (P,) vector,
+    checked and applied while in cache, leaving scratch holding it times
+    learning_rate; each row gets the bits of params - learning_rate *
+    gradient.  A non-finite row raises, naming it, before it is written; the
+    rows before it have stepped.
     """
     if learning_rate < 0 or not math.isfinite(learning_rate):
         raise NNError(f"learning rate must be finite and non-negative, got {learning_rate}")
-    if factors.layout != model.layout:
-        raise ShapeMismatchError("gradient is not laid out like the parameters")
-    if scratch.layout != tuple((name, shape[1:]) for name, shape in model.layout):
-        raise ShapeMismatchError("scratch is not laid out like one row of the parameters")
-    for row, vector in enumerate(model.vector):
-        factors.form(row, scratch)
-        if not _all_finite(scratch.vector):
-            name = next(n for n, v in scratch.views.items() if not np.isfinite(v).all())
+    spec = factors.spec
+    spec.views(model, stacked=True)  # refuses a model of another dtype, rank or P
+    grad = spec.views(scratch)
+    if len(model) != len(factors.layers[0][1]):
+        raise ShapeMismatchError(f"gradient of {len(factors.layers[0][1])} models, "
+                                 f"parameters of {len(model)}")
+    for row, vector in enumerate(model):
+        factors.form(row, grad)
+        if not _all_finite(scratch):
+            name = next(n for n, v in grad.items() if not np.isfinite(v).all())
             raise NNError(f"non-finite values in gradient of {name}", row)
-        np.multiply(scratch.vector, learning_rate, out=scratch.vector)
-        np.subtract(vector, scratch.vector, out=vector)
+        np.multiply(scratch, learning_rate, out=scratch)
+        np.subtract(vector, scratch, out=vector)
     return model
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: a NumPy .npy file (format 1.0) of the model's one float64 vector
+# Checkpoints: a NumPy .npy file (format 1.0) of the model's (P,) vector
 
 
 def _npy_header(count: int) -> bytes:
@@ -715,17 +678,17 @@ def _npy_header(count: int) -> bytes:
     return buf.getvalue()
 
 
-def save_checkpoint(path, params: ParameterSet) -> None:
-    """Write params as one little-endian float64 vector, the arrays back to
-    back in params' order, in a .npy file that np.load reads."""
+def save_checkpoint(path, spec: ModelSpec, params: np.ndarray) -> None:
+    """Write spec's (P,) vector params as little-endian float64 in a .npy
+    file that np.load reads."""
+    spec.views(params)  # refuses a vector of another dtype, rank or P
     with open(path, "wb") as fh:
-        fh.write(_npy_header(sum(np.size(a) for a in params.values())))
-        for arr in params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        fh.write(_npy_header(spec.param_count))
+        fh.write(np.ascontiguousarray(params, dtype="<f8"))
 
 
-def load_checkpoint(path, spec: ModelSpec) -> ParameterSet:
-    """spec's parameters from a checkpoint, as views of one fresh vector.
+def load_checkpoint(path, spec: ModelSpec) -> np.ndarray:
+    """spec's parameters from a checkpoint, as one fresh (P,) vector.
 
     The file must start with the header save_checkpoint writes for spec's P
     values, byte for byte, and hold exactly 8 P data bytes after it.  The
@@ -734,8 +697,7 @@ def load_checkpoint(path, spec: ModelSpec) -> ParameterSet:
     CheckpointError naming the file, the values it holds and the P the
     model takes.
     """
-    shapes = spec.param_shapes()
-    count = sum(math.prod(shape) for shape in shapes.values())
+    count = spec.param_count
     header = _npy_header(count)
     with open(path, "rb") as fh:
         data = fh.read()
@@ -747,4 +709,4 @@ def load_checkpoint(path, spec: ModelSpec) -> ParameterSet:
             f"{path}: holds {found} float64 values" + (f" and {odd} bytes" if odd else "")
             + ("" if at == len(header) else f", header byte {at} differs or is missing")
             + f"; the model takes {count}")
-    return _tile(np.frombuffer(data, "<f8", count, len(header)).astype(np.float64), shapes)
+    return np.frombuffer(data, "<f8", count, len(header)).astype(np.float64)

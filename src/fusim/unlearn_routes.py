@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nncore
 from .datasets import DomainDataset
-from .nncore import ModelSpec, ParameterSet, UnitId, make_rng
+from .nncore import ModelSpec, UnitId, make_rng
 
 
 class RouteError(ValueError):
@@ -50,7 +50,7 @@ def relabel_poison_prepare(labels: np.ndarray, forget_class: int,
     return labels
 
 
-def rank_units_by_activation(spec: ModelSpec, params: ParameterSet,
+def rank_units_by_activation(spec: ModelSpec, params: np.ndarray,
                              probes: DomainDataset,
                              forget_class: int) -> list[tuple[UnitId, float]]:
     """Editable units sorted by mean activation over forget-class probes."""
@@ -65,8 +65,8 @@ def rank_units_by_activation(spec: ModelSpec, params: ParameterSet,
     return scored
 
 
-def naive_zeroing(spec: ModelSpec, params: ParameterSet, forget_class: int,
-                  probes: DomainDataset, top_m: int) -> ParameterSet:
+def naive_zeroing(spec: ModelSpec, params: np.ndarray, forget_class: int,
+                  probes: DomainDataset, top_m: int) -> np.ndarray:
     """Zero the top_m most forget-class-activated hidden units."""
     ranked = rank_units_by_activation(spec, params, probes, forget_class)
     if top_m < 0 or top_m > len(ranked):

@@ -1,6 +1,7 @@
-"""Test-side helpers: a parameter-set comparison, one library training step
-of a dict parameter set, the out-of-place engine reference, the copied-shard
-reference for client views, and the IDX fixture writers."""
+"""Test-side helpers: a bit comparison, a parameter vector from named
+arrays, one library training step of one model, the out-of-place engine
+reference, the copied-shard reference for client views, and the IDX fixture
+writers."""
 import dataclasses
 import struct
 
@@ -11,41 +12,50 @@ from fusim import fedsim as fs
 from fusim import nncore as nn
 
 
-def params_equal(a, b) -> bool:
-    """Same names in the same order and bit-identical arrays."""
-    return list(a) == list(b) and all(np.array_equal(a[k], b[k]) for k in a)
+def same_bits(a, b) -> bool:
+    """Same dtype, same shape and the same bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def vector(spec, named) -> np.ndarray:
+    """spec's (P,) parameter vector holding the named arrays, zero elsewhere."""
+    params = np.zeros(spec.param_count)
+    views = spec.views(params)
+    for name, value in named.items():
+        views[name][...] = value
+    return params
 
 
 def library_step(spec, params, inputs, labels, learning_rate=0.0):
-    """One library training step of a dict ParameterSet, run as a stack of one:
-    batch_loss_and_gradient, then sgd_step.  Returns the stepped parameters,
-    the loss and the gradient the step formed, as a fresh dict, a float and a
-    fresh dict; params is unchanged."""
-    model, grad = nn.flat_params(params, stack=1), nn.flat_params(params)
+    """One library training step of one model's (P,) vector, run as a stack
+    of one: batch_loss_and_gradient, then sgd_step.  Returns the stepped
+    vector, the loss and the gradient the step formed, as a fresh vector, a
+    float and a fresh vector; params is unchanged."""
+    model, grad = params[None].copy(), np.empty_like(params)
     loss, factors = nn.batch_loss_and_gradient(spec, model, inputs, labels)
-    factors.form(0, grad)
-    nn.sgd_step(model, factors, learning_rate, nn.flat_params(params))
-    return model[0].views, float(loss[0]), grad.views
+    factors.form(0, spec.views(grad))
+    nn.sgd_step(model, factors, learning_rate, np.empty_like(params))
+    return model[0], float(loss[0]), grad
 
 
 def reference_forward(spec, params, h, start=0, stop=None):
     """The engine's forward arithmetic over layers start..stop-1, with every
     element-wise layer out of place: h @ w + b, np.where relu, e / e.sum
     softmax, and np.tensordot convolutions."""
-    caches = []
+    caches, p = [], spec.views(params)
     ordinal = sum(layer.kind in nn.PARAM_KINDS for layer in spec.layers[:start])
     for layer in spec.layers[start:stop]:
         if layer.kind == "dense":
             caches.append((h, ordinal))
-            h = h @ params[f"layer{ordinal}.weight"] + params[f"layer{ordinal}.bias"]
+            h = h @ p[f"layer{ordinal}.weight"] + p[f"layer{ordinal}.bias"]
             ordinal += 1
         elif layer.kind == "conv2d":
             patches = nn._im2col(h, layer.kernel_size)
             caches.append((patches, ordinal))
-            out = np.tensordot(patches, params[f"layer{ordinal}.weight"],
+            out = np.tensordot(patches, p[f"layer{ordinal}.weight"],
                                axes=([3, 4, 5], [1, 2, 3]))
             h = (np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-                 + params[f"layer{ordinal}.bias"][None, :, None, None])
+                 + p[f"layer{ordinal}.bias"][None, :, None, None])
             ordinal += 1
         elif layer.kind == "relu":
             caches.append(h > 0)
@@ -68,9 +78,11 @@ def reference_forward(spec, params, h, start=0, stop=None):
 
 
 def reference_backward(spec, params, caches, g, start=0):
-    """The gradient at the input of layer start and every parameter
-    gradient, out of place: probs * (g - dot) softmax, np.where relu."""
-    grads = {}
+    """The gradient at the input of layer start and the parameter gradients
+    as a (P,) vector (zero for the layers before start), out of place:
+    probs * (g - dot) softmax, np.where relu."""
+    p, grads = spec.views(params), np.zeros(spec.param_count)
+    views = spec.views(grads)
     for layer, cache in zip(reversed(spec.layers[start:]), reversed(caches)):
         if layer.kind == "softmax":
             g = cache * (g - (g * cache).sum(axis=1, keepdims=True))
@@ -88,15 +100,16 @@ def reference_backward(spec, params, caches, g, start=0):
                 0, 1, 2, 4, 3, 5).reshape(b, c, h2 * 2, w2 * 2)
         elif layer.kind == "dense":
             x_in, o = cache
-            grads[f"layer{o}.weight"] = x_in.T @ g
-            grads[f"layer{o}.bias"] = np.add.reduce(g, axis=0)
-            g = g @ params[f"layer{o}.weight"].T
+            views[f"layer{o}.weight"][...] = x_in.T @ g
+            views[f"layer{o}.bias"][...] = np.add.reduce(g, axis=0)
+            g = g @ p[f"layer{o}.weight"].T
         else:
             patches, o = cache
-            w = params[f"layer{o}.weight"]
+            w = p[f"layer{o}.weight"]
             gs = g.transpose(0, 2, 3, 1)
-            grads[f"layer{o}.weight"] = np.tensordot(gs, patches, axes=([0, 1, 2], [0, 1, 2]))
-            grads[f"layer{o}.bias"] = gs.sum(axis=(0, 1, 2))
+            views[f"layer{o}.weight"][...] = np.tensordot(gs, patches,
+                                                          axes=([0, 1, 2], [0, 1, 2]))
+            views[f"layer{o}.bias"][...] = gs.sum(axis=(0, 1, 2))
             k = w.shape[-1]
             gpad = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1), (k - 1, k - 1)))
             dx = np.tensordot(nn._im2col(gpad, k), w[:, :, ::-1, ::-1],
@@ -106,8 +119,8 @@ def reference_backward(spec, params, caches, g, start=0):
 
 
 def reference_loss_gradient_probs(spec, params, x, y):
-    """Mean cross-entropy, its parameter gradients and the probabilities,
-    from reference_forward and reference_backward."""
+    """Mean cross-entropy, its parameter gradient vector and the
+    probabilities, from reference_forward and reference_backward."""
     probs, caches = reference_forward(spec, params, x)
     n, rows = len(y), np.arange(len(y))
     loss = float(-np.add.reduce(np.log(probs[rows, y])) / n)

@@ -12,7 +12,7 @@ import pytest
 
 from fusim import evalkit, experiment, fedcccu, fedsim, nncore as nn, unlearn_routes
 from fusim.config import load_config
-from helpers import library_step, params_equal
+from helpers import library_step, same_bits, vector
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,8 +72,7 @@ def random_tiny_model(rng):
     widths = [int(rng.integers(2, 6)) for _ in range(3)]
     spec = nn.small_mlp((widths[0],), widths[2], hidden=widths[1])
     params = nn.init_params(spec, int(rng.integers(0, 2**31)))
-    params = {k: v + rng.normal(0, 0.6, v.shape) for k, v in params.items()}
-    return spec, params
+    return spec, params + rng.normal(0, 0.6, params.shape)
 
 
 def test_criterion_1_numeric_core():
@@ -90,19 +89,17 @@ def test_criterion_1_numeric_core():
         assert abs(probs.sum() - 1.0) < 1e-9
         _, _, grads = library_step(spec, params, xs, ys)
         step = 1e-5
-        for name, arr in params.items():
-            fd = np.zeros_like(arr)
-            flat, fdflat = arr.reshape(-1), fd.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                lp = library_step(spec, params, xs, ys)[1]
-                flat[i] = orig - step
-                lm = library_step(spec, params, xs, ys)[1]
-                flat[i] = orig
-                fdflat[i] = (lp - lm) / (2 * step)
-            err = np.abs(grads[name] - fd) / np.maximum(np.abs(fd), 1e-6)
-            assert np.all(err < 1e-4), (models, name)
+        fd = np.zeros_like(params)
+        for i in range(params.size):
+            orig = params[i]
+            params[i] = orig + step
+            lp = library_step(spec, params, xs, ys)[1]
+            params[i] = orig - step
+            lm = library_step(spec, params, xs, ys)[1]
+            params[i] = orig
+            fd[i] = (lp - lm) / (2 * step)
+        err = np.abs(grads - fd) / np.maximum(np.abs(fd), 1e-6)
+        assert np.all(err < 1e-4), models
         models += 1
 
     # unit-activation gradients against finite differences (subset of models)
@@ -129,15 +126,12 @@ def test_criterion_1_numeric_core():
     xs = rng.normal(0, 1, (2, *spec.input_shape))
     stepped, _, grad = library_step(spec, params, xs, rng.integers(0, spec.class_count, 2),
                                     0.31)
-    for k in params:
-        assert np.max(np.abs(stepped[k] - (params[k] - 0.31 * grad[k]))) < 1e-12
-    sets = [({k: rng.normal(0, 1, v.shape) for k, v in params.items()},
-             float(rng.integers(1, 20))) for _ in range(5)]
-    agg = fedsim.aggregate([(nn.flat_params(p), w) for p, w in sets])
+    assert np.max(np.abs(stepped - (params - 0.31 * grad))) < 1e-12
+    sets = [(rng.normal(0, 1, params.shape), float(rng.integers(1, 20))) for _ in range(5)]
+    agg = fedsim.aggregate(spec, sets)
     total = sum(w for _, w in sets)
-    for k in params:
-        oracle = sum((w / total) * p[k] for p, w in sets)
-        assert np.max(np.abs(agg[k] - oracle)) < 1e-12
+    oracle = sum((w / total) * p for p, w in sets)
+    assert np.max(np.abs(agg - oracle)) < 1e-12
 
     elapsed = time.monotonic() - start
     assert elapsed < 60
@@ -152,18 +146,18 @@ def test_criterion_1_numeric_core():
 def attribution_battery():
     cases = []
     spec = nn.small_mlp((2,), 2, hidden=2)
-    params = {
-        "layer0.weight": np.array([[0.8, -0.3], [0.5, 0.9]]),
-        "layer0.bias": np.array([0.2, 0.1]),
-        "layer1.weight": np.array([[1.2, -0.7], [-0.4, 1.0]]),
-        "layer1.bias": np.array([0.05, -0.05]),
-    }
+    params = vector(spec, {
+        "layer0.weight": [[0.8, -0.3], [0.5, 0.9]],
+        "layer0.bias": [0.2, 0.1],
+        "layer1.weight": [[1.2, -0.7], [-0.4, 1.0]],
+        "layer1.bias": [0.05, -0.05],
+    })
     cases.append((spec, params, np.array([0.9, 0.6]), nn.UnitId(0, 0), 0))
     cases.append((spec, params, np.array([0.9, 0.6]), nn.UnitId(0, 1), 1))
     spec_b = nn.small_mlp((3,), 3, hidden=4)
     rng = np.random.default_rng(90)
-    params_b = {k: v + rng.normal(0, 0.5, v.shape)
-                for k, v in nn.init_params(spec_b, 90).items()}
+    params_b = nn.init_params(spec_b, 90)
+    params_b = params_b + rng.normal(0, 0.5, params_b.shape)
     x = np.array([0.8, -0.1, 0.4])
     acts = nn.batch_unit_activations(spec_b, params_b, x[None])[0][0]
     for k in range(4):
@@ -182,7 +176,7 @@ def test_criterion_2_attribution_suite():
     # zero activation -> exactly zero
     spec = nn.small_mlp((2,), 2, hidden=2)
     params = nn.init_params(spec, 5)
-    params["layer0.bias"] = np.array([-40.0, -40.0])
+    spec.views(params)["layer0.bias"][...] = -40.0
     assert fc_att(spec, params, np.ones(2), 0, nn.UnitId(0, 0), 20) == 0.0
 
     for case in attribution_battery():
@@ -222,7 +216,7 @@ def test_criterion_3_protocol_suite():
     task_a, clients_a, run_a = one_run()
     task_b, clients_b, run_b = one_run()
     assert run_a.logs == run_b.logs
-    assert params_equal(run_a.params, run_b.params)
+    assert same_bits(run_a.params, run_b.params)
 
     # fairness: zero gradient computations by non-requesting clients
     request = dataclasses.replace(cfg.unlearn, forget_class=0, requesting_clients=(0,))
@@ -239,12 +233,12 @@ def test_criterion_3_protocol_suite():
 
     # aggregate identity and permutation invariants
     spec = task_a.spec
-    p = nn.flat_params(nn.init_params(spec, 3))
-    assert params_equal(fedsim.aggregate([(p, 2), (p, 5), (p, 1)]), p.views)
-    sets = [(nn.flat_params(nn.init_params(spec, i)), i + 1) for i in range(4)]
+    p = nn.init_params(spec, 3)
+    assert same_bits(fedsim.aggregate(spec, [(p, 2), (p, 5), (p, 1)]), p)
+    sets = [(nn.init_params(spec, i), i + 1) for i in range(4)]
     shuffled = [sets[3], sets[1], sets[0], sets[2]]
-    assert params_equal(fedsim.aggregate(sets),
-                        fedsim.aggregate(sorted(shuffled, key=lambda t: t[1])))
+    assert same_bits(fedsim.aggregate(spec, sets),
+                     fedsim.aggregate(spec, sorted(shuffled, key=lambda t: t[1])))
     weights = [c.sample_count for c in clients_a]
     assert abs(sum(w / sum(weights) for w in weights) - 1.0) < 1e-15
 

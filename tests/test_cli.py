@@ -11,7 +11,7 @@ import pytest
 
 from fusim import cli, config, evalkit, experiment, fedsim, nncore
 from fusim.config import validate_config
-from helpers import params_equal
+from helpers import same_bits
 
 TINY = """
 [experiment]
@@ -98,7 +98,7 @@ def test_stage_resume_uses_existing_artifacts(tmp_path):
     # re-entry loads the checkpoint instead of retraining
     _, params2, summary2 = experiment.ensure_train(cfg, out)
     assert summary2 == summary
-    assert params_equal(params, params2)
+    assert same_bits(params, params2)
 
 
 @pytest.mark.parametrize("checkpoint", ["checkpoint_trained.fusim",
@@ -109,8 +109,9 @@ def test_resume_rejects_checkpoint_of_other_model(tmp_path, checkpoint):
     out = str(tmp_path / "run")
     task, _, _, _ = experiment.ensure_unlearn(cfg, out)
     narrow = nncore.small_mlp(task.spec.input_shape, task.spec.class_count, hidden=7)
-    nncore.save_checkpoint(os.path.join(out, checkpoint), nncore.init_params(narrow, 1))
-    wide = sum(a.size for a in nncore.init_params(task.spec, 1).values())
+    nncore.save_checkpoint(os.path.join(out, checkpoint), narrow,
+                           nncore.init_params(narrow, 1))
+    wide = task.spec.param_count
     with pytest.raises(nncore.CheckpointError,
                        match=rf"{checkpoint}: holds 503 float64 values, header byte \d+ "
                              rf"differs or is missing; the model takes {wide}$"):
@@ -140,7 +141,7 @@ def test_failed_train_stage_leaves_no_round_checkpoint(tmp_path, monkeypatch):
     rounds = [f"round_{t}.fusim" for t in range(1, cfg.training.rounds_max + 1)]
     assert set(rounds) | {"train_summary.json"} <= set(artifact_names(out))
     last = nncore.load_checkpoint(os.path.join(out, rounds[-1]), task.spec)
-    assert params_equal(last, params)
+    assert same_bits(last, params)
 
 
 def test_resume_refuses_artifacts_of_other_route_or_seed(tmp_path, caplog):
@@ -898,8 +899,9 @@ def test_resume_refuses_every_key_its_stage_depends_on(keyed_run, monkeypatch, c
     changed = {s: dict(keys) for s, keys in KEYED.items()}
     changed.setdefault(header, {})[key] = ALTERNATIVES[name].format(idx=base / "idx")
     if key in ("images", "labels"):
-        for k in ("images", "labels"):
-            changed[header][k] = ALTERNATIVES[f"domain.{k}"].format(idx=base / "idx")
+        # an IDX section holds its two paths and nothing else
+        changed[header] = {k: ALTERNATIVES[f"domain.{k}"].format(idx=base / "idx")
+                           for k in ("images", "labels")}
     cfg_path = base / f"{name}.ini"
     cfg_path.write_text(render(changed))
     everything = tuple(UNLEARN_SECTIONS)

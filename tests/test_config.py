@@ -3,6 +3,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fusim import cli
@@ -121,6 +122,30 @@ def test_missing_idx_file_rejected():
     with pytest.raises(ConfigError) as exc:
         validate_config(text)
     assert "not found" in str(exc.value)
+
+
+@pytest.mark.parametrize("key, value", [("transform", "invert"), ("resolution", "9x9"),
+                                        ("samples_per_class", "4")])
+def test_idx_domain_refuses_a_synthetic_key(tmp_path, caplog, key, value):
+    """An IDX domain is its two files: a transform, resolution or
+    samples_per_class key would have no effect, so it is refused, naming the
+    key and its line, and the command exits 1 before building anything."""
+    from helpers import write_idx
+    write_idx(np.zeros((8, 4, 4)), np.arange(8) % 2, tmp_path / "a-images.idx",
+              tmp_path / "a-labels.idx")
+    text = (f"[domain.a]\nimages = {tmp_path / 'a-images.idx'}\n"
+            f"labels = {tmp_path / 'a-labels.idx'}\n{key} = {value}\n"
+            "[partition]\nworking_resolution = 4x4\n")
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert str(exc.value).startswith(f"line 4: domain.a.{key}: ")
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert cli.main(["partition", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    assert f"domain.a.{key}" in caplog.text
+    assert not (tmp_path / "o").exists()
+    validate_config(text.replace(f"{key} = {value}\n", ""))
 
 
 def test_bad_transform_chain_reports_domain():

@@ -15,8 +15,8 @@ CLIENT0_FORGETS_0 = UnlearnConfig(forget_class=0, requesting_clients=(0,))
 
 def constant_predictor(classes, winner, side=4):
     spec = nn.small_mlp((1, side, side), classes, hidden=3)
-    params = {k: np.zeros_like(v) for k, v in nn.init_params(spec, 0).items()}
-    params["layer1.bias"][winner] = 5.0
+    params = np.zeros(spec.param_count)
+    spec.views(params)["layer1.bias"][winner] = 5.0
     return spec, params
 
 

@@ -10,7 +10,7 @@ from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
-from helpers import library_step, on_copied_shard, params_equal
+from helpers import library_step, on_copied_shard, same_bits, vector
 
 
 # ---------------------------------------------------------------------------
@@ -21,19 +21,19 @@ def battery():
     """(spec, params, input, unit, target) cases with beta > 0."""
     cases = []
     spec_a = nn.small_mlp((2,), 2, hidden=2)
-    params_a = {
-        "layer0.weight": np.array([[0.8, -0.3], [0.5, 0.9]]),
-        "layer0.bias": np.array([0.2, 0.1]),
-        "layer1.weight": np.array([[1.2, -0.7], [-0.4, 1.0]]),
-        "layer1.bias": np.array([0.05, -0.05]),
-    }
+    params_a = vector(spec_a, {
+        "layer0.weight": [[0.8, -0.3], [0.5, 0.9]],
+        "layer0.bias": [0.2, 0.1],
+        "layer1.weight": [[1.2, -0.7], [-0.4, 1.0]],
+        "layer1.bias": [0.05, -0.05],
+    })
     cases.append((spec_a, params_a, np.array([0.9, 0.6]), nn.UnitId(0, 0), 0))
     cases.append((spec_a, params_a, np.array([0.9, 0.6]), nn.UnitId(0, 1), 1))
 
     spec_b = nn.small_mlp((3,), 3, hidden=4)
     rng = np.random.default_rng(21)
     params_b = nn.init_params(spec_b, 21)
-    params_b = {k: v + rng.normal(0, 0.4, v.shape) for k, v in params_b.items()}
+    params_b = params_b + rng.normal(0, 0.4, params_b.shape)
     x_b = np.array([0.7, -0.2, 0.5])
     acts = nn.batch_unit_activations(spec_b, params_b, x_b[None])[0][0]
     for k in range(4):
@@ -73,7 +73,7 @@ def trapezoid_oracle(spec, params, x, unit, target, intervals=2000, delta=1e-6):
 def test_attribution_zero_activation_is_exactly_zero():
     spec = nn.small_mlp((2,), 2, hidden=2)
     params = nn.init_params(spec, 3)
-    params["layer0.bias"] = np.array([-50.0, -50.0])  # relu always dead
+    spec.views(params)["layer0.bias"][...] = -50.0  # relu always dead
     att = fc.attribute_unit(spec, params, np.array([1.0, 1.0]), 0, nn.UnitId(0, 0), 20)
     assert att == 0.0
 
@@ -119,12 +119,11 @@ def test_attribution_path_extension_identity():
     # attribution by exactly the second half of the path.
     # the relu after the hidden unit is inactive: 0.6 * 0.7 - 0.25 * 0.2 > 0
     spec = nn.small_mlp((2,), 3, hidden=1)
-    params = {
-        "layer0.weight": np.array([[0.7], [-0.2]]),
-        "layer0.bias": np.zeros(1),
-        "layer1.weight": np.array([[1.1, -0.8, 0.3]]),
-        "layer1.bias": np.array([0.0, 0.1, -0.1]),
-    }
+    params = vector(spec, {
+        "layer0.weight": [[0.7], [-0.2]],
+        "layer1.weight": [[1.1, -0.8, 0.3]],
+        "layer1.bias": [0.0, 0.1, -0.1],
+    })
     x = np.array([0.6, 0.25])
     unit = nn.UnitId(0, 0)
     m = 40
@@ -339,12 +338,13 @@ def test_zero_units_zeroes_activation_on_probes():
 
 def test_edit_locality_bit_identical_elsewhere():
     spec, params, _ = small_trained_setup()
-    edited = nn.zero_units(spec, params, [nn.UnitId(0, 1)])
+    edited = spec.views(nn.zero_units(spec, params, [nn.UnitId(0, 1)]))
+    p = spec.views(params)
     w = edited["layer0.weight"]
     keep = [k for k in range(w.shape[1]) if k != 1]
-    assert np.array_equal(w[:, keep], params["layer0.weight"][:, keep])
-    assert np.array_equal(edited["layer1.weight"], params["layer1.weight"])
-    assert np.array_equal(edited["layer1.bias"], params["layer1.bias"])
+    assert np.array_equal(w[:, keep], p["layer0.weight"][:, keep])
+    assert np.array_equal(edited["layer1.weight"], p["layer1.weight"])
+    assert np.array_equal(edited["layer1.bias"], p["layer1.bias"])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def test_pipeline_single_client_degenerates():
     # selection is the requester's own positive-score units, best first
     positive = [r.unit for r in audit.reports[0].records_for(0) if r.score > 0]
     assert list(audit.selection.units) == positive[:3]
-    assert not params_equal(edited, params)
+    assert not same_bits(edited, params)
 
 
 def test_pipeline_select_zero_keeps_model():
@@ -387,7 +387,7 @@ def test_pipeline_select_zero_keeps_model():
     config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=6,
                            top_n=5, select_n=0, probe_cap=8)
     edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
-    assert params_equal(edited, params)
+    assert same_bits(edited, params)
     assert audit.selection.units == ()
     assert audit.reports
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fusim import fedsim
 from fusim import nncore as nn
-from helpers import (library_step, params_equal, reference_backward, reference_forward,
-                     reference_loss_gradient_probs)
+from helpers import (library_step, reference_backward, reference_forward,
+                     reference_loss_gradient_probs, same_bits, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -34,31 +35,26 @@ def oracle_forward_222(w0, b0, w1, b1, x):
 
 def fd_param_gradients(spec, params, xs, ys, step=1e-5):
     """Central finite differences of the batch loss over every parameter."""
-    out = {}
-    for name, arr in params.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = library_step(spec, params, xs, ys)[1]
-            flat[i] = orig - step
-            lm = library_step(spec, params, xs, ys)[1]
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2 * step)
-        out[name] = g
-    return out
+    g = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + step
+        lp = library_step(spec, params, xs, ys)[1]
+        params[i] = orig - step
+        lm = library_step(spec, params, xs, ys)[1]
+        params[i] = orig
+        g[i] = (lp - lm) / (2 * step)
+    return g
 
 
 def tiny_net_222():
     spec = nn.small_mlp((2,), 2, hidden=2)
-    params = {
-        "layer0.weight": np.array([[0.4, -0.3], [0.7, 0.2]]),
-        "layer0.bias": np.array([0.1, -0.05]),
-        "layer1.weight": np.array([[0.9, -0.6], [-0.2, 0.8]]),
-        "layer1.bias": np.array([0.05, 0.0]),
-    }
+    params = vector(spec, {
+        "layer0.weight": [[0.4, -0.3], [0.7, 0.2]],
+        "layer0.bias": [0.1, -0.05],
+        "layer1.weight": [[0.9, -0.6], [-0.2, 0.8]],
+        "layer1.bias": [0.05, 0.0],
+    })
     return spec, params
 
 
@@ -66,9 +62,7 @@ def random_tiny_dense(rng):
     widths = [int(rng.integers(2, 5)) for _ in range(3)]
     spec = nn.small_mlp((widths[0],), widths[2], hidden=widths[1])
     params = nn.init_params(spec, int(rng.integers(0, 2**31)))
-    for name in params:
-        params[name] = params[name] + rng.normal(0, 0.5, params[name].shape)
-    return spec, params
+    return spec, params + rng.normal(0, 0.5, params.shape)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -76,8 +70,8 @@ def rel_err(a, b, floor=1e-6):
 
 
 def row_scratch(model):
-    """A scratch FlatParams laid out like one row of the stacked model."""
-    return nn.flat_params({name: view[0] for name, view in model.views.items()})
+    """A scratch (P,) vector for one row of the (k, P) model."""
+    return np.empty(model.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +80,7 @@ def row_scratch(model):
 
 def test_forward_zero_weights_uniform():
     spec = nn.small_mlp((3,), 4, hidden=3)
-    params = {name: np.zeros(shape) for name, shape in spec.param_shapes().items()}
+    params = np.zeros(spec.param_count)
     x = np.array([[0.3, -1.0, 2.0]])
     probs = nn.predict_probs(spec, params, x)[0]
     assert np.allclose(probs, 0.25)
@@ -96,8 +90,7 @@ def test_forward_zero_weights_uniform():
 def test_forward_identity_dense_softmax_of_onehot():
     # identity weights: the relu passes the non-negative one-hot input as it is
     spec = nn.small_mlp((3, 1, 1), 3, hidden=3)
-    params = {"layer0.weight": np.eye(3), "layer0.bias": np.zeros(3),
-              "layer1.weight": np.eye(3), "layer1.bias": np.zeros(3)}
+    params = vector(spec, {"layer0.weight": np.eye(3), "layer1.weight": np.eye(3)})
     x = np.zeros((3, 1, 1))
     x[1, 0, 0] = 1.0
     probs = nn.predict_probs(spec, params, x[None])[0]
@@ -111,9 +104,10 @@ def test_forward_matches_hand_oracle_222():
     x = np.array([0.5, -1.2])
     probs = nn.predict_probs(spec, params, x[None])[0]
     acts = nn.batch_unit_activations(spec, params, x[None])
+    p = spec.views(params)
     expected, hidden = oracle_forward_222(
-        params["layer0.weight"].tolist(), params["layer0.bias"].tolist(),
-        params["layer1.weight"].tolist(), params["layer1.bias"].tolist(), x.tolist())
+        p["layer0.weight"].tolist(), p["layer0.bias"].tolist(),
+        p["layer1.weight"].tolist(), p["layer1.bias"].tolist(), x.tolist())
     assert np.allclose(probs, expected, atol=1e-12)
     assert np.allclose(acts[0][0], hidden, atol=1e-12)
 
@@ -150,24 +144,23 @@ def test_forward_deterministic():
 
 def test_loss_perfect_prediction_near_zero():
     spec = nn.small_mlp((2,), 2, hidden=2)
-    params = {"layer0.weight": np.eye(2), "layer0.bias": np.zeros(2),
-              "layer1.weight": np.array([[40.0, -40.0], [0.0, 0.0]]),
-              "layer1.bias": np.zeros(2)}
+    params = vector(spec, {"layer0.weight": np.eye(2),
+                           "layer1.weight": [[40.0, -40.0], [0.0, 0.0]]})
     _, loss, grads = library_step(spec, params, np.array([[1.0, 0.0]]), np.array([0]))
     assert loss < 1e-9
-    assert all(np.max(np.abs(g)) < 1e-9 for g in grads.values())
+    assert np.max(np.abs(grads)) < 1e-9
 
 
 def test_loss_uniform_is_log_c():
     spec = nn.small_mlp((3,), 5, hidden=3)
-    params = {name: np.zeros(shape) for name, shape in spec.param_shapes().items()}
+    params = np.zeros(spec.param_count)
     _, loss, _ = library_step(spec, params, np.array([[1.0, 2.0, 3.0]]), np.array([2]))
     assert abs(loss - math.log(5)) < 1e-12
 
 
 def test_loss_errors():
     spec, params = tiny_net_222()
-    model = nn.flat_params(params, stack=1)
+    model = params[None]
     with pytest.raises(nn.NNError):
         nn.batch_loss_and_gradient(spec, model, np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(nn.NNError):
@@ -181,7 +174,7 @@ def test_loss_rejects_labels_of_another_length(n, m):
         m += 1
     spec, params = tiny_net_222()
     with pytest.raises(nn.NNError, match=rf"of {n}, got shape \({m},\)"):
-        nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1), np.zeros((n, 2)),
+        nn.batch_loss_and_gradient(spec, params[None], np.zeros((n, 2)),
                                    np.zeros(m, dtype=int))
 
 
@@ -190,7 +183,7 @@ def test_loss_rejects_labels_of_another_rank(n, k):
     """An (n, k) label array used to raise TypeError (or IndexError)."""
     spec, params = tiny_net_222()
     with pytest.raises(nn.NNError, match=rf"got shape \({n}, {k}\)"):
-        nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1), np.zeros((n, 2)),
+        nn.batch_loss_and_gradient(spec, params[None], np.zeros((n, 2)),
                                    np.zeros((n, k), dtype=int))
 
 
@@ -201,8 +194,7 @@ def test_loss_rejects_labels_of_a_non_integer_dtype(labels, dtype):
     spec, params = tiny_net_222()
     ys = np.array(labels, dtype=dtype)
     with pytest.raises(nn.NNError, match=rf"dtype {np.dtype(dtype).name}$"):
-        nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1),
-                                   np.zeros((len(ys), 2)), ys)
+        nn.batch_loss_and_gradient(spec, params[None], np.zeros((len(ys), 2)), ys)
 
 
 def test_gradient_matches_finite_differences_222():
@@ -211,8 +203,7 @@ def test_gradient_matches_finite_differences_222():
     ys = np.array([0, 1])
     _, _, grads = library_step(spec, params, xs, ys)
     fd = fd_param_gradients(spec, params, xs, ys)
-    for name in grads:
-        assert np.all(rel_err(grads[name], fd[name]) < 1e-4), name
+    assert np.all(rel_err(grads, fd) < 1e-4)
 
 
 def test_gradient_matches_finite_differences_conv():
@@ -224,55 +215,58 @@ def test_gradient_matches_finite_differences_conv():
     ys = np.array([lbl for _, lbl in batch])
     _, _, grads = library_step(spec, params, xs, ys)
     fd = fd_param_gradients(spec, params, xs, ys)
-    for name in grads:
-        assert np.all(rel_err(grads[name], fd[name]) < 1e-4), name
+    assert np.all(rel_err(grads, fd) < 1e-4)
 
 
 # ---------------------------------------------------------------------------
 # sgd_step
 
 
+ONE_WEIGHT_SPEC = nn.small_mlp((1,), 1, hidden=1)
+
+
 def one_weight_step(gradient, learning_rate, weight=1.0):
-    """A dense(1, 1) model of weight and bias weight, stepped on factors that
-    form gradient for both: (the model, its vector before the step)."""
-    model = nn.flat_params({"layer0.weight": np.full((1, 1), weight),
-                            "layer0.bias": np.full(1, weight)}, stack=1)
-    kept = model.vector.copy()
-    factors = nn.GradientFactors(model.layout, ((0, np.ones((1, 1, 1)),
-                                                 np.full((1, 1, 1), gradient)),))
+    """A 1-1-1 model whose four parameters are weight, stepped on factors
+    that form gradient for each: (the (1, P) model, its values before)."""
+    model = np.full((1, 4), weight)
+    kept = model.copy()
+    factors = nn.GradientFactors(ONE_WEIGHT_SPEC, tuple(
+        (o, np.ones((1, 1, 1)), np.full((1, 1, 1), gradient)) for o in (1, 0)))
     nn.sgd_step(model, factors, learning_rate, row_scratch(model))
     return model, kept
 
 
 def test_sgd_zero_lr_identity():
     model, kept = one_weight_step(1.0, 0.0, weight=0.3)
-    assert np.array_equal(model.vector, kept)
+    assert np.array_equal(model, kept)
 
 
 def test_sgd_forced_arithmetic():
     model, _ = one_weight_step(0.5, 0.1)
-    assert model.vector[0, 0] == pytest.approx(0.95, abs=1e-15)
+    assert model[0, 0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_matches_direct_recomputation():
-    """Each row steps to params - lr * a^T g (and the bias to the sum of g),
-    from factors a and g given directly."""
+    """Each row steps to params - lr * a^T g (and each bias to the sum of
+    g), from factors a and g given directly."""
     rng = np.random.default_rng(11)
-    model = nn.flat_params({"layer0.weight": np.zeros((4, 3)), "layer0.bias": np.zeros(3)},
-                           stack=2)
-    model.vector[...] = rng.normal(0, 1, model.vector.shape)
-    kept = model.vector.copy()
-    a, g = rng.normal(0, 1, (2, 5, 4)), rng.normal(0, 1, (2, 5, 3))
+    spec = nn.small_mlp((4,), 2, hidden=3)
+    model = rng.normal(0, 1, (2, spec.param_count))
+    kept = model.copy()
+    a0, g0 = rng.normal(0, 1, (2, 5, 4)), rng.normal(0, 1, (2, 5, 3))
+    a1, g1 = rng.normal(0, 1, (2, 5, 3)), rng.normal(0, 1, (2, 5, 2))
     lr = 0.37
-    nn.sgd_step(model, nn.GradientFactors(model.layout, ((0, a, g),)), lr, row_scratch(model))
+    factors = nn.GradientFactors(spec, ((1, a1, g1), (0, a0, g0)))
+    nn.sgd_step(model, factors, lr, row_scratch(model))
     for i in range(2):
-        grad = np.concatenate([(a[i].T @ g[i]).ravel(), np.add.reduce(g[i], axis=0)])
-        assert np.array_equal(model.vector[i], kept[i] - lr * grad)
+        grad = np.concatenate([(a0[i].T @ g0[i]).ravel(), np.add.reduce(g0[i], axis=0),
+                               (a1[i].T @ g1[i]).ravel(), np.add.reduce(g1[i], axis=0)])
+        assert np.array_equal(model[i], kept[i] - lr * grad)
 
 
 def test_sgd_zero_gradient_identity():
     model, kept = one_weight_step(0.0, 0.5, weight=0.3)
-    assert np.array_equal(model.vector, kept)
+    assert np.array_equal(model, kept)
 
 
 def test_sgd_rejects_nonfinite_gradient():
@@ -281,29 +275,26 @@ def test_sgd_rejects_nonfinite_gradient():
 
 
 def test_sgd_out_in_place_bit_identical_to_out_of_place():
-    """A stacked flat model is updated in place, each row with the bits of
-    its own k = 1 step and with the values of params - lr * gradient from
-    the out-of-place reference; its views stay the same arrays, and scratch
-    ends up holding the last row's gradient times the learning rate."""
+    """A (k, P) model is updated in place, each row with the bits of its own
+    k = 1 step and with the values of params - lr * gradient from the
+    out-of-place reference, and scratch ends up holding the last row's
+    gradient times the learning rate."""
     spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
     sets = [nn.init_params(spec, i) for i in range(3)]
-    model = stacked_sets(spec, sets)
+    model = np.stack(sets)
     x = np.random.default_rng(12).random((6, *spec.input_shape))
     y = np.array([0, 1, 2, 2, 1, 0])
-    arrays = dict(model.views)
-    scratch = nn.flat_params(sets[0])
+    scratch = row_scratch(model)
     lr = 0.37
     _, factors = nn.batch_loss_and_gradient(spec, model, x, y)
     assert nn.sgd_step(model, factors, lr, scratch) is model
     for i, params in enumerate(sets):
         rows = slice(2 * i, 2 * i + 2)
         stepped, _, grads = library_step(spec, params, x[rows], y[rows], lr)
-        assert same_bits(model.vector[i], nn.flat_params(stepped).vector)
+        assert same_bits(model[i], stepped)
         _, ref, _ = reference_loss_gradient_probs(spec, params, x[rows], y[rows])
-        assert params_equal(stepped, {k: params[k] - lr * ref[k] for k in params})
-    assert all(model.views[k] is arrays[k] for k in arrays)
-    scaled = nn.flat_params({k: lr * g for k, g in grads.items()})
-    assert same_bits(scratch.vector, scaled.vector)
+        assert same_bits(stepped, params - lr * ref)
+    assert same_bits(scratch, lr * grads)
 
 
 def test_sgd_out_rejects_nonfinite_gradient_before_writing():
@@ -311,39 +302,72 @@ def test_sgd_out_rejects_nonfinite_gradient_before_writing():
     non-finite: row 0 steps, row 1 and row 2 are not written, and the error
     names row 1 and the first parameter."""
     spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
-    model = stacked_sets(spec, [nn.init_params(spec, i) for i in range(3)])
+    model = np.stack([nn.init_params(spec, i) for i in range(3)])
     x = np.random.default_rng(12).random((6, *spec.input_shape))
     x[3, 0, 1, 2] = np.nan
-    kept = model.vector.copy()
+    kept = model.copy()
     _, factors = nn.batch_loss_and_gradient(spec, model, x, np.array([0, 1, 2, 2, 1, 0]))
     with pytest.raises(nn.NNError, match="non-finite values in gradient of layer0.weight$") \
             as exc:
         nn.sgd_step(model, factors, 0.1, row_scratch(model))
     assert exc.value.row == 1
-    assert not same_bits(model.vector[0], kept[0])
-    assert same_bits(model.vector[1:], kept[1:])
+    assert not same_bits(model[0], kept[0])
+    assert same_bits(model[1:], kept[1:])
 
 
-def test_sgd_out_rejects_misshaped_output():
-    """Both functions take only a stacked model: an unstacked FlatParams is
-    refused before anything is written, by batch_loss_and_gradient and by
-    sgd_step given a stacked call's factors."""
-    spec = nn.small_mlp((1, 4, 4), 3, hidden=6)
-    params = nn.init_params(spec, 0)
-    model = nn.flat_params(params)
-    kept = model.vector.tobytes()
+BOUNDARY_SPEC = nn.small_mlp((1, 3, 3), 3, hidden=4)
+BOUNDARY_P = BOUNDARY_SPEC.param_count
+
+
+def boundary_call(target, params, tmp_path):
+    """Call target with params in the place it names: a model's (P,) vector
+    (predict_probs, an update of aggregate, save_checkpoint), a (k, P) model
+    (batch_loss_and_gradient, sgd_step's model) or sgd_step's scratch."""
+    spec, good = BOUNDARY_SPEC, nn.init_params(BOUNDARY_SPEC, 0)
     x, y = np.zeros((2, *spec.input_shape)), np.array([0, 1])
-    with pytest.raises(nn.ShapeMismatchError, match="not a stacked FlatParams"):
-        nn.batch_loss_and_gradient(spec, model, x, y)
-    _, factors = nn.batch_loss_and_gradient(spec, nn.flat_params(params, stack=1), x, y)
-    with pytest.raises(nn.ShapeMismatchError, match="laid out"):
-        nn.sgd_step(model, factors, 0.1, nn.flat_params(params))
-    assert model.vector.tobytes() == kept
+    model = np.stack([good, good])
+    _, factors = nn.batch_loss_and_gradient(spec, model, x, y)
+    if target == "predict_probs":
+        nn.predict_probs(spec, params, x)
+    elif target == "batch_loss_and_gradient":
+        nn.batch_loss_and_gradient(spec, params, x, y)
+    elif target == "sgd_step_model":
+        nn.sgd_step(params, factors, 0.1, row_scratch(model))
+    elif target == "sgd_step_scratch":
+        nn.sgd_step(model, factors, 0.1, params)
+    elif target == "aggregate":
+        fedsim.aggregate(spec, [(good, 1.0), (params, 1.0)])
+    else:
+        nn.save_checkpoint(tmp_path / "model.fusim", spec, params)
+        assert False, "saved"
+
+
+@pytest.mark.parametrize("target", ["predict_probs", "batch_loss_and_gradient",
+                                    "sgd_step_model", "sgd_step_scratch", "aggregate",
+                                    "save_checkpoint"])
+@pytest.mark.parametrize("wrong", ["length", "dtype", "ndim"])
+def test_parameters_of_another_shape_or_dtype_are_refused(tmp_path, target, wrong):
+    """Every function that takes parameters refuses an array whose last
+    axis is not P, whose dtype is not float64 or whose rank is not its own
+    ((P,), or (k, P) for a stacked model), naming P and what it found; a
+    refused sgd_step writes nothing and save_checkpoint leaves no file."""
+    stacked = target in ("batch_loss_and_gradient", "sgd_step_model")
+    shape = (2, BOUNDARY_P) if stacked else (BOUNDARY_P,)
+    params = {"length": np.zeros(shape[:-1] + (BOUNDARY_P + 1,)),
+              "dtype": np.zeros(shape, dtype=np.float32),
+              "ndim": np.zeros(shape[1:] if stacked else (1,) + shape)}[wrong]
+    kept = params.tobytes()
+    with pytest.raises(nn.ShapeMismatchError) as exc:
+        boundary_call(target, params, tmp_path)
+    assert (f"P = {BOUNDARY_P}, got {params.dtype} array of shape {params.shape}"
+            in str(exc.value))
+    assert params.tobytes() == kept
+    assert not (tmp_path / "model.fusim").exists()
 
 
 def formed_rows(spec, model, x, y, learning_rate=0.1, scratch=None):
-    """One stacked step of model (a stacked FlatParams) on x and y: the loss
-    and a copy of each gradient row sgd_step forms, in row order, taken as the
+    """One stacked step of model (a (k, P) matrix) on x and y: the loss and
+    a copy of each gradient row sgd_step forms, in row order, taken as the
     row is checked; model is stepped in place."""
     rows, real = [], nn._all_finite
 
@@ -368,76 +392,70 @@ def test_batch_gradient_out_buffers_bit_identical():
         x = rng.random((7, *spec.input_shape))
         y = rng.integers(0, 4, 7)
         loss, grads, _ = reference_loss_gradient_probs(spec, params, x, y)
-        scratch = nn.flat_params({k: np.full_like(v, np.nan) for k, v in params.items()})
-        row_loss, [row] = formed_rows(spec, nn.flat_params(params, stack=1), x, y,
-                                      scratch=scratch)
+        scratch = np.full(spec.param_count, np.nan)
+        row_loss, [row] = formed_rows(spec, params[None].copy(), x, y, scratch=scratch)
         assert row_loss[0] == loss
-        assert same_bits(row + 0.0, nn.flat_params({k: grads[k] for k in params}).vector + 0.0)
+        assert same_bits(row + 0.0, grads + 0.0)
 
 
 def test_batch_gradient_out_rejects_other_layout():
-    """A stacked model steps only on the factors of a call on its own layout,
-    with a scratch laid out like one of its rows; nothing is written else."""
+    """A (k, P) model steps only on the factors of a call on k models of its
+    own spec, with a (P,) scratch; nothing is written else."""
     spec, other_spec = (nn.small_mlp((1, 6, 6), 4, hidden=h) for h in (8, 7))
-    model = nn.flat_params(nn.init_params(spec, 4), stack=2)
+    model = np.stack([nn.init_params(spec, 4)] * 2)
     x, y = np.zeros((6, 1, 6, 6)), np.array([0, 1, 2, 3, 0, 1])
     _, factors = nn.batch_loss_and_gradient(spec, model, x[:2], y[:2])
-    other = nn.flat_params(nn.init_params(other_spec, 4), stack=2)
+    other = np.stack([nn.init_params(other_spec, 4)] * 2)
     _, other_factors = nn.batch_loss_and_gradient(other_spec, other, x[:2], y[:2])
-    three = nn.flat_params(nn.init_params(spec, 4), stack=3)
+    three = np.stack([nn.init_params(spec, 4)] * 3)
     _, three_factors = nn.batch_loss_and_gradient(spec, three, x[:3], y[:3])
-    kept = model.vector.tobytes()
+    kept = model.tobytes()
     for gradient, scratch in ((other_factors, row_scratch(model)),
                               (three_factors, row_scratch(model)),
-                              (factors, nn.flat_params(nn.init_params(other_spec, 4))),
+                              (factors, nn.init_params(other_spec, 4)),
                               (factors, model[0:1]), (factors, model)):
-        with pytest.raises(nn.ShapeMismatchError, match="laid out"):
+        with pytest.raises(nn.ShapeMismatchError, match=r"P = \d+, got|gradient of 3 models"):
             nn.sgd_step(model, gradient, 0.1, scratch)
-    assert model.vector.tobytes() == kept
+    assert model.tobytes() == kept
 
 
+@pytest.mark.bitid
 @pytest.mark.parametrize("learning_rate", [-0.1, np.nan, np.inf])
 def test_stacked_step_refuses_a_negative_or_nonfinite_learning_rate(learning_rate):
     spec = nn.small_mlp((1, 6, 6), 4, hidden=8)
-    model = nn.flat_params(nn.init_params(spec, 4), stack=2)
+    model = np.stack([nn.init_params(spec, 4)] * 2)
     _, factors = nn.batch_loss_and_gradient(spec, model, np.zeros((4, 1, 6, 6)),
                                             np.array([0, 1, 2, 3]))
-    kept = model.vector.tobytes()
+    kept = model.tobytes()
     with pytest.raises(nn.NNError, match="learning rate must be finite and non-negative"):
         nn.sgd_step(model, factors, learning_rate, row_scratch(model))
-    assert model.vector.tobytes() == kept
+    assert model.tobytes() == kept
 
 
-@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
-def test_flat_params_views_tile_vector_in_spec_order(tmp_path, model):
+@pytest.mark.parametrize("model, shapes", [
+    ("small_mlp", [(100, 128), (128,), (128, 4), (4,)]),
+    ("small_cnn", [(8, 1, 3, 3), (8,), (16, 8, 3, 3), (16,), (16, 4), (4,)]),
+], ids=["small_mlp", "small_cnn"])
+def test_views_tile_vector_in_spec_order(model, shapes):
+    """spec.views are writable views that tile the vector back to back, each
+    layer's weight then its bias in network order; a (k, P) matrix's views
+    are (k, *shape), row i's those of row i."""
     spec = getattr(nn, model)((1, 10, 10), 4)
     params = nn.init_params(spec, 6)
-    flat = nn.flat_params(params)
-    assert list(flat.views) == list(params)
-    assert flat.layout == tuple((k, v.shape) for k, v in params.items())
+    views = spec.views(params)
+    names = [f"layer{o}.{kind}" for o in range(len(shapes) // 2) for kind in ("weight", "bias")]
+    assert [(k, v.shape) for k, v in views.items()] == list(zip(names, shapes))
     offset = 0
-    for k, view in flat.views.items():
-        assert np.shares_memory(view, flat.vector)
-        assert np.array_equal(flat.vector[offset:offset + view.size], params[k].ravel())
+    for view in views.values():
+        assert np.shares_memory(view, params)
+        assert same_bits(params[offset:offset + view.size], view.ravel())
         offset += view.size
-    assert offset == flat.vector.size
-    nn.save_checkpoint(tmp_path / "dict.fusim", params)
-    nn.save_checkpoint(tmp_path / "flat.fusim", flat.views)
-    assert (tmp_path / "dict.fusim").read_bytes() == (tmp_path / "flat.fusim").read_bytes()
-    flat.vector[:] = 7.0
-    assert all(np.all(view == 7.0) for view in flat.views.values())
-    assert not any(np.any(p == 7.0) for p in params.values())
-
-
-def test_flat_params_rejects_views_that_do_not_tile():
-    flat = nn.flat_params({"a": np.zeros((2, 3)), "b": np.zeros(4)})
-    a, b = flat.views["a"], flat.views["b"]
-    for views in ({"b": b, "a": a}, {"a": a}, {"a": a.copy(), "b": b},
-                  {"a": a.T, "b": b}):
-        with pytest.raises(nn.NNError):
-            nn.FlatParams(flat.vector, views)
-    with pytest.raises(nn.NNError):
-        nn.FlatParams(flat.vector[::2], {})
+    assert offset == params.size == spec.param_count
+    rows = spec.views(np.stack([params, -params]), stacked=True)
+    for name, view in views.items():
+        assert same_bits(rows[name][0], view) and same_bits(rows[name][1], -view)
+    params[:] = 7.0
+    assert all(np.all(view == 7.0) for view in views.values())
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +473,7 @@ def test_scaled_unit_scale_one_bit_identical():
 
 def test_scaled_unit_zero_downstream_zero_noop():
     spec, params = tiny_net_222()
-    params = nn.params_copy(params)
-    params["layer1.weight"][0, :] = 0.0  # unit (0,0) disconnected downstream
+    spec.views(params)["layer1.weight"][0, :] = 0.0  # unit (0,0) disconnected downstream
     x = np.array([0.5, -1.2])
     plain = nn.predict_probs(spec, params, x[None])[0]
     scaled = nn.forward_with_scaled_unit(spec, params, x, nn.UnitId(0, 0), 0.0)
@@ -466,11 +483,12 @@ def test_scaled_unit_zero_downstream_zero_noop():
 def test_scaled_unit_half_matches_hand_oracle():
     spec, params = tiny_net_222()
     x = np.array([0.5, -1.2])
+    p = spec.views(params)
     _, hidden = oracle_forward_222(
-        params["layer0.weight"].tolist(), params["layer0.bias"].tolist(),
-        params["layer1.weight"].tolist(), params["layer1.bias"].tolist(), x.tolist())
+        p["layer0.weight"].tolist(), p["layer0.bias"].tolist(),
+        p["layer1.weight"].tolist(), p["layer1.bias"].tolist(), x.tolist())
     a = [hidden[0] * 0.5, hidden[1]]
-    w1, b1 = params["layer1.weight"], params["layer1.bias"]
+    w1, b1 = p["layer1.weight"], p["layer1.bias"]
     z = [a[0] * w1[0][0] + a[1] * w1[1][0] + b1[0],
          a[0] * w1[0][1] + a[1] * w1[1][1] + b1[1]]
     e = [math.exp(v - max(z)) for v in z]
@@ -507,8 +525,7 @@ def test_scaled_unit_conv_channel_scales_whole_map():
 
 def test_unit_gradient_zero_outgoing_weights():
     spec, params = tiny_net_222()
-    params = nn.params_copy(params)
-    params["layer1.weight"][1, :] = 0.0
+    spec.views(params)["layer1.weight"][1, :] = 0.0
     g = nn.gradient_wrt_unit(spec, params, np.array([0.5, -1.2]), 0, nn.UnitId(0, 1), 1.0)
     assert g == 0.0
 
@@ -516,7 +533,7 @@ def test_unit_gradient_zero_outgoing_weights():
 def test_unit_gradient_dead_downstream_relu():
     spec = nn.small_cnn((1, 10, 10), 3)
     params = nn.init_params(spec, 0)
-    params["layer1.bias"] = np.full(16, -100.0)  # conv1's relu always dead
+    spec.views(params)["layer1.bias"][...] = -100.0  # conv1's relu always dead
     x = np.random.default_rng(3).uniform(0.0, 1.0, (1, 10, 10))
     for k in range(spec.unit_count(0)):
         assert nn.gradient_wrt_unit(spec, params, x, 0, nn.UnitId(0, k), 1.0) == 0.0
@@ -544,15 +561,14 @@ def test_unit_gradient_conv_channel_sums_positions():
     params = nn.init_params(spec, 6)
     x = np.random.default_rng(8).uniform(0.2, 1.0, (1, 10, 10))
     unit = nn.UnitId(1, 3)  # conv layer followed by relu: keep map positive
-    params = nn.params_copy(params)
-    params["layer1.bias"] = params["layer1.bias"] + 0.5
+    spec.views(params)["layer1.bias"][...] += 0.5
     trace_map = nn.batch_unit_activations(spec, params, x[None])[1][0, 3]
     assert trace_map > 0
     delta = 1e-6
-    pp_params = nn.params_copy(params)
-    pp_params["layer1.bias"][3] += delta
-    pm_params = nn.params_copy(params)
-    pm_params["layer1.bias"][3] -= delta
+    pp_params = params.copy()
+    spec.views(pp_params)["layer1.bias"][3] += delta
+    pm_params = params.copy()
+    spec.views(pm_params)["layer1.bias"][3] -= delta
     pp = nn.predict_probs(spec, pp_params, x[None])[0, 1]
     pm = nn.predict_probs(spec, pm_params, x[None])[0, 1]
     fd = (pp - pm) / (2 * delta)
@@ -568,8 +584,9 @@ def test_unit_gradient_conv_channel_matches_scaled_forward_fd():
     x = np.random.default_rng(2).uniform(0.0, 1.0, (1, 16, 16))
     for ordinal, ch in ((0, 5), (1, 9)):
         params = nn.init_params(spec, 12)
-        params[f"layer{ordinal}.weight"][ch] = 0.0
-        params[f"layer{ordinal}.bias"][ch] = 0.4
+        p = spec.views(params)
+        p[f"layer{ordinal}.weight"][ch] = 0.0
+        p[f"layer{ordinal}.bias"][ch] = 0.4
         unit = nn.UnitId(ordinal, ch)
         beta = nn.batch_unit_activations(spec, params, x[None])[ordinal][0, ch]
         assert beta == pytest.approx(0.4)
@@ -589,10 +606,11 @@ def scaled_copy_gradients(spec, params, site, target, unit, scales):
     start = spec.site_position(unit.layer) + 1
     h = site.copy()
     h[:, unit.unit] *= scales.reshape((-1,) + (1,) * (h.ndim - 2))
-    probs, caches, _ = nn._forward_engine(spec, params, h, keep_caches=True, start=start)
+    views = spec.views(params)
+    probs, caches = nn._forward_engine(spec, views, h, keep_caches=True, start=start)
     seed = np.zeros_like(probs)
     seed[:, target] = 1.0
-    g = nn._backward_engine(spec, params, caches, seed, start=start, wrt_params=False)
+    g = nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
     g = g[:, unit.unit]
     return g if g.ndim == 1 else g.sum(axis=(1, 2))
 
@@ -663,7 +681,8 @@ def reference_unit_gradients(spec, params, x, target, unit, scales):
                                len(spec.layers) - 1 if nxt is None else nxt)
     a = pre.reshape(n, units, -1)[:, unit.unit]
     d = (scales - 1.0)[:, None] * a
-    w = np.eye(pre.shape[1]) if nxt is None else params[f"layer{unit.layer + 1}.weight"]
+    w = (np.eye(pre.shape[1]) if nxt is None
+         else spec.views(params)[f"layer{unit.layer + 1}.weight"])
     if w.ndim == 2:
         wj = w.reshape(units, -1, w.shape[1])[unit.unit]
         z = (pre if nxt is None else reference_forward(spec, params, pre, nxt, nxt + 1)[0])
@@ -691,10 +710,7 @@ def reference_unit_gradients(spec, params, x, target, unit, scales):
     return ga.sum(axis=1)
 
 
-def same_bits(a, b) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
+@pytest.mark.bitid
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_engine_bits_equal_out_of_place_reference(model):
     """Evaluation, the loss and the gradient row a stacked step forms give
@@ -704,18 +720,18 @@ def test_engine_bits_equal_out_of_place_reference(model):
     spec = getattr(nn, model)((1, 12, 12), 4)
     rng = np.random.default_rng(21)
     for seed in range(6):
-        params = nn.init_params(spec, seed)
-        for name in params:
-            params[name] = params[name] + rng.normal(0.0, 0.1, params[name].shape)
+        # one draw of P values: the per-parameter draws of spec order, back to back
+        params = nn.init_params(spec, seed) + rng.normal(0.0, 0.1, spec.param_count)
         x = rng.normal(0.0, 1.0, (9, *spec.input_shape))  # mixed signs: dead relu units
         y = rng.integers(0, 4, 9)
         loss, grads, probs = reference_loss_gradient_probs(spec, params, x, y)
         assert same_bits(nn.predict_probs(spec, params, x), probs)
-        row_loss, [row] = formed_rows(spec, nn.flat_params(params, stack=1), x, y)
+        row_loss, [row] = formed_rows(spec, params[None].copy(), x, y)
         assert row_loss[0] == loss
-        assert same_bits(row + 0.0, nn.flat_params({n: grads[n] for n in params}).vector + 0.0)
+        assert same_bits(row + 0.0, grads + 0.0)
 
 
+@pytest.mark.bitid
 @pytest.mark.parametrize("make_spec", [
     lambda: nn.small_mlp((1, 6, 6), 4, hidden=12),
     lambda: nn.small_cnn((1, 16, 16), 4),
@@ -739,15 +755,7 @@ def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
             assert same_bits(got + 0.0, want + 0.0), unit
 
 
-def stacked_sets(spec, sets):
-    """The parameter sets as the rows of one stacked FlatParams."""
-    flat = nn.flat_params(sets[0], stack=len(sets))
-    for i, params in enumerate(sets):
-        for name, view in flat.views.items():
-            view[i] = params[name]
-    return flat
-
-
+@pytest.mark.bitid
 @settings(max_examples=15)
 @given(k=st.integers(1, 4), block=st.integers(1, 6), model=st.sampled_from(["mlp", "cnn"]),
        seed=st.integers(0, 2**16))
@@ -762,7 +770,7 @@ def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, mo
     sets = [nn.init_params(spec, (seed, i)) for i in range(k)]
     x = rng.normal(0.0, 1.0, (k * block, *spec.input_shape))
     y = rng.integers(0, 3, k * block)
-    stacked = stacked_sets(spec, sets)
+    stacked = np.stack(sets)
     loss, rows = formed_rows(spec, stacked, x, y, learning_rate=0.3)
     assert loss.shape == (k,) and len(rows) == k
     for i, params in enumerate(sets):
@@ -770,33 +778,35 @@ def test_stacked_loss_and_gradient_bit_identical_to_unstacked_calls(k, block, mo
         stepped, want_loss, want = library_step(spec, params, x[block_rows], y[block_rows],
                                                 0.3)
         assert loss[i] == want_loss
-        assert same_bits(rows[i], nn.flat_params(want).vector)
-        assert same_bits(stacked.vector[i], nn.flat_params(stepped).vector)
+        assert same_bits(rows[i], want)
+        assert same_bits(stacked[i], stepped)
         ref_loss, ref, _ = reference_loss_gradient_probs(spec, params, x[block_rows],
                                                          y[block_rows])
         assert ref_loss == want_loss
-        assert same_bits(rows[i] + 0.0, nn.flat_params({n: ref[n] for n in params}).vector + 0.0)
+        assert same_bits(rows[i] + 0.0, ref + 0.0)
 
 
+@pytest.mark.bitid
 @pytest.mark.parametrize("k", [1, 4])
 def test_stacked_step_makes_one_finite_pass_per_row(k):
     """One stacked step (batch_loss_and_gradient, then sgd_step) checks the
-    gradient once per row, on the one P-sized scratch vector it forms each
-    row in, and nowhere else."""
+    gradient once per row, on the one (P,) scratch vector it forms each row
+    in, and nowhere else."""
     spec = nn.small_mlp((1, 6, 6), 3, hidden=5)
-    model = stacked_sets(spec, [nn.init_params(spec, i) for i in range(k)])
+    model = np.stack([nn.init_params(spec, i) for i in range(k)])
     x = np.random.default_rng(k).random((2 * k, *spec.input_shape))
-    scratch = nn.flat_params(nn.init_params(spec, 0))
+    scratch = row_scratch(model)
     with mock.patch.object(nn, "_all_finite", wraps=nn._all_finite) as spy:
         _, factors = nn.batch_loss_and_gradient(spec, model, x, np.arange(2 * k) % 3)
         nn.sgd_step(model, factors, 0.1, scratch)
     assert spy.call_count == k
-    assert all(call.args[0] is scratch.vector for call in spy.call_args_list)
+    assert all(call.args[0] is scratch for call in spy.call_args_list)
 
 
+@pytest.mark.bitid
 def test_stacked_errors_name_the_row():
     spec = nn.small_mlp((1, 3, 3), 3, hidden=4)
-    stacked = stacked_sets(spec, [nn.init_params(spec, i) for i in range(3)])
+    stacked = np.stack([nn.init_params(spec, i) for i in range(3)])
     x = np.zeros((6, 1, 3, 3))
     with pytest.raises(nn.NNError, match="label out of range") as exc:
         nn.batch_loss_and_gradient(spec, stacked, x, np.array([0, 1, 2, 0, 3, 1]))
@@ -805,7 +815,7 @@ def test_stacked_errors_name_the_row():
         nn.batch_loss_and_gradient(spec, stacked, np.zeros((7, 1, 3, 3)),
                                    np.zeros(7, dtype=int))
     # row 1 puts all its mass on class 0, so its label 2 gets probability 0
-    stacked.views["layer1.bias"][1] = [1e4, 0.0, 0.0]
+    spec.views(stacked, stacked=True)["layer1.bias"][1] = [1e4, 0.0, 0.0]
     with pytest.raises(nn.NNError, match="probability underflow") as exc:
         nn.batch_loss_and_gradient(spec, stacked, x, np.array([0, 1, 2, 0, 1, 2]))
     assert exc.value.row == 1
@@ -822,8 +832,8 @@ def test_relu_bits_equal_where_on_special_values():
     spec = nn.small_mlp((1,), 2, hidden=1)
     params = nn.init_params(spec, 0)
     kept = values.tobytes()
-    h, caches, _ = nn._forward_engine(spec, params, values[:, None], keep_caches=True,
-                                      start=2, stop=3)
+    h, caches = nn._forward_engine(spec, spec.views(params), values[:, None],
+                                   keep_caches=True, start=2, stop=3)
     assert same_bits(h[:, 0], expected)
     assert np.array_equal(caches[0][1][:, 0], values > 0)
     assert values.tobytes() == kept  # a relu that starts the range writes a new array
@@ -839,14 +849,14 @@ def test_engine_writes_into_no_caller_array(make_spec):
     and the backward pass writes into neither its seed gradient nor the
     caches."""
     spec = make_spec()
-    model = nn.flat_params(nn.init_params(spec, 3))
-    params = model.views
+    params = nn.init_params(spec, 3)
+    views = spec.views(params)
     rng = np.random.default_rng(4)
     x = rng.normal(0.0, 1.0, (5, *spec.input_shape))
     y = rng.integers(0, spec.class_count, 5)
-    kept = [arr.tobytes() for arr in (model.vector, x, y)]
+    kept = [arr.tobytes() for arr in (params, x, y)]
     nn.predict_probs(spec, params, x)
-    stacked = nn.flat_params(params, stack=1)
+    stacked = params[None].copy()
     nn.sgd_step(stacked, nn.batch_loss_and_gradient(spec, stacked, x, y)[1], 0.1,
                 row_scratch(stacked))
     for ordinal in range(spec.param_layer_count):
@@ -859,7 +869,7 @@ def test_engine_writes_into_no_caller_array(make_spec):
                                     np.linspace(0.0, 1.0, 5))
         assert site.tobytes() == site_kept
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == rows_kept
-    probs, caches, _ = nn._forward_engine(spec, params, x, keep_caches=True)
+    probs, caches = nn._forward_engine(spec, views, x, keep_caches=True)
     seed = rng.normal(0.0, 1.0, probs.shape)
 
     def backward_inputs():
@@ -867,67 +877,45 @@ def test_engine_writes_into_no_caller_array(make_spec):
             [seed.tobytes()]
 
     kept_backward = backward_inputs()
-    nn._backward_engine(spec, params, caches, seed)
-    nn._backward_engine(spec, params, caches, seed, wrt_params=False)
+    nn._backward_engine(spec, views, caches, seed)
+    nn._backward_engine(spec, views, caches, seed, wrt_params=False)
     assert backward_inputs() == kept_backward
-    assert [arr.tobytes() for arr in (model.vector, x, y)] == kept
+    assert [arr.tobytes() for arr in (params, x, y)] == kept
 
 
 FINITE_SPEC = nn.small_mlp((1, 3, 3), 3, hidden=4)
-FINITE_NAMES = list(FINITE_SPEC.param_shapes())
+FINITE_SIZES = {name: view.size for name, view
+                in FINITE_SPEC.views(np.zeros(FINITE_SPEC.param_count)).items()}
 
 
 def finite_case(data):
-    """A flat parameter set of k stacked rows, one view name, a row of the
-    stack and a position in that row's view."""
+    """A (k, P) model of k copies of one model, one parameter name, a row
+    of the stack and a position in that row's parameter."""
     seed = data.draw(st.integers(0, 2**16))
     stack = data.draw(st.sampled_from([1, 3]))
-    flat = nn.flat_params(nn.init_params(FINITE_SPEC, seed), stack=stack)
-    name = data.draw(st.sampled_from(FINITE_NAMES))
+    model = np.tile(nn.init_params(FINITE_SPEC, seed), (stack, 1))
+    name = data.draw(st.sampled_from(list(FINITE_SIZES)))
     row = data.draw(st.integers(0, stack - 1))
-    position = data.draw(st.integers(0, math.prod(FINITE_SPEC.param_shapes()[name]) - 1))
-    return flat, name, row, position
-
-
-def flat_like(model, value):
-    """A FlatParams laid out and stacked like model, every element value."""
-    flat = nn.flat_params(nn.init_params(FINITE_SPEC, 0), stack=len(model.vector))
-    flat.vector[...] = value
-    return flat
+    position = data.draw(st.integers(0, FINITE_SIZES[name] - 1))
+    return model, name, row, position
 
 
 def finite_batch(model):
     """Four rows of inputs and labels per model in the stack."""
-    k = len(model.vector)
+    k = len(model)
     x = np.random.default_rng(0).random((4 * k, *FINITE_SPEC.input_shape))
     return x, np.tile([0, 1, 2, 0], k)
 
 
-def reference_steps(model, learning_rate):
-    """Each row of a stacked model after its own k = 1 step on its block of
-    finite_batch, as a flat vector."""
-    x, y = finite_batch(model)
-    steps = []
-    for i in range(len(model.vector)):
-        stepped, _, _ = library_step(FINITE_SPEC, model[i].views, x[4 * i:4 * i + 4],
-                                     y[4 * i:4 * i + 4], learning_rate)
-        steps.append(nn.flat_params(stepped).vector)
-    return steps
-
-
 def assert_stopped_at(model, row, kept, learning_rate):
-    """Rows row.. of model hold the bytes kept before the step, and the rows
-    before row their reference steps."""
-    before = flat_from(kept, model)
-    for i, want in enumerate(reference_steps(before, learning_rate)):
-        assert same_bits(model.vector[i], want if i < row else before.vector[i])
-
-
-def flat_from(raw, model):
-    """A fresh FlatParams laid out and stacked like model, from model's bytes."""
-    flat = flat_like(model, 0.0)
-    flat.vector[...] = np.frombuffer(raw).reshape(flat.vector.shape)
-    return flat
+    """Rows row.. of model hold kept, its values before the step, and the
+    rows before row their own k = 1 steps from kept on their blocks of
+    finite_batch."""
+    x, y = finite_batch(kept)
+    for i in range(len(kept)):
+        want = (library_step(FINITE_SPEC, kept[i], x[4 * i:4 * i + 4], y[4 * i:4 * i + 4],
+                             learning_rate)[0] if i < row else kept[i])
+        assert same_bits(model[i], want)
 
 
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -937,14 +925,14 @@ def test_sgd_step_rejects_one_nonfinite_gradient_element(data, bad):
     is written: that row and the ones after it keep their bytes, and the
     rows before it have taken their steps."""
     model, name, row, position = finite_case(data)
-    kept = model.vector.tobytes()
+    kept = model.copy()
     _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model, *finite_batch(model))
     real_form = nn.GradientFactors.form
 
     def planted(self, r, out):
         real_form(self, r, out)
         if r == row:
-            out.views[name].flat[position] = bad
+            out[name].flat[position] = bad
 
     match = f"non-finite values in gradient of {re.escape(name)}$"
     with mock.patch.object(nn.GradientFactors, "form", planted):
@@ -971,7 +959,7 @@ def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad, ordinal, wh
         arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
         return factors
 
-    kept = model.vector.tobytes()
+    kept = model.copy()
     match = f"non-finite values in gradient of layer{ordinal}\\.weight$"
     with mock.patch.object(nn, "_backward_engine", planted), np.errstate(invalid="ignore"):
         with pytest.raises(nn.NNError, match=match) as exc:
@@ -988,20 +976,21 @@ def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, a
     sum); the element scan then accepts them, without a warning, as every
     gradient row a stacked step forms in its scratch."""
     model, _, _, _ = finite_case(data)
-    size = model.vector.shape[-1]
+    size = model.shape[-1]
     huge = magnitude * np.where(alternate & (np.arange(size) % 2 == 1), -1.0, 1.0)
     assert not math.isfinite(np.vdot(huge, huge))
-    expected = model.vector - 1e-200 * huge
+    expected = model - 1e-200 * huge
 
     def huge_form(self, row, out):
-        out.vector[...] = huge
+        for view, part in zip(out.values(), FINITE_SPEC.views(huge).values()):
+            view[...] = part
 
     _, factors = nn.batch_loss_and_gradient(FINITE_SPEC, model, *finite_batch(model))
     with mock.patch.object(nn.GradientFactors, "form", huge_form), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         nn.sgd_step(model, factors, 1e-200, row_scratch(model))
-    assert np.array_equal(model.vector, expected)
+    assert np.array_equal(model, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,22 +1000,23 @@ def test_finite_checks_accept_a_vector_whose_square_overflows(data, magnitude, a
 def test_zero_units_empty_is_identity():
     spec = nn.small_mlp((1, 4, 4), 4, hidden=6)
     params = nn.init_params(spec, 2)
-    assert params_equal(nn.zero_units(spec, params, []), params)
+    assert same_bits(nn.zero_units(spec, params, []), params)
 
 
 def test_zero_units_locality_and_idempotence():
     spec = nn.small_mlp((1, 4, 4), 4, hidden=6)
     params = nn.init_params(spec, 2)
     units = [nn.UnitId(0, 1), nn.UnitId(0, 4)]
+    kept = params.copy()
     once = nn.zero_units(spec, params, units)
     twice = nn.zero_units(spec, once, units)
-    assert params_equal(once, twice)
-    assert np.all(once["layer0.weight"][:, 1] == 0.0)
-    assert once["layer0.bias"][1] == 0.0
+    assert same_bits(once, twice) and same_bits(params, kept)
+    edited, p = spec.views(once), spec.views(params)
+    assert np.all(edited["layer0.weight"][:, 1] == 0.0)
+    assert edited["layer0.bias"][1] == 0.0
     keep = [k for k in range(6) if k not in (1, 4)]
-    assert np.array_equal(once["layer0.weight"][:, keep], params["layer0.weight"][:, keep])
-    assert params_equal(
-        {"w": once["layer1.weight"]}, {"w": params["layer1.weight"]})
+    assert np.array_equal(edited["layer0.weight"][:, keep], p["layer0.weight"][:, keep])
+    assert same_bits(edited["layer1.weight"], p["layer1.weight"])
 
 
 # ---------------------------------------------------------------------------
@@ -1044,9 +1034,9 @@ def test_checkpoint_roundtrip(tmp_path):
     spec = nn.small_cnn((1, 12, 12), 4)
     params = nn.init_params(spec, 13)
     path = tmp_path / "model.fusim"
-    nn.save_checkpoint(path, params)
+    nn.save_checkpoint(path, spec, params)
     loaded = nn.load_checkpoint(path, spec)
-    assert params_equal(params, loaded)
+    assert same_bits(params, loaded)
     raw = path.read_bytes()
     assert raw.startswith(b"\x93NUMPY\x01\x00")
 
@@ -1062,7 +1052,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_truncated(tmp_path):
     spec, params = tiny_net_222()
     path = tmp_path / "model.fusim"
-    nn.save_checkpoint(path, params)
+    nn.save_checkpoint(path, spec, params)
     path.write_bytes(path.read_bytes()[:-12])
     assert "holds 10 float64 values and 4 bytes; the model takes 12" in load_error(path, spec)
 
@@ -1070,7 +1060,7 @@ def test_checkpoint_truncated(tmp_path):
 def test_checkpoint_trailing_bytes(tmp_path):
     spec, params = tiny_net_222()
     path = tmp_path / "model.fusim"
-    nn.save_checkpoint(path, params)
+    nn.save_checkpoint(path, spec, params)
     path.write_bytes(path.read_bytes() + b"\0" * 8)
     assert "holds 13 float64 values; the model takes 12" in load_error(path, spec)
 
@@ -1083,10 +1073,6 @@ SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
                 0x7FF0000000000001, 0xFFF8000000000000]
 
 
-def param_count(spec):
-    return sum(math.prod(shape) for shape in spec.param_shapes().values())
-
-
 def checkpoints():
     """(spec, vector): a small small_mlp or small_cnn spec and a (P,) vector
     of any float64 bit patterns."""
@@ -1096,15 +1082,13 @@ def checkpoints():
                   st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
         st.builds(lambda classes: nn.small_cnn((1, 10, 10), classes), st.integers(1, 3)))
     return specs.flatmap(lambda spec: st.tuples(st.just(spec), hnp.arrays(
-        np.uint64, param_count(spec), elements=bits).map(lambda a: a.view(np.float64))))
+        np.uint64, spec.param_count, elements=bits).map(lambda a: a.view(np.float64))))
 
 
 def saved(tmp_path_factory, spec, vector):
     """vector saved as spec's parameters: the checkpoint's path and bytes."""
-    flat = nn.flat_params(nn.init_params(spec, 0))
-    flat.vector[...] = vector
     path = tmp_path_factory.mktemp("ckpt") / "model.fusim"
-    nn.save_checkpoint(path, flat.views)
+    nn.save_checkpoint(path, spec, vector)
     return path, path.read_bytes()
 
 
@@ -1113,11 +1097,9 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, checkpoint):
     spec, vector = checkpoint
     path, _ = saved(tmp_path_factory, spec, vector)
     loaded = nn.load_checkpoint(path, spec)
-    assert [(k, v.shape) for k, v in loaded.items()] == list(spec.param_shapes().items())
-    assert b"".join(v.tobytes() for v in loaded.values()) == vector.tobytes()
-    # views of one fresh, writable vector
-    base = next(iter(loaded.values())).base
-    assert nn.FlatParams(base, loaded).layout and base.flags.writeable
+    assert same_bits(loaded, vector)
+    # one fresh, writable vector
+    assert loaded.flags.owndata and loaded.flags.writeable
 
 
 @given(checkpoints())
@@ -1157,8 +1139,8 @@ def test_init_params_deterministic_and_shaped():
     spec = nn.small_mlp((1, 6, 6), 5, hidden=7)
     a = nn.init_params(spec, 42)
     b = nn.init_params(spec, 42)
-    assert params_equal(a, b)
-    assert set(a) == set(spec.param_shapes())
-    for name, shape in spec.param_shapes().items():
-        assert a[name].shape == shape
-    assert np.all(a["layer0.bias"] == 0.0)
+    assert same_bits(a, b)
+    assert a.shape == (spec.param_count,) and a.dtype == np.float64
+    views = spec.views(a)
+    assert np.all(views["layer0.bias"] == 0.0) and np.all(views["layer1.bias"] == 0.0)
+    assert np.all(views["layer0.weight"] != 0.0)

@@ -7,7 +7,7 @@ import pytest
 from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim import unlearn_routes as ur
-from helpers import library_step, params_equal
+from helpers import library_step, same_bits, vector
 
 
 def shard_of(labels, value=0.5, side=4, class_count=10):
@@ -126,15 +126,11 @@ def test_relabel_needs_two_classes():
 def hand_net_three_units():
     # flatten(4) -> dense(4,3) -> relu -> dense(3,2) -> softmax
     spec = nn.small_mlp((1, 2, 2), 2, hidden=3)
-    params = {
-        "layer0.weight": np.array([[0.1, 0.2, 0.9],
-                                   [0.1, 0.2, 0.9],
-                                   [0.1, 0.2, 0.9],
-                                   [0.1, 0.2, 0.9]]),
-        "layer0.bias": np.array([0.0, 0.0, 0.01]),
-        "layer1.weight": np.array([[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]),
-        "layer1.bias": np.zeros(2),
-    }
+    params = vector(spec, {
+        "layer0.weight": [[0.1, 0.2, 0.9]] * 4,
+        "layer0.bias": [0.0, 0.0, 0.01],
+        "layer1.weight": [[1.0, -1.0]] * 3,
+    })
     return spec, params
 
 
@@ -145,22 +141,23 @@ def test_naive_zeroing_selects_most_activated_unit_first():
     ranked = ur.rank_units_by_activation(spec, params, probes, 0)
     assert ranked[0][0] == nn.UnitId(0, 2)
     assert ranked[0][1] == pytest.approx(3.61, abs=1e-12)
-    edited = ur.naive_zeroing(spec, params, 0, probes, 1)
+    edited = spec.views(ur.naive_zeroing(spec, params, 0, probes, 1))
     assert np.all(edited["layer0.weight"][:, 2] == 0.0)
-    assert np.all(edited["layer0.weight"][:, :2] == params["layer0.weight"][:, :2])
+    assert np.all(edited["layer0.weight"][:, :2] == spec.views(params)["layer0.weight"][:, :2])
 
 
 def test_naive_zeroing_top_zero_unchanged():
     spec, params = hand_net_three_units()
     edited = ur.naive_zeroing(spec, params, 0, shard_of([0], side=2), 0)
-    assert params_equal(edited, params)
+    assert same_bits(edited, params)
 
 
 def test_naive_zeroing_locality():
     spec, params = hand_net_three_units()
-    edited = ur.naive_zeroing(spec, params, 0, shard_of([0], value=1.0, side=2), 1)
-    diff_names = [k for k in params
-                  if not np.array_equal(edited[k], params[k])]
+    edited = spec.views(ur.naive_zeroing(spec, params, 0, shard_of([0], value=1.0, side=2),
+                                         1))
+    diff_names = [k for k, v in spec.views(params).items()
+                  if not np.array_equal(edited[k], v)]
     assert diff_names == ["layer0.weight", "layer0.bias"]
 
 
