@@ -78,10 +78,10 @@ def main(argv=None) -> int:
     out = cfg.out_dir
     try:
         if args.command == "partition":
-            task = experiment.ensure_partition(cfg, out)
+            experiment.ensure_partition(cfg, out)
+            groups = cfg.partition.groups
             logger.info("partition: %d clients over %d domains -> %s",
-                        task.plan.client_count,
-                        len({c.domain_id for c in task.plan.clients}), out)
+                        sum(groups), len(groups), out)
         elif args.command == "train":
             _, _, summary = experiment.ensure_train(cfg, out)
             logger.info("train: convergence_round=%s final_val_error=%s",

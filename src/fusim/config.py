@@ -60,6 +60,12 @@ class PartitionConfig:
     group_sizes: tuple[int, ...] = (3, 3, 3)
     working_resolution: tuple[int, int] = (16, 16)
 
+    @property
+    def groups(self) -> tuple[int, ...]:
+        """Clients per domain the plan splits, in config order: group_sizes
+        under real_noniid, else every client on the one domain."""
+        return self.group_sizes if self.strategy == "real_noniid" else (self.clients,)
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -328,7 +334,10 @@ def validate_config(text: str, overrides=()) -> ExperimentConfig:
     if cfg.model_spec == "small_cnn" and min(p.working_resolution) < 10:
         raise ConfigError("partition.working_resolution: small_cnn needs at least 10x10",
                           where("partition", "working_resolution"))
-    total_clients = sum(p.group_sizes) if p.strategy == "real_noniid" else p.clients
+    if cfg.model_spec == "small_cnn" and "hidden" in entries.get("model", {}):
+        raise ConfigError("model.hidden: small_cnn has no hidden width; it is for "
+                          "small_mlp only", where("model", "hidden"))
+    total_clients = sum(p.groups)
     if u.requesting_clients[-1] >= total_clients:
         raise ConfigError(
             f"unlearn.requesting_clients: ids must be in [0, {total_clients})",

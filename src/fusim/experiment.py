@@ -1,9 +1,12 @@
 """Experiment stages: partition, train, unlearn, evaluate, compare.
 
 Stages read their prerequisites from the output directory when present and
-build them otherwise, so any stage can resume from on-disk artifacts.  A
-finished directory resumes from its artifacts alone: the data (domains,
-splits, subsets) is built only when a stage has to run, once per Task.  A
+build them otherwise, so any stage can resume from on-disk artifacts.  The
+data (domains, splits, plan, subsets) always comes from the config, never
+from the output directory: build_task makes it when a stage has to run, once
+per Task, so a finished directory resumes without building it, and
+partition.json and splits.json are records for readers that nothing reads
+back.  A
 compare trains once in its output directory and runs only the unlearn and
 evaluate stages of each route in a subdirectory.  All artifacts are pure
 functions of the config text: no timestamps, sorted keys, fixed float
@@ -25,9 +28,8 @@ import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, ExperimentConfig, canonical
-from .datasets import (BaseStream, DatasetError, DomainDataset, DomainSplits, idx_class_count,
-                       load_idx, resize, stratified_split, subset, SyntheticDomainSpec,
-                       synth_domain)
+from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
+                       resize, stratified_split, subset, SyntheticDomainSpec, synth_domain)
 from .nncore import ModelSpec
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -78,6 +80,7 @@ class _StageWriter:
 @dataclass
 class TaskData:
     """The data a running stage trains and evaluates on, made by build_task."""
+    plan: PartitionPlan
     splits: dict[str, DomainSplits]
     train_domains: dict[str, DomainDataset]
     val_x: np.ndarray
@@ -86,27 +89,23 @@ class TaskData:
 
 
 class Task:
-    """What the stages share: the model spec, class count and plan, set at
-    once, and the data (the TaskData fields), built on first use and once per
-    Task by build_task from the plan and the splits in splits_path.  A
-    finished stage needs only the first three, so a resume of a finished
-    directory builds no data."""
+    """What the stages share: the model spec and class count, set at once,
+    and the data (the TaskData fields, the plan among them), built on first
+    use and once per Task by build_task.  A finished stage needs only the
+    spec, so a resume of a finished directory builds no data."""
 
-    def __init__(self, cfg: ExperimentConfig, plan: PartitionPlan,
-                 splits_path: str | None = None, data: TaskData | None = None):
+    def __init__(self, cfg: ExperimentConfig, data: TaskData | None = None):
         self.spec = build_spec(cfg)
         self.class_count = self.spec.class_count
-        self.plan = plan
-        self._cfg, self._splits_path, self._data = cfg, splits_path, data
+        self._cfg, self._data = cfg, data
 
     @property
     def data(self) -> TaskData:
         if self._data is None:
-            with open(self._splits_path) as fh:
-                splits = _splits_from_json(fh.read())
-            self._data = build_task(self._cfg, self.plan, splits).data
+            self._data = build_task(self._cfg).data
         return self._data
 
+    plan = property(lambda self: self.data.plan)
     splits = property(lambda self: self.data.splits)
     train_domains = property(lambda self: self.data.train_domains)
     val_x = property(lambda self: self.data.val_x)
@@ -162,33 +161,23 @@ def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
     return [domains[dc.name] for dc in cfg.domains]
 
 
-def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
-               splits: dict[str, DomainSplits] | None = None) -> Task:
-    """The one data build, with its data in place.
+def build_task(cfg: ExperimentConfig) -> Task:
+    """The one data build, from the config alone, with its data in place.
 
     Every domain is made, mapped onto the shared labels and resized; then,
-    one domain at a time, split (unless splits is given) and cut into its
-    train, validation and test subsets, after which the whole domain is
-    released.  The plan is built over the train subsets unless given.
+    one domain at a time, split and cut into its train, validation and test
+    subsets, after which the whole domain is released.  The plan is built
+    over the train subsets.
     """
     ev = cfg.evaluate
-    fresh = splits is None
-    splits = {} if fresh else splits
-    train_domains, val_sets, test_domains = {}, {}, {}
+    splits, train_domains, val_sets, test_domains = {}, {}, {}, {}
     domains = label_intersection(build_raw_domains(cfg))[2]
     for i, d in enumerate(domains):
         domains[i] = None   # d is the one reference left to the whole domain
         d = resize(d, cfg.partition.working_resolution)
         did = d.domain_id
-        if fresh:
-            splits[did] = stratified_split(d, ev.val_fraction, ev.test_fraction,
-                                           (cfg.seed, 831))
-        sp = splits[did]
-        for part in () if fresh else ("train", "val", "test"):
-            bad = next((i for i in getattr(sp, part) if not 0 <= i < len(d)), None)
-            if bad is not None:
-                raise DatasetError(f"splits.json: domain {did!r}: {part} index {bad} "
-                                   f"outside [0, {len(d)})")
+        sp = splits[did] = stratified_split(d, ev.val_fraction, ev.test_fraction,
+                                            (cfg.seed, 831))
         for key, part, what in (("val_fraction", sp.val, "validation"),
                                 ("test_fraction", sp.test, "test")):
             if not part:
@@ -198,25 +187,17 @@ def build_task(cfg: ExperimentConfig, plan: PartitionPlan | None = None,
         val_sets[did] = subset(d, sp.val)
         test_domains[did] = subset(d, sp.test)
     del d
-    if plan is None:
-        plan = build_plan(cfg.partition, list(train_domains.values()), cfg.seed)
+    plan = build_plan(cfg.partition, list(train_domains.values()), cfg.seed)
     val_x = np.concatenate([val_sets[did].images for did in sorted(val_sets)])
     val_y = np.concatenate([val_sets[did].labels for did in sorted(val_sets)])
     client_test_sets = {i: test_domains[c.domain_id] for i, c in enumerate(plan.clients)}
-    return Task(cfg, plan, data=TaskData(splits, train_domains, val_x, val_y,
-                                         client_test_sets))
+    return Task(cfg, TaskData(plan, splits, train_domains, val_x, val_y, client_test_sets))
 
 
 def _splits_to_json(splits: dict[str, DomainSplits]) -> str:
     doc = {did: {"train": list(sp.train), "val": list(sp.val), "test": list(sp.test)}
            for did, sp in sorted(splits.items())}
     return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def _splits_from_json(text: str) -> dict[str, DomainSplits]:
-    doc = json.loads(text)
-    return {did: DomainSplits(tuple(v["train"]), tuple(v["val"]), tuple(v["test"]))
-            for did, v in doc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +264,10 @@ def _idx_files(cfg: ExperimentConfig) -> dict:
 
 
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
-    """The task; on resume only partition.json and the IDX files, whose sizes
-    and hashes it records, are read, and the data is built when a stage
-    first uses it."""
+    """The task.  partition.json records the plan and splits.json the splits,
+    for readers; on resume only partition.json's config record and the IDX
+    files, whose sizes and hashes it holds, are read, and the data is built
+    from the config when a stage first uses it."""
     def run(_, writer):
         task = build_task(cfg)
         writer.add_text("splits.json", _splits_to_json(task.splits))
@@ -298,8 +280,7 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
                 raise ConfigError(f"{os.path.join(out_dir, 'partition.json')}: {path} is "
                                   f"{found} but the record holds {recorded}; use a fresh "
                                   f"output directory")
-        return Task(cfg, PartitionPlan.from_doc(record), splits)
-    splits = os.path.join(out_dir, "splits.json")
+        return Task(cfg)
     return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json"),
                   _PARTITION_SECTIONS, lambda: None, resume, run)
 

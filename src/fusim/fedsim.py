@@ -85,7 +85,7 @@ class TrainingResult:
 
 def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[ClientState]:
     return [ClientState(i, domains[c.domain_id], index)
-            for i, (c, index) in enumerate(zip(plan.clients, materialize(plan, domains)))]
+            for i, (c, index) in enumerate(zip(plan.clients, materialize(plan)))]
 
 
 def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: ModelSpec,

@@ -13,7 +13,9 @@ point that picks the configured regime:
 
 label_intersection maps every domain onto the shared label space (a lookup
 table over the label array, plus a mask that drops the rest), and
-materialize checks a plan's per-client index vectors against the domains.
+materialize turns a plan into per-client index vectors.  A plan is a pure
+function of the config: to_doc records it in partition.json for readers,
+and nothing reads that record back.
 """
 from __future__ import annotations
 
@@ -67,7 +69,7 @@ class PartitionPlan:
         return len(self.clients)
 
     def to_doc(self) -> dict:
-        """The plan as a JSON document; from_doc inverts it."""
+        """The plan as the JSON document partition.json records."""
         return {
             "strategy": self.strategy,
             "seed": self.seed,
@@ -77,15 +79,6 @@ class PartitionPlan:
                 for c in self.clients
             ],
         }
-
-    @staticmethod
-    def from_doc(doc: dict) -> "PartitionPlan":
-        clients = tuple(
-            ClientAssignment(c["domain"], tuple(map(int, c["indices"])))
-            for c in doc["clients"]
-        )
-        return PartitionPlan(clients, doc["strategy"], int(doc["seed"]),
-                             doc.get("alpha"))
 
 
 def partition_iid(dataset: DomainDataset, client_count: int, seed) -> PartitionPlan:
@@ -196,16 +189,6 @@ def build_plan(part: PartitionConfig, domains: list[DomainDataset], seed: int) -
     return PartitionPlan(tuple(clients), "real_noniid", seed, part.alpha)
 
 
-def materialize(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[np.ndarray]:
-    """Per-client intp index vectors, each index checked to be in its domain."""
-    out = []
-    for i, c in enumerate(plan.clients):
-        if c.domain_id not in domains:
-            raise PartitionError(f"plan references unknown domain {c.domain_id!r}")
-        index, size = np.asarray(c.indices, dtype=np.intp), len(domains[c.domain_id])
-        bad = (index < 0) | (index >= size)
-        if bad.any():
-            raise PartitionError(f"client {i}: index {index[bad][0]} outside [0, {size}) "
-                                 f"of domain {c.domain_id!r}")
-        out.append(index)
-    return out
+def materialize(plan: PartitionPlan) -> list[np.ndarray]:
+    """Per-client intp index vectors into each client's domain."""
+    return [np.asarray(c.indices, dtype=np.intp) for c in plan.clients]

@@ -88,6 +88,24 @@ def test_small_cnn_below_ten_by_ten_names_the_working_resolution(tmp_path, caplo
     validate_config(text.replace("small_cnn", "small_mlp"))
 
 
+def test_small_cnn_refuses_a_hidden_width(tmp_path, caplog):
+    """small_cnn has no hidden width: a hidden key would have no effect on the
+    model, yet a finished directory would refuse a changed one, so it is
+    refused, naming the key and its line, and the command exits 1 before
+    building anything."""
+    text = "[model]\nspec = small_cnn\nhidden = 64\n[partition]\nworking_resolution = 10x10\n"
+    with pytest.raises(ConfigError, match=r"^line 3: model\.hidden: small_cnn "):
+        validate_config(text)
+    path = tmp_path / "cnn.ini"
+    path.write_text(text)
+    assert cli.main(["partition", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    assert "model.hidden" in caplog.text
+    assert not (tmp_path / "o").exists()
+    assert validate_config(text.replace("hidden = 64\n", "")).model_spec == "small_cnn"
+    assert validate_config(text.replace("small_cnn", "small_mlp")).hidden == 64
+
+
 @pytest.mark.parametrize("section, key, bad, least", [
     ("partition", "working_resolution", "0x16", "1x1"),
     ("domain.a", "resolution", "0x5", "4x4"),

@@ -3,13 +3,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fusim import datasets as ds
-from fusim import experiment
 from fusim import partition as pt
-from fusim.config import PartitionConfig, STRATEGIES
+from fusim.config import PartitionConfig
 
 
 def synth(classes=10, per_class=100, seed=1, transforms="identity", name=None):
@@ -220,7 +217,7 @@ def test_real_noniid_resizes_to_working_resolution():
     assert all(d.native_resolution == (12, 12) for d in processed)
     lookup = {d.domain_id: d for d in processed}
     shards = [lookup[c.domain_id].images[index]
-              for c, index in zip(plan.clients, pt.materialize(plan, lookup))]
+              for c, index in zip(plan.clients, pt.materialize(plan))]
     assert all(s.shape[1:] == (1, 12, 12) for s in shards)
 
 
@@ -229,7 +226,7 @@ def test_real_noniid_label_sets_identical_across_clients():
     plan, processed = real_noniid(domains, [3, 3, 3], (8, 8), 100.0, 7)
     lookup = {d.domain_id: d for d in processed}
     label_sets = [frozenset(lookup[c.domain_id].labels[index].tolist())
-                  for c, index in zip(plan.clients, pt.materialize(plan, lookup))]
+                  for c, index in zip(plan.clients, pt.materialize(plan))]
     assert len(set(label_sets)) == 1
     # feature divergence: domain differs across groups
     assert len({c.domain_id for c in plan.clients}) == 3
@@ -240,47 +237,16 @@ def test_real_noniid_label_sets_identical_across_clients():
 
 
 def test_plan_json_roundtrip():
+    """partition.json's document holds every field of the plan and survives
+    JSON as it is."""
     d = synth(classes=5, per_class=20)
     plan = pt.partition_dirichlet(d, 4, 0.7, 13)
-    text = json.dumps(plan.to_doc())
-    back = pt.PartitionPlan.from_doc(json.loads(text))
-    assert back == plan
-    assert json.dumps(back.to_doc()) == text
-
-
-@st.composite
-def valid_plans(draw):
-    """Plans of one to three domains, each cut into clients by a permutation
-    of its indices and up to four cut points."""
-    clients = []
-    for domain_id in draw(st.lists(st.text(min_size=1, max_size=6), min_size=1,
-                                   max_size=3, unique=True)):
-        order = draw(st.permutations(range(draw(st.integers(1, 30)))))
-        cuts = sorted(draw(st.sets(st.integers(1, len(order)), max_size=4)) - {len(order)})
-        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
-            clients.append(pt.ClientAssignment(domain_id, tuple(order[lo:hi])))
-    alpha = st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False)
-    return pt.PartitionPlan(tuple(clients), draw(st.sampled_from(STRATEGIES)),
-                            draw(st.integers(0, 2**63)), draw(alpha))
-
-
-@settings(max_examples=25)
-@given(plan=valid_plans())
-def test_plan_json_roundtrip_is_exact_for_any_valid_plan(plan):
-    text = json.dumps(plan.to_doc(), sort_keys=True, indent=1)
-    back = pt.PartitionPlan.from_doc(json.loads(text))
-    assert back == plan
-    assert json.dumps(back.to_doc(), sort_keys=True, indent=1) == text
-
-
-@settings(max_examples=25)
-@given(splits=st.dictionaries(st.text(min_size=1, max_size=6), st.builds(
-    ds.DomainSplits, *[st.lists(st.integers(0, 10**6), max_size=12).map(tuple)] * 3),
-    max_size=3))
-def test_splits_json_roundtrip_is_exact(splits):
-    text = experiment._splits_to_json(splits)
-    assert experiment._splits_from_json(text) == splits
-    assert experiment._splits_to_json(experiment._splits_from_json(text)) == text
+    doc = plan.to_doc()
+    assert json.loads(json.dumps(doc, sort_keys=True, indent=1)) == doc
+    assert (doc["strategy"], doc["seed"], doc["alpha"]) == ("dirichlet", 13, 0.7)
+    assert doc["clients"] == [{"domain": c.domain_id, "indices": list(c.indices),
+                               "count": c.count} for c in plan.clients]
+    assert sum(c["count"] for c in doc["clients"]) == len(d)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +256,5 @@ def test_splits_json_roundtrip_is_exact(splits):
 def test_materialize_gives_each_client_its_plan_indices_as_intp():
     d = synth(classes=4, per_class=10, name="d")
     plan = pt.partition_dirichlet(d, 3, 0.5, 4)
-    for c, index in zip(plan.clients, pt.materialize(plan, {"d": d})):
+    for c, index in zip(plan.clients, pt.materialize(plan)):
         assert index.dtype == np.intp and index.tolist() == list(c.indices)
-
-
-@pytest.mark.parametrize("bad", [-1, 40])
-def test_materialize_refuses_an_index_outside_the_domain(bad):
-    """-1 would read the domain's last example and 40 = len(domain) no example."""
-    d = synth(classes=4, per_class=10, name="d")
-    plan = pt.partition_iid(d, 2, 0)
-    indices = (bad,) + plan.clients[1].indices[1:]
-    edited = pt.PartitionPlan((plan.clients[0], pt.ClientAssignment("d", indices)),
-                              "iid", 0)
-    with pytest.raises(pt.PartitionError,
-                       match=rf"client 1: index {bad} outside \[0, 40\) of domain 'd'"):
-        pt.materialize(edited, {"d": d})
-
-
-def test_materialize_refuses_an_unknown_domain():
-    d = synth(classes=4, per_class=10, name="d")
-    with pytest.raises(pt.PartitionError, match="unknown domain 'd'"):
-        pt.materialize(pt.partition_iid(d, 2, 0), {"e": d})
