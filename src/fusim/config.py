@@ -243,7 +243,8 @@ def _read(text: str) -> tuple:
     """The text's sections in order, each (section, header line, ((key, value,
     line), ...)), every value parsed and checked by its key's row.  Cached,
     as compare validates one text once per route."""
-    parser = configparser.ConfigParser(interpolation=None,
+    # A header never holds a newline, so [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n",
                                        inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)

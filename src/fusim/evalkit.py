@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class ClientEvaluation:
 @dataclass
 class EvaluationReport:
     clients: dict[int, ClientEvaluation]
-    metadata: dict[str, object] = field(default_factory=dict)
 
     @property
     def global_correct(self) -> int:
@@ -94,11 +93,10 @@ def evaluate_client(spec: ModelSpec, params: np.ndarray,
 
 
 def build_report(spec: ModelSpec, params: np.ndarray,
-                 client_test_sets: dict[int, DomainDataset],
-                 metadata: dict | None = None) -> EvaluationReport:
+                 client_test_sets: dict[int, DomainDataset]) -> EvaluationReport:
     clients = {cid: evaluate_client(spec, params, shard)
                for cid, shard in sorted(client_test_sets.items())}
-    return EvaluationReport(clients, dict(metadata or {}))
+    return EvaluationReport(clients)
 
 
 def forgetting_metrics(before: EvaluationReport, after: EvaluationReport,
@@ -137,10 +135,8 @@ def forgetting_metrics(before: EvaluationReport, after: EvaluationReport,
 # Emission
 
 
-def report_to_json(report: EvaluationReport,
-                   metrics: ForgettingMetrics | None = None) -> str:
+def report_to_json(report: EvaluationReport) -> str:
     doc = {
-        "metadata": report.metadata,
         "global": {
             "correct": report.global_correct,
             "total": report.global_total,
@@ -160,16 +156,10 @@ def report_to_json(report: EvaluationReport,
             for cid, ev in sorted(report.clients.items())
         },
     }
-    if metrics is not None:
-        doc["forgetting_metrics"] = {
-            "forget_efficacy": metrics.forget_efficacy,
-            "collateral_retained": metrics.collateral_retained,
-            "collateral_nonrequesting_forget": metrics.collateral_nonrequesting_forget,
-        }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def report_from_json(text: str) -> tuple[EvaluationReport, ForgettingMetrics | None]:
+def report_from_json(text: str) -> EvaluationReport:
     """Inverse of report_to_json; clients and classes in integer order, as
     build_report makes them (JSON keys sort as strings: "10" before "2")."""
     doc = json.loads(text)
@@ -178,13 +168,7 @@ def report_from_json(text: str) -> tuple[EvaluationReport, ForgettingMetrics | N
         classes = sorted((int(c), v) for c, v in entry["classes"].items())
         clients[cid] = ClientEvaluation({c: v["correct"] for c, v in classes},
                                         {c: v["total"] for c, v in classes})
-    report = EvaluationReport(clients, dict(doc.get("metadata", {})))
-    metrics = None
-    if "forgetting_metrics" in doc:
-        m = doc["forgetting_metrics"]
-        metrics = ForgettingMetrics(m["forget_efficacy"], m["collateral_retained"],
-                                    m["collateral_nonrequesting_forget"])
-    return report, metrics
+    return EvaluationReport(clients)
 
 
 def _pct(value: float) -> str:

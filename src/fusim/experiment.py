@@ -390,32 +390,30 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
                     before: evalkit.EvaluationReport | None = None):
     """Before/after reports and metrics; trained_stage as in ensure_unlearn.
 
-    When every evaluate artifact exists, the reports and metrics are read
-    back from them and nothing is rewritten.  Otherwise before is the trained
-    model's report when the caller already has it (compare_routes shares one
-    across routes; its metadata is set here), else it is built.
+    When every evaluate artifact exists, the reports are read back from
+    them, the metrics from metrics.json's record, and nothing is rewritten.
+    Otherwise before is the trained model's report when the caller already
+    has it (compare_routes shares one across routes), else it is built.
     """
     route = cfg.unlearn.route
 
-    def resume(unlearned_stage, _):
-        with open(os.path.join(out_dir, "report_before.json")) as fh:
-            read_before, _ = evalkit.report_from_json(fh.read())
-        with open(os.path.join(out_dir, "report_after.json")) as fh:
-            after, metrics = evalkit.report_from_json(fh.read())
-        return unlearned_stage[0], read_before, after, metrics
+    def resume(unlearned_stage, record):
+        reports = []
+        for name in ("report_before.json", "report_after.json"):
+            with open(os.path.join(out_dir, name)) as fh:
+                reports.append(evalkit.report_from_json(fh.read()))
+        metrics = evalkit.ForgettingMetrics(**{
+            f.name: record[f.name] for f in dataclasses.fields(evalkit.ForgettingMetrics)})
+        return unlearned_stage[0], *reports, metrics
 
     def run(unlearned_stage, writer):
         task, trained, unlearned, _ = unlearned_stage
         shared = before if before is not None else evalkit.build_report(
             task.spec, trained, task.client_test_sets)
-        shared = dataclasses.replace(shared, metadata={
-            "strategy": "before", "route": route, "seed": cfg.seed})
-        after = evalkit.build_report(
-            task.spec, unlearned, task.client_test_sets,
-            metadata={"strategy": "after", "route": route, "seed": cfg.seed})
+        after = evalkit.build_report(task.spec, unlearned, task.client_test_sets)
         metrics = evalkit.forgetting_metrics(shared, after, cfg.unlearn)
         writer.add_text("report_before.json", evalkit.report_to_json(shared))
-        writer.add_text("report_after.json", evalkit.report_to_json(after, metrics))
+        writer.add_text("report_after.json", evalkit.report_to_json(after))
         writer.add_text("report.csv", evalkit.combined_csv({"before": shared, route: after}))
         # "route" repeats the record's unlearn.route for readers of metrics.json
         # alone (perfbench prints it); the record's value is the one checked

@@ -66,7 +66,6 @@ class DominanceEntry:
 @dataclass(frozen=True)
 class RankSelection:
     units: tuple[UnitId, ...]
-    requested: int
     capped: bool  # true when fewer entries existed than were requested
 
 
@@ -234,7 +233,7 @@ def rank_select(entries: list[DominanceEntry], n: int) -> RankSelection:
                                              e.unit.layer, e.unit.unit))
     capped = n > len(ordered)
     return RankSelection(tuple(e.unit for e in ordered[:min(n, len(ordered))]),
-                         requested=n, capped=capped)
+                         capped=capped)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,6 @@ class ClientAssignment:
 @dataclass(frozen=True)
 class PartitionPlan:
     clients: tuple[ClientAssignment, ...]
-    strategy: str
-    seed: int
-    alpha: float | None = None
 
     def __post_init__(self):
         per_domain: dict[str, set[int]] = {}
@@ -64,16 +61,10 @@ class PartitionPlan:
                     f"within domain {c.domain_id}")
             seen.update(c.indices)
 
-    @property
-    def client_count(self) -> int:
-        return len(self.clients)
-
     def to_doc(self) -> dict:
-        """The plan as the JSON document partition.json records."""
+        """The plan as the JSON document partition.json records; the strategy,
+        seed and alpha are in the record's config values."""
         return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "alpha": self.alpha,
             "clients": [
                 {"domain": c.domain_id, "indices": list(c.indices), "count": c.count}
                 for c in self.clients
@@ -98,8 +89,7 @@ def partition_iid(dataset: DomainDataset, client_count: int, seed) -> PartitionP
         clients.append(ClientAssignment(
             dataset.domain_id, tuple(sorted(int(i) for i in order[start:start + size]))))
         start += size
-    seed_int = seed if isinstance(seed, int) else 0
-    return PartitionPlan(tuple(clients), "iid", seed_int)
+    return PartitionPlan(tuple(clients))
 
 
 def _dirichlet_assign(labels: np.ndarray, client_count: int, alpha: float,
@@ -133,8 +123,7 @@ def partition_dirichlet(dataset: DomainDataset, client_count: int, alpha: float,
         if all(buckets):
             clients = tuple(
                 ClientAssignment(dataset.domain_id, tuple(sorted(b))) for b in buckets)
-            seed_int = seed if isinstance(seed, int) else 0
-            return PartitionPlan(clients, "dirichlet", seed_int, alpha)
+            return PartitionPlan(clients)
     raise PartitionError(
         f"no nonempty Dirichlet assignment found in {DIRICHLET_MAX_RETRIES} draws")
 
@@ -186,7 +175,7 @@ def build_plan(part: PartitionConfig, domains: list[DomainDataset], seed: int) -
     clients = []
     for g, (domain, size) in enumerate(zip(domains, part.group_sizes)):
         clients.extend(partition_dirichlet(domain, size, part.alpha, (seed, 421, g)).clients)
-    return PartitionPlan(tuple(clients), "real_noniid", seed, part.alpha)
+    return PartitionPlan(tuple(clients))
 
 
 def materialize(plan: PartitionPlan) -> list[np.ndarray]:

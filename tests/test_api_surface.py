@@ -5,8 +5,9 @@ in src/ or perfbench/; a function that only tests call belongs in the tests.
 A top-level function counts as used only through the module that defines it
 (evalkit.report_to_json says nothing about a fedcccu.report_to_json): as a
 `module.name` reference, a `from .module import name` import, or a bare use
-inside the defining module.  A method counts as used when its name is
-referenced anywhere.  The numeric oracles are the one exception: the
+inside the defining module.  A method counts as used when an attribute of its
+name is accessed anywhere (`obj.name`); a parameter or variable of the same
+name is no use of it.  The numeric oracles are the one exception: the
 engine's batched paths are checked against them.
 """
 import ast
@@ -37,15 +38,11 @@ def fusim_source(node: ast.ImportFrom) -> str | None:
     return "" if module in ("", "fusim") else module.rsplit(".", 1)[-1]
 
 
-def referenced_names(tree):
-    """Every identifier the code uses: names, attributes and imported names."""
+def accessed_attributes(tree):
+    """The name of every attribute access (`obj.name`) in the code."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
 
 
 def function_uses(module: str | None, tree):
@@ -70,14 +67,14 @@ def function_uses(module: str | None, tree):
 def unused_public_functions(root: Path) -> list[str]:
     sources = sorted((root / "src").rglob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
-    names = {name for tree in trees.values() for name in referenced_names(tree)}
+    attributes = {name for tree in trees.values() for name in accessed_attributes(tree)}
     uses = {use for path, tree in trees.items() for use in function_uses(
         path.stem if path.parent.name == "fusim" else None, tree)}
     return [f"{path.relative_to(root)}:{line} {name}"
             for path, tree in trees.items() if path.parent.name == "fusim"
             for name, line, is_method in public_defs(tree)
             if name not in ORACLES
-            and (name.rsplit(".", 1)[-1] not in names if is_method
+            and (name.rsplit(".", 1)[-1] not in attributes if is_method
                  else (path.stem, name) not in uses)]
 
 

@@ -334,6 +334,56 @@ def test_compare_route_artifacts_match_single_runs(compared):
                                os.path.join(single, name), shallow=False), (route, name)
 
 
+def test_each_fact_has_one_home_on_disk(compared):
+    """The forgetting metrics are in metrics.json alone, the route and seed in
+    the records alone, and the partition strategy, seed and alpha in
+    partition.json's config record alone; so the one before report a compare
+    shares is the same file in every route."""
+    _, _, out, _ = compared
+    reports = tree_bytes(out)
+    befores = {reports[os.path.join(f"route_{route}", "report_before.json")]
+               for route in COMPARED}
+    assert len(befores) == 1
+    for route in COMPARED:
+        for name in ("report_before.json", "report_after.json"):
+            doc = json.loads(reports[os.path.join(f"route_{route}", name)])
+            assert sorted(doc) == ["clients", "global"], (route, name)
+    with open(os.path.join(out, "partition.json")) as fh:
+        assert sorted(json.load(fh)) == ["clients", "config"]
+
+
+def test_a_directory_with_the_copies_still_resumes(finished_run, tmp_path, monkeypatch):
+    """A finished directory written when the reports held metadata and
+    forgetting metrics, and partition.json the strategy, seed and alpha,
+    resumes without building data or changing a byte."""
+    cfg_path, finished = finished_run
+    out = str(tmp_path / "run")
+    shutil.copytree(finished, out)
+    with open(os.path.join(out, "metrics.json")) as fh:
+        metrics = json.load(fh)
+    copies = {
+        "report_before.json": {"metadata": {"strategy": "before", "route": "delete",
+                                            "seed": 5}},
+        "report_after.json": {"metadata": {"strategy": "after", "route": "delete",
+                                           "seed": 5},
+                              "forgetting_metrics": {key: metrics[key] for key in (
+                                  "forget_efficacy", "collateral_retained",
+                                  "collateral_nonrequesting_forget")}},
+        "partition.json": {"strategy": "real_noniid", "seed": 5, "alpha": 100.0},
+    }
+    for name, extra in copies.items():
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            doc = json.load(fh)
+        with open(path, "w") as fh:
+            json.dump({**doc, **extra}, fh, sort_keys=True, indent=1)
+    before = tree_bytes(out)
+    builds, domains = count_builds(monkeypatch)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    assert builds == [] and domains == []
+    assert tree_bytes(out) == before
+
+
 def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, monkeypatch):
     _, cfg_path, out, _ = compared
     again = str(tmp_path / "again")

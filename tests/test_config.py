@@ -45,6 +45,24 @@ def test_unknown_section_rejected():
     assert "optimizer" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[DEFAULT]\nseed = 5\n", 1),
+    ("[experiment]\nseed = 1\n[DEFAULT]\nbogus = 2\n[training]\nrounds_max = 3\n", 3),
+])
+def test_default_section_is_an_unknown_section(tmp_path, caplog, text, line):
+    """configparser's [DEFAULT] is no section of the schema: its keys would
+    otherwise be dropped, or reported as keys of another section with no
+    line, so it is refused by name and line, and the command exits 1."""
+    with pytest.raises(ConfigError, match=rf"^line {line}: unknown section \[DEFAULT\]$"):
+        validate_config(text)
+    path = tmp_path / "default.ini"
+    path.write_text(text)
+    assert cli.main(["partition", "--config", str(path), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    assert f"line {line}: unknown section [DEFAULT]" in caplog.text
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_route_rejected():
     with pytest.raises(ConfigError):
         validate_config("[unlearn]\nroute = distill\n")

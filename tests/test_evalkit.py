@@ -1,4 +1,6 @@
 """Evaluation report and metrics tests."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,13 +27,13 @@ def shard_of(labels, side=4, value=0.3):
                             np.asarray(labels, dtype=np.int64), "t", max(labels) + 1)
 
 
-def report_from_counts(counts, metadata=None):
+def report_from_counts(counts):
     clients = {}
     for cid, table in counts.items():
         correct = {c: v[0] for c, v in table.items()}
         total = {c: v[1] for c, v in table.items()}
         clients[cid] = ek.ClientEvaluation(correct, total)
-    return ek.EvaluationReport(clients, metadata or {})
+    return ek.EvaluationReport(clients)
 
 
 # ---------------------------------------------------------------------------
@@ -154,22 +156,20 @@ def test_metrics_coverage_mismatch_errors():
 
 
 def test_json_roundtrip_exact():
-    report = report_from_counts(
-        {0: {0: (3, 4), 1: (2, 2)}, 1: {0: (1, 5), 1: (4, 4)}},
-        metadata={"strategy": "before", "seed": 7})
-    metrics = ek.ForgettingMetrics(1.5, -0.25, 0.0)
-    text = ek.report_to_json(report, metrics)
-    back, back_metrics = ek.report_from_json(text)
+    """A report's JSON holds its counts and accuracies only: the route and
+    seed are in metrics.json's record, and the forgetting metrics too."""
+    report = report_from_counts({0: {0: (3, 4), 1: (2, 2)}, 1: {0: (1, 5), 1: (4, 4)}})
+    text = ek.report_to_json(report)
+    assert sorted(json.loads(text)) == ["clients", "global"]
+    back = ek.report_from_json(text)
     assert back.clients == report.clients
-    assert back.metadata == report.metadata
-    assert back_metrics == metrics
-    assert ek.report_to_json(back, back_metrics) == text
+    assert ek.report_to_json(back) == text
 
 
 def test_json_roundtrip_orders_clients_and_classes_by_integer_id():
     counts = {cid: {c: (cid % 3 + c % 2, 4) for c in range(12)} for cid in range(12)}
     report = report_from_counts(counts)
-    back, _ = ek.report_from_json(ek.report_to_json(report))
+    back = ek.report_from_json(ek.report_to_json(report))
     assert list(back.clients) == list(range(12))
     assert all(list(ev.class_total) == list(range(12)) for ev in back.clients.values())
     assert back.macro_global_accuracy == report.macro_global_accuracy
@@ -181,7 +181,7 @@ def test_json_text_survives_a_round_trip_of_clients_out_of_integer_order():
     report = report_from_counts({0: {0: (1, 3)}, 1: {0: (1, 3)}, 3: {0: (3, 7)},
                                  2: {0: (1, 3)}})
     text = ek.report_to_json(report)
-    back, _ = ek.report_from_json(text)
+    back = ek.report_from_json(text)
     assert list(back.clients) == [0, 1, 2, 3]
     assert ek.report_to_json(back) == text
 
@@ -194,36 +194,31 @@ CLASS_COUNTS = st.tuples(st.integers(0, 60), st.integers(1, 60)).map(
 @given(counts=st.dictionaries(st.integers(0, 120),
                               st.dictionaries(st.integers(0, 120), CLASS_COUNTS,
                                               min_size=1, max_size=8),
-                              min_size=1, max_size=8),
-       metadata=st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5),
-                                max_size=3),
-       metrics=st.none() | st.builds(ek.ForgettingMetrics,
-                                     *[st.floats(allow_nan=False, allow_infinity=False)] * 3))
-def test_json_roundtrip_property(counts, metadata, metrics):
-    """For any client and class ids, the report and metrics come back equal,
-    with clients and classes in integer order ("10" after "2")."""
-    report = report_from_counts(counts, metadata)
-    text = ek.report_to_json(report, metrics)
-    back, back_metrics = ek.report_from_json(text)
-    assert back == report and back_metrics == metrics
+                              min_size=1, max_size=8))
+def test_json_roundtrip_property(counts):
+    """For any client and class ids, the report comes back equal, with
+    clients and classes in integer order ("10" after "2")."""
+    report = report_from_counts(counts)
+    back = ek.report_from_json(ek.report_to_json(report))
+    assert back == report
     assert list(back.clients) == sorted(counts)
     for cid, ev in back.clients.items():
         assert list(ev.class_total) == list(ev.class_correct) == sorted(counts[cid])
 
 
 def test_emission_byte_stable(tmp_path):
-    report = report_from_counts({0: {0: (3, 4)}}, metadata={"strategy": "x"})
+    report = report_from_counts({0: {0: (3, 4)}})
     for emit in (ek.report_to_json, lambda r: ek.combined_csv({"x": r})):
         p1, p2 = tmp_path / "a", tmp_path / "b"
         p1.write_bytes(emit(report).encode("utf-8"))
-        p2.write_bytes(emit(report_from_counts({0: {0: (3, 4)}}, {"strategy": "x"}))
+        p2.write_bytes(emit(report_from_counts({0: {0: (3, 4)}}))
                        .encode("utf-8"))
         assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_row_count_ten_clients_nine_classes():
     counts = {cid: {c: (1, 2) for c in range(9)} for cid in range(10)}
-    report = report_from_counts(counts, metadata={"strategy": "before"})
+    report = report_from_counts(counts)
     text = ek.combined_csv({"before": report})
     lines = text.strip().split("\n")
     assert len(lines) == 1 + 90
