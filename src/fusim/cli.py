@@ -79,9 +79,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "partition":
             experiment.ensure_partition(cfg, out)
-            groups = cfg.partition.groups
             logger.info("partition: %d clients over %d domains -> %s",
-                        sum(groups), len(groups), out)
+                        sum(cfg.partition.groups), len(cfg.domains), out)
         elif args.command == "train":
             _, _, summary = experiment.ensure_train(cfg, out)
             logger.info("train: convergence_round=%s final_val_error=%s",

@@ -62,8 +62,8 @@ class PartitionConfig:
 
     @property
     def groups(self) -> tuple[int, ...]:
-        """Clients per domain the plan splits, in config order: group_sizes
-        under real_noniid, else every client on the one domain."""
+        """Clients per group, in config order: under real_noniid one group per
+        domain (group_sizes), else one group of every client over all domains."""
         return self.group_sizes if self.strategy == "real_noniid" else (self.clients,)
 
 
@@ -324,10 +324,6 @@ def validate_config(text: str, overrides=()) -> ExperimentConfig:
         raise ConfigError(
             f"partition.group_sizes: {len(p.group_sizes)} groups for "
             f"{len(domains)} domains", where("partition", "group_sizes"))
-    if p.strategy in ("iid", "dirichlet") and len(domains) != 1:
-        raise ConfigError(
-            f"partition.strategy {p.strategy!r} needs exactly one domain, "
-            f"got {len(domains)}", where("partition", "strategy"))
     if u.forget_class >= cfg.class_count:
         raise ConfigError(
             f"unlearn.forget_class: {u.forget_class} >= class_count {cfg.class_count}",

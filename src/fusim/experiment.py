@@ -79,10 +79,11 @@ class _StageWriter:
 
 @dataclass
 class TaskData:
-    """The data a running stage trains and evaluates on, made by build_task."""
+    """The data a running stage trains and evaluates on, made by build_task:
+    train is the pool of every domain's train split, the plan's index space."""
     plan: PartitionPlan
     splits: dict[str, DomainSplits]
-    train_domains: dict[str, DomainDataset]
+    train: DomainDataset
     val_x: np.ndarray
     val_y: np.ndarray
     client_test_sets: dict[int, DomainDataset]
@@ -105,12 +106,11 @@ class Task:
             self._data = build_task(self._cfg).data
         return self._data
 
-    plan = property(lambda self: self.data.plan)
-    splits = property(lambda self: self.data.splits)
-    train_domains = property(lambda self: self.data.train_domains)
-    val_x = property(lambda self: self.data.val_x)
-    val_y = property(lambda self: self.data.val_y)
-    client_test_sets = property(lambda self: self.data.client_test_sets)
+    def __getattr__(self, name: str):
+        """The TaskData fields (plan, splits, train, ...), built on first use."""
+        if name not in TaskData.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self.data, name)
 
 
 def build_spec(cfg: ExperimentConfig) -> ModelSpec:
@@ -164,34 +164,53 @@ def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
 def build_task(cfg: ExperimentConfig) -> Task:
     """The one data build, from the config alone, with its data in place.
 
-    Every domain is made, mapped onto the shared labels and resized; then,
-    one domain at a time, split and cut into its train, validation and test
-    subsets, after which the whole domain is released.  The plan is built
-    over the train subsets.
+    Every domain is made and cut to the shared labels, and split by its
+    labels.  Then, one domain at a time, it is resized, its train and test
+    splits are written into its blocks of the preallocated train and test
+    pools (one block per domain, in config order) and its validation subset
+    is cut, after which the whole domain is released.  The plan is built
+    over the train pool, and a client's test set is the test pool's rows of
+    its group: its domain's block under real_noniid, else the whole pool.
     """
-    ev = cfg.evaluate
-    splits, train_domains, val_sets, test_domains = {}, {}, {}, {}
-    domains = label_intersection(build_raw_domains(cfg))[2]
+    ev, part = cfg.evaluate, cfg.partition
+    domains = label_intersection(build_raw_domains(cfg))
+    splits = {}
+    for d in domains:
+        sp = splits[d.domain_id] = stratified_split(d, ev.val_fraction, ev.test_fraction,
+                                                    (cfg.seed, 831))
+        for key, rows, what in (("val_fraction", sp.val, "validation"),
+                                ("test_fraction", sp.test, "test")):
+            if not rows:
+                raise ConfigError(f"evaluate.{key}: domain {d.domain_id!r} gets no {what} "
+                                  f"examples; raise it or the samples per class")
+    class_count, channels = domains[0].class_count, domains[0].images.shape[1]
+    blocks, pools, val_sets = {}, {}, {}
+    for which in ("train", "test"):
+        stops = np.cumsum([len(getattr(sp, which)) for sp in splits.values()]).tolist()
+        blocks[which] = tuple(zip(splits, [0] + stops[:-1], stops))
+        pools[which] = DomainDataset(np.zeros((stops[-1], channels, *part.working_resolution)),
+                                     np.zeros(stops[-1], dtype=np.int64), which, class_count)
     for i, d in enumerate(domains):
         domains[i] = None   # d is the one reference left to the whole domain
-        d = resize(d, cfg.partition.working_resolution)
-        did = d.domain_id
-        sp = splits[did] = stratified_split(d, ev.val_fraction, ev.test_fraction,
-                                            (cfg.seed, 831))
-        for key, part, what in (("val_fraction", sp.val, "validation"),
-                                ("test_fraction", sp.test, "test")):
-            if not part:
-                raise ConfigError(f"evaluate.{key}: domain {did!r} gets no {what} "
-                                  f"examples; raise it or the samples per class")
-        train_domains[did] = subset(d, sp.train)
-        val_sets[did] = subset(d, sp.val)
-        test_domains[did] = subset(d, sp.test)
+        d = resize(d, part.working_resolution)
+        sp = splits[d.domain_id]
+        for which, pool in pools.items():
+            _, start, stop = blocks[which][i]
+            index = np.asarray(getattr(sp, which), dtype=np.intp)
+            # mode="clip" writes straight into out; "raise" fills a temporary first
+            np.take(d.images, index, axis=0, out=pool.images[start:stop], mode="clip")
+            np.take(d.labels, index, out=pool.labels[start:stop], mode="clip")
+        val_sets[d.domain_id] = subset(d, sp.val)
     del d
-    plan = build_plan(cfg.partition, list(train_domains.values()), cfg.seed)
     val_x = np.concatenate([val_sets[did].images for did in sorted(val_sets)])
     val_y = np.concatenate([val_sets[did].labels for did in sorted(val_sets)])
-    client_test_sets = {i: test_domains[c.domain_id] for i, c in enumerate(plan.clients)}
-    return Task(cfg, TaskData(plan, splits, train_domains, val_x, val_y, client_test_sets))
+    train, test = pools["train"], pools["test"]
+    plan = build_plan(part, train.labels, blocks["train"], cfg.seed)
+    groups = blocks["test"] if part.strategy == "real_noniid" else (("test", 0, len(test)),)
+    client_test_sets = dict(enumerate(
+        DomainDataset(test.images[a:b], test.labels[a:b], name, class_count)
+        for (name, a, b), size in zip(groups, part.groups) for _ in range(size)))
+    return Task(cfg, TaskData(plan, splits, train, val_x, val_y, client_test_sets))
 
 
 def _splits_to_json(splits: dict[str, DomainSplits]) -> str:
@@ -287,7 +306,7 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
 
 def ensure_train(cfg: ExperimentConfig, out_dir: str):
     def run(task, writer):
-        clients = fedsim.build_clients(task.plan, task.train_domains)
+        clients = fedsim.build_clients(task.plan, task.train)
         result = fedsim.run_training(
             task.spec, clients, task.val_x, task.val_y, cfg.training, cfg.seed,
             save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", task.spec,
@@ -316,7 +335,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
     extras: dict[str, object] = {}
     if route == "none":
         return trained, [], extras
-    clients = fedsim.build_clients(task.plan, task.train_domains)
+    clients = fedsim.build_clients(task.plan, task.train)
     if route in ("delete", "relabel"):
         for rid in u.requesting_clients:
             state = clients[rid]  # build_clients puts client i at i
@@ -402,8 +421,11 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
         for name in ("report_before.json", "report_after.json"):
             with open(os.path.join(out_dir, name)) as fh:
                 reports.append(evalkit.report_from_json(fh.read()))
-        metrics = evalkit.ForgettingMetrics(**{
-            f.name: record[f.name] for f in dataclasses.fields(evalkit.ForgettingMetrics)})
+        names = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
+        if bad := [name for name in names if type(record.get(name)) not in (int, float)]:
+            raise ConfigError(f"{os.path.join(out_dir, 'metrics.json')}: {bad[0]} is missing "
+                              f"or not a number; use a fresh output directory")
+        metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in names})
         return unlearned_stage[0], *reports, metrics
 
     def run(unlearned_stage, writer):

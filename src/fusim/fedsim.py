@@ -4,7 +4,7 @@ A model is nncore's one float64 vector, (P,).  One round loop serves both.
 Each round the training clients run local mini-batch SGD from the current
 global vector, in lockstep: their models are the rows of one (k, P) matrix,
 and at each step one stacked engine call covers every run of trainers (a
-slice of the matrix's rows) whose batches (gathered from the train domains,
+slice of the matrix's rows) whose batches (gathered from the train pool,
 not copies) have one size (nncore's stack axis), with each trainer's bits
 those of its own k = 1 steps; sgd_step forms and applies each trainer's
 gradient in turn in one (P,) vector.  The loop makes both once and passes
@@ -48,8 +48,9 @@ class FedError(ValueError):
 
 
 class ClientState:
-    """A client's view of its train domain (never written): an intp index vector
-    and its own labels, domain.labels[index] until a route rewrites them."""
+    """A client's view of the train pool (never written): an intp index vector
+    into it and its own labels, domain.labels[index] until a route rewrites
+    them."""
 
     def __init__(self, client_id: int, domain: DomainDataset, index):
         self.client_id = client_id
@@ -83,9 +84,8 @@ class TrainingResult:
     convergence_round: int | None
 
 
-def build_clients(plan: PartitionPlan, domains: dict[str, DomainDataset]) -> list[ClientState]:
-    return [ClientState(i, domains[c.domain_id], index)
-            for i, (c, index) in enumerate(zip(plan.clients, materialize(plan)))]
+def build_clients(plan: PartitionPlan, train: DomainDataset) -> list[ClientState]:
+    return [ClientState(i, train, index) for i, index in enumerate(materialize(plan))]
 
 
 def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: ModelSpec,

@@ -1,30 +1,30 @@
 """Client data assignment: IID, Dirichlet label skew, and domain-per-group.
 
-A PartitionPlan is pure bookkeeping: per client, a domain id and a list of
-example indices into that domain's dataset.  build_plan is the one entry
-point that picks the configured regime:
+A PartitionPlan is pure bookkeeping over the pooled train array, which holds
+every domain's train split, one block per domain in config order: per
+client, a sorted intp index vector into the pool.  build_plan is the one
+entry point that picks the configured regime:
 
-* iid        — one dataset, uniform shuffle-split.
-* dirichlet  — one dataset, per-class client proportions from Dirichlet(alpha);
-               small alpha skews each client's label prior.
-* real_noniid — one source domain per client group, each group splitting its
-               domain via Dirichlet(alpha); feature distributions differ across
+* iid        — the whole pool, uniform shuffle-split.
+* dirichlet  — the whole pool, per-class client proportions from
+               Dirichlet(alpha); small alpha skews each client's label prior.
+* real_noniid — one domain block per client group, each group splitting its
+               block via Dirichlet(alpha); feature distributions differ across
                groups while labels stay comparable.
 
-label_intersection maps every domain onto the shared label space (a lookup
-table over the label array, plus a mask that drops the rest), and
-materialize turns a plan into per-client index vectors.  A plan is a pure
+label_intersection cuts every domain to the shared label range, and
+materialize gives the plan's per-client index vectors.  A plan is a pure
 function of the config: to_doc records it in partition.json for readers,
 and nothing reads that record back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import PartitionConfig
-from .datasets import DomainDataset
+from .datasets import DomainDataset, subset
 from .nncore import make_rng
 
 DIRICHLET_MAX_RETRIES = 100
@@ -34,150 +34,118 @@ class PartitionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClientAssignment:
-    domain_id: str
-    indices: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    clients: tuple[ClientAssignment, ...]
+    """Per client a sorted intp index vector into the pool, and each domain's
+    (name, start, stop) block of the pool, in config order."""
+    clients: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
-        per_domain: dict[str, set[int]] = {}
+        size = self.blocks[-1][2] if self.blocks else 0
         for i, c in enumerate(self.clients):
-            if c.count < 1:
+            if len(c) < 1:
                 raise PartitionError(f"client {i} received no samples")
-            seen = per_domain.setdefault(c.domain_id, set())
-            overlap = seen.intersection(c.indices)
-            if overlap:
-                raise PartitionError(
-                    f"client {i}: indices {sorted(overlap)[:4]}... already assigned "
-                    f"within domain {c.domain_id}")
-            seen.update(c.indices)
+            if c.min() < 0 or c.max() >= size:
+                raise PartitionError(f"client {i}: indices outside the pool [0, {size})")
+        shared = np.flatnonzero(np.bincount(np.concatenate(self.clients), minlength=size) > 1)
+        if shared.size:
+            raise PartitionError(
+                f"pool indices {shared[:4].tolist()}... assigned to more than one client")
 
     def to_doc(self) -> dict:
-        """The plan as the JSON document partition.json records; the strategy,
-        seed and alpha are in the record's config values."""
-        return {
-            "clients": [
-                {"domain": c.domain_id, "indices": list(c.indices), "count": c.count}
-                for c in self.clients
-            ],
-        }
+        """The plan as the JSON document partition.json records: per client
+        its count and, per domain it holds examples of, their indices into
+        that domain's train split.  The strategy, seed and alpha are in the
+        record's config values."""
+        clients = []
+        for c in self.clients:
+            domains = {}
+            for name, start, stop in self.blocks:
+                a, b = np.searchsorted(c, (start, stop))
+                if b > a:
+                    domains[name] = (c[a:b] - start).tolist()
+            clients.append({"count": len(c), "domains": domains})
+        return {"clients": clients}
 
 
-def partition_iid(dataset: DomainDataset, client_count: int, seed) -> PartitionPlan:
-    """Shuffled near-equal split; client sizes differ by at most one."""
-    n = len(dataset)
+def partition_iid(n: int, client_count: int, seed) -> list[np.ndarray]:
+    """Shuffled near-equal split of range(n); client sizes differ by at most one."""
     if client_count < 1:
         raise PartitionError("client_count must be >= 1")
     if client_count > n:
         raise PartitionError(f"cannot split {n} examples across {client_count} clients")
-    rng = make_rng(seed, 401)
-    order = rng.permutation(n)
-    base, extra = divmod(n, client_count)
-    clients = []
-    start = 0
-    for k in range(client_count):
-        size = base + (1 if k < extra else 0)
-        clients.append(ClientAssignment(
-            dataset.domain_id, tuple(sorted(int(i) for i in order[start:start + size]))))
-        start += size
-    return PartitionPlan(tuple(clients))
+    order = make_rng(seed, 401).permutation(n)
+    return [np.sort(part) for part in np.array_split(order, client_count)]
 
 
-def _dirichlet_assign(labels: np.ndarray, client_count: int, alpha: float,
-                      rng: np.random.Generator) -> list[list[int]]:
-    buckets: list[list[int]] = [[] for _ in range(client_count)]
-    classes = np.unique(labels)
-    for c in classes:
-        idx = np.flatnonzero(labels == c)
-        idx = idx[rng.permutation(idx.size)]
-        props = rng.dirichlet([alpha] * client_count)
-        cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
-        for k, chunk in enumerate(np.split(idx, cuts)):
-            buckets[k].extend(int(i) for i in chunk)
-    return buckets
-
-
-def partition_dirichlet(dataset: DomainDataset, client_count: int, alpha: float,
-                        seed) -> PartitionPlan:
-    """Per-class Dirichlet(alpha) proportions; redraws until no client is empty."""
+def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float,
+                        seed) -> list[np.ndarray]:
+    """Per-class Dirichlet(alpha) proportions over the positions of labels;
+    redraws until no client is empty."""
     if alpha <= 0:
         raise PartitionError(f"alpha must be positive, got {alpha}")
-    n = len(dataset)
+    n = len(labels)
     if client_count < 1:
         raise PartitionError("client_count must be >= 1")
     if client_count > n:
         raise PartitionError(f"cannot assign {n} examples to {client_count} clients")
-    labels = dataset.labels
     for attempt in range(DIRICHLET_MAX_RETRIES):
         rng = make_rng(seed, 411, attempt)
-        buckets = _dirichlet_assign(labels, client_count, alpha, rng)
-        if all(buckets):
-            clients = tuple(
-                ClientAssignment(dataset.domain_id, tuple(sorted(b))) for b in buckets)
-            return PartitionPlan(clients)
+        buckets: list[list[np.ndarray]] = [[] for _ in range(client_count)]
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
+            idx = idx[rng.permutation(idx.size)]
+            props = rng.dirichlet([alpha] * client_count)
+            cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
+            for k, chunk in enumerate(np.split(idx, cuts)):
+                buckets[k].append(chunk)
+        clients = [np.sort(np.concatenate(b)) for b in buckets]
+        if all(len(c) for c in clients):
+            return clients
     raise PartitionError(
         f"no nonempty Dirichlet assignment found in {DIRICHLET_MAX_RETRIES} draws")
 
 
-def label_intersection(domains: list[DomainDataset]):
-    """Shared label range across domains, plus remapped, filtered datasets.
+def label_intersection(domains: list[DomainDataset]) -> list[DomainDataset]:
+    """Every domain cut to the shared labels [0, min class_count).
 
-    The shared set is the intersection of each domain's [0, class_count)
-    range; labels are remapped to a contiguous [0, len(shared)) space and
-    out-of-intersection examples are dropped.  A domain that drops none keeps
-    its image array, uncopied.
+    Every domain's labels start at 0, so the shared set is the smallest
+    [0, class_count) range and no label changes value: examples of higher
+    labels are dropped, and a domain with no higher class is kept as it is.
     """
     if not domains:
         raise PartitionError("need at least one domain")
-    shared = set(range(domains[0].class_count))
-    for d in domains[1:]:
-        shared &= set(range(d.class_count))
-    if not shared:
+    shared = min(d.class_count for d in domains)
+    if shared < 1:
         raise PartitionError("label intersection across domains is empty")
-    shared_sorted = sorted(shared)
-    mapping = {old: new for new, old in enumerate(shared_sorted)}
-    lut = np.full(max(d.class_count for d in domains), -1, dtype=np.int64)
-    lut[shared_sorted] = np.arange(len(shared_sorted))
-    remapped = []
-    for d in domains:
-        labels = lut[d.labels]
-        keep = labels >= 0
-        images = d.images
-        if not keep.all():
-            images, labels = images[keep], labels[keep]
-        remapped.append(DomainDataset(images, labels, d.domain_id, len(shared_sorted)))
-    return shared_sorted, mapping, remapped
+    return [d if d.class_count == shared else
+            replace(subset(d, np.flatnonzero(d.labels < shared)), class_count=shared)
+            for d in domains]
 
 
-def build_plan(part: PartitionConfig, domains: list[DomainDataset], seed: int) -> PartitionPlan:
-    """The configured strategy's plan over the given domains, in config order.
+def build_plan(part: PartitionConfig, labels: np.ndarray,
+               blocks: tuple[tuple[str, int, int], ...], seed: int) -> PartitionPlan:
+    """The configured strategy's plan over the pool's labels and domain blocks.
 
-    iid and dirichlet split the first (only) domain across part.clients;
-    real_noniid gives domain g its own group of part.group_sizes[g] clients,
-    split by Dirichlet(part.alpha) with seed (seed, 421, g).
+    iid and dirichlet split the whole pool across part.clients; real_noniid
+    gives block g its own group of part.group_sizes[g] clients, split by
+    Dirichlet(part.alpha) with seed (seed, 421, g).
     """
     if part.strategy == "iid":
-        return partition_iid(domains[0], part.clients, seed)
-    if part.strategy == "dirichlet":
-        return partition_dirichlet(domains[0], part.clients, part.alpha, seed)
-    if len(domains) != len(part.group_sizes):
-        raise PartitionError(
-            f"{len(domains)} domains but {len(part.group_sizes)} group sizes")
-    clients = []
-    for g, (domain, size) in enumerate(zip(domains, part.group_sizes)):
-        clients.extend(partition_dirichlet(domain, size, part.alpha, (seed, 421, g)).clients)
-    return PartitionPlan(tuple(clients))
+        clients = partition_iid(len(labels), part.clients, seed)
+    elif part.strategy == "dirichlet":
+        clients = partition_dirichlet(labels, part.clients, part.alpha, seed)
+    elif len(blocks) != len(part.group_sizes):
+        raise PartitionError(f"{len(blocks)} domains but {len(part.group_sizes)} group sizes")
+    else:
+        clients = [c + start
+                   for g, ((_, start, stop), size) in enumerate(zip(blocks, part.group_sizes))
+                   for c in partition_dirichlet(labels[start:stop], size, part.alpha,
+                                                (seed, 421, g))]
+    return PartitionPlan(tuple(clients), blocks)
 
 
 def materialize(plan: PartitionPlan) -> list[np.ndarray]:
-    """Per-client intp index vectors into each client's domain."""
-    return [np.asarray(c.indices, dtype=np.intp) for c in plan.clients]
+    """Per-client intp index vectors into the pool (the plan's, not copies)."""
+    return list(plan.clients)

@@ -208,7 +208,7 @@ def test_criterion_3_protocol_suite():
 
     def one_run():
         task = experiment.build_task(cfg)
-        clients = fedsim.build_clients(task.plan, task.train_domains)
+        clients = fedsim.build_clients(task.plan, task.train)
         result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
                                      cfg.training, cfg.seed)
         return task, clients, result
@@ -256,7 +256,7 @@ def test_criterion_4_benchmark_training(digits3):
     start = time.monotonic()
     cfg, task, trained, summary, before = digits3
     assert len(task.plan.clients) == 9
-    assert len({c.domain_id for c in task.plan.clients}) == 3
+    assert len({tuple(c["domains"]) for c in task.plan.to_doc()["clients"]}) == 3
     t0 = summary["convergence_round"]
     assert t0 is not None and t0 <= 50
     val_acc = 1.0 - summary["final_val_error"]
@@ -275,8 +275,8 @@ def test_criterion_5_delete_retrain_pattern(digits3):
     start = time.monotonic()
     cfg, task, trained, summary, before = digits3
     after, _ = run_route(cfg, task, trained, summary, "delete")
-    same_domain = [cid for cid, c in enumerate(task.plan.clients)
-                   if c.domain_id == task.plan.clients[0].domain_id and cid != 0]
+    domains = [set(c["domains"]) for c in task.plan.to_doc()["clients"]]
+    same_domain = [cid for cid, d in enumerate(domains) if d == domains[0] and cid != 0]
     assert same_domain
     drops = {cid: forget_drop(before, after, cid) for cid in same_domain}
     assert all(d <= 10.0 for d in drops.values()), drops

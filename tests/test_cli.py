@@ -94,7 +94,7 @@ def test_stage_resume_uses_existing_artifacts(tmp_path):
     first = open(plan_file).read()
     task2, params, summary = experiment.ensure_train(cfg, out)
     assert open(plan_file).read() == first
-    assert task2.plan == task.plan
+    assert task2.plan.to_doc() == task.plan.to_doc()
     # re-entry loads the checkpoint instead of retraining
     _, params2, summary2 = experiment.ensure_train(cfg, out)
     assert summary2 == summary
@@ -494,6 +494,31 @@ def test_evaluate_resume_refuses_metrics_of_other_route(tmp_path, caplog):
     assert tree_bytes(out) == finished
 
 
+@pytest.mark.parametrize("key, edit", [("forget_efficacy", None),
+                                       ("collateral_nonrequesting_forget", "12.5")])
+def test_evaluate_resume_refuses_a_record_without_a_metric(tmp_path, caplog, key, edit):
+    """A metrics.json record that lacks one of the three metrics, or holds
+    other than a number for it, exits 1 naming the file and the key, and
+    changes no file."""
+    cfg_path = write_cfg(tmp_path, route="delete")
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    path = os.path.join(out, "metrics.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    if edit is None:
+        del doc[key]
+    else:
+        doc[key] = edit
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+    finished = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert f"{path}: {key} is missing or not a number" in caplog.text
+    assert tree_bytes(out) == finished
+
+
 def test_partition_resume_builds_no_data(tmp_path, monkeypatch, caplog):
     cfg_path = write_cfg(tmp_path)
     out = str(tmp_path / "part")
@@ -507,6 +532,18 @@ def test_partition_resume_builds_no_data(tmp_path, monkeypatch, caplog):
     assert builds == [] and domains == []
     assert "partition: 4 clients over 2 domains" in caplog.text
     assert tree_bytes(out) == finished
+
+
+def test_partition_log_counts_domains_not_groups(tmp_path, caplog):
+    """An iid plan is one group of clients over every domain: the log names
+    the configured domains, not the one group."""
+    path = tmp_path / "iid.ini"
+    path.write_text(TINY.format(route="none").replace("group_sizes = 2,2",
+                                                      "strategy = iid\nclients = 3"))
+    caplog.set_level(logging.INFO, logger="fusim")
+    out = str(tmp_path / "part")
+    assert cli.main(["partition", "--config", str(path), "--out", out]) == cli.EXIT_OK
+    assert "partition: 3 clients over 2 domains" in caplog.text
 
 
 IDX_CFG = """
@@ -545,12 +582,13 @@ def test_resumed_spec_equals_fresh_spec(tmp_path, monkeypatch, source):
     out = str(tmp_path / "part")
     fresh = experiment.ensure_partition(cfg, out)
     assert fresh.spec.class_count == classes
-    assert {d.class_count for d in fresh.train_domains.values()} == {classes}
+    assert fresh.train.class_count == classes
     builds, domains = count_builds(monkeypatch)
     resumed = experiment.ensure_partition(cfg, out)
     assert resumed.spec == fresh.spec
     assert builds == [] and domains == []
-    assert resumed.plan == fresh.plan   # the first use, which builds the data
+    assert resumed.plan.to_doc() == fresh.plan.to_doc()   # the first use, which builds the data
+    assert resumed.train.images.tobytes() == fresh.train.images.tobytes()
     assert resumed.val_x.tobytes() == fresh.val_x.tobytes()
     assert resumed.val_y.tobytes() == fresh.val_y.tobytes()
     assert resumed.splits == fresh.splits
@@ -718,8 +756,9 @@ def test_partition_artifacts_are_records_not_inputs(tmp_path):
     with open(path) as fh:
         doc = json.load(fh)
     first, second = doc["clients"][:2]
-    assert first["domain"] == second["domain"] and first["indices"] != second["indices"]
-    for key in ("indices", "count"):
+    assert list(first["domains"]) == list(second["domains"])
+    assert first["domains"] != second["domains"]
+    for key in ("domains", "count"):
         first[key], second[key] = second[key], first[key]
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -769,26 +808,25 @@ def test_main_calls_in_one_process_behave_as_alone(tmp_path, caplog):
 
 
 def test_clients_view_the_train_domains():
-    """A client's images are its train domain's array, not a copy; its
-    index is the plan's and its labels the domain's at that index."""
+    """A client's images are the train pool's array, which holds every train
+    domain, not a copy; its index is the plan's and its labels the pool's at
+    that index."""
     task = experiment.build_task(validate_config(TINY.format(route="none")))
-    clients = fedsim.build_clients(task.plan, task.train_domains)
-    for client, assignment in zip(clients, task.plan.clients):
-        domain = task.train_domains[assignment.domain_id]
-        assert np.shares_memory(client.domain.images, domain.images)
-        assert client.index.tolist() == list(assignment.indices)
-        assert np.array_equal(client.labels, domain.labels[client.index])
+    clients = fedsim.build_clients(task.plan, task.train)
+    for client, index in zip(clients, task.plan.clients):
+        assert np.shares_memory(client.domain.images, task.train.images)
+        assert client.index.tolist() == index.tolist()
+        assert np.array_equal(client.labels, task.train.labels[client.index])
 
 
 @pytest.mark.parametrize("route", ["delete", "relabel"])
 def test_label_routes_edit_only_the_requesters_view(monkeypatch, route):
     """delete and relabel change the requesting client's index or labels and
-    nothing else: the train domains' bytes and every other client's view
+    nothing else: the train pool's bytes and every other client's view
     stay as they were."""
     cfg = validate_config(TINY.format(route=route))
     task = experiment.build_task(cfg)
-    before = {did: (d.images.tobytes(), d.labels.tobytes())
-              for did, d in task.train_domains.items()}
+    before = (task.train.images.tobytes(), task.train.labels.tobytes())
     built, real = [], fedsim.build_clients
 
     def spy(*args):
@@ -797,21 +835,20 @@ def test_label_routes_edit_only_the_requesters_view(monkeypatch, route):
     monkeypatch.setattr(fedsim, "build_clients", spy)
     experiment.run_route(cfg, task, nncore.init_params(task.spec, 0), start_round=0)
     [clients] = built
-    assert {did: (d.images.tobytes(), d.labels.tobytes())
-            for did, d in task.train_domains.items()} == before
+    assert (task.train.images.tobytes(), task.train.labels.tobytes()) == before
     forget = cfg.unlearn.forget_class
-    for client, assignment in zip(clients, task.plan.clients):
-        labels = task.train_domains[assignment.domain_id].labels[list(assignment.indices)]
+    for client, index in zip(clients, task.plan.clients):
+        labels = task.train.labels[index]
         if client.client_id not in cfg.unlearn.requesting_clients:
-            assert client.index.tolist() == list(assignment.indices)
+            assert client.index.tolist() == index.tolist()
             assert np.array_equal(client.labels, labels)
         elif route == "delete":
             kept = labels != forget
             assert not kept.all()
-            assert client.index.tolist() == np.asarray(assignment.indices)[kept].tolist()
+            assert client.index.tolist() == index[kept].tolist()
             assert np.array_equal(client.labels, labels[kept])
         else:
-            assert client.index.tolist() == list(assignment.indices)
+            assert client.index.tolist() == index.tolist()
             assert (client.labels != forget).all() and (labels == forget).any()
             assert np.array_equal(client.labels[labels != forget], labels[labels != forget])
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusim import cli
+from fusim import cli, experiment
 from fusim.config import KEYS, ConfigError, load_config, validate_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -146,11 +146,40 @@ def test_resolution_below_its_bound_names_the_key(tmp_path, caplog, section, key
     validate_config(text.replace(bad, least))
 
 
-def test_iid_needs_single_domain():
-    text = ("[domain.a]\ntransform = identity\n[domain.b]\ntransform = invert\n"
-            "[partition]\nstrategy = iid\ngroup_sizes = 1,1\n")
-    with pytest.raises(ConfigError):
-        validate_config(text)
+THREE_DOMAINS = """
+[data]
+samples_per_class = 30
+class_count = 4
+[domain.a]
+transform = identity
+resolution = 8x8
+[domain.b]
+transform = invert
+resolution = 8x8
+[domain.c]
+transform = gaussian_noise(0.15)
+resolution = 8x8
+[partition]
+{partition}
+working_resolution = 8x8
+"""
+
+
+@pytest.mark.parametrize("strategy", ["iid", "dirichlet"])
+def test_iid_and_dirichlet_split_every_domain(strategy):
+    """iid and dirichlet split the train pool of all three domains: every
+    client holds examples of each, and every client's test set is the whole
+    test pool, the three domains' test sets that real_noniid gives its
+    groups, one after another."""
+    text = THREE_DOMAINS.format(partition=f"strategy = {strategy}\nclients = 4\nalpha = 1")
+    task = experiment.build_task(validate_config(text))
+    assert [sorted(c["domains"]) for c in task.plan.to_doc()["clients"]] == [["a", "b", "c"]] * 4
+    per_domain = experiment.build_task(validate_config(THREE_DOMAINS.format(
+        partition="strategy = real_noniid\ngroup_sizes = 1,1,1"))).client_test_sets
+    whole = np.concatenate([per_domain[g].images for g in range(3)])
+    for test_set in task.client_test_sets.values():
+        assert np.shares_memory(test_set.images, task.client_test_sets[0].images)
+        assert test_set.images.tobytes() == whole.tobytes()
 
 
 def test_missing_idx_file_rejected():

@@ -28,8 +28,9 @@ def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
     splits = ds.stratified_split(domain, 0.0, 0.2, seed)
     train = ds.subset(domain, splits.train)
     test = ds.subset(domain, splits.test)
-    plan = pt.partition_iid(train, clients, seed)
-    states = fs.build_clients(plan, {"syn": train})
+    plan = pt.PartitionPlan(tuple(pt.partition_iid(len(train), clients, seed)),
+                            (("syn", 0, len(train)),))
+    states = fs.build_clients(plan, train)
     return tiny_spec(classes, side), states, test.images, test.labels
 
 
