@@ -23,6 +23,13 @@ batch_unit_gradients then adds one unit's rank-1 change to that output and
 runs only the layers after it, per unit.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
+site_rows stores a 2-D next-layer output class-major ((n, C) F-ordered, the
+transpose of a (C, n) buffer) and batch_unit_gradients forms each unit's
+output in that layout.  The softmax, forward and backward, reduces such a
+block of C <= 128 classes across its class rows, in numpy's order for a
+contiguous row, so with the row-major bits; any other block (training's,
+prediction's, more than 128 classes) it reduces along the last axis.
+
 Local training holds models as the rows of a (k, P) matrix, k >= 1; the
 engine takes an optional leading stack axis (views (k, *shape)) and runs k
 models at once, each on its own block of rows, through the same layers,
@@ -282,6 +289,45 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
         x, (*lead, oh, ow, c, k, k), (*s[:-3], s[-2], s[-1], s[-3], s[-2], s[-1]))
 
 
+# numpy sums a contiguous row of up to this many values in one unrolled loop
+# (the block of its pairwise summation) and splits a longer one in two
+_PAIRWISE_BLOCK = 128
+
+
+def _class_rows(h: np.ndarray) -> np.ndarray | None:
+    """h.T, its (C, n) class rows, when h is a 2-D block stored class-major
+    (F-ordered, n > 1) with C <= _PAIRWISE_BLOCK; else None."""
+    if (h.ndim == 2 and h.shape[1] <= _PAIRWISE_BLOCK and h.flags.f_contiguous
+            and not h.flags.c_contiguous):
+        return h.T
+    return None
+
+
+def _class_max(t: np.ndarray) -> np.ndarray:
+    """h.max(axis=-1) for h = t.T, a left fold of np.maximum over the class
+    rows t; only a zero maximum's sign may differ (numpy's SIMD max picks it
+    by lane order), and exp(h - max) hides it."""
+    return np.maximum.reduce(t, axis=0)
+
+
+def _class_sum(t: np.ndarray) -> np.ndarray:
+    """h.sum(axis=-1)'s bits for the C-ordered h = t.T, 2 <= C <=
+    _PAIRWISE_BLOCK, in numpy's order for a contiguous row: from +0.0, eight
+    accumulators at stride 8 combined pairwise, then the rest in order (all
+    in order below 8).  Which NaN a NaN sum gives is not pinned."""
+    if len(t) < 8:
+        acc, rest = t[0] + 0.0, t[1:]
+    else:
+        full = len(t) - len(t) % 8
+        r = t[:8] + 0.0
+        for i in range(8, full, 8):
+            r += t[i:i + 8]
+        acc, rest = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), t[full:]
+    for row in rest:
+        acc += row
+    return acc
+
+
 def _forward_engine(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray,
                     keep_caches: bool = False, start: int = 0, stop: int | None = None):
     """Run layer positions start..stop-1 on a batch x that feeds layer start.
@@ -338,9 +384,17 @@ def _forward_engine(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarra
                 caches.append(("flatten", h.shape))
             h = h.reshape(*h.shape[:h.ndim - len(spec._shapes[pos])], -1)
         else:  # softmax
-            h = h - h.max(axis=-1, keepdims=True)
-            np.exp(h, out=h)
-            h /= h.sum(axis=-1, keepdims=True)
+            t = _class_rows(h)
+            if t is not None:
+                t = t - _class_max(t)
+                np.exp(t, out=t)
+                t /= _class_sum(t)
+                h = t.T
+            else:  # a class-major block wider than 128 classes reduces C-ordered
+                h = np.ascontiguousarray(h)
+                h = h - h.max(axis=-1, keepdims=True)
+                np.exp(h, out=h)
+                h /= h.sum(axis=-1, keepdims=True)
             if keep_caches:
                 caches.append(("softmax", h))
     return h, caches
@@ -400,9 +454,15 @@ def _backward_engine(spec: ModelSpec, params: dict[str, np.ndarray], caches: lis
             g = g.reshape(cache[1])
         else:  # softmax
             probs = cache[1]
-            dot = (g * probs).sum(axis=-1, keepdims=True)
-            g = g - dot
-            g *= probs
+            t = _class_rows(probs)
+            if t is not None:
+                gt = g.T - _class_sum(g.T * t)
+                gt *= t
+                g = gt.T
+            else:
+                dot = (g * probs).sum(axis=-1, keepdims=True)
+                g = g - dot
+                g *= probs
     return factors if wrt_params else g
 
 
@@ -484,7 +544,9 @@ class SiteRows:
     pre is the input of the next parameterized layer (the site rows after the
     maxpool and flatten layers between the two) and z0 that layer's
     output, both for the unscaled rows.  The output layer has no next layer:
-    there z0 is pre and the product is the identity.
+    there z0 holds pre's values and the product is the identity.  A 2-D z0 is
+    class-major, (n, C) F-ordered, so that the softmax after it reduces
+    across class rows; a conv z0 is C-ordered.
     """
     ordinal: int
     pre: np.ndarray
@@ -505,10 +567,8 @@ def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
     x = _as_batch(spec, sites, start)
     pre, _ = _forward_engine(spec, views, x, start=start,
                              stop=len(spec.layers) - 1 if nxt is None else nxt)
-    if nxt is None:
-        return SiteRows(ordinal, pre, pre)
-    z0, _ = _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)
-    return SiteRows(ordinal, pre, z0)
+    z0 = pre if nxt is None else _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)[0]
+    return SiteRows(ordinal, pre, np.asfortranarray(z0) if z0.ndim == 2 else z0)
 
 
 def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
@@ -544,7 +604,17 @@ def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
     w = np.eye(rows.pre.shape[1]) if nxt is None else views[f"layer{unit.layer + 1}.weight"]
     if w.ndim == 2:
         wj = w.reshape(units, -1, w.shape[1])[unit.unit]
-        z = rows.z0 + d @ wj
+        z = np.empty_like(rows.z0)  # z0 + d w_j, in z0's layout
+        if d.shape[1] == 1:
+            # an outer product, which np.multiply writes in z's layout about 7x
+            # faster than @ (2,560 x 10, 1 BLAS thread); it has d @ w_j's bits
+            # except that a zero product keeps its sign (BLAS gives +0.0).  In
+            # both reference models such a z feeds the softmax directly, and
+            # exp(z - max) is the same for +-0.0.
+            np.multiply(d, wj, out=z)
+        else:
+            z[...] = d @ wj
+        z += rows.z0
     else:
         k = w.shape[-1]
         patches = _im2col(d.reshape(n, 1, *rows.pre.shape[2:]), k)
@@ -556,7 +626,7 @@ def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
     seed[:, target_class] = 1.0
     g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
     if w.ndim == 2:
-        ga = g @ wj.T
+        ga = np.ascontiguousarray(g) @ wj.T  # BLAS gives a class-major g other bits
     else:
         # transposed convolution of g with the unit's input-channel filters
         u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))  # (n, oh, ow, k, k)

@@ -821,6 +821,153 @@ def test_stacked_errors_name_the_row():
     assert exc.value.row == 1
 
 
+# ---------------------------------------------------------------------------
+# class-major softmax: numpy's row reductions, done across class rows
+
+
+CLASS_WIDTHS = [2, 3, 7, 8, 9, 10, 15, 16, 17, 33, 100, 128]
+
+
+def special_rows(c, seed):
+    """Rows of c values: normals, draws from ±0.0, ±inf, NaN, subnormals and
+    values near the largest float, rows of ±0.0 alone (one all -0.0), rows
+    whose sums overflow and rows of subnormals."""
+    rng = np.random.default_rng(seed)
+    tiny, least, big = 5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, least, -least,
+                big, -big, big / 3, 1.0, -1.0]
+    return np.concatenate([rng.normal(0.0, 1.0, (64, c)), rng.choice(specials, (96, c)),
+                           rng.choice([0.0, -0.0], (32, c)), np.full((1, c), -0.0),
+                           rng.choice([big, -big, big / 3, 1.0], (32, c)),
+                           rng.choice([tiny, -tiny, least, 0.0], (32, c))])
+
+
+def same_bits_or_nan(got, want):
+    """The same bytes, np.signbit included, except that where want is NaN
+    got need only be NaN too: numpy's compiled loops order the operands of a
+    NaN + NaN add their own way, so which NaN a sum gives is not pinned."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def softmax_pass(spec, h, seed):
+    """The engine's softmax forward on h, then its backward on seed."""
+    views = spec.views(nn.init_params(spec, 0))
+    start = len(spec.layers) - 1
+    probs, caches = nn._forward_engine(spec, views, h, keep_caches=True, start=start)
+    return probs, nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+
+
+@pytest.mark.bitid
+@pytest.mark.parametrize("c", CLASS_WIDTHS)
+def test_class_major_reductions_and_softmax_have_the_row_major_bits(c):
+    """_class_sum gives h.sum(axis=-1)'s bytes, signs of zero included, and
+    _class_max h.max(axis=-1)'s, except the sign of a zero maximum (numpy's
+    SIMD max picks it by lane order: on an AVX-512 host it differs for C = 9,
+    17 and 33).  So the
+    softmax forward and backward on an F-ordered block give the bytes of the
+    C-ordered one on every row, zero maxima included, and write into neither
+    input.  This pins numpy's summation order: a numpy that changes it
+    fails here."""
+    h = special_rows(c, c)
+    t = np.ascontiguousarray(h.T)
+    with np.errstate(all="ignore"):
+        assert same_bits_or_nan(nn._class_sum(t), h.sum(axis=-1))
+        got, want = nn._class_max(t), h.max(axis=-1)
+        zero = want == 0.0
+        assert same_bits_or_nan(got[~zero], want[~zero]) and (got[zero] == 0.0).all()
+        spec = nn.small_mlp((1,), c, hidden=1)
+        seed = np.random.default_rng(c).normal(0.0, 1.0, h.shape)
+        z, zs = np.asfortranarray(h), np.asfortranarray(seed)
+        kept = z.tobytes(), zs.tobytes()
+        assert nn._class_rows(z) is not None
+        with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+            probs, g = softmax_pass(spec, z, zs)
+        assert spy.call_count == 2  # forward and backward took the class-major branch
+        want_probs, want_g = softmax_pass(spec, h, seed)
+    assert (z.tobytes(), zs.tobytes()) == kept
+    assert same_bits_or_nan(probs, want_probs) and same_bits_or_nan(g, want_g)
+
+
+@pytest.mark.bitid
+def test_softmax_of_129_classes_takes_the_row_major_path():
+    """At C = 129 numpy's row sum recurses and its order is no longer the
+    eight accumulators, so an F-ordered block of 129 classes is reduced
+    row-major, from a C-ordered copy, with the C-ordered block's bits."""
+    h = np.random.default_rng(129).normal(0.0, 3.0, (40, 129))
+    seed = np.random.default_rng(130).normal(0.0, 1.0, h.shape)
+    assert nn._class_rows(np.asfortranarray(h)) is None
+    spec = nn.small_mlp((1,), 129, hidden=1)
+    with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+        probs, g = softmax_pass(spec, np.asfortranarray(h), np.asfortranarray(seed))
+    assert spy.call_count == 0
+    want_probs, want_g = softmax_pass(spec, h, seed)
+    assert same_bits(probs, want_probs) and same_bits(g, want_g)
+
+
+@pytest.mark.bitid
+@pytest.mark.parametrize("make_spec", [
+    lambda: nn.small_mlp((1, 8, 8), 10, hidden=24),
+    lambda: nn.small_cnn((1, 12, 12), 10),
+], ids=["small_mlp", "small_cnn"])
+def test_tall_attribution_block_has_the_row_major_bits(make_spec):
+    """On 320 rows (16 probes x 20 Riemann steps, as sensitivity_scores
+    forms them), every layer's batch_unit_gradients gives, byte for byte,
+    the same call on a C-ordered z0 and the out-of-place reference (after
+    + 0.0, see test_engine_bits_equal_out_of_place_reference).  A 2-D z0
+    is stored class-major and its softmax takes the class-major branch; the
+    inputs and the rows keep their bytes."""
+    spec = make_spec()
+    rng = np.random.default_rng(11)
+    params = nn.init_params(spec, 4) + rng.normal(0.0, 0.1, spec.param_count)
+    x = np.repeat(rng.normal(0.0, 1.0, (16, *spec.input_shape)), 20, axis=0)
+    scales = np.tile(np.arange(1, 21) / 20, 16)
+    kept_x = x.tobytes()
+    for ordinal in range(spec.param_layer_count):
+        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
+                            ordinal)
+        kept = rows.pre.tobytes(), rows.z0.tobytes()
+        class_major = rows.z0.ndim == 2
+        assert class_major == (nn._class_rows(rows.z0) is not None)
+        row_major = nn.SiteRows(ordinal, rows.pre, np.ascontiguousarray(rows.z0))
+        for j in range(min(4, spec.unit_count(ordinal))):
+            unit = nn.UnitId(ordinal, j)
+            with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+                got = nn.batch_unit_gradients(spec, params, rows, 3, unit, scales)
+            assert spy.call_count == (2 if class_major else 0)
+            assert same_bits(got, nn.batch_unit_gradients(spec, params, row_major, 3, unit,
+                                                          scales)), unit
+            want = reference_unit_gradients(spec, params, x, 3, unit, scales)
+            assert same_bits(got + 0.0, want + 0.0), unit
+        assert (rows.pre.tobytes(), rows.z0.tobytes()) == kept
+    assert x.tobytes() == kept_x
+
+
+@pytest.mark.bitid
+def test_wide_output_falls_back_to_the_row_major_softmax():
+    """With 130 classes (the config allows any class_count >= 2) the
+    class-major branch never runs: unit gradients of both layers and the
+    probabilities give the reference's bits through the row-major path."""
+    spec = nn.small_mlp((1, 6, 6), 130, hidden=12)
+    rng = np.random.default_rng(13)
+    params = nn.init_params(spec, 2) + rng.normal(0.0, 0.1, spec.param_count)
+    x = rng.normal(0.0, 1.0, (48, *spec.input_shape))
+    scales = np.linspace(0.0, 1.0, 48)
+    with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+        assert same_bits(nn.predict_probs(spec, params, x),
+                         reference_forward(spec, params, x)[0])
+        for ordinal in range(spec.param_layer_count):
+            rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
+                                ordinal)
+            for j in (0, 5, 11):
+                unit = nn.UnitId(ordinal, j)
+                got = nn.batch_unit_gradients(spec, params, rows, 129, unit, scales)
+                want = reference_unit_gradients(spec, params, x, 129, unit, scales)
+                assert same_bits(got, want), unit
+    assert spy.call_count == 0
+
+
 def test_relu_bits_equal_where_on_special_values():
     """The engine's relu gives np.where's bits for ±0, NaN, ±inf, subnormals
     and the extremes (np.maximum would propagate NaN)."""
