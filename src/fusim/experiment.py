@@ -417,16 +417,21 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
     route = cfg.unlearn.route
 
     def resume(unlearned_stage, record):
-        reports = []
+        task, reports = unlearned_stage[0], []
         for name in ("report_before.json", "report_after.json"):
-            with open(os.path.join(out_dir, name)) as fh:
-                reports.append(evalkit.report_from_json(fh.read()))
+            path = os.path.join(out_dir, name)
+            with open(path) as fh:
+                try:
+                    reports.append(evalkit.report_from_json(
+                        fh.read(), sum(cfg.partition.groups), task.class_count))
+                except evalkit.EvalError as exc:
+                    raise ConfigError(f"{path}: {exc}; use a fresh output directory") from None
         names = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
         if bad := [name for name in names if type(record.get(name)) not in (int, float)]:
             raise ConfigError(f"{os.path.join(out_dir, 'metrics.json')}: {bad[0]} is missing "
                               f"or not a number; use a fresh output directory")
         metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in names})
-        return unlearned_stage[0], *reports, metrics
+        return task, *reports, metrics
 
     def run(unlearned_stage, writer):
         task, trained, unlearned, _ = unlearned_stage

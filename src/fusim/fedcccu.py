@@ -131,9 +131,9 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     site = nncore.batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                                      unit.layer)
     beta = (site if site.ndim == 2 else site.mean(axis=(2, 3)))[0, unit.unit]
-    rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), unit.layer)
-    steps = np.arange(1, m + 1, dtype=np.float64) / m
-    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit, steps)
+    rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), unit.layer,
+                            np.arange(1, m + 1, dtype=np.float64) / m)
+    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit)
     return float(beta / m * grads.sum())
 
 
@@ -159,10 +159,9 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
         site = nncore.batch_site_outputs(spec, params, inputs, ordinal)
         betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
-        rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal)
+        rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal, scales)
         for unit in units:
-            grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit,
-                                                scales)
+            grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit)
             values = betas[:, unit.unit] / m * grads.reshape(n, m).sum(axis=1)
             records.append(SensitivityRecord(unit, target_class, float(values.mean())))
     return records

@@ -532,8 +532,8 @@ def gradient_wrt_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
         raise NNError(f"scale must be in [0, 1], got {scale!r}")
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
-    g = batch_unit_gradients(spec, params, site_rows(spec, params, site, unit.layer),
-                             target_class, unit, np.asarray([float(scale)]))
+    rows = site_rows(spec, params, site, unit.layer, np.asarray([float(scale)]))
+    g = batch_unit_gradients(spec, params, rows, target_class, unit)
     return float(g[0])
 
 
@@ -546,21 +546,29 @@ class SiteRows:
     output, both for the unscaled rows.  The output layer has no next layer:
     there z0 holds pre's values and the product is the identity.  A 2-D z0 is
     class-major, (n, C) F-ordered, so that the softmax after it reduces
-    across class rows; a conv z0 is C-ordered.
+    across class rows; a conv z0 is C-ordered.  scales holds each row's
+    activation scale, finite and non-negative.
     """
     ordinal: int
     pre: np.ndarray
     z0: np.ndarray
+    scales: np.ndarray
 
     def __len__(self) -> int:
         return len(self.pre)
 
 
 def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
-              ordinal: int) -> SiteRows:
-    """SiteRows for rows of batch_site_outputs(..., ordinal); the next
-    parameterized layer's product is formed here, once for all units."""
+              ordinal: int, scales: np.ndarray) -> SiteRows:
+    """SiteRows for rows of batch_site_outputs(..., ordinal), one scale a
+    row; the next parameterized layer's product is formed and the scales
+    checked here, once for all units."""
     spec.validate_unit(UnitId(ordinal, 0))
+    s = np.asarray(scales, dtype=np.float64)
+    if s.shape != (len(sites),):
+        raise ShapeMismatchError(f"expected {len(sites)} scales, got shape {s.shape}")
+    if not np.all(s >= 0.0) or not np.all(np.isfinite(s)):
+        raise NNError("scales must be finite and non-negative")
     views = spec.views(params)
     start = spec.site_position(ordinal) + 1
     nxt = spec._next_positions[ordinal]
@@ -568,13 +576,12 @@ def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
     pre, _ = _forward_engine(spec, views, x, start=start,
                              stop=len(spec.layers) - 1 if nxt is None else nxt)
     z0 = pre if nxt is None else _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)[0]
-    return SiteRows(ordinal, pre, np.asfortranarray(z0) if z0.ndim == 2 else z0)
+    return SiteRows(ordinal, pre, np.asfortranarray(z0) if z0.ndim == 2 else z0, s)
 
 
 def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
-                         target_class: int, unit: UnitId,
-                         scales: np.ndarray) -> np.ndarray:
-    """Per-row dP(target)/d(activation) with per-row activation scales.
+                         target_class: int, unit: UnitId) -> np.ndarray:
+    """Per-row dP(target)/d(activation) at rows.scales.
 
     The layers between the site and the next parameterized layer, maxpool
     and flatten in both reference models (no relu), act per channel and
@@ -592,15 +599,10 @@ def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
     if unit.layer != rows.ordinal:
         raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
     n = len(rows)
-    s = np.asarray(scales, dtype=np.float64)
-    if s.shape != (n,):
-        raise ShapeMismatchError(f"expected {n} scales, got shape {s.shape}")
-    if not np.all(s >= 0.0) or not np.all(np.isfinite(s)):
-        raise NNError("scales must be finite and non-negative")
     units = spec.unit_count(unit.layer)
     nxt = spec._next_positions[unit.layer]
     a = rows.pre.reshape(n, units, -1)[:, unit.unit]
-    d = (s - 1.0)[:, None] * a
+    d = (rows.scales - 1.0)[:, None] * a
     w = np.eye(rows.pre.shape[1]) if nxt is None else views[f"layer{unit.layer + 1}.weight"]
     if w.ndim == 2:
         wj = w.reshape(units, -1, w.shape[1])[unit.unit]

@@ -1,13 +1,17 @@
 """Test-side helpers: a bit comparison, a parameter vector from named
 arrays, one library training step of one model, the out-of-place engine
-reference, the copied-shard reference for client views, and the IDX fixture
-writers."""
+reference, the copied-shard reference for client views, the per-cell
+reference for evaluation reports, and the IDX fixture writers."""
+import csv
 import dataclasses
+import io
+import json
 import struct
 
 import numpy as np
 
 from fusim import datasets as ds
+from fusim import evalkit as ek
 from fusim import fedsim as fs
 from fusim import nncore as nn
 
@@ -141,6 +145,77 @@ def on_copied_shard(client) -> fs.ClientState:
     client viewing its train domain must match bit for bit."""
     shard = copied_shard(client)
     return fs.ClientState(client.client_id, shard, np.arange(len(shard)))
+
+
+def count_dicts(report) -> dict:
+    """A report as per-client dicts, the form evalkit kept before its arrays:
+    client id -> (class_correct, class_total), absent classes left out."""
+    return {cid: ({c: ok[c] for c in range(len(n)) if n[c]},
+                  {c: n[c] for c in range(len(n)) if n[c]})
+            for cid, (ok, n) in enumerate(zip(report.correct.tolist(), report.total.tolist()))}
+
+
+def reference_forgetting_metrics(before, after, unlearn) -> ek.ForgettingMetrics:
+    """forgetting_metrics one cell at a time on count_dicts, in Python floats."""
+    b_all, a_all = count_dicts(before), count_dicts(after)
+    if set(b_all) != set(a_all):
+        raise ek.EvalError("reports cover different clients")
+    forget, req = unlearn.forget_class, set(unlearn.requesting_clients)
+    drops_forget_req, drops_forget_other, drops_retained = [], [], []
+    for cid in sorted(b_all):
+        (bc, bt), (ac, at) = b_all[cid], a_all[cid]
+        if bt != at:
+            raise ek.EvalError(f"client {cid}: class coverage differs between reports")
+        per_client_retained = []
+        for c in sorted(bt):
+            drop = (bc[c] / bt[c] - ac[c] / at[c]) * 100.0
+            if c == forget:
+                (drops_forget_req if cid in req else drops_forget_other).append(drop)
+            else:
+                per_client_retained.append(drop)
+        if per_client_retained:
+            drops_retained.append(float(np.mean(per_client_retained)))
+    if not drops_forget_req:
+        raise ek.EvalError("no requesting client carries the forget class")
+    return ek.ForgettingMetrics(
+        forget_efficacy=float(np.mean(drops_forget_req)),
+        collateral_retained=float(np.mean(drops_retained)) if drops_retained else 0.0,
+        collateral_nonrequesting_forget=(
+            float(np.mean(drops_forget_other)) if drops_forget_other else 0.0))
+
+
+def reference_report_to_json(report) -> str:
+    """report_to_json from count_dicts: every ratio a Python int division."""
+    clients = count_dicts(report)
+    overall = {cid: sum(bc.values()) / sum(bt.values()) for cid, (bc, bt) in clients.items()}
+    correct = sum(sum(bc.values()) for bc, _ in clients.values())
+    total = sum(sum(bt.values()) for _, bt in clients.values())
+    doc = {
+        "global": {"correct": correct, "total": total, "accuracy": correct / total,
+                   "macro_accuracy": float(np.mean([overall[cid] for cid in sorted(clients)]))},
+        "clients": {str(cid): {"overall": overall[cid], "classes": {
+            str(c): {"correct": bc[c], "total": bt[c], "accuracy": bc[c] / bt[c]}
+            for c in sorted(bt)}} for cid, (bc, bt) in sorted(clients.items())},
+    }
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def reference_combined_csv(reports) -> str:
+    """combined_csv one (client, class) row at a time on count_dicts."""
+    names = list(reports)
+    tables = {name: count_dicts(r) for name, r in reports.items()}
+    rows = [(cid, c) for cid, (_, bt) in sorted(tables[names[0]].items()) for c in sorted(bt)]
+    for name in names[1:]:
+        if [(cid, c) for cid, (_, bt) in sorted(tables[name].items())
+                for c in sorted(bt)] != rows:
+            raise ek.EvalError(f"report {name!r} covers different clients/classes")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["client", "class"] + names)
+    for cid, c in rows:
+        writer.writerow([cid, c] + [
+            f"{tables[n][cid][0][c] / tables[n][cid][1][c] * 100.0:.2f}" for n in names])
+    return buf.getvalue()
 
 
 def write_idx(images, labels, images_path, labels_path) -> None:

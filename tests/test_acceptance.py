@@ -53,15 +53,14 @@ def run_route(cfg, task, trained, summary, route, **overrides):
 
 
 def forget_drop(before, after, cid, forget=0):
-    return 100.0 * (before.per_class(cid)[forget] - after.per_class(cid)[forget])
+    return 100.0 * (before.accuracy()[cid, forget] - after.accuracy()[cid, forget])
 
 
 def mean_retained_drop(before, after, forget=0):
-    drops = []
-    for cid in sorted(before.clients):
-        b, a = before.per_class(cid), after.per_class(cid)
-        drops.append(100.0 * np.mean([b[c] - a[c] for c in b if c != forget]))
-    return float(np.mean(drops))
+    retained = before.total > 0
+    retained[:, forget] = False
+    diff = before.accuracy() - after.accuracy()
+    return float(np.mean([100.0 * np.mean(row[cells]) for row, cells in zip(diff, retained)]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ def test_criterion_6_naive_zeroing_over_forgetting(digits3):
     start = time.monotonic()
     cfg, task, trained, summary, before = digits3
     after_zero, _ = run_route(cfg, task, trained, summary, "zeroing")
-    forget_acc = {cid: after_zero.per_class(cid)[0] for cid in sorted(after_zero.clients)}
+    forget_acc = dict(enumerate(after_zero.accuracy()[:, 0].tolist()))
     assert all(a <= 0.05 for a in forget_acc.values()), forget_acc
     after_cccu, _ = run_route(cfg, task, trained, summary, "fedcccu")
     drop_zero = before.global_accuracy - after_zero.global_accuracy
@@ -312,7 +311,7 @@ def test_criterion_6_naive_zeroing_over_forgetting(digits3):
 def test_criterion_7_fedcccu_pattern(pair2):
     start = time.monotonic()
     cfg, task, trained, summary, before = pair2
-    assert before.per_class(0)[0] >= 0.9  # requester actually knows the class
+    assert before.accuracy()[0, 0] >= 0.9  # requester actually knows the class
 
     after_cccu, extras = run_route(cfg, task, trained, summary, "fedcccu")
     after_delete, _ = run_route(cfg, task, trained, summary, "delete")

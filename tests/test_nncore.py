@@ -627,10 +627,10 @@ def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
     scales = np.array([0.0, 0.05, 0.5, 1.0, 0.25, 0.9])
     for ordinal in range(spec.param_layer_count):
         site = np.repeat(nn.batch_site_outputs(spec, params, xs, ordinal), 2, axis=0)
-        rows = nn.site_rows(spec, params, site, ordinal)
+        rows = nn.site_rows(spec, params, site, ordinal, scales)
         for k in range(spec.unit_count(ordinal)):
             unit = nn.UnitId(ordinal, k)
-            got = nn.batch_unit_gradients(spec, params, rows, 1, unit, scales)
+            got = nn.batch_unit_gradients(spec, params, rows, 1, unit)
             want = scaled_copy_gradients(spec, params, site, 1, unit, scales)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
@@ -639,13 +639,16 @@ def test_batch_unit_gradients_rejects_negative_scale():
     spec = nn.small_cnn((1, 10, 10), 3)
     params = nn.init_params(spec, 1)
     xs = np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 10, 10))
-    rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, xs, 0), 0)
+    site = nn.batch_site_outputs(spec, params, xs, 0)
     with pytest.raises(nn.NNError, match="non-negative"):
-        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(0, 1),
-                                np.array([0.5, -0.1]))
+        nn.site_rows(spec, params, site, 0, np.array([0.5, -0.1]))
+    with pytest.raises(nn.NNError, match="non-negative"):
+        nn.site_rows(spec, params, site, 0, np.array([0.5, np.inf]))
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.site_rows(spec, params, site, 0, np.array([0.5]))
+    rows = nn.site_rows(spec, params, site, 0, np.array([0.5, 0.5]))
     with pytest.raises(nn.InvalidUnitError):
-        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(1, 1),
-                                np.array([0.5, 0.5]))
+        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(1, 1))
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -658,13 +661,13 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
     xs = np.random.default_rng(1).uniform(0.0, 1.0, (3,) + spec.input_shape)
     site = nn.batch_site_outputs(spec, params, xs, 0)
     kept = site.copy()
-    rows = nn.site_rows(spec, params, site, 0)
-    pre, z0 = rows.pre.copy(), rows.z0.copy()
+    rows = nn.site_rows(spec, params, site, 0, np.array([0.0, 0.4, 1.0]))
+    pre, z0, scales = rows.pre.copy(), rows.z0.copy(), rows.scales.copy()
     for k in range(spec.unit_count(0)):
-        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(0, k),
-                                np.array([0.0, 0.4, 1.0]))
+        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(0, k))
     assert np.array_equal(site, kept)
     assert np.array_equal(rows.pre, pre) and np.array_equal(rows.z0, z0)
+    assert np.array_equal(rows.scales, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -747,10 +750,10 @@ def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
     assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
     for ordinal in range(spec.param_layer_count):
         rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                            ordinal)
+                            ordinal, scales)
         for j in range(min(4, spec.unit_count(ordinal))):
             unit = nn.UnitId(ordinal, j)
-            got = nn.batch_unit_gradients(spec, params, rows, 1, unit, scales)
+            got = nn.batch_unit_gradients(spec, params, rows, 1, unit)
             want = reference_unit_gradients(spec, params, x, 1, unit, scales)
             assert same_bits(got + 0.0, want + 0.0), unit
 
@@ -926,18 +929,18 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
     kept_x = x.tobytes()
     for ordinal in range(spec.param_layer_count):
         rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                            ordinal)
+                            ordinal, scales)
         kept = rows.pre.tobytes(), rows.z0.tobytes()
         class_major = rows.z0.ndim == 2
         assert class_major == (nn._class_rows(rows.z0) is not None)
-        row_major = nn.SiteRows(ordinal, rows.pre, np.ascontiguousarray(rows.z0))
+        row_major = nn.SiteRows(ordinal, rows.pre, np.ascontiguousarray(rows.z0), scales)
         for j in range(min(4, spec.unit_count(ordinal))):
             unit = nn.UnitId(ordinal, j)
             with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-                got = nn.batch_unit_gradients(spec, params, rows, 3, unit, scales)
+                got = nn.batch_unit_gradients(spec, params, rows, 3, unit)
             assert spy.call_count == (2 if class_major else 0)
-            assert same_bits(got, nn.batch_unit_gradients(spec, params, row_major, 3, unit,
-                                                          scales)), unit
+            assert same_bits(got, nn.batch_unit_gradients(spec, params, row_major, 3,
+                                                          unit)), unit
             want = reference_unit_gradients(spec, params, x, 3, unit, scales)
             assert same_bits(got + 0.0, want + 0.0), unit
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == kept
@@ -959,10 +962,10 @@ def test_wide_output_falls_back_to_the_row_major_softmax():
                          reference_forward(spec, params, x)[0])
         for ordinal in range(spec.param_layer_count):
             rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                                ordinal)
+                                ordinal, scales)
             for j in (0, 5, 11):
                 unit = nn.UnitId(ordinal, j)
-                got = nn.batch_unit_gradients(spec, params, rows, 129, unit, scales)
+                got = nn.batch_unit_gradients(spec, params, rows, 129, unit)
                 want = reference_unit_gradients(spec, params, x, 129, unit, scales)
                 assert same_bits(got, want), unit
     assert spy.call_count == 0
@@ -1009,11 +1012,10 @@ def test_engine_writes_into_no_caller_array(make_spec):
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
         site_kept = site.tobytes()
-        rows = nn.site_rows(spec, params, site, ordinal)
+        rows = nn.site_rows(spec, params, site, ordinal, np.linspace(0.0, 1.0, 5))
         rows_kept = rows.pre.tobytes(), rows.z0.tobytes()
         for unit in range(min(3, spec.unit_count(ordinal))):
-            nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(ordinal, unit),
-                                    np.linspace(0.0, 1.0, 5))
+            nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(ordinal, unit))
         assert site.tobytes() == site_kept
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == rows_kept
     probs, caches = nn._forward_engine(spec, views, x, keep_caches=True)
