@@ -228,23 +228,31 @@ _PARTITION_SECTIONS = ("experiment", "data", "domain", "partition", "evaluate")
 _TRAIN_SECTIONS = _PARTITION_SECTIONS + ("model", "training")
 _UNLEARN_SECTIONS = _TRAIN_SECTIONS + ("unlearn",)
 
+# What a value the program reads back from a record must be: a test and its wording.
+_COUNT = (lambda v: type(v) is int and v >= 0, "an int >= 0")
+_INT_OR_NULL = (lambda v: v is None or type(v) is int, "an int or null")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or null")
+_METRICS = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
+
 
 def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str, ...],
-           sections: tuple[str, ...], prior, resume, run):
+           sections: tuple[str, ...], checks: dict, prior, resume, run):
     """Resume or run one stage in out_dir.
 
-    The first of the stage's artifacts is its record: a JSON document whose
-    "config" holds the canonical values of sections.  When every artifact
-    exists, the record is read and must hold cfg's values, and the result is
-    resume(prior(), record); the check comes before prior (the stage this one
-    builds on), so a finished directory is checked against its fullest record
-    first.  Otherwise run(prior(), writer) writes the other artifacts and
-    returns (result, record), and the record is written with the values.
+    artifacts names every file the stage writes, and the first is its record:
+    a JSON document whose "config" holds the canonical values of sections.
+    When every artifact exists, the record is read, must hold cfg's values
+    and pass checks (a test per key the program reads back), and the result
+    is resume(prior(), record); the check comes before prior (the stage this
+    one builds on), so a finished directory is checked against its fullest
+    record first.  Otherwise run(prior(), writer) writes the other artifacts
+    and returns (result, record), and the record is written with the values.
     """
     wanted = canonical(cfg, sections)
     record_path = os.path.join(out_dir, artifacts[0])
     if all(os.path.exists(os.path.join(out_dir, a)) for a in artifacts):
-        record = _read_record(name, record_path, wanted)
+        record = _read_record(name, record_path, wanted, checks)
         return resume(prior(), record)
     with _StageWriter(out_dir, name) as writer:
         result, record = run(prior(), writer)
@@ -254,8 +262,9 @@ def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str,
     return result
 
 
-def _read_record(stage: str, path: str, wanted: dict) -> dict:
-    """The record at path; refused unless its config values equal wanted."""
+def _read_record(stage: str, path: str, wanted: dict, checks: dict) -> dict:
+    """The record at path; refused unless its config values equal wanted and
+    each key of checks holds a value that passes the key's test."""
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -264,11 +273,13 @@ def _read_record(stage: str, path: str, wanted: dict) -> dict:
     found = record.get("config") if isinstance(record, dict) else None
     if not isinstance(found, dict):
         raise ConfigError(f"{path}: no config record; use a fresh output directory")
-    if found == wanted:
-        return record
     clauses = [f"{key} is {found.get(key)!r} but the config asks for {wanted.get(key)!r}"
                for key in {**wanted, **found} if found.get(key) != wanted.get(key)]
-    raise ConfigError(f"{path}: {'; '.join(clauses)}; use a fresh output directory")
+    clauses += [f"{key} is missing or not {what}" for key, (valid, what) in checks.items()
+                if key not in record or not valid(record[key])]
+    if clauses:
+        raise ConfigError(f"{path}: {'; '.join(clauses)}; use a fresh output directory")
+    return record
 
 
 def _idx_files(cfg: ExperimentConfig) -> dict:
@@ -301,7 +312,7 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
                                   f"output directory")
         return Task(cfg)
     return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json"),
-                  _PARTITION_SECTIONS, lambda: None, resume, run)
+                  _PARTITION_SECTIONS, {}, lambda: None, resume, run)
 
 
 def ensure_train(cfg: ExperimentConfig, out_dir: str):
@@ -321,8 +332,11 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
             result.logs, [c.client_id for c in clients]))
         return (task, result.params, summary), summary
     ckpt = os.path.join(out_dir, "checkpoint_trained.fusim")
-    return _stage(cfg, out_dir, "train", ("train_summary.json", "checkpoint_trained.fusim"),
-                  _TRAIN_SECTIONS, lambda: ensure_partition(cfg, out_dir),
+    return _stage(cfg, out_dir, "train", ("train_summary.json", "checkpoint_trained.fusim",
+                                          "rounds_train.csv"),
+                  _TRAIN_SECTIONS, {"rounds_run": _COUNT, "convergence_round": _INT_OR_NULL,
+                                    "final_val_error": _NUMBER_OR_NULL},
+                  lambda: ensure_partition(cfg, out_dir),
                   lambda task, summary: (task, nncore.load_checkpoint(ckpt, task.spec), summary),
                   run)
 
@@ -369,7 +383,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
         params, audit = fedcccu.fedcccu_pipeline(task.spec, trained, clients, u,
                                                  cfg.seed)
         extras["audit"] = audit
-        extras["selected_units"] = len(audit.selection.units)
+        extras["selected_units"] = len(audit.selected)
         return params, [], extras
     raise StageError("unlearn", f"unknown route {route!r}")
 
@@ -399,9 +413,11 @@ def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | N
         if audit is not None:
             writer.add_text("audit_fedcccu.json", audit.to_json())
         return (task, trained, params, summary), summary
-    return _stage(cfg, out_dir, "unlearn", ("unlearn_summary.json",
-                                            "checkpoint_unlearned.fusim"),
-                  _UNLEARN_SECTIONS, lambda: trained_stage or ensure_train(cfg, out_dir),
+    audit_file = ("audit_fedcccu.json",) if cfg.unlearn.route == "fedcccu" else ()
+    return _stage(cfg, out_dir, "unlearn", ("unlearn_summary.json", "checkpoint_unlearned.fusim",
+                                            "rounds_unlearn.csv", *audit_file),
+                  _UNLEARN_SECTIONS, {"unlearn_rounds_run": _COUNT},
+                  lambda: trained_stage or ensure_train(cfg, out_dir),
                   resume, run)
 
 
@@ -426,11 +442,7 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
                         fh.read(), sum(cfg.partition.groups), task.class_count))
                 except evalkit.EvalError as exc:
                     raise ConfigError(f"{path}: {exc}; use a fresh output directory") from None
-        names = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
-        if bad := [name for name in names if type(record.get(name)) not in (int, float)]:
-            raise ConfigError(f"{os.path.join(out_dir, 'metrics.json')}: {bad[0]} is missing "
-                              f"or not a number; use a fresh output directory")
-        metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in names})
+        metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in _METRICS})
         return task, *reports, metrics
 
     def run(unlearned_stage, writer):
@@ -447,7 +459,8 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
         return (task, shared, after, metrics), {"route": route, **dataclasses.asdict(metrics)}
     return _stage(cfg, out_dir, "evaluate", (
         "metrics.json", "report_before.json", "report_after.json", "report.csv"),
-        _UNLEARN_SECTIONS, lambda: ensure_unlearn(cfg, out_dir, trained_stage), resume, run)
+        _UNLEARN_SECTIONS, dict.fromkeys(_METRICS, _NUMBER),
+        lambda: ensure_unlearn(cfg, out_dir, trained_stage), resume, run)
 
 
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:

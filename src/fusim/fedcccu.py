@@ -4,10 +4,15 @@ Each client scores how much every hidden unit contributes to predicting the
 forget class on its own data (a Riemann-sum path integral of the probability
 gradient as the unit's activation scales from 0 to its observed value), and
 uploads only its top-N (unit, score) records.  The server compares the
-requesting client's scores against the best score any other client reported
-for the same unit: units with a low ratio are dominated by the requester and
+requesting clients' scores against the best score any other client uploaded
+for the same unit: units with a low ratio are dominated by the requesters and
 safe to zero, units with ratio near 1 are shared and kept.  The edit itself
 zeroes incoming weights and biases, identically to the naive zeroing route.
+
+A unit is its position in editable_units(spec): scores are a (U,) float64
+vector, an upload is a record array of (position, score), and the server's
+dominance entries and selection are arrays of positions.  Ranks come from a
+stable argsort, so ties go by position, which is (layer, unit) order.
 
 Scoring cost per client: one prefix pass per editable layer over the probes,
 up to the layer's activation site, gives every unit's activation, and the next
@@ -24,6 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -39,46 +45,31 @@ class CccuError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SensitivityRecord:
-    unit: UnitId
-    class_id: int
-    score: float
+UPLOAD = np.dtype([("unit", np.intp), ("score", np.float64)])
 
 
 @dataclass(frozen=True)
 class SensitivityReport:
+    """A client's upload: per class, a record array of (unit, score), the
+    unit as its position in editable_units(spec), best first."""
     client_id: int
-    per_class: dict[int, tuple[SensitivityRecord, ...]]
-
-    def records_for(self, class_id: int) -> tuple[SensitivityRecord, ...]:
-        return self.per_class.get(class_id, ())
-
-
-@dataclass(frozen=True)
-class DominanceEntry:
-    unit: UnitId
-    s_forget: float
-    s_max_other: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class RankSelection:
-    units: tuple[UnitId, ...]
-    capped: bool  # true when fewer entries existed than were requested
+    per_class: dict[int, np.ndarray]
 
 
 @dataclass
 class AuditRecord:
+    """What the server saw and did: entries are compute_dominance's arrays
+    and selected their first select_n positions; units is editable_units."""
     unlearn: UnlearnConfig
     seed: int
+    units: list[UnitId]
     reports: list[SensitivityReport]
-    entries: list[DominanceEntry]
-    selection: RankSelection
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    selected: np.ndarray
 
     def to_json(self) -> str:
-        u = self.unlearn
+        u, units = self.unlearn, self.units
+        positions, s_forget, s_max_other, ratio = (a.tolist() for a in self.entries)
         doc = {
             "forget_class": u.forget_class,
             "requesting_clients": list(u.requesting_clients),
@@ -93,23 +84,18 @@ class AuditRecord:
                 {
                     "client": r.client_id,
                     "classes": {
-                        str(cid): [
-                            {"layer": rec.unit.layer, "unit": rec.unit.unit,
-                             "score": rec.score}
-                            for rec in recs
-                        ]
+                        str(cid): [{**units[p].as_dict(), "score": s} for p, s in recs.tolist()]
                         for cid, recs in sorted(r.per_class.items())
                     },
                 }
                 for r in self.reports
             ],
             "entries": [
-                {"layer": e.unit.layer, "unit": e.unit.unit,
-                 "s_forget": e.s_forget, "s_max_other": e.s_max_other, "r": e.ratio}
-                for e in self.entries
+                {**units[p].as_dict(), "s_forget": f, "s_max_other": o, "r": q}
+                for p, f, o, q in zip(positions, s_forget, s_max_other, ratio)
             ],
-            "selected": [u.as_dict() for u in self.selection.units],
-            "selection_capped": self.selection.capped,
+            "selected": [units[p].as_dict() for p in self.selected.tolist()],
+            "selection_capped": u.select_n > len(positions),
         }
         return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -138,8 +124,9 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
 
 
 def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-                       target_class: int, m: int) -> list[SensitivityRecord]:
-    """Mean attribution per editable unit over the given inputs (N, C, H, W).
+                       target_class: int, m: int) -> np.ndarray:
+    """Mean attribution of each editable unit over the given inputs (N, C, H, W),
+    a (U,) vector in editable_units(spec) order.
 
     Per editable layer, one prefix pass over the inputs gives every unit's
     beta and the activation-site rows, and site_rows forms the next
@@ -155,7 +142,7 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     if m < 1:
         raise CccuError("m must be >= 1")
     scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
-    records = []
+    scores = []
     for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
         site = nncore.batch_site_outputs(spec, params, inputs, ordinal)
         betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
@@ -163,76 +150,59 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
         for unit in units:
             grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit)
             values = betas[:, unit.unit] / m * grads.reshape(n, m).sum(axis=1)
-            records.append(SensitivityRecord(unit, target_class, float(values.mean())))
-    return records
+            scores.append(values.mean())
+    return np.array(scores)
 
 
-def top_n_report(scores: list[SensitivityRecord], client_id: int,
+def top_n_report(scores: np.ndarray, client_id: int, class_id: int,
                  top_n: int) -> SensitivityReport:
-    """Keep the N best-scoring records per class, descending, ties by address."""
+    """The client's upload for one class: its top_n units by score, best
+    first, ties by position."""
     if top_n < 1:
         raise CccuError("top_n must be >= 1")
-    by_class: dict[int, list[SensitivityRecord]] = {}
-    for rec in scores:
-        by_class.setdefault(rec.class_id, []).append(rec)
-    per_class = {}
-    for cid, recs in by_class.items():
-        recs.sort(key=lambda r: (-r.score, r.unit.layer, r.unit.unit))
-        per_class[cid] = tuple(recs[:top_n])
-    return SensitivityReport(client_id, per_class)
+    records = np.empty(min(top_n, len(scores)), UPLOAD)
+    records["unit"] = np.argsort(-scores, kind="stable")[:top_n]
+    records["score"] = scores[records["unit"]]
+    return SensitivityReport(client_id, {class_id: records})
 
 
 # ---------------------------------------------------------------------------
 # Server side
 
 
-def compute_dominance(reports: list[SensitivityReport], forget_client: int,
-                      forget_class: int,
-                      exclude: set[int] | None = None) -> list[DominanceEntry]:
-    """Per unit in the forget client's list: ratio of the best score any
-    non-forgetting client reported for the unit to the forget client's score.
+def compute_dominance(reports: list[SensitivityReport], requesting: Iterable[int],
+                      forget_class: int, unit_count: int) -> tuple[np.ndarray, ...]:
+    """Per unit a requester uploaded with a positive score: the ratio of the
+    best score any non-requesting client uploaded for it (floored at +0.0,
+    also where none did) to the requester's score.  A unit two requesters
+    uploaded keeps its lowest ratio, the first requester's on a tie.
 
-    Units the forget client scored at or below zero are dropped: the ratio is
-    undefined or sign-flipped there and such units do not support the class.
-    Absence from every other list floors s_max_other at zero, so the ratio is
-    never negative.
+    Returns (positions, s_forget, s_max_other, ratio) in selection order:
+    ascending ratio, then descending s_forget, then position.  Units the
+    requester scored at or below zero are left out: the ratio is undefined
+    or sign-flipped there and such units do not support the class.
     """
-    excluded = set(exclude) if exclude is not None else {forget_client}
-    excluded.add(forget_client)
-    forget_report = next((r for r in reports if r.client_id == forget_client), None)
-    if forget_report is None:
-        raise CccuError(f"no report from forget client {forget_client}")
-    forget_records = forget_report.records_for(forget_class)
-    if not forget_records:
-        raise CccuError(
-            f"forget client {forget_client} has no class-{forget_class} records")
-    other_scores: dict[UnitId, float] = {}
-    for report in reports:
-        if report.client_id in excluded:
-            continue
-        for rec in report.records_for(forget_class):
-            prev = other_scores.get(rec.unit)
-            if prev is None or rec.score > prev:
-                other_scores[rec.unit] = rec.score
-    entries = []
-    for rec in forget_records:
-        if rec.score <= 0.0:
-            continue
-        s_max_other = max(0.0, other_scores.get(rec.unit, 0.0))
-        entries.append(DominanceEntry(rec.unit, rec.score, s_max_other,
-                                      s_max_other / rec.score))
-    return entries
-
-
-def rank_select(entries: list[DominanceEntry], n: int) -> RankSelection:
-    """Ascending-ratio selection of n units; ties prefer higher s_forget."""
-    if n < 0:
-        raise CccuError("n must be >= 0")
-    ordered = sorted(entries, key=lambda e: (e.ratio, -e.s_forget,
-                                             e.unit.layer, e.unit.unit))
-    capped = n > len(ordered)
-    return RankSelection(tuple(e.unit for e in ordered[:min(n, len(ordered))]),
-                         capped=capped)
+    requesting = sorted(set(requesting))
+    by_client = {r.client_id: r.per_class.get(forget_class, np.empty(0, UPLOAD))
+                 for r in reports}
+    if missing := [rid for rid in requesting if rid not in by_client]:
+        raise CccuError(f"no report from requesting client {missing[0]}")
+    best = np.full(unit_count, -np.inf)
+    for cid, records in by_client.items():
+        if cid not in requesting:
+            np.maximum.at(best, records["unit"], records["score"])
+    s_max_other = np.where(best > 0.0, best, 0.0)
+    own = np.concatenate([by_client[rid] for rid in requesting])
+    own = own[own["score"] > 0.0]
+    ratio = s_max_other[own["unit"]] / own["score"]
+    # a unit's lowest ratio, the first requester's on a tie, is its first
+    # entry in a stable sort by ratio
+    first = np.argsort(ratio, kind="stable")
+    first = first[np.unique(own["unit"][first], return_index=True)[1]]
+    own, ratio = own[first], ratio[first]
+    order = np.lexsort((own["unit"], -own["score"], ratio))
+    positions = own["unit"][order]
+    return positions, own["score"][order], s_max_other[positions], ratio[order]
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +240,11 @@ def fedcccu_pipeline(spec: ModelSpec, global_params: np.ndarray,
         if len(probes):
             scores = sensitivity_scores(spec, global_params, probes.images, forget_class,
                                         unlearn.riemann_steps)
-            reports.append(top_n_report(scores, state.client_id, unlearn.top_n))
+            reports.append(top_n_report(scores, state.client_id, forget_class, unlearn.top_n))
         else:
             reports.append(SensitivityReport(state.client_id, {}))
-    requesters = set(unlearn.requesting_clients)
-    merged: dict[UnitId, DominanceEntry] = {}
-    for rid in sorted(requesters):
-        report = next(r for r in reports if r.client_id == rid)
-        if not report.records_for(forget_class):
-            continue
-        for entry in compute_dominance(reports, rid, forget_class, exclude=requesters):
-            prev = merged.get(entry.unit)
-            if prev is None or entry.ratio < prev.ratio:
-                merged[entry.unit] = entry
-    entries = sorted(merged.values(),
-                     key=lambda e: (e.ratio, -e.s_forget, e.unit.layer, e.unit.unit))
-    selection = rank_select(entries, unlearn.select_n)
-    edited = nncore.zero_units(spec, global_params, selection.units)
-    return edited, AuditRecord(unlearn, seed, reports, entries, selection)
+    units = editable_units(spec)
+    entries = compute_dominance(reports, unlearn.requesting_clients, forget_class, len(units))
+    selected = entries[0][:unlearn.select_n]
+    edited = nncore.zero_units(spec, global_params, [units[p] for p in selected.tolist()])
+    return edited, AuditRecord(unlearn, seed, units, reports, entries, selected)

@@ -21,9 +21,8 @@ class RouteError(ValueError):
 
 
 def editable_units(spec: ModelSpec) -> list[UnitId]:
-    """Units of every parameterized layer except the final (output) one."""
-    if spec.param_layer_count < 2:
-        return []
+    """Units of every parameterized layer except the final (output) one; a
+    unit's position in this list is its index wherever units are ranked."""
     return [UnitId(l, k)
             for l in range(spec.param_layer_count - 1)
             for k in range(spec.unit_count(l))]
@@ -51,18 +50,16 @@ def relabel_poison_prepare(labels: np.ndarray, forget_class: int,
 
 
 def rank_units_by_activation(spec: ModelSpec, params: np.ndarray,
-                             probes: DomainDataset,
-                             forget_class: int) -> list[tuple[UnitId, float]]:
-    """Editable units sorted by mean activation over forget-class probes."""
+                             probes: DomainDataset, forget_class: int) -> np.ndarray:
+    """Positions in editable_units(spec), highest mean activation over the
+    forget-class probes first, ties by position."""
     xs = probes.images[probes.labels == forget_class]
     if len(xs) == 0:
         raise RouteError("probe set contains no forget-class examples")
-    acts = nncore.batch_unit_activations(spec, params, xs)
-    scored = []
-    for unit in editable_units(spec):
-        scored.append((unit, float(acts[unit.layer][:, unit.unit].mean())))
-    scored.sort(key=lambda t: (-t[1], t[0].layer, t[0].unit))
-    return scored
+    acts = nncore.batch_unit_activations(spec, params, xs)[:-1]
+    # each unit's mean over a contiguous row: the bits of its column's .mean()
+    means = np.concatenate([np.ascontiguousarray(a.T).mean(axis=1) for a in acts])
+    return np.argsort(-means, kind="stable")
 
 
 def naive_zeroing(spec: ModelSpec, params: np.ndarray, forget_class: int,
@@ -72,5 +69,5 @@ def naive_zeroing(spec: ModelSpec, params: np.ndarray, forget_class: int,
     if top_m < 0 or top_m > len(ranked):
         raise RouteError(
             f"top_m={top_m} outside [0, {len(ranked)}] editable units")
-    selected = [unit for unit, _ in ranked[:top_m]]
-    return nncore.zero_units(spec, params, selected)
+    units = editable_units(spec)
+    return nncore.zero_units(spec, params, [units[p] for p in ranked[:top_m].tolist()])

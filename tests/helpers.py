@@ -1,7 +1,8 @@
 """Test-side helpers: a bit comparison, a parameter vector from named
 arrays, one library training step of one model, the out-of-place engine
 reference, the copied-shard reference for client views, the per-cell
-reference for evaluation reports, and the IDX fixture writers."""
+reference for evaluation reports, the record-object reference for the
+fedcccu server, and the IDX fixture writers."""
 import csv
 import dataclasses
 import io
@@ -216,6 +217,87 @@ def reference_combined_csv(reports) -> str:
         writer.writerow([cid, c] + [
             f"{tables[n][cid][0][c] / tables[n][cid][1][c] * 100.0:.2f}" for n in names])
     return buf.getvalue()
+
+
+@dataclasses.dataclass(frozen=True)
+class Record:
+    """One uploaded score, as the fedcccu server kept it before its arrays."""
+    unit: nn.UnitId
+    class_id: int
+    score: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Entry:
+    unit: nn.UnitId
+    s_forget: float
+    s_max_other: float
+    ratio: float
+
+
+def reference_top_n(records: list[Record], top_n: int) -> dict[int, tuple[Record, ...]]:
+    """The top_n records per class, descending, ties by (layer, unit)."""
+    by_class: dict[int, list[Record]] = {}
+    for rec in records:
+        by_class.setdefault(rec.class_id, []).append(rec)
+    return {cid: tuple(sorted(recs, key=lambda r: (-r.score, r.unit.layer, r.unit.unit))[:top_n])
+            for cid, recs in by_class.items()}
+
+
+def reference_dominance(uploads: dict, requester: int, forget_class: int,
+                        excluded: set[int]) -> list[Entry]:
+    """One requester's entries: the best score a client outside excluded
+    uploaded for each of its positive-score units, floored at 0.0 by max."""
+    other: dict = {}
+    for cid, per_class in uploads.items():
+        if cid in excluded:
+            continue
+        for rec in per_class.get(forget_class, ()):
+            if rec.unit not in other or rec.score > other[rec.unit]:
+                other[rec.unit] = rec.score
+    entries = []
+    for rec in uploads[requester].get(forget_class, ()):
+        if rec.score <= 0.0:
+            continue
+        s_max_other = max(0.0, other.get(rec.unit, 0.0))
+        entries.append(Entry(rec.unit, rec.score, s_max_other, s_max_other / rec.score))
+    return entries
+
+
+def reference_server(uploads: dict, unlearn) -> tuple[list[Entry], list[nn.UnitId], bool]:
+    """The merge over requesters (the lowest ratio per unit, the first
+    requester's on a tie), the entries in selection order, the selected units
+    and whether fewer entries existed than select_n."""
+    requesters = set(unlearn.requesting_clients)
+    merged: dict = {}
+    for rid in sorted(requesters):
+        for entry in reference_dominance(uploads, rid, unlearn.forget_class, requesters):
+            if entry.unit not in merged or entry.ratio < merged[entry.unit].ratio:
+                merged[entry.unit] = entry
+    entries = sorted(merged.values(),
+                     key=lambda e: (e.ratio, -e.s_forget, e.unit.layer, e.unit.unit))
+    return (entries, [e.unit for e in entries[:unlearn.select_n]],
+            unlearn.select_n > len(entries))
+
+
+def reference_audit_json(unlearn, seed, uploads, entries, selected, capped) -> str:
+    """AuditRecord.to_json from the record objects."""
+    u = unlearn
+    doc = {
+        "forget_class": u.forget_class,
+        "requesting_clients": list(u.requesting_clients),
+        "config": {"riemann_steps": u.riemann_steps, "top_n": u.top_n,
+                   "select_n": u.select_n, "probe_cap": u.probe_cap, "seed": seed},
+        "reports": [{"client": cid, "classes": {
+            str(c): [{"layer": r.unit.layer, "unit": r.unit.unit, "score": r.score}
+                     for r in recs] for c, recs in sorted(per_class.items())}}
+            for cid, per_class in uploads.items()],
+        "entries": [{"layer": e.unit.layer, "unit": e.unit.unit, "s_forget": e.s_forget,
+                     "s_max_other": e.s_max_other, "r": e.ratio} for e in entries],
+        "selected": [unit.as_dict() for unit in selected],
+        "selection_capped": capped,
+    }
+    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def write_idx(images, labels, images_path, labels_path) -> None:

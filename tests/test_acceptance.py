@@ -340,35 +340,33 @@ def test_criterion_7_fedcccu_pattern(pair2):
 
 def test_criterion_8_dominance_units():
     start = time.monotonic()
-    u = nn.UnitId
 
-    def rec(layer, unit, score):
-        return fedcccu.SensitivityRecord(u(layer, unit), 0, score)
+    def upload(cid, scores):
+        """Client cid's class-0 upload of {unit position: score}, in order."""
+        return fedcccu.SensitivityReport(
+            cid, {0: np.array(list(scores.items()), dtype=fedcccu.UPLOAD)})
 
-    forget = fedcccu.SensitivityReport(0, {0: (rec(0, 1, 0.8), rec(0, 2, 0.5))})
-    other = fedcccu.SensitivityReport(1, {0: (rec(0, 2, 0.4),)})
-    entries = fedcccu.compute_dominance([forget, other], 0, 0)
-    by_unit = {e.unit.unit: e for e in entries}
-    assert by_unit[1].s_max_other == 0.0 and by_unit[1].ratio == 0.0
-    assert by_unit[2].ratio == pytest.approx(0.8)
+    def dominance(reports):
+        return fedcccu.compute_dominance(reports, (0,), 0, 8)
+
+    positions, _, s_max_other, ratio = dominance([upload(0, {1: 0.8, 2: 0.5}),
+                                                  upload(1, {2: 0.4})])
+    by_unit = dict(zip(positions.tolist(), zip(s_max_other.tolist(), ratio.tolist())))
+    assert by_unit[1] == (0.0, 0.0)
+    assert by_unit[2][1] == pytest.approx(0.8)
 
     # global positive rescaling leaves the selection identical
     scale = 13.0
-    scaled_entries = fedcccu.compute_dominance([
-        fedcccu.SensitivityReport(0, {0: (rec(0, 1, 0.8 * scale), rec(0, 2, 0.5 * scale))}),
-        fedcccu.SensitivityReport(1, {0: (rec(0, 2, 0.4 * scale),)}),
-    ], 0, 0)
-    assert fedcccu.rank_select(entries, 1).units == \
-        fedcccu.rank_select(scaled_entries, 1).units
+    scaled = dominance([upload(0, {1: 0.8 * scale, 2: 0.5 * scale}),
+                        upload(1, {2: 0.4 * scale})])
+    assert positions[:1].tolist() == scaled[0][:1].tolist()
 
-    # deterministic tie-breaking: equal ratios order by s_forget then address
-    ties = [fedcccu.DominanceEntry(u(0, 5), 0.4, 0.0, 0.0),
-            fedcccu.DominanceEntry(u(0, 3), 0.9, 0.0, 0.0),
-            fedcccu.DominanceEntry(u(0, 4), 0.9, 0.0, 0.0)]
-    sel = fedcccu.rank_select(ties, 3)
-    assert [x.unit for x in sel.units] == [3, 4, 5]
-    sel_again = fedcccu.rank_select(list(reversed(ties)), 3)
-    assert sel.units == sel_again.units
+    # deterministic tie-breaking: equal ratios order by s_forget then position
+    ties = {5: 0.4, 3: 0.9, 4: 0.9}
+    sel = dominance([upload(0, ties)])[0][:3].tolist()
+    assert sel == [3, 4, 5]
+    sel_again = dominance([upload(0, dict(reversed(ties.items())))])[0][:3].tolist()
+    assert sel == sel_again
 
     elapsed = time.monotonic() - start
     _report("criterion 8", elapsed, 60,

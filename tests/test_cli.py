@@ -791,6 +791,69 @@ def test_resume_names_a_malformed_record(finished_run, tmp_path, caplog, name, d
     assert tree_bytes(out) == before
 
 
+@pytest.fixture(scope="module")
+def finished_fedcccu_run(tmp_path_factory):
+    """A finished fedcccu run of TINY: (config path, out dir)."""
+    base = tmp_path_factory.mktemp("finished_fedcccu")
+    cfg_path = write_cfg(base, route="fedcccu")
+    out = str(base / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("name", ["rounds_train.csv", "rounds_unlearn.csv",
+                                  "audit_fedcccu.json"])
+def test_a_deleted_stage_file_is_written_again(finished_fedcccu_run, tmp_path, name):
+    """Every file a stage writes is one of its artifacts: with one deleted,
+    a rerun runs that stage again and leaves every file as the first run
+    wrote it."""
+    cfg_path, finished = finished_fedcccu_run
+    out = str(tmp_path / "run")
+    shutil.copytree(finished, out)
+    want = tree_bytes(out)
+    os.remove(os.path.join(out, name))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    assert tree_bytes(out) == want
+
+
+@pytest.mark.parametrize("name, key, value, what", [
+    ("train_summary.json", "rounds_run", "x", "an int >= 0"),
+    ("train_summary.json", "rounds_run", -1, "an int >= 0"),
+    ("train_summary.json", "rounds_run", None, "an int >= 0"),
+    ("train_summary.json", "convergence_round", 2.0, "an int or null"),
+    ("train_summary.json", "convergence_round", ..., "an int or null"),
+    ("train_summary.json", "final_val_error", "0.1", "a number or null"),
+    ("train_summary.json", "final_val_error", ..., "a number or null"),
+    ("unlearn_summary.json", "unlearn_rounds_run", True, "an int >= 0"),
+    ("unlearn_summary.json", "unlearn_rounds_run", ..., "an int >= 0"),
+], ids=["rounds_run-str", "rounds_run-negative", "rounds_run-null", "convergence_round-float",
+        "convergence_round-missing", "final_val_error-str", "final_val_error-missing",
+        "unlearn_rounds_run-bool", "unlearn_rounds_run-missing"])
+def test_resume_refuses_a_damaged_summary(finished_run, tmp_path, caplog, name, key, value,
+                                          what):
+    """Each summary value the program reads back is checked: a wrong type or
+    a missing key (value ...) exits 1 naming the file and the key, and
+    changes no file."""
+    cfg_path, finished = finished_run
+    out = str(tmp_path / "run")
+    shutil.copytree(finished, out)
+    path = os.path.join(out, name)
+    with open(path) as fh:
+        doc = json.load(fh)
+    if value is ...:
+        del doc[key]
+    else:
+        doc[key] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+    before = tree_bytes(out)
+    caplog.clear()
+    assert cli.main(["unlearn", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert f"config: {path}: {key} is missing or not {what}; use a fresh output directory" \
+        in caplog.text
+    assert tree_bytes(out) == before
+
+
 def test_partition_artifacts_are_records_not_inputs(tmp_path):
     """The train stage takes its plan and splits from the config: editing
     partition.json (two clients of one domain swap their indices) and

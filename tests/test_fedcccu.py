@@ -1,16 +1,21 @@
 """Attribution, dominance and pipeline tests."""
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusim import datasets as ds
 from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
-from helpers import library_step, on_copied_shard, same_bits, vector
+from fusim.unlearn_routes import editable_units
+from helpers import (Record, library_step, on_copied_shard, reference_audit_json,
+                     reference_server, reference_top_n, same_bits, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +163,11 @@ def small_trained_setup(model="small_mlp"):
 
 def test_sensitivity_single_example_equals_attribution():
     spec, params, shard = small_trained_setup()
-    records = fc.sensitivity_scores(spec, params, shard.images[:1], 0, 10)
-    for rec in records:
-        att = fc.attribute_unit(spec, params, shard.images[0], 0, rec.unit, 10)
-        assert rec.score == pytest.approx(att, rel=1e-9, abs=1e-15)
+    scores = fc.sensitivity_scores(spec, params, shard.images[:1], 0, 10)
+    assert scores.shape == (len(editable_units(spec)),) and scores.dtype == np.float64
+    for unit, score in zip(editable_units(spec), scores.tolist()):
+        att = fc.attribute_unit(spec, params, shard.images[0], 0, unit, 10)
+        assert score == pytest.approx(att, rel=1e-9, abs=1e-15)
 
 
 def test_sensitivity_duplicated_shard_invariant():
@@ -170,9 +176,9 @@ def test_sensitivity_duplicated_shard_invariant():
     doubled = np.concatenate([two, two])
     a = fc.sensitivity_scores(spec, params, two, 1, 8)
     b = fc.sensitivity_scores(spec, params, doubled, 1, 8)
-    for ra, rb in zip(a, b):
-        assert ra.unit == rb.unit
-        assert ra.score == pytest.approx(rb.score, rel=1e-10, abs=1e-15)
+    assert a.shape == b.shape == (len(editable_units(spec)),)
+    for sa, sb in zip(a.tolist(), b.tolist()):
+        assert sa == pytest.approx(sb, rel=1e-10, abs=1e-15)
 
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
@@ -181,12 +187,14 @@ def test_sensitivity_two_example_mean_oracle(model):
     # that holds the second conv block
     spec, params, shard = small_trained_setup(model)
     two = shard.images[:2]
-    records = fc.sensitivity_scores(spec, params, two, 2, 12)
-    assert {r.unit.layer for r in records} == set(range(spec.param_layer_count - 1))
-    for rec in records:
-        a0 = fc.attribute_unit(spec, params, two[0], 2, rec.unit, 12)
-        a1 = fc.attribute_unit(spec, params, two[1], 2, rec.unit, 12)
-        assert rec.score == pytest.approx((a0 + a1) / 2, rel=1e-9, abs=1e-15)
+    scores = fc.sensitivity_scores(spec, params, two, 2, 12)
+    units = editable_units(spec)
+    assert len(scores) == len(units)
+    assert {u.layer for u in units} == set(range(spec.param_layer_count - 1))
+    for unit, score in zip(units, scores.tolist()):
+        a0 = fc.attribute_unit(spec, params, two[0], 2, unit, 12)
+        a1 = fc.attribute_unit(spec, params, two[1], 2, unit, 12)
+        assert score == pytest.approx((a0 + a1) / 2, rel=1e-9, abs=1e-15)
 
 
 def test_sensitivity_empty_shard_errors():
@@ -205,123 +213,190 @@ def test_sensitivity_rejects_zero_riemann_steps():
 # top_n_report
 
 
-def rec(layer, unit, score, cid=0):
-    return fc.SensitivityRecord(nn.UnitId(layer, unit), cid, score)
-
-
 def test_top_n_keeps_all_when_n_large():
-    scores = [rec(0, 0, 0.5), rec(0, 1, 0.9), rec(0, 2, 0.1)]
-    report = fc.top_n_report(scores, 3, 10)
-    got = report.records_for(0)
-    assert [r.score for r in got] == [0.9, 0.5, 0.1]
+    report = fc.top_n_report(np.array([0.5, 0.9, 0.1]), 3, 0, 10)
+    assert report.client_id == 3 and list(report.per_class) == [0]
+    got = report.per_class[0]
+    assert got.dtype == fc.UPLOAD
+    assert got["score"].tolist() == [0.9, 0.5, 0.1]
+    assert got["unit"].tolist() == [1, 0, 2]
 
 
 def test_top_n_selects_best_two():
-    scores = [rec(0, 0, 0.5), rec(0, 1, 0.9), rec(0, 2, 0.1)]
-    report = fc.top_n_report(scores, 0, 2)
-    got = report.records_for(0)
-    assert [(r.unit.unit, r.score) for r in got] == [(1, 0.9), (0, 0.5)]
+    report = fc.top_n_report(np.array([0.5, 0.9, 0.1]), 0, 4, 2)
+    assert report.per_class[4].tolist() == [(1, 0.9), (0, 0.5)]
 
 
 def test_top_n_tie_break_layer_then_unit():
-    scores = [rec(1, 3, 0.5), rec(0, 7, 0.5), rec(0, 2, 0.5)]
-    report = fc.top_n_report(scores, 0, 3)
-    got = report.records_for(0)
-    assert [(r.unit.layer, r.unit.unit) for r in got] == [(0, 2), (0, 7), (1, 3)]
+    # small_cnn's editable units: positions 0..7 are layer 0, 8..23 layer 1,
+    # so position order is (layer, unit) order
+    units = editable_units(nn.small_cnn((1, 12, 12), 4))
+    scores = np.zeros(len(units))
+    scores[[11, 7, 2]] = 0.5
+    got = fc.top_n_report(scores, 0, 0, 3).per_class[0]["unit"].tolist()
+    assert got == [2, 7, 11]
+    assert [units[p] for p in got] == [nn.UnitId(0, 2), nn.UnitId(0, 7), nn.UnitId(1, 3)]
 
 
 # ---------------------------------------------------------------------------
-# compute_dominance
+# compute_dominance: (positions, s_forget, s_max_other, ratio), selection order
 
 
-def report_of(cid, records, class_id=0):
-    return fc.SensitivityReport(cid, {class_id: tuple(records)})
+def report_of(cid, scores, class_id=0):
+    """A client's upload of {position: score}, in the given order."""
+    records = np.array(list(scores.items()), dtype=fc.UPLOAD)
+    return fc.SensitivityReport(cid, {class_id: records})
+
+
+def dominance(reports, requesting=(0,), unit_count=8):
+    return fc.compute_dominance(reports, requesting, 0, unit_count)
 
 
 def test_dominance_absent_unit_ratio_zero():
-    forget = report_of(0, [rec(0, 1, 0.8)])
-    other = report_of(1, [rec(0, 2, 0.9, cid=0)])
-    entries = fc.compute_dominance([forget, other], 0, 0)
-    assert len(entries) == 1
-    assert entries[0].s_max_other == 0.0
-    assert entries[0].ratio == 0.0
+    positions, _, s_max_other, ratio = dominance([report_of(0, {1: 0.8}),
+                                                  report_of(1, {2: 0.9})])
+    assert positions.tolist() == [1]
+    assert s_max_other.tolist() == [0.0]
+    assert ratio.tolist() == [0.0]
 
 
 def test_dominance_shared_unit_ratio_one():
-    forget = report_of(0, [rec(0, 1, 0.8)])
-    other = report_of(1, [rec(0, 1, 0.8)])
-    entries = fc.compute_dominance([forget, other], 0, 0)
-    assert entries[0].ratio == 1.0
+    _, _, _, ratio = dominance([report_of(0, {1: 0.8}), report_of(1, {1: 0.8})])
+    assert ratio.tolist() == [1.0]
 
 
 def test_dominance_forced_arithmetic():
-    forget = report_of(0, [rec(0, 1, 0.8)])
-    o1 = report_of(1, [rec(0, 1, 0.2)])
-    o2 = report_of(2, [rec(0, 1, 0.6)])
-    entries = fc.compute_dominance([forget, o1, o2], 0, 0)
-    assert entries[0].s_max_other == 0.6
-    assert entries[0].ratio == pytest.approx(0.75)
+    _, s_forget, s_max_other, ratio = dominance([
+        report_of(0, {1: 0.8}), report_of(1, {1: 0.2}), report_of(2, {1: 0.6})])
+    assert s_forget.tolist() == [0.8]
+    assert s_max_other.tolist() == [0.6]
+    assert ratio[0] == pytest.approx(0.75)
 
 
 def test_dominance_drops_nonpositive_forget_scores():
-    forget = report_of(0, [rec(0, 1, 0.8), rec(0, 2, -0.3), rec(0, 3, 0.0)])
-    entries = fc.compute_dominance([forget], 0, 0)
-    assert [e.unit.unit for e in entries] == [1]
+    positions, *_ = dominance([report_of(0, {1: 0.8, 2: -0.3, 3: 0.0, 4: -0.0})])
+    assert positions.tolist() == [1]
 
 
 def test_dominance_negative_other_scores_floored():
-    forget = report_of(0, [rec(0, 1, 0.8)])
-    other = report_of(1, [rec(0, 1, -0.5)])
-    entries = fc.compute_dominance([forget, other], 0, 0)
-    assert entries[0].s_max_other == 0.0
-    assert entries[0].ratio == 0.0
+    # a best other score of -0.5 or -0.0 floors to +0.0, and so does the ratio
+    for other in (-0.5, -0.0):
+        _, _, s_max_other, ratio = dominance([report_of(0, {1: 0.8}),
+                                              report_of(1, {1: other})])
+        assert s_max_other.tolist() == [0.0] and ratio.tolist() == [0.0]
+        assert math.copysign(1.0, s_max_other[0]) == math.copysign(1.0, ratio[0]) == 1.0
 
 
 def test_dominance_missing_forget_report_errors():
-    with pytest.raises(fc.CccuError):
-        fc.compute_dominance([report_of(1, [rec(0, 1, 0.5)])], 0, 0)
+    with pytest.raises(fc.CccuError, match="no report from requesting client 0"):
+        dominance([report_of(1, {1: 0.5})])
+
+
+def test_dominance_merges_requesters_lowest_ratio_first_on_tie():
+    """A unit two requesters uploaded keeps the lower ratio; on equal ratios
+    the first requester's entry, with its s_forget; other requesters'
+    scores never count as another client's."""
+    reports = [report_of(0, {1: 0.8, 2: 0.4, 3: 0.5}), report_of(1, {1: 0.2}),
+               report_of(2, {1: 1.6, 2: 0.8, 3: 0.25}), report_of(3, {})]
+    positions, s_forget, s_max_other, ratio = dominance(reports, (0, 2))
+    assert positions.tolist() == [3, 2, 1]
+    assert s_forget.tolist() == [0.5, 0.4, 1.6]
+    assert s_max_other.tolist() == [0.0, 0.0, 0.2]
+    assert ratio.tolist() == [0.0, 0.0, 0.125]
 
 
 # ---------------------------------------------------------------------------
-# rank_select
+# the selection: compute_dominance's first select_n positions
 
 
-def entry(layer, unit, s_forget, s_other):
-    return fc.DominanceEntry(nn.UnitId(layer, unit), s_forget, s_other,
-                             s_other / s_forget)
+def audit_of(reports, select_n, requesting=(0,), unit_count=8):
+    """The audit a pipeline writes for these uploads, and its JSON."""
+    unlearn = UnlearnConfig(forget_class=0, requesting_clients=requesting,
+                            select_n=select_n)
+    entries = fc.compute_dominance(reports, requesting, 0, unit_count)
+    units = [nn.UnitId(0, k) for k in range(unit_count)]
+    audit = fc.AuditRecord(unlearn, 1, units, reports, entries, entries[0][:select_n])
+    return audit, json.loads(audit.to_json())
 
 
 def test_rank_select_ascending_ratio():
-    entries = [entry(0, 0, 1.0, 0.0), entry(0, 1, 1.0, 0.9), entry(0, 2, 1.0, 0.3)]
-    sel = fc.rank_select(entries, 2)
-    assert [u.unit for u in sel.units] == [0, 2]
-    assert not sel.capped
+    """The selection is the select_n lowest ratios."""
+    reports = [report_of(0, {0: 1.0, 1: 1.0, 2: 1.0}), report_of(1, {1: 0.9, 2: 0.3})]
+    audit, doc = audit_of(reports, 2)
+    assert audit.selected.tolist() == [0, 2]
+    assert [u["unit"] for u in doc["selected"]] == [0, 2]
+    assert doc["selection_capped"] is False
 
 
 def test_rank_select_zero():
-    sel = fc.rank_select([entry(0, 0, 1.0, 0.0)], 0)
-    assert sel.units == ()
+    audit, doc = audit_of([report_of(0, {0: 1.0})], 0)
+    assert audit.selected.tolist() == [] and doc["selected"] == []
+    assert doc["selection_capped"] is False
 
 
 def test_rank_select_tie_prefers_higher_forget_score():
-    entries = [entry(0, 0, 0.4, 0.0), entry(0, 1, 0.9, 0.0)]
-    sel = fc.rank_select(entries, 1)
-    assert sel.units[0].unit == 1
+    audit, _ = audit_of([report_of(0, {0: 0.4, 1: 0.9})], 1)
+    assert audit.selected.tolist() == [1]
 
 
 def test_rank_select_caps_with_warning_flag():
-    entries = [entry(0, 0, 1.0, 0.0)]
-    sel = fc.rank_select(entries, 5)
-    assert sel.capped
-    assert len(sel.units) == 1
+    audit, doc = audit_of([report_of(0, {0: 1.0})], 5)
+    assert audit.selected.tolist() == [0]
+    assert doc["selection_capped"] is True
 
 
 def test_rank_select_scale_invariant():
-    entries = [entry(0, 0, 0.5, 0.2), entry(0, 1, 0.8, 0.1), entry(0, 2, 0.3, 0.25)]
-    scaled = [fc.DominanceEntry(e.unit, 7.0 * e.s_forget, 7.0 * e.s_max_other,
-                                (7.0 * e.s_max_other) / (7.0 * e.s_forget))
-              for e in entries]
-    assert fc.rank_select(entries, 2).units == fc.rank_select(scaled, 2).units
+    forget, other = {0: 0.5, 1: 0.8, 2: 0.3}, {0: 0.2, 1: 0.1, 2: 0.25}
+    scaled = [report_of(0, {p: 7.0 * s for p, s in forget.items()}),
+              report_of(1, {p: 7.0 * s for p, s in other.items()})]
+    assert dominance([report_of(0, forget), report_of(1, other)])[0][:2].tolist() == \
+        dominance(scaled)[0][:2].tolist() == [1, 0]
+
+
+SCORES = st.sampled_from([0.0, -0.0, -0.5, -1e-300, 1e-300, 0.25, 0.5, 0.75, 1.0, 3.0])
+
+
+@st.composite
+def server_inputs(draw):
+    """Uploads of 2-6 clients over up to 24 units in two layers (some empty),
+    1-3 requesters, and the top_n and select_n the server uses."""
+    unit_count = draw(st.integers(1, 24))
+    split = draw(st.integers(0, unit_count))
+    units = [nn.UnitId(0, k) for k in range(split)] + \
+        [nn.UnitId(1, k) for k in range(unit_count - split)]
+    client_count = draw(st.integers(2, 6))
+    scores = {cid: None if draw(st.booleans()) and draw(st.booleans()) else
+              np.array(draw(st.lists(SCORES, min_size=unit_count, max_size=unit_count)))
+              for cid in range(client_count)}
+    requesting = tuple(sorted(draw(st.sets(st.integers(0, client_count - 1),
+                                           min_size=1, max_size=3))))
+    unlearn = UnlearnConfig(forget_class=draw(st.integers(0, 3)),
+                            requesting_clients=requesting,
+                            top_n=draw(st.integers(1, unit_count + 1)),
+                            select_n=draw(st.integers(0, unit_count + 1)))
+    return units, scores, unlearn
+
+
+@given(server_inputs())
+@settings(max_examples=150)
+def test_array_server_gives_the_record_reference_bits(inputs):
+    """Upload, dominance, merge and selection on arrays select the units the
+    record-object server selected and write its audit JSON byte for byte,
+    over ties, signed zeros, negative scores and empty uploads."""
+    units, scores, unlearn = inputs
+    c = unlearn.forget_class
+    reports = [fc.top_n_report(v, cid, c, unlearn.top_n) if v is not None
+               else fc.SensitivityReport(cid, {}) for cid, v in scores.items()]
+    entries = fc.compute_dominance(reports, unlearn.requesting_clients, c, len(units))
+    selected = entries[0][:unlearn.select_n]
+    audit = fc.AuditRecord(unlearn, 3, units, reports, entries, selected)
+    uploads = {cid: {} if v is None else reference_top_n(
+        [Record(unit, c, score) for unit, score in zip(units, v.tolist())], unlearn.top_n)
+        for cid, v in scores.items()}
+    ref_entries, ref_selected, capped = reference_server(uploads, unlearn)
+    assert [units[p] for p in selected.tolist()] == ref_selected
+    assert audit.to_json() == reference_audit_json(unlearn, 3, uploads, ref_entries,
+                                                   ref_selected, capped)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +449,14 @@ def test_pipeline_single_client_degenerates():
     config = UnlearnConfig(forget_class=0, requesting_clients=(0,), riemann_steps=6,
                            top_n=5, select_n=3, probe_cap=8)
     edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
-    assert all(e.ratio == 0.0 for e in audit.entries)
+    assert np.all(audit.entries[3] == 0.0)
     # selection is the requester's own positive-score units, best first
-    positive = [r.unit for r in audit.reports[0].records_for(0) if r.score > 0]
-    assert list(audit.selection.units) == positive[:3]
+    upload = audit.reports[0].per_class[0]
+    positive = upload["unit"][upload["score"] > 0].tolist()
+    assert audit.selected.tolist() == positive[:3]
+    assert audit.units == editable_units(spec)
+    assert same_bits(edited, nn.zero_units(spec, params,
+                                           [audit.units[p] for p in positive[:3]]))
     assert not same_bits(edited, params)
 
 
@@ -388,7 +467,7 @@ def test_pipeline_select_zero_keeps_model():
                            top_n=5, select_n=0, probe_cap=8)
     edited, audit = fc.fedcccu_pipeline(spec, params, [state], config, 1)
     assert same_bits(edited, params)
-    assert audit.selection.units == ()
+    assert audit.selected.tolist() == []
     assert audit.reports
 
 
@@ -420,6 +499,6 @@ def test_pipeline_audit_json_serializes():
 
 def test_privacy_boundary_server_ops_take_no_raw_data():
     banned = ("example", "shard", "probe", "input", "image", "dataset")
-    for op in (fc.compute_dominance, fc.rank_select, nn.zero_units):
+    for op in (fc.compute_dominance, nn.zero_units):
         names = [p.lower() for p in inspect.signature(op).parameters]
         assert not any(b in name for b in banned for name in names), op.__name__

@@ -138,12 +138,34 @@ def test_naive_zeroing_selects_most_activated_unit_first():
     spec, params = hand_net_three_units()
     probes = shard_of([0], value=1.0, side=2)
     # hand-computed activations on an all-ones input: (0.4, 0.8, 3.61)
+    assert nn.batch_unit_activations(spec, params, probes.images)[0][0, 2] == \
+        pytest.approx(3.61, abs=1e-12)
     ranked = ur.rank_units_by_activation(spec, params, probes, 0)
-    assert ranked[0][0] == nn.UnitId(0, 2)
-    assert ranked[0][1] == pytest.approx(3.61, abs=1e-12)
+    assert ranked.tolist() == [2, 1, 0]
+    assert ur.editable_units(spec)[ranked[0]] == nn.UnitId(0, 2)
     edited = spec.views(ur.naive_zeroing(spec, params, 0, probes, 1))
     assert np.all(edited["layer0.weight"][:, 2] == 0.0)
     assert np.all(edited["layer0.weight"][:, :2] == spec.views(params)["layer0.weight"][:, :2])
+
+
+def test_zeroing_rank_uses_each_columns_mean_bits():
+    """A unit's mean is its activation column's .mean(), a pairwise sum from
+    nine rows up.  Unit 0's column sums to 2**53 + 2 pairwise but to 2**53
+    row by row, and unit 1's to 2**53 + 2 either way: the two tie, and the
+    tie goes to position 0; means summed row by row would rank unit 1 first."""
+    spec, _ = hand_net_three_units()
+    params = vector(spec, {"layer0.weight": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                             [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                           "layer1.weight": [[1.0, -1.0]] * 3})
+    big = 2.0 ** 53
+    images = np.zeros((9, 1, 2, 2))
+    images[:, 0, 0, 0] = [big, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0]
+    images[:, 0, 0, 1] = [big + 2.0, 0, 0, 0, 0, 0, 0, 0, 0]
+    probes = ds.DomainDataset(images, np.zeros(9, dtype=np.int64), "t", 2)
+    acts = nn.batch_unit_activations(spec, params, images)[0]
+    assert acts[:, 0].mean() == acts[:, 1].mean()
+    assert acts.mean(axis=0)[0] < acts.mean(axis=0)[1]   # the data tells them apart
+    assert ur.rank_units_by_activation(spec, params, probes, 0).tolist() == [0, 1, 2]
 
 
 def test_naive_zeroing_top_zero_unchanged():
