@@ -237,23 +237,29 @@ _METRICS = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
 
 
 def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str, ...],
-           sections: tuple[str, ...], checks: dict, prior, resume, run):
+           sections: tuple[str, ...], checks: dict, prior, resume, run,
+           implied=lambda record: ()):
     """Resume or run one stage in out_dir.
 
-    artifacts names every file the stage writes, and the first is its record:
-    a JSON document whose "config" holds the canonical values of sections.
-    When every artifact exists, the record is read, must hold cfg's values
-    and pass checks (a test per key the program reads back), and the result
-    is resume(prior(), record); the check comes before prior (the stage this
-    one builds on), so a finished directory is checked against its fullest
-    record first.  Otherwise run(prior(), writer) writes the other artifacts
-    and returns (result, record), and the record is written with the values.
+    artifacts names the files the stage always writes, and the first is its
+    record: a JSON document whose "config" holds the canonical values of
+    sections; implied(record) names the files the record says it wrote
+    besides.  When every artifact exists, the record is read, must hold
+    cfg's values and pass checks (a test per key the program reads back),
+    and if every implied file exists too, the result is resume(prior(),
+    record); the check comes before prior (the stage this one builds on), so
+    a finished directory is checked against its fullest record first.
+    Otherwise run(prior(), writer) writes the other artifacts and returns
+    (result, record), and the record is written with the values.
     """
+    def present(names) -> bool:
+        return all(os.path.exists(os.path.join(out_dir, a)) for a in names)
     wanted = canonical(cfg, sections)
     record_path = os.path.join(out_dir, artifacts[0])
-    if all(os.path.exists(os.path.join(out_dir, a)) for a in artifacts):
+    if present(artifacts):
         record = _read_record(name, record_path, wanted, checks)
-        return resume(prior(), record)
+        if present(implied(record)):
+            return resume(prior(), record)
     with _StageWriter(out_dir, name) as writer:
         result, record = run(prior(), writer)
         record["config"] = wanted
@@ -331,6 +337,11 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
         writer.add_text("rounds_train.csv", fedsim.round_logs_to_csv(
             result.logs, [c.client_id for c in clients]))
         return (task, result.params, summary), summary
+
+    def round_checkpoints(summary):
+        every = cfg.training.checkpoint_every
+        rounds = range(every, summary["rounds_run"] + 1, every) if every else ()
+        return [f"round_{t}.fusim" for t in rounds]
     ckpt = os.path.join(out_dir, "checkpoint_trained.fusim")
     return _stage(cfg, out_dir, "train", ("train_summary.json", "checkpoint_trained.fusim",
                                           "rounds_train.csv"),
@@ -338,7 +349,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
                                     "final_val_error": _NUMBER_OR_NULL},
                   lambda: ensure_partition(cfg, out_dir),
                   lambda task, summary: (task, nncore.load_checkpoint(ckpt, task.spec), summary),
-                  run)
+                  run, round_checkpoints)
 
 
 def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,

@@ -16,10 +16,12 @@ stable argsort, so ties go by position, which is (layer, unit) order.
 
 Scoring cost per client: one prefix pass per editable layer over the probes,
 up to the layer's activation site, gives every unit's activation, and the next
-parameterized layer's output is formed once for the probes x m rows.  Per
-unit, only the unit's rank-1 change is added to that output, and only the
-layers after it run, forward and backward.  attribute_unit scores one unit
-for one input through the same path.
+parameterized layer's output is formed once for the probes x m rows.  One
+batch_unit_gradients call per layer then adds each unit's rank-1 change to
+that output and runs only the layers after it, forward and backward; where
+that next layer is the dense output layer, units run in blocks that share
+one class-major buffer.  attribute_unit scores one unit for one input
+through the same path.
 
 Raw examples never leave the clients; the server-side steps consume
 SensitivityReports only.
@@ -119,7 +121,7 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     beta = (site if site.ndim == 2 else site.mean(axis=(2, 3)))[0, unit.unit]
     rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), unit.layer,
                             np.arange(1, m + 1, dtype=np.float64) / m)
-    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit)
+    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, [unit])
     return float(beta / m * grads.sum())
 
 
@@ -129,10 +131,11 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     a (U,) vector in editable_units(spec) order.
 
     Per editable layer, one prefix pass over the inputs gives every unit's
-    beta and the activation-site rows, and site_rows forms the next
-    parameterized layer's output for the n * m rows; per unit,
-    batch_unit_gradients updates that output and runs only the layers after
-    it.
+    beta and the activation-site rows, site_rows forms the next
+    parameterized layer's output for the n * m rows, and one
+    batch_unit_gradients call gives every unit's gradients.  Each unit's
+    reductions run over its own contiguous row, so a score has the bits of
+    the unit scored alone.
     """
     n = len(inputs)
     if n == 0:
@@ -143,15 +146,16 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
         raise CccuError("m must be >= 1")
     scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
     scores = []
-    for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+    for ordinal, layer_units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+        units = list(layer_units)  # every unit of the layer, in order
         site = nncore.batch_site_outputs(spec, params, inputs, ordinal)
         betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
         rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal, scales)
-        for unit in units:
-            grads = nncore.batch_unit_gradients(spec, params, rows, target_class, unit)
-            values = betas[:, unit.unit] / m * grads.reshape(n, m).sum(axis=1)
-            scores.append(values.mean())
-    return np.array(scores)
+        grads = nncore.batch_unit_gradients(spec, params, rows, target_class, units)
+        values = (np.ascontiguousarray(betas.T) / m
+                  * grads.reshape(len(units), n, m).sum(axis=2))
+        scores.append(values.mean(axis=1))
+    return np.concatenate(scores)
 
 
 def top_n_report(scores: np.ndarray, client_id: int, class_id: int,

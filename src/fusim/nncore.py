@@ -19,16 +19,16 @@ follows).  Interventions scale that value; gradients are taken with respect
 to it (summed over spatial positions for conv channels).  The engine runs any
 range of layer positions.  batch_site_outputs computes a layer's site once and
 site_rows the next parameterized layer's output from it, once per layer;
-batch_unit_gradients then adds one unit's rank-1 change to that output and
-runs only the layers after it, per unit.  forward_with_scaled_unit runs the
+batch_unit_gradients then adds each listed unit's rank-1 change to that
+output and runs only the layers after it.  forward_with_scaled_unit runs the
 whole network on a scaled copy and is the oracle for that shortcut.
 
-site_rows stores a 2-D next-layer output class-major ((n, C) F-ordered, the
-transpose of a (C, n) buffer) and batch_unit_gradients forms each unit's
-output in that layout.  The softmax, forward and backward, reduces such a
-block of C <= 128 classes across its class rows, in numpy's order for a
-contiguous row, so with the row-major bits; any other block (training's,
-prediction's, more than 128 classes) it reduces along the last axis.
+Where that next layer is dense (it feeds the softmax) and C <= 128,
+batch_unit_gradients runs the units in blocks: a block's outputs are (C, n)
+class rows per unit in one buffer, the softmax reduces across the class rows
+in numpy's order for a contiguous row, so with the row-major bits, and its
+backward pass for the one-hot seed is written out.  The engine itself
+reduces along the last axis everywhere.
 
 Local training holds models as the rows of a (k, P) matrix, k >= 1; the
 engine takes an optional leading stack axis (views (k, *shape)) and runs k
@@ -294,15 +294,6 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 _PAIRWISE_BLOCK = 128
 
 
-def _class_rows(h: np.ndarray) -> np.ndarray | None:
-    """h.T, its (C, n) class rows, when h is a 2-D block stored class-major
-    (F-ordered, n > 1) with C <= _PAIRWISE_BLOCK; else None."""
-    if (h.ndim == 2 and h.shape[1] <= _PAIRWISE_BLOCK and h.flags.f_contiguous
-            and not h.flags.c_contiguous):
-        return h.T
-    return None
-
-
 def _class_max(t: np.ndarray) -> np.ndarray:
     """h.max(axis=-1) for h = t.T, a left fold of np.maximum over the class
     rows t; only a zero maximum's sign may differ (numpy's SIMD max picks it
@@ -384,17 +375,9 @@ def _forward_engine(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarra
                 caches.append(("flatten", h.shape))
             h = h.reshape(*h.shape[:h.ndim - len(spec._shapes[pos])], -1)
         else:  # softmax
-            t = _class_rows(h)
-            if t is not None:
-                t = t - _class_max(t)
-                np.exp(t, out=t)
-                t /= _class_sum(t)
-                h = t.T
-            else:  # a class-major block wider than 128 classes reduces C-ordered
-                h = np.ascontiguousarray(h)
-                h = h - h.max(axis=-1, keepdims=True)
-                np.exp(h, out=h)
-                h /= h.sum(axis=-1, keepdims=True)
+            h = h - h.max(axis=-1, keepdims=True)
+            np.exp(h, out=h)
+            h /= h.sum(axis=-1, keepdims=True)
             if keep_caches:
                 caches.append(("softmax", h))
     return h, caches
@@ -454,15 +437,9 @@ def _backward_engine(spec: ModelSpec, params: dict[str, np.ndarray], caches: lis
             g = g.reshape(cache[1])
         else:  # softmax
             probs = cache[1]
-            t = _class_rows(probs)
-            if t is not None:
-                gt = g.T - _class_sum(g.T * t)
-                gt *= t
-                g = gt.T
-            else:
-                dot = (g * probs).sum(axis=-1, keepdims=True)
-                g = g - dot
-                g *= probs
+            dot = (g * probs).sum(axis=-1, keepdims=True)
+            g = g - dot
+            g *= probs
     return factors if wrt_params else g
 
 
@@ -526,15 +503,12 @@ def gradient_wrt_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                       target_class: int, unit: UnitId, scale: float) -> float:
     """d P(target_class | input) / d(activation), at the scaled activation."""
     spec.validate_unit(unit)
-    if not 0 <= target_class < spec.class_count:
-        raise NNError(f"target class {target_class} out of range")
     if not 0.0 <= float(scale) <= 1.0:
         raise NNError(f"scale must be in [0, 1], got {scale!r}")
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
     rows = site_rows(spec, params, site, unit.layer, np.asarray([float(scale)]))
-    g = batch_unit_gradients(spec, params, rows, target_class, unit)
-    return float(g[0])
+    return float(batch_unit_gradients(spec, params, rows, target_class, [unit])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -545,9 +519,9 @@ class SiteRows:
     maxpool and flatten layers between the two) and z0 that layer's
     output, both for the unscaled rows.  The output layer has no next layer:
     there z0 holds pre's values and the product is the identity.  A 2-D z0 is
-    class-major, (n, C) F-ordered, so that the softmax after it reduces
-    across class rows; a conv z0 is C-ordered.  scales holds each row's
-    activation scale, finite and non-negative.
+    class-major, (n, C) F-ordered, so that its (C, n) class rows are
+    contiguous; a conv z0 is C-ordered.  scales holds each row's activation
+    scale, finite and non-negative.
     """
     ordinal: int
     pre: np.ndarray
@@ -580,8 +554,9 @@ def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
 
 
 def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
-                         target_class: int, unit: UnitId) -> np.ndarray:
-    """Per-row dP(target)/d(activation) at rows.scales.
+                         target_class: int, units: Sequence[UnitId]) -> np.ndarray:
+    """Per-row dP(target)/d(activation) at rows.scales, a (len(units), n)
+    array whose row i is units[i]'s; every unit is of layer rows.ordinal.
 
     The layers between the site and the next parameterized layer, maxpool
     and flatten in both reference models (no relu), act per channel and
@@ -593,52 +568,119 @@ def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
     backward, and the gradient is read back through P_j alone; a conv
     channel's gradient is summed over positions.  Nothing is written into
     rows.
+
+    A dense next layer (the output layer, which the softmax follows) of C <=
+    _PAIRWISE_BLOCK classes runs the units in blocks, see _dense_next_block;
+    a conv next layer or a wider output runs each unit through the engine.
     """
-    spec.validate_unit(unit)
     views = spec.views(params)
-    if unit.layer != rows.ordinal:
-        raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
-    n = len(rows)
-    units = spec.unit_count(unit.layer)
-    nxt = spec._next_positions[unit.layer]
-    a = rows.pre.reshape(n, units, -1)[:, unit.unit]
-    d = (rows.scales - 1.0)[:, None] * a
-    w = np.eye(rows.pre.shape[1]) if nxt is None else views[f"layer{unit.layer + 1}.weight"]
-    if w.ndim == 2:
-        wj = w.reshape(units, -1, w.shape[1])[unit.unit]
-        z = np.empty_like(rows.z0)  # z0 + d w_j, in z0's layout
-        if d.shape[1] == 1:
-            # an outer product, which np.multiply writes in z's layout about 7x
-            # faster than @ (2,560 x 10, 1 BLAS thread); it has d @ w_j's bits
-            # except that a zero product keeps its sign (BLAS gives +0.0).  In
-            # both reference models such a z feeds the softmax directly, and
-            # exp(z - max) is the same for +-0.0.
-            np.multiply(d, wj, out=z)
-        else:
-            z[...] = d @ wj
-        z += rows.z0
-    else:
-        k = w.shape[-1]
-        patches = _im2col(d.reshape(n, 1, *rows.pre.shape[2:]), k)
-        dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
-        z = rows.z0 + dz.transpose(0, 3, 1, 2)
+    for unit in units:
+        spec.validate_unit(unit)
+        if unit.layer != rows.ordinal:
+            raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
+    if not 0 <= target_class < spec.class_count:
+        raise NNError(f"target class {target_class} out of range")
+    idx = np.array([unit.unit for unit in units], dtype=np.intp)
+    n, width = len(rows), spec.unit_count(rows.ordinal)
+    nxt = spec._next_positions[rows.ordinal]
+    a = rows.pre.reshape(n, width, -1)  # unit j's block of rows is a[:, j]
+    shift = rows.scales - 1.0
+    w = np.eye(width) if nxt is None else views[f"layer{rows.ordinal + 1}.weight"]
+    out = np.empty((len(idx), n))
+    if w.ndim == 2 and w.shape[1] <= _PAIRWISE_BLOCK:
+        _dense_next_block(a, shift, w.reshape(width, -1, w.shape[1]), rows.z0.T,
+                          target_class, idx, out)
+        return out
     start = len(spec.layers) - 1 if nxt is None else nxt + 1
-    probs, caches = _forward_engine(spec, views, z, keep_caches=True, start=start)
-    seed = np.zeros_like(probs)
-    seed[:, target_class] = 1.0
-    g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
-    if w.ndim == 2:
-        ga = np.ascontiguousarray(g) @ wj.T  # BLAS gives a class-major g other bits
-    else:
-        # transposed convolution of g with the unit's input-channel filters
-        u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))  # (n, oh, ow, k, k)
-        oh, ow = g.shape[2:]
-        ga = np.zeros((n, *rows.pre.shape[2:]))
-        for dy in range(k):
-            for dx in range(k):
-                ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
-        ga = ga.reshape(n, -1)
-    return ga.sum(axis=1)
+    for i, j in enumerate(idx.tolist()):
+        d = shift[:, None] * a[:, j]
+        if w.ndim == 2:
+            wj = w.reshape(width, -1, w.shape[1])[j]
+            z = d @ wj
+            z += rows.z0
+        else:
+            k = w.shape[-1]
+            patches = _im2col(d.reshape(n, 1, *rows.pre.shape[2:]), k)
+            dz = np.tensordot(patches, w[:, j:j + 1], axes=([3, 4, 5], [1, 2, 3]))
+            z = rows.z0 + dz.transpose(0, 3, 1, 2)
+        probs, caches = _forward_engine(spec, views, z, keep_caches=True, start=start)
+        seed = np.zeros_like(probs)
+        seed[:, target_class] = 1.0
+        g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+        if w.ndim == 2:
+            ga = g @ wj.T
+        else:
+            # transposed convolution of g with the unit's input-channel filters
+            u = np.tensordot(g, w[:, j], axes=([1], [0]))  # (n, oh, ow, k, k)
+            oh, ow = g.shape[2:]
+            ga = np.zeros((n, *rows.pre.shape[2:]))
+            for dy in range(k):
+                for dx in range(k):
+                    ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
+            ga = ga.reshape(n, -1)
+        out[i] = ga.sum(axis=1)
+    return out
+
+
+# A block of units holds its outputs in one (C, units, n) buffer and its
+# gradients in one (units, n, C) buffer of at most this many float64 values
+# each: 6 units of digits3's about 1,066 rows x 10 classes.  Measured there
+# (1 BLAS thread, x86 host with 2 MiB of L2 a core), blocks of 4 to 12 units
+# ran alike, 1-unit blocks about 45% slower and 24-unit blocks about 40%.
+_UNIT_BLOCK_VALUES = 2**16
+
+
+def _dense_next_block(a: np.ndarray, shift: np.ndarray, w: np.ndarray, z0t: np.ndarray,
+                      target: int, idx: np.ndarray, out: np.ndarray) -> None:
+    """batch_unit_gradients where the next layer is dense and the softmax
+    follows it: a is rows.pre as (n, units, m), shift the scales less 1, w
+    the next layer's weight as (units, m, C) and z0t the (C, n) class rows
+    of its output.  Writes row i of out for unit idx[i].
+
+    Each block's outputs z0 + d_j w_j are formed class-major, with the bits
+    of the engine's per-unit product (an outer product for m = 1, one BLAS
+    product per unit otherwise), and _softmax_onehot_grad runs on the whole
+    block.  The gradients land in a C-ordered buffer, and the final product
+    is one BLAS product per unit on its (n, C) slice, so every row has the
+    bits of the unit's own engine run.
+    """
+    (c, n), m = z0t.shape, w.shape[1]
+    at = a.transpose(1, 0, 2)
+    block = max(1, _UNIT_BLOCK_VALUES // (c * n))
+    zbuf = np.empty(min(block, len(idx)) * c * n)
+    gbuf = np.empty_like(zbuf)
+    for lo in range(0, len(idx), block):
+        j = idx[lo:lo + block]
+        k, wj = len(j), w[j]
+        d = shift[:, None] * at[j]  # (k, n, m)
+        zt = zbuf[:c * k * n].reshape(c, k, n)
+        if m == 1:
+            # an outer product, which np.multiply writes class-major about 7x
+            # faster than @ (2,560 x 10, 1 BLAS thread); it has d @ w_j's bits
+            # except that a zero product keeps its sign (BLAS gives +0.0), and
+            # exp(z - max) is the same for +-0.0.
+            np.multiply(wj[:, 0].T[:, :, None], d[None, :, :, 0], out=zt)
+        else:
+            zt[...] = np.matmul(d, wj).transpose(2, 0, 1)
+        zt += z0t[:, None]
+        g = gbuf[:k * n * c].reshape(k, n, c)
+        _softmax_onehot_grad(zt.reshape(c, k * n), target, g.reshape(k * n, c).T)
+        out[lo:lo + k] = np.matmul(g, wj.swapaxes(1, 2)).sum(axis=2)
+
+
+def _softmax_onehot_grad(t: np.ndarray, target: int, out: np.ndarray) -> None:
+    """The softmax of the class rows t (C, r), in place, with the bits of
+    numpy's row reductions, and into out (C, r) its backward pass for the
+    one-hot seed at target, with the bits of the engine's: every other term
+    of the seed's class sum is 0.0 * t = +0.0, so the sum is s = t[target],
+    and the gradient is (0.0 - s) * t, (1.0 - s) * s on the target row."""
+    t -= _class_max(t)
+    np.exp(t, out=t)
+    t /= _class_sum(t)
+    s = t[target]
+    # 0.0 - s, as the engine forms it; -s would give -0.0 where s is +0.0
+    np.multiply(np.subtract(0.0, s), t, out=out)
+    np.multiply(np.subtract(1.0, s), s, out=out[target])
 
 
 @dataclass(frozen=True)

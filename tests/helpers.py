@@ -1,11 +1,13 @@
 """Test-side helpers: a bit comparison, a parameter vector from named
 arrays, one library training step of one model, the out-of-place engine
-reference, the copied-shard reference for client views, the per-cell
-reference for evaluation reports, the record-object reference for the
-fedcccu server, and the IDX fixture writers."""
+reference, the per-unit loop for attribution scores, the copied-shard
+reference for client views, the per-cell reference for evaluation reports,
+the record-object reference for the fedcccu server, and the IDX fixture
+writers."""
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import struct
 
@@ -15,6 +17,7 @@ from fusim import datasets as ds
 from fusim import evalkit as ek
 from fusim import fedsim as fs
 from fusim import nncore as nn
+from fusim.unlearn_routes import editable_units
 
 
 def same_bits(a, b) -> bool:
@@ -133,6 +136,23 @@ def reference_loss_gradient_probs(spec, params, x, y):
     g[rows, y] = -1.0 / (n * probs[rows, y])
     _, grads = reference_backward(spec, params, caches, g)
     return loss, grads, probs
+
+
+def per_unit_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
+    """fedcccu.sensitivity_scores as a loop over units: one
+    batch_unit_gradients call per unit, its reductions on 1-D rows."""
+    n = len(inputs)
+    scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
+    scores = []
+    for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+        site = nn.batch_site_outputs(spec, params, inputs, ordinal)
+        betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
+        rows = nn.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal, scales)
+        for unit in units:
+            grads = nn.batch_unit_gradients(spec, params, rows, target, [unit])[0]
+            values = betas[:, unit.unit] / m * grads.reshape(n, m).sum(axis=1)
+            scores.append(values.mean())
+    return np.array(scores)
 
 
 def copied_shard(client) -> ds.DomainDataset:

@@ -793,20 +793,23 @@ def test_resume_names_a_malformed_record(finished_run, tmp_path, caplog, name, d
 
 @pytest.fixture(scope="module")
 def finished_fedcccu_run(tmp_path_factory):
-    """A finished fedcccu run of TINY: (config path, out dir)."""
+    """A finished fedcccu run of TINY with a round checkpoint every second
+    round: (config path, out dir)."""
     base = tmp_path_factory.mktemp("finished_fedcccu")
-    cfg_path = write_cfg(base, route="fedcccu")
+    cfg_path = base / "cfg.ini"
+    cfg_path.write_text(TINY.format(route="fedcccu").replace(
+        "epsilon = 0.2\n", "epsilon = 0.2\ncheckpoint_every = 2\n"))
     out = str(base / "run")
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
     return cfg_path, out
 
 
 @pytest.mark.parametrize("name", ["rounds_train.csv", "rounds_unlearn.csv",
-                                  "audit_fedcccu.json"])
+                                  "audit_fedcccu.json", "round_2.fusim"])
 def test_a_deleted_stage_file_is_written_again(finished_fedcccu_run, tmp_path, name):
-    """Every file a stage writes is one of its artifacts: with one deleted,
-    a rerun runs that stage again and leaves every file as the first run
-    wrote it."""
+    """Every file a stage writes is one of its artifacts, a round checkpoint
+    one its record implies: with one deleted, a rerun runs that stage again
+    and leaves every file as the first run wrote it."""
     cfg_path, finished = finished_fedcccu_run
     out = str(tmp_path / "run")
     shutil.copytree(finished, out)

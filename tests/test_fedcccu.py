@@ -14,8 +14,9 @@ from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
 from fusim.unlearn_routes import editable_units
-from helpers import (Record, library_step, on_copied_shard, reference_audit_json,
-                     reference_server, reference_top_n, same_bits, vector)
+from helpers import (Record, library_step, on_copied_shard, per_unit_sensitivity_scores,
+                     reference_audit_json, reference_server, reference_top_n, same_bits,
+                     vector)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,21 @@ def test_sensitivity_two_example_mean_oracle(model):
         a0 = fc.attribute_unit(spec, params, two[0], 2, unit, 12)
         a1 = fc.attribute_unit(spec, params, two[1], 2, unit, 12)
         assert score == pytest.approx((a0 + a1) / 2, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.bitid
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_sensitivity_scores_equal_the_per_unit_loop(model):
+    """One batch_unit_gradients call per layer gives the per-unit loop's
+    (U,) vector byte for byte, at probe counts on both sides of numpy's
+    eight-accumulator sums and at 128."""
+    spec, params, shard = small_trained_setup(model)
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 8, 9, 128):
+        x = shard.images[np.arange(n) % len(shard.images)]
+        x = x + rng.normal(0.0, 0.05, x.shape)
+        got = fc.sensitivity_scores(spec, params, x, 1, 4)
+        assert same_bits(got, per_unit_sensitivity_scores(spec, params, x, 1, 4)), n
 
 
 def test_sensitivity_empty_shard_errors():

@@ -628,11 +628,12 @@ def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
     for ordinal in range(spec.param_layer_count):
         site = np.repeat(nn.batch_site_outputs(spec, params, xs, ordinal), 2, axis=0)
         rows = nn.site_rows(spec, params, site, ordinal, scales)
-        for k in range(spec.unit_count(ordinal)):
-            unit = nn.UnitId(ordinal, k)
-            got = nn.batch_unit_gradients(spec, params, rows, 1, unit)
+        units = [nn.UnitId(ordinal, k) for k in range(spec.unit_count(ordinal))]
+        got = nn.batch_unit_gradients(spec, params, rows, 1, units)
+        assert got.shape == (len(units), len(scales))
+        for unit, row in zip(units, got):
             want = scaled_copy_gradients(spec, params, site, 1, unit, scales)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_unit_gradients_rejects_negative_scale():
@@ -648,7 +649,10 @@ def test_batch_unit_gradients_rejects_negative_scale():
         nn.site_rows(spec, params, site, 0, np.array([0.5]))
     rows = nn.site_rows(spec, params, site, 0, np.array([0.5, 0.5]))
     with pytest.raises(nn.InvalidUnitError):
-        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(1, 1))
+        nn.batch_unit_gradients(spec, params, rows, 0, [nn.UnitId(0, 0), nn.UnitId(1, 1)])
+    for target in (-1, 3):  # a negative class once indexed from the end
+        with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
+            nn.batch_unit_gradients(spec, params, rows, target, [nn.UnitId(0, 0)])
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -663,8 +667,8 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
     kept = site.copy()
     rows = nn.site_rows(spec, params, site, 0, np.array([0.0, 0.4, 1.0]))
     pre, z0, scales = rows.pre.copy(), rows.z0.copy(), rows.scales.copy()
-    for k in range(spec.unit_count(0)):
-        nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(0, k))
+    nn.batch_unit_gradients(spec, params, rows, 0,
+                            [nn.UnitId(0, k) for k in range(spec.unit_count(0))])
     assert np.array_equal(site, kept)
     assert np.array_equal(rows.pre, pre) and np.array_equal(rows.z0, z0)
     assert np.array_equal(rows.scales, scales)
@@ -751,11 +755,11 @@ def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
     for ordinal in range(spec.param_layer_count):
         rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
                             ordinal, scales)
-        for j in range(min(4, spec.unit_count(ordinal))):
-            unit = nn.UnitId(ordinal, j)
-            got = nn.batch_unit_gradients(spec, params, rows, 1, unit)
+        units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
+        got = nn.batch_unit_gradients(spec, params, rows, 1, units)
+        for unit, row in zip(units, got):
             want = reference_unit_gradients(spec, params, x, 1, unit, scales)
-            assert same_bits(got + 0.0, want + 0.0), unit
+            assert same_bits(row + 0.0, want + 0.0), unit
 
 
 @pytest.mark.bitid
@@ -868,45 +872,54 @@ def test_class_major_reductions_and_softmax_have_the_row_major_bits(c):
     """_class_sum gives h.sum(axis=-1)'s bytes, signs of zero included, and
     _class_max h.max(axis=-1)'s, except the sign of a zero maximum (numpy's
     SIMD max picks it by lane order: on an AVX-512 host it differs for C = 9,
-    17 and 33).  So the
-    softmax forward and backward on an F-ordered block give the bytes of the
-    C-ordered one on every row, zero maxima included, and write into neither
-    input.  This pins numpy's summation order: a numpy that changes it
-    fails here."""
+    17 and 33).  So _softmax_onehot_grad on the class rows gives the bytes
+    of the engine's row-major softmax forward and its backward pass for a
+    one-hot seed on every row, zero maxima included, with one class sum,
+    and the engine writes into neither input.  This pins numpy's summation
+    order: a numpy that changes it fails here."""
     h = special_rows(c, c)
     t = np.ascontiguousarray(h.T)
+    kept = h.tobytes()
+    spec = nn.small_mlp((1,), c, hidden=1)
     with np.errstate(all="ignore"):
         assert same_bits_or_nan(nn._class_sum(t), h.sum(axis=-1))
         got, want = nn._class_max(t), h.max(axis=-1)
         zero = want == 0.0
         assert same_bits_or_nan(got[~zero], want[~zero]) and (got[zero] == 0.0).all()
-        spec = nn.small_mlp((1,), c, hidden=1)
-        seed = np.random.default_rng(c).normal(0.0, 1.0, h.shape)
-        z, zs = np.asfortranarray(h), np.asfortranarray(seed)
-        kept = z.tobytes(), zs.tobytes()
-        assert nn._class_rows(z) is not None
-        with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-            probs, g = softmax_pass(spec, z, zs)
-        assert spy.call_count == 2  # forward and backward took the class-major branch
-        want_probs, want_g = softmax_pass(spec, h, seed)
-    assert (z.tobytes(), zs.tobytes()) == kept
-    assert same_bits_or_nan(probs, want_probs) and same_bits_or_nan(g, want_g)
+        for target in sorted({0, c // 2, c - 1}):
+            probs, g = t.copy(), np.empty_like(t)
+            with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+                nn._softmax_onehot_grad(probs, target, g)
+            assert spy.call_count == 1  # the backward pass needs no sum
+            seed = np.zeros(h.shape)
+            seed[:, target] = 1.0
+            seed_kept = seed.tobytes()
+            want_probs, want_g = softmax_pass(spec, h, seed)
+            assert (h.tobytes(), seed.tobytes()) == (kept, seed_kept)
+            assert same_bits_or_nan(probs.T, want_probs), target
+            assert same_bits_or_nan(g.T, want_g), target
 
 
 @pytest.mark.bitid
 def test_softmax_of_129_classes_takes_the_row_major_path():
     """At C = 129 numpy's row sum recurses and its order is no longer the
-    eight accumulators, so an F-ordered block of 129 classes is reduced
-    row-major, from a C-ordered copy, with the C-ordered block's bits."""
-    h = np.random.default_rng(129).normal(0.0, 3.0, (40, 129))
-    seed = np.random.default_rng(130).normal(0.0, 1.0, h.shape)
-    assert nn._class_rows(np.asfortranarray(h)) is None
-    spec = nn.small_mlp((1,), 129, hidden=1)
-    with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-        probs, g = softmax_pass(spec, np.asfortranarray(h), np.asfortranarray(seed))
-    assert spy.call_count == 0
-    want_probs, want_g = softmax_pass(spec, h, seed)
-    assert same_bits(probs, want_probs) and same_bits(g, want_g)
+    eight accumulators, so attribution over 129 classes runs each unit
+    through the engine's row-major softmax, and over 128 in one class-major
+    block; both give the out-of-place reference's bits."""
+    for c in (128, 129):
+        spec = nn.small_mlp((1, 4, 4), c, hidden=3)
+        rng = np.random.default_rng(c)
+        params = nn.init_params(spec, 1) + rng.normal(0.0, 0.5, spec.param_count)
+        x = rng.normal(0.0, 1.0, (40, *spec.input_shape))
+        scales = np.linspace(0.0, 1.0, 40)
+        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, 0), 0, scales)
+        units = [nn.UnitId(0, j) for j in range(3)]
+        with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+            got = nn.batch_unit_gradients(spec, params, rows, c - 1, units)
+        assert spy.call_count == (1 if c == 128 else 0)
+        for unit, row in zip(units, got):
+            want = reference_unit_gradients(spec, params, x, c - 1, unit, scales)
+            assert same_bits(row, want), (c, unit)
 
 
 @pytest.mark.bitid
@@ -919,8 +932,8 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
     forms them), every layer's batch_unit_gradients gives, byte for byte,
     the same call on a C-ordered z0 and the out-of-place reference (after
     + 0.0, see test_engine_bits_equal_out_of_place_reference).  A 2-D z0
-    is stored class-major and its softmax takes the class-major branch; the
-    inputs and the rows keep their bytes."""
+    is stored class-major and its softmax reduces across class rows, one
+    class sum a block of units; the inputs and the rows keep their bytes."""
     spec = make_spec()
     rng = np.random.default_rng(11)
     params = nn.init_params(spec, 4) + rng.normal(0.0, 0.1, spec.param_count)
@@ -932,19 +945,63 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
                             ordinal, scales)
         kept = rows.pre.tobytes(), rows.z0.tobytes()
         class_major = rows.z0.ndim == 2
-        assert class_major == (nn._class_rows(rows.z0) is not None)
+        assert not class_major or (rows.z0.flags.f_contiguous
+                                   and not rows.z0.flags.c_contiguous)
         row_major = nn.SiteRows(ordinal, rows.pre, np.ascontiguousarray(rows.z0), scales)
-        for j in range(min(4, spec.unit_count(ordinal))):
-            unit = nn.UnitId(ordinal, j)
-            with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-                got = nn.batch_unit_gradients(spec, params, rows, 3, unit)
-            assert spy.call_count == (2 if class_major else 0)
-            assert same_bits(got, nn.batch_unit_gradients(spec, params, row_major, 3,
-                                                          unit)), unit
+        units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
+        with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
+            got = nn.batch_unit_gradients(spec, params, rows, 3, units)
+        block = max(1, nn._UNIT_BLOCK_VALUES // (spec.class_count * len(x)))
+        assert spy.call_count == (-(-len(units) // block) if class_major else 0)
+        assert same_bits(got, nn.batch_unit_gradients(spec, params, row_major, 3, units))
+        for unit, row in zip(units, got):
             want = reference_unit_gradients(spec, params, x, 3, unit, scales)
-            assert same_bits(got + 0.0, want + 0.0), unit
+            assert same_bits(row + 0.0, want + 0.0), unit
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == kept
     assert x.tobytes() == kept_x
+
+
+@pytest.mark.bitid
+@pytest.mark.parametrize("model,ordinal", [
+    ("small_mlp", 0), ("small_mlp", 1), ("small_cnn", 0), ("small_cnn", 1), ("small_cnn", 2),
+    ("wide", 0), ("wide", 1)])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
+    """A list of units gives, row for row and byte for byte, each unit's
+    one-unit call and the out-of-place reference (after + 0.0, see
+    test_engine_bits_equal_out_of_place_reference): any units in any order,
+    blocks of 1 to 5 units under a cap that is no multiple of a unit's
+    values, one row or many, scales 0 and 1 among them, the first and the
+    last class.  The wide model's 130 classes run each unit through the
+    engine."""
+    spec = {"small_mlp": nn.small_mlp((1, 6, 6), 4, hidden=11),
+            "small_cnn": nn.small_cnn((1, 12, 12), 4),
+            "wide": nn.small_mlp((1, 4, 4), 130, hidden=5)}[model]
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    n = data.draw(st.sampled_from([1, 2, 7, 13]), label="rows")
+    width = spec.unit_count(ordinal)
+    picked = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2 * width),
+                       label="units")
+    target = data.draw(st.sampled_from([0, spec.class_count - 1]), label="target")
+    block = data.draw(st.integers(1, 5), label="block")
+    per_unit = spec.class_count * n
+    cap = block * per_unit + data.draw(st.integers(1, per_unit - 1), label="remainder")
+    rng = np.random.default_rng(seed)
+    params = nn.init_params(spec, seed) + rng.normal(0.0, 0.1, spec.param_count)
+    x = rng.normal(0.0, 1.0, (n, *spec.input_shape))
+    scales = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0], n)
+    scales[:2] = [0.0, 1.0][:n]
+    rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
+                        ordinal, scales)
+    units = [nn.UnitId(ordinal, j) for j in picked]
+    with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", cap):
+        got = nn.batch_unit_gradients(spec, params, rows, target, units)
+    assert got.shape == (len(units), n)
+    for unit, row in zip(units, got):
+        assert same_bits(row, nn.batch_unit_gradients(spec, params, rows, target, [unit])[0])
+        want = reference_unit_gradients(spec, params, x, target, unit, scales)
+        assert same_bits(row + 0.0, want + 0.0), unit
 
 
 @pytest.mark.bitid
@@ -963,11 +1020,11 @@ def test_wide_output_falls_back_to_the_row_major_softmax():
         for ordinal in range(spec.param_layer_count):
             rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
                                 ordinal, scales)
-            for j in (0, 5, 11):
-                unit = nn.UnitId(ordinal, j)
-                got = nn.batch_unit_gradients(spec, params, rows, 129, unit)
+            units = [nn.UnitId(ordinal, j) for j in (0, 5, 11)]
+            got = nn.batch_unit_gradients(spec, params, rows, 129, units)
+            for unit, row in zip(units, got):
                 want = reference_unit_gradients(spec, params, x, 129, unit, scales)
-                assert same_bits(got, want), unit
+                assert same_bits(row, want), unit
     assert spy.call_count == 0
 
 
@@ -1014,8 +1071,8 @@ def test_engine_writes_into_no_caller_array(make_spec):
         site_kept = site.tobytes()
         rows = nn.site_rows(spec, params, site, ordinal, np.linspace(0.0, 1.0, 5))
         rows_kept = rows.pre.tobytes(), rows.z0.tobytes()
-        for unit in range(min(3, spec.unit_count(ordinal))):
-            nn.batch_unit_gradients(spec, params, rows, 0, nn.UnitId(ordinal, unit))
+        nn.batch_unit_gradients(spec, params, rows, 0, [
+            nn.UnitId(ordinal, unit) for unit in range(min(3, spec.unit_count(ordinal)))])
         assert site.tobytes() == site_kept
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == rows_kept
     probs, caches = nn._forward_engine(spec, views, x, keep_caches=True)
