@@ -84,7 +84,6 @@ class UnlearnConfig:
     requesting_clients: tuple[int, ...] = (0,)
     rounds_max: int = 20
     top_m_fraction: float = 0.1
-    riemann_steps: int = 20
     top_n: int = 32
     select_n: int = 16
     probe_cap: int = 256
@@ -150,7 +149,6 @@ KEYS = (
     ("unlearn", "requesting_clients", "unlearn.requesting_clients", "ints", "[0, inf]"),
     ("unlearn", "rounds_max", "unlearn.rounds_max", "int", "[0, inf]"),
     ("unlearn", "top_m_fraction", "unlearn.top_m_fraction", "float", "(0, 1]"),
-    ("unlearn", "riemann_steps", "unlearn.riemann_steps", "int", "[1, inf]"),
     ("unlearn", "top_n", "unlearn.top_n", "int", "[1, inf]"),
     ("unlearn", "select_n", "unlearn.select_n", "int", "[0, inf]"),
     ("unlearn", "probe_cap", "unlearn.probe_cap", "int", "[1, inf]"),

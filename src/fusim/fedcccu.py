@@ -1,9 +1,12 @@
 """Cross-client constrained unlearning via attribution-ranked neuron edits.
 
-Each client scores how much every hidden unit contributes to predicting the
-forget class on its own data (a Riemann-sum path integral of the probability
-gradient as the unit's activation scales from 0 to its observed value), and
-uploads only its top-N (unit, score) records.  The server compares the
+Each client scores how much every hidden unit supports predicting the forget
+class on its own data: the drop in the class's probability when the unit is
+zeroed, averaged over its probes.  That is the limit of a Riemann-sum path
+integral of the probability's derivative as the unit's activation scales
+from 0 to its observed value (the completeness of integrated gradients);
+attribute_unit keeps the m-step sum as the oracle.  A client uploads only its
+top-N (unit, score) records.  The server compares the
 requesting clients' scores against the best score any other client uploaded
 for the same unit: units with a low ratio are dominated by the requesters and
 safe to zero, units with ratio near 1 are shared and kept.  The edit itself
@@ -14,14 +17,11 @@ vector, an upload is a record array of (position, score), and the server's
 dominance entries and selection are arrays of positions.  Ranks come from a
 stable argsort, so ties go by position, which is (layer, unit) order.
 
-Scoring cost per client: one prefix pass per editable layer over the probes,
-up to the layer's activation site, gives every unit's activation, and the next
-parameterized layer's output is formed once for the probes x m rows.  One
-batch_unit_gradients call per layer then adds each unit's rank-1 change to
-that output and runs only the layers after it, forward and backward; where
-that next layer is the dense output layer, units run in blocks that share
-one class-major buffer.  attribute_unit scores one unit for one input
-through the same path.
+Scoring cost per client: one forward pass over the probes, then per editable
+layer one prefix pass up to the layer's activation site, the next
+parameterized layer's output formed once, and one batch_scaled_unit_probs
+call that subtracts each unit's term from that output and runs blocks of
+units through the layers after it, forward only.
 
 Raw examples never leave the clients; the server-side steps consume
 SensitivityReports only.
@@ -61,7 +61,9 @@ class SensitivityReport:
 @dataclass
 class AuditRecord:
     """What the server saw and did: entries are compute_dominance's arrays
-    and selected their first select_n positions; units is editable_units."""
+    and selected their first select_n positions; units is editable_units.
+    The JSON's selected_shared counts the selected units whose ratio is 1 or
+    more: some other client scores them at least as high as a requester."""
     unlearn: UnlearnConfig
     seed: int
     units: list[UnitId]
@@ -76,7 +78,6 @@ class AuditRecord:
             "forget_class": u.forget_class,
             "requesting_clients": list(u.requesting_clients),
             "config": {
-                "riemann_steps": u.riemann_steps,
                 "top_n": u.top_n,
                 "select_n": u.select_n,
                 "probe_cap": u.probe_cap,
@@ -98,6 +99,7 @@ class AuditRecord:
             ],
             "selected": [units[p].as_dict() for p in self.selected.tolist()],
             "selection_capped": u.select_n > len(positions),
+            "selected_shared": int((self.entries[3][:u.select_n] >= 1.0).sum()),
         }
         return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -108,53 +110,52 @@ class AuditRecord:
 
 def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                    target_class: int, unit: UnitId, m: int) -> float:
-    """Riemann-sum attribution of one unit for one input.
+    """Riemann-sum attribution of one unit for one input, the oracle of
+    sensitivity_scores.
 
-    (beta / m) * sum_{j=1..m} dP(target | input) / d(activation) evaluated at
-    activation = (j/m) * beta, where beta is the unit's plain activation.
+    (1/m) * sum_{j=1..m} dP(target | input)/ds at s = j/m, where s scales the
+    unit's activation.  Scaling it scales a, the unit's block of the next
+    parameterized layer's input, so dP/ds = <a, dP/da>: beta * dP/d(activation)
+    for a dense unit with activation beta, the gradient weighted by the
+    pooled map for a conv channel.  As m grows the sum tends to
+    P(target | input) - P(target | input, unit zeroed).
     """
     if m < 1:
         raise CccuError("m must be >= 1")
     spec.validate_unit(unit)
     site = nncore.batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                                      unit.layer)
-    beta = (site if site.ndim == 2 else site.mean(axis=(2, 3)))[0, unit.unit]
     rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), unit.layer,
                             np.arange(1, m + 1, dtype=np.float64) / m)
-    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, [unit])
-    return float(beta / m * grads.sum())
+    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, [unit])[0]
+    a = rows.pre[0].reshape(spec.unit_count(unit.layer), -1)[unit.unit]
+    return float((a / m * grads.sum(axis=0)).sum())
 
 
 def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-                       target_class: int, m: int) -> np.ndarray:
-    """Mean attribution of each editable unit over the given inputs (N, C, H, W),
-    a (U,) vector in editable_units(spec) order.
+                       target_class: int) -> np.ndarray:
+    """Each editable unit's mean ablation effect over the given inputs (N, C,
+    H, W): the mean of P(target | x) - P(target | x, unit zeroed), a (U,)
+    vector in editable_units(spec) order.
 
-    Per editable layer, one prefix pass over the inputs gives every unit's
-    beta and the activation-site rows, site_rows forms the next
-    parameterized layer's output for the n * m rows, and one
-    batch_unit_gradients call gives every unit's gradients.  Each unit's
-    reductions run over its own contiguous row, so a score has the bits of
-    the unit scored alone.
+    One forward pass gives P(target | x).  Per editable layer, one prefix
+    pass over the inputs gives the site rows, site_rows forms the next
+    parameterized layer's output once, and one batch_scaled_unit_probs call
+    gives every unit's zeroed probabilities.
     """
     n = len(inputs)
     if n == 0:
         raise CccuError("sensitivity_scores needs a nonempty shard")
     if not 0 <= target_class < spec.class_count:
         raise CccuError(f"target class {target_class} out of range")
-    if m < 1:
-        raise CccuError("m must be >= 1")
-    scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
+    plain = nncore.predict_probs(spec, params, inputs)[:, target_class]
     scores = []
     for ordinal, layer_units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
-        units = list(layer_units)  # every unit of the layer, in order
         site = nncore.batch_site_outputs(spec, params, inputs, ordinal)
-        betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
-        rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal, scales)
-        grads = nncore.batch_unit_gradients(spec, params, rows, target_class, units)
-        values = (np.ascontiguousarray(betas.T) / m
-                  * grads.reshape(len(units), n, m).sum(axis=2))
-        scores.append(values.mean(axis=1))
+        rows = nncore.site_rows(spec, params, site, ordinal, np.zeros(n))
+        zeroed = nncore.batch_scaled_unit_probs(spec, params, rows, target_class,
+                                                list(layer_units))
+        scores.append((plain - zeroed).mean(axis=1))
     return np.concatenate(scores)
 
 
@@ -242,8 +243,7 @@ def fedcccu_pipeline(spec: ModelSpec, global_params: np.ndarray,
     for state in sorted(clients, key=lambda c: c.client_id):
         probes = probe_examples(state, forget_class, unlearn.probe_cap, seed)
         if len(probes):
-            scores = sensitivity_scores(spec, global_params, probes.images, forget_class,
-                                        unlearn.riemann_steps)
+            scores = sensitivity_scores(spec, global_params, probes.images, forget_class)
             reports.append(top_n_report(scores, state.client_id, forget_class, unlearn.top_n))
         else:
             reports.append(SensitivityReport(state.client_id, {}))

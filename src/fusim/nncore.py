@@ -19,16 +19,11 @@ follows).  Interventions scale that value; gradients are taken with respect
 to it (summed over spatial positions for conv channels).  The engine runs any
 range of layer positions.  batch_site_outputs computes a layer's site once and
 site_rows the next parameterized layer's output from it, once per layer;
-batch_unit_gradients then adds each listed unit's rank-1 change to that
-output and runs only the layers after it.  forward_with_scaled_unit runs the
-whole network on a scaled copy and is the oracle for that shortcut.
-
-Where that next layer is dense (it feeds the softmax) and C <= 128,
-batch_unit_gradients runs the units in blocks: a block's outputs are (C, n)
-class rows per unit in one buffer, the softmax reduces across the class rows
-in numpy's order for a contiguous row, so with the row-major bits, and its
-backward pass for the one-hot seed is written out.  The engine itself
-reduces along the last axis everywhere.
+batch_scaled_unit_probs and batch_unit_gradients then add each listed unit's
+rank-1 change to that output and run only the layers after it, the first
+forward only and a block of units at a time, the second forward and
+backward one unit at a time.  forward_with_scaled_unit runs the whole
+network on a scaled copy and is the oracle for that shortcut.
 
 Local training holds models as the rows of a (k, P) matrix, k >= 1; the
 engine takes an optional leading stack axis (views (k, *shape)) and runs k
@@ -289,43 +284,15 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
         x, (*lead, oh, ow, c, k, k), (*s[:-3], s[-2], s[-1], s[-3], s[-2], s[-1]))
 
 
-# numpy sums a contiguous row of up to this many values in one unrolled loop
-# (the block of its pairwise summation) and splits a longer one in two
-_PAIRWISE_BLOCK = 128
-
-
-def _class_max(t: np.ndarray) -> np.ndarray:
-    """h.max(axis=-1) for h = t.T, a left fold of np.maximum over the class
-    rows t; only a zero maximum's sign may differ (numpy's SIMD max picks it
-    by lane order), and exp(h - max) hides it."""
-    return np.maximum.reduce(t, axis=0)
-
-
-def _class_sum(t: np.ndarray) -> np.ndarray:
-    """h.sum(axis=-1)'s bits for the C-ordered h = t.T, 2 <= C <=
-    _PAIRWISE_BLOCK, in numpy's order for a contiguous row: from +0.0, eight
-    accumulators at stride 8 combined pairwise, then the rest in order (all
-    in order below 8).  Which NaN a NaN sum gives is not pinned."""
-    if len(t) < 8:
-        acc, rest = t[0] + 0.0, t[1:]
-    else:
-        full = len(t) - len(t) % 8
-        r = t[:8] + 0.0
-        for i in range(8, full, 8):
-            r += t[i:i + 8]
-        acc, rest = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), t[full:]
-    for row in rest:
-        acc += row
-    return acc
-
-
 def _forward_engine(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarray,
                     keep_caches: bool = False, start: int = 0, stop: int | None = None):
     """Run layer positions start..stop-1 on a batch x that feeds layer start.
 
     params are spec.views of the parameters.  x is (B, ...), or (k, B, ...)
-    with parameters stacked on a leading axis of k.  Returns (h, caches): h
-    is the output of layer stop-1, caches feed _backward_engine.
+    with parameters stacked on a leading axis of k, or with one model's
+    parameters where no conv layer runs (k blocks of rows through one
+    model).  Returns (h, caches): h is the output of layer stop-1, caches
+    feed _backward_engine.
     """
     stop = len(spec.layers) if stop is None else stop
     caches: list | None = [] if keep_caches else None
@@ -484,7 +451,8 @@ def forward_with_scaled_unit(spec: ModelSpec, params: np.ndarray, inputs: np.nda
     """Forward pass with the unit's activation multiplied by scale in [0, 1].
 
     The whole network runs on a copy of the site with the unit scaled in it:
-    this is the independent oracle for batch_unit_gradients.
+    this is the independent oracle for batch_scaled_unit_probs and
+    batch_unit_gradients.
     """
     spec.validate_unit(unit)
     if not np.isscalar(scale) or not 0.0 <= float(scale) <= 1.0:
@@ -508,20 +476,19 @@ def gradient_wrt_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
     rows = site_rows(spec, params, site, unit.layer, np.asarray([float(scale)]))
-    return float(batch_unit_gradients(spec, params, rows, target_class, [unit])[0, 0])
+    return float(batch_unit_gradients(spec, params, rows, target_class, [unit])[0, 0].sum())
 
 
 @dataclass(frozen=True)
 class SiteRows:
-    """Rows at one layer's activation site, prepared for batch_unit_gradients.
+    """Rows at one layer's activation site, prepared for
+    batch_scaled_unit_probs and batch_unit_gradients.
 
     pre is the input of the next parameterized layer (the site rows after the
     maxpool and flatten layers between the two) and z0 that layer's
     output, both for the unscaled rows.  The output layer has no next layer:
-    there z0 holds pre's values and the product is the identity.  A 2-D z0 is
-    class-major, (n, C) F-ordered, so that its (C, n) class rows are
-    contiguous; a conv z0 is C-ordered.  scales holds each row's activation
-    scale, finite and non-negative.
+    there z0 holds pre's values and the product is the identity.  scales
+    holds each row's activation scale, finite and non-negative.
     """
     ordinal: int
     pre: np.ndarray
@@ -550,137 +517,123 @@ def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
     pre, _ = _forward_engine(spec, views, x, start=start,
                              stop=len(spec.layers) - 1 if nxt is None else nxt)
     z0 = pre if nxt is None else _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)[0]
-    return SiteRows(ordinal, pre, np.asfortranarray(z0) if z0.ndim == 2 else z0, s)
+    return SiteRows(ordinal, pre, z0, s)
 
 
-def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
-                         target_class: int, units: Sequence[UnitId]) -> np.ndarray:
-    """Per-row dP(target)/d(activation) at rows.scales, a (len(units), n)
-    array whose row i is units[i]'s; every unit is of layer rows.ordinal.
-
-    The layers between the site and the next parameterized layer, maxpool
-    and flatten in both reference models (no relu), act per channel and
-    commute with a non-negative scale, so scaling unit j by s
-    changes that layer's output by the rank-1 term P_j((s - 1) * a_j): a_j is
-    the unit's block of rows.pre and P_j the layer restricted to it, the
-    product with W[j] for a dense layer or one input channel's convolution.
-    Only the layers after the next parameterized layer run, forward and
-    backward, and the gradient is read back through P_j alone; a conv
-    channel's gradient is summed over positions.  Nothing is written into
-    rows.
-
-    A dense next layer (the output layer, which the softmax follows) of C <=
-    _PAIRWISE_BLOCK classes runs the units in blocks, see _dense_next_block;
-    a conv next layer or a wider output runs each unit through the engine.
-    """
-    views = spec.views(params)
+def _next_layer(spec: ModelSpec, views: dict[str, np.ndarray], rows: SiteRows,
+                target_class: int, units: Sequence[UnitId]):
+    """Checks a call on rows; returns the units' indices, the next
+    parameterized layer's weight (the identity after the output layer) and
+    the position of the first layer after that one."""
     for unit in units:
         spec.validate_unit(unit)
         if unit.layer != rows.ordinal:
             raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
     if not 0 <= target_class < spec.class_count:
         raise NNError(f"target class {target_class} out of range")
-    idx = np.array([unit.unit for unit in units], dtype=np.intp)
-    n, width = len(rows), spec.unit_count(rows.ordinal)
     nxt = spec._next_positions[rows.ordinal]
-    a = rows.pre.reshape(n, width, -1)  # unit j's block of rows is a[:, j]
-    shift = rows.scales - 1.0
-    w = np.eye(width) if nxt is None else views[f"layer{rows.ordinal + 1}.weight"]
-    out = np.empty((len(idx), n))
-    if w.ndim == 2 and w.shape[1] <= _PAIRWISE_BLOCK:
-        _dense_next_block(a, shift, w.reshape(width, -1, w.shape[1]), rows.z0.T,
-                          target_class, idx, out)
-        return out
+    w = (np.eye(spec.unit_count(rows.ordinal)) if nxt is None
+         else views[f"layer{rows.ordinal + 1}.weight"])
     start = len(spec.layers) - 1 if nxt is None else nxt + 1
+    return np.array([unit.unit for unit in units], dtype=np.intp), w, start
+
+
+def _unit_outputs(spec: ModelSpec, rows: SiteRows, w: np.ndarray,
+                  js: np.ndarray) -> np.ndarray:
+    """The next parameterized layer's output (len(js), n, ...) with unit j
+    scaled by rows.scales, one block of rows per unit j of js: z0 plus the
+    term P_j((s - 1) * a_j), a_j the unit's block of rows.pre and P_j the
+    layer restricted to it, the product with W[j] for a dense layer or one
+    input channel's convolution.  Each block's product is its own (an
+    element-wise outer product for a one-position unit, else one BLAS
+    product per block), so a unit's rows have the same bits beside any
+    other units."""
+    n, width = len(rows), spec.unit_count(rows.ordinal)
+    d = np.moveaxis((rows.scales - 1.0)[:, None, None]
+                    * rows.pre.reshape(n, width, -1)[:, js], 1, 0)  # (len(js), n, positions)
+    if w.ndim == 2:
+        wj = w.reshape(width, -1, w.shape[1])[js]
+        dz = d * wj if wj.shape[1] == 1 else np.matmul(d, wj)
+    else:
+        k = w.shape[-1]
+        patches = _im2col(d.reshape(len(js) * n, 1, *rows.pre.shape[2:]), k)
+        oh, ow = patches.shape[1:3]
+        filters = w[:, js].reshape(len(w), len(js), k * k).transpose(1, 2, 0)
+        dz = np.matmul(patches.reshape(len(js), n * oh * ow, k * k), filters)
+        dz = np.moveaxis(dz.reshape(len(js), n, oh, ow, len(w)), -1, 2)
+    return np.add(dz, rows.z0, order="C")
+
+
+# A block of units holds at most this many float64 values of the next
+# parameterized layer's output: about 60 units at digits3's 10 classes and
+# some 55 probes a client.  Scoring digits3's nine clients (1 BLAS thread,
+# 2-core x86 host) took the same time at caps from 2**15 to 2**22 values,
+# for small_mlp and small_cnn alike, and about 35% longer at 2**12.
+_UNIT_BLOCK_VALUES = 2**15
+
+
+def batch_scaled_unit_probs(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
+                            target_class: int, units: Sequence[UnitId]) -> np.ndarray:
+    """Per-row P(target) with the unit's activation scaled by rows.scales, a
+    (len(units), n) array whose row i is units[i]'s; every unit is of layer
+    rows.ordinal.
+
+    The layers between the site and the next parameterized layer, maxpool
+    and flatten in both reference models (no relu), act per channel and
+    commute with a non-negative scale, so scaling unit j changes that
+    layer's output by a rank-1 term (see _unit_outputs).  Units run in blocks
+    of at most _UNIT_BLOCK_VALUES values of that output, stacked along a
+    leading axis, one forward-only engine call a block from the layer after
+    it to the softmax.  The layers there act on each unit's block of rows
+    alone (np.matmul gives every stack slice the bits of its own product),
+    so a unit's values do not depend on the block.  Nothing is written into
+    rows.
+    """
+    views = spec.views(params)
+    idx, w, start = _next_layer(spec, views, rows, target_class, units)
+    out = np.empty((len(idx), len(rows)))
+    block = max(1, _UNIT_BLOCK_VALUES // max(1, rows.z0.size))
+    for lo in range(0, len(idx), block):
+        z = _unit_outputs(spec, rows, w, idx[lo:lo + block])
+        out[lo:lo + block] = _forward_engine(spec, views, z, start=start)[0][..., target_class]
+    return out
+
+
+def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
+                         target_class: int, units: Sequence[UnitId]) -> np.ndarray:
+    """Per-row dP(target)/da_j at rows.scales, a (len(units), n, positions)
+    array whose row i is units[i]'s; a_j is the unit's block of rows.pre, one
+    position for a dense unit and the pooled map for a conv channel, and
+    every unit is of layer rows.ordinal.
+
+    Each unit runs alone: its output (see _unit_outputs) goes through the
+    layers after the next parameterized layer, forward and backward, and the
+    gradient is read back through that layer restricted to the unit.
+    Nothing is written into rows.
+    """
+    views = spec.views(params)
+    idx, w, start = _next_layer(spec, views, rows, target_class, units)
+    n, width = len(rows), spec.unit_count(rows.ordinal)
+    out = np.empty((len(idx), n, rows.pre[0].size // width))
     for i, j in enumerate(idx.tolist()):
-        d = shift[:, None] * a[:, j]
-        if w.ndim == 2:
-            wj = w.reshape(width, -1, w.shape[1])[j]
-            z = d @ wj
-            z += rows.z0
-        else:
-            k = w.shape[-1]
-            patches = _im2col(d.reshape(n, 1, *rows.pre.shape[2:]), k)
-            dz = np.tensordot(patches, w[:, j:j + 1], axes=([3, 4, 5], [1, 2, 3]))
-            z = rows.z0 + dz.transpose(0, 3, 1, 2)
+        z = _unit_outputs(spec, rows, w, idx[i:i + 1])[0]
         probs, caches = _forward_engine(spec, views, z, keep_caches=True, start=start)
         seed = np.zeros_like(probs)
         seed[:, target_class] = 1.0
         g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
         if w.ndim == 2:
-            ga = g @ wj.T
+            out[i] = g @ w.reshape(width, -1, w.shape[1])[j].T
         else:
             # transposed convolution of g with the unit's input-channel filters
+            k = w.shape[-1]
             u = np.tensordot(g, w[:, j], axes=([1], [0]))  # (n, oh, ow, k, k)
             oh, ow = g.shape[2:]
             ga = np.zeros((n, *rows.pre.shape[2:]))
             for dy in range(k):
                 for dx in range(k):
                     ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
-            ga = ga.reshape(n, -1)
-        out[i] = ga.sum(axis=1)
+            out[i] = ga.reshape(n, -1)
     return out
-
-
-# A block of units holds its outputs in one (C, units, n) buffer and its
-# gradients in one (units, n, C) buffer of at most this many float64 values
-# each: 6 units of digits3's about 1,066 rows x 10 classes.  Measured there
-# (1 BLAS thread, x86 host with 2 MiB of L2 a core), blocks of 4 to 12 units
-# ran alike, 1-unit blocks about 45% slower and 24-unit blocks about 40%.
-_UNIT_BLOCK_VALUES = 2**16
-
-
-def _dense_next_block(a: np.ndarray, shift: np.ndarray, w: np.ndarray, z0t: np.ndarray,
-                      target: int, idx: np.ndarray, out: np.ndarray) -> None:
-    """batch_unit_gradients where the next layer is dense and the softmax
-    follows it: a is rows.pre as (n, units, m), shift the scales less 1, w
-    the next layer's weight as (units, m, C) and z0t the (C, n) class rows
-    of its output.  Writes row i of out for unit idx[i].
-
-    Each block's outputs z0 + d_j w_j are formed class-major, with the bits
-    of the engine's per-unit product (an outer product for m = 1, one BLAS
-    product per unit otherwise), and _softmax_onehot_grad runs on the whole
-    block.  The gradients land in a C-ordered buffer, and the final product
-    is one BLAS product per unit on its (n, C) slice, so every row has the
-    bits of the unit's own engine run.
-    """
-    (c, n), m = z0t.shape, w.shape[1]
-    at = a.transpose(1, 0, 2)
-    block = max(1, _UNIT_BLOCK_VALUES // (c * n))
-    zbuf = np.empty(min(block, len(idx)) * c * n)
-    gbuf = np.empty_like(zbuf)
-    for lo in range(0, len(idx), block):
-        j = idx[lo:lo + block]
-        k, wj = len(j), w[j]
-        d = shift[:, None] * at[j]  # (k, n, m)
-        zt = zbuf[:c * k * n].reshape(c, k, n)
-        if m == 1:
-            # an outer product, which np.multiply writes class-major about 7x
-            # faster than @ (2,560 x 10, 1 BLAS thread); it has d @ w_j's bits
-            # except that a zero product keeps its sign (BLAS gives +0.0), and
-            # exp(z - max) is the same for +-0.0.
-            np.multiply(wj[:, 0].T[:, :, None], d[None, :, :, 0], out=zt)
-        else:
-            zt[...] = np.matmul(d, wj).transpose(2, 0, 1)
-        zt += z0t[:, None]
-        g = gbuf[:k * n * c].reshape(k, n, c)
-        _softmax_onehot_grad(zt.reshape(c, k * n), target, g.reshape(k * n, c).T)
-        out[lo:lo + k] = np.matmul(g, wj.swapaxes(1, 2)).sum(axis=2)
-
-
-def _softmax_onehot_grad(t: np.ndarray, target: int, out: np.ndarray) -> None:
-    """The softmax of the class rows t (C, r), in place, with the bits of
-    numpy's row reductions, and into out (C, r) its backward pass for the
-    one-hot seed at target, with the bits of the engine's: every other term
-    of the seed's class sum is 0.0 * t = +0.0, so the sum is s = t[target],
-    and the gradient is (0.0 - s) * t, (1.0 - s) * s on the target row."""
-    t -= _class_max(t)
-    np.exp(t, out=t)
-    t /= _class_sum(t)
-    s = t[target]
-    # 0.0 - s, as the engine forms it; -s would give -0.0 where s is +0.0
-    np.multiply(np.subtract(0.0, s), t, out=out)
-    np.multiply(np.subtract(1.0, s), s, out=out[target])
 
 
 @dataclass(frozen=True)

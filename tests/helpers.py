@@ -138,20 +138,37 @@ def reference_loss_gradient_probs(spec, params, x, y):
     return loss, grads, probs
 
 
-def per_unit_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
+def per_unit_sensitivity_scores(spec, params, inputs, target) -> np.ndarray:
     """fedcccu.sensitivity_scores as a loop over units: one
-    batch_unit_gradients call per unit, its reductions on 1-D rows."""
+    batch_scaled_unit_probs call per unit, its mean on a 1-D row."""
+    plain = nn.predict_probs(spec, params, inputs)[:, target]
+    scores = []
+    for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+        site = nn.batch_site_outputs(spec, params, inputs, ordinal)
+        rows = nn.site_rows(spec, params, site, ordinal, np.zeros(len(inputs)))
+        for unit in units:
+            zeroed = nn.batch_scaled_unit_probs(spec, params, rows, target, [unit])[0]
+            scores.append((plain - zeroed).mean())
+    return np.array(scores)
+
+
+def riemann_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
+    """The m-step Riemann scores that fedcccu.sensitivity_scores gave before
+    it took their limit: per unit, the mean over the inputs of
+    fedcccu.attribute_unit(..., m), one batch_unit_gradients call per unit
+    over every input's m rows.  On a dense layer these are the old scores'
+    bits."""
     n = len(inputs)
     scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
     scores = []
     for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
         site = nn.batch_site_outputs(spec, params, inputs, ordinal)
-        betas = site if site.ndim == 2 else site.mean(axis=(2, 3))
         rows = nn.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal, scales)
+        a = rows.pre[::m].reshape(n, spec.unit_count(ordinal), -1)
         for unit in units:
             grads = nn.batch_unit_gradients(spec, params, rows, target, [unit])[0]
-            values = betas[:, unit.unit] / m * grads.reshape(n, m).sum(axis=1)
-            scores.append(values.mean())
+            steps = grads.reshape(n, m, -1).sum(axis=1)
+            scores.append((a[:, unit.unit] / m * steps).sum(axis=1).mean())
     return np.array(scores)
 
 
@@ -306,8 +323,8 @@ def reference_audit_json(unlearn, seed, uploads, entries, selected, capped) -> s
     doc = {
         "forget_class": u.forget_class,
         "requesting_clients": list(u.requesting_clients),
-        "config": {"riemann_steps": u.riemann_steps, "top_n": u.top_n,
-                   "select_n": u.select_n, "probe_cap": u.probe_cap, "seed": seed},
+        "config": {"top_n": u.top_n, "select_n": u.select_n, "probe_cap": u.probe_cap,
+                   "seed": seed},
         "reports": [{"client": cid, "classes": {
             str(c): [{"layer": r.unit.layer, "unit": r.unit.unit, "score": r.score}
                      for r in recs] for c, recs in sorted(per_class.items())}}
@@ -316,6 +333,7 @@ def reference_audit_json(unlearn, seed, uploads, entries, selected, capped) -> s
                      "s_max_other": e.s_max_other, "r": e.ratio} for e in entries],
         "selected": [unit.as_dict() for unit in selected],
         "selection_capped": capped,
+        "selected_shared": sum(e.ratio >= 1.0 for e in entries[:u.select_n]),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 

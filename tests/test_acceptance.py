@@ -12,7 +12,7 @@ import pytest
 
 from fusim import evalkit, experiment, fedcccu, fedsim, nncore as nn, unlearn_routes
 from fusim.config import load_config
-from helpers import library_step, same_bits, vector
+from helpers import library_step, riemann_sensitivity_scores, same_bits, vector
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -197,6 +197,20 @@ def test_criterion_2_attribution_suite():
             "beta=0 exact; m=1 closed form; m=20 within 5% of m=2000; refinement monotone")
 
 
+def test_attribution_error_halves_as_m_doubles():
+    """On criterion 2's battery the m-step attribution converges to the
+    ablation difference P(t | x) - P(t | x, unit zeroed), the score
+    sensitivity_scores computes, at first order: each doubling of m, from 5
+    to 320 steps, about halves the error."""
+    for spec, params, x, unit, target in attribution_battery():
+        want = (nn.predict_probs(spec, params, x[None])[0, target]
+                - nn.forward_with_scaled_unit(spec, params, x, unit, 0.0)[target])
+        errs = [abs(fc_att(spec, params, x, target, unit, m) - want)
+                for m in (5, 10, 20, 40, 80, 160, 320)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.8 < coarse / fine < 2.2, (unit, errs)
+
+
 # ---------------------------------------------------------------------------
 # Criterion 3: protocol suite
 
@@ -302,6 +316,28 @@ def test_criterion_6_naive_zeroing_over_forgetting(digits3):
     _report("criterion 6", elapsed, 600,
             f"forget-class <= 5% at all 9 clients; global drop {100*drop_zero:.1f} "
             f"> fedcccu {100*drop_cccu:.1f} points")
+
+
+def test_fedcccu_selects_the_units_the_riemann_scores_select(digits3):
+    """The ablation scores select the same units on digits3 as the m = 20
+    Riemann scores the route used before (tests/helpers.py keeps that
+    scorer), through the same uploads, dominance and select_n."""
+    cfg, task, trained, summary, before = digits3
+    u = cfg.unlearn
+    _, extras = run_route(cfg, task, trained, summary, "fedcccu")
+    reports = []
+    for state in fedsim.build_clients(task.plan, task.train):
+        probes = fedcccu.probe_examples(state, u.forget_class, u.probe_cap, cfg.seed)
+        assert len(probes)
+        scores = riemann_sensitivity_scores(task.spec, trained, probes.images,
+                                            u.forget_class, 20)
+        reports.append(fedcccu.top_n_report(scores, state.client_id, u.forget_class, u.top_n))
+    units = unlearn_routes.editable_units(task.spec)
+    want = fedcccu.compute_dominance(reports, u.requesting_clients, u.forget_class,
+                                     len(units))[0][:u.select_n]
+    got = extras["audit"].selected
+    assert len(got) == u.select_n
+    assert sorted(got.tolist()) == sorted(want.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ rounds_max = 3
 top_n = 8
 select_n = 4
 probe_cap = 16
-riemann_steps = 5
 """
 
 
@@ -986,9 +985,8 @@ def test_changed_unlearn_key_after_train_runs_unlearn_on_the_trained_model(tmp_p
 @pytest.mark.parametrize("old,new,record,clause", [
     ("learning_rate = 0.4", "learning_rate = 0.3", "train_summary.json",
      "training.learning_rate is 0.4 but the config asks for 0.3"),
-    ("riemann_steps = 5", "riemann_steps = 6", os.path.join(f"route_{COMPARED[0]}",
-                                                            "metrics.json"),
-     "unlearn.riemann_steps is 5 but the config asks for 6"),
+    ("top_n = 8", "top_n = 9", os.path.join(f"route_{COMPARED[0]}", "metrics.json"),
+     "unlearn.top_n is 8 but the config asks for 9"),
 ])
 def test_compare_refuses_a_changed_key_where_it_is_recorded(compared, tmp_path, monkeypatch,
                                                             caplog, old, new, record, clause):
@@ -1018,7 +1016,7 @@ KEYED = {
     "partition": {"group_sizes": "4", "working_resolution": "10x10"},
     "training": {"rounds_max": "4", "learning_rate": "0.4", "epsilon": "0.2"},
     "unlearn": {"route": "delete", "rounds_max": "2", "top_n": "8", "select_n": "4",
-                "probe_cap": "16", "riemann_steps": "5"},
+                "probe_cap": "16"},
 }
 # One other valid value per key of the table; {idx} is an IDX pair's path
 # prefix, and a domain's images and labels are set together.
@@ -1036,7 +1034,7 @@ ALTERNATIVES = {
     "training.checkpoint_every": "2",
     "unlearn.route": "zeroing", "unlearn.forget_class": "1",
     "unlearn.requesting_clients": "1", "unlearn.rounds_max": "3",
-    "unlearn.top_m_fraction": "0.2", "unlearn.riemann_steps": "6", "unlearn.top_n": "10",
+    "unlearn.top_m_fraction": "0.2", "unlearn.top_n": "10",
     "unlearn.select_n": "3", "unlearn.probe_cap": "8",
     "evaluate.val_fraction": "0.2", "evaluate.test_fraction": "0.2",
 }

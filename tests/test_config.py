@@ -14,7 +14,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_minimal_config_fills_defaults():
     cfg = validate_config("")
-    assert cfg.unlearn.riemann_steps == 20
     assert cfg.unlearn.top_n == 32
     assert cfg.partition.alpha == 100.0
     assert cfg.unlearn.select_n == 16
@@ -37,6 +36,21 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as exc:
         validate_config("[training]\nmomentum = 0.9\n")
     assert "training.momentum" in str(exc.value)
+
+
+def test_a_config_that_sets_riemann_steps_is_refused(tmp_path, caplog):
+    """unlearn.riemann_steps went when fedcccu's score became the limit of
+    its Riemann sum: a config that still sets it exits 1 and names the key,
+    as any unknown key does, before the command writes anything."""
+    text = (README.parent / "configs" / "digits3.ini").read_text()
+    assert "riemann_steps" not in text
+    path = tmp_path / "old.ini"
+    path.write_text(text.replace("[unlearn]\n", "[unlearn]\nriemann_steps = 20\n"))
+    out = tmp_path / "o"
+    argv = ["run", "--config", str(path), "--route", "fedcccu", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "unknown key unlearn.riemann_steps" in caplog.text
+    assert not out.exists()
 
 
 def test_unknown_section_rejected():
@@ -238,7 +252,6 @@ def test_benchmark_config_parses_to_table_analogue():
     assert len(cfg.domains) == 3
     assert cfg.class_count == 10
     assert cfg.partition.working_resolution == (16, 16)
-    assert cfg.unlearn.riemann_steps == 20
 
 
 def test_pair_config_parses():
@@ -262,9 +275,9 @@ def test_float_keys_come_from_the_table():
             ("evaluate", "test_fraction")} <= set(FLOAT_KEYS)
 
 
-def test_table_holds_the_thirty_section_keys_and_five_domain_keys():
+def test_table_holds_the_twenty_nine_section_keys_and_five_domain_keys():
     names = [(section, key) for section, key, *_ in KEYS]
-    assert len(set(names)) == len(names) == 35
+    assert len(set(names)) == len(names) == 34
     assert sum(section == "domain" for section, _ in names) == 5
 
 

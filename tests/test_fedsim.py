@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusim import datasets as ds
-from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
@@ -118,26 +117,6 @@ def test_local_train_bit_identical_to_out_of_place_steps(model):
     assert len(losses) > 4
     assert np.array_equal(out, expected)
     assert loss == float(np.mean(losses))
-
-
-def test_class_major_softmax_runs_in_attribution_only():
-    """The class-major softmax (_class_sum) runs when fedcccu scores units,
-    once per block of units, and never in training or prediction:
-    local_train, batch_loss_and_gradient, sgd_step and predict_probs reduce
-    their C-ordered blocks row-major, as before."""
-    spec, states, test_x, test_y = make_federation()
-    params = nn.init_params(spec, 1)
-    with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-        train_round(states, params, spec, cfg(local_epochs=2), 1)
-        model = params[None].copy()
-        _, factors = nn.batch_loss_and_gradient(spec, model, test_x, test_y)
-        nn.sgd_step(model, factors, 0.1, np.empty(spec.param_count))
-        nn.predict_probs(spec, params, test_x)
-        assert spy.call_count == 0
-        fc.sensitivity_scores(spec, params, test_x[:4], 0, 5)
-    # one forward sum per block of units; the backward pass needs none
-    block = max(1, nn._UNIT_BLOCK_VALUES // (spec.class_count * 4 * 5))
-    assert spy.call_count == -(-spec.unit_count(0) // block)
 
 
 def test_local_train_reuses_the_round_matrices():

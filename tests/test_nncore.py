@@ -600,9 +600,10 @@ def test_unit_gradient_conv_channel_matches_scaled_forward_fd():
             assert rel_err(np.array(g), np.array(fd)) < 1e-4, (ordinal, s)
 
 
-def scaled_copy_gradients(spec, params, site, target, unit, scales):
-    """Per-row unit gradients from a scaled copy of the whole site block,
-    run through the engine's suffix forward and backward passes."""
+def scaled_copy_engine(spec, params, site, target, unit, scales):
+    """Per-row P(target) and unit gradients (summed over positions) from a
+    scaled copy of the whole site block, run through the engine's suffix
+    forward and backward passes."""
     start = spec.site_position(unit.layer) + 1
     h = site.copy()
     h[:, unit.unit] *= scales.reshape((-1,) + (1,) * (h.ndim - 2))
@@ -612,7 +613,7 @@ def scaled_copy_gradients(spec, params, site, target, unit, scales):
     seed[:, target] = 1.0
     g = nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
     g = g[:, unit.unit]
-    return g if g.ndim == 1 else g.sum(axis=(1, 2))
+    return probs[:, target], g if g.ndim == 1 else g.sum(axis=(1, 2))
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -620,6 +621,8 @@ def scaled_copy_gradients(spec, params, site, target, unit, scales):
     lambda: nn.small_cnn((1, 16, 16), 4),
 ], ids=["small_mlp", "small_cnn"])
 def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
+    """batch_scaled_unit_probs and batch_unit_gradients (summed over a
+    conv channel's positions) give the scaled copy's values."""
     spec = make_spec()
     params = nn.init_params(spec, 4)
     rng = np.random.default_rng(5)
@@ -630,10 +633,13 @@ def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
         rows = nn.site_rows(spec, params, site, ordinal, scales)
         units = [nn.UnitId(ordinal, k) for k in range(spec.unit_count(ordinal))]
         got = nn.batch_unit_gradients(spec, params, rows, 1, units)
-        assert got.shape == (len(units), len(scales))
-        for unit, row in zip(units, got):
-            want = scaled_copy_gradients(spec, params, site, 1, unit, scales)
-            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-15)
+        probs = nn.batch_scaled_unit_probs(spec, params, rows, 1, units)
+        assert got.shape == (len(units), len(scales), rows.pre[0].size // len(units))
+        assert probs.shape == (len(units), len(scales))
+        for unit, row, p in zip(units, got, probs):
+            want_p, want = scaled_copy_engine(spec, params, site, 1, unit, scales)
+            np.testing.assert_allclose(row.sum(axis=1), want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(p, want_p, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_unit_gradients_rejects_negative_scale():
@@ -648,11 +654,12 @@ def test_batch_unit_gradients_rejects_negative_scale():
     with pytest.raises(nn.ShapeMismatchError):
         nn.site_rows(spec, params, site, 0, np.array([0.5]))
     rows = nn.site_rows(spec, params, site, 0, np.array([0.5, 0.5]))
-    with pytest.raises(nn.InvalidUnitError):
-        nn.batch_unit_gradients(spec, params, rows, 0, [nn.UnitId(0, 0), nn.UnitId(1, 1)])
-    for target in (-1, 3):  # a negative class once indexed from the end
-        with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
-            nn.batch_unit_gradients(spec, params, rows, target, [nn.UnitId(0, 0)])
+    for call in (nn.batch_unit_gradients, nn.batch_scaled_unit_probs):
+        with pytest.raises(nn.InvalidUnitError):
+            call(spec, params, rows, 0, [nn.UnitId(0, 0), nn.UnitId(1, 1)])
+        for target in (-1, 3):  # a negative class once indexed from the end
+            with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
+                call(spec, params, rows, target, [nn.UnitId(0, 0)])
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -667,8 +674,9 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
     kept = site.copy()
     rows = nn.site_rows(spec, params, site, 0, np.array([0.0, 0.4, 1.0]))
     pre, z0, scales = rows.pre.copy(), rows.z0.copy(), rows.scales.copy()
-    nn.batch_unit_gradients(spec, params, rows, 0,
-                            [nn.UnitId(0, k) for k in range(spec.unit_count(0))])
+    units = [nn.UnitId(0, k) for k in range(spec.unit_count(0))]
+    nn.batch_unit_gradients(spec, params, rows, 0, units)
+    nn.batch_scaled_unit_probs(spec, params, rows, 0, units)
     assert np.array_equal(site, kept)
     assert np.array_equal(rows.pre, pre) and np.array_equal(rows.z0, z0)
     assert np.array_equal(rows.scales, scales)
@@ -678,9 +686,11 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
 # element-wise layers: result bits and the write rule
 
 
-def reference_unit_gradients(spec, params, x, target, unit, scales):
-    """batch_unit_gradients' rank-1 arithmetic on reference_forward and
-    reference_backward, for x the network inputs."""
+def reference_unit_suffix(spec, params, x, unit, scales):
+    """The rank-1 arithmetic of batch_scaled_unit_probs and
+    batch_unit_gradients on reference_forward, for x the network inputs:
+    (probabilities, caches, pre, the next layer's weight, the layer
+    position after it)."""
     site_pos, nxt = spec.site_position(unit.layer), spec._next_positions[unit.layer]
     units, n = spec.unit_count(unit.layer), len(x)
     site, _ = reference_forward(spec, params, x, 0, site_pos + 1)
@@ -701,20 +711,32 @@ def reference_unit_gradients(spec, params, x, target, unit, scales):
         z = reference_forward(spec, params, pre, nxt, nxt + 1)[0] + dz.transpose(0, 3, 1, 2)
     start = len(spec.layers) - 1 if nxt is None else nxt + 1
     probs, caches = reference_forward(spec, params, z, start)
+    return probs, caches, pre, w, start
+
+
+def reference_scaled_unit_probs(spec, params, x, target, unit, scales):
+    """batch_scaled_unit_probs of one unit on the reference layers."""
+    return reference_unit_suffix(spec, params, x, unit, scales)[0][:, target]
+
+
+def reference_unit_gradients(spec, params, x, target, unit, scales):
+    """batch_unit_gradients of one unit on reference_forward and
+    reference_backward: (n, positions)."""
+    probs, caches, pre, w, start = reference_unit_suffix(spec, params, x, unit, scales)
+    n, units = len(x), spec.unit_count(unit.layer)
     seed = np.zeros(probs.shape)
     seed[:, target] = 1.0
     g, _ = reference_backward(spec, params, caches, seed, start)
     if w.ndim == 2:
-        ga = g @ wj.T
-    else:
-        u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))
-        oh, ow = g.shape[2:]
-        ga = np.zeros((n, *pre.shape[2:]))
-        for dy in range(k):
-            for dx in range(k):
-                ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
-        ga = ga.reshape(n, -1)
-    return ga.sum(axis=1)
+        return g @ w.reshape(units, -1, w.shape[1])[unit.unit].T
+    k = w.shape[-1]
+    u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))
+    oh, ow = g.shape[2:]
+    ga = np.zeros((n, *pre.shape[2:]))
+    for dy in range(k):
+        for dx in range(k):
+            ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
+    return ga.reshape(n, -1)
 
 
 @pytest.mark.bitid
@@ -744,9 +766,9 @@ def test_engine_bits_equal_out_of_place_reference(model):
     lambda: nn.small_cnn((1, 16, 16), 4),
 ], ids=["small_mlp", "small_cnn"])
 def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
-    """On a fixed model, predict_probs and batch_unit_gradients (up to four
-    units a layer) give the reference's bits: the engine's stack axis leaves
-    unstacked calls as they were."""
+    """On a fixed model, predict_probs, batch_scaled_unit_probs and
+    batch_unit_gradients (up to four units a layer) give the reference's
+    bits: the engine's stack axis leaves unstacked calls as they were."""
     spec = make_spec()
     params = nn.init_params(spec, 6)
     x = np.random.default_rng(7).normal(0.0, 1.0, (5, *spec.input_shape))
@@ -757,9 +779,11 @@ def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
                             ordinal, scales)
         units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
         got = nn.batch_unit_gradients(spec, params, rows, 1, units)
-        for unit, row in zip(units, got):
+        probs = nn.batch_scaled_unit_probs(spec, params, rows, 1, units)
+        for unit, row, p in zip(units, got, probs):
             want = reference_unit_gradients(spec, params, x, 1, unit, scales)
             assert same_bits(row + 0.0, want + 0.0), unit
+            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, 1, unit, scales))
 
 
 @pytest.mark.bitid
@@ -829,83 +853,14 @@ def test_stacked_errors_name_the_row():
 
 
 # ---------------------------------------------------------------------------
-# class-major softmax: numpy's row reductions, done across class rows
-
-
-CLASS_WIDTHS = [2, 3, 7, 8, 9, 10, 15, 16, 17, 33, 100, 128]
-
-
-def special_rows(c, seed):
-    """Rows of c values: normals, draws from ±0.0, ±inf, NaN, subnormals and
-    values near the largest float, rows of ±0.0 alone (one all -0.0), rows
-    whose sums overflow and rows of subnormals."""
-    rng = np.random.default_rng(seed)
-    tiny, least, big = 5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max
-    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, least, -least,
-                big, -big, big / 3, 1.0, -1.0]
-    return np.concatenate([rng.normal(0.0, 1.0, (64, c)), rng.choice(specials, (96, c)),
-                           rng.choice([0.0, -0.0], (32, c)), np.full((1, c), -0.0),
-                           rng.choice([big, -big, big / 3, 1.0], (32, c)),
-                           rng.choice([tiny, -tiny, least, 0.0], (32, c))])
-
-
-def same_bits_or_nan(got, want):
-    """The same bytes, np.signbit included, except that where want is NaN
-    got need only be NaN too: numpy's compiled loops order the operands of a
-    NaN + NaN add their own way, so which NaN a sum gives is not pinned."""
-    nan = np.isnan(want)
-    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
-            and got[~nan].tobytes() == want[~nan].tobytes())
-
-
-def softmax_pass(spec, h, seed):
-    """The engine's softmax forward on h, then its backward on seed."""
-    views = spec.views(nn.init_params(spec, 0))
-    start = len(spec.layers) - 1
-    probs, caches = nn._forward_engine(spec, views, h, keep_caches=True, start=start)
-    return probs, nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
-
-
-@pytest.mark.bitid
-@pytest.mark.parametrize("c", CLASS_WIDTHS)
-def test_class_major_reductions_and_softmax_have_the_row_major_bits(c):
-    """_class_sum gives h.sum(axis=-1)'s bytes, signs of zero included, and
-    _class_max h.max(axis=-1)'s, except the sign of a zero maximum (numpy's
-    SIMD max picks it by lane order: on an AVX-512 host it differs for C = 9,
-    17 and 33).  So _softmax_onehot_grad on the class rows gives the bytes
-    of the engine's row-major softmax forward and its backward pass for a
-    one-hot seed on every row, zero maxima included, with one class sum,
-    and the engine writes into neither input.  This pins numpy's summation
-    order: a numpy that changes it fails here."""
-    h = special_rows(c, c)
-    t = np.ascontiguousarray(h.T)
-    kept = h.tobytes()
-    spec = nn.small_mlp((1,), c, hidden=1)
-    with np.errstate(all="ignore"):
-        assert same_bits_or_nan(nn._class_sum(t), h.sum(axis=-1))
-        got, want = nn._class_max(t), h.max(axis=-1)
-        zero = want == 0.0
-        assert same_bits_or_nan(got[~zero], want[~zero]) and (got[zero] == 0.0).all()
-        for target in sorted({0, c // 2, c - 1}):
-            probs, g = t.copy(), np.empty_like(t)
-            with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-                nn._softmax_onehot_grad(probs, target, g)
-            assert spy.call_count == 1  # the backward pass needs no sum
-            seed = np.zeros(h.shape)
-            seed[:, target] = 1.0
-            seed_kept = seed.tobytes()
-            want_probs, want_g = softmax_pass(spec, h, seed)
-            assert (h.tobytes(), seed.tobytes()) == (kept, seed_kept)
-            assert same_bits_or_nan(probs.T, want_probs), target
-            assert same_bits_or_nan(g.T, want_g), target
+# unit blocks: a unit's values do not depend on the units beside it
 
 
 @pytest.mark.bitid
 def test_softmax_of_129_classes_takes_the_row_major_path():
     """At C = 129 numpy's row sum recurses and its order is no longer the
-    eight accumulators, so attribution over 129 classes runs each unit
-    through the engine's row-major softmax, and over 128 in one class-major
-    block; both give the out-of-place reference's bits."""
+    eight accumulators; attribution over 128 and 129 classes reduces each
+    row on its own all the same, with the out-of-place reference's bits."""
     for c in (128, 129):
         spec = nn.small_mlp((1, 4, 4), c, hidden=3)
         rng = np.random.default_rng(c)
@@ -914,12 +869,13 @@ def test_softmax_of_129_classes_takes_the_row_major_path():
         scales = np.linspace(0.0, 1.0, 40)
         rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, 0), 0, scales)
         units = [nn.UnitId(0, j) for j in range(3)]
-        with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-            got = nn.batch_unit_gradients(spec, params, rows, c - 1, units)
-        assert spy.call_count == (1 if c == 128 else 0)
-        for unit, row in zip(units, got):
+        got = nn.batch_unit_gradients(spec, params, rows, c - 1, units)
+        probs = nn.batch_scaled_unit_probs(spec, params, rows, c - 1, units)
+        for unit, row, p in zip(units, got, probs):
             want = reference_unit_gradients(spec, params, x, c - 1, unit, scales)
             assert same_bits(row, want), (c, unit)
+            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, c - 1, unit,
+                                                            scales)), (c, unit)
 
 
 @pytest.mark.bitid
@@ -928,12 +884,12 @@ def test_softmax_of_129_classes_takes_the_row_major_path():
     lambda: nn.small_cnn((1, 12, 12), 10),
 ], ids=["small_mlp", "small_cnn"])
 def test_tall_attribution_block_has_the_row_major_bits(make_spec):
-    """On 320 rows (16 probes x 20 Riemann steps, as sensitivity_scores
-    forms them), every layer's batch_unit_gradients gives, byte for byte,
-    the same call on a C-ordered z0 and the out-of-place reference (after
-    + 0.0, see test_engine_bits_equal_out_of_place_reference).  A 2-D z0
-    is stored class-major and its softmax reduces across class rows, one
-    class sum a block of units; the inputs and the rows keep their bytes."""
+    """On 320 rows, every layer's batch_scaled_unit_probs runs its units in
+    blocks of the next layer's output stacked on a leading axis and gives,
+    byte for byte, the out-of-place reference of each unit, as does
+    batch_unit_gradients (after + 0.0, see
+    test_engine_bits_equal_out_of_place_reference); the inputs and the rows
+    keep their bytes."""
     spec = make_spec()
     rng = np.random.default_rng(11)
     params = nn.init_params(spec, 4) + rng.normal(0.0, 0.1, spec.param_count)
@@ -944,19 +900,15 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
         rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
                             ordinal, scales)
         kept = rows.pre.tobytes(), rows.z0.tobytes()
-        class_major = rows.z0.ndim == 2
-        assert not class_major or (rows.z0.flags.f_contiguous
-                                   and not rows.z0.flags.c_contiguous)
-        row_major = nn.SiteRows(ordinal, rows.pre, np.ascontiguousarray(rows.z0), scales)
+        assert rows.z0.flags.c_contiguous
         units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
-        with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-            got = nn.batch_unit_gradients(spec, params, rows, 3, units)
-        block = max(1, nn._UNIT_BLOCK_VALUES // (spec.class_count * len(x)))
-        assert spy.call_count == (-(-len(units) // block) if class_major else 0)
-        assert same_bits(got, nn.batch_unit_gradients(spec, params, row_major, 3, units))
-        for unit, row in zip(units, got):
+        with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", 3 * rows.z0.size):
+            probs = nn.batch_scaled_unit_probs(spec, params, rows, 3, units)
+        got = nn.batch_unit_gradients(spec, params, rows, 3, units)
+        for unit, row, p in zip(units, got, probs):
             want = reference_unit_gradients(spec, params, x, 3, unit, scales)
             assert same_bits(row + 0.0, want + 0.0), unit
+            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, 3, unit, scales))
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == kept
     assert x.tobytes() == kept_x
 
@@ -969,12 +921,12 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
 @given(data=st.data())
 def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
     """A list of units gives, row for row and byte for byte, each unit's
-    one-unit call and the out-of-place reference (after + 0.0, see
-    test_engine_bits_equal_out_of_place_reference): any units in any order,
-    blocks of 1 to 5 units under a cap that is no multiple of a unit's
-    values, one row or many, scales 0 and 1 among them, the first and the
-    last class.  The wide model's 130 classes run each unit through the
-    engine."""
+    one-unit call and the out-of-place reference, whatever block cap and
+    whichever units share a block: any units in any order, blocks of 1 to
+    5 units under a cap that is no multiple of a unit's values, one row or
+    many, scales 0 and 1 among them, the first and the last class.  Also a
+    list's unit gradients are its one-unit calls'.  The wide model has 130
+    classes."""
     spec = {"small_mlp": nn.small_mlp((1, 6, 6), 4, hidden=11),
             "small_cnn": nn.small_cnn((1, 12, 12), 4),
             "wide": nn.small_mlp((1, 4, 4), 130, hidden=5)}[model]
@@ -985,8 +937,6 @@ def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
                        label="units")
     target = data.draw(st.sampled_from([0, spec.class_count - 1]), label="target")
     block = data.draw(st.integers(1, 5), label="block")
-    per_unit = spec.class_count * n
-    cap = block * per_unit + data.draw(st.integers(1, per_unit - 1), label="remainder")
     rng = np.random.default_rng(seed)
     params = nn.init_params(spec, seed) + rng.normal(0.0, 0.1, spec.param_count)
     x = rng.normal(0.0, 1.0, (n, *spec.input_shape))
@@ -994,38 +944,41 @@ def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
     scales[:2] = [0.0, 1.0][:n]
     rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
                         ordinal, scales)
+    per_unit = rows.z0.size
+    cap = block * per_unit + data.draw(st.integers(0, per_unit - 1), label="remainder")
     units = [nn.UnitId(ordinal, j) for j in picked]
     with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", cap):
-        got = nn.batch_unit_gradients(spec, params, rows, target, units)
+        got = nn.batch_scaled_unit_probs(spec, params, rows, target, units)
     assert got.shape == (len(units), n)
-    for unit, row in zip(units, got):
-        assert same_bits(row, nn.batch_unit_gradients(spec, params, rows, target, [unit])[0])
-        want = reference_unit_gradients(spec, params, x, target, unit, scales)
-        assert same_bits(row + 0.0, want + 0.0), unit
+    assert same_bits(got, nn.batch_scaled_unit_probs(spec, params, rows, target, units))
+    grads = nn.batch_unit_gradients(spec, params, rows, target, units)
+    for unit, row, g in zip(units, got, grads):
+        assert same_bits(row, nn.batch_scaled_unit_probs(spec, params, rows, target, [unit])[0])
+        assert same_bits(row, reference_scaled_unit_probs(spec, params, x, target, unit, scales))
+        assert same_bits(g, nn.batch_unit_gradients(spec, params, rows, target, [unit])[0])
 
 
 @pytest.mark.bitid
 def test_wide_output_falls_back_to_the_row_major_softmax():
-    """With 130 classes (the config allows any class_count >= 2) the
-    class-major branch never runs: unit gradients of both layers and the
-    probabilities give the reference's bits through the row-major path."""
+    """With 130 classes (the config allows any class_count >= 2) scaled
+    probabilities and unit gradients of both layers and the probabilities
+    give the reference's bits through the engine's row-major softmax."""
     spec = nn.small_mlp((1, 6, 6), 130, hidden=12)
     rng = np.random.default_rng(13)
     params = nn.init_params(spec, 2) + rng.normal(0.0, 0.1, spec.param_count)
     x = rng.normal(0.0, 1.0, (48, *spec.input_shape))
     scales = np.linspace(0.0, 1.0, 48)
-    with mock.patch.object(nn, "_class_sum", wraps=nn._class_sum) as spy:
-        assert same_bits(nn.predict_probs(spec, params, x),
-                         reference_forward(spec, params, x)[0])
-        for ordinal in range(spec.param_layer_count):
-            rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                                ordinal, scales)
-            units = [nn.UnitId(ordinal, j) for j in (0, 5, 11)]
-            got = nn.batch_unit_gradients(spec, params, rows, 129, units)
-            for unit, row in zip(units, got):
-                want = reference_unit_gradients(spec, params, x, 129, unit, scales)
-                assert same_bits(row, want), unit
-    assert spy.call_count == 0
+    assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
+    for ordinal in range(spec.param_layer_count):
+        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
+                            ordinal, scales)
+        units = [nn.UnitId(ordinal, j) for j in (0, 5, 11)]
+        got = nn.batch_unit_gradients(spec, params, rows, 129, units)
+        probs = nn.batch_scaled_unit_probs(spec, params, rows, 129, units)
+        for unit, row, p in zip(units, got, probs):
+            want = reference_unit_gradients(spec, params, x, 129, unit, scales)
+            assert same_bits(row, want), unit
+            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, 129, unit, scales))
 
 
 def test_relu_bits_equal_where_on_special_values():
@@ -1071,8 +1024,9 @@ def test_engine_writes_into_no_caller_array(make_spec):
         site_kept = site.tobytes()
         rows = nn.site_rows(spec, params, site, ordinal, np.linspace(0.0, 1.0, 5))
         rows_kept = rows.pre.tobytes(), rows.z0.tobytes()
-        nn.batch_unit_gradients(spec, params, rows, 0, [
-            nn.UnitId(ordinal, unit) for unit in range(min(3, spec.unit_count(ordinal)))])
+        units = [nn.UnitId(ordinal, unit) for unit in range(min(3, spec.unit_count(ordinal)))]
+        nn.batch_unit_gradients(spec, params, rows, 0, units)
+        nn.batch_scaled_unit_probs(spec, params, rows, 0, units)
         assert site.tobytes() == site_kept
         assert (rows.pre.tobytes(), rows.z0.tobytes()) == rows_kept
     probs, caches = nn._forward_engine(spec, views, x, keep_caches=True)
