@@ -239,6 +239,14 @@ def test_sensitivity_empty_shard_errors():
         fc.sensitivity_scores(spec, params, np.empty((0, 1, 8, 8)), 0)
 
 
+def test_sensitivity_rejects_zero_riemann_steps():
+    """attribute_unit, the Riemann-sum oracle of sensitivity_scores, needs
+    at least one step."""
+    spec, params, shard = small_trained_setup()
+    with pytest.raises(fc.CccuError, match="m must be >= 1"):
+        fc.attribute_unit(spec, params, shard.images[0], 0, nn.UnitId(0, 0), 0)
+
+
 def cnn_case():
     """small_cnn with a trained-like perturbation and one input whose conv
     maps are not constant."""

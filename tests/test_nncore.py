@@ -856,6 +856,69 @@ def test_stacked_errors_name_the_row():
 # unit blocks: a unit's values do not depend on the units beside it
 
 
+# around numpy's eight summation accumulators and its 128-value pairwise block
+CLASS_WIDTHS = [2, 3, 7, 8, 9, 10, 15, 16, 17, 33, 100, 128]
+
+
+def special_rows(c, seed):
+    """Rows of c values: normals, draws from ±0.0, ±inf, NaN, subnormals and
+    values near the largest float, rows of ±0.0 alone (one all -0.0), rows
+    whose sums overflow and rows of subnormals."""
+    rng = np.random.default_rng(seed)
+    tiny, least, big = 5e-324, 2.2250738585072014e-308, np.finfo(np.float64).max
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, least, -least,
+                big, -big, big / 3, 1.0, -1.0]
+    return np.concatenate([rng.normal(0.0, 1.0, (64, c)), rng.choice(specials, (96, c)),
+                           rng.choice([0.0, -0.0], (32, c)), np.full((1, c), -0.0),
+                           rng.choice([big, -big, big / 3, 1.0], (32, c)),
+                           rng.choice([tiny, -tiny, least, 0.0], (32, c))])
+
+
+def same_bits_or_nan(got, want):
+    """The same bytes, np.signbit included, except that where want is NaN
+    got need only be NaN too: numpy's compiled loops order the operands of a
+    NaN + NaN add their own way, so which NaN a sum gives is not pinned."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def softmax_pass(spec, h, seed):
+    """The engine's softmax forward on h, then its backward on seed."""
+    views = spec.views(nn.init_params(spec, 0))
+    start = len(spec.layers) - 1
+    probs, caches = nn._forward_engine(spec, views, h, keep_caches=True, start=start)
+    return probs, nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+
+
+@pytest.mark.bitid
+@pytest.mark.parametrize("c", CLASS_WIDTHS)
+def test_class_major_reductions_and_softmax_have_the_row_major_bits(c):
+    """The softmax reduces over the classes along each row of C values, so
+    a stack of row blocks, as batch_scaled_unit_probs forms one (units, n,
+    C) and a stacked training step one (k, B, C), gives every row the bytes
+    of the engine's softmax of that row alone, forward and backward for a
+    one-hot seed: zero maxima, signs of zero, overflowing sums and NaN rows
+    included.  The engine writes into neither input."""
+    h = special_rows(c, c)[:256].reshape(8, 32, c)
+    kept = h.tobytes()
+    spec = nn.small_mlp((1,), c, hidden=1)
+    with np.errstate(all="ignore"):
+        for target in sorted({0, c // 2, c - 1}):
+            seed = np.zeros(h.shape)
+            seed[..., target] = 1.0
+            seed_kept = seed.tobytes()
+            probs, g = softmax_pass(spec, h, seed)
+            assert (h.tobytes(), seed.tobytes()) == (kept, seed_kept)
+            flat_probs, flat_g = softmax_pass(spec, h.reshape(-1, c), seed.reshape(-1, c))
+            assert same_bits_or_nan(probs.reshape(-1, c), flat_probs), target
+            assert same_bits_or_nan(g.reshape(-1, c), flat_g), target
+            for row in np.ndindex(h.shape[:2]):
+                want_probs, want_g = softmax_pass(spec, h[row][None], seed[row][None])
+                assert same_bits_or_nan(probs[row][None], want_probs), (target, row)
+                assert same_bits_or_nan(g[row][None], want_g), (target, row)
+
+
 @pytest.mark.bitid
 def test_softmax_of_129_classes_takes_the_row_major_path():
     """At C = 129 numpy's row sum recurses and its order is no longer the
