@@ -18,10 +18,10 @@ dominance entries and selection are arrays of positions.  Ranks come from a
 stable argsort, so ties go by position, which is (layer, unit) order.
 
 Scoring cost per client: one forward pass over the probes, then per editable
-layer one prefix pass up to the layer's activation site, the next
-parameterized layer's output formed once, and one batch_scaled_unit_probs
-call that subtracts each unit's term from that output and runs blocks of
-units through the layers after it, forward only.
+layer one batch_zeroed_unit_probs call: one prefix pass up to the next
+parameterized layer, that layer's output formed once, and blocks of units,
+each unit's term subtracted from that output, through the layers after it,
+forward only.
 
 Raw examples never leave the clients; the server-side steps consume
 SensitivityReports only.
@@ -114,10 +114,9 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     sensitivity_scores.
 
     (1/m) * sum_{j=1..m} dP(target | input)/ds at s = j/m, where s scales the
-    unit's activation.  Scaling it scales a, the unit's block of the next
-    parameterized layer's input, so dP/ds = <a, dP/da>: beta * dP/d(activation)
-    for a dense unit with activation beta, the gradient weighted by the
-    pooled map for a conv channel.  As m grows the sum tends to
+    unit's activation a, so dP/ds = <a, dP/da>: beta * dP/d(activation) for
+    a dense unit with activation beta, the gradient weighted by the site map
+    for a conv channel.  As m grows the sum tends to
     P(target | input) - P(target | input, unit zeroed).
     """
     if m < 1:
@@ -125,11 +124,9 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     spec.validate_unit(unit)
     site = nncore.batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                                      unit.layer)
-    rows = nncore.site_rows(spec, params, np.repeat(site, m, axis=0), unit.layer,
-                            np.arange(1, m + 1, dtype=np.float64) / m)
-    grads = nncore.batch_unit_gradients(spec, params, rows, target_class, [unit])[0]
-    a = rows.pre[0].reshape(spec.unit_count(unit.layer), -1)[unit.unit]
-    return float((a / m * grads.sum(axis=0)).sum())
+    grads = nncore.batch_unit_gradients(spec, params, np.repeat(site, m, axis=0), target_class,
+                                        unit, np.arange(1, m + 1, dtype=np.float64) / m)
+    return float((site[0, unit.unit] / m * grads.sum(axis=0)).sum())
 
 
 def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
@@ -138,22 +135,17 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     H, W): the mean of P(target | x) - P(target | x, unit zeroed), a (U,)
     vector in editable_units(spec) order.
 
-    One forward pass gives P(target | x).  Per editable layer, one prefix
-    pass over the inputs gives the site rows, site_rows forms the next
-    parameterized layer's output once, and one batch_scaled_unit_probs call
-    gives every unit's zeroed probabilities.
+    One forward pass gives P(target | x), and per editable layer one
+    batch_zeroed_unit_probs call every unit's zeroed probabilities.
     """
-    n = len(inputs)
-    if n == 0:
+    if len(inputs) == 0:
         raise CccuError("sensitivity_scores needs a nonempty shard")
     if not 0 <= target_class < spec.class_count:
         raise CccuError(f"target class {target_class} out of range")
     plain = nncore.predict_probs(spec, params, inputs)[:, target_class]
     scores = []
-    for ordinal, layer_units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
-        site = nncore.batch_site_outputs(spec, params, inputs, ordinal)
-        rows = nncore.site_rows(spec, params, site, ordinal, np.zeros(n))
-        zeroed = nncore.batch_scaled_unit_probs(spec, params, rows, target_class,
+    for _, layer_units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+        zeroed = nncore.batch_zeroed_unit_probs(spec, params, inputs, target_class,
                                                 list(layer_units))
         scores.append((plain - zeroed).mean(axis=1))
     return np.concatenate(scores)

@@ -17,13 +17,14 @@ channel of a conv layer.  The "activation" of a unit is its value after the
 relu that immediately follows its layer (or the raw layer output when no relu
 follows).  Interventions scale that value; gradients are taken with respect
 to it (summed over spatial positions for conv channels).  The engine runs any
-range of layer positions.  batch_site_outputs computes a layer's site once and
-site_rows the next parameterized layer's output from it, once per layer;
-batch_scaled_unit_probs and batch_unit_gradients then add each listed unit's
-rank-1 change to that output and run only the layers after it, the first
-forward only and a block of units at a time, the second forward and
-backward one unit at a time.  forward_with_scaled_unit runs the whole
-network on a scaled copy and is the oracle for that shortcut.
+range of layer positions.  batch_zeroed_unit_probs, the scorer, runs the
+inputs up to the next parameterized layer once, subtracts each listed unit's
+rank-1 term from that layer's output and runs only the layers after it,
+forward only and a block of units at a time.  The oracles share nothing with
+it but the engine: batch_unit_gradients runs the layers after a unit's site
+on a copy of batch_site_outputs rows with the unit scaled, forward and
+backward, and forward_with_scaled_unit runs the whole network on such a
+copy.
 
 Local training holds models as the rows of a (k, P) matrix, k >= 1; the
 engine takes an optional leading stack axis (views (k, *shape)) and runs k
@@ -39,7 +40,7 @@ only then, or on its silent overflow, are the elements scanned to name the
 parameter), and applies it while it is in cache; a non-finite row raises
 before it is written, after the rows before it have stepped.  Element-wise
 layers write only into arrays their own call made, never into its input,
-the parameters, a cache read later or SiteRows.
+the parameters or a cache read later.
 
 A checkpoint is a NumPy .npy file (format 1.0) holding the model's (P,)
 vector.  load_checkpoint compares the file's header byte for byte with the
@@ -133,9 +134,6 @@ class ModelSpec:
         # Activation site: the relu directly after the layer, else the layer itself.
         site_positions = tuple(p + 1 if self.layers[p + 1].kind == "relu" else p
                                for p in param_positions)
-        # The first parameterized layer after each site; None for the output layer.
-        next_positions = tuple(next((q for q in param_positions if q > s), None)
-                               for s in site_positions)
         # Each parameter's name, slice of the vector and shape, in vector order.
         slots, offset = [], 0
         for ordinal, p in enumerate(param_positions):
@@ -149,7 +147,6 @@ class ModelSpec:
         object.__setattr__(self, "_shapes", tuple(shapes))
         object.__setattr__(self, "_param_positions", param_positions)
         object.__setattr__(self, "_site_positions", site_positions)
-        object.__setattr__(self, "_next_positions", next_positions)
         object.__setattr__(self, "_slots", tuple(slots))
         object.__setattr__(self, "param_count", offset)
 
@@ -423,10 +420,11 @@ def predict_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np
 
 def batch_unit_activations(spec: ModelSpec, params: np.ndarray,
                            inputs: np.ndarray) -> list[np.ndarray]:
-    """Per-sample unit activations, one (B, units) matrix per layer ordinal:
-    each layer's batch_site_outputs, a conv channel's averaged over positions."""
+    """Per-sample unit activations, one (B, units) matrix per hidden layer
+    ordinal: each layer's batch_site_outputs, a conv channel's averaged over
+    positions."""
     out = []
-    for ordinal in range(spec.param_layer_count):
+    for ordinal in range(spec.param_layer_count - 1):
         site = batch_site_outputs(spec, params, inputs, ordinal)
         out.append(site if site.ndim == 2 else site.mean(axis=(2, 3)))
     return out
@@ -446,20 +444,25 @@ def batch_site_outputs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     return h
 
 
+def _check_scale(scale) -> float:
+    if not np.isscalar(scale) or not 0.0 <= float(scale) <= 1.0:
+        raise NNError(f"scale must be a scalar in [0, 1], got {scale!r}")
+    return float(scale)
+
+
 def forward_with_scaled_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                              unit: UnitId, scale: float) -> np.ndarray:
     """Forward pass with the unit's activation multiplied by scale in [0, 1].
 
     The whole network runs on a copy of the site with the unit scaled in it:
-    this is the independent oracle for batch_scaled_unit_probs and
-    batch_unit_gradients.
+    this is the independent oracle for batch_zeroed_unit_probs, and its
+    finite differences check batch_unit_gradients.
     """
     spec.validate_unit(unit)
-    if not np.isscalar(scale) or not 0.0 <= float(scale) <= 1.0:
-        raise NNError(f"scale must be a scalar in [0, 1], got {scale!r}")
+    scale = _check_scale(scale)
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
-    site[:, unit.unit] *= float(scale)
+    site[:, unit.unit] *= scale
     probs, _ = _forward_engine(spec, spec.views(params), site,
                                start=spec.site_position(unit.layer) + 1)
     if not _all_finite(probs):
@@ -471,97 +474,41 @@ def gradient_wrt_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                       target_class: int, unit: UnitId, scale: float) -> float:
     """d P(target_class | input) / d(activation), at the scaled activation."""
     spec.validate_unit(unit)
-    if not 0.0 <= float(scale) <= 1.0:
-        raise NNError(f"scale must be in [0, 1], got {scale!r}")
+    scale = _check_scale(scale)
     site = batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                               unit.layer)
-    rows = site_rows(spec, params, site, unit.layer, np.asarray([float(scale)]))
-    return float(batch_unit_gradients(spec, params, rows, target_class, [unit])[0, 0].sum())
+    return float(batch_unit_gradients(spec, params, site, target_class, unit,
+                                      np.array([scale])).sum())
 
 
-@dataclass(frozen=True)
-class SiteRows:
-    """Rows at one layer's activation site, prepared for
-    batch_scaled_unit_probs and batch_unit_gradients.
+def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
+                         target_class: int, unit: UnitId, scales: np.ndarray) -> np.ndarray:
+    """Per-row dP(target)/da at the unit's activation site, with a, the
+    unit's activation, multiplied by the row's scale: (n,) for a dense unit,
+    (n, H, W), the site map's shape, for a conv channel.
 
-    pre is the input of the next parameterized layer (the site rows after the
-    maxpool and flatten layers between the two) and z0 that layer's
-    output, both for the unscaled rows.  The output layer has no next layer:
-    there z0 holds pre's values and the product is the identity.  scales
-    holds each row's activation scale, finite and non-negative.
+    sites are n rows of batch_site_outputs(..., unit.layer) and scales n
+    finite non-negative values.  The unit is scaled in a copy of sites, and
+    the engine runs the layers after the site on it, forward and then
+    backward down to the site.  Nothing is written into sites.
     """
-    ordinal: int
-    pre: np.ndarray
-    z0: np.ndarray
-    scales: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pre)
-
-
-def site_rows(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
-              ordinal: int, scales: np.ndarray) -> SiteRows:
-    """SiteRows for rows of batch_site_outputs(..., ordinal), one scale a
-    row; the next parameterized layer's product is formed and the scales
-    checked here, once for all units."""
-    spec.validate_unit(UnitId(ordinal, 0))
-    s = np.asarray(scales, dtype=np.float64)
-    if s.shape != (len(sites),):
-        raise ShapeMismatchError(f"expected {len(sites)} scales, got shape {s.shape}")
-    if not np.all(s >= 0.0) or not np.all(np.isfinite(s)):
-        raise NNError("scales must be finite and non-negative")
-    views = spec.views(params)
-    start = spec.site_position(ordinal) + 1
-    nxt = spec._next_positions[ordinal]
-    x = _as_batch(spec, sites, start)
-    pre, _ = _forward_engine(spec, views, x, start=start,
-                             stop=len(spec.layers) - 1 if nxt is None else nxt)
-    z0 = pre if nxt is None else _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)[0]
-    return SiteRows(ordinal, pre, z0, s)
-
-
-def _next_layer(spec: ModelSpec, views: dict[str, np.ndarray], rows: SiteRows,
-                target_class: int, units: Sequence[UnitId]):
-    """Checks a call on rows; returns the units' indices, the next
-    parameterized layer's weight (the identity after the output layer) and
-    the position of the first layer after that one."""
-    for unit in units:
-        spec.validate_unit(unit)
-        if unit.layer != rows.ordinal:
-            raise InvalidUnitError(f"unit layer {unit.layer} but rows of layer {rows.ordinal}")
+    spec.validate_unit(unit)
     if not 0 <= target_class < spec.class_count:
         raise NNError(f"target class {target_class} out of range")
-    nxt = spec._next_positions[rows.ordinal]
-    w = (np.eye(spec.unit_count(rows.ordinal)) if nxt is None
-         else views[f"layer{rows.ordinal + 1}.weight"])
-    start = len(spec.layers) - 1 if nxt is None else nxt + 1
-    return np.array([unit.unit for unit in units], dtype=np.intp), w, start
-
-
-def _unit_outputs(spec: ModelSpec, rows: SiteRows, w: np.ndarray,
-                  js: np.ndarray) -> np.ndarray:
-    """The next parameterized layer's output (len(js), n, ...) with unit j
-    scaled by rows.scales, one block of rows per unit j of js: z0 plus the
-    term P_j((s - 1) * a_j), a_j the unit's block of rows.pre and P_j the
-    layer restricted to it, the product with W[j] for a dense layer or one
-    input channel's convolution.  Each block's product is its own (an
-    element-wise outer product for a one-position unit, else one BLAS
-    product per block), so a unit's rows have the same bits beside any
-    other units."""
-    n, width = len(rows), spec.unit_count(rows.ordinal)
-    d = np.moveaxis((rows.scales - 1.0)[:, None, None]
-                    * rows.pre.reshape(n, width, -1)[:, js], 1, 0)  # (len(js), n, positions)
-    if w.ndim == 2:
-        wj = w.reshape(width, -1, w.shape[1])[js]
-        dz = d * wj if wj.shape[1] == 1 else np.matmul(d, wj)
-    else:
-        k = w.shape[-1]
-        patches = _im2col(d.reshape(len(js) * n, 1, *rows.pre.shape[2:]), k)
-        oh, ow = patches.shape[1:3]
-        filters = w[:, js].reshape(len(w), len(js), k * k).transpose(1, 2, 0)
-        dz = np.matmul(patches.reshape(len(js), n * oh * ow, k * k), filters)
-        dz = np.moveaxis(dz.reshape(len(js), n, oh, ow, len(w)), -1, 2)
-    return np.add(dz, rows.z0, order="C")
+    start = spec.site_position(unit.layer) + 1
+    h = _as_batch(spec, sites, start).copy()
+    s = np.asarray(scales, dtype=np.float64)
+    if s.shape != (len(h),):
+        raise ShapeMismatchError(f"expected {len(h)} scales, got shape {s.shape}")
+    if not np.all(s >= 0.0) or not np.all(np.isfinite(s)):
+        raise NNError("scales must be finite and non-negative")
+    h[:, unit.unit] *= s.reshape(-1, *(1,) * (h.ndim - 2))
+    views = spec.views(params)
+    probs, caches = _forward_engine(spec, views, h, keep_caches=True, start=start)
+    seed = np.zeros_like(probs)
+    seed[:, target_class] = 1.0
+    g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+    return g[:, unit.unit]
 
 
 # A block of units holds at most this many float64 values of the next
@@ -572,67 +519,56 @@ def _unit_outputs(spec: ModelSpec, rows: SiteRows, w: np.ndarray,
 _UNIT_BLOCK_VALUES = 2**15
 
 
-def batch_scaled_unit_probs(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
+def batch_zeroed_unit_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                             target_class: int, units: Sequence[UnitId]) -> np.ndarray:
-    """Per-row P(target) with the unit's activation scaled by rows.scales, a
-    (len(units), n) array whose row i is units[i]'s; every unit is of layer
-    rows.ordinal.
+    """Per-input P(target) with the unit's activation zeroed, a
+    (len(units), n) array whose row i is units[i]'s; the units are a
+    nonempty list of one hidden layer's.
 
-    The layers between the site and the next parameterized layer, maxpool
-    and flatten in both reference models (no relu), act per channel and
-    commute with a non-negative scale, so scaling unit j changes that
-    layer's output by a rank-1 term (see _unit_outputs).  Units run in blocks
-    of at most _UNIT_BLOCK_VALUES values of that output, stacked along a
-    leading axis, one forward-only engine call a block from the layer after
-    it to the softmax.  The layers there act on each unit's block of rows
-    alone (np.matmul gives every stack slice the bits of its own product),
-    so a unit's values do not depend on the block.  Nothing is written into
-    rows.
+    One engine call runs the inputs up to pre, the input of the next
+    parameterized layer, whose output z0 is formed once.  The layers between
+    the site and pre, maxpool and flatten in both reference models (no
+    relu), act per channel, so zeroing unit j adds P_j(-a_j) to z0, a_j the
+    unit's block of pre and P_j the layer restricted to it: the product with
+    W[j] for a dense layer, one input channel's convolution for a conv
+    layer.  Units run in blocks of at most _UNIT_BLOCK_VALUES values of z0,
+    stacked along a leading axis, one forward-only engine call a block from
+    the layer after the next one to the softmax.  Each unit's term is its
+    own product (element-wise for a one-position unit, else one BLAS product
+    per unit), and the layers after act on each unit's block of rows alone
+    (np.matmul gives every stack slice the bits of its own product), so a
+    unit's values do not depend on the block.
     """
+    for unit in units:
+        spec.validate_unit(unit)
+    layers = sorted({unit.layer for unit in units})
+    if len(layers) != 1 or layers[0] == spec.param_layer_count - 1:
+        raise InvalidUnitError(f"units must be of one hidden layer, got layers {layers}")
+    if not 0 <= target_class < spec.class_count:
+        raise NNError(f"target class {target_class} out of range")
     views = spec.views(params)
-    idx, w, start = _next_layer(spec, views, rows, target_class, units)
-    out = np.empty((len(idx), len(rows)))
-    block = max(1, _UNIT_BLOCK_VALUES // max(1, rows.z0.size))
+    nxt = spec._param_positions[layers[0] + 1]
+    pre, _ = _forward_engine(spec, views, _as_batch(spec, inputs), stop=nxt)
+    z0, _ = _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)
+    w, width, n = views[f"layer{layers[0] + 1}.weight"], spec.unit_count(layers[0]), len(pre)
+    idx = np.array([unit.unit for unit in units], dtype=np.intp)
+    out = np.empty((len(idx), n))
+    block = max(1, _UNIT_BLOCK_VALUES // max(1, z0.size))
     for lo in range(0, len(idx), block):
-        z = _unit_outputs(spec, rows, w, idx[lo:lo + block])
-        out[lo:lo + block] = _forward_engine(spec, views, z, start=start)[0][..., target_class]
-    return out
-
-
-def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, rows: SiteRows,
-                         target_class: int, units: Sequence[UnitId]) -> np.ndarray:
-    """Per-row dP(target)/da_j at rows.scales, a (len(units), n, positions)
-    array whose row i is units[i]'s; a_j is the unit's block of rows.pre, one
-    position for a dense unit and the pooled map for a conv channel, and
-    every unit is of layer rows.ordinal.
-
-    Each unit runs alone: its output (see _unit_outputs) goes through the
-    layers after the next parameterized layer, forward and backward, and the
-    gradient is read back through that layer restricted to the unit.
-    Nothing is written into rows.
-    """
-    views = spec.views(params)
-    idx, w, start = _next_layer(spec, views, rows, target_class, units)
-    n, width = len(rows), spec.unit_count(rows.ordinal)
-    out = np.empty((len(idx), n, rows.pre[0].size // width))
-    for i, j in enumerate(idx.tolist()):
-        z = _unit_outputs(spec, rows, w, idx[i:i + 1])[0]
-        probs, caches = _forward_engine(spec, views, z, keep_caches=True, start=start)
-        seed = np.zeros_like(probs)
-        seed[:, target_class] = 1.0
-        g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+        js = idx[lo:lo + block]
+        d = np.moveaxis(-pre.reshape(n, width, -1)[:, js], 1, 0)  # (len(js), n, positions)
         if w.ndim == 2:
-            out[i] = g @ w.reshape(width, -1, w.shape[1])[j].T
+            wj = w.reshape(width, -1, w.shape[1])[js]
+            dz = d * wj if wj.shape[1] == 1 else np.matmul(d, wj)
         else:
-            # transposed convolution of g with the unit's input-channel filters
             k = w.shape[-1]
-            u = np.tensordot(g, w[:, j], axes=([1], [0]))  # (n, oh, ow, k, k)
-            oh, ow = g.shape[2:]
-            ga = np.zeros((n, *rows.pre.shape[2:]))
-            for dy in range(k):
-                for dx in range(k):
-                    ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
-            out[i] = ga.reshape(n, -1)
+            patches = _im2col(d.reshape(len(js) * n, 1, *pre.shape[2:]), k)
+            oh, ow = patches.shape[1:3]
+            filters = w[:, js].reshape(len(w), len(js), k * k).transpose(1, 2, 0)
+            dz = np.matmul(patches.reshape(len(js), n * oh * ow, k * k), filters)
+            dz = np.moveaxis(dz.reshape(len(js), n, oh, ow, len(w)), -1, 2)
+        z = np.add(dz, z0, order="C")
+        out[lo:lo + block] = _forward_engine(spec, views, z, start=nxt + 1)[0][..., target_class]
     return out
 
 

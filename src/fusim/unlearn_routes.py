@@ -56,7 +56,7 @@ def rank_units_by_activation(spec: ModelSpec, params: np.ndarray,
     xs = probes.images[probes.labels == forget_class]
     if len(xs) == 0:
         raise RouteError("probe set contains no forget-class examples")
-    acts = nncore.batch_unit_activations(spec, params, xs)[:-1]
+    acts = nncore.batch_unit_activations(spec, params, xs)
     # each unit's mean over a contiguous row: the bits of its column's .mean()
     means = np.concatenate([np.ascontiguousarray(a.T).mean(axis=1) for a in acts])
     return np.argsort(-means, kind="stable")

@@ -140,35 +140,30 @@ def reference_loss_gradient_probs(spec, params, x, y):
 
 def per_unit_sensitivity_scores(spec, params, inputs, target) -> np.ndarray:
     """fedcccu.sensitivity_scores as a loop over units: one
-    batch_scaled_unit_probs call per unit, its mean on a 1-D row."""
+    batch_zeroed_unit_probs call per unit, its mean on a 1-D row."""
     plain = nn.predict_probs(spec, params, inputs)[:, target]
-    scores = []
-    for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
-        site = nn.batch_site_outputs(spec, params, inputs, ordinal)
-        rows = nn.site_rows(spec, params, site, ordinal, np.zeros(len(inputs)))
-        for unit in units:
-            zeroed = nn.batch_scaled_unit_probs(spec, params, rows, target, [unit])[0]
-            scores.append((plain - zeroed).mean())
-    return np.array(scores)
+    return np.array([(plain - nn.batch_zeroed_unit_probs(spec, params, inputs, target,
+                                                         [unit])[0]).mean()
+                     for unit in editable_units(spec)])
 
 
 def riemann_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
     """The m-step Riemann scores that fedcccu.sensitivity_scores gave before
     it took their limit: per unit, the mean over the inputs of
     fedcccu.attribute_unit(..., m), one batch_unit_gradients call per unit
-    over every input's m rows.  On a dense layer these are the old scores'
-    bits."""
+    over every input's m rows, each step's gradient weighted by the unit's
+    site map."""
     n = len(inputs)
     scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
     scores = []
     for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
         site = nn.batch_site_outputs(spec, params, inputs, ordinal)
-        rows = nn.site_rows(spec, params, np.repeat(site, m, axis=0), ordinal, scales)
-        a = rows.pre[::m].reshape(n, spec.unit_count(ordinal), -1)
+        steps_site = np.repeat(site, m, axis=0)
         for unit in units:
-            grads = nn.batch_unit_gradients(spec, params, rows, target, [unit])[0]
+            grads = nn.batch_unit_gradients(spec, params, steps_site, target, unit, scales)
             steps = grads.reshape(n, m, -1).sum(axis=1)
-            scores.append((a[:, unit.unit] / m * steps).sum(axis=1).mean())
+            a = site[:, unit.unit].reshape(n, -1)
+            scores.append((a / m * steps).sum(axis=1).mean())
     return np.array(scores)
 
 

@@ -218,7 +218,7 @@ def test_sensitivity_two_example_mean_oracle(model):
 @pytest.mark.bitid
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_sensitivity_scores_equal_the_per_unit_loop(model):
-    """One batch_scaled_unit_probs call per layer gives the per-unit loop's
+    """One batch_zeroed_unit_probs call per layer gives the per-unit loop's
     (U,) vector byte for byte, at probe counts on both sides of numpy's
     eight-accumulator sums and at 128, and so does a block cap of one
     unit's values plus one."""
@@ -247,6 +247,32 @@ def test_sensitivity_rejects_zero_riemann_steps():
         fc.attribute_unit(spec, params, shard.images[0], 0, nn.UnitId(0, 0), 0)
 
 
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_oracles_share_no_step_with_the_scorer(model):
+    """attribute_unit, gradient_wrt_unit and forward_with_scaled_unit check
+    the scorer, so none of them runs its rank-1 step: with
+    batch_zeroed_unit_probs made to raise, they give the same values on
+    every parameterized layer, the output layer included, while
+    sensitivity_scores raises."""
+    spec, params, shard = small_trained_setup(model)
+    x = shard.images[0]
+    units = [nn.UnitId(layer, k) for layer in range(spec.param_layer_count)
+             for k in range(min(3, spec.unit_count(layer)))]
+
+    def oracle_values():
+        return [(fc.attribute_unit(spec, params, x, 1, unit, 10),
+                 nn.gradient_wrt_unit(spec, params, x, 1, unit, 0.5),
+                 nn.forward_with_scaled_unit(spec, params, x, unit, 0.5).tolist())
+                for unit in units]
+
+    want = oracle_values()
+    with mock.patch.object(nn, "batch_zeroed_unit_probs",
+                           side_effect=AssertionError("the scorer ran")):
+        assert oracle_values() == want
+        with pytest.raises(AssertionError, match="the scorer ran"):
+            fc.sensitivity_scores(spec, params, shard.images[:2], 1)
+
+
 def cnn_case():
     """small_cnn with a trained-like perturbation and one input whose conv
     maps are not constant."""
@@ -260,7 +286,7 @@ def cnn_case():
 def test_conv_attribution_converges_to_the_ablation(ordinal):
     """On a conv channel whose map is not constant, attribute_unit at
     m = 2000 is within 1% of the ablation difference: each step weights the
-    gradient at every position of the pooled map by the map itself."""
+    gradient at every position of the site map by the map itself."""
     spec, params, x = cnn_case()
     site = nn.batch_site_outputs(spec, params, x[None], ordinal)[0]
     checked = 0

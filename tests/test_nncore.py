@@ -84,7 +84,7 @@ def test_forward_zero_weights_uniform():
     x = np.array([[0.3, -1.0, 2.0]])
     probs = nn.predict_probs(spec, params, x)[0]
     assert np.allclose(probs, 0.25)
-    assert len(nn.batch_unit_activations(spec, params, x)) == 2
+    assert len(nn.batch_unit_activations(spec, params, x)) == spec.param_layer_count - 1
 
 
 def test_forward_identity_dense_softmax_of_onehot():
@@ -600,20 +600,22 @@ def test_unit_gradient_conv_channel_matches_scaled_forward_fd():
             assert rel_err(np.array(g), np.array(fd)) < 1e-4, (ordinal, s)
 
 
-def scaled_copy_engine(spec, params, site, target, unit, scales):
-    """Per-row P(target) and unit gradients (summed over positions) from a
-    scaled copy of the whole site block, run through the engine's suffix
-    forward and backward passes."""
-    start = spec.site_position(unit.layer) + 1
-    h = site.copy()
-    h[:, unit.unit] *= scales.reshape((-1,) + (1,) * (h.ndim - 2))
-    views = spec.views(params)
-    probs, caches = nn._forward_engine(spec, views, h, keep_caches=True, start=start)
-    seed = np.zeros_like(probs)
-    seed[:, target] = 1.0
-    g = nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
-    g = g[:, unit.unit]
-    return probs[:, target], g if g.ndim == 1 else g.sum(axis=(1, 2))
+def test_unit_gradient_refuses_a_non_scalar_scale():
+    """gradient_wrt_unit takes one scale in [0, 1], as forward_with_scaled_unit does."""
+    spec, params = tiny_net_222()
+    x, unit = np.array([0.5, -1.2]), nn.UnitId(0, 0)
+    for call in (nn.gradient_wrt_unit, nn.forward_with_scaled_unit):
+        args = (0, unit) if call is nn.gradient_wrt_unit else (unit,)
+        for scale in (np.array([0.5]), [0.5], -0.1, 1.5):
+            with pytest.raises(nn.NNError, match="scale must be a scalar in"):
+                call(spec, params, x, *args, scale)
+
+
+def fd_scaled_forward(spec, params, x, target, unit, s, delta=1e-6):
+    """dP(target)/ds by central differences of forward_with_scaled_unit."""
+    pp = nn.forward_with_scaled_unit(spec, params, x, unit, s + delta)[target]
+    pm = nn.forward_with_scaled_unit(spec, params, x, unit, s - delta)[target]
+    return (pp - pm) / (2 * delta)
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -621,45 +623,60 @@ def scaled_copy_engine(spec, params, site, target, unit, scales):
     lambda: nn.small_cnn((1, 16, 16), 4),
 ], ids=["small_mlp", "small_cnn"])
 def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
-    """batch_scaled_unit_probs and batch_unit_gradients (summed over a
-    conv channel's positions) give the scaled copy's values."""
+    """batch_zeroed_unit_probs gives forward_with_scaled_unit's values at
+    scale 0 on every hidden unit, and batch_unit_gradients, weighted by the
+    unit's site map (dP/ds = <a, dP/da>), the central differences of
+    forward_with_scaled_unit in s on every unit of every layer."""
     spec = make_spec()
     params = nn.init_params(spec, 4)
     rng = np.random.default_rng(5)
     xs = rng.normal(0.0, 1.0, (3,) + spec.input_shape)  # mixed signs at every site
-    scales = np.array([0.0, 0.05, 0.5, 1.0, 0.25, 0.9])
+    scales = np.array([0.05, 0.5, 0.9])
+    checked = 0
     for ordinal in range(spec.param_layer_count):
-        site = np.repeat(nn.batch_site_outputs(spec, params, xs, ordinal), 2, axis=0)
-        rows = nn.site_rows(spec, params, site, ordinal, scales)
+        site = nn.batch_site_outputs(spec, params, xs, ordinal)
         units = [nn.UnitId(ordinal, k) for k in range(spec.unit_count(ordinal))]
-        got = nn.batch_unit_gradients(spec, params, rows, 1, units)
-        probs = nn.batch_scaled_unit_probs(spec, params, rows, 1, units)
-        assert got.shape == (len(units), len(scales), rows.pre[0].size // len(units))
-        assert probs.shape == (len(units), len(scales))
-        for unit, row, p in zip(units, got, probs):
-            want_p, want = scaled_copy_engine(spec, params, site, 1, unit, scales)
-            np.testing.assert_allclose(row.sum(axis=1), want, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(p, want_p, rtol=1e-12, atol=1e-15)
+        if ordinal in hidden_layers(spec):
+            probs = nn.batch_zeroed_unit_probs(spec, params, xs, 1, units)
+            assert probs.shape == (len(units), len(xs))
+            for unit, p in zip(units, probs):
+                want = [nn.forward_with_scaled_unit(spec, params, x, unit, 0.0)[1] for x in xs]
+                np.testing.assert_allclose(p, want, rtol=1e-12, atol=1e-15)
+        for unit in units:
+            for s in scales:
+                got = nn.batch_unit_gradients(spec, params, site, 1, unit, np.full(len(xs), s))
+                assert got.shape == site[:, unit.unit].shape
+                dp_ds = (site[:, unit.unit] * got).reshape(len(xs), -1).sum(axis=1)
+                fd = [fd_scaled_forward(spec, params, x, 1, unit, s) for x in xs]
+                np.testing.assert_allclose(dp_ds, fd, rtol=1e-4, atol=1e-9)
+                checked += int(np.count_nonzero(np.abs(dp_ds) > 1e-6))
+    assert checked >= 20
 
 
 def test_batch_unit_gradients_rejects_negative_scale():
+    """batch_unit_gradients takes one finite non-negative scale a row; both
+    unit paths refuse a target class out of range, and the scorer units of
+    two layers."""
     spec = nn.small_cnn((1, 10, 10), 3)
     params = nn.init_params(spec, 1)
     xs = np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 10, 10))
     site = nn.batch_site_outputs(spec, params, xs, 0)
+    unit = nn.UnitId(0, 0)
     with pytest.raises(nn.NNError, match="non-negative"):
-        nn.site_rows(spec, params, site, 0, np.array([0.5, -0.1]))
+        nn.batch_unit_gradients(spec, params, site, 0, unit, np.array([0.5, -0.1]))
     with pytest.raises(nn.NNError, match="non-negative"):
-        nn.site_rows(spec, params, site, 0, np.array([0.5, np.inf]))
+        nn.batch_unit_gradients(spec, params, site, 0, unit, np.array([0.5, np.inf]))
     with pytest.raises(nn.ShapeMismatchError):
-        nn.site_rows(spec, params, site, 0, np.array([0.5]))
-    rows = nn.site_rows(spec, params, site, 0, np.array([0.5, 0.5]))
-    for call in (nn.batch_unit_gradients, nn.batch_scaled_unit_probs):
-        with pytest.raises(nn.InvalidUnitError):
-            call(spec, params, rows, 0, [nn.UnitId(0, 0), nn.UnitId(1, 1)])
-        for target in (-1, 3):  # a negative class once indexed from the end
-            with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
-                call(spec, params, rows, target, [nn.UnitId(0, 0)])
+        nn.batch_unit_gradients(spec, params, site, 0, unit, np.array([0.5]))
+    with pytest.raises(nn.ShapeMismatchError):  # rows of another layer's site
+        nn.batch_unit_gradients(spec, params, site, 0, nn.UnitId(1, 0), np.array([0.5, 0.5]))
+    with pytest.raises(nn.InvalidUnitError):
+        nn.batch_zeroed_unit_probs(spec, params, xs, 0, [nn.UnitId(0, 0), nn.UnitId(1, 1)])
+    for target in (-1, 3):  # a negative class once indexed from the end
+        with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
+            nn.batch_unit_gradients(spec, params, site, target, unit, np.array([0.5, 0.5]))
+        with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
+            nn.batch_zeroed_unit_probs(spec, params, xs, target, [unit])
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -667,76 +684,60 @@ def test_batch_unit_gradients_rejects_negative_scale():
     lambda: nn.small_cnn((1, 16, 16), 4),
 ], ids=["small_mlp", "small_cnn"])
 def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
+    """batch_unit_gradients writes neither into its site rows nor into its
+    scales, and batch_zeroed_unit_probs not into its inputs."""
     spec = make_spec()
     params = nn.init_params(spec, 8)
     xs = np.random.default_rng(1).uniform(0.0, 1.0, (3,) + spec.input_shape)
     site = nn.batch_site_outputs(spec, params, xs, 0)
-    kept = site.copy()
-    rows = nn.site_rows(spec, params, site, 0, np.array([0.0, 0.4, 1.0]))
-    pre, z0, scales = rows.pre.copy(), rows.z0.copy(), rows.scales.copy()
+    scales = np.array([0.0, 0.4, 1.0])
+    kept = site.copy(), scales.copy(), xs.copy()
     units = [nn.UnitId(0, k) for k in range(spec.unit_count(0))]
-    nn.batch_unit_gradients(spec, params, rows, 0, units)
-    nn.batch_scaled_unit_probs(spec, params, rows, 0, units)
-    assert np.array_equal(site, kept)
-    assert np.array_equal(rows.pre, pre) and np.array_equal(rows.z0, z0)
-    assert np.array_equal(rows.scales, scales)
+    for unit in units:
+        nn.batch_unit_gradients(spec, params, site, 0, unit, scales)
+    nn.batch_zeroed_unit_probs(spec, params, xs, 0, units)
+    assert all(np.array_equal(a, b) for a, b in zip((site, scales, xs), kept))
 
 
 # ---------------------------------------------------------------------------
 # element-wise layers: result bits and the write rule
 
 
-def reference_unit_suffix(spec, params, x, unit, scales):
-    """The rank-1 arithmetic of batch_scaled_unit_probs and
-    batch_unit_gradients on reference_forward, for x the network inputs:
-    (probabilities, caches, pre, the next layer's weight, the layer
-    position after it)."""
-    site_pos, nxt = spec.site_position(unit.layer), spec._next_positions[unit.layer]
+def reference_zeroed_unit_probs(spec, params, x, target, unit):
+    """batch_zeroed_unit_probs of one hidden unit on reference_forward, for x
+    the network inputs: the next parameterized layer's output z0 plus the
+    unit's term, the product of -a_j (a_j its block of that layer's input)
+    with W[j] for a dense layer, one input channel's convolution for conv."""
+    nxt = spec._param_positions[unit.layer + 1]
+    pre, _ = reference_forward(spec, params, x, 0, nxt)
     units, n = spec.unit_count(unit.layer), len(x)
-    site, _ = reference_forward(spec, params, x, 0, site_pos + 1)
-    pre, _ = reference_forward(spec, params, site, site_pos + 1,
-                               len(spec.layers) - 1 if nxt is None else nxt)
-    a = pre.reshape(n, units, -1)[:, unit.unit]
-    d = (scales - 1.0)[:, None] * a
-    w = (np.eye(pre.shape[1]) if nxt is None
-         else spec.views(params)[f"layer{unit.layer + 1}.weight"])
+    d = -pre.reshape(n, units, -1)[:, unit.unit]
+    w = spec.views(params)[f"layer{unit.layer + 1}.weight"]
+    z = reference_forward(spec, params, pre, nxt, nxt + 1)[0]
     if w.ndim == 2:
-        wj = w.reshape(units, -1, w.shape[1])[unit.unit]
-        z = (pre if nxt is None else reference_forward(spec, params, pre, nxt, nxt + 1)[0])
-        z = z + d @ wj
+        z = z + d @ w.reshape(units, -1, w.shape[1])[unit.unit]
     else:
-        k = w.shape[-1]
-        patches = nn._im2col(d.reshape(n, 1, *pre.shape[2:]), k)
+        patches = nn._im2col(d.reshape(n, 1, *pre.shape[2:]), w.shape[-1])
         dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
-        z = reference_forward(spec, params, pre, nxt, nxt + 1)[0] + dz.transpose(0, 3, 1, 2)
-    start = len(spec.layers) - 1 if nxt is None else nxt + 1
-    probs, caches = reference_forward(spec, params, z, start)
-    return probs, caches, pre, w, start
-
-
-def reference_scaled_unit_probs(spec, params, x, target, unit, scales):
-    """batch_scaled_unit_probs of one unit on the reference layers."""
-    return reference_unit_suffix(spec, params, x, unit, scales)[0][:, target]
+        z = z + dz.transpose(0, 3, 1, 2)
+    return reference_forward(spec, params, z, nxt + 1)[0][:, target]
 
 
 def reference_unit_gradients(spec, params, x, target, unit, scales):
     """batch_unit_gradients of one unit on reference_forward and
-    reference_backward: (n, positions)."""
-    probs, caches, pre, w, start = reference_unit_suffix(spec, params, x, unit, scales)
-    n, units = len(x), spec.unit_count(unit.layer)
+    reference_backward, for x the network inputs: the layers after the site
+    run on a copy of it with the unit scaled."""
+    start = spec.site_position(unit.layer) + 1
+    site = reference_forward(spec, params, x, 0, start)[0].copy()
+    site[:, unit.unit] *= scales.reshape(-1, *(1,) * (site.ndim - 2))
+    probs, caches = reference_forward(spec, params, site, start)
     seed = np.zeros(probs.shape)
     seed[:, target] = 1.0
-    g, _ = reference_backward(spec, params, caches, seed, start)
-    if w.ndim == 2:
-        return g @ w.reshape(units, -1, w.shape[1])[unit.unit].T
-    k = w.shape[-1]
-    u = np.tensordot(g, w[:, unit.unit], axes=([1], [0]))
-    oh, ow = g.shape[2:]
-    ga = np.zeros((n, *pre.shape[2:]))
-    for dy in range(k):
-        for dx in range(k):
-            ga[:, dy:dy + oh, dx:dx + ow] += u[:, :, :, dy, dx]
-    return ga.reshape(n, -1)
+    return reference_backward(spec, params, caches, seed, start)[0][:, unit.unit]
+
+
+def hidden_layers(spec):
+    return range(spec.param_layer_count - 1)
 
 
 @pytest.mark.bitid
@@ -766,7 +767,7 @@ def test_engine_bits_equal_out_of_place_reference(model):
     lambda: nn.small_cnn((1, 16, 16), 4),
 ], ids=["small_mlp", "small_cnn"])
 def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
-    """On a fixed model, predict_probs, batch_scaled_unit_probs and
+    """On a fixed model, predict_probs, batch_zeroed_unit_probs and
     batch_unit_gradients (up to four units a layer) give the reference's
     bits: the engine's stack axis leaves unstacked calls as they were."""
     spec = make_spec()
@@ -775,15 +776,16 @@ def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
     scales = np.array([0.0, 0.3, 0.5, 1.0, 0.8])
     assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
     for ordinal in range(spec.param_layer_count):
-        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                            ordinal, scales)
+        site = nn.batch_site_outputs(spec, params, x, ordinal)
         units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
-        got = nn.batch_unit_gradients(spec, params, rows, 1, units)
-        probs = nn.batch_scaled_unit_probs(spec, params, rows, 1, units)
-        for unit, row, p in zip(units, got, probs):
+        for unit in units:
+            got = nn.batch_unit_gradients(spec, params, site, 1, unit, scales)
             want = reference_unit_gradients(spec, params, x, 1, unit, scales)
-            assert same_bits(row + 0.0, want + 0.0), unit
-            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, 1, unit, scales))
+            assert same_bits(got + 0.0, want + 0.0), unit
+        if ordinal in hidden_layers(spec):
+            probs = nn.batch_zeroed_unit_probs(spec, params, x, 1, units)
+            for unit, p in zip(units, probs):
+                assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, 1, unit))
 
 
 @pytest.mark.bitid
@@ -895,7 +897,7 @@ def softmax_pass(spec, h, seed):
 @pytest.mark.parametrize("c", CLASS_WIDTHS)
 def test_class_major_reductions_and_softmax_have_the_row_major_bits(c):
     """The softmax reduces over the classes along each row of C values, so
-    a stack of row blocks, as batch_scaled_unit_probs forms one (units, n,
+    a stack of row blocks, as batch_zeroed_unit_probs forms one (units, n,
     C) and a stacked training step one (k, B, C), gives every row the bytes
     of the engine's softmax of that row alone, forward and backward for a
     one-hot seed: zero maxima, signs of zero, overflowing sums and NaN rows
@@ -930,15 +932,15 @@ def test_softmax_of_129_classes_takes_the_row_major_path():
         params = nn.init_params(spec, 1) + rng.normal(0.0, 0.5, spec.param_count)
         x = rng.normal(0.0, 1.0, (40, *spec.input_shape))
         scales = np.linspace(0.0, 1.0, 40)
-        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, 0), 0, scales)
+        site = nn.batch_site_outputs(spec, params, x, 0)
         units = [nn.UnitId(0, j) for j in range(3)]
-        got = nn.batch_unit_gradients(spec, params, rows, c - 1, units)
-        probs = nn.batch_scaled_unit_probs(spec, params, rows, c - 1, units)
-        for unit, row, p in zip(units, got, probs):
+        probs = nn.batch_zeroed_unit_probs(spec, params, x, c - 1, units)
+        for unit, p in zip(units, probs):
+            got = nn.batch_unit_gradients(spec, params, site, c - 1, unit, scales)
             want = reference_unit_gradients(spec, params, x, c - 1, unit, scales)
-            assert same_bits(row, want), (c, unit)
-            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, c - 1, unit,
-                                                            scales)), (c, unit)
+            assert same_bits(got + 0.0, want + 0.0), (c, unit)
+            assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, c - 1, unit)), \
+                (c, unit)
 
 
 @pytest.mark.bitid
@@ -947,12 +949,12 @@ def test_softmax_of_129_classes_takes_the_row_major_path():
     lambda: nn.small_cnn((1, 12, 12), 10),
 ], ids=["small_mlp", "small_cnn"])
 def test_tall_attribution_block_has_the_row_major_bits(make_spec):
-    """On 320 rows, every layer's batch_scaled_unit_probs runs its units in
-    blocks of the next layer's output stacked on a leading axis and gives,
-    byte for byte, the out-of-place reference of each unit, as does
-    batch_unit_gradients (after + 0.0, see
-    test_engine_bits_equal_out_of_place_reference); the inputs and the rows
-    keep their bytes."""
+    """On 320 rows, every hidden layer's batch_zeroed_unit_probs runs its
+    units in blocks of the next layer's output stacked on a leading axis and
+    gives, byte for byte, the out-of-place reference of each unit, as does
+    batch_unit_gradients on every layer (after + 0.0, see
+    test_engine_bits_equal_out_of_place_reference); the inputs and the site
+    rows keep their bytes."""
     spec = make_spec()
     rng = np.random.default_rng(11)
     params = nn.init_params(spec, 4) + rng.normal(0.0, 0.1, spec.param_count)
@@ -960,26 +962,37 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
     scales = np.tile(np.arange(1, 21) / 20, 16)
     kept_x = x.tobytes()
     for ordinal in range(spec.param_layer_count):
-        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                            ordinal, scales)
-        kept = rows.pre.tobytes(), rows.z0.tobytes()
-        assert rows.z0.flags.c_contiguous
+        site = nn.batch_site_outputs(spec, params, x, ordinal)
+        kept = site.tobytes()
         units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
-        with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", 3 * rows.z0.size):
-            probs = nn.batch_scaled_unit_probs(spec, params, rows, 3, units)
-        got = nn.batch_unit_gradients(spec, params, rows, 3, units)
-        for unit, row, p in zip(units, got, probs):
+        for unit in units:
+            got = nn.batch_unit_gradients(spec, params, site, 3, unit, scales)
             want = reference_unit_gradients(spec, params, x, 3, unit, scales)
-            assert same_bits(row + 0.0, want + 0.0), unit
-            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, 3, unit, scales))
-        assert (rows.pre.tobytes(), rows.z0.tobytes()) == kept
+            assert same_bits(got + 0.0, want + 0.0), unit
+        if ordinal in hidden_layers(spec):
+            cap = 3 * next_output_size(spec, ordinal, len(x))  # three units a block
+            with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", cap):
+                probs = nn.batch_zeroed_unit_probs(spec, params, x, 3, units)
+            for unit, p in zip(units, probs):
+                assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, 3, unit))
+        assert site.tobytes() == kept
     assert x.tobytes() == kept_x
+
+
+def next_output_size(spec, ordinal, n):
+    """The values of the next parameterized layer's output on n rows: one
+    unit's share of a block of batch_zeroed_unit_probs."""
+    return n * math.prod(spec._shapes[spec._param_positions[ordinal + 1] + 1])
+
+
+BLOCK_MODELS = {"small_mlp": lambda: nn.small_mlp((1, 6, 6), 4, hidden=11),
+                "small_cnn": lambda: nn.small_cnn((1, 12, 12), 4),
+                "wide": lambda: nn.small_mlp((1, 4, 4), 130, hidden=5)}
 
 
 @pytest.mark.bitid
 @pytest.mark.parametrize("model,ordinal", [
-    ("small_mlp", 0), ("small_mlp", 1), ("small_cnn", 0), ("small_cnn", 1), ("small_cnn", 2),
-    ("wide", 0), ("wide", 1)])
+    ("small_mlp", 0), ("small_cnn", 0), ("small_cnn", 1), ("wide", 0)])
 @settings(max_examples=8)
 @given(data=st.data())
 def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
@@ -987,12 +1000,8 @@ def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
     one-unit call and the out-of-place reference, whatever block cap and
     whichever units share a block: any units in any order, blocks of 1 to
     5 units under a cap that is no multiple of a unit's values, one row or
-    many, scales 0 and 1 among them, the first and the last class.  Also a
-    list's unit gradients are its one-unit calls'.  The wide model has 130
-    classes."""
-    spec = {"small_mlp": nn.small_mlp((1, 6, 6), 4, hidden=11),
-            "small_cnn": nn.small_cnn((1, 12, 12), 4),
-            "wide": nn.small_mlp((1, 4, 4), 130, hidden=5)}[model]
+    many, the first and the last class.  The wide model has 130 classes."""
+    spec = BLOCK_MODELS[model]()
     seed = data.draw(st.integers(0, 2**16), label="seed")
     n = data.draw(st.sampled_from([1, 2, 7, 13]), label="rows")
     width = spec.unit_count(ordinal)
@@ -1003,29 +1012,37 @@ def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
     rng = np.random.default_rng(seed)
     params = nn.init_params(spec, seed) + rng.normal(0.0, 0.1, spec.param_count)
     x = rng.normal(0.0, 1.0, (n, *spec.input_shape))
-    scales = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0], n)
-    scales[:2] = [0.0, 1.0][:n]
-    rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                        ordinal, scales)
-    per_unit = rows.z0.size
+    per_unit = next_output_size(spec, ordinal, n)
     cap = block * per_unit + data.draw(st.integers(0, per_unit - 1), label="remainder")
     units = [nn.UnitId(ordinal, j) for j in picked]
     with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", cap):
-        got = nn.batch_scaled_unit_probs(spec, params, rows, target, units)
+        got = nn.batch_zeroed_unit_probs(spec, params, x, target, units)
     assert got.shape == (len(units), n)
-    assert same_bits(got, nn.batch_scaled_unit_probs(spec, params, rows, target, units))
-    grads = nn.batch_unit_gradients(spec, params, rows, target, units)
-    for unit, row, g in zip(units, got, grads):
-        assert same_bits(row, nn.batch_scaled_unit_probs(spec, params, rows, target, [unit])[0])
-        assert same_bits(row, reference_scaled_unit_probs(spec, params, x, target, unit, scales))
-        assert same_bits(g, nn.batch_unit_gradients(spec, params, rows, target, [unit])[0])
+    assert same_bits(got, nn.batch_zeroed_unit_probs(spec, params, x, target, units))
+    for unit, row in zip(units, got):
+        assert same_bits(row, nn.batch_zeroed_unit_probs(spec, params, x, target, [unit])[0])
+        assert same_bits(row, reference_zeroed_unit_probs(spec, params, x, target, unit))
+
+
+@pytest.mark.parametrize("model,ordinal", [("small_mlp", 1), ("small_cnn", 2), ("wide", 1)])
+def test_zeroed_unit_probs_refuse_an_output_layer_unit(model, ordinal):
+    """An output unit is a class logit: the scorer, which zeroes a unit by
+    its term in the next parameterized layer, refuses one, alone or beside
+    hidden units (editable_units never lists one)."""
+    spec = BLOCK_MODELS[model]()
+    params = nn.init_params(spec, 0)
+    x = np.zeros((2, *spec.input_shape))
+    for units in ([nn.UnitId(ordinal, 0)], [nn.UnitId(0, 0), nn.UnitId(ordinal, 1)]):
+        with pytest.raises(nn.InvalidUnitError, match="one hidden layer"):
+            nn.batch_zeroed_unit_probs(spec, params, x, 0, units)
 
 
 @pytest.mark.bitid
 def test_wide_output_falls_back_to_the_row_major_softmax():
-    """With 130 classes (the config allows any class_count >= 2) scaled
-    probabilities and unit gradients of both layers and the probabilities
-    give the reference's bits through the engine's row-major softmax."""
+    """With 130 classes (the config allows any class_count >= 2) zeroed
+    probabilities of the hidden layer, unit gradients of both layers and the
+    probabilities give the reference's bits through the engine's row-major
+    softmax."""
     spec = nn.small_mlp((1, 6, 6), 130, hidden=12)
     rng = np.random.default_rng(13)
     params = nn.init_params(spec, 2) + rng.normal(0.0, 0.1, spec.param_count)
@@ -1033,15 +1050,16 @@ def test_wide_output_falls_back_to_the_row_major_softmax():
     scales = np.linspace(0.0, 1.0, 48)
     assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
     for ordinal in range(spec.param_layer_count):
-        rows = nn.site_rows(spec, params, nn.batch_site_outputs(spec, params, x, ordinal),
-                            ordinal, scales)
+        site = nn.batch_site_outputs(spec, params, x, ordinal)
         units = [nn.UnitId(ordinal, j) for j in (0, 5, 11)]
-        got = nn.batch_unit_gradients(spec, params, rows, 129, units)
-        probs = nn.batch_scaled_unit_probs(spec, params, rows, 129, units)
-        for unit, row, p in zip(units, got, probs):
+        for unit in units:
+            got = nn.batch_unit_gradients(spec, params, site, 129, unit, scales)
             want = reference_unit_gradients(spec, params, x, 129, unit, scales)
-            assert same_bits(row, want), unit
-            assert same_bits(p, reference_scaled_unit_probs(spec, params, x, 129, unit, scales))
+            assert same_bits(got + 0.0, want + 0.0), unit
+        if ordinal in hidden_layers(spec):
+            probs = nn.batch_zeroed_unit_probs(spec, params, x, 129, units)
+            for unit, p in zip(units, probs):
+                assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, 129, unit))
 
 
 def test_relu_bits_equal_where_on_special_values():
@@ -1067,9 +1085,9 @@ def test_relu_bits_equal_where_on_special_values():
     lambda: nn.small_cnn((1, 12, 12), 4),
 ], ids=["small_mlp", "small_cnn"])
 def test_engine_writes_into_no_caller_array(make_spec):
-    """No public engine operation writes into its inputs, the parameter views
-    or SiteRows (a stacked step writes only into its model and its scratch),
-    and the backward pass writes into neither its seed gradient nor the
+    """No public engine operation writes into its inputs or the parameter
+    views (a stacked step writes only into its model and its scratch), and
+    the backward pass writes into neither its seed gradient nor the
     caches."""
     spec = make_spec()
     params = nn.init_params(spec, 3)
@@ -1082,16 +1100,16 @@ def test_engine_writes_into_no_caller_array(make_spec):
     stacked = params[None].copy()
     nn.sgd_step(stacked, nn.batch_loss_and_gradient(spec, stacked, x, y)[1], 0.1,
                 row_scratch(stacked))
+    scales = np.linspace(0.0, 1.0, 5)
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
-        site_kept = site.tobytes()
-        rows = nn.site_rows(spec, params, site, ordinal, np.linspace(0.0, 1.0, 5))
-        rows_kept = rows.pre.tobytes(), rows.z0.tobytes()
+        site_kept = site.tobytes(), scales.tobytes()
         units = [nn.UnitId(ordinal, unit) for unit in range(min(3, spec.unit_count(ordinal)))]
-        nn.batch_unit_gradients(spec, params, rows, 0, units)
-        nn.batch_scaled_unit_probs(spec, params, rows, 0, units)
-        assert site.tobytes() == site_kept
-        assert (rows.pre.tobytes(), rows.z0.tobytes()) == rows_kept
+        for unit in units:
+            nn.batch_unit_gradients(spec, params, site, 0, unit, scales)
+        if ordinal in hidden_layers(spec):
+            nn.batch_zeroed_unit_probs(spec, params, x, 0, units)
+        assert (site.tobytes(), scales.tobytes()) == site_kept
     probs, caches = nn._forward_engine(spec, views, x, keep_caches=True)
     seed = rng.normal(0.0, 1.0, probs.shape)
 
