@@ -250,6 +250,16 @@ class BaseStream:
     transforms, so a domain of n <= count samples uses the first n.  The
     stream serves `uses` domains; the last one forms its images inside the
     noise array, which the stream then lets go.
+
+    A sample's shift is the pair rng.integers(-1, 2, size=2) would draw, read
+    from one raw PCG64 word instead: integers applies Lemire's bounded draw
+    to 32-bit halves, low half of a fresh word first, so the shift is
+    ((half * 3) >> 32) - 1 of the low half, then of the high half, computed
+    for all samples after the loop.  Lemire redraws only on a zero half
+    (probability 2**-31 each); at such a word the loop steps the generator
+    back one word and draws that sample's and every later sample's shift
+    with integers itself.  Either way the shifts, the noise and the
+    generator's stream are those of the integers loop.
     """
 
     def __init__(self, base_pattern_seed: int, seed: int, resolution: tuple[int, int],
@@ -261,12 +271,26 @@ class BaseStream:
                                  for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
                                 for p in patterns])
         rng = make_rng((base_pattern_seed, seed), 311)
-        integers, standard_normal = rng.integers, rng.standard_normal
+        bits = rng.bit_generator
+        random_raw, integers, standard_normal = bits.random_raw, rng.integers, rng.standard_normal
+        words = np.empty(count, dtype=np.uint64)
         shifts = np.empty((count, 2), dtype=np.int64)
         noise = np.empty((count, *resolution))
+        raw = count  # samples before this one take their shift from words
         for i in range(count):
-            shifts[i] = integers(-1, 2, size=2)
+            if i < raw:
+                word = random_raw()
+                if word & 0xFFFFFFFF and word >> 32:
+                    words[i] = word
+                else:
+                    bits.advance(2**128 - 1)
+                    raw = i
+            if i >= raw:
+                shifts[i] = integers(-1, 2, size=2)
             standard_normal(out=noise[i])
+        shifts[:raw, 0] = (words[:raw] & 0xFFFFFFFF) * 3 >> 32
+        shifts[:raw, 1] = (words[:raw] >> 32) * 3 >> 32
+        shifts[:raw] -= 1
         # 0.08 * z has the bits of normal(0.0, 0.08)'s 0.0 + 0.08 * z up to
         # the sign of a zero, which adding a pattern (>= 0.15) erases
         noise *= 0.08

@@ -2,8 +2,8 @@
 arrays, one library training step of one model, the out-of-place engine
 reference, the per-unit loop for attribution scores, the copied-shard
 reference for client views, the per-cell reference for evaluation reports,
-the record-object reference for the fedcccu server, and the IDX fixture
-writers."""
+the record-object reference for the fedcccu server, the per-sample integers
+loop of the synthetic base stream, and the IDX fixture writers."""
 import csv
 import dataclasses
 import io
@@ -331,6 +331,20 @@ def reference_audit_json(unlearn, seed, uploads, entries, selected, capped) -> s
         "selected_shared": sum(e.ratio >= 1.0 for e in entries[:u.select_n]),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def reference_base_stream(rng, resolution, count):
+    """The base stream's draw loop with each shift drawn by rng.integers:
+    (roll_index, noise) of samples 0..count-1, noise scaled as the stream
+    scales it.  rng is left where the loop leaves it."""
+    integers, standard_normal = rng.integers, rng.standard_normal
+    shifts = np.empty((count, 2), dtype=np.int64)
+    noise = np.empty((count, *resolution))
+    for i in range(count):
+        shifts[i] = integers(-1, 2, size=2)
+        standard_normal(out=noise[i])
+    noise *= 0.08
+    return 3 * shifts[:, 0] + shifts[:, 1] + 4, noise
 
 
 def write_idx(images, labels, images_path, labels_path) -> None:

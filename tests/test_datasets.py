@@ -1,6 +1,8 @@
 """Dataset loading, synthesis and resampling tests."""
+import itertools
 import os
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim.config import validate_config
 from fusim.experiment import build_raw_domains
-from helpers import save_idx, write_idx
+from helpers import reference_base_stream, same_bits, save_idx, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -308,6 +310,91 @@ def test_base_stream_refuses_a_domain_it_cannot_serve():
     stream.base_images(5)
     with pytest.raises(ds.DatasetError, match="cannot serve 4 more samples"):
         stream.base_images(1)
+
+
+def stream_from(rng, resolution, count):
+    """A BaseStream whose shifts and noise come from rng (datasets.make_rng
+    hands it out for the stream's tag, 311); rng is left where it ends."""
+    def make_rng(seed, *tags):
+        return rng if tags == (311,) else nn.make_rng(seed, *tags)
+    with mock.patch.object(ds, "make_rng", make_rng):
+        return ds.BaseStream(5, 0, resolution, 2, count)
+
+
+def live_state(rng):
+    """rng's PCG64 state as far as any later draw reads it: `uinteger`
+    buffers a word's high half and is read only while `has_uint32` is set."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
+
+
+def generator_at(state):
+    """A PCG64 Generator set to the state dict `state`."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def assert_same_stream(state, resolution, count):
+    """BaseStream and the per-sample integers loop, each drawing from a
+    generator at state, give the same shifts, noise and final state."""
+    rng, reference_rng = generator_at(state), generator_at(state)
+    stream = stream_from(rng, resolution, count)
+    roll_index, noise = reference_base_stream(reference_rng, resolution, count)
+    assert same_bits(stream.roll_index, roll_index)
+    assert same_bits(stream.noise, noise)
+    assert live_state(rng) == live_state(reference_rng)
+
+
+@pytest.mark.bitid
+@given(st.integers(0, 2**32 - 1), st.integers(4, 16), st.integers(4, 16), st.integers(1, 300))
+def test_base_stream_reads_integers_shifts_from_raw_words(seed, h, w, count):
+    state = nn.make_rng((5, seed), 311).bit_generator.state
+    assert_same_stream(state, (h, w), count)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_state_before(word, inc, words_before):
+    """A PCG64 state dict with increment inc whose raw stream gives
+    words_before words and then `word`.  The state after `word`'s step has a
+    high half with its top six bits clear, so its XSL-RR output is high ^ low
+    unrotated; each step back inverts state -> state * multiplier + inc."""
+    high = 0x0123456789ABCDEF
+    state = high << 64 | (high ^ word)
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(words_before + 1):
+        state = (state - inc) * inverse % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def zero_word_at(word, sample, resolution):
+    """A PCG64 state from which the base stream draws `word` as the shift
+    word of sample `sample`.  How many words the samples before it take
+    depends on the start, so the start is searched: the fewest words before
+    `word` at which the per-sample integers loop meets it at that sample."""
+    inc = nn.make_rng(0).bit_generator.state["state"]["inc"]
+    target = pcg64_state_before(word, inc, 0)
+    for words_before in itertools.count(sample * (1 + resolution[0] * resolution[1])):
+        state = pcg64_state_before(word, inc, words_before)
+        rng = generator_at(state)
+        reference_base_stream(rng, resolution, sample)
+        if rng.bit_generator.state["state"] == target["state"]:
+            assert rng.bit_generator.random_raw() == word
+            return state
+
+
+@pytest.mark.bitid
+@pytest.mark.parametrize("word, sample", [(0xDEADBEEF << 32, 0), (0xDEADBEEF, 0), (0, 0),
+                                          (0xDEADBEEF << 32, 3)],
+                         ids=["low-half-zero", "high-half-zero", "both-zero", "later-sample"])
+def test_base_stream_steps_back_at_a_zero_half(word, sample):
+    resolution = (4, 5)
+    assert_same_stream(zero_word_at(word, sample, resolution), resolution, 12)
 
 
 def test_parse_transform_chain():
