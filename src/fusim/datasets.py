@@ -131,21 +131,6 @@ def parse_transforms(text: str) -> tuple[Transform, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SyntheticDomainSpec:
-    base_pattern_seed: int
-    transforms: tuple[Transform, ...] = (Transform("identity"),)
-    resolution: tuple[int, int] = (16, 16)
-    samples_per_class: int = 100
-    class_count: int = 10
-
-    def __post_init__(self):
-        if self.samples_per_class < 1 or self.class_count < 1:
-            raise DatasetError("samples_per_class and class_count must be positive")
-        if min(self.resolution) < 4:
-            raise DatasetError("resolution sides must be >= 4")
-
-
 # ---------------------------------------------------------------------------
 # IDX format
 
@@ -319,28 +304,22 @@ class BaseStream:
         return images
 
 
-def synth_domain(spec: SyntheticDomainSpec, seed: int, domain_id: str | None = None,
-                 stream: BaseStream | None = None) -> DomainDataset:
-    """Deterministic synthetic domain: equal class counts, shared label space.
+def synth_domain(stream: BaseStream, transforms: tuple[Transform, ...],
+                 samples_per_class: int, domain_id: str) -> DomainDataset:
+    """Deterministic synthetic domain: samples_per_class examples of each of
+    the stream's classes, in one shared label space.
 
-    The base sample stream depends only on (spec geometry, seed): sample i
-    gets the same shift and noise whatever the transform chain or the class
-    size, so two specs that differ only in transforms produce pixel-aligned
-    sample pairs.  The stream is `stream` when given (its key must match the
-    spec and seed), else one drawn for this domain alone.
+    The images are the stream's first samples, so domains over one stream
+    that differ only in transforms or class size are pixel-aligned sample
+    for sample; the transforms' draws and the presentation order are seeded
+    from the stream's (base_pattern_seed, seed).
     """
-    labels = np.repeat(np.arange(spec.class_count, dtype=np.int64), spec.samples_per_class)
-    key = (spec.base_pattern_seed, seed, tuple(spec.resolution), spec.class_count)
-    if stream is None:
-        stream = BaseStream(*key, count=len(labels))
-    elif stream.key != key:
-        raise DatasetError(f"base stream {stream.key} does not fit domain {key}")
-    images = stream.base_images(spec.samples_per_class)
-    rng_tf = make_rng((spec.base_pattern_seed, seed), 313)
-    images = _apply_transforms(images, spec.transforms, rng_tf)
-    order = make_rng((spec.base_pattern_seed, seed), 317).permutation(len(labels))
-    name = domain_id if domain_id is not None else "+".join(t.kind for t in spec.transforms)
-    return DomainDataset(images[order][:, None], labels[order], name, spec.class_count)
+    class_count, seeds = len(stream.rolled), stream.key[:2]
+    labels = np.repeat(np.arange(class_count, dtype=np.int64), samples_per_class)
+    images = _apply_transforms(stream.base_images(samples_per_class), transforms,
+                               make_rng(seeds, 313))
+    order = make_rng(seeds, 317).permutation(len(labels))
+    return DomainDataset(images[order][:, None], labels[order], domain_id, class_count)
 
 
 def resize(dataset: DomainDataset, target_resolution: tuple[int, int]) -> DomainDataset:
@@ -360,11 +339,12 @@ def resize(dataset: DomainDataset, target_resolution: tuple[int, int]) -> Domain
 # Splits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainSplits:
-    train: tuple[int, ...]
-    val: tuple[int, ...]
-    test: tuple[int, ...]
+    """A domain's train, validation and test positions, each a sorted intp array."""
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
 
 
 def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction: float,
@@ -372,7 +352,7 @@ def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction:
     """Per-class shuffled split; every class must land in the training part."""
     labels = dataset.labels
     rng = make_rng(seed, 331)
-    train, val, test = [], [], []
+    train, val, test = ([np.empty(0, dtype=np.intp)] for _ in range(3))
     for c in range(dataset.class_count):
         idx = np.flatnonzero(labels == c)
         if idx.size == 0:
@@ -384,10 +364,10 @@ def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction:
             raise DatasetError(
                 f"domain {dataset.domain_id}: class {c} has no training samples "
                 f"after split ({idx.size} total)")
-        val.extend(idx[:n_val].tolist())
-        test.extend(idx[n_val:n_val + n_test].tolist())
-        train.extend(idx[n_val + n_test:].tolist())
-    return DomainSplits(tuple(sorted(train)), tuple(sorted(val)), tuple(sorted(test)))
+        val.append(idx[:n_val])
+        test.append(idx[n_val:n_val + n_test])
+        train.append(idx[n_val + n_test:])
+    return DomainSplits(*(np.sort(np.concatenate(part)) for part in (train, val, test)))
 
 
 def subset(dataset: DomainDataset, indices) -> DomainDataset:

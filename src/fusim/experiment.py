@@ -2,22 +2,22 @@
 
 Stages read their prerequisites from the output directory when present and
 build them otherwise, so any stage can resume from on-disk artifacts.  The
-data (domains, splits, plan, subsets) always comes from the config, never
-from the output directory: build_task makes it when a stage has to run, once
-per Task, so a finished directory resumes without building it, and
-partition.json and splits.json are records for readers that nothing reads
-back.  A
-compare trains once in its output directory and runs only the unlearn and
-evaluate stages of each route in a subdirectory.  All artifacts are pure
-functions of the config text: no timestamps, sorted keys, fixed float
-formatting.  Each stage's record artifact holds the canonical config values
-the stage depends on, and a resume with any other value is refused.  Files
-are written to a stage-local temp directory and renamed into place on stage
-completion.
+model spec comes from the config alone.  The data (domains, splits, plan,
+subsets) comes from the config too, never from the output directory: a
+Task's build_task call makes it when a stage first has to run, so a finished
+directory resumes without building it, and partition.json and splits.json
+are records for readers that nothing reads back.  A compare trains once in
+its output directory and runs only the unlearn and evaluate stages of each
+route in a subdirectory.  All artifacts are pure functions of the config
+text: no timestamps, sorted keys, fixed float formatting.  Each stage's
+record artifact holds the canonical config values the stage depends on, and
+a resume with any other value is refused.  Files are written to a
+stage-local temp directory and renamed into place on stage completion.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
-from .config import ConfigError, ExperimentConfig, canonical
+from .config import ConfigError, DomainConfig, ExperimentConfig, canonical
 from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
-                       resize, stratified_split, subset, SyntheticDomainSpec, synth_domain)
+                       resize, stratified_split, subset, synth_domain)
 from .nncore import ModelSpec
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -90,27 +90,18 @@ class TaskData:
 
 
 class Task:
-    """What the stages share: the model spec and class count, set at once,
-    and the data (the TaskData fields, the plan among them), built on first
-    use and once per Task by build_task.  A finished stage needs only the
-    spec, so a resume of a finished directory builds no data."""
+    """What the stages share: the config, the model spec over the shared
+    label space, set at once, and the data, built on first use.  A finished
+    stage needs only the spec, so a resume of a finished directory builds no
+    data."""
 
-    def __init__(self, cfg: ExperimentConfig, data: TaskData | None = None):
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
         self.spec = build_spec(cfg)
-        self.class_count = self.spec.class_count
-        self._cfg, self._data = cfg, data
 
-    @property
+    @functools.cached_property
     def data(self) -> TaskData:
-        if self._data is None:
-            self._data = build_task(self._cfg).data
-        return self._data
-
-    def __getattr__(self, name: str):
-        """The TaskData fields (plan, splits, train, ...), built on first use."""
-        if name not in TaskData.__dataclass_fields__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return getattr(self.data, name)
+        return build_task(self.cfg, self.spec.class_count)
 
 
 def build_spec(cfg: ExperimentConfig) -> ModelSpec:
@@ -140,50 +131,46 @@ def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
     the largest, built last, forms its images inside the stream's draws.
     """
     domains: dict[str, DomainDataset] = {}
-    by_resolution: dict[tuple[int, int], list[tuple[str, SyntheticDomainSpec]]] = {}
+    by_resolution: dict[tuple[int, int], list[tuple[int, DomainConfig]]] = {}
     for dc in cfg.domains:
         if dc.kind == "idx":
             domains[dc.name] = load_idx(dc.images_path, dc.labels_path, domain_id=dc.name)
         else:
-            by_resolution.setdefault(dc.resolution, []).append((dc.name, SyntheticDomainSpec(
-                base_pattern_seed=cfg.base_pattern_seed,
-                transforms=dc.transforms,
-                resolution=dc.resolution,
-                samples_per_class=dc.samples_per_class or cfg.samples_per_class,
-                class_count=cfg.class_count)))
+            by_resolution.setdefault(dc.resolution, []).append(
+                (dc.samples_per_class or cfg.samples_per_class, dc))
     for resolution, group in by_resolution.items():
-        group.sort(key=lambda named: named[1].samples_per_class)
+        group.sort(key=lambda sized: sized[0])
         stream = BaseStream(cfg.base_pattern_seed, cfg.seed, resolution, cfg.class_count,
-                            count=cfg.class_count * group[-1][1].samples_per_class,
-                            uses=len(group))
-        for name, spec in group:
-            domains[name] = synth_domain(spec, cfg.seed, domain_id=name, stream=stream)
+                            count=cfg.class_count * group[-1][0], uses=len(group))
+        for size, dc in group:
+            domains[dc.name] = synth_domain(stream, dc.transforms, size, dc.name)
     return [domains[dc.name] for dc in cfg.domains]
 
 
-def build_task(cfg: ExperimentConfig) -> Task:
-    """The one data build, from the config alone, with its data in place.
+def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
+    """The one data build, from the config alone.
 
-    Every domain is made and cut to the shared labels, and split by its
-    labels.  Then, one domain at a time, it is resized, its train and test
-    splits are written into its blocks of the preallocated train and test
-    pools (one block per domain, in config order) and its validation subset
-    is cut, after which the whole domain is released.  The plan is built
-    over the train pool, and a client's test set is the test pool's rows of
-    its group: its domain's block under real_noniid, else the whole pool.
+    Every domain is made, cut to build_spec's shared labels [0, class_count)
+    and split by its labels.  Then, one domain at a time, it is resized, its
+    train and test splits are written into its blocks of the preallocated
+    train and test pools (one block per domain, in config order) and its
+    validation subset is cut, after which the whole domain is released.  The
+    plan is built over the train pool, and a client's test set is the test
+    pool's rows of its group: its domain's block under real_noniid, else the
+    whole pool.
     """
     ev, part = cfg.evaluate, cfg.partition
-    domains = label_intersection(build_raw_domains(cfg))
+    domains = label_intersection(build_raw_domains(cfg), class_count)
     splits = {}
     for d in domains:
         sp = splits[d.domain_id] = stratified_split(d, ev.val_fraction, ev.test_fraction,
                                                     (cfg.seed, 831))
         for key, rows, what in (("val_fraction", sp.val, "validation"),
                                 ("test_fraction", sp.test, "test")):
-            if not rows:
+            if not rows.size:
                 raise ConfigError(f"evaluate.{key}: domain {d.domain_id!r} gets no {what} "
                                   f"examples; raise it or the samples per class")
-    class_count, channels = domains[0].class_count, domains[0].images.shape[1]
+    channels = domains[0].images.shape[1]
     blocks, pools, val_sets = {}, {}, {}
     for which in ("train", "test"):
         stops = np.cumsum([len(getattr(sp, which)) for sp in splits.values()]).tolist()
@@ -196,7 +183,7 @@ def build_task(cfg: ExperimentConfig) -> Task:
         sp = splits[d.domain_id]
         for which, pool in pools.items():
             _, start, stop = blocks[which][i]
-            index = np.asarray(getattr(sp, which), dtype=np.intp)
+            index = getattr(sp, which)
             # mode="clip" writes straight into out; "raise" fills a temporary first
             np.take(d.images, index, axis=0, out=pool.images[start:stop], mode="clip")
             np.take(d.labels, index, out=pool.labels[start:stop], mode="clip")
@@ -210,11 +197,11 @@ def build_task(cfg: ExperimentConfig) -> Task:
     client_test_sets = dict(enumerate(
         DomainDataset(test.images[a:b], test.labels[a:b], name, class_count)
         for (name, a, b), size in zip(groups, part.groups) for _ in range(size)))
-    return Task(cfg, TaskData(plan, splits, train, val_x, val_y, client_test_sets))
+    return TaskData(plan, splits, train, val_x, val_y, client_test_sets)
 
 
 def _splits_to_json(splits: dict[str, DomainSplits]) -> str:
-    doc = {did: {"train": list(sp.train), "val": list(sp.val), "test": list(sp.test)}
+    doc = {did: {"train": sp.train.tolist(), "val": sp.val.tolist(), "test": sp.test.tolist()}
            for did, sp in sorted(splits.items())}
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -305,10 +292,10 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     files, whose sizes and hashes it holds, are read, and the data is built
     from the config when a stage first uses it."""
     def run(_, writer):
-        task = build_task(cfg)
-        writer.add_text("splits.json", _splits_to_json(task.splits))
+        task = Task(cfg)
+        writer.add_text("splits.json", _splits_to_json(task.data.splits))
         files = _idx_files(cfg)
-        return task, {**task.plan.to_doc(), **({"idx_files": files} if files else {})}
+        return task, {**task.data.plan.to_doc(), **({"idx_files": files} if files else {})}
 
     def resume(_, record):
         for path, found in _idx_files(cfg).items():
@@ -323,9 +310,10 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
 
 def ensure_train(cfg: ExperimentConfig, out_dir: str):
     def run(task, writer):
-        clients = fedsim.build_clients(task.plan, task.train)
+        data = task.data
+        clients = fedsim.build_clients(data.plan, data.train)
         result = fedsim.run_training(
-            task.spec, clients, task.val_x, task.val_y, cfg.training, cfg.seed,
+            task.spec, clients, data.val_x, data.val_y, cfg.training, cfg.seed,
             save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", task.spec,
                                                                params))
         summary = {
@@ -360,7 +348,8 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
     extras: dict[str, object] = {}
     if route == "none":
         return trained, [], extras
-    clients = fedsim.build_clients(task.plan, task.train)
+    data = task.data
+    clients = fedsim.build_clients(data.plan, data.train)
     if route in ("delete", "relabel"):
         for rid in u.requesting_clients:
             state = clients[rid]  # build_clients puts client i at i
@@ -368,10 +357,10 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
                 state.keep(unlearn_routes.delete_retrain_prepare(state.labels, u.forget_class))
             else:
                 state.labels = unlearn_routes.relabel_poison_prepare(
-                    state.labels, u.forget_class, task.class_count, (cfg.seed, 853, rid))
+                    state.labels, u.forget_class, task.spec.class_count, (cfg.seed, 853, rid))
         pre_steps = {c.client_id: c.local_step_counter for c in clients}
         params, logs = fedsim.fair_unlearn_rounds(
-            trained, task.spec, clients, u, task.val_x, task.val_y,
+            trained, task.spec, clients, u, data.val_x, data.val_y,
             cfg.training, cfg.seed, start_round=start_round)
         extras["nonrequesting_steps"] = sum(
             c.local_step_counter - pre_steps[c.client_id]
@@ -383,7 +372,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
                       for rid in u.requesting_clients]
         probes = DomainDataset(np.concatenate([p.images for p in per_client]),
                                np.concatenate([p.labels for p in per_client]),
-                               "probes", task.class_count)
+                               "probes", task.spec.class_count)
         editable = unlearn_routes.editable_units(task.spec)
         top_m = max(1, round(u.top_m_fraction * len(editable)))
         params = unlearn_routes.naive_zeroing(task.spec, trained,
@@ -450,7 +439,7 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
             with open(path) as fh:
                 try:
                     reports.append(evalkit.report_from_json(
-                        fh.read(), sum(cfg.partition.groups), task.class_count))
+                        fh.read(), sum(cfg.partition.groups), task.spec.class_count))
                 except evalkit.EvalError as exc:
                     raise ConfigError(f"{path}: {exc}; use a fresh output directory") from None
         metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in _METRICS})
@@ -459,8 +448,8 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
     def run(unlearned_stage, writer):
         task, trained, unlearned, _ = unlearned_stage
         shared = before if before is not None else evalkit.build_report(
-            task.spec, trained, task.client_test_sets)
-        after = evalkit.build_report(task.spec, unlearned, task.client_test_sets)
+            task.spec, trained, task.data.client_test_sets)
+        after = evalkit.build_report(task.spec, unlearned, task.data.client_test_sets)
         metrics = evalkit.forgetting_metrics(shared, after, cfg.unlearn)
         writer.add_text("report_before.json", evalkit.report_to_json(shared))
         writer.add_text("report_after.json", evalkit.report_to_json(after))

@@ -8,9 +8,12 @@ from 0 to its observed value (the completeness of integrated gradients);
 attribute_unit keeps the m-step sum as the oracle.  A client uploads only its
 top-N (unit, score) records.  The server compares the
 requesting clients' scores against the best score any other client uploaded
-for the same unit: units with a low ratio are dominated by the requesters and
-safe to zero, units with ratio near 1 are shared and kept.  The edit itself
-zeroes incoming weights and biases, identically to the naive zeroing route.
+for the same unit and orders the units by that ratio, lowest (most dominated
+by the requesters) first.  The first select_n are zeroed whatever their
+ratios: a unit with ratio 1 or more, which another client scores at least as
+high, is zeroed when it ranks among them, and the audit record counts such
+units in selected_shared.  The edit itself zeroes incoming weights and
+biases, identically to the naive zeroing route.
 
 A unit is its position in editable_units(spec): scores are a (U,) float64
 vector, an upload is a record array of (position, score), and the server's

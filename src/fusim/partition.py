@@ -107,18 +107,13 @@ def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float,
         f"no nonempty Dirichlet assignment found in {DIRICHLET_MAX_RETRIES} draws")
 
 
-def label_intersection(domains: list[DomainDataset]) -> list[DomainDataset]:
-    """Every domain cut to the shared labels [0, min class_count).
+def label_intersection(domains: list[DomainDataset], shared: int) -> list[DomainDataset]:
+    """Every domain cut to the shared labels [0, shared).
 
-    Every domain's labels start at 0, so the shared set is the smallest
-    [0, class_count) range and no label changes value: examples of higher
-    labels are dropped, and a domain with no higher class is kept as it is.
+    Every domain's labels start at 0, so no label changes value: examples of
+    labels >= shared are dropped, and a domain with no such class is kept as
+    it is.
     """
-    if not domains:
-        raise PartitionError("need at least one domain")
-    shared = min(d.class_count for d in domains)
-    if shared < 1:
-        raise PartitionError("label intersection across domains is empty")
     return [d if d.class_count == shared else
             replace(subset(d, np.flatnonzero(d.labels < shared)), class_count=shared)
             for d in domains]

@@ -3,7 +3,8 @@ arrays, one library training step of one model, the out-of-place engine
 reference, the per-unit loop for attribution scores, the copied-shard
 reference for client views, the per-cell reference for evaluation reports,
 the record-object reference for the fedcccu server, the per-sample integers
-loop of the synthetic base stream, and the IDX fixture writers."""
+loop of the synthetic base stream, a synthetic domain over a stream of its
+own, and the IDX fixture writers."""
 import csv
 import dataclasses
 import io
@@ -345,6 +346,17 @@ def reference_base_stream(rng, resolution, count):
         standard_normal(out=noise[i])
     noise *= 0.08
     return 3 * shifts[:, 0] + shifts[:, 1] + 4, noise
+
+
+def synthetic_domain(base_pattern_seed, seed, resolution, class_count, samples_per_class,
+                     transforms="identity", domain_id="synthetic") -> ds.DomainDataset:
+    """A synthetic domain over a base stream drawn for it alone, as
+    build_raw_domains makes the one synthetic domain at its resolution;
+    transforms is chain text."""
+    stream = ds.BaseStream(base_pattern_seed, seed, resolution, class_count,
+                           count=class_count * samples_per_class)
+    return ds.synth_domain(stream, ds.parse_transforms(transforms), samples_per_class,
+                           domain_id)
 
 
 def write_idx(images, labels, images_path, labels_path) -> None:

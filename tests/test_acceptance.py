@@ -30,7 +30,7 @@ def digits3(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "digits3.ini")
     out = str(tmp_path_factory.mktemp("digits3"))
     task, trained, summary = experiment.ensure_train(cfg, out)
-    before = evalkit.build_report(task.spec, trained, task.client_test_sets)
+    before = evalkit.build_report(task.spec, trained, task.data.client_test_sets)
     return cfg, task, trained, summary, before
 
 
@@ -39,7 +39,7 @@ def pair2(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "pair2.ini")
     out = str(tmp_path_factory.mktemp("pair2"))
     task, trained, summary = experiment.ensure_train(cfg, out)
-    before = evalkit.build_report(task.spec, trained, task.client_test_sets)
+    before = evalkit.build_report(task.spec, trained, task.data.client_test_sets)
     return cfg, task, trained, summary, before
 
 
@@ -48,7 +48,7 @@ def run_route(cfg, task, trained, summary, route, **overrides):
         cfg, unlearn=dataclasses.replace(cfg.unlearn, route=route, **overrides))
     params, logs, extras = experiment.run_route(
         c, task, trained, start_round=summary["rounds_run"])
-    after = evalkit.build_report(task.spec, params, task.client_test_sets)
+    after = evalkit.build_report(task.spec, params, task.data.client_test_sets)
     return after, extras
 
 
@@ -220,9 +220,9 @@ def test_criterion_3_protocol_suite():
     cfg = load_config(CONFIG_DIR / "digits3.ini")
 
     def one_run():
-        task = experiment.build_task(cfg)
-        clients = fedsim.build_clients(task.plan, task.train)
-        result = fedsim.run_training(task.spec, clients, task.val_x, task.val_y,
+        task = experiment.Task(cfg)
+        clients = fedsim.build_clients(task.data.plan, task.data.train)
+        result = fedsim.run_training(task.spec, clients, task.data.val_x, task.data.val_y,
                                      cfg.training, cfg.seed)
         return task, clients, result
 
@@ -237,7 +237,7 @@ def test_criterion_3_protocol_suite():
     state0.keep(unlearn_routes.delete_retrain_prepare(state0.labels, 0))
     pre = {c.client_id: c.local_step_counter for c in clients_a}
     fedsim.fair_unlearn_rounds(run_a.params, task_a.spec, clients_a, request,
-                               task_a.val_x, task_a.val_y, cfg.training, cfg.seed,
+                               task_a.data.val_x, task_a.data.val_y, cfg.training, cfg.seed,
                                start_round=len(run_a.logs))
     nonreq_steps = sum(c.local_step_counter - pre[c.client_id]
                        for c in clients_a if c.client_id != 0)
@@ -268,8 +268,8 @@ def test_criterion_3_protocol_suite():
 def test_criterion_4_benchmark_training(digits3):
     start = time.monotonic()
     cfg, task, trained, summary, before = digits3
-    assert len(task.plan.clients) == 9
-    assert len({tuple(c["domains"]) for c in task.plan.to_doc()["clients"]}) == 3
+    assert len(task.data.plan.clients) == 9
+    assert len({tuple(c["domains"]) for c in task.data.plan.to_doc()["clients"]}) == 3
     t0 = summary["convergence_round"]
     assert t0 is not None and t0 <= 50
     val_acc = 1.0 - summary["final_val_error"]
@@ -288,7 +288,7 @@ def test_criterion_5_delete_retrain_pattern(digits3):
     start = time.monotonic()
     cfg, task, trained, summary, before = digits3
     after, _ = run_route(cfg, task, trained, summary, "delete")
-    domains = [set(c["domains"]) for c in task.plan.to_doc()["clients"]]
+    domains = [set(c["domains"]) for c in task.data.plan.to_doc()["clients"]]
     same_domain = [cid for cid, d in enumerate(domains) if d == domains[0] and cid != 0]
     assert same_domain
     drops = {cid: forget_drop(before, after, cid) for cid in same_domain}
@@ -326,7 +326,7 @@ def test_fedcccu_selects_the_units_the_riemann_scores_select(digits3):
     u = cfg.unlearn
     _, extras = run_route(cfg, task, trained, summary, "fedcccu")
     reports = []
-    for state in fedsim.build_clients(task.plan, task.train):
+    for state in fedsim.build_clients(task.data.plan, task.data.train):
         probes = fedcccu.probe_examples(state, u.forget_class, u.probe_cap, cfg.seed)
         assert len(probes)
         scores = riemann_sensitivity_scores(task.spec, trained, probes.images,

@@ -11,7 +11,7 @@ import pytest
 
 from fusim import cli, config, evalkit, experiment, fedsim, nncore
 from fusim.config import validate_config
-from helpers import same_bits
+from helpers import same_bits, save_idx, synthetic_domain
 
 TINY = """
 [experiment]
@@ -93,7 +93,7 @@ def test_stage_resume_uses_existing_artifacts(tmp_path):
     first = open(plan_file).read()
     task2, params, summary = experiment.ensure_train(cfg, out)
     assert open(plan_file).read() == first
-    assert task2.plan.to_doc() == task.plan.to_doc()
+    assert task2.data.plan.to_doc() == task.data.plan.to_doc()
     # re-entry loads the checkpoint instead of retraining
     _, params2, summary2 = experiment.ensure_train(cfg, out)
     assert summary2 == summary
@@ -612,13 +612,9 @@ def test_resumed_spec_equals_fresh_spec(tmp_path, monkeypatch, source):
     """The resumed spec comes from the config alone; the data it builds on
     first use, the plan included, is the fresh stage's, bit for bit."""
     if source == "idx":
-        from fusim import datasets
-        from helpers import save_idx
         for name, classes in (("wide", 6), ("narrow", 4)):
-            spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
-                                                class_count=classes)
-            save_idx(datasets.synth_domain(spec, 0), tmp_path / f"{name}-images.idx",
-                     tmp_path / f"{name}-labels.idx")
+            save_idx(synthetic_domain(1, 0, (8, 8), classes, 12),
+                     tmp_path / f"{name}-images.idx", tmp_path / f"{name}-labels.idx")
         cfg = validate_config(IDX_CFG.format(wide=tmp_path / "wide",
                                              narrow=tmp_path / "narrow"))
         classes = 4   # the labels both domains share
@@ -628,18 +624,22 @@ def test_resumed_spec_equals_fresh_spec(tmp_path, monkeypatch, source):
     out = str(tmp_path / "part")
     fresh = experiment.ensure_partition(cfg, out)
     assert fresh.spec.class_count == classes
-    assert fresh.train.class_count == classes
+    assert fresh.data.train.class_count == classes
     builds, domains = count_builds(monkeypatch)
     resumed = experiment.ensure_partition(cfg, out)
     assert resumed.spec == fresh.spec
     assert builds == [] and domains == []
-    assert resumed.plan.to_doc() == fresh.plan.to_doc()   # the first use, which builds the data
-    assert resumed.train.images.tobytes() == fresh.train.images.tobytes()
-    assert resumed.val_x.tobytes() == fresh.val_x.tobytes()
-    assert resumed.val_y.tobytes() == fresh.val_y.tobytes()
-    assert resumed.splits == fresh.splits
-    for i, test_set in fresh.client_test_sets.items():
-        assert resumed.client_test_sets[i].images.tobytes() == test_set.images.tobytes()
+    got, want = resumed.data, fresh.data   # the first use, which builds the data
+    assert got.plan.to_doc() == want.plan.to_doc()
+    assert got.train.images.tobytes() == want.train.images.tobytes()
+    assert got.val_x.tobytes() == want.val_x.tobytes()
+    assert got.val_y.tobytes() == want.val_y.tobytes()
+    assert got.splits.keys() == want.splits.keys()
+    for name, sp in want.splits.items():
+        for part in ("train", "val", "test"):
+            assert same_bits(getattr(got.splits[name], part), getattr(sp, part))
+    for i, test_set in want.client_test_sets.items():
+        assert got.client_test_sets[i].images.tobytes() == test_set.images.tobytes()
     assert len(builds) == 1 and len(domains) == 2
 
 
@@ -666,11 +666,7 @@ def test_run_refuses_non_finite_learning_rate(tmp_path, caplog):
 
 def test_run_refuses_forget_class_outside_shared_labels(tmp_path, caplog):
     """[data] class_count admits class 7, but the IDX labels run 0..4."""
-    from fusim import datasets
-    from helpers import save_idx
-    spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
-                                        class_count=5)
-    save_idx(datasets.synth_domain(spec, 0), tmp_path / "real-images.idx",
+    save_idx(synthetic_domain(1, 0, (8, 8), 5, 12), tmp_path / "real-images.idx",
              tmp_path / "real-labels.idx")
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(f"""
@@ -690,6 +686,59 @@ forget_class = 7
     assert not os.path.exists(out)
 
 
+def test_forget_class_outside_idx_labels_is_refused_before_any_domain_is_made(
+        tmp_path, monkeypatch, caplog):
+    """The shared class count comes from the IDX labels file alone, so a
+    forget class it does not hold exits 1 before a domain, synthetic or IDX,
+    is made."""
+    save_idx(synthetic_domain(1, 0, (8, 8), 5, 12), tmp_path / "real-images.idx",
+             tmp_path / "real-labels.idx")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[domain.clean]
+transform = identity
+resolution = 8x8
+[domain.real]
+images = {tmp_path / "real-images.idx"}
+labels = {tmp_path / "real-labels.idx"}
+[partition]
+group_sizes = 1,1
+working_resolution = 8x8
+[unlearn]
+route = delete
+forget_class = 7
+""")
+    builds, domains = count_builds(monkeypatch)
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_CONFIG
+    assert "unlearn.forget_class: 7 >= shared class count 5" in caplog.text
+    assert domains == []
+    assert not os.path.exists(out)
+
+
+def test_train_after_partition_reads_each_labels_file_once(tmp_path, monkeypatch):
+    """fusim train on a finished partition stage reads each IDX labels file
+    once, for the shared class count of the resumed stage's model spec; its
+    data build takes that count and reads no labels file for it again."""
+    for name, classes in (("wide", 6), ("narrow", 4)):
+        save_idx(synthetic_domain(1, 0, (8, 8), classes, 12),
+                 tmp_path / f"{name}-images.idx", tmp_path / f"{name}-labels.idx")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(IDX_CFG.format(wide=tmp_path / "wide", narrow=tmp_path / "narrow"))
+    out = str(tmp_path / "run")
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    read, real = [], experiment.idx_class_count
+
+    def counted(path):
+        read.append(str(path))
+        return real(path)
+    monkeypatch.setattr(experiment, "idx_class_count", counted)
+    builds, _ = count_builds(monkeypatch)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    assert len(builds) == 1
+    assert sorted(read) == [f"{tmp_path / name}-labels.idx" for name in ("narrow", "wide")]
+
+
 @pytest.mark.parametrize("rewrite", ["images", "labels"])
 def test_partition_resume_refuses_a_rewritten_idx_file(tmp_path, caplog, rewrite):
     """partition.json records each IDX file's byte size and sha256; a file
@@ -697,12 +746,8 @@ def test_partition_resume_refuses_a_rewritten_idx_file(tmp_path, caplog, rewrite
     naming it, and no byte of the output directory changes."""
     import hashlib
 
-    from fusim import datasets
-    from helpers import save_idx
-    spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
-                                        class_count=5)
     paths = {part: tmp_path / f"a-{part}.idx" for part in ("images", "labels")}
-    save_idx(datasets.synth_domain(spec, 0), paths["images"], paths["labels"])
+    save_idx(synthetic_domain(1, 0, (8, 8), 5, 12), paths["images"], paths["labels"])
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(f"""
 [domain.a]
@@ -720,7 +765,7 @@ working_resolution = 8x8
         assert recorded[str(path)] == {"bytes": len(data),
                                        "sha256": hashlib.sha256(data).hexdigest()}
     assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
-    other = datasets.synth_domain(spec, 1)
+    other = synthetic_domain(1, 1, (8, 8), 5, 12)
     if rewrite == "labels":  # one label fewer changes the size as well
         other = dataclasses.replace(other, images=other.images[:-1], labels=other.labels[:-1])
     save_idx(other, tmp_path / "other-images.idx", tmp_path / "other-labels.idx")
@@ -923,12 +968,12 @@ def test_clients_view_the_train_domains():
     """A client's images are the train pool's array, which holds every train
     domain, not a copy; its index is the plan's and its labels the pool's at
     that index."""
-    task = experiment.build_task(validate_config(TINY.format(route="none")))
-    clients = fedsim.build_clients(task.plan, task.train)
-    for client, index in zip(clients, task.plan.clients):
-        assert np.shares_memory(client.domain.images, task.train.images)
+    data = experiment.Task(validate_config(TINY.format(route="none"))).data
+    clients = fedsim.build_clients(data.plan, data.train)
+    for client, index in zip(clients, data.plan.clients):
+        assert np.shares_memory(client.domain.images, data.train.images)
         assert client.index.tolist() == index.tolist()
-        assert np.array_equal(client.labels, task.train.labels[client.index])
+        assert np.array_equal(client.labels, data.train.labels[client.index])
 
 
 @pytest.mark.parametrize("route", ["delete", "relabel"])
@@ -937,8 +982,8 @@ def test_label_routes_edit_only_the_requesters_view(monkeypatch, route):
     nothing else: the train pool's bytes and every other client's view
     stay as they were."""
     cfg = validate_config(TINY.format(route=route))
-    task = experiment.build_task(cfg)
-    before = (task.train.images.tobytes(), task.train.labels.tobytes())
+    task = experiment.Task(cfg)
+    before = (task.data.train.images.tobytes(), task.data.train.labels.tobytes())
     built, real = [], fedsim.build_clients
 
     def spy(*args):
@@ -947,10 +992,10 @@ def test_label_routes_edit_only_the_requesters_view(monkeypatch, route):
     monkeypatch.setattr(fedsim, "build_clients", spy)
     experiment.run_route(cfg, task, nncore.init_params(task.spec, 0), start_round=0)
     [clients] = built
-    assert (task.train.images.tobytes(), task.train.labels.tobytes()) == before
+    assert (task.data.train.images.tobytes(), task.data.train.labels.tobytes()) == before
     forget = cfg.unlearn.forget_class
-    for client, index in zip(clients, task.plan.clients):
-        labels = task.train.labels[index]
+    for client, index in zip(clients, task.data.plan.clients):
+        labels = task.data.train.labels[index]
         if client.client_id not in cfg.unlearn.requesting_clients:
             assert client.index.tolist() == index.tolist()
             assert np.array_equal(client.labels, labels)
@@ -1057,12 +1102,9 @@ def render(sections: dict) -> str:
 @pytest.fixture(scope="module")
 def keyed_run(tmp_path_factory):
     """A finished run of KEYED and an IDX pair: (base dir, out dir)."""
-    from fusim import datasets
-    from helpers import save_idx
     base = tmp_path_factory.mktemp("keyed")
-    spec = datasets.SyntheticDomainSpec(1, resolution=(8, 8), samples_per_class=12,
-                                        class_count=6)
-    save_idx(datasets.synth_domain(spec, 0), base / "idx-images.idx", base / "idx-labels.idx")
+    save_idx(synthetic_domain(1, 0, (8, 8), 6, 12), base / "idx-images.idx",
+             base / "idx-labels.idx")
     cfg_path = base / "keyed.ini"
     cfg_path.write_text(render(KEYED))
     out = str(base / "run")

@@ -186,13 +186,13 @@ def test_iid_and_dirichlet_split_every_domain(strategy):
     test pool, the three domains' test sets that real_noniid gives its
     groups, one after another."""
     text = THREE_DOMAINS.format(partition=f"strategy = {strategy}\nclients = 4\nalpha = 1")
-    task = experiment.build_task(validate_config(text))
-    assert [sorted(c["domains"]) for c in task.plan.to_doc()["clients"]] == [["a", "b", "c"]] * 4
-    per_domain = experiment.build_task(validate_config(THREE_DOMAINS.format(
-        partition="strategy = real_noniid\ngroup_sizes = 1,1,1"))).client_test_sets
+    data = experiment.Task(validate_config(text)).data
+    assert [sorted(c["domains"]) for c in data.plan.to_doc()["clients"]] == [["a", "b", "c"]] * 4
+    per_domain = experiment.Task(validate_config(THREE_DOMAINS.format(
+        partition="strategy = real_noniid\ngroup_sizes = 1,1,1"))).data.client_test_sets
     whole = np.concatenate([per_domain[g].images for g in range(3)])
-    for test_set in task.client_test_sets.values():
-        assert np.shares_memory(test_set.images, task.client_test_sets[0].images)
+    for test_set in data.client_test_sets.values():
+        assert np.shares_memory(test_set.images, data.client_test_sets[0].images)
         assert test_set.images.tobytes() == whole.tobytes()
 
 

@@ -14,7 +14,7 @@ from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim.config import validate_config
 from fusim.experiment import build_raw_domains
-from helpers import reference_base_stream, same_bits, save_idx, write_idx
+from helpers import reference_base_stream, same_bits, save_idx, synthetic_domain, write_idx
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -122,31 +122,28 @@ def test_load_idx_mnist_training():
 # synth_domain
 
 
-def make_spec(**kw):
-    base = dict(base_pattern_seed=5, resolution=(12, 12), samples_per_class=20,
-                class_count=4)
-    base.update(kw)
-    return ds.SyntheticDomainSpec(**base)
+def make_domain(seed, transforms="identity", resolution=(12, 12), samples_per_class=20,
+                class_count=4):
+    return synthetic_domain(5, seed, resolution, class_count, samples_per_class, transforms)
 
 
 def test_synth_deterministic():
-    spec = make_spec()
-    a = ds.synth_domain(spec, 9)
-    b = ds.synth_domain(spec, 9)
+    a = make_domain(9)
+    b = make_domain(9)
     assert len(a) == len(b) == 80
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.images, b.images)
 
 
 def test_synth_label_marginals_uniform():
-    d = ds.synth_domain(make_spec(), 1)
+    d = make_domain(1)
     counts = np.bincount(d.labels, minlength=4)
     assert np.all(counts == 20)
 
 
 def test_synth_invert_is_pixel_complement():
-    ident = ds.synth_domain(make_spec(), 2)
-    inv = ds.synth_domain(make_spec(transforms=ds.parse_transforms("invert")), 2)
+    ident = make_domain(2)
+    inv = make_domain(2, "invert")
     assert np.array_equal(ident.labels, inv.labels)
     assert np.allclose(inv.images, 1.0 - ident.images, atol=1e-15)
 
@@ -154,17 +151,15 @@ def test_synth_invert_is_pixel_complement():
 def test_synth_gaussian_noise_mean_abs_difference():
     # sampling oracle: E|clip(x+eta)-x| for eta ~ N(0, 0.1) is 0.1*sqrt(2/pi)
     # reduced slightly by clipping; the contract band is [0.06, 0.10].
-    spec_id = make_spec(samples_per_class=50, class_count=10, resolution=(16, 16))
-    spec_nz = make_spec(samples_per_class=50, class_count=10, resolution=(16, 16),
-                        transforms=ds.parse_transforms("gaussian_noise(0.1)"))
-    a = ds.synth_domain(spec_id, 3)
-    b = ds.synth_domain(spec_nz, 3)
+    a = make_domain(3, samples_per_class=50, class_count=10, resolution=(16, 16))
+    b = make_domain(3, "gaussian_noise(0.1)", samples_per_class=50, class_count=10,
+                    resolution=(16, 16))
     mad = float(np.abs(b.images - a.images).mean())
     assert 0.06 <= mad <= 0.10
 
 
 def test_synth_downsample_halves_resolution():
-    d = ds.synth_domain(make_spec(transforms=ds.parse_transforms("downsample(2)")), 4)
+    d = make_domain(4, "downsample(2)")
     assert d.native_resolution == (6, 6)
 
 
@@ -191,14 +186,13 @@ def test_synth_linear_probe_separability():
     # a held-out part of the transformed domain is far above chance.
     for chain in ("identity", "invert+gaussian_noise(0.1)",
                   "downsample(2)+background_clutter(0.3)"):
-        spec = make_spec(samples_per_class=40, class_count=4, resolution=(12, 12),
-                         transforms=ds.parse_transforms(chain))
-        d = ds.synth_domain(spec, 7)
+        d = make_domain(7, chain, samples_per_class=40)
         acc = linear_probe_accuracy(d.images, d.labels, slice(0, 120), slice(120, 160), 4)
         assert acc > 0.5, (chain, acc)
 
 
-def per_sample_synth(spec, seed):
+def per_sample_synth(base_pattern_seed, seed, resolution, class_count, samples_per_class,
+                     transforms):
     """The per-sample synthetic generator, kept as an oracle for synth_domain:
     (images, labels) in presentation order."""
     def box_blur(img):
@@ -209,24 +203,24 @@ def per_sample_synth(spec, seed):
                 out += padded[dy:dy + img.shape[0], dx:dx + img.shape[1]]
         return out / 9.0
 
-    h, w = spec.resolution
-    rng = nn.make_rng(spec.base_pattern_seed, 301)
+    h, w = resolution
+    rng = nn.make_rng(base_pattern_seed, 301)
     patterns = []
-    for _ in range(spec.class_count):
+    for _ in range(class_count):
         raw = box_blur(rng.uniform(0.0, 1.0, (h, w)))
         patterns.append(box_blur(np.where(raw > np.quantile(raw, 0.65), 0.85, 0.15)))
-    rng_base = nn.make_rng((spec.base_pattern_seed, seed), 311)
+    rng_base = nn.make_rng((base_pattern_seed, seed), 311)
     images, labels = [], []
-    for c in range(spec.class_count):
-        for _ in range(spec.samples_per_class):
+    for c in range(class_count):
+        for _ in range(samples_per_class):
             dy, dx = rng_base.integers(-1, 2, size=2)
             sample = np.roll(patterns[c], (int(dy), int(dx)), axis=(0, 1))
             sample = sample + rng_base.normal(0.0, 0.08, (h, w))
             images.append(np.clip(sample, 0.0, 1.0))
             labels.append(c)
     images = np.stack(images)
-    rng_tf = nn.make_rng((spec.base_pattern_seed, seed), 313)
-    for tf in spec.transforms:
+    rng_tf = nn.make_rng((base_pattern_seed, seed), 313)
+    for tf in transforms:
         if tf.kind == "invert":
             images = 1.0 - images
         elif tf.kind == "gaussian_noise":
@@ -238,7 +232,7 @@ def per_sample_synth(spec, seed):
             clutter = np.stack([box_blur(rng_tf.uniform(0.0, 1.0, (hh, ww)))
                                 for _ in range(n)])
             images = np.maximum(images, tf.level * clutter)
-    order = nn.make_rng((spec.base_pattern_seed, seed), 317).permutation(len(labels))
+    order = nn.make_rng((base_pattern_seed, seed), 317).permutation(len(labels))
     return images[order][:, None], np.asarray(labels)[order]
 
 
@@ -248,9 +242,8 @@ def per_sample_synth(spec, seed):
     "background_clutter(0.3)+downsample(2)+invert+gaussian_noise(0.05)",
 ])
 def test_synth_bit_identical_to_per_sample_generator(chain):
-    spec = ds.SyntheticDomainSpec(13, ds.parse_transforms(chain), (12, 10), 9, 4)
-    d = ds.synth_domain(spec, 6)
-    images, labels = per_sample_synth(spec, 6)
+    d = synthetic_domain(13, 6, (12, 10), 4, 9, chain)
+    images, labels = per_sample_synth(13, 6, (12, 10), 4, 9, ds.parse_transforms(chain))
     assert np.array_equal(d.images, images)
     assert np.array_equal(d.labels, labels)
     assert d.native_resolution == images.shape[2:]
@@ -293,18 +286,14 @@ def test_build_raw_domains_shares_a_stream_bit_identically():
     domains = build_raw_domains(cfg)
     assert [d.domain_id for d in domains] == [dc.name for dc in cfg.domains]
     for dc, d in zip(cfg.domains, domains):
-        spec = ds.SyntheticDomainSpec(13, dc.transforms, dc.resolution,
-                                      dc.samples_per_class or 7, 4)
-        images, labels = per_sample_synth(spec, 6)
+        images, labels = per_sample_synth(13, 6, dc.resolution, 4, dc.samples_per_class or 7,
+                                          dc.transforms)
         assert np.array_equal(d.images, images), dc.name
         assert np.array_equal(d.labels, labels), dc.name
 
 
 def test_base_stream_refuses_a_domain_it_cannot_serve():
     stream = ds.BaseStream(13, 6, (12, 10), 4, count=4 * 5)
-    with pytest.raises(ds.DatasetError, match="does not fit"):
-        ds.synth_domain(make_spec(base_pattern_seed=13, resolution=(12, 10)), 7,
-                        stream=stream)
     with pytest.raises(ds.DatasetError, match="cannot serve 24 more samples"):
         stream.base_images(6)
     stream.base_images(5)
@@ -451,7 +440,7 @@ def test_transform_argument_that_is_not_a_finite_number_is_refused(chain, bad, d
 
 
 def test_resize_same_resolution_identical():
-    d = ds.synth_domain(make_spec(), 1)
+    d = make_domain(1)
     r = ds.resize(d, (12, 12))
     assert np.array_equal(r.images, d.images)
 
@@ -466,7 +455,7 @@ def test_resize_checkerboard_upscale():
 
 
 def test_resize_roundtrip_bounded_aliasing():
-    d = ds.synth_domain(make_spec(resolution=(16, 16)), 5)
+    d = make_domain(5, resolution=(16, 16))
     up = ds.resize(d, (28, 28))
     back = ds.resize(up, (16, 16))
     mae = float(np.abs(d.images - back.images).mean())
@@ -475,7 +464,7 @@ def test_resize_roundtrip_bounded_aliasing():
 
 
 def test_resize_preserves_labels_and_counts():
-    d = ds.synth_domain(make_spec(), 8)
+    d = make_domain(8)
     r = ds.resize(d, (7, 9))
     assert len(r) == len(d)
     assert np.array_equal(r.labels, d.labels)
@@ -487,21 +476,21 @@ def test_resize_preserves_labels_and_counts():
 
 
 def test_stratified_split_covers_classes():
-    d = ds.synth_domain(make_spec(samples_per_class=30), 2)
+    d = make_domain(2, samples_per_class=30)
     sp = ds.stratified_split(d, 0.1, 0.1, 17)
-    assert len(sp.train) + len(sp.val) + len(sp.test) == len(d)
-    assert not set(sp.train) & set(sp.val)
-    assert not set(sp.train) & set(sp.test)
-    labels = d.labels
     for part in (sp.train, sp.val, sp.test):
-        assert set(labels[list(part)]) == set(range(4))
+        assert part.dtype == np.intp and np.all(part[1:] > part[:-1])  # sorted, distinct
+        assert set(d.labels[part].tolist()) == set(range(4))
+    assert np.array_equal(np.sort(np.concatenate([sp.train, sp.val, sp.test])),
+                          np.arange(len(d)))
 
 
 def test_stratified_split_deterministic():
-    d = ds.synth_domain(make_spec(), 2)
+    d = make_domain(2)
     a = ds.stratified_split(d, 0.1, 0.1, 3)
     b = ds.stratified_split(d, 0.1, 0.1, 3)
-    assert a == b
+    for part in ("train", "val", "test"):
+        assert same_bits(getattr(a, part), getattr(b, part))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +498,7 @@ def test_stratified_split_deterministic():
 
 
 def test_subset_is_an_index_operation():
-    d = ds.synth_domain(make_spec(), 3)
+    d = make_domain(3)
     s = ds.subset(d, (5, 1, 5))
     assert np.array_equal(s.images, d.images[[5, 1, 5]])
     assert s.labels.tolist() == d.labels[[5, 1, 5]].tolist()

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusim import datasets as ds
 from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
@@ -17,7 +16,7 @@ from fusim.config import UnlearnConfig
 from fusim.unlearn_routes import editable_units
 from helpers import (Record, library_step, on_copied_shard, per_unit_sensitivity_scores,
                      reference_audit_json, reference_server, reference_top_n, same_bits,
-                     vector)
+                     synthetic_domain, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +153,7 @@ def small_trained_setup(model="small_mlp"):
         spec = nn.small_mlp((1, 8, 8), 4, hidden=10)
     else:
         spec = nn.small_cnn((1, 10, 10), 4)
-    gen = ds.SyntheticDomainSpec(base_pattern_seed=14, resolution=spec.input_shape[1:],
-                                 samples_per_class=20, class_count=4)
-    shard = ds.synth_domain(gen, 6)
+    shard = synthetic_domain(14, 6, spec.input_shape[1:], 4, 20)
     params = nn.init_params(spec, 5)
     for _ in range(40):
         params = library_step(spec, params, shard.images, shard.labels, 0.5)[0]
@@ -549,9 +546,7 @@ def test_edit_locality_bit_identical_elsewhere():
 def test_probe_examples_of_a_view_equal_those_of_its_copied_shard():
     """The probes of a client viewing its domain are, bit for bit, those of a
     copy of its shard, capped or not; the client's own labels pick them."""
-    gen = ds.SyntheticDomainSpec(base_pattern_seed=14, resolution=(8, 8),
-                                 samples_per_class=20, class_count=4)
-    domain = ds.synth_domain(gen, 6)
+    domain = synthetic_domain(14, 6, (8, 8), 4, 20)
     view = fs.ClientState(3, domain, np.arange(len(domain))[::-3])
     for cap in (4, 1000):
         got = fc.probe_examples(view, 0, cap, 7)

@@ -12,7 +12,7 @@ from fusim import nncore as nn
 from fusim import partition as pt
 from fusim.config import TrainingConfig, UnlearnConfig
 from helpers import (copied_shard, library_step, on_copied_shard,
-                     reference_loss_gradient_probs, same_bits)
+                     reference_loss_gradient_probs, same_bits, synthetic_domain)
 
 SEED = 3
 
@@ -22,9 +22,7 @@ def tiny_spec(classes=4, side=8):
 
 
 def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
-    spec = ds.SyntheticDomainSpec(base_pattern_seed=8, resolution=(side, side),
-                                  samples_per_class=per_class, class_count=classes)
-    domain = ds.synth_domain(spec, seed, domain_id="syn")
+    domain = synthetic_domain(8, seed, (side, side), classes, per_class, domain_id="syn")
     splits = ds.stratified_split(domain, 0.0, 0.2, seed)
     train = ds.subset(domain, splits.train)
     test = ds.subset(domain, splits.test)

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from fusim import datasets as ds
 from fusim import partition as pt
 from fusim.config import STRATEGIES, PartitionConfig
+from helpers import synthetic_domain
 
 
-def synth(classes=10, per_class=100, seed=1, transforms="identity", name=None):
-    spec = ds.SyntheticDomainSpec(
-        base_pattern_seed=3, transforms=ds.parse_transforms(transforms),
-        resolution=(8, 8), samples_per_class=per_class, class_count=classes)
-    return ds.synth_domain(spec, seed, domain_id=name)
+def synth(classes=10, per_class=100, seed=1, name="synthetic"):
+    return synthetic_domain(3, seed, (8, 8), classes, per_class, domain_id=name)
 
 
 def label_marginal(dataset, indices, classes):
@@ -124,7 +122,7 @@ def test_dirichlet_impossible_assignment():
 def test_label_intersection_ten_and_nine():
     a = synth(classes=10, per_class=10, name="a")
     b = synth(classes=9, per_class=10, name="b")
-    remapped = pt.label_intersection([a, b])
+    remapped = pt.label_intersection([a, b], 9)
     assert [d.class_count for d in remapped] == [9, 9]
     assert len(remapped[0]) == 90  # class 9 dropped
     assert len(remapped[1]) == 90
@@ -138,7 +136,7 @@ def test_label_intersection_ten_and_nine():
 def test_label_intersection_identity():
     a = synth(classes=4, per_class=5, name="a")
     b = synth(classes=4, per_class=5, seed=2, name="b")
-    remapped = pt.label_intersection([a, b])
+    remapped = pt.label_intersection([a, b], 4)
     assert remapped[0] is a and remapped[1] is b
     assert remapped[0].class_count == 4 and len(remapped[0]) == 20
 
@@ -146,7 +144,7 @@ def test_label_intersection_identity():
 def test_label_intersection_hundred_and_sixtyfive():
     a = synth(classes=100, per_class=2, name="a")
     b = synth(classes=65, per_class=2, name="b")
-    remapped = pt.label_intersection([a, b])
+    remapped = pt.label_intersection([a, b], 65)
     assert [d.class_count for d in remapped] == [65, 65]
     assert np.array_equal(remapped[0].labels, a.labels[a.labels < 65])
 
@@ -159,7 +157,8 @@ def real_noniid(domains, group_sizes, resolution, alpha, seed):
     """The shared label space, the working resolution, then build_plan over
     the pool of whole domains: the steps experiment.build_task runs before
     planning a real_noniid split."""
-    processed = [ds.resize(d, resolution) for d in pt.label_intersection(domains)]
+    shared = min(d.class_count for d in domains)
+    processed = [ds.resize(d, resolution) for d in pt.label_intersection(domains, shared)]
     part = PartitionConfig("real_noniid", alpha=alpha, group_sizes=tuple(group_sizes),
                            working_resolution=resolution)
     return pt.build_plan(part, *pooled(processed), seed), processed
@@ -208,11 +207,7 @@ def test_real_noniid_single_group_degenerates():
 
 def test_real_noniid_resizes_to_working_resolution():
     a = synth(classes=4, per_class=10, name="a")
-    spec = ds.SyntheticDomainSpec(base_pattern_seed=3,
-                                  transforms=ds.parse_transforms("downsample(2)"),
-                                  resolution=(16, 16), samples_per_class=10,
-                                  class_count=4)
-    b = ds.synth_domain(spec, 1, domain_id="b")
+    b = synthetic_domain(3, 1, (16, 16), 4, 10, "downsample(2)", "b")
     assert b.native_resolution == (8, 8)
     plan, processed = real_noniid([a, b], [2, 2], (12, 12), 100.0, 2)
     assert all(d.native_resolution == (12, 12) for d in processed)

@@ -7,7 +7,7 @@ import pytest
 from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim import unlearn_routes as ur
-from helpers import library_step, same_bits, vector
+from helpers import library_step, same_bits, synthetic_domain, vector
 
 
 def shard_of(labels, value=0.5, side=4, class_count=10):
@@ -48,9 +48,7 @@ def test_delete_without_forget_class_unchanged():
 
 
 def test_delete_drops_exact_count():
-    spec = ds.SyntheticDomainSpec(base_pattern_seed=1, resolution=(8, 8),
-                                  samples_per_class=100, class_count=10)
-    shard = ds.synth_domain(spec, 4)
+    shard = synthetic_domain(1, 4, (8, 8), 10, 100)
     zero_count = int((shard.labels == 0).sum())
     out = deleted(shard, 0)
     assert len(out) == len(shard) - zero_count
@@ -200,9 +198,7 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
     # then zero every hidden unit: outputs collapse to the bias prior, which
     # puts the forget class at or below chance.
     spec = nn.small_mlp((1, 8, 8), 4, hidden=12)
-    gen = ds.SyntheticDomainSpec(base_pattern_seed=6, resolution=(8, 8),
-                                 samples_per_class=40, class_count=4)
-    shard = ds.synth_domain(gen, 3)
+    shard = synthetic_domain(6, 3, (8, 8), 4, 40)
     shard = ds.subset(shard, np.flatnonzero(
         (shard.labels != 0) | (np.arange(len(shard)) % 5 != 0)))
     params = nn.init_params(spec, 7)
