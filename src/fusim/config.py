@@ -1,16 +1,17 @@
 """Experiment configuration: INI-style text with a strict, documented schema.
 
-The schema is one table, KEYS: a row per key gives the field that holds its
-value, the kind of text it takes and its bounds; the key's default is that
-field's default.  Unknown sections or keys are rejected; a bad value names
-the key and the line it came from (or the command-line flag that set it).
-Every key has a default, so the minimal valid config is an empty file: it
-describes the reference benchmark (three synthetic domains, three clients
-each, small MLP at 16x16).
+Each line is blank, a # or ; comment, a [section] header or a key = value
+line; no line continues another and no section or key repeats.  The schema
+is one table, KEYS: a row per key gives the field that holds its value, the
+kind of text it takes and its bounds; the key's default is that field's
+default.  Unknown sections or keys are rejected; a bad value names the key
+and the line it came from (or the command-line flag that set it).  Every key
+has a default, so the minimal valid config is an empty file: it describes
+the reference benchmark (three synthetic domains, three clients each, small
+MLP at 16x16).
 """
 from __future__ import annotations
 
-import configparser
 import functools
 import math
 import operator
@@ -175,26 +176,6 @@ _RECORDED = tuple((section, key, f"{section}.{key}", operator.attrgetter(attr),
 _EXPECTED = {"int": "an integer", "float": "a number", "ints": "comma-separated integers"}
 
 
-def _line_map(text: str) -> dict[tuple[str, str], int]:
-    """Map (section, key) to the 1-based line where the key is set."""
-    lines = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith(("#", ";")):
-            continue
-        m = re.match(r"\[([^\]]+)\]", stripped)
-        if m:
-            section = m.group(1).strip()
-            lines[(section, None)] = lineno
-            continue
-        m = re.match(r"([^=:]+)[=:]", stripped)
-        if m and section is not None:
-            key = m.group(1).strip().lower()
-            lines.setdefault((section, key), lineno)
-    return lines
-
-
 def _parse(row: tuple, raw: str, what: str, where) -> object:
     """One key's value from its text, checked against its row's kind and bounds."""
     kind, bounds = row[3], row[4]
@@ -236,37 +217,50 @@ def _parse(row: tuple, raw: str, what: str, where) -> object:
     return values if kind in ("ints", "res") else values[0]
 
 
+# A # or ; that starts a line or follows whitespace starts a comment; the
+# rest of the line is blank, a [section] header or a key = value (or key:
+# value) line, split at its first delimiter.
+_COMMENT = re.compile(r"(?<!\S)[#;]")
+_LINE = re.compile(r"\[(?P<section>.*)\]|(?P<key>[^\[=:][^=:]*?)\s*[=:]\s*(?P<value>.*)")
+
+
 @functools.lru_cache(maxsize=4)
 def _read(text: str) -> tuple:
     """The text's sections in order, each (section, header line, ((key, value,
     line), ...)), every value parsed and checked by its key's row.  Cached,
     as compare validates one text once per route."""
-    # A header never holds a newline, so [DEFAULT] is an ordinary, unknown section.
-    parser = configparser.ConfigParser(interpolation=None, default_section="\n",
-                                       inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        line = getattr(exc, "lineno", None)
-        raise ConfigError(f"cannot parse config: {exc.message}", line) from exc
-    lines = _line_map(text)
-    sections = []
-    for section in parser.sections():
-        table = "domain" if section.startswith("domain.") else section
-        if section == "domain.":
-            raise ConfigError("domain section needs a name: [domain.<name>]",
-                              lines.get((section, None)))
-        if table not in {row[0] for row in KEYS}:
-            raise ConfigError(f"unknown section [{section}]", lines.get((section, None)))
-        keys = []
-        for key, raw in parser.items(section):
-            line = lines.get((section, key))
-            if (table, key) not in _ROWS:
-                raise ConfigError(f"unknown key {section}.{key}", line)
-            keys.append((key, _parse(_ROWS[table, key], raw.strip(), f"{section}.{key}", line),
-                         line))
-        sections.append((section, lines.get((section, None)), tuple(keys)))
-    return tuple(sections)
+    sections, keys = {}, None
+    for line, raw in enumerate(text.split("\n"), start=1):
+        stripped = _COMMENT.split(raw, 1)[0].strip()
+        if not stripped:
+            continue
+        m = _LINE.fullmatch(stripped)
+        if m is None:
+            raise ConfigError(f"not a [section] or key = value line: {stripped!r}", line)
+        if m["section"] is not None:
+            section = m["section"].strip()
+            table = "domain" if section.startswith("domain.") else section
+            if section in ("domain", "domain."):
+                raise ConfigError("domain section needs a name: [domain.<name>]", line)
+            if table not in {row[0] for row in KEYS}:
+                raise ConfigError(f"unknown section [{section}]", line)
+            if section in sections:
+                raise ConfigError(f"repeated section [{section}], first on line "
+                                  f"{sections[section][1]}", line)
+            keys = {}
+            sections[section] = section, line, keys
+            continue
+        key = m["key"].lower()
+        if keys is None:
+            raise ConfigError(f"key {key} before any [section] header", line)
+        if (table, key) not in _ROWS:
+            raise ConfigError(f"unknown key {section}.{key}", line)
+        if key in keys:
+            raise ConfigError(f"repeated key {section}.{key}, first on line {keys[key][2]}",
+                              line)
+        keys[key] = key, _parse(_ROWS[table, key], m["value"], f"{section}.{key}", line), line
+    return tuple((section, line, tuple(keys.values()))
+                 for section, line, keys in sections.values())
 
 
 def validate_config(text: str, overrides=()) -> ExperimentConfig:
@@ -377,5 +371,9 @@ def canonical(cfg: ExperimentConfig, sections) -> dict:
 
 def load_config(path, overrides=()) -> ExperimentConfig:
     """The config file at path, with overrides as in validate_config."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(fh.read(), overrides)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte offset {exc.start}") from None
+    return validate_config(text, overrides)

@@ -163,6 +163,9 @@ def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
     domains = label_intersection(build_raw_domains(cfg), class_count)
     splits = {}
     for d in domains:
+        if not len(d):
+            raise ConfigError(f"domain {d.domain_id!r} holds no example of the shared "
+                              f"labels 0..{class_count - 1}")
         sp = splits[d.domain_id] = stratified_split(d, ev.val_fraction, ev.test_fraction,
                                                     (cfg.seed, 831))
         for key, rows, what in (("val_fraction", sp.val, "validation"),
@@ -367,16 +370,12 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
             for c in clients if c.client_id not in u.requesting_clients)
         return params, logs, extras
     if route == "zeroing":
-        per_client = [fedcccu.probe_examples(clients[rid], u.forget_class,
-                                             u.probe_cap, cfg.seed)
-                      for rid in u.requesting_clients]
-        probes = DomainDataset(np.concatenate([p.images for p in per_client]),
-                               np.concatenate([p.labels for p in per_client]),
-                               "probes", task.spec.class_count)
+        probes = np.concatenate([fedcccu.probe_examples(clients[rid], u.forget_class,
+                                                        u.probe_cap, cfg.seed).images
+                                 for rid in u.requesting_clients])
         editable = unlearn_routes.editable_units(task.spec)
         top_m = max(1, round(u.top_m_fraction * len(editable)))
-        params = unlearn_routes.naive_zeroing(task.spec, trained,
-                                              u.forget_class, probes, top_m)
+        params = unlearn_routes.naive_zeroing(task.spec, trained, probes, top_m)
         extras["zeroed_units"] = top_m
         return params, [], extras
     if route == "fedcccu":

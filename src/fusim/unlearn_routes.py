@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import nncore
-from .datasets import DomainDataset
 from .nncore import ModelSpec, UnitId, make_rng
 
 
@@ -50,22 +49,21 @@ def relabel_poison_prepare(labels: np.ndarray, forget_class: int,
 
 
 def rank_units_by_activation(spec: ModelSpec, params: np.ndarray,
-                             probes: DomainDataset, forget_class: int) -> np.ndarray:
+                             images: np.ndarray) -> np.ndarray:
     """Positions in editable_units(spec), highest mean activation over the
-    forget-class probes first, ties by position."""
-    xs = probes.images[probes.labels == forget_class]
-    if len(xs) == 0:
-        raise RouteError("probe set contains no forget-class examples")
-    acts = nncore.batch_unit_activations(spec, params, xs)
+    forget-class probe images first, ties by position."""
+    if len(images) == 0:
+        raise RouteError("no forget-class probe images")
+    acts = nncore.batch_unit_activations(spec, params, images)
     # each unit's mean over a contiguous row: the bits of its column's .mean()
     means = np.concatenate([np.ascontiguousarray(a.T).mean(axis=1) for a in acts])
     return np.argsort(-means, kind="stable")
 
 
-def naive_zeroing(spec: ModelSpec, params: np.ndarray, forget_class: int,
-                  probes: DomainDataset, top_m: int) -> np.ndarray:
-    """Zero the top_m most forget-class-activated hidden units."""
-    ranked = rank_units_by_activation(spec, params, probes, forget_class)
+def naive_zeroing(spec: ModelSpec, params: np.ndarray, images: np.ndarray,
+                  top_m: int) -> np.ndarray:
+    """Zero the top_m hidden units most activated by the forget-class probe images."""
+    ranked = rank_units_by_activation(spec, params, images)
     if top_m < 0 or top_m > len(ranked):
         raise RouteError(
             f"top_m={top_m} outside [0, {len(ranked)}] editable units")

@@ -4,7 +4,9 @@ reference, the per-unit loop for attribution scores, the copied-shard
 reference for client views, the per-cell reference for evaluation reports,
 the record-object reference for the fedcccu server, the per-sample integers
 loop of the synthetic base stream, a synthetic domain over a stream of its
-own, and the IDX fixture writers."""
+own, the IDX fixture writers, and the configparser reference for the config
+reader."""
+import configparser
 import csv
 import dataclasses
 import io
@@ -12,8 +14,11 @@ import itertools
 import json
 import struct
 
+import re
+
 import numpy as np
 
+from fusim import config as cf
 from fusim import datasets as ds
 from fusim import evalkit as ek
 from fusim import fedsim as fs
@@ -375,3 +380,55 @@ def save_idx(dataset, images_path, labels_path) -> None:
     assert dataset.images.shape[1] == 1
     pixels = np.round(dataset.images[:, 0] * 255.0).astype(np.uint8)
     write_idx(pixels, dataset.labels, images_path, labels_path)
+
+
+def _line_map(text: str) -> dict[tuple[str, str], int]:
+    """Map (section, key) to the 1-based line where the key is set."""
+    lines = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith(("#", ";")):
+            continue
+        m = re.match(r"\[([^\]]+)\]", stripped)
+        if m:
+            section = m.group(1).strip()
+            lines[(section, None)] = lineno
+            continue
+        m = re.match(r"([^=:]+)[=:]", stripped)
+        if m and section is not None:
+            key = m.group(1).strip().lower()
+            lines.setdefault((section, key), lineno)
+    return lines
+
+
+def reference_read(text: str) -> tuple:
+    """config._read as configparser and a second scan for line numbers gave
+    it: the reference the one-pass reader must equal on every config both
+    accept."""
+    # A header never holds a newline, so [DEFAULT] is an ordinary, unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n",
+                                       inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        line = getattr(exc, "lineno", None)
+        raise cf.ConfigError(f"cannot parse config: {exc.message}", line) from exc
+    lines = _line_map(text)
+    sections = []
+    for section in parser.sections():
+        table = "domain" if section.startswith("domain.") else section
+        if section == "domain.":
+            raise cf.ConfigError("domain section needs a name: [domain.<name>]",
+                                 lines.get((section, None)))
+        if table not in {row[0] for row in cf.KEYS}:
+            raise cf.ConfigError(f"unknown section [{section}]", lines.get((section, None)))
+        keys = []
+        for key, raw in parser.items(section):
+            line = lines.get((section, key))
+            if (table, key) not in cf._ROWS:
+                raise cf.ConfigError(f"unknown key {section}.{key}", line)
+            keys.append((key, cf._parse(cf._ROWS[table, key], raw.strip(), f"{section}.{key}",
+                                        line), line))
+        sections.append((section, lines.get((section, None)), tuple(keys)))
+    return tuple(sections)

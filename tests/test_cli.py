@@ -11,7 +11,7 @@ import pytest
 
 from fusim import cli, config, evalkit, experiment, fedsim, nncore
 from fusim.config import validate_config
-from helpers import same_bits, save_idx, synthetic_domain
+from helpers import same_bits, save_idx, synthetic_domain, write_idx
 
 TINY = """
 [experiment]
@@ -684,6 +684,31 @@ forget_class = 7
     assert "unlearn.forget_class: 7 >= shared class count 5" in caplog.text
     assert not os.path.exists(os.path.join(out, "checkpoint_trained.fusim"))
     assert not os.path.exists(out)
+
+
+def test_a_domain_with_no_shared_label_is_named(tmp_path, caplog):
+    """An IDX domain labelled 5 throughout, beside a synthetic domain of
+    three classes, holds no example of the shared labels 0..2: partition
+    exits 1 naming the domain and those labels, and writes nothing."""
+    write_idx(np.full((40, 8, 8), 128), np.full(40, 5), tmp_path / "real-images.idx",
+              tmp_path / "real-labels.idx")
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[data]
+class_count = 3
+[domain.synth]
+resolution = 8x8
+[domain.real]
+images = {tmp_path / "real-images.idx"}
+labels = {tmp_path / "real-labels.idx"}
+[partition]
+working_resolution = 8x8
+""")
+    out = tmp_path / "run"
+    assert cli.main(["partition", "--config", str(cfg_path), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert "domain 'real' holds no example of the shared labels 0..2" in caplog.text
+    assert not out.exists()
 
 
 def test_forget_class_outside_idx_labels_is_refused_before_any_domain_is_made(

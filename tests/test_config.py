@@ -5,9 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusim import cli, experiment
+from fusim import cli, config, experiment
 from fusim.config import KEYS, ConfigError, load_config, validate_config
+from fusim.datasets import TRANSFORM_KINDS
+from helpers import reference_read
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -64,9 +68,8 @@ def test_unknown_section_rejected():
     ("[experiment]\nseed = 1\n[DEFAULT]\nbogus = 2\n[training]\nrounds_max = 3\n", 3),
 ])
 def test_default_section_is_an_unknown_section(tmp_path, caplog, text, line):
-    """configparser's [DEFAULT] is no section of the schema: its keys would
-    otherwise be dropped, or reported as keys of another section with no
-    line, so it is refused by name and line, and the command exits 1."""
+    """[DEFAULT] is no section of the schema, so it is refused by name and
+    line like any other unknown section, and the command exits 1."""
     with pytest.raises(ConfigError, match=rf"^line {line}: unknown section \[DEFAULT\]$"):
         validate_config(text)
     path = tmp_path / "default.ini"
@@ -75,6 +78,153 @@ def test_default_section_is_an_unknown_section(tmp_path, caplog, text, line):
         == cli.EXIT_CONFIG
     assert f"line {line}: unknown section [DEFAULT]" in caplog.text
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# The grammar: one pass over the lines, checked against the configparser reader
+
+
+def numbers(bounds, number):
+    """Text of a number inside a row's bounds."""
+    lo, hi = (float(t) for t in bounds[1:-1].split(", "))
+    if number is int:
+        return st.integers(int(lo), int(lo) + 40).map(str)
+    return st.floats(lo, min(hi, 1e6), exclude_min=bounds[0] == "(",
+                     exclude_max=bounds[-1] == ")").map(repr)
+
+
+# A word of a str value: a # or ; inside it, never at its start, where it
+# would follow whitespace and start a comment.
+WORDS = st.from_regex(r"[A-Za-z0-9_./-][A-Za-z0-9_./#;=:-]{0,6}", fullmatch=True)
+ARGUMENTS = {"gaussian_noise": "(0.1)", "downsample": "(2)", "background_clutter": "(0.35)"}
+
+
+def values(row):
+    """Text of a valid value of the row's key."""
+    kind, bounds = row[3], row[4]
+    if kind == "choice":
+        return st.sampled_from(bounds)
+    if kind == "str":
+        return st.lists(WORDS, max_size=3).map(" ".join)
+    if kind == "chain":
+        return st.tuples(st.lists(st.sampled_from(TRANSFORM_KINDS), min_size=1, max_size=3),
+                         st.sampled_from(["+", " + "])).map(
+            lambda t: t[1].join(tf + ARGUMENTS.get(tf, "") for tf in t[0]))
+    if kind == "res":
+        side = numbers(bounds, int)
+        return st.tuples(side, st.sampled_from(["x", "X", " x "]), side).map("".join)
+    if kind == "ints":
+        return st.tuples(st.lists(numbers(bounds, int), min_size=1, max_size=4),
+                         st.sampled_from([",", ", "])).map(lambda t: t[1].join(t[0]))
+    return numbers(bounds, float if kind == "float" else int)
+
+
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+# An inline comment holds no second # or ; after whitespace: configparser then
+# kept part of the comment in a value holding the other prefix (a#b # c ;d
+# read a#b # c), where the one-pass reader stops at the first.
+COMMENTS = st.sampled_from(["", " # note", "\t; note", "  #", " ;note = 3"])
+NOISE = st.lists(st.sampled_from(["", "   ", "# note", "; a = b", "  # [training]",
+                                  "\t;x"]), max_size=2)
+
+
+@st.composite
+def config_texts(draw):
+    """Valid config text over any sections of the table, domain sections
+    among them, in any order, each with any of its keys in any order.  Key
+    lines of a section are indented no deeper than the key line before them,
+    so that configparser reads no line as the continuation of a value."""
+    names = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]{1,5}", fullmatch=True),
+                          unique=True, max_size=3))
+    tables = sorted({row[0] for row in KEYS} - {"domain"})
+    sections = draw(st.permutations(tables + [f"domain.{n}" for n in names]))
+    lines = draw(NOISE)
+    for section in sections[:draw(st.integers(0, len(sections)))]:
+        lines.append(f"[{section}]" + draw(COMMENTS))
+        table = "domain" if section.startswith("domain.") else section
+        rows = draw(st.permutations([row for row in KEYS if row[0] == table]))
+        rows = rows[:draw(st.integers(0, len(rows)))]
+        indents = sorted(draw(st.lists(SPACES, min_size=len(rows), max_size=len(rows))),
+                         key=len, reverse=True)
+        for row, indent in zip(rows, indents):
+            case = draw(st.sampled_from([str.lower, str.upper, str.title]))
+            lines.append(f"{indent}{case(row[1])}{draw(SPACES)}{draw(st.sampled_from('=:'))}"
+                         f"{draw(SPACES)}{draw(values(row))}{draw(COMMENTS)}")
+            lines += draw(NOISE)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200)
+@given(config_texts())
+def test_read_equals_the_configparser_reader_on_valid_text(text):
+    assert config._read(text) == reference_read(text)
+
+
+@pytest.mark.parametrize("name", ["digits3.ini", "pair2.ini"])
+def test_reference_configs_validate_as_under_the_configparser_reader(monkeypatch, name):
+    path = README.parent / "configs" / name
+    cfg = load_config(path)
+    monkeypatch.setattr(config, "_read", reference_read)
+    assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[training]\nthis is not a key\n", 2,
+     "not a [section] or key = value line: 'this is not a key'"),
+    ("# seed first\nseed = 1\n[experiment]\n", 2, "key seed before any [section] header"),
+    ("[experiment]\nseed = 1\n\nSeed: 2\n", 4,
+     "repeated key experiment.seed, first on line 2"),
+    ("[training]\nrounds_max = 3\n[model]\n[training]\n", 4,
+     "repeated section [training], first on line 1"),
+    ("[experiment]\nseed = 1\n[DEFAULT]\nseed = 2\n", 3, "unknown section [DEFAULT]"),
+    ("[domain.a]\ntransform = invert\n    +gaussian_noise(0.1)\n", 3,
+     "not a [section] or key = value line: '+gaussian_noise(0.1)'"),
+    ("[domain]\ntransform = identity\n", 1, "domain section needs a name: [domain.<name>]"),
+    ("[training] rounds_max = 3\n", 1,
+     "not a [section] or key = value line: '[training] rounds_max = 3'"),
+    ("[training]\n= 3\n", 2, "not a [section] or key = value line: '= 3'"),
+])
+def test_every_refused_text_names_its_line(text, line, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+
+
+def test_an_indented_key_is_a_key_of_its_own():
+    """No line continues the value of the key before it."""
+    cfg = validate_config("[experiment]\nname = a\n  seed = 9\n")
+    assert (cfg.name, cfg.seed, cfg.out_dir) == ("a", 9, "runs/a")
+
+
+def test_spaces_inside_a_header_are_stripped():
+    assert config._read("# x\n[ training ]\nrounds_max = 3\n") == \
+        (("training", 2, (("rounds_max", 3, 3),)),)
+
+
+@pytest.mark.parametrize("line, name", [
+    ("name = a#b", "a#b"),
+    ("name=#b", "#b"),
+    ("name = a;b ;c", "a;b"),
+    ("name = # c", ""),
+    ("name = a#b # c ;d", "a#b"),
+])
+def test_a_comment_starts_at_the_first_prefix_after_whitespace(line, name):
+    assert validate_config(f"[experiment]\n{line}\n").name == name
+
+
+def test_a_config_file_that_is_not_utf8_is_refused(tmp_path, caplog):
+    """Byte 0xff begins no UTF-8 character: the command exits 1, naming the
+    file and the byte's offset, and writes nothing."""
+    data = b"[experiment]\r\nname = caf\xff\n"
+    path = tmp_path / "latin.ini"
+    path.write_bytes(data)
+    out = tmp_path / "o"
+    assert cli.main(["partition", "--config", str(path), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    assert data.index(b"\xff") == 24
+    assert f"config: {path}: not UTF-8 text at byte offset 24" in caplog.text
+    assert not out.exists()
 
 
 def test_unknown_route_rejected():

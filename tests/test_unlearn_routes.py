@@ -138,10 +138,10 @@ def test_naive_zeroing_selects_most_activated_unit_first():
     # hand-computed activations on an all-ones input: (0.4, 0.8, 3.61)
     assert nn.batch_unit_activations(spec, params, probes.images)[0][0, 2] == \
         pytest.approx(3.61, abs=1e-12)
-    ranked = ur.rank_units_by_activation(spec, params, probes, 0)
+    ranked = ur.rank_units_by_activation(spec, params, probes.images)
     assert ranked.tolist() == [2, 1, 0]
     assert ur.editable_units(spec)[ranked[0]] == nn.UnitId(0, 2)
-    edited = spec.views(ur.naive_zeroing(spec, params, 0, probes, 1))
+    edited = spec.views(ur.naive_zeroing(spec, params, probes.images, 1))
     assert np.all(edited["layer0.weight"][:, 2] == 0.0)
     assert np.all(edited["layer0.weight"][:, :2] == spec.views(params)["layer0.weight"][:, :2])
 
@@ -159,22 +159,21 @@ def test_zeroing_rank_uses_each_columns_mean_bits():
     images = np.zeros((9, 1, 2, 2))
     images[:, 0, 0, 0] = [big, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0]
     images[:, 0, 0, 1] = [big + 2.0, 0, 0, 0, 0, 0, 0, 0, 0]
-    probes = ds.DomainDataset(images, np.zeros(9, dtype=np.int64), "t", 2)
     acts = nn.batch_unit_activations(spec, params, images)[0]
     assert acts[:, 0].mean() == acts[:, 1].mean()
     assert acts.mean(axis=0)[0] < acts.mean(axis=0)[1]   # the data tells them apart
-    assert ur.rank_units_by_activation(spec, params, probes, 0).tolist() == [0, 1, 2]
+    assert ur.rank_units_by_activation(spec, params, images).tolist() == [0, 1, 2]
 
 
 def test_naive_zeroing_top_zero_unchanged():
     spec, params = hand_net_three_units()
-    edited = ur.naive_zeroing(spec, params, 0, shard_of([0], side=2), 0)
+    edited = ur.naive_zeroing(spec, params, shard_of([0], side=2).images, 0)
     assert same_bits(edited, params)
 
 
 def test_naive_zeroing_locality():
     spec, params = hand_net_three_units()
-    edited = spec.views(ur.naive_zeroing(spec, params, 0, shard_of([0], value=1.0, side=2),
+    edited = spec.views(ur.naive_zeroing(spec, params, shard_of([0], value=1.0, side=2).images,
                                          1))
     diff_names = [k for k, v in spec.views(params).items()
                   if not np.array_equal(edited[k], v)]
@@ -184,13 +183,13 @@ def test_naive_zeroing_locality():
 def test_naive_zeroing_top_m_bounds():
     spec, params = hand_net_three_units()
     with pytest.raises(ur.RouteError):
-        ur.naive_zeroing(spec, params, 0, shard_of([0], side=2), 4)
+        ur.naive_zeroing(spec, params, shard_of([0], side=2).images, 4)
 
 
 def test_naive_zeroing_needs_forget_probes():
     spec, params = hand_net_three_units()
-    with pytest.raises(ur.RouteError):
-        ur.naive_zeroing(spec, params, 0, shard_of([1], side=2), 1)
+    with pytest.raises(ur.RouteError, match="no forget-class probe images"):
+        ur.naive_zeroing(spec, params, np.zeros((0, 1, 2, 2)), 1)
 
 
 def test_naive_zeroing_all_hidden_units_collapses_forget_class():
@@ -207,7 +206,7 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
     probes = ds.subset(shard, np.flatnonzero(shard.labels == 0)[:20])
     before = nn.predict_probs(spec, params, probes.images)
     assert before[:, 0].mean() > 0.5  # model actually knows class 0
-    edited = ur.naive_zeroing(spec, params, 0, probes, 12)
+    edited = ur.naive_zeroing(spec, params, probes.images, 12)
     after = nn.predict_probs(spec, edited, probes.images)
     assert np.all(after[:, 0] <= 1.0 / 4.0)
 
