@@ -67,12 +67,13 @@ def evaluate_client(spec: ModelSpec, params: np.ndarray,
             np.bincount(ys, minlength=spec.class_count))
 
 
-def build_report(spec: ModelSpec, params: np.ndarray,
-                 client_test_sets: dict[int, DomainDataset]) -> EvaluationReport:
-    """Row i from client_test_sets[i], for clients 0..k-1."""
-    correct, total = zip(*(evaluate_client(spec, params, client_test_sets[i])
-                           for i in range(len(client_test_sets))))
-    return EvaluationReport(np.stack(correct), np.stack(total))
+def build_report(spec: ModelSpec, params: np.ndarray, test_sets: tuple[DomainDataset, ...],
+                 client_sets: np.ndarray) -> EvaluationReport:
+    """Row i holds the counts of test_sets[client_sets[i]]; each test set is
+    counted once, however many clients share it."""
+    correct, total = map(np.stack, zip(*(evaluate_client(spec, params, test_set)
+                                         for test_set in test_sets)))
+    return EvaluationReport(correct[client_sets], total[client_sets])
 
 
 def forgetting_metrics(before: EvaluationReport, after: EvaluationReport,

@@ -3,7 +3,7 @@
 Stages read their prerequisites from the output directory when present and
 build them otherwise, so any stage can resume from on-disk artifacts.  The
 model spec comes from the config alone.  The data (domains, splits, plan,
-subsets) comes from the config too, never from the output directory: a
+pools) comes from the config too, never from the output directory: a
 Task's build_task call makes it when a stage first has to run, so a finished
 directory resumes without building it, and partition.json and splits.json
 are records for readers that nothing reads back.  A compare trains once in
@@ -29,7 +29,7 @@ import numpy as np
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
 from .config import ConfigError, DomainConfig, ExperimentConfig, canonical
 from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
-                       resize, stratified_split, subset, synth_domain)
+                       resize, stratified_split, synth_domain)
 from .nncore import ModelSpec
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -80,13 +80,15 @@ class _StageWriter:
 @dataclass
 class TaskData:
     """The data a running stage trains and evaluates on, made by build_task:
-    train is the pool of every domain's train split, the plan's index space."""
+    train and val pool every domain's train and validation splits (train is
+    the plan's index space), and client i is tested on
+    test_sets[client_sets[i]], its group's view of the test pool."""
     plan: PartitionPlan
     splits: dict[str, DomainSplits]
     train: DomainDataset
-    val_x: np.ndarray
-    val_y: np.ndarray
-    client_test_sets: dict[int, DomainDataset]
+    val: DomainDataset
+    test_sets: tuple[DomainDataset, ...]
+    client_sets: np.ndarray
 
 
 class Task:
@@ -152,12 +154,12 @@ def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
 
     Every domain is made, cut to build_spec's shared labels [0, class_count)
     and split by its labels.  Then, one domain at a time, it is resized, its
-    train and test splits are written into its blocks of the preallocated
-    train and test pools (one block per domain, in config order) and its
-    validation subset is cut, after which the whole domain is released.  The
-    plan is built over the train pool, and a client's test set is the test
-    pool's rows of its group: its domain's block under real_noniid, else the
-    whole pool.
+    train, validation and test splits are written into its blocks of the
+    preallocated train, val and test pools (one block per domain, in config
+    order), after which the whole domain is released.  The plan is built over
+    the train pool.  A test group's set is the test pool's rows of the group:
+    its domain's block under real_noniid, else the whole pool; the clients of
+    group g are tested on test set g.
     """
     ev, part = cfg.evaluate, cfg.partition
     domains = label_intersection(build_raw_domains(cfg), class_count)
@@ -174,8 +176,8 @@ def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
                 raise ConfigError(f"evaluate.{key}: domain {d.domain_id!r} gets no {what} "
                                   f"examples; raise it or the samples per class")
     channels = domains[0].images.shape[1]
-    blocks, pools, val_sets = {}, {}, {}
-    for which in ("train", "test"):
+    blocks, pools = {}, {}
+    for which in ("train", "val", "test"):
         stops = np.cumsum([len(getattr(sp, which)) for sp in splits.values()]).tolist()
         blocks[which] = tuple(zip(splits, [0] + stops[:-1], stops))
         pools[which] = DomainDataset(np.zeros((stops[-1], channels, *part.working_resolution)),
@@ -190,17 +192,14 @@ def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
             # mode="clip" writes straight into out; "raise" fills a temporary first
             np.take(d.images, index, axis=0, out=pool.images[start:stop], mode="clip")
             np.take(d.labels, index, out=pool.labels[start:stop], mode="clip")
-        val_sets[d.domain_id] = subset(d, sp.val)
     del d
-    val_x = np.concatenate([val_sets[did].images for did in sorted(val_sets)])
-    val_y = np.concatenate([val_sets[did].labels for did in sorted(val_sets)])
     train, test = pools["train"], pools["test"]
     plan = build_plan(part, train.labels, blocks["train"], cfg.seed)
     groups = blocks["test"] if part.strategy == "real_noniid" else (("test", 0, len(test)),)
-    client_test_sets = dict(enumerate(
-        DomainDataset(test.images[a:b], test.labels[a:b], name, class_count)
-        for (name, a, b), size in zip(groups, part.groups) for _ in range(size)))
-    return TaskData(plan, splits, train, val_x, val_y, client_test_sets)
+    test_sets = tuple(DomainDataset(test.images[a:b], test.labels[a:b], name, class_count)
+                      for name, a, b in groups)
+    return TaskData(plan, splits, train, pools["val"], test_sets,
+                    np.repeat(np.arange(len(groups)), part.groups))
 
 
 def _splits_to_json(splits: dict[str, DomainSplits]) -> str:
@@ -316,7 +315,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
         data = task.data
         clients = fedsim.build_clients(data.plan, data.train)
         result = fedsim.run_training(
-            task.spec, clients, data.val_x, data.val_y, cfg.training, cfg.seed,
+            task.spec, clients, data.val, cfg.training, cfg.seed,
             save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", task.spec,
                                                                params))
         summary = {
@@ -363,8 +362,8 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
                     state.labels, u.forget_class, task.spec.class_count, (cfg.seed, 853, rid))
         pre_steps = {c.client_id: c.local_step_counter for c in clients}
         params, logs = fedsim.fair_unlearn_rounds(
-            trained, task.spec, clients, u, data.val_x, data.val_y,
-            cfg.training, cfg.seed, start_round=start_round)
+            trained, task.spec, clients, u, data.val, cfg.training, cfg.seed,
+            start_round=start_round)
         extras["nonrequesting_steps"] = sum(
             c.local_step_counter - pre_steps[c.client_id]
             for c in clients if c.client_id not in u.requesting_clients)
@@ -446,9 +445,10 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
 
     def run(unlearned_stage, writer):
         task, trained, unlearned, _ = unlearned_stage
+        data = task.data
         shared = before if before is not None else evalkit.build_report(
-            task.spec, trained, task.data.client_test_sets)
-        after = evalkit.build_report(task.spec, unlearned, task.data.client_test_sets)
+            task.spec, trained, data.test_sets, data.client_sets)
+        after = evalkit.build_report(task.spec, unlearned, data.test_sets, data.client_sets)
         metrics = evalkit.forgetting_metrics(shared, after, cfg.unlearn)
         writer.add_text("report_before.json", evalkit.report_to_json(shared))
         writer.add_text("report_after.json", evalkit.report_to_json(after))

@@ -13,8 +13,10 @@ gradient abandons the round with a FedError naming client, round and
 parameter (trainers before it in the step have stepped).  Each trainer's
 row is its cached submission, and the server takes the
 sample-count-weighted mean of every client's cached vector.
-The loop stops at the first round whose validation error drops below
-[training] epsilon; in run_training that round is the convergence round.
+A round's validation error is 1 - correct / total over the validation pool,
+counted by evalkit.evaluate_client as the reports are.  The loop stops at
+the first round whose error drops below [training] epsilon; in run_training
+that round is the convergence round.
 
 run_training makes every client a trainer.  fair_unlearn_rounds makes only
 the requesting clients trainers; every other client is represented by its
@@ -36,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import nncore
+from . import evalkit, nncore
 from .config import TrainingConfig, UnlearnConfig
 from .datasets import DomainDataset
 from .nncore import ModelSpec, make_rng
@@ -74,7 +76,6 @@ class RoundLog:
     round_index: int
     val_error: float
     client_losses: dict[int, float]
-    participants: tuple[int, ...]
 
 
 @dataclass
@@ -178,24 +179,17 @@ def aggregate(spec: ModelSpec, updates: list[tuple[np.ndarray, float]]) -> np.nd
     return acc
 
 
-def _validation_error(spec: ModelSpec, params: np.ndarray,
-                      val_x: np.ndarray, val_y: np.ndarray) -> float:
-    preds = nncore.predict_probs(spec, params, val_x).argmax(axis=1)
-    return float(1.0 - (preds == val_y).mean())
-
-
 def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientState],
-            params: np.ndarray, rounds: range, val_x: np.ndarray, val_y: np.ndarray,
-            training: TrainingConfig, seed: int,
-            save_round: Callable[[int, np.ndarray], None] | None = None
+            params: np.ndarray, rounds: range, val: DomainDataset, training: TrainingConfig,
+            seed: int, save_round: Callable[[int, np.ndarray], None] | None = None
             ) -> tuple[np.ndarray, list[RoundLog]]:
     """The one FedAvg round loop over the clients in client-id order.
 
     The trainers' model matrix and gradient vector are made once, here.  Each
     round local_train fills the trainers' rows and sets them as their caches,
-    every cache is aggregated in client-id order, the round is validated and
-    logged, handed to save_round if a checkpoint is due, and the loop stops
-    at epsilon.
+    every cache is aggregated in client-id order, the model's error on val is
+    counted and logged, the model is handed to save_round if a checkpoint is
+    due, and the loop stops at epsilon.
     """
     logs: list[RoundLog] = []
     models, grad = np.empty((len(trainers), spec.param_count)), np.empty(spec.param_count)
@@ -205,8 +199,9 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
         for client, (submission, loss) in zip(trainers, submissions):
             client.cache, losses[client.client_id] = submission, loss
         params = aggregate(spec, [(c.cache, c.sample_count) for c in ordered])
-        err = _validation_error(spec, params, val_x, val_y)
-        logs.append(RoundLog(t, err, losses, tuple(c.client_id for c in trainers)))
+        correct, total = evalkit.evaluate_client(spec, params, val)
+        err = 1.0 - int(correct.sum()) / int(total.sum())
+        logs.append(RoundLog(t, err, losses))
         if save_round and training.checkpoint_every and t % training.checkpoint_every == 0:
             save_round(t, params)
         if err < training.epsilon:
@@ -214,8 +209,8 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
     return params, logs
 
 
-def run_training(spec: ModelSpec, clients: list[ClientState], val_x: np.ndarray,
-                 val_y: np.ndarray, training: TrainingConfig, seed: int,
+def run_training(spec: ModelSpec, clients: list[ClientState], val: DomainDataset,
+                 training: TrainingConfig, seed: int,
                  save_round: Callable[[int, np.ndarray], None] | None = None
                  ) -> TrainingResult:
     """FedAvg rounds from a seeded initial model, every client training, until
@@ -228,16 +223,16 @@ def run_training(spec: ModelSpec, clients: list[ClientState], val_x: np.ndarray,
     # The initial model is passed, not kept here, so the loop can free it
     # after round 1.
     params, logs = _rounds(spec, ordered, ordered, nncore.init_params(spec, (seed, 601)),
-                           range(1, training.rounds_max + 1), val_x, val_y, training,
-                           seed, save_round)
+                           range(1, training.rounds_max + 1), val, training, seed,
+                           save_round)
     converged = bool(logs) and logs[-1].val_error < training.epsilon
     return TrainingResult(params, logs, logs[-1].round_index if converged else None)
 
 
 def fair_unlearn_rounds(global_params: np.ndarray, spec: ModelSpec,
                         clients: list[ClientState], unlearn: UnlearnConfig,
-                        val_x: np.ndarray, val_y: np.ndarray, training: TrainingConfig,
-                        seed: int, start_round: int = 0) -> tuple[np.ndarray, list[RoundLog]]:
+                        val: DomainDataset, training: TrainingConfig, seed: int,
+                        start_round: int = 0) -> tuple[np.ndarray, list[RoundLog]]:
     """Up to unlearn.rounds_max rounds where only the requesting clients train.
 
     Non-requesting clients contribute their cached parameters (the model they
@@ -252,8 +247,8 @@ def fair_unlearn_rounds(global_params: np.ndarray, spec: ModelSpec,
         client.cache = global_params
     requesters = [c for c in ordered if c.client_id in unlearn.requesting_clients]
     return _rounds(spec, ordered, requesters, global_params,
-                   range(start_round + 1, start_round + unlearn.rounds_max + 1),
-                   val_x, val_y, training, seed)
+                   range(start_round + 1, start_round + unlearn.rounds_max + 1), val,
+                   training, seed)
 
 
 def round_logs_to_csv(logs: list[RoundLog], client_ids: list[int]) -> str:

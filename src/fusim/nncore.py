@@ -348,15 +348,15 @@ def _forward_engine(spec: ModelSpec, params: dict[str, np.ndarray], x: np.ndarra
 
 
 def _backward_engine(spec: ModelSpec, params: dict[str, np.ndarray], caches: list,
-                     grad_probs: np.ndarray, start: int = 0, wrt_params: bool = True):
+                     grad_probs: np.ndarray, start: int = 0):
     """Backpropagate a gradient at the probabilities down to layer start.
 
     caches come from a _forward_engine run over start..end, stacked or not.
-    With wrt_params (start must be 0), returns the parameter gradients as
+    Returns (factors, g): the parameter gradients of the layers passed, as
     their factors, one (ordinal, input, output gradient) per parameterized
-    layer, output layer first (see GradientFactors), and stops at the first
-    parameterized layer, whose input gradient nothing uses.  Otherwise
-    returns the gradient at the input of layer start.
+    layer, output layer first (see GradientFactors), and g, the gradient at
+    the input of layer start.  The pass stops at the first parameterized
+    layer, whose input gradient nothing uses; g is then its output gradient.
     """
     factors = []
     g = grad_probs
@@ -365,19 +365,17 @@ def _backward_engine(spec: ModelSpec, params: dict[str, np.ndarray], caches: lis
         kind = cache[0]
         if kind == "dense":
             _, x_in, ordinal = cache
-            if wrt_params:
-                factors.append((ordinal, x_in, g))
-                if ordinal == 0:
-                    break
+            factors.append((ordinal, x_in, g))
+            if ordinal == 0:
+                break
             g = g @ params[f"layer{ordinal}.weight"].swapaxes(-1, -2)
         elif kind == "conv2d":
             _, cols, ordinal = cache
             w = params[f"layer{ordinal}.weight"]
             stack, (out_c, c, k) = w.shape[:-4], w.shape[-4:-1]
-            if wrt_params:
-                factors.append((ordinal, cols, g))
-                if ordinal == 0:
-                    break
+            factors.append((ordinal, cols, g))
+            if ordinal == 0:
+                break
             pad = k - 1
             gpad = np.pad(g, [(0, 0)] * (g.ndim - 2) + [(pad, pad)] * 2)
             gpatches = _im2col(gpad, k)  # (*stack, B, H, W, out, k, k)
@@ -404,7 +402,7 @@ def _backward_engine(spec: ModelSpec, params: dict[str, np.ndarray], caches: lis
             dot = (g * probs).sum(axis=-1, keepdims=True)
             g = g - dot
             g *= probs
-    return factors if wrt_params else g
+    return factors, g
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +505,7 @@ def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
     probs, caches = _forward_engine(spec, views, h, keep_caches=True, start=start)
     seed = np.zeros_like(probs)
     seed[:, target_class] = 1.0
-    g = _backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+    _, g = _backward_engine(spec, views, caches, seed, start=start)
     return g[:, unit.unit]
 
 
@@ -636,7 +634,7 @@ def batch_loss_and_gradient(spec: ModelSpec, model: np.ndarray,
     loss = -np.add.reduce(np.log(py).reshape(k, block), axis=-1) / block
     grad_probs = np.zeros(flat.shape)
     grad_probs[rows, ys] = -1.0 / (block * py)
-    factors = _backward_engine(spec, views, caches, grad_probs.reshape(probs.shape))
+    factors, _ = _backward_engine(spec, views, caches, grad_probs.reshape(probs.shape))
     return loss, GradientFactors(spec, tuple(factors))
 
 

@@ -1,8 +1,8 @@
 """Test-side helpers: a bit comparison, a parameter vector from named
 arrays, one library training step of one model, the out-of-place engine
 reference, the per-unit loop for attribution scores, the copied-shard
-reference for client views, the per-cell reference for evaluation reports,
-the record-object reference for the fedcccu server, the per-sample integers
+reference for client views, the per-client-view evaluation and the per-cell
+reference for evaluation reports, the record-object reference for the fedcccu server, the per-sample integers
 loop of the synthetic base stream, a synthetic domain over a stream of its
 own, the IDX fixture writers, and the configparser reference for the config
 reader."""
@@ -21,8 +21,10 @@ import numpy as np
 from fusim import config as cf
 from fusim import datasets as ds
 from fusim import evalkit as ek
+from fusim import experiment
 from fusim import fedsim as fs
 from fusim import nncore as nn
+from fusim import partition as pt
 from fusim.unlearn_routes import editable_units
 
 
@@ -184,6 +186,43 @@ def on_copied_shard(client) -> fs.ClientState:
     client viewing its train domain must match bit for bit."""
     shard = copied_shard(client)
     return fs.ClientState(client.client_id, shard, np.arange(len(shard)))
+
+
+def reference_evaluation_sets(cfg, class_count):
+    """The evaluation data as the data build made it before its validation
+    pool and shared test sets: every domain is resized and cut by its splits
+    into test and validation sets of its own.  Returns a test view per
+    client (its group's domain's test set under real_noniid, else every
+    domain's, joined in config order) and the validation images and labels
+    joined in domain-name order."""
+    part, ev = cfg.partition, cfg.evaluate
+    tests, vals = {}, {}
+    for d in pt.label_intersection(experiment.build_raw_domains(cfg), class_count):
+        sp = ds.stratified_split(d, ev.val_fraction, ev.test_fraction, (cfg.seed, 831))
+        d = ds.resize(d, part.working_resolution)
+        tests[d.domain_id], vals[d.domain_id] = ds.subset(d, sp.test), ds.subset(d, sp.val)
+    groups = list(tests.values())
+    if part.strategy != "real_noniid":
+        groups = [ds.DomainDataset(np.concatenate([t.images for t in groups]),
+                                   np.concatenate([t.labels for t in groups]), "test",
+                                   class_count)]
+    views = [group for group, size in zip(groups, part.groups, strict=True)
+             for _ in range(size)]
+    return (views, np.concatenate([vals[name].images for name in sorted(vals)]),
+            np.concatenate([vals[name].labels for name in sorted(vals)]))
+
+
+def reference_report(spec, params, views) -> ek.EvaluationReport:
+    """build_report as one evaluate_client call per client, on views[i]."""
+    correct, total = zip(*(ek.evaluate_client(spec, params, view) for view in views))
+    return ek.EvaluationReport(np.stack(correct), np.stack(total))
+
+
+def reference_validation_error(spec, params, val_x, val_y) -> float:
+    """A round's validation error as the argmax predictions' error rate, a
+    numpy mean over val_x."""
+    preds = nn.predict_probs(spec, params, val_x).argmax(axis=1)
+    return float(1.0 - (preds == val_y).mean())
 
 
 def count_dicts(report) -> dict:

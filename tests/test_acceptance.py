@@ -30,7 +30,7 @@ def digits3(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "digits3.ini")
     out = str(tmp_path_factory.mktemp("digits3"))
     task, trained, summary = experiment.ensure_train(cfg, out)
-    before = evalkit.build_report(task.spec, trained, task.data.client_test_sets)
+    before = evalkit.build_report(task.spec, trained, task.data.test_sets, task.data.client_sets)
     return cfg, task, trained, summary, before
 
 
@@ -39,7 +39,7 @@ def pair2(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "pair2.ini")
     out = str(tmp_path_factory.mktemp("pair2"))
     task, trained, summary = experiment.ensure_train(cfg, out)
-    before = evalkit.build_report(task.spec, trained, task.data.client_test_sets)
+    before = evalkit.build_report(task.spec, trained, task.data.test_sets, task.data.client_sets)
     return cfg, task, trained, summary, before
 
 
@@ -48,7 +48,7 @@ def run_route(cfg, task, trained, summary, route, **overrides):
         cfg, unlearn=dataclasses.replace(cfg.unlearn, route=route, **overrides))
     params, logs, extras = experiment.run_route(
         c, task, trained, start_round=summary["rounds_run"])
-    after = evalkit.build_report(task.spec, params, task.data.client_test_sets)
+    after = evalkit.build_report(task.spec, params, task.data.test_sets, task.data.client_sets)
     return after, extras
 
 
@@ -222,8 +222,8 @@ def test_criterion_3_protocol_suite():
     def one_run():
         task = experiment.Task(cfg)
         clients = fedsim.build_clients(task.data.plan, task.data.train)
-        result = fedsim.run_training(task.spec, clients, task.data.val_x, task.data.val_y,
-                                     cfg.training, cfg.seed)
+        result = fedsim.run_training(task.spec, clients, task.data.val, cfg.training,
+                                     cfg.seed)
         return task, clients, result
 
     task_a, clients_a, run_a = one_run()
@@ -237,7 +237,7 @@ def test_criterion_3_protocol_suite():
     state0.keep(unlearn_routes.delete_retrain_prepare(state0.labels, 0))
     pre = {c.client_id: c.local_step_counter for c in clients_a}
     fedsim.fair_unlearn_rounds(run_a.params, task_a.spec, clients_a, request,
-                               task_a.data.val_x, task_a.data.val_y, cfg.training, cfg.seed,
+                               task_a.data.val, cfg.training, cfg.seed,
                                start_round=len(run_a.logs))
     nonreq_steps = sum(c.local_step_counter - pre[c.client_id]
                        for c in clients_a if c.client_id != 0)

@@ -5,13 +5,17 @@ import json
 import logging
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fusim import cli, config, evalkit, experiment, fedsim, nncore
 from fusim.config import validate_config
-from helpers import same_bits, save_idx, synthetic_domain, write_idx
+from helpers import (reference_evaluation_sets, reference_report, reference_validation_error,
+                     same_bits, save_idx, synthetic_domain, write_idx)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = """
 [experiment]
@@ -632,15 +636,53 @@ def test_resumed_spec_equals_fresh_spec(tmp_path, monkeypatch, source):
     got, want = resumed.data, fresh.data   # the first use, which builds the data
     assert got.plan.to_doc() == want.plan.to_doc()
     assert got.train.images.tobytes() == want.train.images.tobytes()
-    assert got.val_x.tobytes() == want.val_x.tobytes()
-    assert got.val_y.tobytes() == want.val_y.tobytes()
+    assert same_bits(got.val.images, want.val.images)
+    assert same_bits(got.val.labels, want.val.labels)
     assert got.splits.keys() == want.splits.keys()
     for name, sp in want.splits.items():
         for part in ("train", "val", "test"):
             assert same_bits(getattr(got.splits[name], part), getattr(sp, part))
-    for i, test_set in want.client_test_sets.items():
-        assert got.client_test_sets[i].images.tobytes() == test_set.images.tobytes()
+    assert same_bits(got.client_sets, want.client_sets)
+    for got_set, want_set in zip(got.test_sets, want.test_sets, strict=True):
+        assert same_bits(got_set.images, want_set.images)
     assert len(builds) == 1 and len(domains) == 2
+
+
+@pytest.mark.parametrize("partition", [
+    "group_sizes = 2,2",
+    "strategy = iid\nclients = 3",
+    "strategy = dirichlet\nclients = 3\nalpha = 0.5",
+], ids=["real_noniid", "iid", "dirichlet"])
+def test_evaluation_equals_one_count_per_client_view(partition):
+    """The reports and every round's validation error equal those counted
+    on a view of each client's own test set and on the validation sets
+    joined in domain-name order."""
+    cfg = validate_config(TINY.format(route="none").replace("group_sizes = 2,2", partition))
+    task = experiment.Task(cfg)
+    data = task.data
+    views, val_x, val_y = reference_evaluation_sets(cfg, task.spec.class_count)
+    saved = []
+    result = fedsim.run_training(
+        task.spec, fedsim.build_clients(data.plan, data.train), data.val,
+        dataclasses.replace(cfg.training, checkpoint_every=1), cfg.seed,
+        save_round=lambda t, params: saved.append(params))
+    assert [log.val_error for log in result.logs] == [
+        reference_validation_error(task.spec, params, val_x, val_y) for params in saved]
+    for params in (saved[0], result.params):
+        got = evalkit.build_report(task.spec, params, data.test_sets, data.client_sets)
+        want = reference_report(task.spec, params, views)
+        assert same_bits(got.correct, want.correct) and same_bits(got.total, want.total)
+
+
+@pytest.mark.parametrize("name,test_sets,clients", [("digits3", 3, 9), ("pair2", 2, 6)])
+def test_build_report_counts_each_test_set_once(monkeypatch, name, test_sets, clients):
+    """A report predicts each domain's test set once, not once per client."""
+    task = experiment.Task(config.load_config(CONFIG_DIR / f"{name}.ini"))
+    calls = count_calls(monkeypatch, evalkit, "evaluate_client")
+    report = evalkit.build_report(task.spec, nncore.init_params(task.spec, 0),
+                                  task.data.test_sets, task.data.client_sets)
+    assert len(calls) == test_sets
+    assert report.total.shape == (clients, task.spec.class_count)
 
 
 @pytest.mark.parametrize("key,what", [("val_fraction", "validation"),

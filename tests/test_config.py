@@ -332,18 +332,18 @@ working_resolution = 8x8
 @pytest.mark.parametrize("strategy", ["iid", "dirichlet"])
 def test_iid_and_dirichlet_split_every_domain(strategy):
     """iid and dirichlet split the train pool of all three domains: every
-    client holds examples of each, and every client's test set is the whole
-    test pool, the three domains' test sets that real_noniid gives its
-    groups, one after another."""
+    client holds examples of each, and every client is tested on the one
+    test set, the whole test pool: the three domains' test sets that
+    real_noniid gives its groups, one after another."""
     text = THREE_DOMAINS.format(partition=f"strategy = {strategy}\nclients = 4\nalpha = 1")
     data = experiment.Task(validate_config(text)).data
     assert [sorted(c["domains"]) for c in data.plan.to_doc()["clients"]] == [["a", "b", "c"]] * 4
     per_domain = experiment.Task(validate_config(THREE_DOMAINS.format(
-        partition="strategy = real_noniid\ngroup_sizes = 1,1,1"))).data.client_test_sets
-    whole = np.concatenate([per_domain[g].images for g in range(3)])
-    for test_set in data.client_test_sets.values():
-        assert np.shares_memory(test_set.images, data.client_test_sets[0].images)
-        assert test_set.images.tobytes() == whole.tobytes()
+        partition="strategy = real_noniid\ngroup_sizes = 1,1,1"))).data.test_sets
+    assert len(per_domain) == 3
+    [test_set] = data.test_sets
+    assert data.client_sets.tolist() == [0] * 4
+    assert test_set.images.tobytes() == np.concatenate([s.images for s in per_domain]).tobytes()
 
 
 def test_missing_idx_file_rejected():

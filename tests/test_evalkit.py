@@ -62,14 +62,14 @@ def test_perfect_predictor_all_ones():
     params = nn.init_params(spec, 3)
     for _ in range(60):
         params = library_step(spec, params, shard.images, shard.labels, 0.5)[0]
-    report = ek.build_report(spec, params, {0: shard})
+    report = ek.build_report(spec, params, (shard,), [0])
     assert counts_of(report) == ([[10, 10]], [[10, 10]])
 
 
 def test_constant_predictor_balanced_two_class():
     spec, params = constant_predictor(2, winner=0)
     shard = shard_of([0] * 5 + [1] * 5)
-    report = ek.build_report(spec, params, {0: shard})
+    report = ek.build_report(spec, params, (shard,), [0])
     assert counts_of(report) == ([[5, 0]], [[5, 5]])
     assert report.accuracy().tolist() == [[1.0, 0.0]]
 
@@ -78,17 +78,19 @@ def test_per_class_accuracy_matches_hand_tally():
     spec, params = constant_predictor(3, winner=1)
     shard = shard_of([0, 0, 1, 1, 1, 2, 2, 2, 2, 1])
     # constant class-1 predictor: class 0 -> 0/2, class 1 -> 4/4, class 2 -> 0/4
-    report = ek.build_report(spec, params, {0: shard})
+    report = ek.build_report(spec, params, (shard,), [0])
     assert counts_of(report) == ([[0, 4, 0]], [[2, 4, 4]])
     assert report.correct.dtype == report.total.dtype == np.int64
 
 
 def test_build_report_rows_are_client_ids():
+    """Row i is client i, counted on test set client_sets[i]; clients that
+    share a test set get equal rows."""
     spec, params = constant_predictor(3, winner=2)
-    shards = {1: shard_of([2, 2, 0]), 0: shard_of([1]), 2: shard_of([0, 2])}
-    report = ek.build_report(spec, params, shards)
-    assert counts_of(report) == ([[0, 0, 0], [0, 0, 2], [0, 0, 1]],
-                                 [[0, 1, 0], [1, 0, 2], [1, 0, 1]])
+    test_sets = (shard_of([1]), shard_of([2, 2, 0]), shard_of([0, 2]))
+    report = ek.build_report(spec, params, test_sets, np.array([1, 0, 2, 1]))
+    assert counts_of(report) == ([[0, 0, 2], [0, 0, 0], [0, 0, 1], [0, 0, 2]],
+                                 [[1, 0, 2], [0, 1, 0], [1, 0, 1], [1, 0, 2]])
 
 
 def test_absent_classes_omitted():
@@ -96,7 +98,7 @@ def test_absent_classes_omitted():
     the JSON or the CSV."""
     spec, params = constant_predictor(4, winner=0)
     shard = shard_of([0, 0, 2])
-    report = ek.build_report(spec, params, {0: shard})
+    report = ek.build_report(spec, params, (shard,), [0])
     assert counts_of(report) == ([[2, 0, 0, 0]], [[2, 0, 1, 0]])
     assert sorted(json.loads(ek.report_to_json(report))["clients"]["0"]["classes"]) == \
         ["0", "2"]

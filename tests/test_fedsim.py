@@ -29,7 +29,7 @@ def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
     plan = pt.PartitionPlan(tuple(pt.partition_iid(len(train), clients, seed)),
                             (("syn", 0, len(train)),))
     states = fs.build_clients(plan, train)
-    return tiny_spec(classes, side), states, test.images, test.labels
+    return tiny_spec(classes, side), states, test
 
 
 def cfg(**kw):
@@ -62,7 +62,7 @@ def reference_step(spec, params, x, y, learning_rate):
 
 
 def test_local_train_zero_epochs_identity():
-    spec, states, _, _ = make_federation()
+    spec, states, _ = make_federation()
     params = nn.init_params(spec, 0)
     [(out, loss)] = train_round([states[0]], params, spec, cfg(local_epochs=0), 1)
     assert same_bits(out, params)
@@ -71,7 +71,7 @@ def test_local_train_zero_epochs_identity():
 
 
 def test_local_train_single_example_is_one_sgd_step():
-    spec, states, _, _ = make_federation()
+    spec, states, _ = make_federation()
     single = fs.ClientState(0, states[0].domain, states[0].index[:1])
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=1, batch_size=1, learning_rate=0.2)
@@ -85,7 +85,7 @@ def test_local_train_single_example_is_one_sgd_step():
 
 
 def test_local_train_leaves_global_params_unchanged():
-    spec, states, _, _ = make_federation()
+    spec, states, _ = make_federation()
     params = nn.init_params(spec, 1)
     snapshot = params.copy()
     [(out, _)] = train_round([states[0]], params, spec, cfg(local_epochs=2), 1)
@@ -96,7 +96,7 @@ def test_local_train_leaves_global_params_unchanged():
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_local_train_bit_identical_to_out_of_place_steps(model):
-    spec, states, _, _ = make_federation(side=8 if model == "small_mlp" else 10)
+    spec, states, _ = make_federation(side=8 if model == "small_mlp" else 10)
     if model == "small_cnn":  # 10x10 is the smallest input both conv blocks take
         spec = nn.small_cnn(spec.input_shape, spec.class_count)
     state = states[0]
@@ -121,7 +121,7 @@ def test_local_train_reuses_the_round_matrices():
     """A call given the round's model matrix and gradient vector again writes
     into them, with the bits of a call given fresh ones; the submissions are
     rows of the model matrix."""
-    spec, states, _, _ = make_federation()
+    spec, states, _ = make_federation()
     params = nn.init_params(spec, 1)
     config = cfg(local_epochs=2, batch_size=7)
     models, grad = np.empty((len(states), spec.param_count)), np.empty(spec.param_count)
@@ -137,7 +137,7 @@ def test_local_train_reuses_the_round_matrices():
 
 
 def test_local_train_nonfinite_gradient_names_client_round_and_parameter():
-    spec, states, _, _ = make_federation()
+    spec, states, _ = make_federation()
     params = nn.init_params(spec, 1)
     spec.views(params)["layer1.bias"][0] = np.nan
     snapshot = params.copy()
@@ -151,7 +151,7 @@ def test_local_train_nonfinite_gradient_names_a_client_inside_the_stack():
     """Client 2's NaN pixel makes only its row's gradient non-finite; the
     error names it, the round and the parameter, the global parameters are
     untouched and nothing of the failed round is aggregated."""
-    spec, states, vx, vy = make_federation()
+    spec, states, val = make_federation()
     assert len({s.sample_count // 16 for s in states}) == 1  # rows in client order
     states[2] = on_copied_shard(states[2])  # a domain of its own for the NaN
     states[2].domain.images[0, 0, 0, 0] = np.nan
@@ -160,7 +160,7 @@ def test_local_train_nonfinite_gradient_names_a_client_inside_the_stack():
     with mock.patch.object(fs, "aggregate", wraps=fs.aggregate) as spy:
         with pytest.raises(fs.FedError, match=r"client 2, round 5: non-finite values in "
                                               r"gradient of layer0\.weight"):
-            fs.fair_unlearn_rounds(params, spec, states, unlearn(0, 2), vx, vy, cfg(), SEED,
+            fs.fair_unlearn_rounds(params, spec, states, unlearn(0, 2), val, cfg(), SEED,
                                    start_round=4)
     assert spy.call_count == 0
     assert same_bits(params, snapshot)
@@ -251,7 +251,7 @@ def test_lockstep_round_over_views_equals_the_round_over_copied_shards(data, siz
 
 
 def test_local_train_loss_decreases_on_separable_shard():
-    spec, states, _, _ = make_federation(clients=1, per_class=50)
+    spec, states, _ = make_federation(clients=1, per_class=50)
     params = nn.init_params(spec, 2)
     config = cfg(learning_rate=0.2)
     losses = []
@@ -359,18 +359,18 @@ def test_aggregate_errors():
 
 
 def test_run_training_zero_rounds():
-    spec, states, vx, vy = make_federation()
+    spec, states, val = make_federation()
     config = cfg(rounds_max=0)
-    result = fs.run_training(spec, states, vx, vy, config, SEED)
+    result = fs.run_training(spec, states, val, config, SEED)
     assert result.logs == []
     assert result.convergence_round is None
     assert same_bits(result.params, nn.init_params(spec, (SEED, 601)))
 
 
 def test_run_training_single_client_equals_centralized_sgd():
-    spec, states, vx, vy = make_federation(clients=1)
+    spec, states, val = make_federation(clients=1)
     config = cfg(rounds_max=3, epsilon=0.0001)
-    result = fs.run_training(spec, states, vx, vy, config, SEED)
+    result = fs.run_training(spec, states, val, config, SEED)
     # replay the same schedule by hand
     params = nn.init_params(spec, (SEED, 601))
     replay = fs.ClientState(0, states[0].domain, states[0].index)
@@ -383,19 +383,19 @@ def test_run_training_single_client_equals_centralized_sgd():
 def test_run_training_identical_shards_equal_centralized_full_batch():
     # with full-batch steps every client computes the same update, so the
     # weighted mean is bit-identical to the single-client run
-    spec, states, vx, vy = make_federation(clients=1, per_class=20)
+    spec, states, val = make_federation(clients=1, per_class=20)
     domain, index = states[0].domain, states[0].index
     config = cfg(rounds_max=3, batch_size=len(index), epsilon=0.0001)
     clones = [fs.ClientState(i, domain, index) for i in range(3)]
-    multi = fs.run_training(spec, clones, vx, vy, config, SEED)
-    single = fs.run_training(spec, [fs.ClientState(0, domain, index)], vx, vy, config, SEED)
+    multi = fs.run_training(spec, clones, val, config, SEED)
+    single = fs.run_training(spec, [fs.ClientState(0, domain, index)], val, config, SEED)
     assert same_bits(multi.params, single.params)
 
 
 def test_run_training_records_convergence_and_stops():
-    spec, states, vx, vy = make_federation(clients=3, per_class=40)
+    spec, states, val = make_federation(clients=3, per_class=40)
     config = cfg(rounds_max=40, epsilon=0.25, learning_rate=0.5)
-    result = fs.run_training(spec, states, vx, vy, config, SEED)
+    result = fs.run_training(spec, states, val, config, SEED)
     assert result.convergence_round is not None
     assert result.convergence_round == result.logs[-1].round_index
     assert result.logs[-1].val_error < 0.25
@@ -405,8 +405,8 @@ def test_run_training_records_convergence_and_stops():
 
 def test_run_training_bitwise_deterministic():
     def one_run():
-        spec, states, vx, vy = make_federation(clients=3)
-        return fs.run_training(spec, states, vx, vy, cfg(rounds_max=4), SEED)
+        spec, states, val = make_federation(clients=3)
+        return fs.run_training(spec, states, val, cfg(rounds_max=4), SEED)
 
     a = one_run()
     b = one_run()
@@ -415,8 +415,8 @@ def test_run_training_bitwise_deterministic():
 
 
 def test_round_log_csv_layout():
-    logs = [fs.RoundLog(1, 0.5, {0: 1.2, 1: 0.9}, (0, 1)),
-            fs.RoundLog(2, 0.4, {0: 1.0}, (0,))]
+    logs = [fs.RoundLog(1, 0.5, {0: 1.2, 1: 0.9}),
+            fs.RoundLog(2, 0.4, {0: 1.0})]
     text = fs.round_logs_to_csv(logs, [0, 1])
     lines = text.strip().split("\n")
     assert lines[0] == "round,val_error,loss_c0,loss_c1"
@@ -426,9 +426,9 @@ def test_round_log_csv_layout():
 def test_round_log_csv_numpy_scalars_write_as_floats():
     """Losses taken from a loss array are numpy scalars; the CSV holds their
     float text, as for Python floats."""
-    floats = [fs.RoundLog(1, 0.5, {0: 1.2, 1: 0.1 + 0.2}, (0, 1))]
+    floats = [fs.RoundLog(1, 0.5, {0: 1.2, 1: 0.1 + 0.2})]
     scalars = [fs.RoundLog(1, np.float64(0.5),
-                           {0: np.float64(1.2), 1: np.array([0.1 + 0.2])[0]}, (0, 1))]
+                           {0: np.float64(1.2), 1: np.array([0.1 + 0.2])[0]})]
     assert fs.round_logs_to_csv(scalars, [0, 1]) == fs.round_logs_to_csv(floats, [0, 1])
     assert "np.float64" not in fs.round_logs_to_csv(scalars, [0, 1])
 
@@ -438,34 +438,34 @@ def test_round_log_csv_numpy_scalars_write_as_floats():
 
 
 def test_fair_rounds_all_clients_matches_run_training():
-    spec, states, vx, vy = make_federation(clients=3)
+    spec, states, val = make_federation(clients=3)
     config = cfg(rounds_max=3, epsilon=0.001)
     init = nn.init_params(spec, (SEED, 601))
-    full = fs.run_training(spec, states, vx, vy, config, SEED)
+    full = fs.run_training(spec, states, val, config, SEED)
 
-    spec2, states2, _, _ = make_federation(clients=3)
+    spec2, states2, _ = make_federation(clients=3)
     request = unlearn(*(c.client_id for c in states2), rounds_max=3)
-    edited, logs = fs.fair_unlearn_rounds(init, spec2, states2, request, vx, vy,
+    edited, logs = fs.fair_unlearn_rounds(init, spec2, states2, request, val,
                                           config, SEED, start_round=0)
     assert same_bits(full.params, edited)
     assert [l.val_error for l in full.logs] == [l.val_error for l in logs]
 
 
 def test_fair_rounds_zero_rounds_no_change():
-    spec, states, vx, vy = make_federation()
+    spec, states, val = make_federation()
     params = nn.init_params(spec, 4)
     out, logs = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=0),
-                                       vx, vy, cfg(), SEED)
+                                       val, cfg(), SEED)
     assert same_bits(out, params)
     assert logs == []
 
 
 def test_fair_rounds_nonrequesting_counters_frozen():
-    spec, states, vx, vy = make_federation(clients=4)
+    spec, states, val = make_federation(clients=4)
     config = cfg(rounds_max=2, epsilon=0.0001)
-    trained = fs.run_training(spec, states, vx, vy, config, SEED)
+    trained = fs.run_training(spec, states, val, config, SEED)
     counters = {c.client_id: c.local_step_counter for c in states}
-    fs.fair_unlearn_rounds(trained.params, spec, states, unlearn(1, rounds_max=3), vx, vy,
+    fs.fair_unlearn_rounds(trained.params, spec, states, unlearn(1, rounds_max=3), val,
                            config, SEED, start_round=len(trained.logs))
     for c in states:
         if c.client_id == 1:
@@ -475,10 +475,10 @@ def test_fair_rounds_nonrequesting_counters_frozen():
 
 
 def test_fair_rounds_aggregate_the_models_nonrequesters_hold():
-    spec, states, vx, vy = make_federation(clients=3)
+    spec, states, val = make_federation(clients=3)
     params = nn.init_params(spec, 1)
     config = cfg(epsilon=0.0001)
-    out, _ = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=1), vx, vy,
+    out, _ = fs.fair_unlearn_rounds(params, spec, states, unlearn(1, rounds_max=1), val,
                                     config, SEED, start_round=4)
     [(trained, _)] = train_round([fs.ClientState(1, states[1].domain, states[1].index)],
                                  params, spec, config, 5)
@@ -489,19 +489,18 @@ def test_fair_rounds_aggregate_the_models_nonrequesters_hold():
 
 
 def test_fair_rounds_participants_logged():
-    spec, states, vx, vy = make_federation(clients=3)
+    spec, states, val = make_federation(clients=3)
     params = nn.init_params(spec, 1)
     _, logs = fs.fair_unlearn_rounds(params, spec, states, unlearn(0, 2, rounds_max=2),
-                                     vx, vy, cfg(epsilon=0.0001), SEED)
-    assert all(l.participants == (0, 2) for l in logs)
-    assert all(set(l.client_losses) == {0, 2} for l in logs)
+                                     val, cfg(epsilon=0.0001), SEED)
+    assert logs and all(tuple(l.client_losses) == (0, 2) for l in logs)
 
 
 def test_run_training_periodic_checkpoints():
-    spec, states, vx, vy = make_federation(clients=2)
+    spec, states, val = make_federation(clients=2)
     config = cfg(rounds_max=5, epsilon=0.0001, checkpoint_every=2)
     saved = []
-    result = fs.run_training(spec, states, vx, vy, config, SEED,
+    result = fs.run_training(spec, states, val, config, SEED,
                              save_round=lambda t, params: saved.append((t, params)))
     assert [t for t, _ in saved] == [2, 4]
     assert len(result.logs) == 5
@@ -509,7 +508,7 @@ def test_run_training_periodic_checkpoints():
 
 
 def test_unlearn_request_validation():
-    spec, states, vx, vy = make_federation()
+    spec, states, val = make_federation()
     with pytest.raises(fs.FedError, match=r"unknown clients \[9\]"):
         fs.fair_unlearn_rounds(nn.init_params(spec, 0), spec, states, unlearn(9),
-                               vx, vy, cfg(), SEED)
+                               val, cfg(), SEED)

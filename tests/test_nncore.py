@@ -890,7 +890,7 @@ def softmax_pass(spec, h, seed):
     views = spec.views(nn.init_params(spec, 0))
     start = len(spec.layers) - 1
     probs, caches = nn._forward_engine(spec, views, h, keep_caches=True, start=start)
-    return probs, nn._backward_engine(spec, views, caches, seed, start=start, wrt_params=False)
+    return probs, nn._backward_engine(spec, views, caches, seed, start=start)[1]
 
 
 @pytest.mark.bitid
@@ -1110,16 +1110,21 @@ def test_engine_writes_into_no_caller_array(make_spec):
         if ordinal in hidden_layers(spec):
             nn.batch_zeroed_unit_probs(spec, params, x, 0, units)
         assert (site.tobytes(), scales.tobytes()) == site_kept
-    probs, caches = nn._forward_engine(spec, views, x, keep_caches=True)
-    seed = rng.normal(0.0, 1.0, probs.shape)
+    # the training path's whole network, and the oracle path's layers after
+    # the first layer's site, as batch_unit_gradients runs them
+    start = spec.site_position(0) + 1
+    site = nn.batch_site_outputs(spec, params, x, 0)
+    runs = [(0, nn._forward_engine(spec, views, x, keep_caches=True)[1]),
+            (start, nn._forward_engine(spec, views, site, keep_caches=True, start=start)[1])]
+    seed = rng.normal(0.0, 1.0, (len(x), spec.class_count))
 
     def backward_inputs():
-        return [a.tobytes() for c in caches for a in c if isinstance(a, np.ndarray)] + \
-            [seed.tobytes()]
+        return [a.tobytes() for _, caches in runs for c in caches for a in c
+                if isinstance(a, np.ndarray)] + [site.tobytes(), seed.tobytes()]
 
     kept_backward = backward_inputs()
-    nn._backward_engine(spec, views, caches, seed)
-    nn._backward_engine(spec, views, caches, seed, wrt_params=False)
+    for first, caches in runs:
+        nn._backward_engine(spec, views, caches, seed, start=first)
     assert backward_inputs() == kept_backward
     assert [arr.tobytes() for arr in (params, x, y)] == kept
 
@@ -1194,11 +1199,11 @@ def test_batch_gradient_out_rejects_one_nonfinite_element(data, bad, ordinal, wh
     real_backward = nn._backward_engine
 
     def planted(*args, **kwargs):
-        factors = real_backward(*args, **kwargs)
+        factors, g_in = real_backward(*args, **kwargs)
         [(a, g)] = [(a, g) for o, a, g in factors if o == ordinal]
         arr = (a if which == "input" else g)[row]
         arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
-        return factors
+        return factors, g_in
 
     kept = model.copy()
     match = f"non-finite values in gradient of layer{ordinal}\\.weight$"
