@@ -197,14 +197,11 @@ def _parse(row: tuple, raw: str, what: str, where) -> object:
             raise ConfigError(f"{what}: expected HxW, got {raw!r}", where)
         values = int(m.group(1)), int(m.group(2))
     else:
-        try:
-            values = tuple(number(v) for v in raw.split(",") if v.strip()) \
-                if kind == "ints" else (number(raw),)
+        try:  # an empty list item, as in 0,,3 or after a trailing comma, is refused
+            values = tuple(map(number, raw.split(","))) if kind == "ints" else (number(raw),)
         except ValueError:
             raise ConfigError(f"{what}: expected {_EXPECTED[kind]}, got {raw!r}",
                               where) from None
-        if not values:
-            raise ConfigError(f"{what}: empty list", where)
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"{what}: expected a finite number, got {raw!r}", where)
     lo, hi = (float(t) if number is float or "inf" in t else int(t)

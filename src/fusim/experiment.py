@@ -372,8 +372,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
         probes = np.concatenate([fedcccu.probe_examples(clients[rid], u.forget_class,
                                                         u.probe_cap, cfg.seed).images
                                  for rid in u.requesting_clients])
-        editable = unlearn_routes.editable_units(task.spec)
-        top_m = max(1, round(u.top_m_fraction * len(editable)))
+        top_m = max(1, round(u.top_m_fraction * len(task.spec.hidden_units)))
         params = unlearn_routes.naive_zeroing(task.spec, trained, probes, top_m)
         extras["zeroed_units"] = top_m
         return params, [], extras

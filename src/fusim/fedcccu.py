@@ -15,23 +15,22 @@ high, is zeroed when it ranks among them, and the audit record counts such
 units in selected_shared.  The edit itself zeroes incoming weights and
 biases, identically to the naive zeroing route.
 
-A unit is its position in editable_units(spec): scores are a (U,) float64
+A unit is its position on spec.hidden_units: scores are a (U,) float64
 vector, an upload is a record array of (position, score), and the server's
 dominance entries and selection are arrays of positions.  Ranks come from a
 stable argsort, so ties go by position, which is (layer, unit) order.
 
-Scoring cost per client: one forward pass over the probes, then per editable
-layer one batch_zeroed_unit_probs call: one prefix pass up to the next
-parameterized layer, that layer's output formed once, and blocks of units,
-each unit's term subtracted from that output, through the layers after it,
-forward only.
+Scoring cost per client: one forward pass over the probes, then one
+batch_zeroed_unit_probs call: per hidden layer, one prefix pass up to the
+next parameterized layer, that layer's output formed once, and blocks of
+units, each unit's term subtracted from that output, through the layers
+after it, forward only.
 
 Raw examples never leave the clients; the server-side steps consume
 SensitivityReports only.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable
@@ -43,7 +42,6 @@ from .config import UnlearnConfig
 from .datasets import DomainDataset
 from .fedsim import ClientState
 from .nncore import ModelSpec, UnitId, make_rng
-from .unlearn_routes import editable_units
 
 
 class CccuError(ValueError):
@@ -56,7 +54,7 @@ UPLOAD = np.dtype([("unit", np.intp), ("score", np.float64)])
 @dataclass(frozen=True)
 class SensitivityReport:
     """A client's upload: per class, a record array of (unit, score), the
-    unit as its position in editable_units(spec), best first."""
+    unit as its position on spec.hidden_units, best first."""
     client_id: int
     per_class: dict[int, np.ndarray]
 
@@ -64,18 +62,19 @@ class SensitivityReport:
 @dataclass
 class AuditRecord:
     """What the server saw and did: entries are compute_dominance's arrays
-    and selected their first select_n positions; units is editable_units.
+    and selected their first select_n positions; units is spec.hidden_units.
     The JSON's selected_shared counts the selected units whose ratio is 1 or
     more: some other client scores them at least as high as a requester."""
     unlearn: UnlearnConfig
     seed: int
-    units: list[UnitId]
+    units: np.ndarray
     reports: list[SensitivityReport]
     entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     selected: np.ndarray
 
     def to_json(self) -> str:
-        u, units = self.unlearn, self.units
+        u = self.unlearn
+        units = [{"layer": layer, "unit": unit} for layer, unit in self.units.tolist()]
         positions, s_forget, s_max_other, ratio = (a.tolist() for a in self.entries)
         doc = {
             "forget_class": u.forget_class,
@@ -90,17 +89,17 @@ class AuditRecord:
                 {
                     "client": r.client_id,
                     "classes": {
-                        str(cid): [{**units[p].as_dict(), "score": s} for p, s in recs.tolist()]
+                        str(cid): [{**units[p], "score": s} for p, s in recs.tolist()]
                         for cid, recs in sorted(r.per_class.items())
                     },
                 }
                 for r in self.reports
             ],
             "entries": [
-                {**units[p].as_dict(), "s_forget": f, "s_max_other": o, "r": q}
+                {**units[p], "s_forget": f, "s_max_other": o, "r": q}
                 for p, f, o, q in zip(positions, s_forget, s_max_other, ratio)
             ],
-            "selected": [units[p].as_dict() for p in self.selected.tolist()],
+            "selected": [units[p] for p in self.selected.tolist()],
             "selection_capped": u.select_n > len(positions),
             "selected_shared": int((self.entries[3][:u.select_n] >= 1.0).sum()),
         }
@@ -134,24 +133,20 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
 
 def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
                        target_class: int) -> np.ndarray:
-    """Each editable unit's mean ablation effect over the given inputs (N, C,
+    """Each hidden unit's mean ablation effect over the given inputs (N, C,
     H, W): the mean of P(target | x) - P(target | x, unit zeroed), a (U,)
-    vector in editable_units(spec) order.
+    vector on spec.hidden_units.
 
-    One forward pass gives P(target | x), and per editable layer one
-    batch_zeroed_unit_probs call every unit's zeroed probabilities.
+    One forward pass gives P(target | x), and one batch_zeroed_unit_probs
+    call every unit's zeroed probabilities.
     """
     if len(inputs) == 0:
         raise CccuError("sensitivity_scores needs a nonempty shard")
     if not 0 <= target_class < spec.class_count:
         raise CccuError(f"target class {target_class} out of range")
     plain = nncore.predict_probs(spec, params, inputs)[:, target_class]
-    scores = []
-    for _, layer_units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
-        zeroed = nncore.batch_zeroed_unit_probs(spec, params, inputs, target_class,
-                                                list(layer_units))
-        scores.append((plain - zeroed).mean(axis=1))
-    return np.concatenate(scores)
+    return (plain - nncore.batch_zeroed_unit_probs(spec, params, inputs,
+                                                   target_class)).mean(axis=1)
 
 
 def top_n_report(scores: np.ndarray, client_id: int, class_id: int,
@@ -242,8 +237,8 @@ def fedcccu_pipeline(spec: ModelSpec, global_params: np.ndarray,
             reports.append(top_n_report(scores, state.client_id, forget_class, unlearn.top_n))
         else:
             reports.append(SensitivityReport(state.client_id, {}))
-    units = editable_units(spec)
-    entries = compute_dominance(reports, unlearn.requesting_clients, forget_class, len(units))
+    entries = compute_dominance(reports, unlearn.requesting_clients, forget_class,
+                                len(spec.hidden_units))
     selected = entries[0][:unlearn.select_n]
-    edited = nncore.zero_units(spec, global_params, [units[p] for p in selected.tolist()])
-    return edited, AuditRecord(unlearn, seed, units, reports, entries, selected)
+    edited = nncore.zero_units(spec, global_params, selected)
+    return edited, AuditRecord(unlearn, seed, spec.hidden_units, reports, entries, selected)

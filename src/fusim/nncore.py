@@ -16,15 +16,19 @@ in network order, and a unit is an output neuron of a dense layer or an output
 channel of a conv layer.  The "activation" of a unit is its value after the
 relu that immediately follows its layer (or the raw layer output when no relu
 follows).  Interventions scale that value; gradients are taken with respect
-to it (summed over spatial positions for conv channels).  The engine runs any
-range of layer positions.  batch_zeroed_unit_probs, the scorer, runs the
-inputs up to the next parameterized layer once, subtracts each listed unit's
-rank-1 term from that layer's output and runs only the layers after it,
-forward only and a block of units at a time.  The oracles share nothing with
-it but the engine: batch_unit_gradients runs the layers after a unit's site
-on a copy of batch_site_outputs rows with the unit scaled, forward and
-backward, and forward_with_scaled_unit runs the whole network on such a
-copy.
+to it (summed over spatial positions for conv channels).  The hidden units,
+every parameterized layer's but the output layer's, lie on one axis,
+spec.hidden_units, whose row i is position i's (layer, unit);
+batch_unit_activations, the scorer batch_zeroed_unit_probs and zero_units
+work on that axis, and only the oracles address a unit, output units too,
+by a UnitId.  The engine runs
+any range of layer positions.  The scorer runs the inputs up to each next
+parameterized layer once, subtracts each unit's rank-1 term from that
+layer's output and runs only the layers after it, forward only and a block
+of units at a time.  The oracles share nothing with it but the engine:
+batch_unit_gradients runs the layers after a unit's site on a copy of
+batch_site_outputs rows with the unit scaled, forward and backward, and
+forward_with_scaled_unit runs the whole network on such a copy.
 
 Local training holds models as the rows of a (k, P) matrix, k >= 1; the
 engine takes an optional leading stack axis (views (k, *shape)) and runs k
@@ -52,7 +56,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,20 +102,18 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class UnitId:
-    """Address of one unit: parameterized-layer ordinal and output index."""
+    """The oracles' address of a unit: parameterized-layer ordinal, output index."""
     layer: int
     unit: int
-
-    def as_dict(self) -> dict:
-        return {"layer": self.layer, "unit": self.unit}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Layer stack ending in softmax over class_count outputs, as small_mlp
     and small_cnn build it; the per-example shape after each layer is
-    computed here, not checked, and so is param_count, the P values of the
-    model's parameter vector."""
+    computed here, not checked, and so are param_count, the P values of the
+    model's parameter vector, and hidden_units, the read-only (U, 2) intp
+    array of every hidden unit's (layer, unit), layer-major."""
     layers: tuple[LayerSpec, ...]
     class_count: int
     input_shape: tuple[int, ...]
@@ -144,6 +146,12 @@ class ModelSpec:
                 size = math.prod(shape)
                 slots.append((name, slice(offset, offset + size), shape))
                 offset += size
+        widths = [self.layers[p].fan_out for p in param_positions[:-1]]  # hidden layers'
+        layer = np.repeat(np.arange(len(widths), dtype=np.intp), widths)
+        unit = np.concatenate([np.arange(w, dtype=np.intp) for w in widths])
+        hidden_units = np.stack([layer, unit], axis=1)
+        hidden_units.flags.writeable = False
+        object.__setattr__(self, "hidden_units", hidden_units)
         object.__setattr__(self, "_shapes", tuple(shapes))
         object.__setattr__(self, "_param_positions", param_positions)
         object.__setattr__(self, "_site_positions", site_positions)
@@ -237,20 +245,24 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
     return params
 
 
-def zero_units(spec: ModelSpec, params: np.ndarray, units: Iterable[UnitId]) -> np.ndarray:
-    """Zero the incoming weights and bias of each unit in a copy of params;
-    idempotent, local."""
+def zero_units(spec: ModelSpec, params: np.ndarray, positions) -> np.ndarray:
+    """Zero the incoming weights and bias of the hidden units at positions
+    (of spec.hidden_units) in a copy of params; idempotent, local.  A
+    position off the axis raises InvalidUnitError naming it."""
+    at = np.asarray(positions, dtype=np.intp)
+    count = len(spec.hidden_units)
+    if (bad := at[(at < 0) | (at >= count)]).size:
+        raise InvalidUnitError(f"unit position {int(bad[0])} out of range "
+                               f"(the model has {count} hidden units)")
     out = params.copy()
     views = spec.views(out)
-    for unit in units:
-        spec.validate_unit(unit)
-        layer = spec.layer_at(unit.layer)
-        w = views[f"layer{unit.layer}.weight"]
-        if layer.kind == "dense":
-            w[:, unit.unit] = 0.0
+    for ordinal, unit in spec.hidden_units[at].tolist():
+        w = views[f"layer{ordinal}.weight"]
+        if w.ndim == 2:
+            w[:, unit] = 0.0
         else:
-            w[unit.unit] = 0.0
-        views[f"layer{unit.layer}.bias"][unit.unit] = 0.0
+            w[unit] = 0.0
+        views[f"layer{ordinal}.bias"][unit] = 0.0
     return out
 
 
@@ -417,15 +429,15 @@ def predict_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np
 
 
 def batch_unit_activations(spec: ModelSpec, params: np.ndarray,
-                           inputs: np.ndarray) -> list[np.ndarray]:
-    """Per-sample unit activations, one (B, units) matrix per hidden layer
-    ordinal: each layer's batch_site_outputs, a conv channel's averaged over
-    positions."""
+                           inputs: np.ndarray) -> np.ndarray:
+    """Per-sample hidden unit activations, a (B, U) matrix on
+    spec.hidden_units: each hidden layer's batch_site_outputs, a conv
+    channel's averaged over positions."""
     out = []
     for ordinal in range(spec.param_layer_count - 1):
         site = batch_site_outputs(spec, params, inputs, ordinal)
         out.append(site if site.ndim == 2 else site.mean(axis=(2, 3)))
-    return out
+    return np.concatenate(out, axis=1)
 
 
 def batch_site_outputs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
@@ -518,55 +530,54 @@ _UNIT_BLOCK_VALUES = 2**15
 
 
 def batch_zeroed_unit_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
-                            target_class: int, units: Sequence[UnitId]) -> np.ndarray:
-    """Per-input P(target) with the unit's activation zeroed, a
-    (len(units), n) array whose row i is units[i]'s; the units are a
-    nonempty list of one hidden layer's.
+                            target_class: int) -> np.ndarray:
+    """Per-input P(target) with a hidden unit's activation zeroed, a (U, n)
+    array whose row i is that of position i of spec.hidden_units.
 
-    One engine call runs the inputs up to pre, the input of the next
-    parameterized layer, whose output z0 is formed once.  The layers between
-    the site and pre, maxpool and flatten in both reference models (no
-    relu), act per channel, so zeroing unit j adds P_j(-a_j) to z0, a_j the
-    unit's block of pre and P_j the layer restricted to it: the product with
-    W[j] for a dense layer, one input channel's convolution for a conv
-    layer.  Units run in blocks of at most _UNIT_BLOCK_VALUES values of z0,
-    stacked along a leading axis, one forward-only engine call a block from
-    the layer after the next one to the softmax.  Each unit's term is its
-    own product (element-wise for a one-position unit, else one BLAS product
-    per unit), and the layers after act on each unit's block of rows alone
-    (np.matmul gives every stack slice the bits of its own product), so a
-    unit's values do not depend on the block.
+    Per hidden layer, one engine call runs the inputs up to pre, the input
+    of the next parameterized layer, whose output z0 is formed once.  The
+    layers between the site and pre, maxpool and flatten in both reference
+    models (no relu), act per channel, so zeroing unit j adds P_j(-a_j) to
+    z0, a_j the unit's block of pre and P_j the layer restricted to it: the
+    product with W[j] for a dense layer, one input channel's convolution for
+    a conv layer.  Units run in blocks of at most _UNIT_BLOCK_VALUES values
+    of z0, stacked along a leading axis, one forward-only engine call a
+    block from the layer after the next one to the softmax.  Each unit's
+    term is its own product (element-wise for a one-position unit, else one
+    BLAS product per unit), and the layers after act on each unit's block of
+    rows alone (np.matmul gives every stack slice the bits of its own
+    product), so a unit's values do not depend on the block.
     """
-    for unit in units:
-        spec.validate_unit(unit)
-    layers = sorted({unit.layer for unit in units})
-    if len(layers) != 1 or layers[0] == spec.param_layer_count - 1:
-        raise InvalidUnitError(f"units must be of one hidden layer, got layers {layers}")
     if not 0 <= target_class < spec.class_count:
         raise NNError(f"target class {target_class} out of range")
     views = spec.views(params)
-    nxt = spec._param_positions[layers[0] + 1]
-    pre, _ = _forward_engine(spec, views, _as_batch(spec, inputs), stop=nxt)
-    z0, _ = _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)
-    w, width, n = views[f"layer{layers[0] + 1}.weight"], spec.unit_count(layers[0]), len(pre)
-    idx = np.array([unit.unit for unit in units], dtype=np.intp)
-    out = np.empty((len(idx), n))
-    block = max(1, _UNIT_BLOCK_VALUES // max(1, z0.size))
-    for lo in range(0, len(idx), block):
-        js = idx[lo:lo + block]
-        d = np.moveaxis(-pre.reshape(n, width, -1)[:, js], 1, 0)  # (len(js), n, positions)
-        if w.ndim == 2:
-            wj = w.reshape(width, -1, w.shape[1])[js]
-            dz = d * wj if wj.shape[1] == 1 else np.matmul(d, wj)
-        else:
-            k = w.shape[-1]
-            patches = _im2col(d.reshape(len(js) * n, 1, *pre.shape[2:]), k)
-            oh, ow = patches.shape[1:3]
-            filters = w[:, js].reshape(len(w), len(js), k * k).transpose(1, 2, 0)
-            dz = np.matmul(patches.reshape(len(js), n * oh * ow, k * k), filters)
-            dz = np.moveaxis(dz.reshape(len(js), n, oh, ow, len(w)), -1, 2)
-        z = np.add(dz, z0, order="C")
-        out[lo:lo + block] = _forward_engine(spec, views, z, start=nxt + 1)[0][..., target_class]
+    x = _as_batch(spec, inputs)
+    n = len(x)
+    out = np.empty((len(spec.hidden_units), n))
+    row = 0
+    for ordinal in range(spec.param_layer_count - 1):
+        nxt = spec._param_positions[ordinal + 1]
+        pre, _ = _forward_engine(spec, views, x, stop=nxt)
+        z0, _ = _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)
+        w, width = views[f"layer{ordinal + 1}.weight"], spec.unit_count(ordinal)
+        block = max(1, _UNIT_BLOCK_VALUES // max(1, z0.size))
+        for lo in range(0, width, block):
+            js = np.arange(lo, min(lo + block, width), dtype=np.intp)
+            d = np.moveaxis(-pre.reshape(n, width, -1)[:, js], 1, 0)  # (len(js), n, positions)
+            if w.ndim == 2:
+                wj = w.reshape(width, -1, w.shape[1])[js]
+                dz = d * wj if wj.shape[1] == 1 else np.matmul(d, wj)
+            else:
+                k = w.shape[-1]
+                patches = _im2col(d.reshape(len(js) * n, 1, *pre.shape[2:]), k)
+                oh, ow = patches.shape[1:3]
+                filters = w[:, js].reshape(len(w), len(js), k * k).transpose(1, 2, 0)
+                dz = np.matmul(patches.reshape(len(js), n * oh * ow, k * k), filters)
+                dz = np.moveaxis(dz.reshape(len(js), n, oh, ow, len(w)), -1, 2)
+            z = np.add(dz, z0, order="C")
+            out[row + lo:row + lo + len(js)] = _forward_engine(
+                spec, views, z, start=nxt + 1)[0][..., target_class]
+        row += width
     return out
 
 

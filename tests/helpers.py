@@ -1,6 +1,7 @@
-"""Test-side helpers: a bit comparison, a parameter vector from named
+"""Test-side helpers: a tiny end-to-end config, a bit comparison, a parameter vector from named
 arrays, one library training step of one model, the out-of-place engine
-reference, the per-unit loop for attribution scores, the copied-shard
+reference and its zeroed probabilities of one hidden unit, the per-unit
+loop for attribution scores, the copied-shard
 reference for client views, the per-client-view evaluation and the per-cell
 reference for evaluation reports, the record-object reference for the fedcccu server, the per-sample integers
 loop of the synthetic base stream, a synthetic domain over a stream of its
@@ -10,7 +11,6 @@ import configparser
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import struct
 
@@ -25,7 +25,37 @@ from fusim import experiment
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
-from fusim.unlearn_routes import editable_units
+
+
+# A two-domain, four-client config small enough for end-to-end tests; route
+# is a format field.
+TINY = """
+[experiment]
+name = tiny
+seed = 5
+[data]
+samples_per_class = 30
+class_count = 6
+[domain.clean]
+transform = identity
+resolution = 8x8
+[domain.noisy]
+transform = gaussian_noise(0.15)
+resolution = 8x8
+[partition]
+group_sizes = 2,2
+working_resolution = 8x8
+[training]
+rounds_max = 8
+learning_rate = 0.4
+epsilon = 0.2
+[unlearn]
+route = {route}
+rounds_max = 3
+top_n = 8
+select_n = 4
+probe_cap = 16
+"""
 
 
 def same_bits(a, b) -> bool:
@@ -146,13 +176,44 @@ def reference_loss_gradient_probs(spec, params, x, y):
     return loss, grads, probs
 
 
+def reference_zeroed_unit_probs(spec, params, x, target, unit):
+    """batch_zeroed_unit_probs' row of one hidden unit on reference_forward,
+    for x the network inputs: the next parameterized layer's output z0 plus
+    the unit's term, the product of -a_j (a_j its block of that layer's
+    input) with W[j] for a dense layer, one input channel's convolution for
+    conv."""
+    nxt = spec._param_positions[unit.layer + 1]
+    pre, _ = reference_forward(spec, params, x, 0, nxt)
+    units, n = spec.unit_count(unit.layer), len(x)
+    d = -pre.reshape(n, units, -1)[:, unit.unit]
+    w = spec.views(params)[f"layer{unit.layer + 1}.weight"]
+    z = reference_forward(spec, params, pre, nxt, nxt + 1)[0]
+    if w.ndim == 2:
+        z = z + d @ w.reshape(units, -1, w.shape[1])[unit.unit]
+    else:
+        patches = nn._im2col(d.reshape(n, 1, *pre.shape[2:]), w.shape[-1])
+        dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
+        z = z + dz.transpose(0, 3, 1, 2)
+    return reference_forward(spec, params, z, nxt + 1)[0][:, target]
+
+
+def hidden_unit_ids(spec) -> list:
+    """spec.hidden_units as UnitIds, the oracles' addresses, in position order."""
+    return [nn.UnitId(layer, unit) for layer, unit in spec.hidden_units.tolist()]
+
+
+def position(spec, unit) -> int:
+    """The position of unit, a UnitId of a hidden layer, on spec.hidden_units."""
+    return hidden_unit_ids(spec).index(unit)
+
+
 def per_unit_sensitivity_scores(spec, params, inputs, target) -> np.ndarray:
-    """fedcccu.sensitivity_scores as a loop over units: one
-    batch_zeroed_unit_probs call per unit, its mean on a 1-D row."""
+    """fedcccu.sensitivity_scores as a loop over units: per hidden unit, the
+    mean on a 1-D row of P(target) minus reference_zeroed_unit_probs."""
     plain = nn.predict_probs(spec, params, inputs)[:, target]
-    return np.array([(plain - nn.batch_zeroed_unit_probs(spec, params, inputs, target,
-                                                         [unit])[0]).mean()
-                     for unit in editable_units(spec)])
+    return np.array([(plain - reference_zeroed_unit_probs(spec, params, inputs, target,
+                                                          unit)).mean()
+                     for unit in hidden_unit_ids(spec)])
 
 
 def riemann_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
@@ -164,10 +225,10 @@ def riemann_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
     n = len(inputs)
     scales = np.tile(np.arange(1, m + 1, dtype=np.float64) / m, n)
     scores = []
-    for ordinal, units in itertools.groupby(editable_units(spec), key=lambda u: u.layer):
+    for ordinal in range(spec.param_layer_count - 1):
         site = nn.batch_site_outputs(spec, params, inputs, ordinal)
         steps_site = np.repeat(site, m, axis=0)
-        for unit in units:
+        for unit in (nn.UnitId(ordinal, k) for k in range(spec.unit_count(ordinal))):
             grads = nn.batch_unit_gradients(spec, params, steps_site, target, unit, scales)
             steps = grads.reshape(n, m, -1).sum(axis=1)
             a = site[:, unit.unit].reshape(n, -1)
@@ -371,7 +432,7 @@ def reference_audit_json(unlearn, seed, uploads, entries, selected, capped) -> s
             for cid, per_class in uploads.items()],
         "entries": [{"layer": e.unit.layer, "unit": e.unit.unit, "s_forget": e.s_forget,
                      "s_max_other": e.s_max_other, "r": e.ratio} for e in entries],
-        "selected": [unit.as_dict() for unit in selected],
+        "selected": [{"layer": unit.layer, "unit": unit.unit} for unit in selected],
         "selection_capped": capped,
         "selected_shared": sum(e.ratio >= 1.0 for e in entries[:u.select_n]),
     }

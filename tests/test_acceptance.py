@@ -12,7 +12,7 @@ import pytest
 
 from fusim import evalkit, experiment, fedcccu, fedsim, nncore as nn, unlearn_routes
 from fusim.config import load_config
-from helpers import library_step, riemann_sensitivity_scores, same_bits, vector
+from helpers import library_step, position, riemann_sensitivity_scores, same_bits, vector
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,7 +106,7 @@ def test_criterion_1_numeric_core():
     while checked < 20:
         spec, params = random_tiny_model(rng)
         x = rng.normal(0, 1, spec.input_shape)
-        acts = nn.batch_unit_activations(spec, params, x[None])[0][0]
+        acts = nn.batch_unit_activations(spec, params, x[None])[0]
         live = [k for k in range(acts.size) if acts[k] > 0.05]
         if not live:
             continue
@@ -158,7 +158,7 @@ def attribution_battery():
     params_b = nn.init_params(spec_b, 90)
     params_b = params_b + rng.normal(0, 0.5, params_b.shape)
     x = np.array([0.8, -0.1, 0.4])
-    acts = nn.batch_unit_activations(spec_b, params_b, x[None])[0][0]
+    acts = nn.batch_unit_activations(spec_b, params_b, x[None])[0]
     for k in range(4):
         if acts[k] > 0.1 and abs(fc_att(spec_b, params_b, x, 0, nn.UnitId(0, k), 200)) > 0.01:
             cases.append((spec_b, params_b, x, nn.UnitId(0, k), 0))
@@ -180,7 +180,7 @@ def test_criterion_2_attribution_suite():
 
     for case in attribution_battery():
         spec, params, x, unit, target = case
-        beta = float(nn.batch_unit_activations(spec, params, x[None])[unit.layer][0, unit.unit])
+        beta = float(nn.batch_unit_activations(spec, params, x[None])[0, position(spec, unit)])
         g_full = nn.gradient_wrt_unit(spec, params, x, target, unit, 1.0)
         a1 = fc_att(spec, params, x, target, unit, 1)
         assert a1 == pytest.approx(beta * g_full, rel=1e-12)
@@ -332,9 +332,8 @@ def test_fedcccu_selects_the_units_the_riemann_scores_select(digits3):
         scores = riemann_sensitivity_scores(task.spec, trained, probes.images,
                                             u.forget_class, 20)
         reports.append(fedcccu.top_n_report(scores, state.client_id, u.forget_class, u.top_n))
-    units = unlearn_routes.editable_units(task.spec)
     want = fedcccu.compute_dominance(reports, u.requesting_clients, u.forget_class,
-                                     len(units))[0][:u.select_n]
+                                     len(task.spec.hidden_units))[0][:u.select_n]
     got = extras["audit"].selected
     assert len(got) == u.select_n
     assert sorted(got.tolist()) == sorted(want.tolist())

@@ -12,38 +12,11 @@ import pytest
 
 from fusim import cli, config, evalkit, experiment, fedsim, nncore
 from fusim.config import validate_config
-from helpers import (reference_evaluation_sets, reference_report, reference_validation_error,
-                     same_bits, save_idx, synthetic_domain, write_idx)
+from helpers import (TINY, reference_evaluation_sets, reference_report,
+                     reference_validation_error, same_bits, save_idx, synthetic_domain,
+                     write_idx)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-TINY = """
-[experiment]
-name = tiny
-seed = 5
-[data]
-samples_per_class = 30
-class_count = 6
-[domain.clean]
-transform = identity
-resolution = 8x8
-[domain.noisy]
-transform = gaussian_noise(0.15)
-resolution = 8x8
-[partition]
-group_sizes = 2,2
-working_resolution = 8x8
-[training]
-rounds_max = 8
-learning_rate = 0.4
-epsilon = 0.2
-[unlearn]
-route = {route}
-rounds_max = 3
-top_n = 8
-select_n = 4
-probe_cap = 16
-"""
 
 
 def write_cfg(tmp_path, route="none", name="cfg.ini"):

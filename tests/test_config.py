@@ -485,6 +485,20 @@ def test_every_numeric_key_refuses_text(section, key):
     assert str(exc.value).endswith("got 'abc'")
 
 
+@pytest.mark.parametrize("value", ["0,,3", "3,3,3,", ",3", "3, ,4", " , ", ","])
+@pytest.mark.parametrize("section,key", [(section, key) for section, key, _, kind, _ in KEYS
+                                         if kind == "ints"])
+def test_an_empty_item_in_a_list_is_refused(section, key, value):
+    """A list of integers with an empty item, a doubled or a trailing comma,
+    is refused naming the key and its line, not read as the list without it."""
+    text, name = key_text(section, key, value)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    assert str(exc.value) == (f"line 4: {name}: expected comma-separated integers, "
+                              f"got {value.strip()!r}")
+    assert exc.value.line == 4
+
+
 def test_out_of_range_message_names_the_range():
     with pytest.raises(ConfigError, match=re.escape(
             "line 2: partition.alpha: -1.0 outside allowed range (0.0, inf]")):

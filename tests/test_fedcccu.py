@@ -13,10 +13,9 @@ from fusim import fedcccu as fc
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim.config import UnlearnConfig
-from fusim.unlearn_routes import editable_units
-from helpers import (Record, library_step, on_copied_shard, per_unit_sensitivity_scores,
-                     reference_audit_json, reference_server, reference_top_n, same_bits,
-                     synthetic_domain, vector)
+from helpers import (Record, hidden_unit_ids, library_step, on_copied_shard,
+                     per_unit_sensitivity_scores, position, reference_audit_json,
+                     reference_server, reference_top_n, same_bits, synthetic_domain, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ def battery():
     params_b = nn.init_params(spec_b, 21)
     params_b = params_b + rng.normal(0, 0.4, params_b.shape)
     x_b = np.array([0.7, -0.2, 0.5])
-    acts = nn.batch_unit_activations(spec_b, params_b, x_b[None])[0][0]
+    acts = nn.batch_unit_activations(spec_b, params_b, x_b[None])[0]
     for k in range(4):
         # keep units with a live activation and a non-cancelling path integral
         if acts[k] > 0.1 and abs(fc.attribute_unit(
@@ -53,7 +52,7 @@ def battery():
 def trapezoid_oracle(spec, params, x, unit, target, intervals=2000, delta=1e-6):
     """Independent path integral: finite differences on the scaled forward
     pass only (no backprop), trapezoid rule over the activation path."""
-    beta = float(nn.batch_unit_activations(spec, params, x[None])[unit.layer][0, unit.unit])
+    beta = float(nn.batch_unit_activations(spec, params, x[None])[0, position(spec, unit)])
     if beta == 0.0:
         return 0.0
 
@@ -87,7 +86,7 @@ def test_attribution_zero_activation_is_exactly_zero():
 def test_attribution_m1_closed_form():
     for spec, params, x, unit, target in battery():
         att = fc.attribute_unit(spec, params, x, target, unit, 1)
-        beta = float(nn.batch_unit_activations(spec, params, x[None])[unit.layer][0, unit.unit])
+        beta = float(nn.batch_unit_activations(spec, params, x[None])[0, position(spec, unit)])
         g = nn.gradient_wrt_unit(spec, params, x, target, unit, 1.0)
         assert att == pytest.approx(beta * g, rel=1e-12)
 
@@ -133,8 +132,8 @@ def test_attribution_path_extension_identity():
     x = np.array([0.6, 0.25])
     unit = nn.UnitId(0, 0)
     m = 40
-    beta = float(nn.batch_unit_activations(spec, params, x[None])[0][0, 0])
-    beta2 = float(nn.batch_unit_activations(spec, params, 2 * x[None])[0][0, 0])
+    beta = float(nn.batch_unit_activations(spec, params, x[None])[0, 0])
+    beta2 = float(nn.batch_unit_activations(spec, params, 2 * x[None])[0, 0])
     assert beta2 == 2 * beta
     att_x = fc.attribute_unit(spec, params, x, 0, unit, m)
     att_2x = fc.attribute_unit(spec, params, 2 * x, 0, unit, 2 * m)
@@ -172,10 +171,10 @@ def test_sensitivity_single_example_equals_attribution():
     attribute_unit at m = 2000 is within 0.5% of the largest score."""
     spec, params, shard = small_trained_setup()
     scores = fc.sensitivity_scores(spec, params, shard.images[:1], 0)
-    assert scores.shape == (len(editable_units(spec)),) and scores.dtype == np.float64
+    assert scores.shape == (len(spec.hidden_units),) and scores.dtype == np.float64
     scale = np.abs(scores).max()
     assert scale > 1e-3
-    for unit, score in zip(editable_units(spec), scores.tolist()):
+    for unit, score in zip(hidden_unit_ids(spec), scores.tolist()):
         att = fc.attribute_unit(spec, params, shard.images[0], 0, unit, 2000)
         assert abs(att - score) < 5e-3 * scale, unit
 
@@ -186,14 +185,14 @@ def test_sensitivity_duplicated_shard_invariant():
     doubled = np.concatenate([two, two])
     a = fc.sensitivity_scores(spec, params, two, 1)
     b = fc.sensitivity_scores(spec, params, doubled, 1)
-    assert a.shape == b.shape == (len(editable_units(spec)),)
+    assert a.shape == b.shape == (len(spec.hidden_units),)
     for sa, sb in zip(a.tolist(), b.tolist()):
         assert sa == pytest.approx(sb, rel=1e-10, abs=1e-15)
 
 
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_sensitivity_two_example_mean_oracle(model):
-    """Every editable unit's score is the mean over the examples of
+    """Every hidden unit's score is the mean over the examples of
     P(t | x) - P(t | x, unit zeroed), the zeroed probability from
     forward_with_scaled_unit at scale 0.  small_cnn: units of both conv
     layers, the first scored through a suffix that holds the second conv
@@ -201,7 +200,7 @@ def test_sensitivity_two_example_mean_oracle(model):
     spec, params, shard = small_trained_setup(model)
     two = shard.images[:2]
     scores = fc.sensitivity_scores(spec, params, two, 2)
-    units = editable_units(spec)
+    units = hidden_unit_ids(spec)
     assert len(scores) == len(units)
     assert {u.layer for u in units} == set(range(spec.param_layer_count - 1))
     assert np.count_nonzero(np.abs(scores) > 1e-6) >= 3
@@ -215,7 +214,7 @@ def test_sensitivity_two_example_mean_oracle(model):
 @pytest.mark.bitid
 @pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
 def test_sensitivity_scores_equal_the_per_unit_loop(model):
-    """One batch_zeroed_unit_probs call per layer gives the per-unit loop's
+    """One batch_zeroed_unit_probs call gives the per-unit loop's
     (U,) vector byte for byte, at probe counts on both sides of numpy's
     eight-accumulator sums and at 128, and so does a block cap of one
     unit's values plus one."""
@@ -333,14 +332,14 @@ def test_top_n_selects_best_two():
 
 
 def test_top_n_tie_break_layer_then_unit():
-    # small_cnn's editable units: positions 0..7 are layer 0, 8..23 layer 1,
+    # small_cnn's hidden units: positions 0..7 are layer 0, 8..23 layer 1,
     # so position order is (layer, unit) order
-    units = editable_units(nn.small_cnn((1, 12, 12), 4))
+    units = nn.small_cnn((1, 12, 12), 4).hidden_units
     scores = np.zeros(len(units))
     scores[[11, 7, 2]] = 0.5
     got = fc.top_n_report(scores, 0, 0, 3).per_class[0]["unit"].tolist()
     assert got == [2, 7, 11]
-    assert [units[p] for p in got] == [nn.UnitId(0, 2), nn.UnitId(0, 7), nn.UnitId(1, 3)]
+    assert units[got].tolist() == [[0, 2], [0, 7], [1, 3]]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +418,7 @@ def audit_of(reports, select_n, requesting=(0,), unit_count=8):
     unlearn = UnlearnConfig(forget_class=0, requesting_clients=requesting,
                             select_n=select_n)
     entries = fc.compute_dominance(reports, requesting, 0, unit_count)
-    units = [nn.UnitId(0, k) for k in range(unit_count)]
+    units = nn.small_mlp((1,), 2, hidden=unit_count).hidden_units
     audit = fc.AuditRecord(unlearn, 1, units, reports, entries, entries[0][:select_n])
     return audit, json.loads(audit.to_json())
 
@@ -506,7 +505,9 @@ def test_array_server_gives_the_record_reference_bits(inputs):
                else fc.SensitivityReport(cid, {}) for cid, v in scores.items()]
     entries = fc.compute_dominance(reports, unlearn.requesting_clients, c, len(units))
     selected = entries[0][:unlearn.select_n]
-    audit = fc.AuditRecord(unlearn, 3, units, reports, entries, selected)
+    audit = fc.AuditRecord(unlearn, 3, np.array([(u.layer, u.unit) for u in units],
+                                                np.intp).reshape(-1, 2),
+                           reports, entries, selected)
     uploads = {cid: {} if v is None else reference_top_n(
         [Record(unit, c, score) for unit, score in zip(units, v.tolist())], unlearn.top_n)
         for cid, v in scores.items()}
@@ -522,15 +523,14 @@ def test_array_server_gives_the_record_reference_bits(inputs):
 
 def test_zero_units_zeroes_activation_on_probes():
     spec, params, shard = small_trained_setup()
-    units = [nn.UnitId(0, 3)]
-    edited = nn.zero_units(spec, params, units)
-    acts = nn.batch_unit_activations(spec, edited, shard.images[:10])[0]
+    edited = nn.zero_units(spec, params, [3])
+    acts = nn.batch_unit_activations(spec, edited, shard.images[:10])
     assert np.all(acts[:, 3] == 0.0)
 
 
 def test_edit_locality_bit_identical_elsewhere():
     spec, params, _ = small_trained_setup()
-    edited = spec.views(nn.zero_units(spec, params, [nn.UnitId(0, 1)]))
+    edited = spec.views(nn.zero_units(spec, params, [1]))
     p = spec.views(params)
     w = edited["layer0.weight"]
     keep = [k for k in range(w.shape[1]) if k != 1]
@@ -569,9 +569,8 @@ def test_pipeline_single_client_degenerates():
     upload = audit.reports[0].per_class[0]
     positive = upload["unit"][upload["score"] > 0].tolist()
     assert audit.selected.tolist() == positive[:3]
-    assert audit.units == editable_units(spec)
-    assert same_bits(edited, nn.zero_units(spec, params,
-                                           [audit.units[p] for p in positive[:3]]))
+    assert same_bits(audit.units, spec.hidden_units)
+    assert same_bits(edited, nn.zero_units(spec, params, positive[:3]))
     assert not same_bits(edited, params)
 
 

@@ -12,8 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from fusim import fedsim
 from fusim import nncore as nn
-from helpers import (library_step, reference_backward, reference_forward,
-                     reference_loss_gradient_probs, same_bits, vector)
+from helpers import (hidden_unit_ids, library_step, position, reference_backward,
+                     reference_forward, reference_loss_gradient_probs,
+                     reference_zeroed_unit_probs, same_bits, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_forward_zero_weights_uniform():
     x = np.array([[0.3, -1.0, 2.0]])
     probs = nn.predict_probs(spec, params, x)[0]
     assert np.allclose(probs, 0.25)
-    assert len(nn.batch_unit_activations(spec, params, x)) == spec.param_layer_count - 1
+    assert nn.batch_unit_activations(spec, params, x).shape == (1, len(spec.hidden_units))
 
 
 def test_forward_identity_dense_softmax_of_onehot():
@@ -109,7 +110,7 @@ def test_forward_matches_hand_oracle_222():
         p["layer0.weight"].tolist(), p["layer0.bias"].tolist(),
         p["layer1.weight"].tolist(), p["layer1.bias"].tolist(), x.tolist())
     assert np.allclose(probs, expected, atol=1e-12)
-    assert np.allclose(acts[0][0], hidden, atol=1e-12)
+    assert np.allclose(acts[0], hidden, atol=1e-12)
 
 
 def test_forward_shape_mismatch_message():
@@ -510,10 +511,11 @@ def test_scaled_unit_conv_channel_scales_whole_map():
     params = nn.init_params(spec, 9)
     x = np.random.default_rng(4).uniform(0, 1, (1, 10, 10))
     plain = nn.predict_probs(spec, params, x[None])[0]
-    ch = int(np.argmax(nn.batch_unit_activations(spec, params, x[None])[0][0]))
+    # layer 0's channels are the first positions of the hidden-unit axis
+    ch = int(np.argmax(nn.batch_unit_activations(spec, params, x[None])[0, :spec.unit_count(0)]))
     scaled = nn.forward_with_scaled_unit(spec, params, x, nn.UnitId(0, ch), 0.0)
     # independent check: zero the channel by zeroing its filters and bias
-    edited = nn.zero_units(spec, params, [nn.UnitId(0, ch)])
+    edited = nn.zero_units(spec, params, [ch])
     ref = nn.predict_probs(spec, edited, x[None])[0]
     assert np.allclose(scaled, ref, atol=1e-12)
     assert not np.allclose(plain, scaled)
@@ -543,7 +545,7 @@ def test_unit_gradient_matches_finite_difference():
     spec, params = tiny_net_222()
     x = np.array([0.9, 0.2])
     unit = nn.UnitId(0, 0)
-    beta = nn.batch_unit_activations(spec, params, x[None])[0][0, 0]
+    beta = nn.batch_unit_activations(spec, params, x[None])[0, 0]
     assert beta > 0
     s = 0.6
     delta = 1e-6
@@ -562,7 +564,7 @@ def test_unit_gradient_conv_channel_sums_positions():
     x = np.random.default_rng(8).uniform(0.2, 1.0, (1, 10, 10))
     unit = nn.UnitId(1, 3)  # conv layer followed by relu: keep map positive
     spec.views(params)["layer1.bias"][...] += 0.5
-    trace_map = nn.batch_unit_activations(spec, params, x[None])[1][0, 3]
+    trace_map = nn.batch_unit_activations(spec, params, x[None])[0, position(spec, unit)]
     assert trace_map > 0
     delta = 1e-6
     pp_params = params.copy()
@@ -588,7 +590,7 @@ def test_unit_gradient_conv_channel_matches_scaled_forward_fd():
         p[f"layer{ordinal}.weight"][ch] = 0.0
         p[f"layer{ordinal}.bias"][ch] = 0.4
         unit = nn.UnitId(ordinal, ch)
-        beta = nn.batch_unit_activations(spec, params, x[None])[ordinal][0, ch]
+        beta = nn.batch_unit_activations(spec, params, x[None])[0, position(spec, unit)]
         assert beta == pytest.approx(0.4)
         for s in (0.3, 0.8):
             delta = 1e-6
@@ -632,17 +634,15 @@ def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
     rng = np.random.default_rng(5)
     xs = rng.normal(0.0, 1.0, (3,) + spec.input_shape)  # mixed signs at every site
     scales = np.array([0.05, 0.5, 0.9])
+    probs = nn.batch_zeroed_unit_probs(spec, params, xs, 1)
+    assert probs.shape == (len(spec.hidden_units), len(xs))
+    for unit, p in zip(hidden_unit_ids(spec), probs):
+        want = [nn.forward_with_scaled_unit(spec, params, x, unit, 0.0)[1] for x in xs]
+        np.testing.assert_allclose(p, want, rtol=1e-12, atol=1e-15)
     checked = 0
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, xs, ordinal)
-        units = [nn.UnitId(ordinal, k) for k in range(spec.unit_count(ordinal))]
-        if ordinal in hidden_layers(spec):
-            probs = nn.batch_zeroed_unit_probs(spec, params, xs, 1, units)
-            assert probs.shape == (len(units), len(xs))
-            for unit, p in zip(units, probs):
-                want = [nn.forward_with_scaled_unit(spec, params, x, unit, 0.0)[1] for x in xs]
-                np.testing.assert_allclose(p, want, rtol=1e-12, atol=1e-15)
-        for unit in units:
+        for unit in (nn.UnitId(ordinal, k) for k in range(spec.unit_count(ordinal))):
             for s in scales:
                 got = nn.batch_unit_gradients(spec, params, site, 1, unit, np.full(len(xs), s))
                 assert got.shape == site[:, unit.unit].shape
@@ -654,9 +654,8 @@ def test_batch_unit_gradients_match_scaled_copy_engine(make_spec):
 
 
 def test_batch_unit_gradients_rejects_negative_scale():
-    """batch_unit_gradients takes one finite non-negative scale a row; both
-    unit paths refuse a target class out of range, and the scorer units of
-    two layers."""
+    """batch_unit_gradients takes one finite non-negative scale a row; it and
+    the scorer refuse a target class out of range."""
     spec = nn.small_cnn((1, 10, 10), 3)
     params = nn.init_params(spec, 1)
     xs = np.random.default_rng(0).uniform(0.0, 1.0, (2, 1, 10, 10))
@@ -670,13 +669,11 @@ def test_batch_unit_gradients_rejects_negative_scale():
         nn.batch_unit_gradients(spec, params, site, 0, unit, np.array([0.5]))
     with pytest.raises(nn.ShapeMismatchError):  # rows of another layer's site
         nn.batch_unit_gradients(spec, params, site, 0, nn.UnitId(1, 0), np.array([0.5, 0.5]))
-    with pytest.raises(nn.InvalidUnitError):
-        nn.batch_zeroed_unit_probs(spec, params, xs, 0, [nn.UnitId(0, 0), nn.UnitId(1, 1)])
     for target in (-1, 3):  # a negative class once indexed from the end
         with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
             nn.batch_unit_gradients(spec, params, site, target, unit, np.array([0.5, 0.5]))
         with pytest.raises(nn.NNError, match=f"target class {target} out of range"):
-            nn.batch_zeroed_unit_probs(spec, params, xs, target, [unit])
+            nn.batch_zeroed_unit_probs(spec, params, xs, target)
 
 
 @pytest.mark.parametrize("make_spec", [
@@ -692,35 +689,14 @@ def test_batch_unit_gradients_leave_site_rows_unchanged(make_spec):
     site = nn.batch_site_outputs(spec, params, xs, 0)
     scales = np.array([0.0, 0.4, 1.0])
     kept = site.copy(), scales.copy(), xs.copy()
-    units = [nn.UnitId(0, k) for k in range(spec.unit_count(0))]
-    for unit in units:
+    for unit in (nn.UnitId(0, k) for k in range(spec.unit_count(0))):
         nn.batch_unit_gradients(spec, params, site, 0, unit, scales)
-    nn.batch_zeroed_unit_probs(spec, params, xs, 0, units)
+    nn.batch_zeroed_unit_probs(spec, params, xs, 0)
     assert all(np.array_equal(a, b) for a, b in zip((site, scales, xs), kept))
 
 
 # ---------------------------------------------------------------------------
 # element-wise layers: result bits and the write rule
-
-
-def reference_zeroed_unit_probs(spec, params, x, target, unit):
-    """batch_zeroed_unit_probs of one hidden unit on reference_forward, for x
-    the network inputs: the next parameterized layer's output z0 plus the
-    unit's term, the product of -a_j (a_j its block of that layer's input)
-    with W[j] for a dense layer, one input channel's convolution for conv."""
-    nxt = spec._param_positions[unit.layer + 1]
-    pre, _ = reference_forward(spec, params, x, 0, nxt)
-    units, n = spec.unit_count(unit.layer), len(x)
-    d = -pre.reshape(n, units, -1)[:, unit.unit]
-    w = spec.views(params)[f"layer{unit.layer + 1}.weight"]
-    z = reference_forward(spec, params, pre, nxt, nxt + 1)[0]
-    if w.ndim == 2:
-        z = z + d @ w.reshape(units, -1, w.shape[1])[unit.unit]
-    else:
-        patches = nn._im2col(d.reshape(n, 1, *pre.shape[2:]), w.shape[-1])
-        dz = np.tensordot(patches, w[:, unit.unit:unit.unit + 1], axes=([3, 4, 5], [1, 2, 3]))
-        z = z + dz.transpose(0, 3, 1, 2)
-    return reference_forward(spec, params, z, nxt + 1)[0][:, target]
 
 
 def reference_unit_gradients(spec, params, x, target, unit, scales):
@@ -775,17 +751,16 @@ def test_unstacked_outputs_equal_out_of_place_reference(make_spec):
     x = np.random.default_rng(7).normal(0.0, 1.0, (5, *spec.input_shape))
     scales = np.array([0.0, 0.3, 0.5, 1.0, 0.8])
     assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
+    probs = nn.batch_zeroed_unit_probs(spec, params, x, 1)
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
-        units = [nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))]
-        for unit in units:
+        for unit in (nn.UnitId(ordinal, j) for j in range(min(4, spec.unit_count(ordinal)))):
             got = nn.batch_unit_gradients(spec, params, site, 1, unit, scales)
             want = reference_unit_gradients(spec, params, x, 1, unit, scales)
             assert same_bits(got + 0.0, want + 0.0), unit
-        if ordinal in hidden_layers(spec):
-            probs = nn.batch_zeroed_unit_probs(spec, params, x, 1, units)
-            for unit, p in zip(units, probs):
-                assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, 1, unit))
+            if ordinal in hidden_layers(spec):
+                assert same_bits(probs[position(spec, unit)],
+                                 reference_zeroed_unit_probs(spec, params, x, 1, unit))
 
 
 @pytest.mark.bitid
@@ -933,9 +908,8 @@ def test_softmax_of_129_classes_takes_the_row_major_path():
         x = rng.normal(0.0, 1.0, (40, *spec.input_shape))
         scales = np.linspace(0.0, 1.0, 40)
         site = nn.batch_site_outputs(spec, params, x, 0)
-        units = [nn.UnitId(0, j) for j in range(3)]
-        probs = nn.batch_zeroed_unit_probs(spec, params, x, c - 1, units)
-        for unit, p in zip(units, probs):
+        probs = nn.batch_zeroed_unit_probs(spec, params, x, c - 1)
+        for unit, p in zip(hidden_unit_ids(spec), probs):
             got = nn.batch_unit_gradients(spec, params, site, c - 1, unit, scales)
             want = reference_unit_gradients(spec, params, x, c - 1, unit, scales)
             assert same_bits(got + 0.0, want + 0.0), (c, unit)
@@ -949,9 +923,9 @@ def test_softmax_of_129_classes_takes_the_row_major_path():
     lambda: nn.small_cnn((1, 12, 12), 10),
 ], ids=["small_mlp", "small_cnn"])
 def test_tall_attribution_block_has_the_row_major_bits(make_spec):
-    """On 320 rows, every hidden layer's batch_zeroed_unit_probs runs its
-    units in blocks of the next layer's output stacked on a leading axis and
-    gives, byte for byte, the out-of-place reference of each unit, as does
+    """On 320 rows, batch_zeroed_unit_probs under a cap of three units of
+    each hidden layer a block, stacked on a leading axis, gives, byte for
+    byte, the out-of-place reference of that layer's units, as does
     batch_unit_gradients on every layer (after + 0.0, see
     test_engine_bits_equal_out_of_place_reference); the inputs and the site
     rows keep their bytes."""
@@ -970,11 +944,12 @@ def test_tall_attribution_block_has_the_row_major_bits(make_spec):
             want = reference_unit_gradients(spec, params, x, 3, unit, scales)
             assert same_bits(got + 0.0, want + 0.0), unit
         if ordinal in hidden_layers(spec):
-            cap = 3 * next_output_size(spec, ordinal, len(x))  # three units a block
+            cap = 3 * next_output_size(spec, ordinal, len(x))  # three of its units a block
             with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", cap):
-                probs = nn.batch_zeroed_unit_probs(spec, params, x, 3, units)
-            for unit, p in zip(units, probs):
-                assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, 3, unit))
+                probs = nn.batch_zeroed_unit_probs(spec, params, x, 3)
+            for unit in units:
+                assert same_bits(probs[position(spec, unit)],
+                                 reference_zeroed_unit_probs(spec, params, x, 3, unit))
         assert site.tobytes() == kept
     assert x.tobytes() == kept_x
 
@@ -996,17 +971,15 @@ BLOCK_MODELS = {"small_mlp": lambda: nn.small_mlp((1, 6, 6), 4, hidden=11),
 @settings(max_examples=8)
 @given(data=st.data())
 def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
-    """A list of units gives, row for row and byte for byte, each unit's
-    one-unit call and the out-of-place reference, whatever block cap and
-    whichever units share a block: any units in any order, blocks of 1 to
-    5 units under a cap that is no multiple of a unit's values, one row or
-    many, the first and the last class.  The wide model has 130 classes."""
+    """Every row over the whole hidden-unit axis gives, byte for byte, the
+    row of the default block cap and the out-of-place reference's one-unit
+    call, whatever the block cap: blocks of 1 to 5 units of hidden layer
+    ordinal under a cap that is no multiple of a unit's values, so that the
+    other layer's blocks hold other counts, one row or many, the first and
+    the last class.  The wide model has 130 classes."""
     spec = BLOCK_MODELS[model]()
     seed = data.draw(st.integers(0, 2**16), label="seed")
     n = data.draw(st.sampled_from([1, 2, 7, 13]), label="rows")
-    width = spec.unit_count(ordinal)
-    picked = data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2 * width),
-                       label="units")
     target = data.draw(st.sampled_from([0, spec.class_count - 1]), label="target")
     block = data.draw(st.integers(1, 5), label="block")
     rng = np.random.default_rng(seed)
@@ -1014,27 +987,12 @@ def test_unit_blocks_equal_per_unit_calls(model, ordinal, data):
     x = rng.normal(0.0, 1.0, (n, *spec.input_shape))
     per_unit = next_output_size(spec, ordinal, n)
     cap = block * per_unit + data.draw(st.integers(0, per_unit - 1), label="remainder")
-    units = [nn.UnitId(ordinal, j) for j in picked]
     with mock.patch.object(nn, "_UNIT_BLOCK_VALUES", cap):
-        got = nn.batch_zeroed_unit_probs(spec, params, x, target, units)
-    assert got.shape == (len(units), n)
-    assert same_bits(got, nn.batch_zeroed_unit_probs(spec, params, x, target, units))
-    for unit, row in zip(units, got):
-        assert same_bits(row, nn.batch_zeroed_unit_probs(spec, params, x, target, [unit])[0])
+        got = nn.batch_zeroed_unit_probs(spec, params, x, target)
+    assert got.shape == (len(spec.hidden_units), n)
+    assert same_bits(got, nn.batch_zeroed_unit_probs(spec, params, x, target))
+    for unit, row in zip(hidden_unit_ids(spec), got):
         assert same_bits(row, reference_zeroed_unit_probs(spec, params, x, target, unit))
-
-
-@pytest.mark.parametrize("model,ordinal", [("small_mlp", 1), ("small_cnn", 2), ("wide", 1)])
-def test_zeroed_unit_probs_refuse_an_output_layer_unit(model, ordinal):
-    """An output unit is a class logit: the scorer, which zeroes a unit by
-    its term in the next parameterized layer, refuses one, alone or beside
-    hidden units (editable_units never lists one)."""
-    spec = BLOCK_MODELS[model]()
-    params = nn.init_params(spec, 0)
-    x = np.zeros((2, *spec.input_shape))
-    for units in ([nn.UnitId(ordinal, 0)], [nn.UnitId(0, 0), nn.UnitId(ordinal, 1)]):
-        with pytest.raises(nn.InvalidUnitError, match="one hidden layer"):
-            nn.batch_zeroed_unit_probs(spec, params, x, 0, units)
 
 
 @pytest.mark.bitid
@@ -1049,17 +1007,16 @@ def test_wide_output_falls_back_to_the_row_major_softmax():
     x = rng.normal(0.0, 1.0, (48, *spec.input_shape))
     scales = np.linspace(0.0, 1.0, 48)
     assert same_bits(nn.predict_probs(spec, params, x), reference_forward(spec, params, x)[0])
+    probs = nn.batch_zeroed_unit_probs(spec, params, x, 129)
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
-        units = [nn.UnitId(ordinal, j) for j in (0, 5, 11)]
-        for unit in units:
+        for unit in (nn.UnitId(ordinal, j) for j in (0, 5, 11)):
             got = nn.batch_unit_gradients(spec, params, site, 129, unit, scales)
             want = reference_unit_gradients(spec, params, x, 129, unit, scales)
             assert same_bits(got + 0.0, want + 0.0), unit
-        if ordinal in hidden_layers(spec):
-            probs = nn.batch_zeroed_unit_probs(spec, params, x, 129, units)
-            for unit, p in zip(units, probs):
-                assert same_bits(p, reference_zeroed_unit_probs(spec, params, x, 129, unit))
+            if ordinal in hidden_layers(spec):
+                assert same_bits(probs[position(spec, unit)],
+                                 reference_zeroed_unit_probs(spec, params, x, 129, unit))
 
 
 def test_relu_bits_equal_where_on_special_values():
@@ -1101,14 +1058,12 @@ def test_engine_writes_into_no_caller_array(make_spec):
     nn.sgd_step(stacked, nn.batch_loss_and_gradient(spec, stacked, x, y)[1], 0.1,
                 row_scratch(stacked))
     scales = np.linspace(0.0, 1.0, 5)
+    nn.batch_zeroed_unit_probs(spec, params, x, 0)
     for ordinal in range(spec.param_layer_count):
         site = nn.batch_site_outputs(spec, params, x, ordinal)
         site_kept = site.tobytes(), scales.tobytes()
-        units = [nn.UnitId(ordinal, unit) for unit in range(min(3, spec.unit_count(ordinal)))]
-        for unit in units:
+        for unit in (nn.UnitId(ordinal, unit) for unit in range(min(3, spec.unit_count(ordinal)))):
             nn.batch_unit_gradients(spec, params, site, 0, unit, scales)
-        if ordinal in hidden_layers(spec):
-            nn.batch_zeroed_unit_probs(spec, params, x, 0, units)
         assert (site.tobytes(), scales.tobytes()) == site_kept
     # the training path's whole network, and the oracle path's layers after
     # the first layer's site, as batch_unit_gradients runs them
@@ -1252,7 +1207,7 @@ def test_zero_units_empty_is_identity():
 def test_zero_units_locality_and_idempotence():
     spec = nn.small_mlp((1, 4, 4), 4, hidden=6)
     params = nn.init_params(spec, 2)
-    units = [nn.UnitId(0, 1), nn.UnitId(0, 4)]
+    units = [1, 4]
     kept = params.copy()
     once = nn.zero_units(spec, params, units)
     twice = nn.zero_units(spec, once, units)
@@ -1263,6 +1218,24 @@ def test_zero_units_locality_and_idempotence():
     keep = [k for k in range(6) if k not in (1, 4)]
     assert np.array_equal(edited["layer0.weight"][:, keep], p["layer0.weight"][:, keep])
     assert same_bits(edited["layer1.weight"], p["layer1.weight"])
+
+
+@pytest.mark.parametrize("model", ["small_mlp", "small_cnn"])
+def test_zero_units_refuses_a_position_off_the_axis(model):
+    """A position is an index of spec.hidden_units: -1 (which would index
+    from the end) and U are refused with an InvalidUnitError naming the
+    position, beside valid ones too, and the parameters are left as they
+    were."""
+    spec = getattr(nn, model)((1, 10, 10), 3)
+    params = nn.init_params(spec, 5)
+    kept = params.copy()
+    count = len(spec.hidden_units)
+    for bad in (-1, count):
+        for positions in ([bad], [0, bad], np.array([count - 1, bad])):
+            with pytest.raises(nn.InvalidUnitError, match=rf"unit position {bad} out of range"):
+                nn.zero_units(spec, params, positions)
+    assert same_bits(params, kept)
+    assert not same_bits(nn.zero_units(spec, params, [count - 1]), params)
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,11 @@ def test_naive_zeroing_selects_most_activated_unit_first():
     spec, params = hand_net_three_units()
     probes = shard_of([0], value=1.0, side=2)
     # hand-computed activations on an all-ones input: (0.4, 0.8, 3.61)
-    assert nn.batch_unit_activations(spec, params, probes.images)[0][0, 2] == \
+    assert nn.batch_unit_activations(spec, params, probes.images)[0, 2] == \
         pytest.approx(3.61, abs=1e-12)
     ranked = ur.rank_units_by_activation(spec, params, probes.images)
     assert ranked.tolist() == [2, 1, 0]
-    assert ur.editable_units(spec)[ranked[0]] == nn.UnitId(0, 2)
+    assert spec.hidden_units[ranked[0]].tolist() == [0, 2]
     edited = spec.views(ur.naive_zeroing(spec, params, probes.images, 1))
     assert np.all(edited["layer0.weight"][:, 2] == 0.0)
     assert np.all(edited["layer0.weight"][:, :2] == spec.views(params)["layer0.weight"][:, :2])
@@ -159,7 +159,7 @@ def test_zeroing_rank_uses_each_columns_mean_bits():
     images = np.zeros((9, 1, 2, 2))
     images[:, 0, 0, 0] = [big, 1.0, 1.0, 1.0, 0, 0, 0, 0, 0]
     images[:, 0, 0, 1] = [big + 2.0, 0, 0, 0, 0, 0, 0, 0, 0]
-    acts = nn.batch_unit_activations(spec, params, images)[0]
+    acts = nn.batch_unit_activations(spec, params, images)
     assert acts[:, 0].mean() == acts[:, 1].mean()
     assert acts.mean(axis=0)[0] < acts.mean(axis=0)[1]   # the data tells them apart
     assert ur.rank_units_by_activation(spec, params, images).tolist() == [0, 1, 2]
@@ -220,11 +220,17 @@ def test_routes_deterministic_under_shuffling_up_to_order():
 
 
 def test_editable_units_exclude_output_layer():
+    """Zeroing ranks and edits spec.hidden_units, every parameterized
+    layer's units but the output layer's, (layer, unit) layer-major; with
+    top_m every hidden unit, the output layer keeps its parameters."""
     spec = nn.small_mlp((1, 4, 4), 3, hidden=5)
-    units = ur.editable_units(spec)
-    assert all(u.layer == 0 for u in units)
-    assert len(units) == 5
+    assert spec.hidden_units.tolist() == [[0, k] for k in range(5)]
     cnn = nn.small_cnn((1, 12, 12), 4)
-    cnn_units = ur.editable_units(cnn)
-    assert {u.layer for u in cnn_units} == {0, 1}
-    assert len(cnn_units) == 8 + 16
+    assert cnn.hidden_units.tolist() == [[0, k] for k in range(8)] + [[1, k] for k in range(16)]
+    assert cnn.hidden_units.dtype == np.intp and not cnn.hidden_units.flags.writeable
+    params = nn.init_params(cnn, 3)
+    images = np.random.default_rng(3).uniform(0.0, 1.0, (4, 1, 12, 12))
+    assert len(ur.rank_units_by_activation(cnn, params, images)) == 24
+    edited = cnn.views(ur.naive_zeroing(cnn, params, images, 24))
+    assert all(np.all(edited[f"layer{k}.{p}"] == 0.0) for k in (0, 1) for p in ("weight", "bias"))
+    assert same_bits(edited["layer2.weight"], cnn.views(params)["layer2.weight"])
