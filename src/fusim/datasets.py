@@ -1,8 +1,13 @@
 """Small-image datasets: IDX loading and synthetic multi-domain generators.
 
-A DomainDataset holds one domain as two arrays, images (N, C, H, W) float64
-and labels (N,) int64, and validates them on construction; resizing, subsets
-and splits are index operations on those arrays.
+A domain is first a DomainSource: its labels, the source sample each of its
+rows holds, and a maker of the images of consecutive blocks of source
+samples.  Cutting a domain to a label range (subset) and splitting it
+(stratified_split) are index operations on the labels, so the data build
+knows every sample's destination before any image exists and writes each
+block straight into it.  A DomainDataset holds made images and their labels
+as two arrays, images (N, C, H, W) float64 and labels (N,) int64, validated
+on construction; the data build's pools are DomainDatasets.
 
 Synthetic domains share one label space but differ in feature distribution:
 each class has a seeded base pattern, samples add per-sample jitter, and a
@@ -11,9 +16,11 @@ the feature distribution without touching labels.
 """
 from __future__ import annotations
 
+import copy
 import math
 import re
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,6 +29,10 @@ from .nncore import make_rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# Values per block of samples made at once: a block of the data build, and
+# of the normal draws _transform_rngs moves a generator past.
+BLOCK_VALUES = 2**16
 
 TRANSFORM_KINDS = ("identity", "invert", "gaussian_noise", "downsample", "background_clutter")
 # the kinds that take one argument: the Transform field it sets and its type
@@ -51,8 +62,8 @@ class IdxCountMismatchError(IdxError):
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """One domain's examples as two arrays: images (N, C, H, W) float64 in
-    [0, 1] and labels (N,) int64 in [0, class_count)."""
+    """Made examples as two arrays: images (N, C, H, W) float64 in [0, 1]
+    and labels (N,) int64 in [0, class_count)."""
     images: np.ndarray
     labels: np.ndarray
     domain_id: str
@@ -80,9 +91,28 @@ class DomainDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def native_resolution(self) -> tuple[int, int]:
-        return self.images.shape[2], self.images.shape[3]
+
+@dataclass(frozen=True, eq=False)
+class DomainSource:
+    """One domain before its images exist.
+
+    Row i has label labels[i] (int64) and holds source sample rows[i] of
+    the size samples the source makes, each of resolution (h, w) before the
+    transforms.  make(start, stop) returns the (stop - start, 1, h', w')
+    float64 images in [0, 1] of source samples start..stop-1, at the native
+    resolution; it is called for consecutive blocks from sample 0 on, each
+    sample once.
+    """
+    domain_id: str
+    labels: np.ndarray
+    rows: np.ndarray
+    class_count: int
+    size: int
+    resolution: tuple[int, int]
+    make: Callable[[int, int], np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -135,11 +165,16 @@ def parse_transforms(text: str) -> tuple[Transform, ...]:
 # IDX format
 
 
-def _read_idx(path, magic: int, dims: int) -> np.ndarray:
-    """One IDX file's uint8 payload; the file must hold exactly its header
-    (magic, then one big-endian size per dimension) and the declared payload."""
+def _read_file(path) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _read_idx(path, magic: int, dims: int, read) -> np.ndarray:
+    """One IDX file's uint8 payload, from the bytes read(path) gives; the
+    file must hold exactly its header (magic, then one big-endian size per
+    dimension) and the declared payload."""
+    data = read(path)
     header = 4 * (1 + dims)
     if len(data) < header:
         raise IdxTruncatedError(f"{path}: expected a {header}-byte header, got {len(data)}")
@@ -160,21 +195,25 @@ def _class_count(labels: np.ndarray) -> int:
     return int(labels.max()) + 1 if len(labels) else 0
 
 
-def idx_class_count(labels_path) -> int:
+def idx_class_count(labels_path, read=_read_file) -> int:
     """The class count load_idx gives, read from the labels file alone."""
-    return _class_count(_read_idx(labels_path, IDX_LABELS_MAGIC, 1))
+    return _class_count(_read_idx(labels_path, IDX_LABELS_MAGIC, 1, read))
 
 
-def load_idx(images_path, labels_path, domain_id: str | None = None) -> DomainDataset:
-    """Load a big-endian IDX image/label pair, rescaling pixels to [0, 1]."""
-    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1).astype(np.int64)
+def load_idx(images_path, labels_path, domain_id: str | None = None,
+             read=_read_file) -> DomainSource:
+    """A big-endian IDX image/label pair as a source whose rows are the
+    files' samples in order; it keeps the uint8 pixels and rescales them to
+    [0, 1] a block at a time.  read(path) gives a file's bytes."""
+    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, read)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, read).astype(np.int64)
     if len(pixels) != len(labels):
         raise IdxCountMismatchError(
             f"{images_path}: {len(pixels)} images but {len(labels)} labels")
     name = domain_id if domain_id is not None else str(images_path)
-    return DomainDataset(pixels[:, None].astype(np.float64) / 255.0, labels, name,
-                         _class_count(labels))
+    return DomainSource(name, labels, np.arange(len(labels), dtype=np.intp),
+                        _class_count(labels), len(labels), pixels.shape[1:],
+                        lambda start, stop: pixels[start:stop, None].astype(np.float64) / 255.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +244,36 @@ def _class_patterns(seed: int, class_count: int, resolution: tuple[int, int]) ->
     return patterns
 
 
+def _transform_rngs(transforms: tuple[Transform, ...], rng: np.random.Generator,
+                    shape: tuple[int, int, int]) -> list[np.random.Generator]:
+    """Per transform, the generator its draws start from when the chain is
+    applied to a whole domain of shape (n, h, w) with rng, one transform
+    after the other: the last transform that draws gets rng itself, and
+    each one that draws before it a copy, rng being moved past its draws
+    (uniform takes one word a value; normal's count is only known by
+    drawing, a block at a time).  Drawing block after block from these
+    generators gives the bits of the whole-domain draws."""
+    n, h, w = shape
+    last = max((i for i, tf in enumerate(transforms)
+                if tf.kind in ("gaussian_noise", "background_clutter")), default=-1)
+    rngs = []
+    for i, tf in enumerate(transforms):
+        if tf.kind == "downsample":
+            h, w = -(-h // tf.factor), -(-w // tf.factor)
+        rngs.append(rng if i >= last else copy.deepcopy(rng))
+        if i < last and tf.kind == "background_clutter":
+            rng.bit_generator.advance(n * h * w)
+        elif i < last and tf.kind == "gaussian_noise":
+            for left in range(n * h * w, 0, -BLOCK_VALUES):
+                rng.standard_normal(min(left, BLOCK_VALUES))
+    return rngs
+
+
 def _apply_transforms(images: np.ndarray, transforms: tuple[Transform, ...],
-                      rng: np.random.Generator) -> np.ndarray:
-    """The transform chain, applied in place where the shape allows."""
-    for tf in transforms:
-        if tf.kind == "identity":
-            continue
+                      rngs: list[np.random.Generator]) -> np.ndarray:
+    """The transform chain on a block of (n, h, w) images, in place where the
+    shape allows; transform i draws from rngs[i]."""
+    for tf, rng in zip(transforms, rngs):
         if tf.kind == "invert":
             np.subtract(1.0, images, out=images)
         elif tf.kind == "gaussian_noise":
@@ -227,41 +290,51 @@ def _apply_transforms(images: np.ndarray, transforms: tuple[Transform, ...],
 
 class BaseStream:
     """The base sample stream that synthetic domains over one
-    (base_pattern_seed, seed, resolution, class_count) share, drawn once.
+    (base_pattern_seed, seed, resolution, class_count) share, drawn once, a
+    block at a time.
 
-    It holds the class patterns rolled by each of the nine shifts and, for
-    samples 0..count-1, each sample's shift and then its noise, drawn in that
-    order.  Sample i's draws depend on neither its class nor the domain's
-    transforms, so a domain of n <= count samples uses the first n.  The
-    stream serves `uses` domains; the last one forms its images inside the
-    noise array, which the stream then lets go.
+    It holds the class patterns rolled by each of the nine shifts and one
+    block of samples: draw(count) lets go of the block it holds and draws
+    the next count samples, each sample's shift and then its noise, in that
+    order, into the same array when the count is the same.  Sample i's draws depend on neither its class nor the domain's
+    transforms, so the domains over the stream read their samples from the
+    same blocks, and a domain of n samples uses the first n.
 
     A sample's shift is the pair rng.integers(-1, 2, size=2) would draw, read
     from one raw PCG64 word instead: integers applies Lemire's bounded draw
     to 32-bit halves, low half of a fresh word first, so the shift is
     ((half * 3) >> 32) - 1 of the low half, then of the high half, computed
-    for all samples after the loop.  Lemire redraws only on a zero half
-    (probability 2**-31 each); at such a word the loop steps the generator
-    back one word and draws that sample's and every later sample's shift
-    with integers itself.  Either way the shifts, the noise and the
-    generator's stream are those of the integers loop.
+    for a block's samples after its loop.  Lemire redraws only on a zero
+    half (probability 2**-31 each); at such a word the loop steps the
+    generator back one word and draws that sample's and every later
+    sample's shift, in this block and the later ones, with integers itself.
+    Either way the shifts, the noise and the generator's stream are those of
+    the integers loop.
     """
 
     def __init__(self, base_pattern_seed: int, seed: int, resolution: tuple[int, int],
-                 class_count: int, count: int, uses: int = 1):
+                 class_count: int):
         self.key = (base_pattern_seed, seed, tuple(resolution), class_count)
         patterns = _class_patterns(base_pattern_seed, class_count, resolution)
         # rolled[c, 3 * dy + dx + 4] is class c's pattern rolled by (dy, dx)
         self.rolled = np.stack([[np.roll(p, (dy, dx), axis=(0, 1))
                                  for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
                                 for p in patterns])
-        rng = make_rng((base_pattern_seed, seed), 311)
+        self._rng = make_rng((base_pattern_seed, seed), 311)
+        self._raw = True   # shifts are still read from raw words
+        self.start = 0     # the held block's first sample
+        self.roll_index = np.empty(0, dtype=np.int64)
+        self.noise = np.empty((0, *resolution))
+
+    def draw(self, count: int) -> None:
+        """Let go of the held block and hold the next count samples."""
+        rng = self._rng
         bits = rng.bit_generator
         random_raw, integers, standard_normal = bits.random_raw, rng.integers, rng.standard_normal
         words = np.empty(count, dtype=np.uint64)
         shifts = np.empty((count, 2), dtype=np.int64)
-        noise = np.empty((count, *resolution))
-        raw = count  # samples before this one take their shift from words
+        noise = self.noise if len(self.noise) == count else np.empty((count, *self.key[2]))
+        raw = count if self._raw else 0  # samples before this one take their shift from words
         for i in range(count):
             if i < raw:
                 word = random_raw()
@@ -273,66 +346,67 @@ class BaseStream:
             if i >= raw:
                 shifts[i] = integers(-1, 2, size=2)
             standard_normal(out=noise[i])
+        self._raw = self._raw and raw == count
         shifts[:raw, 0] = (words[:raw] & 0xFFFFFFFF) * 3 >> 32
         shifts[:raw, 1] = (words[:raw] >> 32) * 3 >> 32
         shifts[:raw] -= 1
         # 0.08 * z has the bits of normal(0.0, 0.08)'s 0.0 + 0.08 * z up to
         # the sign of a zero, which adding a pattern (>= 0.15) erases
         noise *= 0.08
+        self.start += len(self.noise)
         self.roll_index = 3 * shifts[:, 0] + shifts[:, 1] + 4
-        self.noise: np.ndarray | None = noise
-        self.uses = uses
+        self.noise = noise
 
-    def base_images(self, samples_per_class: int) -> np.ndarray:
-        """Clipped (n, h, w) images of samples 0..n-1, labelled class by
-        class with samples_per_class each: pattern rolled by the sample's
-        shift, plus its noise.  The last use writes them into the noise array."""
-        class_count = len(self.rolled)
-        n = class_count * samples_per_class
-        if self.noise is None or n > len(self.noise):
-            raise DatasetError(f"base stream {self.key} cannot serve {n} more samples")
-        noise = self.noise[:n]
-        self.uses -= 1
-        if self.uses == 0:
-            images, self.noise = noise, None
-        else:
-            images = np.empty_like(noise)
-        for c in range(class_count):
-            rows = slice(c * samples_per_class, (c + 1) * samples_per_class)
-            np.add(noise[rows], self.rolled[c][self.roll_index[rows]], out=images[rows])
-        np.clip(images, 0.0, 1.0, out=images)
-        return images
+    def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The roll indices and noise of samples start..stop-1, which must lie
+        in the held block; the next draw may overwrite them."""
+        held = self.start + len(self.noise)
+        if start < self.start or stop > held:
+            raise DatasetError(f"base stream {self.key} cannot serve samples {start}..{stop - 1}: "
+                               f"it holds {self.start}..{held - 1}")
+        return (self.roll_index[start - self.start:stop - self.start],
+                self.noise[start - self.start:stop - self.start])
 
 
 def synth_domain(stream: BaseStream, transforms: tuple[Transform, ...],
-                 samples_per_class: int, domain_id: str) -> DomainDataset:
+                 samples_per_class: int, domain_id: str) -> DomainSource:
     """Deterministic synthetic domain: samples_per_class examples of each of
     the stream's classes, in one shared label space.
 
-    The images are the stream's first samples, so domains over one stream
-    that differ only in transforms or class size are pixel-aligned sample
-    for sample; the transforms' draws and the presentation order are seeded
-    from the stream's (base_pattern_seed, seed).
+    Source sample i is the stream's sample i, of class i // samples_per_class,
+    so domains over one stream that differ only in transforms or class size
+    are pixel-aligned sample for sample.  The rows present the samples in an
+    order seeded from the stream's (base_pattern_seed, seed), and so are the
+    transforms' draws, which carry on from one block to the next: a block's
+    images are its samples' pattern rolled by their shift, plus their
+    noise, clipped, then transformed, with the bits of one whole-domain draw.
     """
-    class_count, seeds = len(stream.rolled), stream.key[:2]
-    labels = np.repeat(np.arange(class_count, dtype=np.int64), samples_per_class)
-    images = _apply_transforms(stream.base_images(samples_per_class), transforms,
-                               make_rng(seeds, 313))
-    order = make_rng(seeds, 317).permutation(len(labels))
-    return DomainDataset(images[order][:, None], labels[order], domain_id, class_count)
+    class_count, seeds, resolution = len(stream.rolled), stream.key[:2], stream.key[2]
+    size = class_count * samples_per_class
+    order = make_rng(seeds, 317).permutation(size)
+    rngs = _transform_rngs(transforms, make_rng(seeds, 313), (size, *resolution))
+
+    def make(start: int, stop: int) -> np.ndarray:
+        roll_index, noise = stream.block(start, stop)
+        images = stream.rolled[np.arange(start, stop) // samples_per_class, roll_index]
+        images += noise
+        np.clip(images, 0.0, 1.0, out=images)
+        return _apply_transforms(images, transforms, rngs)[:, None]
+    return DomainSource(domain_id, order // samples_per_class, order, class_count, size,
+                        resolution, make)
 
 
-def resize(dataset: DomainDataset, target_resolution: tuple[int, int]) -> DomainDataset:
-    """Nearest-neighbor resampling; labels untouched."""
+def resize(images: np.ndarray, target_resolution: tuple[int, int]) -> np.ndarray:
+    """Nearest-neighbor resampling of (N, C, H, W) images."""
     th, tw = target_resolution
     if th < 1 or tw < 1:
         raise DatasetError("target resolution sides must be >= 1")
-    h, w = dataset.native_resolution
+    h, w = images.shape[2:]
     if (th, tw) == (h, w):
-        return dataset
+        return images
     rows = (np.arange(th) * h // th).astype(np.intp)
     cols = (np.arange(tw) * w // tw).astype(np.intp)
-    return replace(dataset, images=dataset.images[:, :, rows[:, None], cols])
+    return images[:, :, rows[:, None], cols]
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +421,14 @@ class DomainSplits:
     test: np.ndarray
 
 
-def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction: float,
-                     seed) -> DomainSplits:
-    """Per-class shuffled split; every class must land in the training part."""
-    labels = dataset.labels
+def stratified_split(domain: DomainSource | DomainDataset, val_fraction: float,
+                     test_fraction: float, seed) -> DomainSplits:
+    """Per-class shuffled split of a domain's rows, by its labels; every
+    class must land in the training part."""
+    labels = domain.labels
     rng = make_rng(seed, 331)
     train, val, test = ([np.empty(0, dtype=np.intp)] for _ in range(3))
-    for c in range(dataset.class_count):
+    for c in range(domain.class_count):
         idx = np.flatnonzero(labels == c)
         if idx.size == 0:
             continue
@@ -362,7 +437,7 @@ def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction:
         n_test = int(round(test_fraction * idx.size))
         if idx.size - n_val - n_test < 1:
             raise DatasetError(
-                f"domain {dataset.domain_id}: class {c} has no training samples "
+                f"domain {domain.domain_id}: class {c} has no training samples "
                 f"after split ({idx.size} total)")
         val.append(idx[:n_val])
         test.append(idx[n_val:n_val + n_test])
@@ -370,7 +445,7 @@ def stratified_split(dataset: DomainDataset, val_fraction: float, test_fraction:
     return DomainSplits(*(np.sort(np.concatenate(part)) for part in (train, val, test)))
 
 
-def subset(dataset: DomainDataset, indices) -> DomainDataset:
-    """The examples at the given integer positions, in that order."""
+def subset(domain: DomainSource, indices) -> DomainSource:
+    """The rows at the given integer positions, in that order."""
     idx = np.asarray(indices, dtype=np.intp)
-    return replace(dataset, images=dataset.images[idx], labels=dataset.labels[idx])
+    return replace(domain, labels=domain.labels[idx], rows=domain.rows[idx])

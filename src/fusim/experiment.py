@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 from dataclasses import dataclass
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evalkit, fedcccu, fedsim, nncore, unlearn_routes
-from .config import ConfigError, DomainConfig, ExperimentConfig, canonical
-from .datasets import (BaseStream, DomainDataset, DomainSplits, idx_class_count, load_idx,
-                       resize, stratified_split, synth_domain)
+from .config import ConfigError, ExperimentConfig, canonical
+from .datasets import (BLOCK_VALUES, BaseStream, DomainDataset, DomainSplits, idx_class_count,
+                       load_idx, resize, stratified_split, synth_domain)
 from .nncore import ModelSpec
 from .partition import PartitionPlan, build_plan, label_intersection
 
@@ -95,27 +96,41 @@ class Task:
     """What the stages share: the config, the model spec over the shared
     label space, set at once, and the data, built on first use.  A finished
     stage needs only the spec, so a resume of a finished directory builds no
-    data."""
+    data.  files holds each IDX file's bytes by path, read once by whoever
+    needs them first (the partition record, the spec, the data build) and
+    let go once the data is built."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, files: dict[str, bytes] | None = None):
         self.cfg = cfg
-        self.spec = build_spec(cfg)
+        self.files = {} if files is None else files
+        self.read = functools.partial(_read, self.files)
+        self.spec = build_spec(cfg, self.read)
 
     @functools.cached_property
     def data(self) -> TaskData:
-        return build_task(self.cfg, self.spec.class_count)
+        data = build_task(self.cfg, self.spec.class_count, self.read)
+        self.files.clear()
+        return data
 
 
-def build_spec(cfg: ExperimentConfig) -> ModelSpec:
+def _read(files: dict[str, bytes], path: str) -> bytes:
+    """path's bytes, read into files on first use."""
+    if path not in files:
+        with open(path, "rb") as fh:
+            files[path] = fh.read()
+    return files[path]
+
+
+def build_spec(cfg: ExperimentConfig, read) -> ModelSpec:
     """The configured model over the shared label space, from the config alone.
 
     A synthetic domain has [data] class_count classes and an IDX domain max
-    label + 1, read from its labels file only; the shared count is their
-    minimum, the label range label_intersection keeps, and it must hold the
-    forget class.
+    label + 1, read from its labels file only (read(path) gives its bytes);
+    the shared count is their minimum, the label range label_intersection
+    keeps, and it must hold the forget class.
     """
     class_count = min(cfg.class_count if dc.kind == "synthetic"
-                      else idx_class_count(dc.labels_path) for dc in cfg.domains)
+                      else idx_class_count(dc.labels_path, read) for dc in cfg.domains)
     if cfg.unlearn.forget_class >= class_count:
         raise ConfigError(f"unlearn.forget_class: {cfg.unlearn.forget_class} >= "
                           f"shared class count {class_count}")
@@ -125,46 +140,42 @@ def build_spec(cfg: ExperimentConfig) -> ModelSpec:
     return nncore.small_cnn(shape, class_count)
 
 
-def build_raw_domains(cfg: ExperimentConfig) -> list[DomainDataset]:
-    """Every configured domain, in config order.
+def build_task(cfg: ExperimentConfig, class_count: int, read) -> TaskData:
+    """The one data build, from the config alone, streamed into its pools.
 
-    The synthetic domains of one resolution share one base stream, drawn
-    once for the largest of them; they are built smallest first, so that
-    the largest, built last, forms its images inside the stream's draws.
-    """
-    domains: dict[str, DomainDataset] = {}
-    by_resolution: dict[tuple[int, int], list[tuple[int, DomainConfig]]] = {}
-    for dc in cfg.domains:
-        if dc.kind == "idx":
-            domains[dc.name] = load_idx(dc.images_path, dc.labels_path, domain_id=dc.name)
-        else:
-            by_resolution.setdefault(dc.resolution, []).append(
-                (dc.samples_per_class or cfg.samples_per_class, dc))
-    for resolution, group in by_resolution.items():
-        group.sort(key=lambda sized: sized[0])
-        stream = BaseStream(cfg.base_pattern_seed, cfg.seed, resolution, cfg.class_count,
-                            count=cfg.class_count * group[-1][0], uses=len(group))
-        for size, dc in group:
-            domains[dc.name] = synth_domain(stream, dc.transforms, size, dc.name)
-    return [domains[dc.name] for dc in cfg.domains]
-
-
-def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
-    """The one data build, from the config alone.
-
-    Every domain is made, cut to build_spec's shared labels [0, class_count)
-    and split by its labels.  Then, one domain at a time, it is resized, its
-    train, validation and test splits are written into its blocks of the
-    preallocated train, val and test pools (one block per domain, in config
-    order), after which the whole domain is released.  The plan is built over
-    the train pool.  A test group's set is the test pool's rows of the group:
-    its domain's block under real_noniid, else the whole pool; the clients of
-    group g are tested on test set g.
+    First every domain is described by its labels alone (synth_domain,
+    load_idx; read(path) gives an IDX file's bytes), cut to build_spec's
+    shared labels [0, class_count) and split by its labels.  That gives
+    each source sample its destination before any image exists: a row of
+    the train, validation or test pool, or none.  The pools hold one block
+    per domain in config order and are three parts of one preallocated
+    array.  Then the images are made in blocks of at most BLOCK_VALUES
+    source values and written straight into their rows, resized to the
+    working resolution: the synthetic domains of one resolution advance
+    together through one pass of their shared base stream, and an IDX
+    domain rescales its uint8 pixels a block at a time.  So the build holds
+    the pools and a few blocks; every pool row has the bits the whole-domain
+    build gave it.  The plan is built over the train pool.  A test group's
+    set is the test pool's rows of the group: its domain's block under
+    real_noniid, else the whole pool; the clients of group g are tested on
+    test set g.
     """
     ev, part = cfg.evaluate, cfg.partition
-    domains = label_intersection(build_raw_domains(cfg), class_count)
+    streams = {res: BaseStream(cfg.base_pattern_seed, cfg.seed, res, cfg.class_count)
+               for res in dict.fromkeys(dc.resolution for dc in cfg.domains
+                                        if dc.kind == "synthetic")}
+    sources = label_intersection([
+        load_idx(dc.images_path, dc.labels_path, dc.name, read) if dc.kind == "idx" else
+        synth_domain(streams[dc.resolution], dc.transforms,
+                     dc.samples_per_class or cfg.samples_per_class, dc.name)
+        for dc in cfg.domains], class_count)
+    # the domains made in one pass: those over one stream, or one IDX domain
+    passes = [(None, [i]) for i, dc in enumerate(cfg.domains) if dc.kind == "idx"]
+    passes += [(stream, [i for i, dc in enumerate(cfg.domains)
+                         if dc.kind == "synthetic" and dc.resolution == res])
+               for res, stream in streams.items()]
     splits = {}
-    for d in domains:
+    for d in sources:
         if not len(d):
             raise ConfigError(f"domain {d.domain_id!r} holds no example of the shared "
                               f"labels 0..{class_count - 1}")
@@ -175,24 +186,37 @@ def build_task(cfg: ExperimentConfig, class_count: int) -> TaskData:
             if not rows.size:
                 raise ConfigError(f"evaluate.{key}: domain {d.domain_id!r} gets no {what} "
                                   f"examples; raise it or the samples per class")
-    channels = domains[0].images.shape[1]
-    blocks, pools = {}, {}
+    # dest[i][s]: the row of the joined pools that source sample s of domain i goes to, or -1
+    dest = [np.full(d.size, -1, dtype=np.intp) for d in sources]
+    blocks, spans, end = {}, {}, 0
     for which in ("train", "val", "test"):
-        stops = np.cumsum([len(getattr(sp, which)) for sp in splits.values()]).tolist()
+        parts = [getattr(sp, which) for sp in splits.values()]
+        stops = np.cumsum([len(p) for p in parts]).tolist()
         blocks[which] = tuple(zip(splits, [0] + stops[:-1], stops))
-        pools[which] = DomainDataset(np.zeros((stops[-1], channels, *part.working_resolution)),
-                                     np.zeros(stops[-1], dtype=np.int64), which, class_count)
-    for i, d in enumerate(domains):
-        domains[i] = None   # d is the one reference left to the whole domain
-        d = resize(d, part.working_resolution)
-        sp = splits[d.domain_id]
-        for which, pool in pools.items():
-            _, start, stop = blocks[which][i]
-            index = getattr(sp, which)
-            # mode="clip" writes straight into out; "raise" fills a temporary first
-            np.take(d.images, index, axis=0, out=pool.images[start:stop], mode="clip")
-            np.take(d.labels, index, out=pool.labels[start:stop], mode="clip")
-    del d
+        for d, to, p, (_, start, stop) in zip(sources, dest, parts, blocks[which]):
+            to[d.rows[p]] = np.arange(end + start, end + stop)
+        spans[which], end = (end, end + stops[-1]), end + stops[-1]
+    # every domain is single-channel
+    images = np.empty((end, 1, *part.working_resolution))
+    labels = np.empty(end, dtype=np.int64)
+    for d, to in zip(sources, dest):
+        labels[to[d.rows]] = d.labels
+    for stream, members in passes:
+        size = max(sources[i].size for i in members)
+        step = max(1, BLOCK_VALUES // math.prod(sources[members[0]].resolution))
+        for start in range(0, size, step):
+            if stream is not None:
+                stream.draw(min(step, size - start))
+            for i in members:
+                to = dest[i][start:start + step]
+                if len(to):
+                    block = resize(sources[i].make(start, start + len(to)),
+                                   part.working_resolution)
+                    keep = to >= 0   # all but the samples of labels the intersection cut
+                    images[to[keep]] = block if keep.all() else block[keep]
+                    del block   # before the next domain makes its block
+    pools = {which: DomainDataset(images[a:b], labels[a:b], which, class_count)
+             for which, (a, b) in spans.items()}
     train, test = pools["train"], pools["test"]
     plan = build_plan(part, train.labels, blocks["train"], cfg.seed)
     groups = blocks["test"] if part.strategy == "real_noniid" else (("test", 0, len(test)),)
@@ -277,13 +301,13 @@ def _read_record(stage: str, path: str, wanted: dict, checks: dict) -> dict:
     return record
 
 
-def _idx_files(cfg: ExperimentConfig) -> dict:
-    """Byte size and sha256 of each IDX file the config reads, by path."""
+def _idx_files(cfg: ExperimentConfig, read) -> dict:
+    """Byte size and sha256 of each IDX file the config reads, by path;
+    read(path) gives a file's bytes."""
     files = {}
     for path in (p for dc in cfg.domains if dc.kind == "idx"
                  for p in (dc.images_path, dc.labels_path)):
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = read(path)
         files[path] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     return files
 
@@ -292,20 +316,22 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     """The task.  partition.json records the plan and splits.json the splits,
     for readers; on resume only partition.json's config record and the IDX
     files, whose sizes and hashes it holds, are read, and the data is built
-    from the config when a stage first uses it."""
+    from the config when a stage first uses it.  Either way each IDX file
+    is read once, for the record, the spec and the data alike."""
     def run(_, writer):
         task = Task(cfg)
+        files = _idx_files(cfg, task.read)
         writer.add_text("splits.json", _splits_to_json(task.data.splits))
-        files = _idx_files(cfg)
         return task, {**task.data.plan.to_doc(), **({"idx_files": files} if files else {})}
 
     def resume(_, record):
-        for path, found in _idx_files(cfg).items():
+        files = {}
+        for path, found in _idx_files(cfg, functools.partial(_read, files)).items():
             if found != (recorded := record.get("idx_files", {}).get(path)):
                 raise ConfigError(f"{os.path.join(out_dir, 'partition.json')}: {path} is "
                                   f"{found} but the record holds {recorded}; use a fresh "
                                   f"output directory")
-        return Task(cfg)
+        return Task(cfg, files)
     return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json"),
                   _PARTITION_SECTIONS, {}, lambda: None, resume, run)
 

@@ -534,8 +534,9 @@ def batch_zeroed_unit_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndar
     """Per-input P(target) with a hidden unit's activation zeroed, a (U, n)
     array whose row i is that of position i of spec.hidden_units.
 
-    Per hidden layer, one engine call runs the inputs up to pre, the input
-    of the next parameterized layer, whose output z0 is formed once.  The
+    Per hidden layer, one engine call runs the previous hidden layer's pre
+    (the inputs for the first) up to pre, the input of the next
+    parameterized layer, whose output z0 is formed once.  The
     layers between the site and pre, maxpool and flatten in both reference
     models (no relu), act per channel, so zeroing unit j adds P_j(-a_j) to
     z0, a_j the unit's block of pre and P_j the layer restricted to it: the
@@ -554,10 +555,11 @@ def batch_zeroed_unit_probs(spec: ModelSpec, params: np.ndarray, inputs: np.ndar
     x = _as_batch(spec, inputs)
     n = len(x)
     out = np.empty((len(spec.hidden_units), n))
-    row = 0
+    row, pre, start = 0, x, 0
     for ordinal in range(spec.param_layer_count - 1):
         nxt = spec._param_positions[ordinal + 1]
-        pre, _ = _forward_engine(spec, views, x, stop=nxt)
+        pre, _ = _forward_engine(spec, views, pre, start=start, stop=nxt)
+        start = nxt
         z0, _ = _forward_engine(spec, views, pre, start=nxt, stop=nxt + 1)
         w, width = views[f"layer{ordinal + 1}.weight"], spec.unit_count(ordinal)
         block = max(1, _UNIT_BLOCK_VALUES // max(1, z0.size))

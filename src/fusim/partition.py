@@ -12,10 +12,13 @@ entry point that picks the configured regime:
                block via Dirichlet(alpha); feature distributions differ across
                groups while labels stay comparable.
 
-label_intersection cuts every domain to the shared label range, and
-materialize gives the plan's per-client index vectors.  A plan is a pure
-function of the config: to_doc records it in partition.json for readers,
-and nothing reads that record back.
+Everything here reads labels only.  The data build streams images into its
+pools, so every row's place must be known before any image exists:
+label_intersection cuts each domain source to the shared label range by its
+labels, the splits and the plan index the pools by labels, and materialize
+gives the plan's per-client index vectors.  A plan is a pure function of the
+config: to_doc records it in partition.json for readers, and nothing reads
+that record back.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PartitionConfig
-from .datasets import DomainDataset, subset
+from .datasets import DomainSource, subset
 from .nncore import make_rng
 
 DIRICHLET_MAX_RETRIES = 100
@@ -107,8 +110,8 @@ def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float,
         f"no nonempty Dirichlet assignment found in {DIRICHLET_MAX_RETRIES} draws")
 
 
-def label_intersection(domains: list[DomainDataset], shared: int) -> list[DomainDataset]:
-    """Every domain cut to the shared labels [0, shared).
+def label_intersection(domains: list[DomainSource], shared: int) -> list[DomainSource]:
+    """Every domain cut to the shared labels [0, shared), by its labels.
 
     Every domain's labels start at 0, so no label changes value: examples of
     labels >= shared are dropped, and a domain with no such class is kept as

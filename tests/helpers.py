@@ -2,7 +2,8 @@
 arrays, one library training step of one model, the out-of-place engine
 reference and its zeroed probabilities of one hidden unit, the per-unit
 loop for attribution scores, the copied-shard
-reference for client views, the per-client-view evaluation and the per-cell
+reference for client views, the whole-domain data build that the streamed
+one must equal, the per-client-view evaluation and the per-cell
 reference for evaluation reports, the record-object reference for the fedcccu server, the per-sample integers
 loop of the synthetic base stream, a synthetic domain over a stream of its
 own, the IDX fixture writers, and the configparser reference for the config
@@ -21,7 +22,6 @@ import numpy as np
 from fusim import config as cf
 from fusim import datasets as ds
 from fusim import evalkit as ek
-from fusim import experiment
 from fusim import fedsim as fs
 from fusim import nncore as nn
 from fusim import partition as pt
@@ -236,10 +236,15 @@ def riemann_sensitivity_scores(spec, params, inputs, target, m) -> np.ndarray:
     return np.array(scores)
 
 
+def subset(dataset, indices) -> ds.DomainDataset:
+    """The examples at the given integer positions, in that order."""
+    idx = np.asarray(indices, dtype=np.intp)
+    return dataclasses.replace(dataset, images=dataset.images[idx], labels=dataset.labels[idx])
+
+
 def copied_shard(client) -> ds.DomainDataset:
     """The client's examples copied into a dataset of their own, with its labels."""
-    return dataclasses.replace(ds.subset(client.domain, client.index),
-                               labels=client.labels.copy())
+    return dataclasses.replace(subset(client.domain, client.index), labels=client.labels.copy())
 
 
 def on_copied_shard(client) -> fs.ClientState:
@@ -249,6 +254,80 @@ def on_copied_shard(client) -> fs.ClientState:
     return fs.ClientState(client.client_id, shard, np.arange(len(shard)))
 
 
+def made(source, stream=None, pieces=(1, 3, 2)) -> ds.DomainDataset:
+    """The whole domain of a DomainSource, its rows in order: the source's
+    images made in blocks of the uneven sizes pieces, then one of the rest,
+    each drawn from stream first when the source has one of its own."""
+    blocks, start = [], 0
+    for size in (*pieces, source.size):
+        stop = min(start + size, source.size)
+        if stop > start:
+            if stream is not None:
+                stream.draw(stop - start)
+            blocks.append(source.make(start, stop))
+            start = stop
+    return ds.DomainDataset(np.concatenate(blocks)[source.rows], source.labels,
+                            source.domain_id, source.class_count)
+
+
+def reference_raw_domains(cfg) -> list[ds.DomainDataset]:
+    """Every configured domain made whole, in config order, as the data
+    build made them before it streamed: the synthetic domains of one
+    resolution share one stream, drawn in one block for the largest."""
+    sources, streams = [], {}
+    for dc in cfg.domains:
+        if dc.kind == "idx":
+            sources.append(ds.load_idx(dc.images_path, dc.labels_path, dc.name))
+            continue
+        if dc.resolution not in streams:
+            streams[dc.resolution] = ds.BaseStream(cfg.base_pattern_seed, cfg.seed,
+                                                   dc.resolution, cfg.class_count)
+        sources.append(ds.synth_domain(streams[dc.resolution], dc.transforms,
+                                       dc.samples_per_class or cfg.samples_per_class, dc.name))
+    for resolution, stream in streams.items():
+        stream.draw(max(d.size for d, dc in zip(sources, cfg.domains)
+                        if dc.kind == "synthetic" and dc.resolution == resolution))
+    return [made(d, pieces=()) for d in sources]
+
+
+def reference_label_intersection(domains, shared) -> list[ds.DomainDataset]:
+    """partition.label_intersection on whole datasets: each cut to the
+    shared labels [0, shared), kept as it is when it has no other."""
+    return [d if d.class_count == shared else
+            dataclasses.replace(subset(d, np.flatnonzero(d.labels < shared)), class_count=shared)
+            for d in domains]
+
+
+def reference_domains(cfg, class_count):
+    """reference_raw_domains cut to the shared labels [0, class_count) and
+    split, as whole datasets at the working resolution, with their splits:
+    the data build's whole-domain path."""
+    ev = cfg.evaluate
+    out = []
+    for d in reference_label_intersection(reference_raw_domains(cfg), class_count):
+        sp = ds.stratified_split(d, ev.val_fraction, ev.test_fraction, (cfg.seed, 831))
+        out.append((dataclasses.replace(d, images=ds.resize(d.images,
+                                                            cfg.partition.working_resolution)),
+                    sp))
+    return out
+
+
+def reference_task_data(cfg, class_count) -> dict:
+    """The whole-domain data build: each domain's train, validation and test
+    splits gathered from the whole domain and joined in config order into
+    the three pools, the plan over the train pool, and the splits by
+    domain."""
+    domains = reference_domains(cfg, class_count)
+    pools = {which: ds.DomainDataset(
+        np.concatenate([d.images[getattr(sp, which)] for d, sp in domains]),
+        np.concatenate([d.labels[getattr(sp, which)] for d, sp in domains]), which, class_count)
+        for which in ("train", "val", "test")}
+    stops = np.cumsum([len(sp.train) for _, sp in domains]).tolist()
+    blocks = tuple(zip([d.domain_id for d, _ in domains], [0] + stops[:-1], stops))
+    return {**pools, "plan": pt.build_plan(cfg.partition, pools["train"].labels, blocks, cfg.seed),
+            "splits": {d.domain_id: sp for d, sp in domains}}
+
+
 def reference_evaluation_sets(cfg, class_count):
     """The evaluation data as the data build made it before its validation
     pool and shared test sets: every domain is resized and cut by its splits
@@ -256,12 +335,10 @@ def reference_evaluation_sets(cfg, class_count):
     client (its group's domain's test set under real_noniid, else every
     domain's, joined in config order) and the validation images and labels
     joined in domain-name order."""
-    part, ev = cfg.partition, cfg.evaluate
+    part = cfg.partition
     tests, vals = {}, {}
-    for d in pt.label_intersection(experiment.build_raw_domains(cfg), class_count):
-        sp = ds.stratified_split(d, ev.val_fraction, ev.test_fraction, (cfg.seed, 831))
-        d = ds.resize(d, part.working_resolution)
-        tests[d.domain_id], vals[d.domain_id] = ds.subset(d, sp.test), ds.subset(d, sp.val)
+    for d, sp in reference_domains(cfg, class_count):
+        tests[d.domain_id], vals[d.domain_id] = subset(d, sp.test), subset(d, sp.val)
     groups = list(tests.values())
     if part.strategy != "real_noniid":
         groups = [ds.DomainDataset(np.concatenate([t.images for t in groups]),
@@ -455,13 +532,11 @@ def reference_base_stream(rng, resolution, count):
 
 def synthetic_domain(base_pattern_seed, seed, resolution, class_count, samples_per_class,
                      transforms="identity", domain_id="synthetic") -> ds.DomainDataset:
-    """A synthetic domain over a base stream drawn for it alone, as
-    build_raw_domains makes the one synthetic domain at its resolution;
-    transforms is chain text."""
-    stream = ds.BaseStream(base_pattern_seed, seed, resolution, class_count,
-                           count=class_count * samples_per_class)
-    return ds.synth_domain(stream, ds.parse_transforms(transforms), samples_per_class,
-                           domain_id)
+    """A synthetic domain over a base stream of its own, made whole in
+    uneven blocks; transforms is chain text."""
+    stream = ds.BaseStream(base_pattern_seed, seed, resolution, class_count)
+    return made(ds.synth_domain(stream, ds.parse_transforms(transforms), samples_per_class,
+                                domain_id), stream)
 
 
 def write_idx(images, labels, images_path, labels_path) -> None:

@@ -1,4 +1,5 @@
 """End-to-end CLI and experiment orchestration tests on tiny configs."""
+import builtins
 import dataclasses
 import filecmp
 import json
@@ -769,14 +770,45 @@ def test_train_after_partition_reads_each_labels_file_once(tmp_path, monkeypatch
     assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
     read, real = [], experiment.idx_class_count
 
-    def counted(path):
+    def counted(path, *args):
         read.append(str(path))
-        return real(path)
+        return real(path, *args)
     monkeypatch.setattr(experiment, "idx_class_count", counted)
     builds, _ = count_builds(monkeypatch)
     assert cli.main(["train", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
     assert len(builds) == 1
     assert sorted(read) == [f"{tmp_path / name}-labels.idx" for name in ("narrow", "wide")]
+
+
+@pytest.mark.parametrize("stage", ["partition", "train"])
+def test_a_stage_reads_each_idx_file_once(tmp_path, monkeypatch, stage):
+    """A fresh partition stage opens each IDX file once: the bytes read for
+    the spec's class count serve the data build and partition.json's sizes
+    and hashes too.  So does a train stage after it, whose partition resume
+    checks those hashes."""
+    paths = [tmp_path / f"real-{part}.idx" for part in ("images", "labels")]
+    save_idx(synthetic_domain(1, 0, (8, 8), 5, 12), *paths)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[domain.real]
+images = {paths[0]}
+labels = {paths[1]}
+[partition]
+working_resolution = 8x8
+[training]
+rounds_max = 1
+""")
+    out = str(tmp_path / "run")
+    if stage == "train":
+        assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    opened, real_open = [], builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", counted)
+    assert cli.main([stage, "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
+    assert sorted(name for name in opened if name.endswith(".idx")) == sorted(map(str, paths))
 
 
 @pytest.mark.parametrize("rewrite", ["images", "labels"])

@@ -2,19 +2,22 @@
 import itertools
 import os
 import struct
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fusim import datasets as ds
+from fusim import experiment
 from fusim import nncore as nn
 from fusim.config import validate_config
-from fusim.experiment import build_raw_domains
-from helpers import reference_base_stream, same_bits, save_idx, synthetic_domain, write_idx
+from helpers import (TINY, made, reference_base_stream, reference_task_data, same_bits,
+                     save_idx, synthetic_domain, write_idx)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -31,9 +34,8 @@ def write_idx_pair(tmp_path, images, labels):
 def test_load_idx_two_images(tmp_path):
     images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
     ip, lp = write_idx_pair(tmp_path, images, [1, 0])
-    d = ds.load_idx(ip, lp)
+    d = made(ds.load_idx(ip, lp))
     assert len(d) == 2
-    assert d.native_resolution == (3, 4)
     assert d.images.shape == (2, 1, 3, 4)
     assert d.labels.tolist() == [1, 0]
     assert np.allclose(d.images[1, 0] * 255.0, images[1])
@@ -86,7 +88,7 @@ def test_idx_roundtrip_bytes(tmp_path):
     images = rng.integers(0, 256, size=(5, 6, 6), dtype=np.uint8)
     labels = rng.integers(0, 4, size=5)
     ip, lp = write_idx_pair(tmp_path, images, labels)
-    d = ds.load_idx(ip, lp)
+    d = made(ds.load_idx(ip, lp))
     ip2 = tmp_path / "imgs2"
     lp2 = tmp_path / "lbls2"
     save_idx(d, ip2, lp2)
@@ -100,7 +102,7 @@ def test_idx_roundtrip_bit_exact(tmp_path_factory, images, data):
     labels = data.draw(hnp.arrays(np.uint8, len(images), elements=st.integers(0, 9)))
     tmp = tmp_path_factory.mktemp("idx")
     ip, lp = write_idx_pair(tmp, images, labels)
-    d = ds.load_idx(ip, lp)
+    d = made(ds.load_idx(ip, lp))
     assert np.array_equal(d.images[:, 0], images / 255.0)
     assert np.array_equal(d.labels, labels)
     assert np.array_equal(np.round(d.images[:, 0] * 255.0), images)
@@ -160,7 +162,7 @@ def test_synth_gaussian_noise_mean_abs_difference():
 
 def test_synth_downsample_halves_resolution():
     d = make_domain(4, "downsample(2)")
-    assert d.native_resolution == (6, 6)
+    assert d.images.shape[2:] == (6, 6)
 
 
 def linear_probe_accuracy(xs, ys, train, test, classes, steps=60, learning_rate=0.5):
@@ -246,7 +248,7 @@ def test_synth_bit_identical_to_per_sample_generator(chain):
     images, labels = per_sample_synth(13, 6, (12, 10), 4, 9, ds.parse_transforms(chain))
     assert np.array_equal(d.images, images)
     assert np.array_equal(d.labels, labels)
-    assert d.native_resolution == images.shape[2:]
+    assert d.images.shape == images.shape
 
 
 SHARED_STREAM_CONFIG = """
@@ -278,36 +280,186 @@ resolution = 12x10
 group_sizes = 1,1,1,1,1
 """
 
+# splits that leave a validation and a test example of each class of 4
+SPLIT_SMALL_DOMAINS = """
+[evaluate]
+val_fraction = 0.25
+test_fraction = 0.25
+"""
 
-def test_build_raw_domains_shares_a_stream_bit_identically():
+
+def domain_rows(data, name):
+    """Domain name's images and labels put back together from a data
+    build's pools: each pool holds a block per domain in config order, its
+    rows at the positions the domain's splits give."""
+    sp, n = data.splits[name], sum(map(len, vars(data.splits[name]).values()))
+    test = ds.DomainDataset(np.concatenate([t.images for t in data.test_sets]),
+                            np.concatenate([t.labels for t in data.test_sets]), "test",
+                            data.train.class_count)
+    images = np.empty((n, *data.train.images.shape[1:]))
+    labels = np.empty(n, dtype=np.int64)
+    for which, pool in (("train", data.train), ("val", data.val), ("test", test)):
+        rows = getattr(sp, which)
+        start = sum(len(getattr(other, which))
+                    for other in itertools.takewhile(lambda s: s is not sp, data.splits.values()))
+        images[rows] = pool.images[start:start + len(rows)]
+        labels[rows] = pool.labels[start:start + len(rows)]
+    return images, labels
+
+
+@pytest.mark.parametrize("block_values", [ds.BLOCK_VALUES, 607, 1])
+def test_streamed_build_shares_a_stream_bit_identically(monkeypatch, block_values):
     # four domains share the 12x10 stream at three class sizes, two of them
-    # the same size; one domain draws its own stream at 8x8
-    cfg = validate_config(SHARED_STREAM_CONFIG)
-    domains = build_raw_domains(cfg)
-    assert [d.domain_id for d in domains] == [dc.name for dc in cfg.domains]
-    for dc, d in zip(cfg.domains, domains):
+    # the same size; one domain draws its own stream at 8x8.  With 607
+    # values a block holds 5 of the 12x10 samples and 9 of the 8x8 ones,
+    # with 1 value one sample.
+    monkeypatch.setattr(experiment, "BLOCK_VALUES", block_values)
+    cfg = validate_config(SHARED_STREAM_CONFIG + SPLIT_SMALL_DOMAINS)
+    data = experiment.Task(cfg).data
+    assert list(data.splits) == [dc.name for dc in cfg.domains]
+    for dc in cfg.domains:
         images, labels = per_sample_synth(13, 6, dc.resolution, 4, dc.samples_per_class or 7,
                                           dc.transforms)
-        assert np.array_equal(d.images, images), dc.name
-        assert np.array_equal(d.labels, labels), dc.name
+        got_images, got_labels = domain_rows(data, dc.name)
+        assert np.array_equal(got_images, ds.resize(images, cfg.partition.working_resolution)), \
+            dc.name
+        assert np.array_equal(got_labels, labels), dc.name
 
 
 def test_base_stream_refuses_a_domain_it_cannot_serve():
-    stream = ds.BaseStream(13, 6, (12, 10), 4, count=4 * 5)
-    with pytest.raises(ds.DatasetError, match="cannot serve 24 more samples"):
-        stream.base_images(6)
-    stream.base_images(5)
-    with pytest.raises(ds.DatasetError, match="cannot serve 4 more samples"):
-        stream.base_images(1)
+    """The stream serves only the samples of the block it holds, to a
+    domain over it as to any caller; a draw lets the block before go."""
+    stream = ds.BaseStream(13, 6, (12, 10), 4)
+    domain = ds.synth_domain(stream, (), 5, "d")
+    stream.draw(5)
+    with pytest.raises(ds.DatasetError, match=r"cannot serve samples 0\.\.5: it holds 0\.\.4"):
+        stream.block(0, 6)
+    with pytest.raises(ds.DatasetError, match=r"cannot serve samples 3\.\.5: it holds 0\.\.4"):
+        domain.make(3, 6)
+    assert len(stream.block(0, 5)[1]) == 5
+    stream.draw(3)
+    with pytest.raises(ds.DatasetError, match=r"cannot serve samples 4\.\.5: it holds 5\.\.7"):
+        stream.block(4, 6)
+    roll_index, noise = stream.block(5, 8)
+    assert len(roll_index) == len(noise) == 3
+    assert domain.make(5, 8).shape == (3, 1, 12, 10)
 
 
-def stream_from(rng, resolution, count):
+def test_a_domain_made_in_blocks_has_the_bits_of_one_block():
+    """Both transforms that draw carry their generators from block to block."""
+    def fresh():
+        stream = ds.BaseStream(13, 6, (12, 10), 4)
+        chain = ds.parse_transforms("gaussian_noise(0.1)+background_clutter(0.3)")
+        return ds.synth_domain(stream, chain, 5, "d"), stream
+    assert same_bits(made(*fresh(), pieces=(2, 1, 6)).images, made(*fresh(), pieces=()).images)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# A synthetic domain of four classes beside an IDX domain of six at 12x12:
+# the IDX domain's labels 4 and 5 lie beyond the shared range.
+IDX_BEYOND_SHARED = """
+[experiment]
+seed = 4
+[data]
+class_count = 4
+samples_per_class = 12
+[domain.synth]
+transform = gaussian_noise(0.1)+background_clutter(0.2)
+resolution = 8x8
+[domain.real]
+images = {images}
+labels = {labels}
+[partition]
+group_sizes = 1,2
+working_resolution = 10x10
+"""
+
+
+def config_text(name, tmp_path):
+    """The config text of a name the streamed-build oracle runs on."""
+    if name in ("digits3", "pair2"):
+        return (CONFIG_DIR / f"{name}.ini").read_text()
+    if name == "shared-stream":
+        return SHARED_STREAM_CONFIG + SPLIT_SMALL_DOMAINS
+    if name == "idx":
+        paths = {part: tmp_path / f"real-{part}.idx" for part in ("images", "labels")}
+        save_idx(synthetic_domain(2, 9, (12, 12), 6, 15), paths["images"], paths["labels"])
+        return IDX_BEYOND_SHARED.format(**paths)
+    strategy = {"iid": "strategy = iid\nclients = 3",
+                "dirichlet": "strategy = dirichlet\nclients = 3\nalpha = 0.5"}[name]
+    return TINY.format(route="none").replace("group_sizes = 2,2", strategy)
+
+
+@pytest.mark.parametrize("name, block_values", [
+    ("digits3", ds.BLOCK_VALUES), ("pair2", ds.BLOCK_VALUES), ("shared-stream", 607),
+    ("idx", ds.BLOCK_VALUES), ("idx", 500), ("iid", 300), ("dirichlet", 300)])
+def test_streamed_build_equals_the_whole_domain_build(tmp_path, monkeypatch, name, block_values):
+    """The pools, labels, splits and plan of the streamed data build equal
+    those of the whole-domain build bit for bit, with the default blocks
+    and with blocks of a few samples that do not divide the domains."""
+    monkeypatch.setattr(experiment, "BLOCK_VALUES", block_values)
+    cfg = validate_config(config_text(name, tmp_path))
+    task = experiment.Task(cfg)
+    data, want = task.data, reference_task_data(cfg, task.spec.class_count)
+    test = ds.DomainDataset(np.concatenate([t.images for t in data.test_sets]),
+                            np.concatenate([t.labels for t in data.test_sets]), "test",
+                            task.spec.class_count)
+    for which, got in (("train", data.train), ("val", data.val), ("test", test)):
+        assert same_bits(got.images, want[which].images), which
+        assert same_bits(got.labels, want[which].labels), which
+    assert list(data.splits) == list(want["splits"])
+    for domain, sp in want["splits"].items():
+        for part in ("train", "val", "test"):
+            assert same_bits(getattr(data.splits[domain], part), getattr(sp, part))
+    assert data.plan.blocks == want["plan"].blocks
+    assert len(data.plan.clients) == len(want["plan"].clients)
+    assert all(map(same_bits, data.plan.clients, want["plan"].clients))
+
+
+def test_data_build_holds_its_pools_and_a_few_blocks():
+    """The pair2 data build's traced heap peak is at most its pools' bytes
+    plus 4 MB, room for a few blocks of BLOCK_VALUES float64 values (0.5 MB
+    each) and the per-sample index vectors; it reads 2.2 MB.  The
+    whole-domain build peaked at 51.1 MB against 24.7 MB of pools.  A first
+    build, untraced, imports the modules numpy loads on first use."""
+    cfg = validate_config((CONFIG_DIR / "pair2.ini").read_text())
+    experiment.Task(cfg).data
+    task = experiment.Task(cfg)
+    tracemalloc.start()
+    try:
+        data = task.data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the test sets of a real_noniid split are the test pool's domain blocks
+    pools = sum(a.nbytes for d in (data.train, data.val, *data.test_sets)
+                for a in (d.images, d.labels))
+    assert pools > 23e6
+    assert peak <= pools + 4e6, (peak, pools)
+
+
+def stream_from(rng, resolution):
     """A BaseStream whose shifts and noise come from rng (datasets.make_rng
     hands it out for the stream's tag, 311); rng is left where it ends."""
     def make_rng(seed, *tags):
         return rng if tags == (311,) else nn.make_rng(seed, *tags)
     with mock.patch.object(ds, "make_rng", make_rng):
-        return ds.BaseStream(5, 0, resolution, 2, count)
+        return ds.BaseStream(5, 0, resolution, 2)
+
+
+def drawn(stream, count):
+    """The roll indices and noise of count samples of stream, drawn in
+    blocks of 1, 2, 3, ... samples (a copy of each, since a draw of the
+    same count reuses the block's array) and joined."""
+    blocks, size = [], 1
+    while count:
+        stream.draw(min(size, count))
+        blocks.append([a.copy() for a in stream.block(stream.start,
+                                                      stream.start + min(size, count))])
+        count -= min(size, count)
+        size += 1
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def live_state(rng):
@@ -327,18 +479,20 @@ def generator_at(state):
 
 
 def assert_same_stream(state, resolution, count):
-    """BaseStream and the per-sample integers loop, each drawing from a
-    generator at state, give the same shifts, noise and final state."""
+    """BaseStream, drawing in uneven blocks, and the per-sample integers
+    loop, each drawing from a generator at state, give the same shifts,
+    noise and final state."""
     rng, reference_rng = generator_at(state), generator_at(state)
-    stream = stream_from(rng, resolution, count)
+    got_roll_index, got_noise = drawn(stream_from(rng, resolution), count)
     roll_index, noise = reference_base_stream(reference_rng, resolution, count)
-    assert same_bits(stream.roll_index, roll_index)
-    assert same_bits(stream.noise, noise)
+    assert same_bits(got_roll_index, roll_index)
+    assert same_bits(got_noise, noise)
     assert live_state(rng) == live_state(reference_rng)
 
 
 @pytest.mark.bitid
 @given(st.integers(0, 2**32 - 1), st.integers(4, 16), st.integers(4, 16), st.integers(1, 300))
+@example(7, 4, 5, 5)   # draws of 1, 2 and 2 samples: the last reuses the block's array
 def test_base_stream_reads_integers_shifts_from_raw_words(seed, h, w, count):
     state = nn.make_rng((5, seed), 311).bit_generator.state
     assert_same_stream(state, (h, w), count)
@@ -441,34 +595,31 @@ def test_transform_argument_that_is_not_a_finite_number_is_refused(chain, bad, d
 
 def test_resize_same_resolution_identical():
     d = make_domain(1)
-    r = ds.resize(d, (12, 12))
-    assert np.array_equal(r.images, d.images)
+    assert ds.resize(d.images, (12, 12)) is d.images
 
 
 def test_resize_checkerboard_upscale():
     board = np.array([[0.0, 1.0], [1.0, 0.0]])
-    d = ds.DomainDataset(board[None, None], np.zeros(1, dtype=np.int64), "x", 1)
-    r = ds.resize(d, (4, 4))
-    img = r.images[0, 0]
+    img = ds.resize(board[None, None], (4, 4))[0, 0]
     expected = np.kron(board, np.ones((2, 2)))
     assert np.array_equal(img, expected)
 
 
 def test_resize_roundtrip_bounded_aliasing():
     d = make_domain(5, resolution=(16, 16))
-    up = ds.resize(d, (28, 28))
+    up = ds.resize(d.images, (28, 28))
     back = ds.resize(up, (16, 16))
-    mae = float(np.abs(d.images - back.images).mean())
+    mae = float(np.abs(d.images - back).mean())
     # measured on the frozen generator: 0.1553; pinned with headroom
     assert 0.0 < mae <= 0.20
 
 
-def test_resize_preserves_labels_and_counts():
+def test_resize_keeps_the_images_apart():
     d = make_domain(8)
-    r = ds.resize(d, (7, 9))
-    assert len(r) == len(d)
-    assert np.array_equal(r.labels, d.labels)
-    assert r.native_resolution == (7, 9)
+    r = ds.resize(d.images, (7, 9))
+    assert r.shape == (len(d), 1, 7, 9)
+    for image, small in zip(d.images, r):
+        assert same_bits(ds.resize(image[None], (7, 9))[0], small)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +649,11 @@ def test_stratified_split_deterministic():
 
 
 def test_subset_is_an_index_operation():
-    d = make_domain(3)
+    d = ds.synth_domain(ds.BaseStream(5, 3, (12, 12), 4), (), 20, "d")
     s = ds.subset(d, (5, 1, 5))
-    assert np.array_equal(s.images, d.images[[5, 1, 5]])
+    assert s.rows.tolist() == d.rows[[5, 1, 5]].tolist()
     assert s.labels.tolist() == d.labels[[5, 1, 5]].tolist()
+    assert (s.size, s.make) == (d.size, d.make)
     assert len(ds.subset(d, ())) == 0
 
 
@@ -554,5 +706,4 @@ def test_dataset_rejects_out_of_range_label(class_count, labels):
                            match=f"domain d: label {bad[0]} outside \\[0, {class_count}\\)"):
             ds.DomainDataset(images, labels, "d", class_count)
     else:
-        d = ds.DomainDataset(images, labels, "d", class_count)
-        assert d.native_resolution == (2, 2)
+        assert len(ds.DomainDataset(images, labels, "d", class_count)) == len(labels)

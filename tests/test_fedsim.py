@@ -12,7 +12,7 @@ from fusim import nncore as nn
 from fusim import partition as pt
 from fusim.config import TrainingConfig, UnlearnConfig
 from helpers import (copied_shard, library_step, on_copied_shard,
-                     reference_loss_gradient_probs, same_bits, synthetic_domain)
+                     reference_loss_gradient_probs, same_bits, subset, synthetic_domain)
 
 SEED = 3
 
@@ -24,8 +24,8 @@ def tiny_spec(classes=4, side=8):
 def make_federation(clients=3, classes=4, per_class=30, seed=2, side=8):
     domain = synthetic_domain(8, seed, (side, side), classes, per_class, domain_id="syn")
     splits = ds.stratified_split(domain, 0.0, 0.2, seed)
-    train = ds.subset(domain, splits.train)
-    test = ds.subset(domain, splits.test)
+    train = subset(domain, splits.train)
+    test = subset(domain, splits.test)
     plan = pt.PartitionPlan(tuple(pt.partition_iid(len(train), clients, seed)),
                             (("syn", 0, len(train)),))
     states = fs.build_clients(plan, train)

@@ -1,5 +1,6 @@
 """Partition strategy tests."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from fusim import datasets as ds
 from fusim import partition as pt
 from fusim.config import STRATEGIES, PartitionConfig
-from helpers import synthetic_domain
+from helpers import reference_label_intersection, synthetic_domain
 
 
 def synth(classes=10, per_class=100, seed=1, name="synthetic"):
@@ -119,31 +120,37 @@ def test_dirichlet_impossible_assignment():
 # label_intersection
 
 
+def source(classes, per_class, seed=1, name="synthetic"):
+    """A synthetic domain's source, by its labels; no image is made."""
+    return ds.synth_domain(ds.BaseStream(3, seed, (8, 8), classes), (), per_class, name)
+
+
 def test_label_intersection_ten_and_nine():
-    a = synth(classes=10, per_class=10, name="a")
-    b = synth(classes=9, per_class=10, name="b")
+    a = source(classes=10, per_class=10, name="a")
+    b = source(classes=9, per_class=10, name="b")
     remapped = pt.label_intersection([a, b], 9)
     assert [d.class_count for d in remapped] == [9, 9]
     assert len(remapped[0]) == 90  # class 9 dropped
     assert len(remapped[1]) == 90
     keep = a.labels < 9
-    assert np.array_equal(remapped[0].images, a.images[keep])
+    assert np.array_equal(remapped[0].rows, a.rows[keep])
     assert np.array_equal(remapped[0].labels, a.labels[keep])
+    assert remapped[0].size == a.size == 100  # the source still makes every sample
     # b has no higher class, so it is kept as it is
     assert remapped[1] is b
 
 
 def test_label_intersection_identity():
-    a = synth(classes=4, per_class=5, name="a")
-    b = synth(classes=4, per_class=5, seed=2, name="b")
+    a = source(classes=4, per_class=5, name="a")
+    b = source(classes=4, per_class=5, seed=2, name="b")
     remapped = pt.label_intersection([a, b], 4)
     assert remapped[0] is a and remapped[1] is b
     assert remapped[0].class_count == 4 and len(remapped[0]) == 20
 
 
 def test_label_intersection_hundred_and_sixtyfive():
-    a = synth(classes=100, per_class=2, name="a")
-    b = synth(classes=65, per_class=2, name="b")
+    a = source(classes=100, per_class=2, name="a")
+    b = source(classes=65, per_class=2, name="b")
     remapped = pt.label_intersection([a, b], 65)
     assert [d.class_count for d in remapped] == [65, 65]
     assert np.array_equal(remapped[0].labels, a.labels[a.labels < 65])
@@ -158,7 +165,8 @@ def real_noniid(domains, group_sizes, resolution, alpha, seed):
     the pool of whole domains: the steps experiment.build_task runs before
     planning a real_noniid split."""
     shared = min(d.class_count for d in domains)
-    processed = [ds.resize(d, resolution) for d in pt.label_intersection(domains, shared)]
+    processed = [replace(d, images=ds.resize(d.images, resolution))
+                 for d in reference_label_intersection(domains, shared)]
     part = PartitionConfig("real_noniid", alpha=alpha, group_sizes=tuple(group_sizes),
                            working_resolution=resolution)
     return pt.build_plan(part, *pooled(processed), seed), processed
@@ -208,9 +216,9 @@ def test_real_noniid_single_group_degenerates():
 def test_real_noniid_resizes_to_working_resolution():
     a = synth(classes=4, per_class=10, name="a")
     b = synthetic_domain(3, 1, (16, 16), 4, 10, "downsample(2)", "b")
-    assert b.native_resolution == (8, 8)
+    assert b.images.shape[2:] == (8, 8)
     plan, processed = real_noniid([a, b], [2, 2], (12, 12), 100.0, 2)
-    assert all(d.native_resolution == (12, 12) for d in processed)
+    assert all(d.images.shape[2:] == (12, 12) for d in processed)
     pool = np.concatenate([d.images for d in processed])
     assert all(pool[index].shape[1:] == (1, 12, 12) for index in pt.materialize(plan))
 

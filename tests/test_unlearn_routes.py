@@ -7,7 +7,7 @@ import pytest
 from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim import unlearn_routes as ur
-from helpers import library_step, same_bits, synthetic_domain, vector
+from helpers import library_step, same_bits, subset, synthetic_domain, vector
 
 
 def shard_of(labels, value=0.5, side=4, class_count=10):
@@ -19,7 +19,7 @@ def shard_of(labels, value=0.5, side=4, class_count=10):
 
 def deleted(shard, forget_class):
     """The shard's examples at the positions delete keeps."""
-    return ds.subset(shard, ur.delete_retrain_prepare(shard.labels, forget_class))
+    return subset(shard, ur.delete_retrain_prepare(shard.labels, forget_class))
 
 
 def relabeled(shard, *args, **kwargs):
@@ -198,12 +198,12 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
     # puts the forget class at or below chance.
     spec = nn.small_mlp((1, 8, 8), 4, hidden=12)
     shard = synthetic_domain(6, 3, (8, 8), 4, 40)
-    shard = ds.subset(shard, np.flatnonzero(
+    shard = subset(shard, np.flatnonzero(
         (shard.labels != 0) | (np.arange(len(shard)) % 5 != 0)))
     params = nn.init_params(spec, 7)
     for _ in range(80):
         params = library_step(spec, params, shard.images, shard.labels, 0.5)[0]
-    probes = ds.subset(shard, np.flatnonzero(shard.labels == 0)[:20])
+    probes = subset(shard, np.flatnonzero(shard.labels == 0)[:20])
     before = nn.predict_probs(spec, params, probes.images)
     assert before[:, 0].mean() > 0.5  # model actually knows class 0
     edited = ur.naive_zeroing(spec, params, probes.images, 12)
@@ -213,7 +213,7 @@ def test_naive_zeroing_all_hidden_units_collapses_forget_class():
 
 def test_routes_deterministic_under_shuffling_up_to_order():
     shard = shard_of([i % 3 for i in range(30)])
-    shuffled = ds.subset(shard, np.arange(30)[::-1])
+    shuffled = subset(shard, np.arange(30)[::-1])
     a = deleted(shard, 0)
     b = deleted(shuffled, 0)
     assert sorted(a.labels.tolist()) == sorted(b.labels.tolist())
