@@ -1,6 +1,8 @@
 """Command-line entry: experiment stages, full runs, and route comparisons.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success; 1 a fault in the config, a flag, an IDX file or an
+output-directory artifact (a ConfigError, which names the key or the path);
+2 the run itself failed.
 """
 from __future__ import annotations
 

@@ -19,7 +19,8 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .datasets import TRANSFORM_ARGS, DatasetError, Transform, parse_transforms
+from .datasets import TRANSFORM_ARGS, Transform, parse_transforms
+from .nncore import ConfigError
 
 ROUTES = ("none", "delete", "relabel", "zeroing", "fedcccu")
 STRATEGIES = ("iid", "dirichlet", "real_noniid")
@@ -30,16 +31,6 @@ DEFAULT_DOMAINS = (
     ("noisy", "gaussian_noise(0.15)"),
     ("cluttered", "downsample(2)+background_clutter(0.35)"),
 )
-
-
-class ConfigError(ValueError):
-    """A config the schema rejects; line is the line number, or the
-    command-line flag, that set the offending key."""
-
-    def __init__(self, message: str, line: int | str | None = None):
-        prefix = f"line {line}" if isinstance(line, int) else line
-        super().__init__(message if line is None else f"{prefix}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -186,10 +177,7 @@ def _parse(row: tuple, raw: str, what: str, where) -> object:
             raise ConfigError(f"{what}: {raw!r} not one of {sorted(bounds)}", where)
         return raw
     if kind == "chain":
-        try:
-            return parse_transforms(raw)
-        except DatasetError as exc:
-            raise ConfigError(f"{what}: {exc}", where) from exc
+        return parse_transforms(raw, what, where)
     number = float if kind == "float" else int
     if kind == "res":
         m = re.fullmatch(r"(\d+)\s*[xX]\s*(\d+)", raw)
@@ -337,7 +325,7 @@ def _domain(section: str, values: dict, where) -> DomainConfig:
     if (images is None) != (labels is None):
         raise ConfigError(f"{section}: images and labels must come together", where(section))
     for key, path in (("images", images), ("labels", labels)):
-        if path is not None and not os.path.exists(path):
+        if path is not None and not os.path.isfile(path):
             raise ConfigError(f"{section}.{key}: file not found: {path}", where(section, key))
     for key in ("transform", "resolution", "samples_per_class"):
         if images is not None and _ROWS["domain", key][2] in values:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nncore import make_rng
+from .nncore import ConfigError, make_rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -35,29 +35,15 @@ IDX_LABELS_MAGIC = 0x00000801
 BLOCK_VALUES = 2**16
 
 TRANSFORM_KINDS = ("identity", "invert", "gaussian_noise", "downsample", "background_clutter")
-# the kinds that take one argument: the Transform field it sets and its type
-TRANSFORM_ARGS = {"gaussian_noise": ("sigma", float), "downsample": ("factor", int),
-                  "background_clutter": ("level", float)}
-
-
-class DatasetError(ValueError):
-    pass
-
-
-class IdxError(DatasetError):
-    pass
-
-
-class IdxMagicError(IdxError):
-    pass
-
-
-class IdxTruncatedError(IdxError):
-    pass
-
-
-class IdxCountMismatchError(IdxError):
-    pass
+# the kinds that take one argument: the Transform field it sets, its type,
+# the test its value must pass and the fault named when it does not
+TRANSFORM_ARGS = {
+    "gaussian_noise": ("sigma", float, lambda v: 0.0 <= v < math.inf,
+                       "gaussian_noise sigma must be finite and >= 0"),
+    "downsample": ("factor", int, lambda v: v in (2, 4), "downsample factor must be 2 or 4"),
+    "background_clutter": ("level", float, lambda v: 0.0 <= v <= 1.0,
+                           "background_clutter level must be in [0, 1]"),
+}
 
 
 @dataclass(frozen=True)
@@ -72,19 +58,19 @@ class DomainDataset:
     def __post_init__(self):
         name = self.domain_id
         if self.images.ndim != 4 or self.images.dtype != np.float64:
-            raise DatasetError(
+            raise ValueError(
                 f"domain {name}: images must be 4-D float64, got "
                 f"{self.images.ndim}-D {self.images.dtype}")
         if self.labels.ndim != 1 or self.labels.dtype != np.int64:
-            raise DatasetError(
+            raise ValueError(
                 f"domain {name}: labels must be 1-D int64, got "
                 f"{self.labels.ndim}-D {self.labels.dtype}")
         if len(self.images) != len(self.labels):
-            raise DatasetError(
+            raise ValueError(
                 f"domain {name}: {len(self.images)} images but {len(self.labels)} labels")
         bad = (self.labels < 0) | (self.labels >= self.class_count)
         if bad.any():
-            raise DatasetError(
+            raise ValueError(
                 f"domain {name}: label {self.labels[bad][0]} outside "
                 f"[0, {self.class_count})")
 
@@ -124,40 +110,44 @@ class Transform:
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
-            raise DatasetError(f"unknown transform {self.kind!r}")
-        if self.kind == "gaussian_noise" and not 0.0 <= self.sigma < math.inf:
-            raise DatasetError("gaussian_noise sigma must be finite and >= 0")
-        if self.kind == "downsample" and self.factor not in (2, 4):
-            raise DatasetError("downsample factor must be 2 or 4")
-        if self.kind == "background_clutter" and not 0.0 <= self.level <= 1.0:
-            raise DatasetError("background_clutter level must be in [0, 1]")
+            raise ValueError(f"unknown transform {self.kind!r}")
+        if self.kind in TRANSFORM_ARGS:
+            name, _, valid, fault = TRANSFORM_ARGS[self.kind]
+            if not valid(getattr(self, name)):
+                raise ValueError(fault)
 
 
-def parse_transforms(text: str) -> tuple[Transform, ...]:
+def parse_transforms(text: str, key: str = "transform",
+                     line: int | str | None = None) -> tuple[Transform, ...]:
     """Parse a transform chain such as 'invert+gaussian_noise(0.1)'; a '+'
-    inside parentheses belongs to the argument ('gaussian_noise(1e+2)')."""
+    inside parentheses belongs to the argument ('gaussian_noise(1e+2)').
+    A fault raises a ConfigError naming key, the chain's config key, and
+    line, the line or flag that set it."""
+    def fault(message: str) -> ConfigError:
+        return ConfigError(f"{key}: {message}", line)
     out = []
     for part in re.split(r"\+(?![^()]*\))", text.strip()):
         part = part.strip()
         m = re.fullmatch(r"([a-z_0-9]+)(?:\(([^)]*)\))?", part)
         if not m:
-            raise DatasetError(f"cannot parse transform {part!r}")
+            raise fault(f"cannot parse transform {part!r}")
         name, arg = m.group(1), m.group(2)
         if name not in TRANSFORM_KINDS:
-            raise DatasetError(f"unknown transform {name!r}")
+            raise fault(f"unknown transform {name!r}")
         if name not in TRANSFORM_ARGS:
             if arg is not None:
-                raise DatasetError(f"transform {name}: expected no argument, got {part!r}")
+                raise fault(f"transform {name}: expected no argument, got {part!r}")
             out.append(Transform(name))
             continue
-        key, kind = TRANSFORM_ARGS[name]
+        field, kind, valid, invalid = TRANSFORM_ARGS[name]
         try:
             value = kind(arg)
         except (TypeError, ValueError):
             what = "an integer" if kind is int else "a finite number"
-            raise DatasetError(f"transform {name}: expected {what} argument, "
-                               f"got {part!r}") from None
-        out.append(Transform(name, **{key: value}))
+            raise fault(f"transform {name}: expected {what} argument, got {part!r}") from None
+        if not valid(value):
+            raise fault(invalid)
+        out.append(Transform(name, **{field: value}))
     return tuple(out)
 
 
@@ -165,28 +155,22 @@ def parse_transforms(text: str) -> tuple[Transform, ...]:
 # IDX format
 
 
-def _read_file(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _read_idx(path, magic: int, dims: int, read) -> np.ndarray:
-    """One IDX file's uint8 payload, from the bytes read(path) gives; the
+def _read_idx(path, data: bytes, magic: int, dims: int) -> np.ndarray:
+    """The uint8 payload of data, the bytes of the IDX file at path; the
     file must hold exactly its header (magic, then one big-endian size per
-    dimension) and the declared payload."""
-    data = read(path)
+    dimension) and the declared payload, else a ConfigError names it."""
     header = 4 * (1 + dims)
     if len(data) < header:
-        raise IdxTruncatedError(f"{path}: expected a {header}-byte header, got {len(data)}")
+        raise ConfigError(f"{path}: expected a {header}-byte header, got {len(data)}")
     found, *shape = struct.unpack(f">{1 + dims}I", data[:header])
     if found != magic:
-        raise IdxMagicError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
+        raise ConfigError(f"{path}: magic {found:#010x}, expected {magic:#010x}")
     size = math.prod(shape)
     payload = len(data) - header
     if payload < size:
-        raise IdxTruncatedError(f"{path}: expected {size} payload bytes, got {payload}")
+        raise ConfigError(f"{path}: expected {size} payload bytes, got {payload}")
     if payload > size:
-        raise IdxError(f"{path}: {payload - size} bytes after the declared payload")
+        raise ConfigError(f"{path}: {payload - size} bytes after the declared payload")
     return np.frombuffer(data, dtype=np.uint8, count=size, offset=header).reshape(shape)
 
 
@@ -195,21 +179,20 @@ def _class_count(labels: np.ndarray) -> int:
     return int(labels.max()) + 1 if len(labels) else 0
 
 
-def idx_class_count(labels_path, read=_read_file) -> int:
-    """The class count load_idx gives, read from the labels file alone."""
-    return _class_count(_read_idx(labels_path, IDX_LABELS_MAGIC, 1, read))
+def idx_class_count(labels_path, files) -> int:
+    """The class count load_idx gives, from the labels file alone; files
+    maps each path to its bytes."""
+    return _class_count(_read_idx(labels_path, files[labels_path], IDX_LABELS_MAGIC, 1))
 
 
-def load_idx(images_path, labels_path, domain_id: str | None = None,
-             read=_read_file) -> DomainSource:
+def load_idx(images_path, labels_path, files, domain_id: str | None = None) -> DomainSource:
     """A big-endian IDX image/label pair as a source whose rows are the
     files' samples in order; it keeps the uint8 pixels and rescales them to
-    [0, 1] a block at a time.  read(path) gives a file's bytes."""
-    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, read)
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, read).astype(np.int64)
+    [0, 1] a block at a time.  files maps each path to its bytes."""
+    pixels = _read_idx(images_path, files[images_path], IDX_IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, files[labels_path], IDX_LABELS_MAGIC, 1).astype(np.int64)
     if len(pixels) != len(labels):
-        raise IdxCountMismatchError(
-            f"{images_path}: {len(pixels)} images but {len(labels)} labels")
+        raise ConfigError(f"{images_path}: {len(pixels)} images but {len(labels)} labels")
     name = domain_id if domain_id is not None else str(images_path)
     return DomainSource(name, labels, np.arange(len(labels), dtype=np.intp),
                         _class_count(labels), len(labels), pixels.shape[1:],
@@ -362,8 +345,8 @@ class BaseStream:
         in the held block; the next draw may overwrite them."""
         held = self.start + len(self.noise)
         if start < self.start or stop > held:
-            raise DatasetError(f"base stream {self.key} cannot serve samples {start}..{stop - 1}: "
-                               f"it holds {self.start}..{held - 1}")
+            raise ValueError(f"base stream {self.key} cannot serve samples {start}..{stop - 1}: "
+                             f"it holds {self.start}..{held - 1}")
         return (self.roll_index[start - self.start:stop - self.start],
                 self.noise[start - self.start:stop - self.start])
 
@@ -400,7 +383,7 @@ def resize(images: np.ndarray, target_resolution: tuple[int, int]) -> np.ndarray
     """Nearest-neighbor resampling of (N, C, H, W) images."""
     th, tw = target_resolution
     if th < 1 or tw < 1:
-        raise DatasetError("target resolution sides must be >= 1")
+        raise ValueError("target resolution sides must be >= 1")
     h, w = images.shape[2:]
     if (th, tw) == (h, w):
         return images
@@ -424,7 +407,8 @@ class DomainSplits:
 def stratified_split(domain: DomainSource | DomainDataset, val_fraction: float,
                      test_fraction: float, seed) -> DomainSplits:
     """Per-class shuffled split of a domain's rows, by its labels; every
-    class must land in the training part."""
+    class must land in the training part, else a ConfigError names the
+    [evaluate] fractions."""
     labels = domain.labels
     rng = make_rng(seed, 331)
     train, val, test = ([np.empty(0, dtype=np.intp)] for _ in range(3))
@@ -436,9 +420,10 @@ def stratified_split(domain: DomainSource | DomainDataset, val_fraction: float,
         n_val = int(round(val_fraction * idx.size))
         n_test = int(round(test_fraction * idx.size))
         if idx.size - n_val - n_test < 1:
-            raise DatasetError(
-                f"domain {domain.domain_id}: class {c} has no training samples "
-                f"after split ({idx.size} total)")
+            raise ConfigError(
+                f"evaluate.val_fraction, evaluate.test_fraction: domain {domain.domain_id}: "
+                f"class {c} has no training samples after split ({idx.size} total); lower "
+                f"them or raise the samples per class")
         val.append(idx[:n_val])
         test.append(idx[n_val:n_val + n_test])
         train.append(idx[n_val + n_test:])

@@ -19,11 +19,7 @@ import numpy as np
 from . import nncore
 from .config import UnlearnConfig
 from .datasets import DomainDataset
-from .nncore import ModelSpec
-
-
-class EvalError(ValueError):
-    pass
+from .nncore import ConfigError, ModelSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +56,7 @@ def evaluate_client(spec: ModelSpec, params: np.ndarray,
                     shard: DomainDataset) -> tuple[np.ndarray, np.ndarray]:
     """The shard's correct and total counts per class, two (classes,) rows."""
     if len(shard) == 0:
-        raise EvalError("cannot evaluate an empty shard")
+        raise ValueError("cannot evaluate an empty shard")
     ys = shard.labels
     preds = nncore.predict_probs(spec, params, shard.images).argmax(axis=1)
     return (np.bincount(ys[preds == ys], minlength=spec.class_count),
@@ -80,12 +76,13 @@ def forgetting_metrics(before: EvaluationReport, after: EvaluationReport,
                        unlearn: UnlearnConfig) -> ForgettingMetrics:
     """Means of the cells' drops, each in client then class order."""
     if before.total.shape != after.total.shape or (before.total != after.total).any():
-        raise EvalError("reports cover different clients or classes")
+        raise ValueError("reports cover different clients or classes")
     drop = (before.accuracy() - after.accuracy()) * 100.0
     present, forget = before.total > 0, unlearn.forget_class
     requesting = np.array([cid in unlearn.requesting_clients for cid in range(len(drop))])
     if forget >= drop.shape[1] or not (requesting & present[:, forget]).any():
-        raise EvalError("no requesting client carries the forget class")
+        raise ConfigError("unlearn.requesting_clients: no requesting client carries the "
+                          "forget class")
     at_forget = present[:, forget].copy()
     present[:, forget] = False  # present now marks the retained cells
     retained = [np.mean(row[cells]) for row, cells in zip(drop, present) if cells.any()]
@@ -115,36 +112,41 @@ def report_to_json(report: EvaluationReport) -> str:
                        "clients": clients}, sort_keys=True, indent=1)
 
 
-def report_from_json(text: str, client_count: int, class_count: int) -> EvaluationReport:
+def report_from_json(text: str | bytes, client_count: int, class_count: int,
+                     path: str) -> EvaluationReport:
     """Inverse of report_to_json for clients 0..client_count-1 over
-    class_count classes; EvalError names the first entry that is not a count."""
+    class_count classes, from the text (or UTF-8 bytes) of the file at path.
+    Any other text raises a ConfigError naming path and the first entry that
+    is not a count."""
+    def fault(message: str) -> ConfigError:
+        return ConfigError(f"{path}: {message}; use a fresh output directory")
     try:
         doc = json.loads(text)
     except ValueError as exc:
-        raise EvalError(f"not valid JSON ({exc})") from None
+        raise fault(f"not valid JSON ({exc})") from None
     clients = doc.get("clients") if isinstance(doc, dict) else None
     if not isinstance(clients, dict):
-        raise EvalError("no 'clients' object")
+        raise fault("no 'clients' object")
     if set(clients) != {str(i) for i in range(client_count)}:
-        raise EvalError(f"client ids {sorted(clients)} are not 0..{client_count - 1}")
+        raise fault(f"client ids {sorted(clients)} are not 0..{client_count - 1}")
     counts = [[[0] * class_count for _ in range(client_count)] for _ in range(2)]
     classes = {str(c): c for c in range(class_count)}
     for cid in range(client_count):
         entry = clients[str(cid)]
         cells = entry.get("classes") if isinstance(entry, dict) else None
         if not isinstance(cells, dict) or not cells:
-            raise EvalError(f"client {cid}: no classes")
+            raise fault(f"client {cid}: no classes")
         for key, cell in cells.items():
             c = classes.get(key)
             cell = cell if isinstance(cell, dict) else {}
             ok, n = cell.get("correct"), cell.get("total")
             if (c is None or type(ok) is not int or type(n) is not int
                     or not 1 <= n < 2**63 or not 0 <= ok <= n):
-                fault = (f"not a class id in 0..{class_count - 1}" if c is None else
-                         "correct and total must be integers" if {type(ok), type(n)} != {int}
-                         else f"total {n} not in 1..{2**63 - 1}" if not 1 <= n < 2**63
-                         else f"correct {ok} not in 0..{n}")
-                raise EvalError(f"client {cid} class {key!r}: {fault}")
+                what = (f"not a class id in 0..{class_count - 1}" if c is None else
+                        "correct and total must be integers" if {type(ok), type(n)} != {int}
+                        else f"total {n} not in 1..{2**63 - 1}" if not 1 <= n < 2**63
+                        else f"correct {ok} not in 0..{n}")
+                raise fault(f"client {cid} class {key!r}: {what}")
             counts[0][cid][c], counts[1][cid][c] = ok, n
     return EvaluationReport(*np.array(counts, dtype=np.int64))
 
@@ -156,7 +158,7 @@ def combined_csv(reports: dict[str, EvaluationReport]) -> str:
     for name in names[1:]:
         other = reports[name].total
         if other.shape != present.shape or not np.array_equal(other > 0, present):
-            raise EvalError(f"report {name!r} covers different clients/classes")
+            raise ValueError(f"report {name!r} covers different clients/classes")
     columns = [(reports[n].accuracy()[present] * 100.0).tolist() for n in names]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

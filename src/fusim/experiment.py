@@ -11,8 +11,11 @@ its output directory and runs only the unlearn and evaluate stages of each
 route in a subdirectory.  All artifacts are pure functions of the config
 text: no timestamps, sorted keys, fixed float formatting.  Each stage's
 record artifact holds the canonical config values the stage depends on, and
-a resume with any other value is refused.  Files are written to a
-stage-local temp directory and renamed into place on stage completion.
+a resume with any other value is refused.  A damaged file that a stage
+reads (an IDX file, a record, a checkpoint, a report) is refused with a
+ConfigError naming it, before the stage writes any file.  Files are
+written to a stage-local temp directory and renamed into place on stage
+completion.
 """
 from __future__ import annotations
 
@@ -33,12 +36,6 @@ from .datasets import (BLOCK_VALUES, BaseStream, DomainDataset, DomainSplits, id
                        load_idx, resize, stratified_split, synth_domain)
 from .nncore import ModelSpec
 from .partition import PartitionPlan, build_plan, label_intersection
-
-
-class StageError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage}: {message}")
-        self.stage = stage
 
 
 class _StageWriter:
@@ -96,55 +93,59 @@ class Task:
     """What the stages share: the config, the model spec over the shared
     label space, set at once, and the data, built on first use.  A finished
     stage needs only the spec, so a resume of a finished directory builds no
-    data.  files holds each IDX file's bytes by path, read once by whoever
-    needs them first (the partition record, the spec, the data build) and
-    let go once the data is built."""
+    data.  files holds each IDX file's bytes by path (_read_idx_files reads
+    them when none are given) and is let go once the data is built."""
 
     def __init__(self, cfg: ExperimentConfig, files: dict[str, bytes] | None = None):
         self.cfg = cfg
-        self.files = {} if files is None else files
-        self.read = functools.partial(_read, self.files)
-        self.spec = build_spec(cfg, self.read)
+        self.files = _read_idx_files(cfg) if files is None else files
+        self.spec = build_spec(cfg, self.files)
 
     @functools.cached_property
     def data(self) -> TaskData:
-        data = build_task(self.cfg, self.spec.class_count, self.read)
-        self.files.clear()
+        data = build_task(self.cfg, self.spec.class_count, self.files)
+        self.files = {}
         return data
 
 
-def _read(files: dict[str, bytes], path: str) -> bytes:
-    """path's bytes, read into files on first use."""
-    if path not in files:
-        with open(path, "rb") as fh:
-            files[path] = fh.read()
-    return files[path]
+def _read_idx_files(cfg: ExperimentConfig) -> dict[str, bytes]:
+    """The bytes of each IDX file the config names, by path, each read once."""
+    files = {}
+    for path in (p for dc in cfg.domains if dc.kind == "idx"
+                 for p in (dc.images_path, dc.labels_path)):
+        if path not in files:
+            with open(path, "rb") as fh:
+                files[path] = fh.read()
+    return files
 
 
-def build_spec(cfg: ExperimentConfig, read) -> ModelSpec:
+def build_spec(cfg: ExperimentConfig, files: dict[str, bytes]) -> ModelSpec:
     """The configured model over the shared label space, from the config alone.
 
     A synthetic domain has [data] class_count classes and an IDX domain max
-    label + 1, read from its labels file only (read(path) gives its bytes);
-    the shared count is their minimum, the label range label_intersection
-    keeps, and it must hold the forget class.
+    label + 1, read from its labels file's bytes in files only; the shared
+    count is their minimum, the label range label_intersection keeps.  It
+    must hold the forget class, and under relabel another class too.
     """
     class_count = min(cfg.class_count if dc.kind == "synthetic"
-                      else idx_class_count(dc.labels_path, read) for dc in cfg.domains)
+                      else idx_class_count(dc.labels_path, files) for dc in cfg.domains)
     if cfg.unlearn.forget_class >= class_count:
         raise ConfigError(f"unlearn.forget_class: {cfg.unlearn.forget_class} >= "
                           f"shared class count {class_count}")
+    if cfg.unlearn.route == "relabel" and class_count < 2:
+        raise ConfigError(f"unlearn.route: relabeling needs at least two classes; the "
+                          f"shared class count is {class_count}")
     shape = (1, *cfg.partition.working_resolution)
     if cfg.model_spec == "small_mlp":
         return nncore.small_mlp(shape, class_count, hidden=cfg.hidden)
     return nncore.small_cnn(shape, class_count)
 
 
-def build_task(cfg: ExperimentConfig, class_count: int, read) -> TaskData:
+def build_task(cfg: ExperimentConfig, class_count: int, files: dict[str, bytes]) -> TaskData:
     """The one data build, from the config alone, streamed into its pools.
 
     First every domain is described by its labels alone (synth_domain,
-    load_idx; read(path) gives an IDX file's bytes), cut to build_spec's
+    load_idx, over the IDX files' bytes in files), cut to build_spec's
     shared labels [0, class_count) and split by its labels.  That gives
     each source sample its destination before any image exists: a row of
     the train, validation or test pool, or none.  The pools hold one block
@@ -165,7 +166,7 @@ def build_task(cfg: ExperimentConfig, class_count: int, read) -> TaskData:
                for res in dict.fromkeys(dc.resolution for dc in cfg.domains
                                         if dc.kind == "synthetic")}
     sources = label_intersection([
-        load_idx(dc.images_path, dc.labels_path, dc.name, read) if dc.kind == "idx" else
+        load_idx(dc.images_path, dc.labels_path, files, dc.name) if dc.kind == "idx" else
         synth_domain(streams[dc.resolution], dc.transforms,
                      dc.samples_per_class or cfg.samples_per_class, dc.name)
         for dc in cfg.domains], class_count)
@@ -270,7 +271,7 @@ def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str,
     wanted = canonical(cfg, sections)
     record_path = os.path.join(out_dir, artifacts[0])
     if present(artifacts):
-        record = _read_record(name, record_path, wanted, checks)
+        record = _read_record(record_path, wanted, checks)
         if present(implied(record)):
             return resume(prior(), record)
     with _StageWriter(out_dir, name) as writer:
@@ -281,14 +282,14 @@ def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str,
     return result
 
 
-def _read_record(stage: str, path: str, wanted: dict, checks: dict) -> dict:
+def _read_record(path: str, wanted: dict, checks: dict) -> dict:
     """The record at path; refused unless its config values equal wanted and
     each key of checks holds a value that passes the key's test."""
     try:
         with open(path) as fh:
             record = json.load(fh)
     except ValueError as exc:
-        raise StageError(stage, f"{path}: not valid JSON: {exc}") from None
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     found = record.get("config") if isinstance(record, dict) else None
     if not isinstance(found, dict):
         raise ConfigError(f"{path}: no config record; use a fresh output directory")
@@ -301,15 +302,10 @@ def _read_record(stage: str, path: str, wanted: dict, checks: dict) -> dict:
     return record
 
 
-def _idx_files(cfg: ExperimentConfig, read) -> dict:
-    """Byte size and sha256 of each IDX file the config reads, by path;
-    read(path) gives a file's bytes."""
-    files = {}
-    for path in (p for dc in cfg.domains if dc.kind == "idx"
-                 for p in (dc.images_path, dc.labels_path)):
-        data = read(path)
-        files[path] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-    return files
+def _idx_files(files: dict[str, bytes]) -> dict:
+    """Byte size and sha256 of each IDX file's bytes in files, by path."""
+    return {path: {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+            for path, data in files.items()}
 
 
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
@@ -317,16 +313,17 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
     for readers; on resume only partition.json's config record and the IDX
     files, whose sizes and hashes it holds, are read, and the data is built
     from the config when a stage first uses it.  Either way each IDX file
-    is read once, for the record, the spec and the data alike."""
+    is read once, here, for the record, the spec and the data alike."""
+    files = _read_idx_files(cfg)
+
     def run(_, writer):
-        task = Task(cfg)
-        files = _idx_files(cfg, task.read)
+        task = Task(cfg, files)
         writer.add_text("splits.json", _splits_to_json(task.data.splits))
-        return task, {**task.data.plan.to_doc(), **({"idx_files": files} if files else {})}
+        return task, {**task.data.plan.to_doc(),
+                      **({"idx_files": _idx_files(files)} if files else {})}
 
     def resume(_, record):
-        files = {}
-        for path, found in _idx_files(cfg, functools.partial(_read, files)).items():
+        for path, found in _idx_files(files).items():
             if found != (recorded := record.get("idx_files", {}).get(path)):
                 raise ConfigError(f"{os.path.join(out_dir, 'partition.json')}: {path} is "
                                   f"{found} but the record holds {recorded}; use a fresh "
@@ -408,7 +405,7 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
         extras["audit"] = audit
         extras["selected_units"] = len(audit.selected)
         return params, [], extras
-    raise StageError("unlearn", f"unknown route {route!r}")
+    raise ValueError(f"stage unlearn: unknown route {route!r}")
 
 
 def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None):
@@ -459,12 +456,9 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | 
         task, reports = unlearned_stage[0], []
         for name in ("report_before.json", "report_after.json"):
             path = os.path.join(out_dir, name)
-            with open(path) as fh:
-                try:
-                    reports.append(evalkit.report_from_json(
-                        fh.read(), sum(cfg.partition.groups), task.spec.class_count))
-                except evalkit.EvalError as exc:
-                    raise ConfigError(f"{path}: {exc}; use a fresh output directory") from None
+            with open(path, "rb") as fh:
+                reports.append(evalkit.report_from_json(
+                    fh.read(), sum(cfg.partition.groups), task.spec.class_count, path))
         metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in _METRICS})
         return task, *reports, metrics
 
@@ -496,12 +490,12 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     passes the one it returned (built or read back) to the next.
     """
     if not cfgs:
-        raise StageError("compare", "no configurations given")
+        raise ValueError("stage compare: no configurations given")
     held = [canonical(cfg, _UNLEARN_SECTIONS) for cfg in cfgs]
     for values in held:
         del values["unlearn.route"]
     if any(values != held[0] for values in held[1:]):
-        raise StageError("compare", "configurations differ beyond unlearn.route")
+        raise ValueError("stage compare: configurations differ beyond unlearn.route")
     labels = []
     seen: dict[str, int] = {}
     for cfg in cfgs:

@@ -43,11 +43,6 @@ from .datasets import DomainDataset
 from .fedsim import ClientState
 from .nncore import ModelSpec, UnitId, make_rng
 
-
-class CccuError(ValueError):
-    pass
-
-
 UPLOAD = np.dtype([("unit", np.intp), ("score", np.float64)])
 
 
@@ -122,7 +117,7 @@ def attribute_unit(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     P(target | input) - P(target | input, unit zeroed).
     """
     if m < 1:
-        raise CccuError("m must be >= 1")
+        raise ValueError("m must be >= 1")
     spec.validate_unit(unit)
     site = nncore.batch_site_outputs(spec, params, np.asarray(inputs, dtype=np.float64)[None],
                                      unit.layer)
@@ -141,9 +136,9 @@ def sensitivity_scores(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray,
     call every unit's zeroed probabilities.
     """
     if len(inputs) == 0:
-        raise CccuError("sensitivity_scores needs a nonempty shard")
+        raise ValueError("sensitivity_scores needs a nonempty shard")
     if not 0 <= target_class < spec.class_count:
-        raise CccuError(f"target class {target_class} out of range")
+        raise ValueError(f"target class {target_class} out of range")
     plain = nncore.predict_probs(spec, params, inputs)[:, target_class]
     return (plain - nncore.batch_zeroed_unit_probs(spec, params, inputs,
                                                    target_class)).mean(axis=1)
@@ -154,7 +149,7 @@ def top_n_report(scores: np.ndarray, client_id: int, class_id: int,
     """The client's upload for one class: its top_n units by score, best
     first, ties by position."""
     if top_n < 1:
-        raise CccuError("top_n must be >= 1")
+        raise ValueError("top_n must be >= 1")
     records = np.empty(min(top_n, len(scores)), UPLOAD)
     records["unit"] = np.argsort(-scores, kind="stable")[:top_n]
     records["score"] = scores[records["unit"]]
@@ -181,7 +176,7 @@ def compute_dominance(reports: list[SensitivityReport], requesting: Iterable[int
     by_client = {r.client_id: r.per_class.get(forget_class, np.empty(0, UPLOAD))
                  for r in reports}
     if missing := [rid for rid in requesting if rid not in by_client]:
-        raise CccuError(f"no report from requesting client {missing[0]}")
+        raise ValueError(f"no report from requesting client {missing[0]}")
     best = np.full(unit_count, -np.inf)
     for cid, records in by_client.items():
         if cid not in requesting:
@@ -228,7 +223,7 @@ def fedcccu_pipeline(spec: ModelSpec, global_params: np.ndarray,
     """
     forget_class = unlearn.forget_class
     if not 0 <= forget_class < spec.class_count:
-        raise CccuError(f"forget class {forget_class} out of range")
+        raise ValueError(f"forget class {forget_class} out of range")
     reports = []
     for state in sorted(clients, key=lambda c: c.client_id):
         probes = probe_examples(state, forget_class, unlearn.probe_cap, seed)

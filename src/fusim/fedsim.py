@@ -7,9 +7,10 @@ and at each step one stacked engine call covers every run of trainers (a
 slice of the matrix's rows) whose batches (gathered from the train pool,
 not copies) have one size (nncore's stack axis), with each trainer's bits
 those of its own k = 1 steps; sgd_step forms and applies each trainer's
-gradient in turn in one (P,) vector.  The loop makes both once and passes
-them to local_train, whose arguments are all required.  A non-finite
-gradient abandons the round with a FedError naming client, round and
+gradient in turn in one (P,) vector.  The loop makes both, and the batch
+buffers the steps gather into, once and passes them to local_train, whose
+arguments are all required.  A non-finite
+gradient abandons the round with a ValueError naming client, round and
 parameter (trainers before it in the step have stepped).  Each trainer's
 row is its cached submission, and the server takes the
 sample-count-weighted mean of every client's cached vector.
@@ -43,10 +44,6 @@ from .config import TrainingConfig, UnlearnConfig
 from .datasets import DomainDataset
 from .nncore import ModelSpec, make_rng
 from .partition import PartitionPlan, materialize
-
-
-class FedError(ValueError):
-    pass
 
 
 class ClientState:
@@ -91,16 +88,18 @@ def build_clients(plan: PartitionPlan, train: DomainDataset) -> list[ClientState
 
 def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: ModelSpec,
                 training: TrainingConfig, seed: int, round_index: int,
-                models: np.ndarray, grad: np.ndarray) -> list[tuple[np.ndarray, float]]:
+                models: np.ndarray, grad: np.ndarray, x: np.ndarray,
+                y: np.ndarray) -> list[tuple[np.ndarray, float]]:
     """One round of local mini-batch SGD for every trainer, in lockstep.
 
     models is a (k, P) matrix with one row per trainer, each row set to
     global_params here; grad is a (P,) vector, the scratch in which sgd_step
-    forms each trainer's gradient in turn.  Step s gathers every trainer's
-    batch s into one buffer of rows, and each run of adjacent rows with full
-    batches (batch_size rows), a slice of models, takes one
-    batch_loss_and_gradient and one sgd_step call; a shorter batch steps
-    alone, as a run of one.  Rows are ordered by full-batch count, so in a
+    forms each trainer's gradient in turn.  x, (k * batch_size, *input_shape)
+    float64, and y, (k * batch_size,) int64, are the batch buffers: step s
+    gathers every trainer's batch s into their rows, and each run of
+    adjacent rows with full batches (batch_size rows), a slice of models,
+    takes one batch_loss_and_gradient and one sgd_step call; a shorter batch
+    steps alone, as a run of one.  Rows are ordered by full-batch count, so in a
     one-epoch round every full batch of a step is in one run.  Returns, in
     trainers' order, each trainer's row of models (its submission, a view)
     and its mean batch loss, both bit for bit those of its own k = 1 steps.
@@ -111,8 +110,8 @@ def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: Mo
     batches = []
     for client in trainers:
         if (shape := client.domain.images.shape[1:]) != spec.input_shape:
-            raise FedError(f"client {client.client_id}: images of shape {shape}, "
-                           f"the model takes {spec.input_shape}")
+            raise ValueError(f"client {client.client_id}: images of shape {shape}, "
+                             f"the model takes {spec.input_shape}")
         rng = make_rng((seed, client.client_id, round_index), 501)
         n = client.sample_count
         orders = (rng.permutation(n) for _ in range(training.local_epochs))
@@ -121,8 +120,6 @@ def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: Mo
     rank = sorted(range(k), key=lambda i: -sum(len(b) == size for b in batches[i]))
     ranked = [trainers[i] for i in rank]
     batches = [batches[i] for i in rank]
-    x = np.empty((k * size, *spec.input_shape))
-    y = np.empty(k * size, dtype=np.int64)
     losses: list[list] = [[] for _ in range(k)]
     for step in range(max(map(len, batches), default=0)):
         runs: list[list[int]] = []  # [first row, end row, batch size]
@@ -143,7 +140,7 @@ def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: Mo
                 nncore.sgd_step(model, gradient, training.learning_rate, grad)
             except nncore.NNError as exc:
                 client = ranked[a + (exc.row or 0)]
-                raise FedError(
+                raise ValueError(
                     f"client {client.client_id}, round {round_index}: {exc}") from exc
             for r in range(a, b):
                 ranked[r].local_step_counter += 1
@@ -152,7 +149,7 @@ def local_train(trainers: list[ClientState], global_params: np.ndarray, spec: Mo
     for r, i in enumerate(rank):
         mean_loss = float(np.mean(losses[r])) if losses[r] else float("nan")
         if losses[r] and not np.isfinite(mean_loss):
-            raise FedError(
+            raise ValueError(
                 f"client {trainers[i].client_id}, round {round_index}: non-finite loss")
         out[i] = (models[r], mean_loss)
     return out
@@ -167,10 +164,10 @@ def aggregate(spec: ModelSpec, updates: list[tuple[np.ndarray, float]]) -> np.nd
     aggregate to a bit-identical copy of themselves, in a fresh vector.
     """
     if not updates:
-        raise FedError("nothing to aggregate")
+        raise ValueError("nothing to aggregate")
     total = float(sum(w for _, w in updates))
     if total <= 0:
-        raise FedError("total aggregation weight must be positive")
+        raise ValueError("total aggregation weight must be positive")
     first = updates[0][0]
     acc = first.copy()
     for params, weight in updates:
@@ -185,17 +182,20 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
             ) -> tuple[np.ndarray, list[RoundLog]]:
     """The one FedAvg round loop over the clients in client-id order.
 
-    The trainers' model matrix and gradient vector are made once, here.  Each
-    round local_train fills the trainers' rows and sets them as their caches,
-    every cache is aggregated in client-id order, the model's error on val is
-    counted and logged, the model is handed to save_round if a checkpoint is
-    due, and the loop stops at epsilon.
+    The trainers' model matrix, gradient vector and batch buffers are made
+    once, here.  Each round local_train fills the trainers' rows and sets
+    them as their caches, every cache is aggregated in client-id order, the
+    model's error on val is counted and logged, the model is handed to
+    save_round if a checkpoint is due, and the loop stops at epsilon.
     """
     logs: list[RoundLog] = []
-    models, grad = np.empty((len(trainers), spec.param_count)), np.empty(spec.param_count)
+    k, size = len(trainers), training.batch_size
+    models, grad = np.empty((k, spec.param_count)), np.empty(spec.param_count)
+    x, y = np.empty((k * size, *spec.input_shape)), np.empty(k * size, dtype=np.int64)
     for t in rounds:
         losses = {}
-        submissions = local_train(trainers, params, spec, training, seed, t, models, grad)
+        submissions = local_train(trainers, params, spec, training, seed, t, models, grad,
+                                  x, y)
         for client, (submission, loss) in zip(trainers, submissions):
             client.cache, losses[client.client_id] = submission, loss
         params = aggregate(spec, [(c.cache, c.sample_count) for c in ordered])
@@ -241,7 +241,7 @@ def fair_unlearn_rounds(global_params: np.ndarray, spec: ModelSpec,
     """
     missing = set(unlearn.requesting_clients) - {c.client_id for c in clients}
     if missing:
-        raise FedError(f"unlearn request names unknown clients {sorted(missing)}")
+        raise ValueError(f"unlearn request names unknown clients {sorted(missing)}")
     ordered = sorted(clients, key=lambda c: c.client_id)
     for client in ordered:
         client.cache = global_params

@@ -49,7 +49,9 @@ the parameters or a cache read later.
 A checkpoint is a NumPy .npy file (format 1.0) holding the model's (P,)
 vector.  load_checkpoint compares the file's header byte for byte with the
 one save_checkpoint writes for the spec's P and checks the data size, so a
-file of any other model or a damaged one raises CheckpointError.
+file of any other model or a damaged one raises a ConfigError naming it.
+ConfigError, the package's one error for a fault in what the user
+supplies, is defined here, at the bottom of the import graph.
 """
 from __future__ import annotations
 
@@ -63,25 +65,25 @@ import numpy as np
 PARAM_KINDS = ("dense", "conv2d")
 
 
+class ConfigError(ValueError):
+    """A fault in what the user supplies: the config text, a flag, an IDX
+    file or a file in the output directory.  The message names the key (line
+    is its line number, or the command-line flag that set it) or the path.
+    Every other error is an invariant of the program."""
+
+    def __init__(self, message: str, line: int | str | None = None):
+        prefix = f"line {line}" if isinstance(line, int) else line
+        super().__init__(message if line is None else f"{prefix}: {message}")
+        self.line = line
+
+
 class NNError(ValueError):
-    """Base class for model construction and evaluation errors.  In a stacked
-    call, row is the stack row (the model) the error concerns, else None."""
+    """A model construction or evaluation error.  In a stacked call, row is
+    the stack row (the model) the error concerns, else None."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
-
-
-class ShapeMismatchError(NNError):
-    pass
-
-
-class InvalidUnitError(NNError):
-    pass
-
-
-class CheckpointError(NNError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +175,12 @@ class ModelSpec:
 
     def validate_unit(self, unit: UnitId) -> None:
         if not 0 <= unit.layer < self.param_layer_count:
-            raise InvalidUnitError(
+            raise NNError(
                 f"unit layer {unit.layer} out of range (model has "
                 f"{self.param_layer_count} parameterized layers)")
         width = self.unit_count(unit.layer)
         if not 0 <= unit.unit < width:
-            raise InvalidUnitError(
+            raise NNError(
                 f"unit {unit.unit} out of range for layer {unit.layer} (width {width})")
 
     def views(self, params: np.ndarray, stacked: bool = False) -> dict[str, np.ndarray]:
@@ -187,7 +189,7 @@ class ModelSpec:
 
         params is one model's (P,) float64 vector, or with stacked the (k, P)
         matrix of k models, whose views are (k, *shape).  Any other array
-        raises ShapeMismatchError naming the P the model takes and what was
+        raises an NNError naming the P the model takes and what was
         found.
         """
         ndim, want = (2, "(k, P)") if stacked else (1, "(P,)")
@@ -195,8 +197,8 @@ class ModelSpec:
                 and params.ndim == ndim and params.shape[-1] == self.param_count):
             found = (f"{params.dtype} array of shape {params.shape}"
                      if isinstance(params, np.ndarray) else type(params).__name__)
-            raise ShapeMismatchError(f"parameters must be a float64 array {want} with "
-                                     f"P = {self.param_count}, got {found}")
+            raise NNError(f"parameters must be a float64 array {want} with "
+                          f"P = {self.param_count}, got {found}")
         lead = params.shape[:-1]
         return {name: params[..., at].reshape(lead + shape) for name, at, shape in self._slots}
 
@@ -248,12 +250,12 @@ def init_params(spec: ModelSpec, seed) -> np.ndarray:
 def zero_units(spec: ModelSpec, params: np.ndarray, positions) -> np.ndarray:
     """Zero the incoming weights and bias of the hidden units at positions
     (of spec.hidden_units) in a copy of params; idempotent, local.  A
-    position off the axis raises InvalidUnitError naming it."""
+    position off the axis raises an NNError naming it."""
     at = np.asarray(positions, dtype=np.intp)
     count = len(spec.hidden_units)
     if (bad := at[(at < 0) | (at >= count)]).size:
-        raise InvalidUnitError(f"unit position {int(bad[0])} out of range "
-                               f"(the model has {count} hidden units)")
+        raise NNError(f"unit position {int(bad[0])} out of range "
+                      f"(the model has {count} hidden units)")
     out = params.copy()
     views = spec.views(out)
     for ordinal, unit in spec.hidden_units[at].tolist():
@@ -279,7 +281,7 @@ def _as_batch(spec: ModelSpec, inputs: np.ndarray, start: int = 0) -> np.ndarray
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[1:] != spec._shapes[start]:
         what = "input" if start == 0 else f"input of layer {start}"
-        raise ShapeMismatchError(
+        raise NNError(
             f"{what}: expected shape {spec._shapes[start]} per example, got {x.shape[1:]}")
     return x
 
@@ -509,7 +511,7 @@ def batch_unit_gradients(spec: ModelSpec, params: np.ndarray, sites: np.ndarray,
     h = _as_batch(spec, sites, start).copy()
     s = np.asarray(scales, dtype=np.float64)
     if s.shape != (len(h),):
-        raise ShapeMismatchError(f"expected {len(h)} scales, got shape {s.shape}")
+        raise NNError(f"expected {len(h)} scales, got shape {s.shape}")
     if not np.all(s >= 0.0) or not np.all(np.isfinite(s)):
         raise NNError("scales must be finite and non-negative")
     h[:, unit.unit] *= s.reshape(-1, *(1,) * (h.ndim - 2))
@@ -628,7 +630,7 @@ def batch_loss_and_gradient(spec: ModelSpec, model: np.ndarray,
         raise NNError(f"labels must be a 1-D integer array of {n}, got "
                       f"shape {ys.shape} dtype {ys.dtype}")
     if n % k:
-        raise ShapeMismatchError(f"{n} rows do not split into {k} equal blocks")
+        raise NNError(f"{n} rows do not split into {k} equal blocks")
     block = n // k
     bad = (ys < 0) | (ys >= spec.class_count)
     if bad.any():
@@ -668,8 +670,8 @@ def sgd_step(model: np.ndarray, factors: GradientFactors, learning_rate: float,
     spec.views(model, stacked=True)  # refuses a model of another dtype, rank or P
     grad = spec.views(scratch)
     if len(model) != len(factors.layers[0][1]):
-        raise ShapeMismatchError(f"gradient of {len(factors.layers[0][1])} models, "
-                                 f"parameters of {len(model)}")
+        raise NNError(f"gradient of {len(factors.layers[0][1])} models, "
+                      f"parameters of {len(model)}")
     for row, vector in enumerate(model):
         factors.form(row, grad)
         if not _all_finite(scratch):
@@ -707,9 +709,9 @@ def load_checkpoint(path, spec: ModelSpec) -> np.ndarray:
     The file must start with the header save_checkpoint writes for spec's P
     values, byte for byte, and hold exactly 8 P data bytes after it.  The
     header is compared, not parsed: numpy's parser raises other errors than
-    ValueError on some damaged headers.  Any other file raises
-    CheckpointError naming the file, the values it holds and the P the
-    model takes.
+    ValueError on some damaged headers.  Any other file raises a
+    ConfigError naming the file, the values it holds and the P the model
+    takes.
     """
     count = spec.param_count
     header = _npy_header(count)
@@ -719,7 +721,7 @@ def load_checkpoint(path, spec: ModelSpec) -> np.ndarray:
         found, odd = divmod(max(len(data) - len(header), 0), 8)
         at = next((i for i, (a, b) in enumerate(zip(data, header)) if a != b),
                   min(len(data), len(header)))
-        raise CheckpointError(
+        raise ConfigError(
             f"{path}: holds {found} float64 values" + (f" and {odd} bytes" if odd else "")
             + ("" if at == len(header) else f", header byte {at} differs or is missing")
             + f"; the model takes {count}")

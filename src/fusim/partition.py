@@ -28,13 +28,9 @@ import numpy as np
 
 from .config import PartitionConfig
 from .datasets import DomainSource, subset
-from .nncore import make_rng
+from .nncore import ConfigError, make_rng
 
 DIRICHLET_MAX_RETRIES = 100
-
-
-class PartitionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +44,12 @@ class PartitionPlan:
         size = self.blocks[-1][2] if self.blocks else 0
         for i, c in enumerate(self.clients):
             if len(c) < 1:
-                raise PartitionError(f"client {i} received no samples")
+                raise ValueError(f"client {i} received no samples")
             if c.min() < 0 or c.max() >= size:
-                raise PartitionError(f"client {i}: indices outside the pool [0, {size})")
+                raise ValueError(f"client {i}: indices outside the pool [0, {size})")
         shared = np.flatnonzero(np.bincount(np.concatenate(self.clients), minlength=size) > 1)
         if shared.size:
-            raise PartitionError(
+            raise ValueError(
                 f"pool indices {shared[:4].tolist()}... assigned to more than one client")
 
     def to_doc(self) -> dict:
@@ -73,26 +69,29 @@ class PartitionPlan:
 
 
 def partition_iid(n: int, client_count: int, seed) -> list[np.ndarray]:
-    """Shuffled near-equal split of range(n); client sizes differ by at most one."""
+    """Shuffled near-equal split of range(n) across [partition] clients;
+    client sizes differ by at most one."""
     if client_count < 1:
-        raise PartitionError("client_count must be >= 1")
+        raise ValueError("client_count must be >= 1")
     if client_count > n:
-        raise PartitionError(f"cannot split {n} examples across {client_count} clients")
+        raise ConfigError(f"partition.clients: cannot split {n} examples across "
+                          f"{client_count} clients")
     order = make_rng(seed, 401).permutation(n)
     return [np.sort(part) for part in np.array_split(order, client_count)]
 
 
-def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float,
-                        seed) -> list[np.ndarray]:
+def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float, seed,
+                        key: str = "partition.clients") -> list[np.ndarray]:
     """Per-class Dirichlet(alpha) proportions over the positions of labels;
-    redraws until no client is empty."""
+    redraws until no client is empty.  key is the config key that set
+    client_count, named when there are fewer positions than clients."""
     if alpha <= 0:
-        raise PartitionError(f"alpha must be positive, got {alpha}")
+        raise ValueError(f"alpha must be positive, got {alpha}")
     n = len(labels)
     if client_count < 1:
-        raise PartitionError("client_count must be >= 1")
+        raise ValueError("client_count must be >= 1")
     if client_count > n:
-        raise PartitionError(f"cannot assign {n} examples to {client_count} clients")
+        raise ConfigError(f"{key}: cannot assign {n} examples to {client_count} clients")
     for attempt in range(DIRICHLET_MAX_RETRIES):
         rng = make_rng(seed, 411, attempt)
         buckets: list[list[np.ndarray]] = [[] for _ in range(client_count)]
@@ -106,8 +105,8 @@ def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float,
         clients = [np.sort(np.concatenate(b)) for b in buckets]
         if all(len(c) for c in clients):
             return clients
-    raise PartitionError(
-        f"no nonempty Dirichlet assignment found in {DIRICHLET_MAX_RETRIES} draws")
+    raise ConfigError(f"partition.alpha: no nonempty Dirichlet assignment of {n} examples to "
+                      f"{client_count} clients found in {DIRICHLET_MAX_RETRIES} draws")
 
 
 def label_intersection(domains: list[DomainSource], shared: int) -> list[DomainSource]:
@@ -135,12 +134,13 @@ def build_plan(part: PartitionConfig, labels: np.ndarray,
     elif part.strategy == "dirichlet":
         clients = partition_dirichlet(labels, part.clients, part.alpha, seed)
     elif len(blocks) != len(part.group_sizes):
-        raise PartitionError(f"{len(blocks)} domains but {len(part.group_sizes)} group sizes")
+        raise ValueError(f"{len(blocks)} domains but {len(part.group_sizes)} group sizes")
     else:
         clients = [c + start
-                   for g, ((_, start, stop), size) in enumerate(zip(blocks, part.group_sizes))
+                   for g, ((name, start, stop), size) in enumerate(zip(blocks, part.group_sizes))
                    for c in partition_dirichlet(labels[start:stop], size, part.alpha,
-                                                (seed, 421, g))]
+                                                (seed, 421, g),
+                                                f"partition.group_sizes: domain {name!r}")]
     return PartitionPlan(tuple(clients), blocks)
 
 

@@ -13,18 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import nncore
-from .nncore import ModelSpec, make_rng
-
-
-class RouteError(ValueError):
-    pass
+from .nncore import ConfigError, ModelSpec, make_rng
 
 
 def delete_retrain_prepare(labels: np.ndarray, forget_class: int) -> np.ndarray:
     """The positions of every example not of the forget class, in order."""
     kept = np.flatnonzero(labels != forget_class)
     if len(kept) == 0:
-        raise RouteError("deleting the forget class empties the shard")
+        raise ConfigError("unlearn.requesting_clients: deleting the forget class empties "
+                          "the shard")
     return kept
 
 
@@ -32,7 +29,7 @@ def relabel_poison_prepare(labels: np.ndarray, forget_class: int,
                            class_count: int, seed) -> np.ndarray:
     """A copy of labels with the forget class drawn uniformly over the others."""
     if class_count < 2:
-        raise RouteError("relabeling needs at least two classes")
+        raise ValueError("relabeling needs at least two classes")
     rng = make_rng(seed, 701)
     hit = labels == forget_class
     draws = rng.integers(0, class_count - 1, size=int(hit.sum()))
@@ -46,7 +43,7 @@ def rank_units_by_activation(spec: ModelSpec, params: np.ndarray,
     """Positions on spec.hidden_units, highest mean activation over the
     forget-class probe images first, ties by position."""
     if len(images) == 0:
-        raise RouteError("no forget-class probe images")
+        raise ConfigError("unlearn.requesting_clients: no forget-class probe images")
     acts = nncore.batch_unit_activations(spec, params, images)
     # each unit's mean over a contiguous row: the bits of its column's .mean()
     return np.argsort(-np.ascontiguousarray(acts.T).mean(axis=1), kind="stable")
@@ -57,6 +54,5 @@ def naive_zeroing(spec: ModelSpec, params: np.ndarray, images: np.ndarray,
     """Zero the top_m hidden units most activated by the forget-class probe images."""
     ranked = rank_units_by_activation(spec, params, images)
     if top_m < 0 or top_m > len(ranked):
-        raise RouteError(
-            f"top_m={top_m} outside [0, {len(ranked)}] hidden units")
+        raise ValueError(f"top_m={top_m} outside [0, {len(ranked)}] hidden units")
     return nncore.zero_units(spec, params, ranked[:top_m])

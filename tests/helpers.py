@@ -6,7 +6,7 @@ reference for client views, the whole-domain data build that the streamed
 one must equal, the per-client-view evaluation and the per-cell
 reference for evaluation reports, the record-object reference for the fedcccu server, the per-sample integers
 loop of the synthetic base stream, a synthetic domain over a stream of its
-own, the IDX fixture writers, and the configparser reference for the config
+own, the IDX fixture writers and reader, and the configparser reference for the config
 reader."""
 import configparser
 import csv
@@ -16,6 +16,7 @@ import json
 import struct
 
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -277,7 +278,8 @@ def reference_raw_domains(cfg) -> list[ds.DomainDataset]:
     sources, streams = [], {}
     for dc in cfg.domains:
         if dc.kind == "idx":
-            sources.append(ds.load_idx(dc.images_path, dc.labels_path, dc.name))
+            sources.append(ds.load_idx(dc.images_path, dc.labels_path,
+                                       file_bytes(dc.images_path, dc.labels_path), dc.name))
             continue
         if dc.resolution not in streams:
             streams[dc.resolution] = ds.BaseStream(cfg.base_pattern_seed, cfg.seed,
@@ -375,13 +377,13 @@ def reference_forgetting_metrics(before, after, unlearn) -> ek.ForgettingMetrics
     """forgetting_metrics one cell at a time on count_dicts, in Python floats."""
     b_all, a_all = count_dicts(before), count_dicts(after)
     if set(b_all) != set(a_all):
-        raise ek.EvalError("reports cover different clients")
+        raise ValueError("reports cover different clients")
     forget, req = unlearn.forget_class, set(unlearn.requesting_clients)
     drops_forget_req, drops_forget_other, drops_retained = [], [], []
     for cid in sorted(b_all):
         (bc, bt), (ac, at) = b_all[cid], a_all[cid]
         if bt != at:
-            raise ek.EvalError(f"client {cid}: class coverage differs between reports")
+            raise ValueError(f"client {cid}: class coverage differs between reports")
         per_client_retained = []
         for c in sorted(bt):
             drop = (bc[c] / bt[c] - ac[c] / at[c]) * 100.0
@@ -392,7 +394,7 @@ def reference_forgetting_metrics(before, after, unlearn) -> ek.ForgettingMetrics
         if per_client_retained:
             drops_retained.append(float(np.mean(per_client_retained)))
     if not drops_forget_req:
-        raise ek.EvalError("no requesting client carries the forget class")
+        raise cf.ConfigError("no requesting client carries the forget class")
     return ek.ForgettingMetrics(
         forget_efficacy=float(np.mean(drops_forget_req)),
         collateral_retained=float(np.mean(drops_retained)) if drops_retained else 0.0,
@@ -424,7 +426,7 @@ def reference_combined_csv(reports) -> str:
     for name in names[1:]:
         if [(cid, c) for cid, (_, bt) in sorted(tables[name].items())
                 for c in sorted(bt)] != rows:
-            raise ek.EvalError(f"report {name!r} covers different clients/classes")
+            raise ValueError(f"report {name!r} covers different clients/classes")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["client", "class"] + names)
@@ -548,6 +550,11 @@ def write_idx(images, labels, images_path, labels_path) -> None:
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", ds.IDX_LABELS_MAGIC, len(labels)))
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def file_bytes(*paths) -> dict:
+    """Each file's bytes by its path, as load_idx and idx_class_count take them."""
+    return {path: Path(path).read_bytes() for path in paths}
 
 
 def save_idx(dataset, images_path, labels_path) -> None:

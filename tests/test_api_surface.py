@@ -9,8 +9,17 @@ inside the defining module.  A method counts as used when an attribute of its
 name is accessed anywhere (`obj.name`); a parameter or variable of the same
 name is no use of it.  The numeric oracles are the one exception: the
 engine's batched paths are checked against them.
+
+Likewise every exception class defined in src/fusim must be told apart by
+src/ itself: named in an `except` clause there that does more than raise
+another error, or with an attribute its own methods set (`self.row = ...`)
+read there.  A class nothing catches or reads is one more name for
+ValueError, and a clause whose body is one raise only renames it.  So src/fusim defines two, ConfigError
+(a fault in what the user supplies; the command line exits 1 on it) and
+NNError (fedsim reads the stack row it names).
 """
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,3 +90,50 @@ def unused_public_functions(root: Path) -> list[str]:
 def test_every_public_function_is_used_outside_the_tests():
     unused = unused_public_functions(ROOT)
     assert unused == [], "public but used only by tests: " + ", ".join(unused)
+
+
+def exception_classes(trees):
+    """(path, line, name, own attributes) of each class in the trees that
+    derives, directly or through another of them, from a builtin exception."""
+    classes = {node.name: (path, node) for path, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    found: dict[str, tuple] = {}
+    while True:
+        new = {name: (path, node) for name, (path, node) in classes.items()
+               if name not in found and any(
+                   isinstance(base, ast.Name) and (base.id in found or isinstance(
+                       getattr(builtins, base.id, None), type) and issubclass(
+                       getattr(builtins, base.id), BaseException))
+                   for base in node.bases)}
+        if not new:
+            return [(path, node.lineno, name, {
+                target.attr for item in ast.walk(node) if isinstance(item, ast.Assign)
+                for target in item.targets if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name) and target.value.id == "self"})
+                for name, (path, node) in found.items()]
+        found.update(new)
+
+
+def caught_names(tree):
+    """The name of every class an `except` clause names (`except A`,
+    `except (A, m.B)`), unless the clause's body is one raise."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None and not (
+                len(node.body) == 1 and isinstance(node.body[0], ast.Raise)):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in types:
+                if isinstance(t, (ast.Name, ast.Attribute)):
+                    yield t.id if isinstance(t, ast.Name) else t.attr
+
+
+def test_every_exception_class_is_caught_or_read_in_src():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    caught = {name for tree in trees.values() for name in caught_names(tree)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    classes = exception_classes(trees)
+    idle = [f"{path.relative_to(ROOT)}:{line} {name}" for path, line, name, own in classes
+            if name not in caught and not own & read]
+    assert idle == [], "exception classes src/ neither catches nor reads: " + ", ".join(idle)
+    assert sorted(name for *_, name, _ in classes) == ["ConfigError", "NNError"]

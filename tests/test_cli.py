@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_resume_rejects_checkpoint_of_other_model(tmp_path, checkpoint):
     nncore.save_checkpoint(os.path.join(out, checkpoint), narrow,
                            nncore.init_params(narrow, 1))
     wide = task.spec.param_count
-    with pytest.raises(nncore.CheckpointError,
+    with pytest.raises(config.ConfigError,
                        match=rf"{checkpoint}: holds 503 float64 values, header byte \d+ "
                              rf"differs or is missing; the model takes {wide}$"):
         experiment.ensure_unlearn(cfg, out)
@@ -107,10 +108,10 @@ def test_failed_train_stage_leaves_no_round_checkpoint(tmp_path, monkeypatch):
 
     def fail_in_round_3(trainers, global_params, spec, training, seed, round_index, *rest):
         if round_index == 3:
-            raise fedsim.FedError("client 0, round 3: forced")
+            raise ValueError("client 0, round 3: forced")
         return real(trainers, global_params, spec, training, seed, round_index, *rest)
     monkeypatch.setattr(fedsim, "local_train", fail_in_round_3)
-    with pytest.raises(fedsim.FedError, match="forced"):
+    with pytest.raises(ValueError, match="forced"):
         experiment.ensure_train(cfg, out)
     assert sorted(os.listdir(out)) == ["partition.json", "splits.json"]
     monkeypatch.undo()
@@ -203,7 +204,8 @@ def test_compare_single_route_single_column(tmp_path):
 def test_compare_rejects_differing_configs(tmp_path):
     a = validate_config(TINY.format(route="delete"))
     b = validate_config(TINY.format(route="zeroing").replace("seed = 5", "seed = 6"))
-    with pytest.raises(experiment.StageError):
+    with pytest.raises(ValueError, match="stage compare: configurations differ beyond "
+                                         "unlearn.route"):
         experiment.compare_routes([a, b], str(tmp_path / "x"))
 
 
@@ -883,8 +885,9 @@ def finished_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name,damage,rc,message", [
-    ("train_summary.json", lambda data: data[:len(data) // 2], cli.EXIT_RUNTIME,
-     "train_summary.json: not valid JSON"),
+    pytest.param("train_summary.json", lambda data: data[:len(data) // 2], cli.EXIT_CONFIG,
+                 "train_summary.json: not valid JSON",
+                 id="train_summary.json-truncated-not-valid-JSON"),
     ("partition.json", lambda data: b"[1]", cli.EXIT_CONFIG,
      "partition.json: no config record; use a fresh output directory"),
     ("train_summary.json", lambda data: b"{}", cli.EXIT_CONFIG,
@@ -905,6 +908,147 @@ def test_resume_names_a_malformed_record(finished_run, tmp_path, caplog, name, d
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == rc
     assert os.path.join(out, message) in caplog.text
     assert tree_bytes(out) == before
+
+
+def tree_state(root):
+    """Every directory under root, and every file with its bytes."""
+    dirs = {os.path.relpath(os.path.join(base, name), root): None
+            for base, names, _ in os.walk(root) for name in names}
+    return {**dirs, **tree_bytes(root)}
+
+
+def one_idx_domain(tmp_path, labels, route="none", damage=lambda data: data):
+    """A config of one IDX domain of mid-grey 8x8 images with labels, its
+    labels file's bytes passed through damage: (config path, images path,
+    labels path)."""
+    images, labels_path = tmp_path / "real-images.idx", tmp_path / "real-labels.idx"
+    write_idx(np.full((len(labels), 8, 8), 128), labels, images, labels_path)
+    labels_path.write_bytes(damage(labels_path.read_bytes()))
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[domain.real]
+images = {images}
+labels = {labels_path}
+[partition]
+working_resolution = 8x8
+[unlearn]
+route = {route}
+""")
+    return cfg_path, images, labels_path
+
+
+def damaged_idx(damage, needle):
+    def make(tmp_path, finished):
+        cfg_path, images, labels = one_idx_domain(tmp_path, np.arange(40) % 4, damage=damage)
+        return cfg_path, tmp_path / "run", needle.format(images=images, labels=labels)
+    return make
+
+
+def damaged_tiny(edits, needle):
+    def make(tmp_path, finished):
+        cfg_path = write_cfg(tmp_path, route="delete")
+        text = cfg_path.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg_path.write_text(text)
+        return cfg_path, tmp_path / "run", needle
+    return make
+
+
+def damaged_artifact(name, damage, needle, remove=()):
+    def make(tmp_path, finished):
+        cfg_path, out = finished
+        copy = tmp_path / "run"
+        shutil.copytree(out, copy)
+        (copy / name).write_bytes(damage((copy / name).read_bytes()))
+        for other in remove:
+            os.remove(copy / other)
+        return cfg_path, copy, needle.format(path=copy / name)
+    return make
+
+
+def one_class_relabel(tmp_path, finished):
+    cfg_path, _, _ = one_idx_domain(tmp_path, np.zeros(40, dtype=int), route="relabel")
+    return cfg_path, tmp_path / "run", ("config: unlearn.route: relabeling needs at least "
+                                        "two classes; the shared class count is 1")
+
+
+def idx_path_is_a_directory(tmp_path, finished):
+    cfg_path, images, _ = one_idx_domain(tmp_path, np.arange(40) % 4)
+    images.unlink()
+    images.mkdir()
+    return (cfg_path, tmp_path / "run",
+            f"config: line 3: domain.real.images: file not found: {images}")
+
+
+IID_ON_64 = """
+[data]
+class_count = 2
+samples_per_class = 40
+[domain.only]
+resolution = 8x8
+[partition]
+strategy = iid
+clients = 100
+working_resolution = 8x8
+"""
+
+
+def iid_on_64(tmp_path, finished):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(IID_ON_64)
+    return (cfg_path, tmp_path / "run",
+            "config: partition.clients: cannot split 64 examples across 100 clients")
+
+
+@pytest.mark.parametrize("make", [
+    damaged_idx(lambda data: struct.pack(">I", 0x803) + data[4:],
+                "config: {labels}: magic 0x00000803, expected 0x00000801"),
+    damaged_idx(lambda data: data[:-3], "config: {labels}: expected 40 payload bytes, got 37"),
+    damaged_idx(lambda data: struct.pack(">II", 0x801, 39) + data[8:-1],
+                "config: {images}: 40 images but 39 labels"),
+    damaged_artifact("checkpoint_trained.fusim", lambda data: data[:-8],
+                     "config: {path}: holds", remove=["unlearn_summary.json"]),
+    damaged_artifact("train_summary.json", lambda data: data[:len(data) // 2],
+                     "config: {path}: not valid JSON"),
+    damaged_artifact("report_after.json", lambda data: data[:len(data) // 2],
+                     "config: {path}: not valid JSON"),
+    damaged_tiny({"samples_per_class = 30\n": "samples_per_class = 4\n",
+                  "probe_cap = 16\n": "probe_cap = 16\n[evaluate]\nval_fraction = 0.4\n"
+                                      "test_fraction = 0.4\n"},
+                 "config: evaluate.val_fraction, evaluate.test_fraction: domain clean: "
+                 "class 0 has no training samples after split (4 total)"),
+    iid_on_64,
+    damaged_tiny({"group_sizes = 2,2\n": "strategy = dirichlet\nclients = 8\nalpha = 0.001\n"},
+                 "config: partition.alpha: no nonempty Dirichlet assignment"),
+    one_class_relabel,
+    idx_path_is_a_directory,
+], ids=["idx-labels-magic", "idx-labels-truncated", "idx-count-mismatch",
+        "truncated-checkpoint", "summary-not-json", "report-not-json", "split-leaves-no-train",
+        "iid-more-clients-than-examples", "dirichlet-tiny-alpha", "relabel-one-class",
+        "idx-path-is-a-directory"])
+def test_a_damaged_input_exits_1_names_it_and_writes_nothing(finished_run, tmp_path, caplog,
+                                                             make):
+    """A fault in the config, an IDX file or an output-directory artifact is
+    the user's: the run exits 1, names the path or key, and creates or
+    changes no file or directory."""
+    cfg_path, out, needle = make(tmp_path, finished_run)
+    before = tree_state(tmp_path)
+    caplog.clear()
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert needle in caplog.text
+    assert tree_state(tmp_path) == before
+
+
+def test_a_fault_of_the_run_itself_exits_2(tmp_path, monkeypatch, caplog):
+    def fail(*args):
+        raise ValueError("client 0, round 1: forced")
+    monkeypatch.setattr(fedsim, "local_train", fail)
+    cfg_path = write_cfg(tmp_path, route="delete")
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_RUNTIME
+    assert "runtime: client 0, round 1: forced" in caplog.text
 
 
 @pytest.fixture(scope="module")

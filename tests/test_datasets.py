@@ -15,9 +15,9 @@ from hypothesis.extra import numpy as hnp
 from fusim import datasets as ds
 from fusim import experiment
 from fusim import nncore as nn
-from fusim.config import validate_config
-from helpers import (TINY, made, reference_base_stream, reference_task_data, same_bits,
-                     save_idx, synthetic_domain, write_idx)
+from fusim.config import ConfigError, validate_config
+from helpers import (TINY, file_bytes, made, reference_base_stream, reference_task_data,
+                     same_bits, save_idx, synthetic_domain, write_idx)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -34,7 +34,7 @@ def write_idx_pair(tmp_path, images, labels):
 def test_load_idx_two_images(tmp_path):
     images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
     ip, lp = write_idx_pair(tmp_path, images, [1, 0])
-    d = made(ds.load_idx(ip, lp))
+    d = made(ds.load_idx(ip, lp, file_bytes(ip, lp)))
     assert len(d) == 2
     assert d.images.shape == (2, 1, 3, 4)
     assert d.labels.tolist() == [1, 0]
@@ -44,8 +44,8 @@ def test_load_idx_two_images(tmp_path):
 def test_load_idx_count_mismatch(tmp_path):
     images = np.zeros((2, 3, 3), dtype=np.uint8)
     ip, lp = write_idx_pair(tmp_path, images, [0, 1, 1])
-    with pytest.raises(ds.IdxCountMismatchError):
-        ds.load_idx(ip, lp)
+    with pytest.raises(ConfigError, match=f"{ip}: 2 images but 3 labels"):
+        ds.load_idx(ip, lp, file_bytes(ip, lp))
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -53,8 +53,8 @@ def test_load_idx_bad_magic(tmp_path):
     ip.write_bytes(struct.pack(">IIII", 0x12345, 1, 2, 2) + b"\x00" * 4)
     lp = tmp_path / "lbl"
     lp.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
-    with pytest.raises(ds.IdxMagicError):
-        ds.load_idx(ip, lp)
+    with pytest.raises(ConfigError, match=f"{ip}: magic 0x00012345, expected 0x00000803"):
+        ds.load_idx(ip, lp, file_bytes(ip, lp))
 
 
 def test_load_idx_truncated(tmp_path):
@@ -62,8 +62,8 @@ def test_load_idx_truncated(tmp_path):
     ip.write_bytes(struct.pack(">IIII", 0x803, 4, 5, 5) + b"\x00" * 10)
     lp = tmp_path / "lbl"
     lp.write_bytes(struct.pack(">II", 0x801, 4) + b"\x00" * 4)
-    with pytest.raises(ds.IdxTruncatedError):
-        ds.load_idx(ip, lp)
+    with pytest.raises(ConfigError, match=f"{ip}: expected 100 payload bytes, got 10"):
+        ds.load_idx(ip, lp, file_bytes(ip, lp))
 
 
 @pytest.mark.parametrize("which", ["images", "labels"])
@@ -72,15 +72,15 @@ def test_load_idx_refuses_trailing_bytes(tmp_path, which):
     ip, lp = write_idx_pair(tmp_path, images, [0, 1])
     path = ip if which == "images" else lp
     path.write_bytes(path.read_bytes() + b"\x00" * 13)
-    with pytest.raises(ds.IdxError, match=f"{path}: 13 bytes after"):
-        ds.load_idx(ip, lp)
+    with pytest.raises(ConfigError, match=f"{path}: 13 bytes after"):
+        ds.load_idx(ip, lp, file_bytes(ip, lp))
 
 
 def test_load_idx_truncated_header(tmp_path):
     ip, lp = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
     lp.write_bytes(lp.read_bytes()[:6])
-    with pytest.raises(ds.IdxTruncatedError, match=str(lp)):
-        ds.load_idx(ip, lp)
+    with pytest.raises(ConfigError, match=f"{lp}: expected a 8-byte header, got 6"):
+        ds.load_idx(ip, lp, file_bytes(ip, lp))
 
 
 def test_idx_roundtrip_bytes(tmp_path):
@@ -88,7 +88,7 @@ def test_idx_roundtrip_bytes(tmp_path):
     images = rng.integers(0, 256, size=(5, 6, 6), dtype=np.uint8)
     labels = rng.integers(0, 4, size=5)
     ip, lp = write_idx_pair(tmp_path, images, labels)
-    d = made(ds.load_idx(ip, lp))
+    d = made(ds.load_idx(ip, lp, file_bytes(ip, lp)))
     ip2 = tmp_path / "imgs2"
     lp2 = tmp_path / "lbls2"
     save_idx(d, ip2, lp2)
@@ -102,7 +102,7 @@ def test_idx_roundtrip_bit_exact(tmp_path_factory, images, data):
     labels = data.draw(hnp.arrays(np.uint8, len(images), elements=st.integers(0, 9)))
     tmp = tmp_path_factory.mktemp("idx")
     ip, lp = write_idx_pair(tmp, images, labels)
-    d = made(ds.load_idx(ip, lp))
+    d = made(ds.load_idx(ip, lp, file_bytes(ip, lp)))
     assert np.array_equal(d.images[:, 0], images / 255.0)
     assert np.array_equal(d.labels, labels)
     assert np.array_equal(np.round(d.images[:, 0] * 255.0), images)
@@ -115,7 +115,7 @@ MNIST_LABELS = os.path.join("data", "MNIST", "train-labels-idx1-ubyte")
 @pytest.mark.skipif(not os.path.exists(MNIST_IMAGES),
                     reason="MNIST training files not present")
 def test_load_idx_mnist_training():
-    d = ds.load_idx(MNIST_IMAGES, MNIST_LABELS)
+    d = ds.load_idx(MNIST_IMAGES, MNIST_LABELS, file_bytes(MNIST_IMAGES, MNIST_LABELS))
     assert len(d) == 60000
     assert d.class_count == 10
 
@@ -332,13 +332,13 @@ def test_base_stream_refuses_a_domain_it_cannot_serve():
     stream = ds.BaseStream(13, 6, (12, 10), 4)
     domain = ds.synth_domain(stream, (), 5, "d")
     stream.draw(5)
-    with pytest.raises(ds.DatasetError, match=r"cannot serve samples 0\.\.5: it holds 0\.\.4"):
+    with pytest.raises(ValueError, match=r"cannot serve samples 0\.\.5: it holds 0\.\.4"):
         stream.block(0, 6)
-    with pytest.raises(ds.DatasetError, match=r"cannot serve samples 3\.\.5: it holds 0\.\.4"):
+    with pytest.raises(ValueError, match=r"cannot serve samples 3\.\.5: it holds 0\.\.4"):
         domain.make(3, 6)
     assert len(stream.block(0, 5)[1]) == 5
     stream.draw(3)
-    with pytest.raises(ds.DatasetError, match=r"cannot serve samples 4\.\.5: it holds 5\.\.7"):
+    with pytest.raises(ValueError, match=r"cannot serve samples 4\.\.5: it holds 5\.\.7"):
         stream.block(4, 6)
     roll_index, noise = stream.block(5, 8)
     assert len(roll_index) == len(noise) == 3
@@ -544,9 +544,9 @@ def test_parse_transform_chain():
     chain = ds.parse_transforms("invert+gaussian_noise(0.15)")
     assert [t.kind for t in chain] == ["invert", "gaussian_noise"]
     assert chain[1].sigma == 0.15
-    with pytest.raises(ds.DatasetError):
+    with pytest.raises(ConfigError, match=r"^transform: unknown transform 'sharpen'$"):
         ds.parse_transforms("sharpen(2)")
-    with pytest.raises(ds.DatasetError):
+    with pytest.raises(ConfigError, match=r"^transform: downsample factor must be 2 or 4$"):
         ds.parse_transforms("downsample(3)")
 
 
@@ -585,7 +585,8 @@ def test_transform_argument_that_is_not_a_finite_number_is_refused(chain, bad, d
     i = data.draw(st.sampled_from([i for i, tf in enumerate(chain)
                                    if tf.kind in ds.TRANSFORM_ARGS]))
     parts = [render(tf, bad if j == i else None) for j, tf in enumerate(chain)]
-    with pytest.raises(ds.DatasetError):
+    with pytest.raises(ConfigError, match=rf"^transform: (transform {chain[i].kind}: "
+                                          rf"expected|{chain[i].kind} \w+ must be)"):
         ds.parse_transforms("+".join(parts))
 
 
@@ -665,7 +666,7 @@ def valid_arrays(n=3, classes=4):
 def test_dataset_rejects_images_of_wrong_ndim(ndim):
     _, labels = valid_arrays()
     images = np.zeros((3,) + (1,) * (ndim - 1)) if ndim else np.float64(0.0)
-    with pytest.raises(ds.DatasetError, match="domain dom-x: images"):
+    with pytest.raises(ValueError, match="domain dom-x: images"):
         ds.DomainDataset(images, labels, "dom-x", 4)
 
 
@@ -673,15 +674,15 @@ def test_dataset_rejects_images_of_wrong_ndim(ndim):
 def test_dataset_rejects_labels_of_wrong_ndim(ndim):
     images, _ = valid_arrays()
     labels = np.zeros((3,) * ndim, dtype=np.int64)
-    with pytest.raises(ds.DatasetError, match="domain dom-x: labels"):
+    with pytest.raises(ValueError, match="domain dom-x: labels"):
         ds.DomainDataset(images, labels, "dom-x", 4)
 
 
 def test_dataset_rejects_wrong_dtypes():
     images, labels = valid_arrays()
-    with pytest.raises(ds.DatasetError, match="domain d: images .* float32"):
+    with pytest.raises(ValueError, match="domain d: images .* float32"):
         ds.DomainDataset(images.astype(np.float32), labels, "d", 4)
-    with pytest.raises(ds.DatasetError, match="domain d: labels .* int32"):
+    with pytest.raises(ValueError, match="domain d: labels .* int32"):
         ds.DomainDataset(images, labels.astype(np.int32), "d", 4)
 
 
@@ -692,7 +693,7 @@ def test_dataset_rejects_length_mismatch(n_images, n_labels):
     if n_images == n_labels:
         assert len(ds.DomainDataset(images, labels, "d", 1)) == n_images
     else:
-        with pytest.raises(ds.DatasetError, match=f"domain d: {n_images} images but"):
+        with pytest.raises(ValueError, match=f"domain d: {n_images} images but"):
             ds.DomainDataset(images, labels, "d", 1)
 
 
@@ -702,7 +703,7 @@ def test_dataset_rejects_out_of_range_label(class_count, labels):
     images = np.zeros((len(labels), 1, 2, 2))
     bad = [v for v in labels.tolist() if not 0 <= v < class_count]
     if bad:
-        with pytest.raises(ds.DatasetError,
+        with pytest.raises(ValueError,
                            match=f"domain d: label {bad[0]} outside \\[0, {class_count}\\)"):
             ds.DomainDataset(images, labels, "d", class_count)
     else:

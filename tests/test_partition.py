@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fusim import datasets as ds
 from fusim import partition as pt
-from fusim.config import STRATEGIES, PartitionConfig
+from fusim.config import STRATEGIES, ConfigError, PartitionConfig
 from helpers import reference_label_intersection, synthetic_domain
 
 
@@ -58,7 +58,8 @@ def test_iid_label_marginals_close_to_global():
 
 
 def test_iid_too_many_clients():
-    with pytest.raises(pt.PartitionError):
+    with pytest.raises(ConfigError,
+                       match="partition.clients: cannot split 4 examples across 5 clients"):
         pt.partition_iid(4, 5, 0)
 
 
@@ -106,13 +107,14 @@ def test_dirichlet_conservation_and_disjoint():
 
 def test_dirichlet_rejects_bad_alpha():
     d = synth(classes=2, per_class=5)
-    with pytest.raises(pt.PartitionError):
+    with pytest.raises(ValueError, match="alpha must be positive, got 0.0"):
         pt.partition_dirichlet(d.labels, 2, 0.0, 0)
 
 
 def test_dirichlet_impossible_assignment():
     d = synth(classes=2, per_class=2)
-    with pytest.raises(pt.PartitionError):
+    with pytest.raises(ConfigError,
+                       match="partition.clients: cannot assign 4 examples to 10 clients"):
         pt.partition_dirichlet(d.labels, 10, 1.0, 0)
 
 
@@ -184,7 +186,7 @@ def test_build_plan_single_domain_strategies():
 
 def test_build_plan_rejects_group_count_mismatch():
     domains = [synth(name="a"), synth(name="b")]
-    with pytest.raises(pt.PartitionError, match="2 domains but 3 group sizes"):
+    with pytest.raises(ValueError, match="2 domains but 3 group sizes"):
         pt.build_plan(PartitionConfig(group_sizes=(1, 1, 1)), *pooled(domains), 0)
 
 
@@ -243,7 +245,7 @@ def test_real_noniid_label_sets_identical_across_clients():
     (([0, 1, 4], [1, 4, 5]), r"pool indices \[1, 4\]\.\.\. assigned to more than one"),
 ])
 def test_plan_refuses_empty_outside_or_shared_clients(clients, match):
-    with pytest.raises(pt.PartitionError, match=match):
+    with pytest.raises(ValueError, match=match):
         pt.PartitionPlan(tuple(np.array(c, dtype=np.intp) for c in clients),
                          (("a", 0, 4), ("b", 4, 6)))
 
@@ -266,7 +268,7 @@ def test_plan_clients_are_disjoint_nonempty_pool_vectors_the_doc_restores(
                            group_sizes=tuple(size for *_, size in domains))
     try:
         plan = pt.build_plan(part, labels, blocks, seed)
-    except pt.PartitionError:
+    except ConfigError:
         assume(False)
     assert len(plan.clients) == sum(part.groups)
     held = np.concatenate(plan.clients)

@@ -7,6 +7,7 @@ import pytest
 from fusim import datasets as ds
 from fusim import nncore as nn
 from fusim import unlearn_routes as ur
+from fusim.config import ConfigError
 from helpers import library_step, same_bits, subset, synthetic_domain, vector
 
 
@@ -56,7 +57,7 @@ def test_delete_drops_exact_count():
 
 
 def test_delete_empty_result_errors():
-    with pytest.raises(ur.RouteError):
+    with pytest.raises(ConfigError, match="deleting the forget class empties the shard"):
         deleted(shard_of([0, 0]), 0)
 
 
@@ -113,7 +114,7 @@ def test_relabel_uniform_over_other_classes():
 
 
 def test_relabel_needs_two_classes():
-    with pytest.raises(ur.RouteError):
+    with pytest.raises(ValueError, match="relabeling needs at least two classes"):
         relabeled(shard_of([0], class_count=1), 0, 1, seed=0)
 
 
@@ -182,13 +183,13 @@ def test_naive_zeroing_locality():
 
 def test_naive_zeroing_top_m_bounds():
     spec, params = hand_net_three_units()
-    with pytest.raises(ur.RouteError):
+    with pytest.raises(ValueError, match=r"top_m=4 outside \[0, 3\] hidden units"):
         ur.naive_zeroing(spec, params, shard_of([0], side=2).images, 4)
 
 
 def test_naive_zeroing_needs_forget_probes():
     spec, params = hand_net_three_units()
-    with pytest.raises(ur.RouteError, match="no forget-class probe images"):
+    with pytest.raises(ConfigError, match="no forget-class probe images"):
         ur.naive_zeroing(spec, params, np.zeros((0, 1, 2, 2)), 1)
 
 
