@@ -5,17 +5,21 @@ build them otherwise, so any stage can resume from on-disk artifacts.  The
 model spec comes from the config alone.  The data (domains, splits, plan,
 pools) comes from the config too, never from the output directory: a
 Task's build_task call makes it when a stage first has to run, so a finished
-directory resumes without building it, and partition.json and splits.json
-are records for readers that nothing reads back.  A compare trains once in
+directory resumes without building it.  Of the partition stage's three
+files, partition.json is its record (the config values, the IDX files'
+sizes and hashes, each client's example count), the one a resume reads;
+plan.json (each client's indices) and splits.json (each domain's split) are
+written for readers, and nothing reads them back.  A compare trains once in
 its output directory and runs only the unlearn and evaluate stages of each
 route in a subdirectory.  All artifacts are pure functions of the config
 text: no timestamps, sorted keys, fixed float formatting.  Each stage's
 record artifact holds the canonical config values the stage depends on, and
-a resume with any other value is refused.  A damaged file that a stage
-reads (an IDX file, a record, a checkpoint, a report) is refused with a
-ConfigError naming it, before the stage writes any file.  Files are
-written to a stage-local temp directory and renamed into place on stage
-completion.
+a resume with any other value is refused.  A stage resumes only if the
+stage before it resumed too, so no artifact outlives the model it
+describes.  A damaged file that a stage reads (an IDX file, a record, a
+checkpoint, a report) is refused with a ConfigError naming it, before the
+stage writes any file.  Files are written to a stage-local temp directory
+and renamed into place on stage completion.
 """
 from __future__ import annotations
 
@@ -94,7 +98,9 @@ class Task:
     label space, set at once, and the data, built on first use.  A finished
     stage needs only the spec, so a resume of a finished directory builds no
     data.  files holds each IDX file's bytes by path (_read_idx_files reads
-    them when none are given) and is let go once the data is built."""
+    them when none are given) and is let go once the data is built.  ran is
+    True when the partition stage ran in this call (see _stage)."""
+    ran = False
 
     def __init__(self, cfg: ExperimentConfig, files: dict[str, bytes] | None = None):
         self.cfg = cfg
@@ -250,6 +256,12 @@ _NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or 
 _METRICS = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
 
 
+class _Ran(tuple):
+    """The result tuple of a stage that ran in this call; a resumed stage's
+    is a plain tuple."""
+    ran = True
+
+
 def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str, ...],
            sections: tuple[str, ...], checks: dict, prior, resume, run,
            implied=lambda record: ()):
@@ -259,27 +271,36 @@ def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str,
     record: a JSON document whose "config" holds the canonical values of
     sections; implied(record) names the files the record says it wrote
     besides.  When every artifact exists, the record is read, must hold
-    cfg's values and pass checks (a test per key the program reads back),
-    and if every implied file exists too, the result is resume(prior(),
-    record); the check comes before prior (the stage this one builds on), so
-    a finished directory is checked against its fullest record first.
-    Otherwise run(prior(), writer) writes the other artifacts and returns
-    (result, record), and the record is written with the values.
+    cfg's values and pass checks (a test per key the program reads back);
+    the check comes before prior() (the stage this one builds on), so a
+    finished directory is checked against its fullest record first.  If
+    every implied file exists too and the prior stage resumed as well, the
+    result is resume(prior(), record).  Otherwise run(prior(), writer)
+    writes the other artifacts and returns (result, record), the record is
+    written with the values, and the result is marked ran, so every later
+    stage runs too: a stage resumed after its prior stage ran could describe
+    a model that is no longer on disk.
     """
     def present(names) -> bool:
         return all(os.path.exists(os.path.join(out_dir, a)) for a in names)
     wanted = canonical(cfg, sections)
-    record_path = os.path.join(out_dir, artifacts[0])
+    record = None
     if present(artifacts):
-        record = _read_record(record_path, wanted, checks)
-        if present(implied(record)):
-            return resume(prior(), record)
+        record = _read_record(os.path.join(out_dir, artifacts[0]), wanted, checks)
+        if not present(implied(record)):
+            record = None
+    earlier = prior()
+    if record is not None and not getattr(earlier, "ran", False):
+        return resume(earlier, record)
     with _StageWriter(out_dir, name) as writer:
-        result, record = run(prior(), writer)
+        result, record = run(earlier, writer)
         record["config"] = wanted
         writer.add_text(artifacts[0], json.dumps(record, sort_keys=True, indent=1))
         writer.commit()
-    return result
+    if isinstance(result, Task):
+        result.ran = True
+        return result
+    return _Ran(result)
 
 
 def _read_record(path: str, wanted: dict, checks: dict) -> dict:
@@ -309,17 +330,20 @@ def _idx_files(files: dict[str, bytes]) -> dict:
 
 
 def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
-    """The task.  partition.json records the plan and splits.json the splits,
-    for readers; on resume only partition.json's config record and the IDX
-    files, whose sizes and hashes it holds, are read, and the data is built
-    from the config when a stage first uses it.  Either way each IDX file
-    is read once, here, for the record, the spec and the data alike."""
+    """The task.  partition.json records each client's example count,
+    plan.json the plan and splits.json the splits, the last two for readers
+    only; on resume only partition.json and the IDX files, whose sizes and
+    hashes it holds, are read, and the data is built from the config when a
+    stage first uses it.  Either way each IDX file is read once, here, for
+    the record, the spec and the data alike."""
     files = _read_idx_files(cfg)
 
     def run(_, writer):
         task = Task(cfg, files)
+        plan = task.data.plan
         writer.add_text("splits.json", _splits_to_json(task.data.splits))
-        return task, {**task.data.plan.to_doc(),
+        writer.add_text("plan.json", json.dumps(plan.to_doc(), sort_keys=True, indent=1))
+        return task, {"clients": [{"count": len(c)} for c in plan.clients],
                       **({"idx_files": _idx_files(files)} if files else {})}
 
     def resume(_, record):
@@ -329,7 +353,7 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
                                   f"{found} but the record holds {recorded}; use a fresh "
                                   f"output directory")
         return Task(cfg, files)
-    return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json"),
+    return _stage(cfg, out_dir, "partition", ("partition.json", "splits.json", "plan.json"),
                   _PARTITION_SECTIONS, {}, lambda: None, resume, run)
 
 
@@ -488,6 +512,7 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     unlearn and evaluate stages run in out_dir/route_<label> from that
     trained model.  The "before" report is built at most once: each route
     passes the one it returned (built or read back) to the next.
+    compare.csv is written only when it is absent or holds other text.
     """
     if not cfgs:
         raise ValueError("stage compare: no configurations given")
@@ -511,6 +536,11 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
         reports[label] = after
     merged = {"before": before, **reports}
     text = evalkit.combined_csv(merged)
+    path = os.path.join(out_dir, "compare.csv")
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            if fh.read() == text.encode("utf-8"):
+                return text   # a finished compare writes nothing
     with _StageWriter(out_dir, "compare") as writer:
         writer.add_text("compare.csv", text)
         writer.commit()

@@ -17,8 +17,8 @@ pools, so every row's place must be known before any image exists:
 label_intersection cuts each domain source to the shared label range by its
 labels, the splits and the plan index the pools by labels, and materialize
 gives the plan's per-client index vectors.  A plan is a pure function of the
-config: to_doc records it in partition.json for readers, and nothing reads
-that record back.
+config: to_doc gives plan.json, written for readers, and nothing reads it
+back.
 """
 from __future__ import annotations
 
@@ -53,10 +53,10 @@ class PartitionPlan:
                 f"pool indices {shared[:4].tolist()}... assigned to more than one client")
 
     def to_doc(self) -> dict:
-        """The plan as the JSON document partition.json records: per client
-        its count and, per domain it holds examples of, their indices into
-        that domain's train split.  The strategy, seed and alpha are in the
-        record's config values."""
+        """The plan as plan.json's document: per client, per domain it holds
+        examples of, their indices into that domain's train split.  Each
+        client's count and the strategy, seed and alpha are in
+        partition.json's record."""
         clients = []
         for c in self.clients:
             domains = {}
@@ -64,7 +64,7 @@ class PartitionPlan:
                 a, b = np.searchsorted(c, (start, stop))
                 if b > a:
                     domains[name] = (c[a:b] - start).tolist()
-            clients.append({"count": len(c), "domains": domains})
+            clients.append({"domains": domains})
         return {"clients": clients}
 
 

@@ -113,7 +113,7 @@ def test_failed_train_stage_leaves_no_round_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(fedsim, "local_train", fail_in_round_3)
     with pytest.raises(ValueError, match="forced"):
         experiment.ensure_train(cfg, out)
-    assert sorted(os.listdir(out)) == ["partition.json", "splits.json"]
+    assert sorted(os.listdir(out)) == ["partition.json", "plan.json", "splits.json"]
     monkeypatch.undo()
     task, params, _ = experiment.ensure_train(cfg, out)
     rounds = [f"round_{t}.fusim" for t in range(1, cfg.training.rounds_max + 1)]
@@ -234,8 +234,8 @@ def count_calls(monkeypatch, module, name: str, calls: list | None = None) -> li
     return calls
 
 
-TRAIN_ARTIFACTS = ("checkpoint_trained.fusim", "partition.json", "rounds_train.csv",
-                   "splits.json", "train_summary.json")
+TRAIN_ARTIFACTS = ("checkpoint_trained.fusim", "partition.json", "plan.json",
+                   "rounds_train.csv", "splits.json", "train_summary.json")
 UNLEARN_ARTIFACTS = ("checkpoint_unlearned.fusim", "rounds_unlearn.csv",
                      "unlearn_summary.json")
 EVALUATE_ARTIFACTS = ("report_before.json", "report_after.json", "report.csv",
@@ -363,11 +363,20 @@ def test_a_directory_with_the_copies_still_resumes(finished_run, tmp_path, monke
     assert tree_bytes(out) == before
 
 
+def tree_inodes(root):
+    return {os.path.relpath(path, root): os.stat(path).st_ino
+            for path in (os.path.join(base, name)
+                         for base, _, files in os.walk(root) for name in files)}
+
+
 def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, monkeypatch):
+    """A second compare on a finished directory trains, evaluates and builds
+    nothing, and writes nothing: every file keeps its bytes and its inode."""
     _, cfg_path, out, _ = compared
     again = str(tmp_path / "again")
     shutil.copytree(out, again)
     finished = tree_bytes(again)
+    inodes = tree_inodes(again)
     calls = count_trainings(monkeypatch)
     reports = count_reports(monkeypatch)
     builds, domains = count_builds(monkeypatch)
@@ -379,6 +388,7 @@ def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, m
     assert builds == [] and domains == []
     assert "compare.csv" in finished
     assert tree_bytes(again) == finished
+    assert tree_inodes(again) == inodes
 
 
 def test_compare_rebuilds_one_route_from_read_back_before_report(compared, tmp_path,
@@ -1041,6 +1051,38 @@ def test_a_damaged_input_exits_1_names_it_and_writes_nothing(finished_run, tmp_p
     assert tree_state(tmp_path) == before
 
 
+def test_a_stage_after_one_that_ran_runs_too(finished_run, tmp_path, caplog):
+    """With the trained checkpoint replaced by a valid checkpoint of another
+    model (init_params) and the unlearn record deleted, a rerun runs the
+    unlearn stage, so the evaluate stage after it runs too: report_after.json
+    is the report of the unlearned checkpoint on disk, not the one before.
+    Refusing the checkpoint, exit 1 with no byte changed, would pass too."""
+    cfg_path, finished = finished_run
+    out = str(tmp_path / "run")
+    shutil.copytree(finished, out)
+    cfg = validate_config(cfg_path.read_text())
+    task = experiment.Task(cfg)
+    ckpt = os.path.join(out, "checkpoint_trained.fusim")
+    nncore.save_checkpoint(ckpt, task.spec, nncore.init_params(task.spec, 1))
+    os.remove(os.path.join(out, "unlearn_summary.json"))
+    before = tree_bytes(out)
+    caplog.clear()
+    rc = cli.main(["run", "--config", str(cfg_path), "--out", out])
+    if rc == cli.EXIT_CONFIG:
+        assert ckpt in caplog.text
+        assert tree_bytes(out) == before
+        return
+    assert rc == cli.EXIT_OK
+    unlearned = nncore.load_checkpoint(os.path.join(out, "checkpoint_unlearned.fusim"),
+                                       task.spec)
+    assert not same_bits(unlearned, nncore.load_checkpoint(
+        os.path.join(finished, "checkpoint_unlearned.fusim"), task.spec))
+    data = task.data
+    want = evalkit.build_report(task.spec, unlearned, data.test_sets, data.client_sets)
+    with open(os.path.join(out, "report_after.json"), "rb") as fh:
+        assert fh.read().decode("utf-8") == evalkit.report_to_json(want)
+
+
 def test_a_fault_of_the_run_itself_exits_2(tmp_path, monkeypatch, caplog):
     def fail(*args):
         raise ValueError("client 0, round 1: forced")
@@ -1119,22 +1161,24 @@ def test_resume_refuses_a_damaged_summary(finished_run, tmp_path, caplog, name, 
 
 def test_partition_artifacts_are_records_not_inputs(tmp_path):
     """The train stage takes its plan and splits from the config: editing
-    partition.json (two clients of one domain swap their indices) and
-    splits.json (one domain swaps its validation and test lists) after the
-    partition stage changes no byte of what it trains."""
+    plan.json (two clients of one domain swap their indices, and
+    partition.json their counts) and splits.json (one domain swaps its
+    validation and test lists) after the partition stage changes no byte of
+    what it trains."""
     cfg_path = write_cfg(tmp_path)
     out = str(tmp_path / "run")
     assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
-    path = os.path.join(out, "partition.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    first, second = doc["clients"][:2]
-    assert list(first["domains"]) == list(second["domains"])
-    assert first["domains"] != second["domains"]
-    for key in ("domains", "count"):
+    for name, key in (("plan.json", "domains"), ("partition.json", "count")):
+        path = os.path.join(out, name)
+        with open(path) as fh:
+            doc = json.load(fh)
+        first, second = doc["clients"][:2]
+        if key == "domains":
+            assert list(first["domains"]) == list(second["domains"])
+        assert first[key] != second[key]
         first[key], second[key] = second[key], first[key]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=1)
     path = os.path.join(out, "splits.json")
     with open(path) as fh:
         doc = json.load(fh)
@@ -1151,6 +1195,29 @@ def test_partition_artifacts_are_records_not_inputs(tmp_path):
     assert "checkpoint_trained.fusim" in trained
     assert {name: now[name] for name in trained} == {name: fresh[name] for name in trained}
     assert {name: now[name] for name in edited} == edited
+
+
+def test_partition_record_does_not_grow_with_the_example_count(tmp_path):
+    """partition.json holds each client's count, not its indices: TINY at 30
+    and at 60 samples per class writes records of one length, the counts'
+    digits aside, whose counts are the plan's client sizes and sum to the
+    train pool; the indices are plan.json's."""
+    lengths = set()
+    for per_class in (30, 60):
+        cfg = validate_config(TINY.format(route="none").replace(
+            "samples_per_class = 30\n", f"samples_per_class = {per_class}\n"))
+        out = str(tmp_path / str(per_class))
+        task = experiment.ensure_partition(cfg, out)
+        with open(os.path.join(out, "partition.json")) as fh:
+            text = fh.read()
+        with open(os.path.join(out, "plan.json")) as fh:
+            plan = json.load(fh)
+        counts = [c["count"] for c in json.loads(text)["clients"]]
+        assert counts == [len(c) for c in task.data.plan.clients]
+        assert counts == [sum(map(len, c["domains"].values())) for c in plan["clients"]]
+        assert sum(counts) == len(task.data.train)
+        lengths.add(len(text) - sum(len(str(n)) for n in counts))
+    assert len(lengths) == 1
 
 
 def test_main_calls_in_one_process_behave_as_alone(tmp_path, caplog):

@@ -259,7 +259,8 @@ def test_plan_clients_are_disjoint_nonempty_pool_vectors_the_doc_restores(
         strategy, domains, clients, alpha, seed):
     """Under every strategy each client is a nonempty vector of pool indices
     no other client holds (iid and dirichlet cover the whole pool), and
-    to_doc's per-domain indices plus each block's start give it back."""
+    to_doc's per-domain indices plus each block's start give it back, and
+    nothing else: each client's count is partition.json's record."""
     rng = np.random.default_rng(seed)
     labels = np.concatenate([rng.integers(0, classes, size=n) for n, classes, _ in domains])
     stops = np.cumsum([n for n, _, _ in domains]).tolist()
@@ -280,7 +281,7 @@ def test_plan_clients_are_disjoint_nonempty_pool_vectors_the_doc_restores(
     for c, entry in zip(plan.clients, plan.to_doc()["clients"]):
         restored = [i + start for name, start, _ in blocks
                     for i in entry["domains"].get(name, [])]
-        assert restored == c.tolist() and entry["count"] == len(c)
+        assert restored == c.tolist() and list(entry) == ["domains"]
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +289,9 @@ def test_plan_clients_are_disjoint_nonempty_pool_vectors_the_doc_restores(
 
 
 def test_plan_json_roundtrip():
-    """partition.json's document holds, per client, its count and its indices
-    into each domain's train split, and no copy of the strategy, seed or
-    alpha its config record holds, and survives JSON as it is."""
+    """plan.json's document holds, per client, its indices into each
+    domain's train split, and no copy of the count, strategy, seed or alpha
+    partition.json's record holds, and survives JSON as it is."""
     domains = [synth(classes=5, per_class=20, name=n) for n in ("b", "a")]
     plan = pt.build_plan(PartitionConfig("dirichlet", clients=4, alpha=0.7),
                          *pooled(domains), 13)
@@ -298,11 +299,11 @@ def test_plan_json_roundtrip():
     assert json.loads(json.dumps(doc, sort_keys=True, indent=1)) == doc
     assert list(doc) == ["clients"]
     for c, entry in zip(plan.clients, doc["clients"]):
-        assert entry["count"] == len(c)
+        assert list(entry) == ["domains"]
         assert entry["domains"] == {
             name: (c[(c >= a) & (c < b)] - a).tolist()
             for name, a, b in plan.blocks if ((c >= a) & (c < b)).any()}
-    assert sum(c["count"] for c in doc["clients"]) == 200
+    assert sum(len(ix) for c in doc["clients"] for ix in c["domains"].values()) == 200
 
 
 # ---------------------------------------------------------------------------
