@@ -84,19 +84,20 @@ def main(argv=None) -> int:
             logger.info("partition: %d clients over %d domains -> %s",
                         sum(cfg.partition.groups), len(cfg.domains), out)
         elif args.command == "train":
-            _, _, summary = experiment.ensure_train(cfg, out)
+            summary = experiment.ensure_train(cfg, out).record
             logger.info("train: convergence_round=%s final_val_error=%s",
                         summary["convergence_round"], summary["final_val_error"])
         elif args.command == "unlearn":
-            _, _, _, summary = experiment.ensure_unlearn(cfg, out)
+            summary = experiment.ensure_unlearn(cfg, out).record
             logger.info("unlearn: route=%s rounds=%s", cfg.unlearn.route,
                         summary["unlearn_rounds_run"])
         elif args.command in ("evaluate", "run"):
-            _, before, after, metrics = experiment.ensure_evaluate(cfg, out)
+            evaluated = experiment.ensure_evaluate(cfg, out)
+            (before, after), metrics = evaluated.value, evaluated.record
             logger.info("global accuracy %.4f -> %.4f", before.global_accuracy,
                         after.global_accuracy)
             logger.info("forget_efficacy=%.2f collateral_retained=%.2f",
-                        metrics.forget_efficacy, metrics.collateral_retained)
+                        metrics["forget_efficacy"], metrics["collateral_retained"])
         elif args.command == "compare":
             experiment.compare_routes(cfgs, out)
             logger.info("compare: wrote %s/compare.csv", out)

@@ -14,12 +14,12 @@ its output directory and runs only the unlearn and evaluate stages of each
 route in a subdirectory.  All artifacts are pure functions of the config
 text: no timestamps, sorted keys, fixed float formatting.  Each stage's
 record artifact holds the canonical config values the stage depends on, and
-a resume with any other value is refused.  A stage resumes only if the
-stage before it resumed too, so no artifact outlives the model it
-describes.  A damaged file that a stage reads (an IDX file, a record, a
-checkpoint, a report) is refused with a ConfigError naming it, before the
-stage writes any file.  Files are written to a stage-local temp directory
-and renamed into place on stage completion.
+a resume with any other value is refused.  Each stage returns a Stage that
+says whether it ran, and a stage after one that ran runs too, so no artifact
+outlives the model it describes.  A damaged file that a stage reads (an IDX
+file, a record, a checkpoint, a report) is refused with a ConfigError naming
+it, before the stage writes any file.  Files are written to a stage-local
+temp directory and renamed into place on stage completion.
 """
 from __future__ import annotations
 
@@ -98,9 +98,7 @@ class Task:
     label space, set at once, and the data, built on first use.  A finished
     stage needs only the spec, so a resume of a finished directory builds no
     data.  files holds each IDX file's bytes by path (_read_idx_files reads
-    them when none are given) and is let go once the data is built.  ran is
-    True when the partition stage ran in this call (see _stage)."""
-    ran = False
+    them when none are given) and is let go once the data is built."""
 
     def __init__(self, cfg: ExperimentConfig, files: dict[str, bytes] | None = None):
         self.cfg = cfg
@@ -256,30 +254,38 @@ _NUMBER_OR_NULL = (lambda v: v is None or type(v) in (int, float), "a number or 
 _METRICS = [f.name for f in dataclasses.fields(evalkit.ForgettingMetrics)]
 
 
-class _Ran(tuple):
-    """The result tuple of a stage that ran in this call; a resumed stage's
-    is a plain tuple."""
-    ran = True
+@dataclass(frozen=True)
+class Stage:
+    """A stage's value (the Task, a model's parameters, or the before and
+    after reports), its record artifact's document, whether it ran in this
+    call, and the Stage it builds on (None for the partition stage)."""
+    value: object
+    record: dict
+    ran: bool
+    prior: Stage | None
+
+    @property
+    def task(self) -> Task:
+        return self.value if self.prior is None else self.prior.task
 
 
 def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str, ...],
            sections: tuple[str, ...], checks: dict, prior, resume, run,
-           implied=lambda record: ()):
-    """Resume or run one stage in out_dir.
+           implied=lambda record: ()) -> Stage:
+    """Resume or run one stage in out_dir; returns its Stage.
 
     artifacts names the files the stage always writes, and the first is its
     record: a JSON document whose "config" holds the canonical values of
     sections; implied(record) names the files the record says it wrote
     besides.  When every artifact exists, the record is read, must hold
     cfg's values and pass checks (a test per key the program reads back);
-    the check comes before prior() (the stage this one builds on), so a
+    the check comes before prior() (the Stage this one builds on), so a
     finished directory is checked against its fullest record first.  If
-    every implied file exists too and the prior stage resumed as well, the
-    result is resume(prior(), record).  Otherwise run(prior(), writer)
-    writes the other artifacts and returns (result, record), the record is
-    written with the values, and the result is marked ran, so every later
-    stage runs too: a stage resumed after its prior stage ran could describe
-    a model that is no longer on disk.
+    every implied file exists too and the prior stage did not run, the
+    value is resume(prior, record).  Otherwise run(prior, writer) writes
+    the other artifacts and returns the value and the record, which is
+    written with the values; a stage after one that ran runs too, since
+    resumed it could describe a model that is no longer on disk.
     """
     def present(names) -> bool:
         return all(os.path.exists(os.path.join(out_dir, a)) for a in names)
@@ -290,17 +296,14 @@ def _stage(cfg: ExperimentConfig, out_dir: str, name: str, artifacts: tuple[str,
         if not present(implied(record)):
             record = None
     earlier = prior()
-    if record is not None and not getattr(earlier, "ran", False):
-        return resume(earlier, record)
+    if record is not None and (earlier is None or not earlier.ran):
+        return Stage(resume(earlier, record), record, False, earlier)
     with _StageWriter(out_dir, name) as writer:
-        result, record = run(earlier, writer)
+        value, record = run(earlier, writer)
         record["config"] = wanted
         writer.add_text(artifacts[0], json.dumps(record, sort_keys=True, indent=1))
         writer.commit()
-    if isinstance(result, Task):
-        result.ran = True
-        return result
-    return _Ran(result)
+    return Stage(value, record, True, earlier)
 
 
 def _read_record(path: str, wanted: dict, checks: dict) -> dict:
@@ -329,8 +332,8 @@ def _idx_files(files: dict[str, bytes]) -> dict:
             for path, data in files.items()}
 
 
-def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
-    """The task.  partition.json records each client's example count,
+def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Stage:
+    """The task's Stage.  partition.json records each client's example count,
     plan.json the plan and splits.json the splits, the last two for readers
     only; on resume only partition.json and the IDX files, whose sizes and
     hashes it holds, are read, and the data is built from the config when a
@@ -357,27 +360,27 @@ def ensure_partition(cfg: ExperimentConfig, out_dir: str) -> Task:
                   _PARTITION_SECTIONS, {}, lambda: None, resume, run)
 
 
-def ensure_train(cfg: ExperimentConfig, out_dir: str):
-    def run(task, writer):
+def ensure_train(cfg: ExperimentConfig, out_dir: str) -> Stage:
+    def run(partition, writer):
+        task = partition.task
         data = task.data
         clients = fedsim.build_clients(data.plan, data.train)
         result = fedsim.run_training(
             task.spec, clients, data.val, cfg.training, cfg.seed,
             save_round=lambda t, params: writer.add_checkpoint(f"round_{t}.fusim", task.spec,
                                                                params))
-        summary = {
+        writer.add_checkpoint("checkpoint_trained.fusim", task.spec, result.params)
+        writer.add_text("rounds_train.csv", fedsim.round_logs_to_csv(
+            result.logs, [c.client_id for c in clients]))
+        return result.params, {
             "convergence_round": result.convergence_round,
             "rounds_run": len(result.logs),
             "final_val_error": result.logs[-1].val_error if result.logs else None,
         }
-        writer.add_checkpoint("checkpoint_trained.fusim", task.spec, result.params)
-        writer.add_text("rounds_train.csv", fedsim.round_logs_to_csv(
-            result.logs, [c.client_id for c in clients]))
-        return (task, result.params, summary), summary
 
-    def round_checkpoints(summary):
+    def round_checkpoints(record):
         every = cfg.training.checkpoint_every
-        rounds = range(every, summary["rounds_run"] + 1, every) if every else ()
+        rounds = range(every, record["rounds_run"] + 1, every) if every else ()
         return [f"round_{t}.fusim" for t in rounds]
     ckpt = os.path.join(out_dir, "checkpoint_trained.fusim")
     return _stage(cfg, out_dir, "train", ("train_summary.json", "checkpoint_trained.fusim",
@@ -385,7 +388,7 @@ def ensure_train(cfg: ExperimentConfig, out_dir: str):
                   _TRAIN_SECTIONS, {"rounds_run": _COUNT, "convergence_round": _INT_OR_NULL,
                                     "final_val_error": _NUMBER_OR_NULL},
                   lambda: ensure_partition(cfg, out_dir),
-                  lambda task, summary: (task, nncore.load_checkpoint(ckpt, task.spec), summary),
+                  lambda partition, _: nncore.load_checkpoint(ckpt, partition.task.spec),
                   run, round_checkpoints)
 
 
@@ -432,77 +435,74 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
     raise ValueError(f"stage unlearn: unknown route {route!r}")
 
 
-def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None):
+def ensure_unlearn(cfg: ExperimentConfig, out_dir: str, trained: Stage | None = None) -> Stage:
     """The route's unlearned model, read from or written to out_dir.
 
-    trained_stage is ensure_train's (task, params, summary) for a trained
-    stage held elsewhere (compare_routes shares one across routes); without
-    it the trained stage is read or built in out_dir.
+    trained is ensure_train's Stage when it is held elsewhere (compare_routes
+    shares one across routes); without it the train stage is read or built
+    in out_dir.
     """
-    def resume(trained_stage, summary):
-        task, trained, _ = trained_stage
+    def resume(trained, _):
         ckpt = os.path.join(out_dir, "checkpoint_unlearned.fusim")
-        return task, trained, nncore.load_checkpoint(ckpt, task.spec), summary
+        return nncore.load_checkpoint(ckpt, trained.task.spec)
 
-    def run(trained_stage, writer):
-        task, trained, train_summary = trained_stage
-        params, logs, extras = run_route(cfg, task, trained,
-                                         start_round=train_summary["rounds_run"])
+    def run(trained, writer):
+        task = trained.task
+        params, logs, extras = run_route(cfg, task, trained.value,
+                                         start_round=trained.record["rounds_run"])
         audit = extras.pop("audit", None)
-        summary = {"unlearn_rounds_run": len(logs),
-                   "final_val_error": logs[-1].val_error if logs else None, **extras}
         writer.add_checkpoint("checkpoint_unlearned.fusim", task.spec, params)
         writer.add_text("rounds_unlearn.csv", fedsim.round_logs_to_csv(
             logs, sorted(cfg.unlearn.requesting_clients)))
         if audit is not None:
             writer.add_text("audit_fedcccu.json", audit.to_json())
-        return (task, trained, params, summary), summary
+        return params, {"unlearn_rounds_run": len(logs),
+                        "final_val_error": logs[-1].val_error if logs else None, **extras}
     audit_file = ("audit_fedcccu.json",) if cfg.unlearn.route == "fedcccu" else ()
     return _stage(cfg, out_dir, "unlearn", ("unlearn_summary.json", "checkpoint_unlearned.fusim",
                                             "rounds_unlearn.csv", *audit_file),
                   _UNLEARN_SECTIONS, {"unlearn_rounds_run": _COUNT},
-                  lambda: trained_stage or ensure_train(cfg, out_dir),
+                  lambda: trained or ensure_train(cfg, out_dir),
                   resume, run)
 
 
-def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained_stage: tuple | None = None,
-                    before: evalkit.EvaluationReport | None = None):
-    """Before/after reports and metrics; trained_stage as in ensure_unlearn.
+def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained: Stage | None = None,
+                    before: evalkit.EvaluationReport | None = None) -> Stage:
+    """The (before, after) reports; the record holds the metrics.
 
-    When every evaluate artifact exists, the reports are read back from
-    them, the metrics from metrics.json's record, and nothing is rewritten.
-    Otherwise before is the trained model's report when the caller already
-    has it (compare_routes shares one across routes), else it is built.
+    trained is as in ensure_unlearn.  When every evaluate artifact exists,
+    the reports are read back from them and nothing is rewritten.  Otherwise
+    before is the trained model's report when the caller already has it
+    (compare_routes shares one across routes), else it is built.
     """
     route = cfg.unlearn.route
 
-    def resume(unlearned_stage, record):
-        task, reports = unlearned_stage[0], []
+    def resume(unlearned, _):
+        reports = []
         for name in ("report_before.json", "report_after.json"):
             path = os.path.join(out_dir, name)
             with open(path, "rb") as fh:
                 reports.append(evalkit.report_from_json(
-                    fh.read(), sum(cfg.partition.groups), task.spec.class_count, path))
-        metrics = evalkit.ForgettingMetrics(**{name: record[name] for name in _METRICS})
-        return task, *reports, metrics
+                    fh.read(), sum(cfg.partition.groups), unlearned.task.spec.class_count, path))
+        return tuple(reports)
 
-    def run(unlearned_stage, writer):
-        task, trained, unlearned, _ = unlearned_stage
+    def run(unlearned, writer):
+        task = unlearned.task
         data = task.data
         shared = before if before is not None else evalkit.build_report(
-            task.spec, trained, data.test_sets, data.client_sets)
-        after = evalkit.build_report(task.spec, unlearned, data.test_sets, data.client_sets)
+            task.spec, unlearned.prior.value, data.test_sets, data.client_sets)
+        after = evalkit.build_report(task.spec, unlearned.value, data.test_sets, data.client_sets)
         metrics = evalkit.forgetting_metrics(shared, after, cfg.unlearn)
         writer.add_text("report_before.json", evalkit.report_to_json(shared))
         writer.add_text("report_after.json", evalkit.report_to_json(after))
         writer.add_text("report.csv", evalkit.combined_csv({"before": shared, route: after}))
         # "route" repeats the record's unlearn.route for readers of metrics.json
         # alone (perfbench prints it); the record's value is the one checked
-        return (task, shared, after, metrics), {"route": route, **dataclasses.asdict(metrics)}
+        return (shared, after), {"route": route, **dataclasses.asdict(metrics)}
     return _stage(cfg, out_dir, "evaluate", (
         "metrics.json", "report_before.json", "report_after.json", "report.csv"),
         _UNLEARN_SECTIONS, dict.fromkeys(_METRICS, _NUMBER),
-        lambda: ensure_unlearn(cfg, out_dir, trained_stage), resume, run)
+        lambda: ensure_unlearn(cfg, out_dir, trained), resume, run)
 
 
 def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
@@ -528,12 +528,11 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
         seen[route] = seen.get(route, 0) + 1
         labels.append(route if seen[route] == 1 else f"{route}_{seen[route]}")
     reports: dict[str, "evalkit.EvaluationReport"] = {}
-    trained_stage = ensure_train(cfgs[0], out_dir)
+    trained = ensure_train(cfgs[0], out_dir)
     before = None
     for cfg, label in zip(cfgs, labels):
         sub = os.path.join(out_dir, f"route_{label}")
-        _, before, after, _ = ensure_evaluate(cfg, sub, trained_stage, before)
-        reports[label] = after
+        before, reports[label] = ensure_evaluate(cfg, sub, trained, before).value
     merged = {"before": before, **reports}
     text = evalkit.combined_csv(merged)
     path = os.path.join(out_dir, "compare.csv")

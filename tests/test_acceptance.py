@@ -29,7 +29,8 @@ def _report(tag, elapsed, budget, detail):
 def digits3(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "digits3.ini")
     out = str(tmp_path_factory.mktemp("digits3"))
-    task, trained, summary = experiment.ensure_train(cfg, out)
+    stage = experiment.ensure_train(cfg, out)
+    task, trained, summary = stage.task, stage.value, stage.record
     before = evalkit.build_report(task.spec, trained, task.data.test_sets, task.data.client_sets)
     return cfg, task, trained, summary, before
 
@@ -38,7 +39,8 @@ def digits3(tmp_path_factory):
 def pair2(tmp_path_factory):
     cfg = load_config(CONFIG_DIR / "pair2.ini")
     out = str(tmp_path_factory.mktemp("pair2"))
-    task, trained, summary = experiment.ensure_train(cfg, out)
+    stage = experiment.ensure_train(cfg, out)
+    task, trained, summary = stage.task, stage.value, stage.record
     before = evalkit.build_report(task.spec, trained, task.data.test_sets, task.data.client_sets)
     return cfg, task, trained, summary, before
 

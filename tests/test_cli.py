@@ -33,10 +33,11 @@ def artifact_names(out):
 
 def test_route_none_pre_post_identical(tmp_path):
     cfg = validate_config(TINY.format(route="none"))
-    _, before, after, metrics = experiment.ensure_evaluate(cfg, str(tmp_path / "run"))
+    evaluated = experiment.ensure_evaluate(cfg, str(tmp_path / "run"))
+    (before, after), metrics = evaluated.value, evaluated.record
     assert same_bits(before.correct, after.correct) and same_bits(before.total, after.total)
-    assert metrics.forget_efficacy == 0.0
-    assert metrics.collateral_retained == 0.0
+    assert metrics["forget_efficacy"] == 0.0
+    assert metrics["collateral_retained"] == 0.0
 
 
 def test_same_config_twice_byte_identical_artifacts(tmp_path):
@@ -67,16 +68,48 @@ def test_fedcccu_run_writes_audit_with_selection(tmp_path):
 def test_stage_resume_uses_existing_artifacts(tmp_path):
     cfg = validate_config(TINY.format(route="delete"))
     out = str(tmp_path / "run")
-    task = experiment.ensure_partition(cfg, out)
+    task = experiment.ensure_partition(cfg, out).value
     plan_file = os.path.join(out, "partition.json")
     first = open(plan_file).read()
-    task2, params, summary = experiment.ensure_train(cfg, out)
+    trained = experiment.ensure_train(cfg, out)
+    task2, params, summary = trained.task, trained.value, trained.record
     assert open(plan_file).read() == first
     assert task2.data.plan.to_doc() == task.data.plan.to_doc()
     # re-entry loads the checkpoint instead of retraining
-    _, params2, summary2 = experiment.ensure_train(cfg, out)
+    again = experiment.ensure_train(cfg, out)
+    params2, summary2 = again.value, again.record
     assert summary2 == summary
     assert same_bits(params, params2)
+
+
+def test_each_stage_returns_its_value_record_and_whether_it_ran(tmp_path):
+    """ensure_evaluate's Stage and the three it builds on: in a fresh
+    directory every stage ran, in a finished one none did; either way each
+    record is its record file's document and each value is what the stage's
+    files hold."""
+    cfg = validate_config(TINY.format(route="delete"))
+    out = str(tmp_path / "run")
+    records = ("metrics.json", "unlearn_summary.json", "train_summary.json", "partition.json")
+    for ran in (True, False):
+        chain = [experiment.ensure_evaluate(cfg, out)]
+        while chain[-1].prior is not None:
+            chain.append(chain[-1].prior)
+        assert [stage.ran for stage in chain] == [ran] * 4
+        for stage, name in zip(chain, records, strict=True):
+            with open(os.path.join(out, name)) as fh:
+                assert stage.record == json.load(fh), name
+        evaluated, unlearned, trained, partition = chain
+        task = partition.value
+        assert isinstance(task, experiment.Task)
+        assert all(stage.task is task for stage in chain)
+        for stage, name in ((trained, "checkpoint_trained.fusim"),
+                            (unlearned, "checkpoint_unlearned.fusim")):
+            assert same_bits(stage.value,
+                             nncore.load_checkpoint(os.path.join(out, name), task.spec)), name
+        for report, name in zip(evaluated.value, ("report_before.json", "report_after.json"),
+                                strict=True):
+            with open(os.path.join(out, name)) as fh:
+                assert evalkit.report_to_json(report) == fh.read(), name
 
 
 @pytest.mark.parametrize("checkpoint", ["checkpoint_trained.fusim",
@@ -85,7 +118,7 @@ def test_resume_rejects_checkpoint_of_other_model(tmp_path, checkpoint):
     from fusim import nncore
     cfg = validate_config(TINY.format(route="delete"))
     out = str(tmp_path / "run")
-    task, _, _, _ = experiment.ensure_unlearn(cfg, out)
+    task = experiment.ensure_unlearn(cfg, out).task
     narrow = nncore.small_mlp(task.spec.input_shape, task.spec.class_count, hidden=7)
     nncore.save_checkpoint(os.path.join(out, checkpoint), narrow,
                            nncore.init_params(narrow, 1))
@@ -115,7 +148,8 @@ def test_failed_train_stage_leaves_no_round_checkpoint(tmp_path, monkeypatch):
         experiment.ensure_train(cfg, out)
     assert sorted(os.listdir(out)) == ["partition.json", "plan.json", "splits.json"]
     monkeypatch.undo()
-    task, params, _ = experiment.ensure_train(cfg, out)
+    trained = experiment.ensure_train(cfg, out)
+    task, params = trained.task, trained.value
     rounds = [f"round_{t}.fusim" for t in range(1, cfg.training.rounds_max + 1)]
     assert set(rounds) | {"train_summary.json"} <= set(artifact_names(out))
     last = nncore.load_checkpoint(os.path.join(out, rounds[-1]), task.spec)
@@ -234,8 +268,9 @@ def count_calls(monkeypatch, module, name: str, calls: list | None = None) -> li
     return calls
 
 
-TRAIN_ARTIFACTS = ("checkpoint_trained.fusim", "partition.json", "plan.json",
-                   "rounds_train.csv", "splits.json", "train_summary.json")
+PARTITION_ARTIFACTS = ("partition.json", "plan.json", "splits.json")
+TRAIN_ARTIFACTS = PARTITION_ARTIFACTS + ("checkpoint_trained.fusim", "rounds_train.csv",
+                                         "train_summary.json")
 UNLEARN_ARTIFACTS = ("checkpoint_unlearned.fusim", "rounds_unlearn.csv",
                      "unlearn_summary.json")
 EVALUATE_ARTIFACTS = ("report_before.json", "report_after.json", "report.csv",
@@ -447,7 +482,8 @@ def test_run_resume_reads_evaluate_artifacts_back(tmp_path, monkeypatch):
     finished = tree_bytes(out)
     inodes = {name: os.stat(os.path.join(out, name)).st_ino for name in EVALUATE_ARTIFACTS}
     cfg = validate_config(cfg_path.read_text())
-    _, before, after, metrics = experiment.ensure_evaluate(cfg, out)
+    evaluated = experiment.ensure_evaluate(cfg, out)
+    (before, after), metrics = evaluated.value, evaluated.record
     reports = count_reports(monkeypatch)
     builds, domains = count_builds(monkeypatch)
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
@@ -458,7 +494,8 @@ def test_run_resume_reads_evaluate_artifacts_back(tmp_path, monkeypatch):
             for name in EVALUATE_ARTIFACTS} == inodes
     fresh = str(tmp_path / "fresh")
     monkeypatch.undo()
-    _, before2, after2, metrics2 = experiment.ensure_evaluate(cfg, fresh)
+    evaluated = experiment.ensure_evaluate(cfg, fresh)
+    (before2, after2), metrics2 = evaluated.value, evaluated.record
     for read, built in ((before, before2), (after, after2)):
         assert same_bits(read.correct, built.correct) and same_bits(read.total, built.total)
     assert metrics == metrics2
@@ -612,11 +649,11 @@ def test_resumed_spec_equals_fresh_spec(tmp_path, monkeypatch, source):
         cfg = validate_config(TINY.format(route="none"))
         classes = 6
     out = str(tmp_path / "part")
-    fresh = experiment.ensure_partition(cfg, out)
+    fresh = experiment.ensure_partition(cfg, out).value
     assert fresh.spec.class_count == classes
     assert fresh.data.train.class_count == classes
     builds, domains = count_builds(monkeypatch)
-    resumed = experiment.ensure_partition(cfg, out)
+    resumed = experiment.ensure_partition(cfg, out).value
     assert resumed.spec == fresh.spec
     assert builds == [] and domains == []
     got, want = resumed.data, fresh.data   # the first use, which builds the data
@@ -1106,19 +1143,68 @@ def finished_fedcccu_run(tmp_path_factory):
     return cfg_path, out
 
 
+STAGES = ("partition", "train", "unlearn", "evaluate")
+
+
+def stage_of(name):
+    """The stage of a run that writes the file name."""
+    if name in PARTITION_ARTIFACTS:
+        return "partition"
+    if name in TRAIN_ARTIFACTS or name.startswith("round_"):
+        return "train"
+    return "evaluate" if name in EVALUATE_ARTIFACTS else "unlearn"
+
+
+def count_stage_work(monkeypatch) -> list[list]:
+    """The calls of the train, unlearn and evaluate stages' work: trainings,
+    routes run and reports built."""
+    return [count_trainings(monkeypatch), count_calls(monkeypatch, experiment, "run_route"),
+            count_reports(monkeypatch)]
+
+
 @pytest.mark.parametrize("name", ["rounds_train.csv", "rounds_unlearn.csv",
-                                  "audit_fedcccu.json", "round_2.fusim"])
-def test_a_deleted_stage_file_is_written_again(finished_fedcccu_run, tmp_path, name):
+                                  "audit_fedcccu.json", "round_2.fusim", "plan.json",
+                                  "splits.json"])
+def test_a_deleted_stage_file_is_written_again(finished_fedcccu_run, tmp_path, monkeypatch,
+                                               name):
     """Every file a stage writes is one of its artifacts, a round checkpoint
-    one its record implies: with one deleted, a rerun runs that stage again
-    and leaves every file as the first run wrote it."""
+    one its record implies: with one deleted, a rerun runs that stage and
+    every stage after it again, each doing its work and writing each of its
+    files anew, and leaves every file as the first run wrote it."""
     cfg_path, finished = finished_fedcccu_run
     out = str(tmp_path / "run")
     shutil.copytree(finished, out)
-    want = tree_bytes(out)
+    want, inodes = tree_bytes(out), tree_inodes(out)
     os.remove(os.path.join(out, name))
+    stage = stage_of(name)
+    work = count_stage_work(monkeypatch)
     assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == cli.EXIT_OK
     assert tree_bytes(out) == want
+    assert [len(calls) for calls in work] == [int(stage != "unlearn"), 1, 2]
+    kept = {n for n, inode in tree_inodes(out).items() if inodes[n] == inode}
+    assert kept == {n for n in want if STAGES.index(stage_of(n)) < STAGES.index(stage)}
+
+
+def test_a_deleted_train_file_reruns_every_route_of_a_compare(compared, tmp_path,
+                                                               monkeypatch):
+    """With rounds_train.csv deleted from a finished compare, the rerun
+    trains again, so every route's unlearn and evaluate stages run again on
+    the retrained model: one training, one route each, the shared before
+    report and each route's after report.  Every file keeps its bytes; only
+    the partition stage's files and compare.csv keep their inodes."""
+    _, cfg_path, out, _ = compared
+    again = str(tmp_path / "again")
+    shutil.copytree(out, again)
+    want, inodes = tree_bytes(again), tree_inodes(again)
+    os.remove(os.path.join(again, "rounds_train.csv"))
+    work = count_stage_work(monkeypatch)
+    rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
+                   "--routes", ",".join(COMPARED)])
+    assert rc == cli.EXIT_OK
+    assert tree_bytes(again) == want
+    assert [len(calls) for calls in work] == [1, len(COMPARED), len(COMPARED) + 1]
+    kept = {n for n, inode in tree_inodes(again).items() if inodes[n] == inode}
+    assert kept == {*PARTITION_ARTIFACTS, "compare.csv"}
 
 
 @pytest.mark.parametrize("name, key, value, what", [
@@ -1207,7 +1293,7 @@ def test_partition_record_does_not_grow_with_the_example_count(tmp_path):
         cfg = validate_config(TINY.format(route="none").replace(
             "samples_per_class = 30\n", f"samples_per_class = {per_class}\n"))
         out = str(tmp_path / str(per_class))
-        task = experiment.ensure_partition(cfg, out)
+        task = experiment.ensure_partition(cfg, out).value
         with open(os.path.join(out, "partition.json")) as fh:
             text = fh.read()
         with open(os.path.join(out, "plan.json")) as fh:
