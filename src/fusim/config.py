@@ -19,7 +19,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .datasets import TRANSFORM_ARGS, Transform, parse_transforms
+from .datasets import Transform, parse_transforms
 from .nncore import ConfigError
 
 ROUTES = ("none", "delete", "relabel", "zeroing", "fedcccu")
@@ -151,9 +151,7 @@ _ROWS = {(row[0], row[1]): row for row in KEYS}
 
 
 def _chain_text(transforms: tuple[Transform, ...]) -> str:
-    return "+".join(t.kind if t.kind not in TRANSFORM_ARGS
-                    else f"{t.kind}({getattr(t, TRANSFORM_ARGS[t.kind][0])!r})"
-                    for t in transforms)
+    return "+".join(t.kind if t.arg is None else f"{t.kind}({t.arg!r})" for t in transforms)
 
 
 # The keys canonical records, all but the two no artifact depends on, each
@@ -301,7 +299,7 @@ def validate_config(text: str, overrides=()) -> ExperimentConfig:
         raise ConfigError(
             f"partition.group_sizes: {len(p.group_sizes)} groups for "
             f"{len(domains)} domains", where("partition", "group_sizes"))
-    if u.forget_class >= cfg.class_count:
+    if u.forget_class >= cfg.class_count and any(d.kind == "synthetic" for d in domains):
         raise ConfigError(
             f"unlearn.forget_class: {u.forget_class} >= class_count {cfg.class_count}",
             where("unlearn", "forget_class"))

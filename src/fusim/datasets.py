@@ -35,13 +35,13 @@ IDX_LABELS_MAGIC = 0x00000801
 BLOCK_VALUES = 2**16
 
 TRANSFORM_KINDS = ("identity", "invert", "gaussian_noise", "downsample", "background_clutter")
-# the kinds that take one argument: the Transform field it sets, its type,
-# the test its value must pass and the fault named when it does not
+# the kinds that take one argument: its type, the test its value must pass
+# and the fault named when it does not
 TRANSFORM_ARGS = {
-    "gaussian_noise": ("sigma", float, lambda v: 0.0 <= v < math.inf,
+    "gaussian_noise": (float, lambda v: 0.0 <= v < math.inf,
                        "gaussian_noise sigma must be finite and >= 0"),
-    "downsample": ("factor", int, lambda v: v in (2, 4), "downsample factor must be 2 or 4"),
-    "background_clutter": ("level", float, lambda v: 0.0 <= v <= 1.0,
+    "downsample": (int, lambda v: v in (2, 4), "downsample factor must be 2 or 4"),
+    "background_clutter": (float, lambda v: 0.0 <= v <= 1.0,
                            "background_clutter level must be in [0, 1]"),
 }
 
@@ -84,10 +84,12 @@ class DomainSource:
 
     Row i has label labels[i] (int64) and holds source sample rows[i] of
     the size samples the source makes, each of resolution (h, w) before the
-    transforms.  make(start, stop) returns the (stop - start, 1, h', w')
-    float64 images in [0, 1] of source samples start..stop-1, at the native
-    resolution; it is called for consecutive blocks from sample 0 on, each
-    sample once.
+    transforms.  make(start, stop, *base) returns the (stop - start, 1, h',
+    w') float64 images in [0, 1] of source samples start..stop-1, at the
+    native resolution; it is called for consecutive blocks from sample 0 on,
+    each sample once.  An IDX source takes no base; a synthetic one takes the
+    (roll_index, noise) its stream's draw returned for the samples from
+    start on, of which it reads the first stop - start.
     """
     domain_id: str
     labels: np.ndarray
@@ -95,7 +97,7 @@ class DomainSource:
     class_count: int
     size: int
     resolution: tuple[int, int]
-    make: Callable[[int, int], np.ndarray]
+    make: Callable[..., np.ndarray]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -103,18 +105,21 @@ class DomainSource:
 
 @dataclass(frozen=True)
 class Transform:
+    """One transform of a chain: its kind and, for a kind in TRANSFORM_ARGS,
+    its one argument (gaussian_noise's sigma, downsample's factor,
+    background_clutter's level), else None."""
     kind: str
-    sigma: float = 0.0       # gaussian_noise
-    factor: int = 2          # downsample
-    level: float = 0.0       # background_clutter
+    arg: float | None = None
 
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
             raise ValueError(f"unknown transform {self.kind!r}")
-        if self.kind in TRANSFORM_ARGS:
-            name, _, valid, fault = TRANSFORM_ARGS[self.kind]
-            if not valid(getattr(self, name)):
-                raise ValueError(fault)
+        if self.kind not in TRANSFORM_ARGS:
+            if self.arg is not None:
+                text = f"{self.kind}({self.arg})"
+                raise ValueError(f"transform {self.kind}: expected no argument, got {text!r}")
+        elif self.arg is None or not TRANSFORM_ARGS[self.kind][1](self.arg):
+            raise ValueError(TRANSFORM_ARGS[self.kind][2])
 
 
 def parse_transforms(text: str, key: str = "transform",
@@ -122,7 +127,7 @@ def parse_transforms(text: str, key: str = "transform",
     """Parse a transform chain such as 'invert+gaussian_noise(0.1)'; a '+'
     inside parentheses belongs to the argument ('gaussian_noise(1e+2)').
     A fault raises a ConfigError naming key, the chain's config key, and
-    line, the line or flag that set it."""
+    line, the line or flag that set it; Transform tests the values."""
     def fault(message: str) -> ConfigError:
         return ConfigError(f"{key}: {message}", line)
     out = []
@@ -131,23 +136,18 @@ def parse_transforms(text: str, key: str = "transform",
         m = re.fullmatch(r"([a-z_0-9]+)(?:\(([^)]*)\))?", part)
         if not m:
             raise fault(f"cannot parse transform {part!r}")
-        name, arg = m.group(1), m.group(2)
-        if name not in TRANSFORM_KINDS:
-            raise fault(f"unknown transform {name!r}")
-        if name not in TRANSFORM_ARGS:
-            if arg is not None:
-                raise fault(f"transform {name}: expected no argument, got {part!r}")
-            out.append(Transform(name))
-            continue
-        field, kind, valid, invalid = TRANSFORM_ARGS[name]
+        name, arg = m.groups()
+        if name in TRANSFORM_ARGS:
+            kind = TRANSFORM_ARGS[name][0]
+            try:
+                arg = kind(arg)
+            except (TypeError, ValueError):
+                what = "an integer" if kind is int else "a finite number"
+                raise fault(f"transform {name}: expected {what} argument, got {part!r}") from None
         try:
-            value = kind(arg)
-        except (TypeError, ValueError):
-            what = "an integer" if kind is int else "a finite number"
-            raise fault(f"transform {name}: expected {what} argument, got {part!r}") from None
-        if not valid(value):
-            raise fault(invalid)
-        out.append(Transform(name, **{field: value}))
+            out.append(Transform(name, arg))
+        except ValueError as exc:
+            raise fault(str(exc)) from None
     return tuple(out)
 
 
@@ -242,7 +242,7 @@ def _transform_rngs(transforms: tuple[Transform, ...], rng: np.random.Generator,
     rngs = []
     for i, tf in enumerate(transforms):
         if tf.kind == "downsample":
-            h, w = -(-h // tf.factor), -(-w // tf.factor)
+            h, w = -(-h // tf.arg), -(-w // tf.arg)
         rngs.append(rng if i >= last else copy.deepcopy(rng))
         if i < last and tf.kind == "background_clutter":
             rng.bit_generator.advance(n * h * w)
@@ -260,13 +260,13 @@ def _apply_transforms(images: np.ndarray, transforms: tuple[Transform, ...],
         if tf.kind == "invert":
             np.subtract(1.0, images, out=images)
         elif tf.kind == "gaussian_noise":
-            images += rng.normal(0.0, tf.sigma, images.shape)
+            images += rng.normal(0.0, tf.arg, images.shape)
             np.clip(images, 0.0, 1.0, out=images)
         elif tf.kind == "downsample":
-            images = images[:, ::tf.factor, ::tf.factor]
+            images = images[:, ::tf.arg, ::tf.arg]
         elif tf.kind == "background_clutter":
             clutter = _box_blur(rng.uniform(0.0, 1.0, images.shape))
-            clutter *= tf.level
+            clutter *= tf.arg
             np.maximum(images, clutter, out=images)
     return images
 
@@ -276,12 +276,13 @@ class BaseStream:
     (base_pattern_seed, seed, resolution, class_count) share, drawn once, a
     block at a time.
 
-    It holds the class patterns rolled by each of the nine shifts and one
-    block of samples: draw(count) lets go of the block it holds and draws
-    the next count samples, each sample's shift and then its noise, in that
-    order, into the same array when the count is the same.  Sample i's draws depend on neither its class nor the domain's
-    transforms, so the domains over the stream read their samples from the
-    same blocks, and a domain of n samples uses the first n.
+    It holds the class patterns rolled by each of the nine shifts and its
+    generator: draw(count) returns the next count samples' roll indices and
+    noise, each sample's shift and then its noise drawn in that order, the
+    noise into the array of the draw before when the count is the same.
+    Sample i's draws depend on neither its class nor the domain's
+    transforms, so the data build hands each block to every domain over the
+    stream, and a domain of n samples uses the first n.
 
     A sample's shift is the pair rng.integers(-1, 2, size=2) would draw, read
     from one raw PCG64 word instead: integers applies Lemire's bounded draw
@@ -305,18 +306,17 @@ class BaseStream:
                                 for p in patterns])
         self._rng = make_rng((base_pattern_seed, seed), 311)
         self._raw = True   # shifts are still read from raw words
-        self.start = 0     # the held block's first sample
-        self.roll_index = np.empty(0, dtype=np.int64)
-        self.noise = np.empty((0, *resolution))
+        self._noise = np.empty((0, *resolution))
 
-    def draw(self, count: int) -> None:
-        """Let go of the held block and hold the next count samples."""
+    def draw(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next count samples' (roll_index, noise); the next draw of the
+        same count overwrites the noise."""
         rng = self._rng
         bits = rng.bit_generator
         random_raw, integers, standard_normal = bits.random_raw, rng.integers, rng.standard_normal
         words = np.empty(count, dtype=np.uint64)
         shifts = np.empty((count, 2), dtype=np.int64)
-        noise = self.noise if len(self.noise) == count else np.empty((count, *self.key[2]))
+        noise = self._noise if len(self._noise) == count else np.empty((count, *self.key[2]))
         raw = count if self._raw else 0  # samples before this one take their shift from words
         for i in range(count):
             if i < raw:
@@ -336,19 +336,8 @@ class BaseStream:
         # 0.08 * z has the bits of normal(0.0, 0.08)'s 0.0 + 0.08 * z up to
         # the sign of a zero, which adding a pattern (>= 0.15) erases
         noise *= 0.08
-        self.start += len(self.noise)
-        self.roll_index = 3 * shifts[:, 0] + shifts[:, 1] + 4
-        self.noise = noise
-
-    def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The roll indices and noise of samples start..stop-1, which must lie
-        in the held block; the next draw may overwrite them."""
-        held = self.start + len(self.noise)
-        if start < self.start or stop > held:
-            raise ValueError(f"base stream {self.key} cannot serve samples {start}..{stop - 1}: "
-                             f"it holds {self.start}..{held - 1}")
-        return (self.roll_index[start - self.start:stop - self.start],
-                self.noise[start - self.start:stop - self.start])
+        self._noise = noise
+        return 3 * shifts[:, 0] + shifts[:, 1] + 4, noise
 
 
 def synth_domain(stream: BaseStream, transforms: tuple[Transform, ...],
@@ -361,18 +350,19 @@ def synth_domain(stream: BaseStream, transforms: tuple[Transform, ...],
     are pixel-aligned sample for sample.  The rows present the samples in an
     order seeded from the stream's (base_pattern_seed, seed), and so are the
     transforms' draws, which carry on from one block to the next: a block's
-    images are its samples' pattern rolled by their shift, plus their
-    noise, clipped, then transformed, with the bits of one whole-domain draw.
+    images are its samples' pattern rolled by their shift, plus their noise,
+    both from the stream's block make is handed, clipped, then transformed,
+    with the bits of one whole-domain draw.
     """
     class_count, seeds, resolution = len(stream.rolled), stream.key[:2], stream.key[2]
     size = class_count * samples_per_class
     order = make_rng(seeds, 317).permutation(size)
     rngs = _transform_rngs(transforms, make_rng(seeds, 313), (size, *resolution))
 
-    def make(start: int, stop: int) -> np.ndarray:
-        roll_index, noise = stream.block(start, stop)
-        images = stream.rolled[np.arange(start, stop) // samples_per_class, roll_index]
-        images += noise
+    def make(start: int, stop: int, roll_index: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        images = stream.rolled[np.arange(start, stop) // samples_per_class,
+                               roll_index[:stop - start]]
+        images += noise[:stop - start]
         np.clip(images, 0.0, 1.0, out=images)
         return _apply_transforms(images, transforms, rngs)[:, None]
     return DomainSource(domain_id, order // samples_per_class, order, class_count, size,

@@ -150,20 +150,20 @@ def build_task(cfg: ExperimentConfig, class_count: int, files: dict[str, bytes])
 
     First every domain is described by its labels alone (synth_domain,
     load_idx, over the IDX files' bytes in files), cut to build_spec's
-    shared labels [0, class_count) and split by its labels.  That gives
-    each source sample its destination before any image exists: a row of
-    the train, validation or test pool, or none.  The pools hold one block
-    per domain in config order and are three parts of one preallocated
-    array.  Then the images are made in blocks of at most BLOCK_VALUES
-    source values and written straight into their rows, resized to the
-    working resolution: the synthetic domains of one resolution advance
-    together through one pass of their shared base stream, and an IDX
-    domain rescales its uint8 pixels a block at a time.  So the build holds
-    the pools and a few blocks; every pool row has the bits the whole-domain
-    build gave it.  The plan is built over the train pool.  A test group's
-    set is the test pool's rows of the group: its domain's block under
-    real_noniid, else the whole pool; the clients of group g are tested on
-    test set g.
+    shared labels [0, class_count) and split by its labels.  That gives each
+    source sample its destination before any image exists: a row of the
+    train, validation or test pool, or none.  The pools hold one block per
+    domain in config order and are three parts of one preallocated array.
+    Then the images are made in blocks of at most BLOCK_VALUES source values
+    and written straight into their rows, resized to the working resolution:
+    the synthetic domains of one resolution advance together through one
+    pass of their shared base stream, each block the pass draws handed to
+    every one of them, and an IDX domain rescales its uint8 pixels a block
+    at a time.  So the build holds the pools and a few blocks; every pool
+    row has the bits the whole-domain build gave it.  The plan is built over
+    the train pool.  A test group's set is the test pool's rows of the
+    group: its domain's block under real_noniid, else the whole pool; the
+    clients of group g are tested on test set g.
     """
     ev, part = cfg.evaluate, cfg.partition
     streams = {res: BaseStream(cfg.base_pattern_seed, cfg.seed, res, cfg.class_count)
@@ -210,12 +210,11 @@ def build_task(cfg: ExperimentConfig, class_count: int, files: dict[str, bytes])
         size = max(sources[i].size for i in members)
         step = max(1, BLOCK_VALUES // math.prod(sources[members[0]].resolution))
         for start in range(0, size, step):
-            if stream is not None:
-                stream.draw(min(step, size - start))
+            base = () if stream is None else stream.draw(min(step, size - start))
             for i in members:
                 to = dest[i][start:start + step]
                 if len(to):
-                    block = resize(sources[i].make(start, start + len(to)),
+                    block = resize(sources[i].make(start, start + len(to), *base),
                                    part.working_resolution)
                     keep = to >= 0   # all but the samples of labels the intersection cut
                     images[to[keep]] = block if keep.all() else block[keep]
@@ -410,13 +409,11 @@ def run_route(cfg: ExperimentConfig, task: Task, trained: np.ndarray,
             else:
                 state.labels = unlearn_routes.relabel_poison_prepare(
                     state.labels, u.forget_class, task.spec.class_count, (cfg.seed, 853, rid))
-        pre_steps = {c.client_id: c.local_step_counter for c in clients}
         params, logs = fedsim.fair_unlearn_rounds(
             trained, task.spec, clients, u, data.val, cfg.training, cfg.seed,
             start_round=start_round)
         extras["nonrequesting_steps"] = sum(
-            c.local_step_counter - pre_steps[c.client_id]
-            for c in clients if c.client_id not in u.requesting_clients)
+            c.local_step_counter for c in clients if c.client_id not in u.requesting_clients)
         return params, logs, extras
     if route == "zeroing":
         probes = np.concatenate([fedcccu.probe_examples(clients[rid], u.forget_class,

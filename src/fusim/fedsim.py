@@ -9,21 +9,21 @@ not copies) have one size (nncore's stack axis), with each trainer's bits
 those of its own k = 1 steps; sgd_step forms and applies each trainer's
 gradient in turn in one (P,) vector.  The loop makes both, and the batch
 buffers the steps gather into, once and passes them to local_train, whose
-arguments are all required.  A non-finite
-gradient abandons the round with a ValueError naming client, round and
-parameter (trainers before it in the step have stepped).  Each trainer's
-row is its cached submission, and the server takes the
-sample-count-weighted mean of every client's cached vector.
-A round's validation error is 1 - correct / total over the validation pool,
-counted by evalkit.evaluate_client as the reports are.  The loop stops at
-the first round whose error drops below [training] epsilon; in run_training
-that round is the convergence round.
+arguments are all required.  A non-finite gradient abandons the round with
+a ValueError naming client, round and parameter (trainers before it in the
+step have stepped).  The loop keeps one cache per client, the model the
+loop started from until the client trains and then its latest submission,
+a trainer's row; the server takes the sample-count-weighted mean of every
+cache.  A round's validation error is 1 - correct / total over the
+validation pool, counted by evalkit.evaluate_client as the reports are.
+The loop stops at the first round whose error drops below [training]
+epsilon; in run_training that round is the convergence round.
 
 run_training makes every client a trainer.  fair_unlearn_rounds makes only
-the requesting clients trainers; every other client is represented by its
-cache, set to the converged global model, so non-requesting clients perform
-zero gradient computations.  Both read their parameters from the config
-sections (TrainingConfig, UnlearnConfig) and the experiment seed.
+the requesting clients trainers; every other client is represented by the
+converged global model the loop starts from, so non-requesting clients
+perform zero gradient computations.  Both read their parameters from the
+config sections (TrainingConfig, UnlearnConfig) and the experiment seed.
 
 Determinism: batch composition is drawn from a generator seeded by
 (seed, client_id, round); indices inside a batch are sorted so the gradient
@@ -53,7 +53,6 @@ class ClientState:
 
     def __init__(self, client_id: int, domain: DomainDataset, index):
         self.client_id = client_id
-        self.cache: np.ndarray | None = None
         self.local_step_counter = 0
         self.domain = domain
         self.index = np.asarray(index, dtype=np.intp)
@@ -183,12 +182,14 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
     """The one FedAvg round loop over the clients in client-id order.
 
     The trainers' model matrix, gradient vector and batch buffers are made
-    once, here.  Each round local_train fills the trainers' rows and sets
-    them as their caches, every cache is aggregated in client-id order, the
-    model's error on val is counted and logged, the model is handed to
-    save_round if a checkpoint is due, and the loop stops at epsilon.
+    once, here.  Every client's cache starts as params; each round
+    local_train fills the trainers' rows and sets them as their caches,
+    every cache is aggregated in client-id order, the model's error on val
+    is counted and logged, the model is handed to save_round if a
+    checkpoint is due, and the loop stops at epsilon.
     """
     logs: list[RoundLog] = []
+    caches = {c.client_id: params for c in ordered}
     k, size = len(trainers), training.batch_size
     models, grad = np.empty((k, spec.param_count)), np.empty(spec.param_count)
     x, y = np.empty((k * size, *spec.input_shape)), np.empty(k * size, dtype=np.int64)
@@ -197,8 +198,8 @@ def _rounds(spec: ModelSpec, ordered: list[ClientState], trainers: list[ClientSt
         submissions = local_train(trainers, params, spec, training, seed, t, models, grad,
                                   x, y)
         for client, (submission, loss) in zip(trainers, submissions):
-            client.cache, losses[client.client_id] = submission, loss
-        params = aggregate(spec, [(c.cache, c.sample_count) for c in ordered])
+            caches[client.client_id], losses[client.client_id] = submission, loss
+        params = aggregate(spec, [(caches[c.client_id], c.sample_count) for c in ordered])
         correct, total = evalkit.evaluate_client(spec, params, val)
         err = 1.0 - int(correct.sum()) / int(total.sum())
         logs.append(RoundLog(t, err, losses))
@@ -235,16 +236,14 @@ def fair_unlearn_rounds(global_params: np.ndarray, spec: ModelSpec,
                         start_round: int = 0) -> tuple[np.ndarray, list[RoundLog]]:
     """Up to unlearn.rounds_max rounds where only the requesting clients train.
 
-    Non-requesting clients contribute their cached parameters (the model they
-    already hold, global_params itself, which nothing writes) at their
-    original aggregation weights; their step counters never move.
+    Non-requesting clients contribute the model they already hold,
+    global_params itself, which nothing writes, at their original
+    aggregation weights; their step counters never move.
     """
     missing = set(unlearn.requesting_clients) - {c.client_id for c in clients}
     if missing:
         raise ValueError(f"unlearn request names unknown clients {sorted(missing)}")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    for client in ordered:
-        client.cache = global_params
     requesters = [c for c in ordered if c.client_id in unlearn.requesting_clients]
     return _rounds(spec, ordered, requesters, global_params,
                    range(start_round + 1, start_round + unlearn.rounds_max + 1), val,

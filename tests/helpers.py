@@ -258,14 +258,13 @@ def on_copied_shard(client) -> fs.ClientState:
 def made(source, stream=None, pieces=(1, 3, 2)) -> ds.DomainDataset:
     """The whole domain of a DomainSource, its rows in order: the source's
     images made in blocks of the uneven sizes pieces, then one of the rest,
-    each drawn from stream first when the source has one of its own."""
+    each drawn from stream and handed to make when the source has one."""
     blocks, start = [], 0
     for size in (*pieces, source.size):
         stop = min(start + size, source.size)
         if stop > start:
-            if stream is not None:
-                stream.draw(stop - start)
-            blocks.append(source.make(start, stop))
+            base = () if stream is None else stream.draw(stop - start)
+            blocks.append(source.make(start, stop, *base))
             start = stop
     return ds.DomainDataset(np.concatenate(blocks)[source.rows], source.labels,
                             source.domain_id, source.class_count)
@@ -286,10 +285,15 @@ def reference_raw_domains(cfg) -> list[ds.DomainDataset]:
                                                    dc.resolution, cfg.class_count)
         sources.append(ds.synth_domain(streams[dc.resolution], dc.transforms,
                                        dc.samples_per_class or cfg.samples_per_class, dc.name))
-    for resolution, stream in streams.items():
-        stream.draw(max(d.size for d, dc in zip(sources, cfg.domains)
-                        if dc.kind == "synthetic" and dc.resolution == resolution))
-    return [made(d, pieces=()) for d in sources]
+    bases = {resolution: stream.draw(max(d.size for d, dc in zip(sources, cfg.domains)
+                                         if dc.kind == "synthetic" and dc.resolution == resolution))
+             for resolution, stream in streams.items()}
+    domains = []
+    for d, dc in zip(sources, cfg.domains):
+        base = bases[dc.resolution] if dc.kind == "synthetic" else ()
+        domains.append(ds.DomainDataset(d.make(0, d.size, *base)[d.rows], d.labels,
+                                        d.domain_id, d.class_count))
+    return domains
 
 
 def reference_label_intersection(domains, shared) -> list[ds.DomainDataset]:

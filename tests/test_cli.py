@@ -806,6 +806,29 @@ forget_class = 7
     assert not os.path.exists(out)
 
 
+def test_data_class_count_does_not_cap_the_forget_class_of_idx_domains(tmp_path, caplog):
+    """[data] class_count sizes synthetic domains only: over IDX domains
+    alone, forget class 11 of a 12-class pair is inside the shared range,
+    and forget class 12 is refused by the shared class count."""
+    save_idx(synthetic_domain(1, 0, (8, 8), 12, 12), tmp_path / "real-images.idx",
+             tmp_path / "real-labels.idx")
+    for forget_class, code in ((11, cli.EXIT_OK), (12, cli.EXIT_CONFIG)):
+        cfg_path = tmp_path / f"cfg{forget_class}.ini"
+        cfg_path.write_text(f"""
+[domain.real]
+images = {tmp_path / "real-images.idx"}
+labels = {tmp_path / "real-labels.idx"}
+[partition]
+working_resolution = 8x8
+[unlearn]
+forget_class = {forget_class}
+""")
+        out = str(tmp_path / f"run{forget_class}")
+        assert cli.main(["partition", "--config", str(cfg_path), "--out", out]) == code
+    assert "unlearn.forget_class: 12 >= shared class count 12" in caplog.text
+    assert "class_count 10" not in caplog.text
+
+
 def test_train_after_partition_reads_each_labels_file_once(tmp_path, monkeypatch):
     """fusim train on a finished partition stage reads each IDX labels file
     once, for the shared class count of the resumed stage's model spec; its

@@ -226,14 +226,14 @@ def per_sample_synth(base_pattern_seed, seed, resolution, class_count, samples_p
         if tf.kind == "invert":
             images = 1.0 - images
         elif tf.kind == "gaussian_noise":
-            images = np.clip(images + rng_tf.normal(0.0, tf.sigma, images.shape), 0.0, 1.0)
+            images = np.clip(images + rng_tf.normal(0.0, tf.arg, images.shape), 0.0, 1.0)
         elif tf.kind == "downsample":
-            images = images[:, ::tf.factor, ::tf.factor]
+            images = images[:, ::tf.arg, ::tf.arg]
         elif tf.kind == "background_clutter":
             n, hh, ww = images.shape
             clutter = np.stack([box_blur(rng_tf.uniform(0.0, 1.0, (hh, ww)))
                                 for _ in range(n)])
-            images = np.maximum(images, tf.level * clutter)
+            images = np.maximum(images, tf.arg * clutter)
     order = nn.make_rng((base_pattern_seed, seed), 317).permutation(len(labels))
     return images[order][:, None], np.asarray(labels)[order]
 
@@ -324,25 +324,6 @@ def test_streamed_build_shares_a_stream_bit_identically(monkeypatch, block_value
         assert np.array_equal(got_images, ds.resize(images, cfg.partition.working_resolution)), \
             dc.name
         assert np.array_equal(got_labels, labels), dc.name
-
-
-def test_base_stream_refuses_a_domain_it_cannot_serve():
-    """The stream serves only the samples of the block it holds, to a
-    domain over it as to any caller; a draw lets the block before go."""
-    stream = ds.BaseStream(13, 6, (12, 10), 4)
-    domain = ds.synth_domain(stream, (), 5, "d")
-    stream.draw(5)
-    with pytest.raises(ValueError, match=r"cannot serve samples 0\.\.5: it holds 0\.\.4"):
-        stream.block(0, 6)
-    with pytest.raises(ValueError, match=r"cannot serve samples 3\.\.5: it holds 0\.\.4"):
-        domain.make(3, 6)
-    assert len(stream.block(0, 5)[1]) == 5
-    stream.draw(3)
-    with pytest.raises(ValueError, match=r"cannot serve samples 4\.\.5: it holds 5\.\.7"):
-        stream.block(4, 6)
-    roll_index, noise = stream.block(5, 8)
-    assert len(roll_index) == len(noise) == 3
-    assert domain.make(5, 8).shape == (3, 1, 12, 10)
 
 
 def test_a_domain_made_in_blocks_has_the_bits_of_one_block():
@@ -454,9 +435,7 @@ def drawn(stream, count):
     same count reuses the block's array) and joined."""
     blocks, size = [], 1
     while count:
-        stream.draw(min(size, count))
-        blocks.append([a.copy() for a in stream.block(stream.start,
-                                                      stream.start + min(size, count))])
+        blocks.append([a.copy() for a in stream.draw(min(size, count))])
         count -= min(size, count)
         size += 1
     return tuple(np.concatenate(part) for part in zip(*blocks))
@@ -543,11 +522,14 @@ def test_base_stream_steps_back_at_a_zero_half(word, sample):
 def test_parse_transform_chain():
     chain = ds.parse_transforms("invert+gaussian_noise(0.15)")
     assert [t.kind for t in chain] == ["invert", "gaussian_noise"]
-    assert chain[1].sigma == 0.15
+    assert chain[1].arg == 0.15
     with pytest.raises(ConfigError, match=r"^transform: unknown transform 'sharpen'$"):
         ds.parse_transforms("sharpen(2)")
     with pytest.raises(ConfigError, match=r"^transform: downsample factor must be 2 or 4$"):
         ds.parse_transforms("downsample(3)")
+    with pytest.raises(ConfigError, match=r"^transform: transform invert: expected no argument, "
+                                          r"got 'invert\( 2\)'$"):
+        ds.parse_transforms("identity+invert( 2)")
 
 
 def transforms():
@@ -555,9 +537,9 @@ def transforms():
     finite = dict(allow_nan=False, allow_infinity=False)
     return st.one_of(
         st.sampled_from([ds.Transform("identity"), ds.Transform("invert")]),
-        st.floats(min_value=0.0, **finite).map(lambda v: ds.Transform("gaussian_noise", sigma=v)),
-        st.sampled_from([2, 4]).map(lambda v: ds.Transform("downsample", factor=v)),
-        st.floats(0.0, 1.0).map(lambda v: ds.Transform("background_clutter", level=v)))
+        st.floats(min_value=0.0, **finite).map(lambda v: ds.Transform("gaussian_noise", v)),
+        st.sampled_from([2, 4]).map(lambda v: ds.Transform("downsample", v)),
+        st.floats(0.0, 1.0).map(lambda v: ds.Transform("background_clutter", v)))
 
 
 def render(tf: ds.Transform, arg=None) -> str:
@@ -565,7 +547,7 @@ def render(tf: ds.Transform, arg=None) -> str:
     if tf.kind not in ds.TRANSFORM_ARGS:
         return tf.kind
     if arg is None:
-        arg = repr(getattr(tf, ds.TRANSFORM_ARGS[tf.kind][0]))
+        arg = repr(tf.arg)
     return f"{tf.kind}({arg})"
 
 
