@@ -84,7 +84,8 @@ def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float, see
                         key: str = "partition.clients") -> list[np.ndarray]:
     """Per-class Dirichlet(alpha) proportions over the positions of labels;
     redraws until no client is empty.  key is the config key that set
-    client_count, named when there are fewer positions than clients."""
+    client_count, named when there are fewer positions than clients.  The
+    classes come from np.bincount: np.unique would load numpy.ma."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     n = len(labels)
@@ -95,7 +96,7 @@ def partition_dirichlet(labels: np.ndarray, client_count: int, alpha: float, see
     for attempt in range(DIRICHLET_MAX_RETRIES):
         rng = make_rng(seed, 411, attempt)
         buckets: list[list[np.ndarray]] = [[] for _ in range(client_count)]
-        for c in np.unique(labels):
+        for c in np.flatnonzero(np.bincount(labels)):
             idx = np.flatnonzero(labels == c)
             idx = idx[rng.permutation(idx.size)]
             props = rng.dirichlet([alpha] * client_count)

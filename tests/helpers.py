@@ -5,7 +5,8 @@ loop for attribution scores, the copied-shard
 reference for client views, the whole-domain data build that the streamed
 one must equal, the per-client-view evaluation and the per-cell
 reference for evaluation reports, the record-object reference for the fedcccu server, the per-sample integers
-loop of the synthetic base stream, a synthetic domain over a stream of its
+loop of the synthetic base stream, the np.quantile class patterns and the
+np.unique Dirichlet split, a synthetic domain over a stream of its
 own, the IDX fixture writers and reader, and the configparser reference for the config
 reader."""
 import configparser
@@ -534,6 +535,36 @@ def reference_base_stream(rng, resolution, count):
         standard_normal(out=noise[i])
     noise *= 0.08
     return 3 * shifts[:, 0] + shifts[:, 1] + 4, noise
+
+
+def reference_class_patterns(seed, class_count, resolution) -> np.ndarray:
+    """datasets._class_patterns with each cut by np.quantile, which loads numpy.ma."""
+    rng = nn.make_rng(seed, 301)
+    patterns = np.empty((class_count, *resolution))
+    for c in range(class_count):
+        raw = ds._box_blur(rng.uniform(0.0, 1.0, resolution))
+        patterns[c] = ds._box_blur(np.where(raw > np.quantile(raw, 0.65), 0.85, 0.15))
+    return patterns
+
+
+def reference_partition_dirichlet(labels, client_count, alpha, seed):
+    """partition.partition_dirichlet's draws over the classes np.unique finds
+    (np.unique loads numpy.ma), without its argument checks; None where it
+    finds no assignment."""
+    for attempt in range(pt.DIRICHLET_MAX_RETRIES):
+        rng = nn.make_rng(seed, 411, attempt)
+        buckets = [[] for _ in range(client_count)]
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
+            idx = idx[rng.permutation(idx.size)]
+            props = rng.dirichlet([alpha] * client_count)
+            cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
+            for k, chunk in enumerate(np.split(idx, cuts)):
+                buckets[k].append(chunk)
+        clients = [np.sort(np.concatenate(b)) for b in buckets]
+        if all(len(c) for c in clients):
+            return clients
+    return None
 
 
 def synthetic_domain(base_pattern_seed, seed, resolution, class_count, samples_per_class,

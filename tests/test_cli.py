@@ -7,6 +7,8 @@ import logging
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ from helpers import (TINY, reference_evaluation_sets, reference_report,
                      reference_validation_error, same_bits, save_idx, synthetic_domain,
                      write_idx)
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_cfg(tmp_path, route="none", name="cfg.ini"):
@@ -227,6 +230,32 @@ def test_compare_four_routes_merged_table(tmp_path):
     lines = open(os.path.join(out, "compare.csv")).read().strip().split("\n")
     assert lines[0] == "client,class,before,delete,relabel,zeroing,fedcccu"
     assert len(lines) == 1 + 4 * 6  # 4 clients x 6 classes
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    """fusim has no masked array, and numpy.ma costs about 1.25 MB of memory
+    to load.  numpy 2.4 loads it on np.unique without return_index and on
+    np.quantile, so the data build avoids both (README, Determinism notes);
+    fedcccu's np.unique(..., return_index=True) does not load it.  The
+    commands run in a fresh interpreter, since this one may hold it already."""
+    tiny = TINY.format(route="none")
+    strategies = {"iid": "strategy = iid\nclients = 3",
+                  "dirichlet": "strategy = dirichlet\nclients = 3\nalpha = 0.5"}
+    (tmp_path / "tiny.ini").write_text(tiny)
+    commands = [["compare", "--config", str(tmp_path / "tiny.ini"), "--out",
+                 str(tmp_path / "tiny"), "--routes", "delete,relabel,zeroing,fedcccu"]]
+    for name, keys in strategies.items():
+        (tmp_path / f"{name}.ini").write_text(tiny.replace("group_sizes = 2,2", keys))
+        commands.append(["run", "--config", str(tmp_path / f"{name}.ini"), "--out",
+                         str(tmp_path / name)])
+    script = ("import json, sys\nfrom fusim import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [[cli.EXIT_OK] * 3, False]
 
 
 def test_compare_single_route_single_column(tmp_path):

@@ -16,8 +16,8 @@ from fusim import datasets as ds
 from fusim import experiment
 from fusim import nncore as nn
 from fusim.config import ConfigError, validate_config
-from helpers import (TINY, file_bytes, made, reference_base_stream, reference_task_data,
-                     same_bits, save_idx, synthetic_domain, write_idx)
+from helpers import (TINY, file_bytes, made, reference_base_stream, reference_class_patterns,
+                     reference_task_data, same_bits, save_idx, synthetic_domain, write_idx)
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -249,6 +249,17 @@ def test_synth_bit_identical_to_per_sample_generator(chain):
     assert np.array_equal(d.images, images)
     assert np.array_equal(d.labels, labels)
     assert d.images.shape == images.shape
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(4, 28), st.integers(4, 28))
+@example(3, 10, 4, 4)     # index 9.75: interpolated down from the upper neighbour
+@example(3, 10, 4, 5)     # index 12.35: interpolated up from the lower one
+@example(3, 10, 9, 9)     # index 52.0: the lower neighbour itself
+def test_class_patterns_equal_the_np_quantile_cut(seed, class_count, h, w):
+    """The cut written out has np.quantile's bits at any resolution; the
+    golden file and the digests hold only the configured seeds."""
+    assert same_bits(ds._class_patterns(seed, class_count, (h, w)),
+                     reference_class_patterns(seed, class_count, (h, w)))
 
 
 SHARED_STREAM_CONFIG = """

@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusim import datasets as ds
 from fusim import partition as pt
 from fusim.config import STRATEGIES, ConfigError, PartitionConfig
-from helpers import reference_label_intersection, synthetic_domain
+from helpers import (reference_label_intersection, reference_partition_dirichlet, same_bits,
+                     synthetic_domain)
 
 
 def synth(classes=10, per_class=100, seed=1, name="synthetic"):
@@ -103,6 +104,26 @@ def test_dirichlet_conservation_and_disjoint():
     clients = pt.partition_dirichlet(d.labels, 6, 0.5, 11)
     all_idx = [i for c in clients for i in c.tolist()]
     assert len(all_idx) == len(set(all_idx)) == len(d)
+
+
+@given(st.sets(st.integers(0, 9), min_size=1), st.integers(1, 20), st.integers(1, 5),
+       st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+@example({0, 3, 7}, 6, 3, 0.5, 2)   # classes 1, 2, 4-6, 8 and 9 absent
+@example({5}, 8, 4, 0.5, 2)         # a single class, and not class 0
+def test_dirichlet_classes_from_bincount_equal_np_unique_ones(present, per_class, clients,
+                                                              alpha, seed):
+    """The split over the classes np.bincount finds is the one over
+    np.unique's, absent classes and all; the golden file and the digests
+    hold only the configured seeds."""
+    labels = np.random.default_rng(seed).permutation(np.repeat(sorted(present), per_class))
+    assume(clients <= len(labels))
+    expected = reference_partition_dirichlet(labels, clients, alpha, seed)
+    if expected is None:
+        with pytest.raises(ConfigError, match="no nonempty Dirichlet assignment"):
+            pt.partition_dirichlet(labels, clients, alpha, seed)
+    else:
+        got = pt.partition_dirichlet(labels, clients, alpha, seed)
+        assert len(got) == len(expected) and all(map(same_bits, got, expected))
 
 
 def test_dirichlet_rejects_bad_alpha():
