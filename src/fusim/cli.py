@@ -21,20 +21,20 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _load(args) -> list[ExperimentConfig]:
-    """The command's configs, the flags applied as overrides: one, or for
-    compare one per route of --routes."""
+def _load(args) -> tuple[ExperimentConfig, list[str]]:
+    """The command's config, the flags applied as overrides, and for compare
+    the routes of --routes, each checked as an unlearn.route value is."""
     overrides = [(flag, key, value) for flag, key, value in (
         ("--seed", "experiment.seed", args.seed),
         ("--route", "unlearn.route", getattr(args, "route", None)),
         ("--out", "experiment.out_dir", args.out)) if value is not None]
-    if args.command != "compare":
-        return [load_config(args.config, overrides)]
-    routes = [r.strip() for r in args.routes.split(",") if r.strip()]
-    if not routes:
-        raise ConfigError(f"--routes: no routes given in {args.routes!r}")
-    return [load_config(args.config, overrides + [("--routes", "unlearn.route", r)])
-            for r in routes]
+    routes = []
+    if args.command == "compare":
+        routes = [r.strip() for r in args.routes.split(",") if r.strip()]
+        if not routes:
+            raise ConfigError(f"--routes: no routes given in {args.routes!r}")
+    return load_config(args.config, overrides + [("--routes", "unlearn.route", r)
+                                                 for r in routes]), routes
 
 
 def _add_common(p: argparse.ArgumentParser, with_route: bool = True) -> None:
@@ -72,11 +72,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        cfgs = _load(args)
+        cfg, routes = _load(args)
     except (ConfigError, OSError) as exc:
         logger.error("config: %s", exc)
         return EXIT_CONFIG
-    cfg = cfgs[0]
     out = cfg.out_dir
     try:
         if args.command == "partition":
@@ -99,7 +98,7 @@ def main(argv=None) -> int:
             logger.info("forget_efficacy=%.2f collateral_retained=%.2f",
                         metrics["forget_efficacy"], metrics["collateral_retained"])
         elif args.command == "compare":
-            experiment.compare_routes(cfgs, out)
+            experiment.compare_routes(cfg, routes, out)
             logger.info("compare: wrote %s/compare.csv", out)
         return EXIT_OK
     except ConfigError as exc:

@@ -98,7 +98,8 @@ class Task:
     label space, set at once, and the data, built on first use.  A finished
     stage needs only the spec, so a resume of a finished directory builds no
     data.  files holds each IDX file's bytes by path (_read_idx_files reads
-    them when none are given) and is let go once the data is built."""
+    them when none are given) and is let go once the data is built.  Data
+    that tests no requesting client on the forget class is refused."""
 
     def __init__(self, cfg: ExperimentConfig, files: dict[str, bytes] | None = None):
         self.cfg = cfg
@@ -108,6 +109,10 @@ class Task:
     @functools.cached_property
     def data(self) -> TaskData:
         data = build_task(self.cfg, self.spec.class_count, self.files)
+        u = self.cfg.unlearn
+        if not any((data.test_sets[data.client_sets[rid]].labels == u.forget_class).any()
+                   for rid in u.requesting_clients):
+            raise ConfigError("unlearn.requesting_clients: none is tested on the forget class")
         self.files = {}
         return data
 
@@ -129,16 +134,17 @@ def build_spec(cfg: ExperimentConfig, files: dict[str, bytes]) -> ModelSpec:
     A synthetic domain has [data] class_count classes and an IDX domain max
     label + 1, read from its labels file's bytes in files only; the shared
     count is their minimum, the label range label_intersection keeps.  It
-    must hold the forget class, and under relabel another class too.
+    must be at least 2, as over one class the softmax is always 1 and no
+    route can forget anything, and must hold the forget class.
     """
     class_count = min(cfg.class_count if dc.kind == "synthetic"
                       else idx_class_count(dc.labels_path, files) for dc in cfg.domains)
+    if class_count < 2:
+        raise ConfigError(f"domains: the shared class count is {class_count}; forgetting "
+                          f"a class needs at least two")
     if cfg.unlearn.forget_class >= class_count:
         raise ConfigError(f"unlearn.forget_class: {cfg.unlearn.forget_class} >= "
                           f"shared class count {class_count}")
-    if cfg.unlearn.route == "relabel" and class_count < 2:
-        raise ConfigError(f"unlearn.route: relabeling needs at least two classes; the "
-                          f"shared class count is {class_count}")
     shape = (1, *cfg.partition.working_resolution)
     if cfg.model_spec == "small_mlp":
         return nncore.small_mlp(shape, class_count, hidden=cfg.hidden)
@@ -502,8 +508,8 @@ def ensure_evaluate(cfg: ExperimentConfig, out_dir: str, trained: Stage | None =
         lambda: ensure_unlearn(cfg, out_dir, trained), resume, run)
 
 
-def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
-    """Compare configs that differ only in route; returns compare.csv's text.
+def compare_routes(cfg: ExperimentConfig, routes: list[str], out_dir: str) -> str:
+    """Run cfg under each of routes, one or more; returns compare.csv's text.
 
     The partition and train stages run once, in out_dir; each route's
     unlearn and evaluate stages run in out_dir/route_<label> from that
@@ -511,25 +517,18 @@ def compare_routes(cfgs: list[ExperimentConfig], out_dir: str) -> str:
     passes the one it returned (built or read back) to the next.
     compare.csv is written only when it is absent or holds other text.
     """
-    if not cfgs:
-        raise ValueError("stage compare: no configurations given")
-    held = [canonical(cfg, _UNLEARN_SECTIONS) for cfg in cfgs]
-    for values in held:
-        del values["unlearn.route"]
-    if any(values != held[0] for values in held[1:]):
-        raise ValueError("stage compare: configurations differ beyond unlearn.route")
     labels = []
     seen: dict[str, int] = {}
-    for cfg in cfgs:
-        route = cfg.unlearn.route
+    for route in routes:
         seen[route] = seen.get(route, 0) + 1
         labels.append(route if seen[route] == 1 else f"{route}_{seen[route]}")
     reports: dict[str, "evalkit.EvaluationReport"] = {}
-    trained = ensure_train(cfgs[0], out_dir)
+    trained = ensure_train(cfg, out_dir)
     before = None
-    for cfg, label in zip(cfgs, labels):
+    for route, label in zip(routes, labels):
         sub = os.path.join(out_dir, f"route_{label}")
-        before, reports[label] = ensure_evaluate(cfg, sub, trained, before).value
+        routed = dataclasses.replace(cfg, unlearn=dataclasses.replace(cfg.unlearn, route=route))
+        before, reports[label] = ensure_evaluate(routed, sub, trained, before).value
     merged = {"before": before, **reports}
     text = evalkit.combined_csv(merged)
     path = os.path.join(out_dir, "compare.csv")

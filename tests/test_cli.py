@@ -260,21 +260,13 @@ def test_no_command_loads_numpy_ma(tmp_path):
 
 def test_compare_single_route_single_column(tmp_path):
     cfg = validate_config(TINY.format(route="delete"))
-    text = experiment.compare_routes([cfg], str(tmp_path / "one"))
+    text = experiment.compare_routes(cfg, ["delete"], str(tmp_path / "one"))
     assert text.splitlines()[0] == "client,class,before,delete"
-
-
-def test_compare_rejects_differing_configs(tmp_path):
-    a = validate_config(TINY.format(route="delete"))
-    b = validate_config(TINY.format(route="zeroing").replace("seed = 5", "seed = 6"))
-    with pytest.raises(ValueError, match="stage compare: configurations differ beyond "
-                                         "unlearn.route"):
-        experiment.compare_routes([a, b], str(tmp_path / "x"))
 
 
 def test_compare_identical_routes_identical_columns(tmp_path):
     a = validate_config(TINY.format(route="delete"))
-    text = experiment.compare_routes([a, a], str(tmp_path / "dup"))
+    text = experiment.compare_routes(a, ["delete", "delete"], str(tmp_path / "dup"))
     lines = text.strip().split("\n")
     assert lines[0] == "client,class,before,delete,delete_2"
     for line in lines[1:]:
@@ -359,9 +351,7 @@ def test_compare_trains_once_in_top_directory(compared):
 def test_compare_builds_before_report_once(tmp_path, monkeypatch):
     calls = count_reports(monkeypatch)
     cfg = validate_config(TINY.format(route="delete"))
-    routes = [dataclasses.replace(cfg, unlearn=dataclasses.replace(cfg.unlearn, route=r))
-              for r in ("delete", "zeroing")]
-    experiment.compare_routes(routes, str(tmp_path / "cmp"))
+    experiment.compare_routes(cfg, ["delete", "zeroing"], str(tmp_path / "cmp"))
     assert len(calls) == 3  # one before report, one after report per route
 
 
@@ -434,8 +424,9 @@ def tree_inodes(root):
 
 
 def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, monkeypatch):
-    """A second compare on a finished directory trains, evaluates and builds
-    nothing, and writes nothing: every file keeps its bytes and its inode."""
+    """A second compare on a finished directory loads the config once,
+    trains, evaluates and builds nothing, and writes nothing: every file
+    keeps its bytes and its inode."""
     _, cfg_path, out, _ = compared
     again = str(tmp_path / "again")
     shutil.copytree(out, again)
@@ -444,9 +435,11 @@ def test_compare_resume_trains_nothing_and_changes_no_byte(compared, tmp_path, m
     calls = count_trainings(monkeypatch)
     reports = count_reports(monkeypatch)
     builds, domains = count_builds(monkeypatch)
+    loads = count_calls(monkeypatch, cli, "load_config")
     rc = cli.main(["compare", "--config", str(cfg_path), "--out", again,
                    "--routes", ",".join(COMPARED)])
     assert rc == cli.EXIT_OK
+    assert loads == ["load_config"]
     assert calls == []
     assert reports == []
     assert builds == [] and domains == []
@@ -1067,10 +1060,41 @@ def damaged_artifact(name, damage, needle, remove=()):
     return make
 
 
-def one_class_relabel(tmp_path, finished):
-    cfg_path, _, _ = one_idx_domain(tmp_path, np.zeros(40, dtype=int), route="relabel")
-    return cfg_path, tmp_path / "run", ("config: unlearn.route: relabeling needs at least "
-                                        "two classes; the shared class count is 1")
+ONE_CLASS = ("config: domains: the shared class count is 1; forgetting a class needs at "
+             "least two")
+
+
+def one_class(route):
+    def make(tmp_path, finished):
+        cfg_path, _, _ = one_idx_domain(tmp_path, np.zeros(40, dtype=int), route=route)
+        return cfg_path, tmp_path / "run", ONE_CLASS
+    return make
+
+
+def requester_without_the_forget_class(tmp_path, finished):
+    """A synthetic domain, then an IDX domain whose labels are 1..5, with
+    client 2 of the IDX group requesting that class 0 be forgotten."""
+    images, labels = tmp_path / "real-images.idx", tmp_path / "real-labels.idx"
+    write_idx(np.full((50, 8, 8), 128), np.arange(50) % 5 + 1, images, labels)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"""
+[data]
+class_count = 6
+samples_per_class = 10
+[domain.clean]
+resolution = 8x8
+[domain.real]
+images = {images}
+labels = {labels}
+[partition]
+group_sizes = 2,2
+working_resolution = 8x8
+[unlearn]
+route = delete
+requesting_clients = 2
+""")
+    return (cfg_path, tmp_path / "run",
+            "config: unlearn.requesting_clients: none is tested on the forget class")
 
 
 def idx_path_is_a_directory(tmp_path, finished):
@@ -1121,12 +1145,14 @@ def iid_on_64(tmp_path, finished):
     iid_on_64,
     damaged_tiny({"group_sizes = 2,2\n": "strategy = dirichlet\nclients = 8\nalpha = 0.001\n"},
                  "config: partition.alpha: no nonempty Dirichlet assignment"),
-    one_class_relabel,
+    one_class("relabel"),
+    one_class("none"),
     idx_path_is_a_directory,
+    requester_without_the_forget_class,
 ], ids=["idx-labels-magic", "idx-labels-truncated", "idx-count-mismatch",
         "truncated-checkpoint", "summary-not-json", "report-not-json", "split-leaves-no-train",
         "iid-more-clients-than-examples", "dirichlet-tiny-alpha", "relabel-one-class",
-        "idx-path-is-a-directory"])
+        "none-one-class", "idx-path-is-a-directory", "requester-without-the-forget-class"])
 def test_a_damaged_input_exits_1_names_it_and_writes_nothing(finished_run, tmp_path, caplog,
                                                              make):
     """A fault in the config, an IDX file or an output-directory artifact is
@@ -1136,6 +1162,20 @@ def test_a_damaged_input_exits_1_names_it_and_writes_nothing(finished_run, tmp_p
     before = tree_state(tmp_path)
     caplog.clear()
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert needle in caplog.text
+    assert tree_state(tmp_path) == before
+
+
+@pytest.mark.parametrize("make", [one_class("zeroing"), requester_without_the_forget_class],
+                         ids=["one-class", "requester-without-the-forget-class"])
+def test_compare_refuses_a_config_before_any_route_writes(tmp_path, caplog, make):
+    """A compare builds one Task for all its routes, so a config that no
+    route can run exits 1 before training, and creates no directory."""
+    cfg_path, out, needle = make(tmp_path, None)
+    before = tree_state(tmp_path)
+    caplog.clear()
+    assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                     "--routes", "zeroing,relabel"]) == cli.EXIT_CONFIG
     assert needle in caplog.text
     assert tree_state(tmp_path) == before
 
